@@ -3,7 +3,7 @@
 Paper: ≈1 s for 2–8 nodes, flat, dominated by writing the state to disk.
 """
 
-from repro.bench.fig5 import fig5_shape_holds, run_fig5
+from repro.bench.fig5 import fig5_shape_report, run_fig5
 from repro.bench.harness import paper_vs_measured, render_table
 
 
@@ -11,7 +11,7 @@ def test_fig5a_checkpoint_latency(benchmark, show):
     points = benchmark.pedantic(
         lambda: run_fig5(node_counts=(2, 4, 6, 8), rounds=5),
         rounds=1, iterations=1)
-    shape = fig5_shape_holds(points)
+    shape = fig5_shape_report(points)
     rows = [[p.n_nodes, f"{p.latency.mean:.3f} s",
              f"± {p.latency.std * 1000:.2f} ms",
              f"{p.local_save.mean:.3f} s"] for p in points]

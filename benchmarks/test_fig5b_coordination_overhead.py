@@ -4,7 +4,7 @@ Paper: 350–550 µs total; grows ≈50 µs per node beyond 4 nodes — negligib
 next to the ~1 s checkpoint, hence "scalable".
 """
 
-from repro.bench.fig5 import fig5_shape_holds, run_fig5
+from repro.bench.fig5 import fig5_shape_report, run_fig5
 from repro.bench.harness import paper_vs_measured, render_table
 
 
@@ -12,7 +12,7 @@ def test_fig5b_coordination_overhead(benchmark, show):
     points = benchmark.pedantic(
         lambda: run_fig5(node_counts=(2, 4, 6, 8), rounds=5),
         rounds=1, iterations=1)
-    shape = fig5_shape_holds(points)
+    shape = fig5_shape_report(points)
     rows = [[p.n_nodes, f"{p.overhead.mean * 1e6:.0f} us",
              f"± {p.overhead.std * 1e6:.0f} us",
              f"{p.messages_per_round:.0f}"] for p in points]

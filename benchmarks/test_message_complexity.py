@@ -5,14 +5,14 @@ against the same application, plus per-round latency.
 
 from repro.baselines.flush import restart_message_estimate
 from repro.bench.harness import paper_vs_measured, render_table
-from repro.bench.messages import messages_shape_holds, run_messages
+from repro.bench.messages import messages_shape_report, run_messages
 
 
 def test_message_complexity(benchmark, show):
     points = benchmark.pedantic(
         lambda: run_messages(node_counts=(2, 4, 8, 16)),
         rounds=1, iterations=1)
-    shape = messages_shape_holds(points)
+    shape = messages_shape_report(points)
     rows = [[p.n_nodes, p.cruz_messages, p.flush_messages,
              f"{p.cruz_latency_s*1000:.2f} ms",
              f"{p.flush_latency_s*1000:.2f} ms",
@@ -37,4 +37,4 @@ def test_message_complexity(benchmark, show):
          f"{restart_message_estimate(16)} msgs at N=16 vs 0 for Cruz",
          True),
     ]))
-    assert all(shape.values()), shape
+    assert shape.passed, shape.render()

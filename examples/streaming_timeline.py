@@ -9,7 +9,7 @@ TCP's retransmission-driven recovery.
 Run:  python examples/streaming_timeline.py
 """
 
-from repro.bench.fig6 import fig6_shape_holds, run_fig6
+from repro.bench.fig6 import fig6_shape_report, run_fig6
 
 
 def bar(rate_bps: float, full_bps: float, width: int = 50) -> str:
@@ -46,9 +46,10 @@ def main():
         print(f"{t*1000:8.0f}  {rate/1e6:9.1f} Mb  "
               f"{bar(rate, full):<50} {' '.join(marks)}")
 
-    shape = fig6_shape_holds(result)
+    shape = fig6_shape_report(result)
     print("\npaper-shape checks:", ", ".join(
-        f"{name}={'OK' if ok else 'FAIL'}" for name, ok in shape.items()))
+        f"{check.name}={'OK' if check.ok else 'FAIL'}"
+        for check in shape.checks))
 
 
 if __name__ == "__main__":

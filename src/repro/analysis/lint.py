@@ -19,9 +19,6 @@ CRZ005    ``spans.begin(...)`` in a function with no matching
 CRZ006    ``id()``-based ordering or keying (sort keys, comparisons,
           heap entries, dict subscripts/lookups) — allocation
           addresses are not deterministic
-CRZ007    deprecated ``store.chunks`` access — the flat chunk table is
-          a shared-filesystem assumption; go through the
-          ``ImageStore`` facade / ``StoreBackend`` API instead
 CRZ008    unbounded retry loop: a ``while True:`` that sends or
           retransmits with no pacing or budget (no timeout/sleep/
           backoff call) — a lost peer turns it into a busy storm
@@ -73,12 +70,6 @@ RULES: Dict[str, tuple] = {
         "id() is an allocation address and varies run to run; order or "
         "key by a stable value (name, sequence number, attribute) "
         "instead",
-    ),
-    "CRZ007": (
-        "deprecated store.chunks access",
-        "the flat chunk table assumes a shared filesystem; use the "
-        "ImageStore facade (stats/refcounts()/backend) so the code "
-        "works against any StoreBackend",
     ),
     "CRZ008": (
         "unbounded retry loop (while True sends with no pacing/budget)",
@@ -291,19 +282,6 @@ class _Linter(ast.NodeVisitor):
         if isinstance(value, ast.Name) and value.id == "spans":
             return True
         return isinstance(value, ast.Attribute) and value.attr == "spans"
-
-    # -- CRZ007: deprecated store.chunks access ---------------------------
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "chunks" and self._receiver_is_store(node.value):
-            self._flag(node, "CRZ007")
-        self.generic_visit(node)
-
-    @staticmethod
-    def _receiver_is_store(value: ast.AST) -> bool:
-        if isinstance(value, ast.Name) and value.id == "store":
-            return True
-        return isinstance(value, ast.Attribute) and value.attr == "store"
 
     def _check_wallclock(self, node: ast.Call, func: ast.Attribute) -> None:
         if self.rand_exempt:

@@ -2,14 +2,12 @@
 
 from repro.bench.fig5 import (
     Fig5Point,
-    fig5_shape_holds,
     fig5_shape_report,
     round_span_metrics,
     run_fig5,
 )
 from repro.bench.fig6 import (
     Fig6Result,
-    fig6_shape_holds,
     fig6_shape_report,
     run_fig6,
 )
@@ -22,19 +20,16 @@ from repro.bench.harness import (
 )
 from repro.bench.messages import (
     MessagePoint,
-    messages_shape_holds,
     messages_shape_report,
     run_messages,
 )
 from repro.bench.optimization import (
     OptimizationResult,
-    optimization_shape_holds,
     optimization_shape_report,
     run_optimization,
 )
 from repro.bench.overhead import (
     OverheadResult,
-    overhead_shape_holds,
     overhead_shape_report,
     run_overhead,
 )
@@ -48,15 +43,10 @@ __all__ = [
     "ShapeCheck",
     "ShapeReport",
     "Stat",
-    "fig5_shape_holds",
     "fig5_shape_report",
-    "fig6_shape_holds",
     "fig6_shape_report",
-    "messages_shape_holds",
     "messages_shape_report",
-    "optimization_shape_holds",
     "optimization_shape_report",
-    "overhead_shape_holds",
     "overhead_shape_report",
     "paper_vs_measured",
     "render_table",

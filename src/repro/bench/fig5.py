@@ -148,8 +148,3 @@ def fig5_shape_report(points: List[Fig5Point]) -> ShapeReport:
                         for p in points],
                  expect="restart within 0.3x-3x of checkpoint")
     return report
-
-
-def fig5_shape_holds(points: List[Fig5Point]) -> dict:
-    """Deprecated: use :func:`fig5_shape_report`; kept for old callers."""
-    return fig5_shape_report(points).as_dict()

@@ -150,8 +150,3 @@ def fig6_shape_report(result: Fig6Result) -> ShapeReport:
                  result.pre_checkpoint_rate_bps * 0.6,
                  expect="stream returns to >60% of its old rate")
     return report
-
-
-def fig6_shape_holds(result: Fig6Result) -> dict:
-    """Deprecated: use :func:`fig6_shape_report`; kept for old callers."""
-    return fig6_shape_report(result).as_dict()

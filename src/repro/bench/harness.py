@@ -51,9 +51,9 @@ class ShapeReport:
     """Named pass/fail checks for one benchmark's qualitative shape.
 
     This is the unified result convention for every ``bench`` harness:
-    build with :meth:`check`, inspect with ``report["check_name"]`` or
-    :meth:`as_dict` (the legacy ``*_shape_holds`` dict), render with
-    :meth:`render`, serialize with :meth:`to_jsonable`.
+    build with :meth:`check`, inspect with ``report["check_name"]`` and
+    ``report.passed``, render with :meth:`render`, serialize with
+    :meth:`to_jsonable`.
     """
 
     def __init__(self, title: str = ""):
@@ -77,10 +77,6 @@ class ShapeReport:
 
     def __len__(self) -> int:
         return len(self.checks)
-
-    def as_dict(self) -> Dict[str, bool]:
-        """The legacy ``{check_name: bool}`` mapping."""
-        return {c.name: c.ok for c in self.checks}
 
     def to_jsonable(self) -> Dict[str, Any]:
         return {

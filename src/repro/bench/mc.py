@@ -1,6 +1,6 @@
 """CruzMC benchmark: explorer throughput and oracle-hook overhead.
 
-Three measurements, recorded to ``benchmarks/BENCH_mc.json``:
+Two measurements, recorded to ``benchmarks/BENCH_mc.json``:
 
 * ``explorer`` — a full schedule-only exploration of the default
   2-node / 1-round protocol round plus a drop/dup fault exploration:
@@ -11,11 +11,12 @@ Three measurements, recorded to ``benchmarks/BENCH_mc.json``:
 * ``overhead`` — the guard that keeps model checking free for everyone
   who isn't using it.  The scheduler hook (`Simulator(oracle=...)`)
   must cost the normal no-oracle fast path under ``overhead_limit``
-  (default 3%) on the simcore storm benchmark.  Both sides run the
-  byte-identical storm workload in this process: the shipping
-  ``Simulator.run`` (hook present, oracle ``None``) against a reference
-  loop replicating the pre-hook run() body (direct ``queue.pop_due``,
-  no oracle dispatch).  Min-of-N wall clock on each side.
+  (default 3%) on the timer storm (:func:`run_storm`), the workload
+  that isolates the scheduler.  Both sides run the byte-identical
+  storm in this process: the shipping ``Simulator.run`` (hook present,
+  oracle ``None``) against a reference loop replicating the pre-hook
+  run() body (direct ``queue.pop_due``, no oracle dispatch).  Min-of-N
+  wall clock on each side.
 
 This module measures wall-clock by design, hence the CRZ001
 suppressions below.
@@ -41,6 +42,113 @@ OVERHEAD_SEGMENTS = 100
 OVERHEAD_REPS = 17
 DEFAULT_OVERHEAD_LIMIT = 0.03
 DEFAULT_TOLERANCE = 0.2
+
+#: Start-stagger window of the storm's flows (simulated seconds).
+STORM_WINDOW_S = 1.0
+#: TCP timer constants mirrored by the storm (see tcp/connection.py).
+STORM_RTO_S = 1.0
+STORM_DELACK_S = 0.2
+STORM_ACK_GAP_S = 0.001
+STORM_HEARTBEAT_S = 0.1
+
+
+def run_storm(n_nodes: int = OVERHEAD_NODES,
+              n_flows: int = OVERHEAD_FLOWS,
+              segments_per_flow: int = OVERHEAD_SEGMENTS,
+              driver=None) -> Dict[str, object]:
+    """Replay the TCP stack's timer trace through the raw scheduler.
+
+    Each of ``n_flows`` flows performs ``segments_per_flow`` segment
+    exchanges 1 ms apart: every "ACK" restarts the 1 s RTO timer
+    (exactly ``connection.py``'s ``_restart_rtx_timer``: a deadline bump
+    while the wheel slot stays armed), every other segment arms a
+    200 ms delayed-ACK timer that the next transmission cancels, and
+    the pacing event itself is a scheduler op. Each of ``n_nodes``
+    nodes additionally ticks a 100 ms heartbeat, like the failover
+    detector. No modelled TCP or network work dilutes the event loop,
+    so a per-event cost in ``Simulator.run`` shows here undiluted.
+
+    ``driver(sim, until)`` times an alternative event loop over the
+    byte-identical workload; the default is ``sim.run``.
+    """
+    from repro.sim.core import Simulator
+    from repro.sim.timers import timers_for
+
+    sim = Simulator()
+    timers = timers_for(sim)
+    counts = {"rto_fired": 0, "delack_fired": 0, "flows_done": 0,
+              "heartbeats": 0}
+
+    def on_delack() -> None:
+        counts["delack_fired"] += 1
+
+    def start_flow(k: int) -> None:
+        rto = [None]
+        rto_deadline = [0.0]
+        delack = [None]
+        sent = [0]
+
+        def on_rto() -> None:
+            remaining = rto_deadline[0] - sim.now
+            if remaining > 1e-12:
+                # Lazy restart: the deadline moved while the slot
+                # stayed armed; re-arm for the remainder.
+                rto[0] = timers.after(remaining, on_rto)
+                return
+            counts["rto_fired"] += 1
+
+        def segment() -> None:
+            sent[0] += 1
+            handle = rto[0]
+            rto_deadline[0] = sim.now + STORM_RTO_S
+            if handle is None or not handle.active:
+                rto[0] = timers.after(STORM_RTO_S, on_rto)
+            if sent[0] % 2 == 0:
+                pending = delack[0]
+                if pending is not None and pending.active:
+                    pending.cancel()
+                delack[0] = timers.after(STORM_DELACK_S, on_delack)
+            if sent[0] < segments_per_flow:
+                sim.defer(STORM_ACK_GAP_S, segment)
+            else:
+                if rto[0].active:
+                    rto[0].cancel()
+                counts["flows_done"] += 1
+
+        segment()
+
+    active_until = STORM_WINDOW_S + segments_per_flow * STORM_ACK_GAP_S
+
+    def heartbeat() -> None:
+        counts["heartbeats"] += 1
+        if sim.now < active_until:
+            timers.after(STORM_HEARTBEAT_S, heartbeat)
+
+    for node in range(n_nodes):
+        sim.call_at(node * STORM_HEARTBEAT_S / n_nodes, heartbeat)
+    for k in range(n_flows):
+        sim.call_at(STORM_WINDOW_S * k / max(n_flows, 1), start_flow, k)
+
+    # Past the last possible RTO/delayed-ACK deadline.
+    horizon = active_until + STORM_RTO_S + STORM_DELACK_S + 0.05
+    started = time.perf_counter()  # cruz: noqa[CRZ001] benchmark timing
+    if driver is None:
+        sim.run(until=horizon)
+    else:
+        driver(sim, horizon)
+    wall_s = time.perf_counter() - started  # cruz: noqa[CRZ001] bench
+    stats = sim.stats()
+    popped = int(stats["popped"])
+    return {
+        "flows_completed": counts["flows_done"],
+        "rto_fired": counts["rto_fired"],
+        "delack_fired": counts["delack_fired"],
+        "heartbeats": counts["heartbeats"],
+        "wall_s": round(wall_s, 4),
+        "events_popped": popped,
+        "events_pushed": int(stats["pushed"]),
+        "events_per_sec": round(popped / wall_s) if wall_s > 0 else 0,
+    }
 
 
 def _reference_run(sim, until: Optional[float]) -> None:
@@ -83,25 +191,21 @@ def measure_overhead(reps: int = OVERHEAD_REPS,
                      segments_per_flow: int = OVERHEAD_SEGMENTS
                      ) -> Dict[str, object]:
     """A/B the shipping run() against the pre-hook reference loop."""
-    from repro.bench.simcore import run_storm
-
     workload = {"n_nodes": n_nodes, "n_flows": n_flows,
                 "segments_per_flow": segments_per_flow}
     hooked_walls: List[float] = []
     reference_walls: List[float] = []
     events = 0
-    run_storm("fast", **workload)  # warmup: allocator + code caches
+    run_storm(**workload)  # warmup: allocator + code caches
     for rep in range(reps):
         # Alternate the A/B order so neither side systematically runs
         # on the other's warmed caches.
         if rep % 2 == 0:
-            hooked = run_storm("fast", **workload)
-            reference = run_storm("fast", driver=_reference_run,
-                                  **workload)
+            hooked = run_storm(**workload)
+            reference = run_storm(driver=_reference_run, **workload)
         else:
-            reference = run_storm("fast", driver=_reference_run,
-                                  **workload)
-            hooked = run_storm("fast", **workload)
+            reference = run_storm(driver=_reference_run, **workload)
+            hooked = run_storm(**workload)
         if hooked["events_popped"] != reference["events_popped"]:
             raise RuntimeError(
                 "overhead A/B diverged: "

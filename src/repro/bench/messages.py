@@ -96,8 +96,3 @@ def messages_shape_report(points: List[MessagePoint]) -> ShapeReport:
                  value=last.cruz_messages / first.cruz_messages,
                  expect=f"count grows exactly {scale:g}x")
     return report
-
-
-def messages_shape_holds(points: List[MessagePoint]) -> dict:
-    """Deprecated: use :func:`messages_shape_report`."""
-    return messages_shape_report(points).as_dict()

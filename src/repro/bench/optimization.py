@@ -94,8 +94,3 @@ def optimization_shape_report(result: OptimizationResult) -> ShapeReport:
                  value=optimized[slowest] / blocking[slowest],
                  expect="slowest pod's pause is save-bound")
     return report
-
-
-def optimization_shape_holds(result: OptimizationResult) -> dict:
-    """Deprecated: use :func:`optimization_shape_report`."""
-    return optimization_shape_report(result).as_dict()

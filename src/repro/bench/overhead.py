@@ -68,8 +68,3 @@ def overhead_shape_report(result: OverheadResult) -> ShapeReport:
                  value=result.overhead_fraction,
                  expect="< 0.5% (§6)")
     return report
-
-
-def overhead_shape_holds(result: OverheadResult) -> dict:
-    """Deprecated: use :func:`overhead_shape_report`."""
-    return overhead_shape_report(result).as_dict()

@@ -185,19 +185,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.suite == "simcore":
-        from repro.bench import simcore
-        baseline = args.baseline or simcore.DEFAULT_BASELINE
-        workload = {"n_nodes": args.nodes, "n_flows": args.flows,
-                    "segments_per_flow": args.segments}
-        if args.save:
-            status = simcore.save_baseline(baseline, **workload)
-        else:
-            status = simcore.check(baseline,
-                                   min_speedup=args.min_speedup,
-                                   tolerance=args.tolerance,
-                                   **workload)
-    elif args.suite == "migration":
+    if args.suite == "migration":
         from repro.bench import migration
         baseline = args.baseline or migration.DEFAULT_BASELINE
         workload = {"ranks": args.ranks,
@@ -656,13 +644,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench", parents=[common],
-        help="wall-clock regression guards (fig5 round time, "
-             "simcore events/sec)")
+        help="committed-baseline regression guards, one per suite")
     bench.add_argument("suite", nargs="?", default="fig5",
-                       choices=["fig5", "simcore", "migration", "store",
-                                "mc", "slo"],
+                       choices=["fig5", "migration", "store", "mc", "slo"],
                        help="fig5: checkpoint-round wall clock; "
-                            "simcore: scheduler events/sec speedup; "
                             "migration: pre-copy vs stop-and-copy "
                             "pause windows; store: sharded-restore "
                             "bandwidth scaling and healing; mc: model-"
@@ -678,16 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="baseline JSON path (default per suite)")
     bench.add_argument("--tolerance", type=float, default=0.2,
                        help="allowed fractional regression (default 0.2)")
-    bench.add_argument("--nodes", type=int, default=128,
-                       help="simcore: cluster size (default 128)")
-    bench.add_argument("--flows", type=int, default=2000,
-                       help="simcore: TCP flow count (default 2000)")
-    bench.add_argument("--segments", type=int, default=100,
-                       help="simcore: storm segments per flow "
-                            "(default 100)")
-    bench.add_argument("--min-speedup", type=float, default=5.0,
-                       help="simcore: required fast/legacy storm "
-                            "speedup (default 5.0)")
     bench.add_argument("--ranks", type=int, default=2,
                        help="migration: slm ranks (default 2)")
     bench.add_argument("--memory-mb", type=float, default=None,
@@ -712,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", parents=[common],
-        help="CruzSan determinism lint (CRZ001-CRZ008)")
+        help="CruzSan determinism lint (CRZ001-CRZ006, CRZ008)")
     lint.add_argument("paths", nargs="*",
                       help="files/directories to lint "
                            "(default: the repro source tree)")

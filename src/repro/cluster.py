@@ -35,13 +35,6 @@ class Cluster:
     the paper's single-subnet requirement for migration (§4.2).
     """
 
-    #: Scheduler presets: ``fast`` is the production configuration
-    #: (calendar event queue, slotted timer wheel, batched link/switch
-    #: delivery); ``legacy`` is the pre-refactor discipline (monolithic
-    #: heap, exact per-timer events, one arrival event per frame) kept
-    #: as the simcore benchmark's baseline and as a bit-exact reference.
-    SCHEDULERS = ("fast", "legacy")
-
     def __init__(self, n_nodes: int, seed: int = 0,
                  costs: CostModel = DEFAULT_COSTS,
                  trace_enabled: bool = True,
@@ -52,17 +45,8 @@ class Cluster:
                  nic_supports_multiple_macs: bool = True,
                  tiebreak: str = "fifo",
                  sanitize: Optional[bool] = None,
-                 scheduler: str = "fast",
-                 link_coalesce_s: float = 0.0,
                  oracle=None):
-        if scheduler not in self.SCHEDULERS:
-            raise ValueError(f"unknown scheduler preset {scheduler!r}")
-        fast = scheduler == "fast"
-        self.scheduler = scheduler
-        self.sim = Simulator(tiebreak=tiebreak,
-                             queue="calendar" if fast else "heap",
-                             slotted_timers=fast, lightweight=fast,
-                             leaky_cancel=not fast, oracle=oracle)
+        self.sim = Simulator(tiebreak=tiebreak, oracle=oracle)
         self.random = RandomStreams(seed)
         self.trace = Trace(enabled=trace_enabled)
         self.trace.attach_clock(lambda: self.sim.now)
@@ -77,7 +61,7 @@ class Cluster:
         self.fs = SharedFileSystem()
         self.costs = costs
         self.subnet = Subnet(Ipv4Address.parse("10.1.0.0"), 16)
-        self.switch = Switch(self.sim, "switch0", direct=not fast)
+        self.switch = Switch(self.sim, "switch0")
         self.nodes: List[Node] = []
         self.links: List[Link] = []
         self.dhcp_server: Optional[DhcpServer] = None
@@ -94,8 +78,7 @@ class Cluster:
             self.links.append(Link(
                 self.sim, nic.port, self.switch.new_port(),
                 bandwidth_bps=bandwidth_bps, latency_s=latency_s,
-                name=f"node{index}<->switch", trace=self.trace,
-                coalesce_s=link_coalesce_s, direct=not fast))
+                name=f"node{index}<->switch", trace=self.trace))
             self.nodes.append(node)
 
     # -- address allocation -------------------------------------------------

@@ -1,26 +1,17 @@
-"""Pluggable chunk-storage backends for the checkpoint image store.
+"""The chunk-storage backend of the checkpoint image store.
 
-PR 1's :class:`~repro.cruz.storage.ChunkStore` assumed one shared
-filesystem — a single implicit storage node, the last single point of
-failure in the reproduction. This module extracts the raw chunk IO into
-a :class:`StoreBackend` protocol with two implementations:
-
-``SharedFSBackend``
-    The legacy layout: one copy of every chunk under
-    ``/checkpoints/.chunks/``. Kept for compatibility (a bare
-    ``ImageStore(fs)`` still defaults to it) and as the degenerate
-    RF=1/one-shard baseline.
-
-``ShardedBackend``
-    The content-addressed chunk space sharded across the application
-    nodes with a configurable replication factor (RF). Placement is a
-    deterministic *hash ring* over node ids (virtual-node tokens,
-    ``sha256(f"{node}|{i}")``), with **writer affinity**: the node that
-    takes a checkpoint always holds the primary copy (restores on the
-    same node stay local — the paper's fig. 5 shape), and the RF-1
-    replicas go to the chunk's ring successors, so a pod's image spreads
-    across the cluster and a restore elsewhere can fetch from many
-    source disks in parallel.
+:class:`ShardedBackend` holds the raw chunk copies: the
+content-addressed chunk space sharded across the application nodes with
+a configurable replication factor (RF). Placement is a deterministic
+*hash ring* over node ids (virtual-node tokens,
+``sha256(f"{node}|{i}")``), with **writer affinity**: the node that
+takes a checkpoint always holds the primary copy (restores on the same
+node stay local — the paper's fig. 5 shape), and the RF-1 replicas go
+to the chunk's ring successors, so a pod's image spreads across the
+cluster and a restore elsewhere can fetch from many source disks in
+parallel. One shard node at RF=1 is the degenerate case — a single
+disk holding one copy of every chunk — and is what a bare
+``ImageStore(fs)`` builds.
 
 Availability is explicit: :meth:`ShardedBackend.mark_down` /
 :meth:`mark_up` mirror node power state. Copies on a powered-off node
@@ -42,7 +33,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ChunkMissingError, ReplicationError
+from repro.errors import ChunkMissingError, ReplicationError, StoreError
 from repro.simos.filesystem import SharedFileSystem
 
 #: Virtual-node tokens per physical node; smooths the ring so replica
@@ -67,116 +58,7 @@ class PutResult:
     dests: Tuple[str, ...] = ()
 
 
-class StoreBackend:
-    """Protocol for chunk-space backends.
-
-    The four core operations — ``put_chunk``/``get_chunk``/``has``/
-    ``scan`` — are what :class:`~repro.cruz.storage.ChunkStore`
-    requires; the placement/availability surface defaults to the
-    single-shard degenerate forms so the legacy backend stays trivial.
-    """
-
-    kind = "base"
-    replication_factor = 1
-
-    def put_chunk(self, cid: str, payload: bytes,
-                  writer: Optional[str] = None,
-                  force: bool = False) -> PutResult:
-        raise NotImplementedError
-
-    def get_chunk(self, cid: str) -> bytes:
-        raise NotImplementedError
-
-    def has(self, cid: str) -> bool:
-        """At least one copy exists somewhere (up or down shards)."""
-        raise NotImplementedError
-
-    def scan(self) -> List[str]:
-        """Every chunk id with at least one copy, sorted."""
-        raise NotImplementedError
-
-    # -- placement / availability (degenerate defaults) --------------------
-
-    def available(self, cid: str) -> bool:
-        """At least one copy is readable right now."""
-        return self.has(cid)
-
-    def holders(self, cid: str) -> Tuple[str, ...]:
-        return ("shared-fs",) if self.has(cid) else ()
-
-    def live_holders(self, cid: str) -> Tuple[str, ...]:
-        return self.holders(cid)
-
-    def total_copies(self, cid: str) -> int:
-        return 1 if self.has(cid) else 0
-
-    def write_dests(self, cid: str, writer: Optional[str]) -> Tuple[str, ...]:
-        """Nodes whose disks a new copy of ``cid`` would be written to
-        (primary first) — drives the save pipeline's cost accounting."""
-        return ("disk",)
-
-    def delete(self, cid: str) -> Tuple[int, int]:
-        """Remove every *reachable* copy; returns (bytes, copies)."""
-        raise NotImplementedError
-
-    def mark_down(self, node_name: str) -> None:
-        pass
-
-    def mark_up(self, node_name: str) -> None:
-        pass
-
-    def under_replicated(self) -> List[Tuple[str, Tuple[str, ...]]]:
-        """(cid, live holders) for chunks below their live RF target."""
-        return []
-
-
-class SharedFSBackend(StoreBackend):
-    """Legacy single-shard layout on the shared filesystem."""
-
-    kind = "shared-fs"
-    replication_factor = 1
-
-    def __init__(self, fs: SharedFileSystem,
-                 root: str = "/checkpoints/.chunks"):
-        self.fs = fs
-        self.root = root
-
-    def _path(self, cid: str) -> str:
-        return f"{self.root}/{cid[:2]}/{cid}"
-
-    def put_chunk(self, cid: str, payload: bytes,
-                  writer: Optional[str] = None,
-                  force: bool = False) -> PutResult:
-        path = self._path(cid)
-        if self.fs.exists(path) and not force:
-            return PutResult(logical_write=False)
-        self.fs.write_file(path, payload)
-        return PutResult(logical_write=True, dests=("shared-fs",))
-
-    def get_chunk(self, cid: str) -> bytes:
-        path = self._path(cid)
-        if not self.fs.exists(path):
-            raise ChunkMissingError(cid, ("shared-fs",),
-                                    message=f"missing chunk {cid}")
-        return self.fs.read_at(path, 0, self.fs.size(path))
-
-    def has(self, cid: str) -> bool:
-        return self.fs.exists(self._path(cid))
-
-    def scan(self) -> List[str]:
-        return sorted(path.rsplit("/", 1)[-1]
-                      for path in self.fs.listdir(f"{self.root}/"))
-
-    def delete(self, cid: str) -> Tuple[int, int]:
-        path = self._path(cid)
-        if not self.fs.exists(path):
-            return 0, 0
-        nbytes = self.fs.size(path)
-        self.fs.unlink(path)
-        return nbytes, 1
-
-
-class ShardedBackend(StoreBackend):
+class ShardedBackend:
     """Replicated chunk shards on the application nodes' disks.
 
     ``nodes`` are the shard-hosting node names (normally the app
@@ -185,8 +67,6 @@ class ShardedBackend(StoreBackend):
     degraded write stores what it can and relies on re-replication to
     restore RF once capacity returns.
     """
-
-    kind = "sharded"
 
     def __init__(self, fs: SharedFileSystem, nodes: Sequence[str],
                  replication_factor: int = 2,
@@ -309,8 +189,8 @@ class ShardedBackend(StoreBackend):
         if not current:
             del self._holder_index[cid]
         if logical and not written:
-            # force-rewrite with every dest already holding a copy:
-            # the legacy layout recounted this as a write; keep that.
+            # force-rewrite with every dest already holding a copy
+            # still counts as a write to each of them.
             written = list(dests)
         return PutResult(logical_write=logical,
                          replica_copies=replica_copies,
@@ -330,9 +210,11 @@ class ShardedBackend(StoreBackend):
                                         f"(queried: {', '.join(queried) or 'no up nodes'})")
 
     def has(self, cid: str) -> bool:
+        """At least one copy exists somewhere (up or down shards)."""
         return bool(self._holder_index.get(cid))
 
     def scan(self) -> List[str]:
+        """Every chunk id with at least one copy, sorted."""
         found: Set[str] = set()
         for node in self.nodes:
             for path in self.fs.listdir(f"{self.root}/{node}/"):
@@ -346,6 +228,7 @@ class ShardedBackend(StoreBackend):
     # -- placement / availability ------------------------------------------
 
     def available(self, cid: str) -> bool:
+        """At least one copy is readable right now."""
         current = self._holder_index.get(cid)
         return bool(current) and any(node in self._up for node in current)
 
@@ -361,9 +244,6 @@ class ShardedBackend(StoreBackend):
         # this as ground truth against the in-memory holder index.
         return sum(1 for node in self.nodes
                    if self.fs.exists(self._path(node, cid)))
-
-    def write_dests(self, cid: str, writer: Optional[str]) -> Tuple[str, ...]:
-        return self.placement(cid, writer=writer)
 
     def chunk_size(self, cid: str) -> int:
         for node in sorted(self._holder_index.get(cid, ())):
@@ -445,22 +325,30 @@ class ShardedBackend(StoreBackend):
         return len(payload)
 
 
-def backend_config(backend: StoreBackend) -> Dict[str, object]:
+#: The ``kind`` every ``.store`` layout record carries; a record with
+#: any other value was not written by this store.
+LAYOUT_KIND = "sharded"
+
+
+def backend_config(backend: ShardedBackend) -> Dict[str, object]:
     """The pickled ``.store`` record describing a backend layout."""
-    record: Dict[str, object] = {"kind": backend.kind,
-                                 "rf": backend.replication_factor}
-    if isinstance(backend, ShardedBackend):
-        record["nodes"] = list(backend.nodes)
-        record["root"] = backend.root
-    return record
+    return {"kind": LAYOUT_KIND, "rf": backend.replication_factor,
+            "nodes": list(backend.nodes), "root": backend.root}
 
 
 def backend_from_config(fs: SharedFileSystem,
-                        record: Dict[str, object]) -> StoreBackend:
-    """Rebuild a backend from a ``.store`` record (fresh availability)."""
-    if record.get("kind") == "sharded":
-        return ShardedBackend(
-            fs, nodes=record["nodes"],
-            replication_factor=record["rf"],
-            root=record.get("root", "/checkpoints/.shards"))
-    return SharedFSBackend(fs)
+                        record: Dict[str, object]) -> ShardedBackend:
+    """Rebuild a backend from a ``.store`` record (fresh availability).
+
+    A corrupt or foreign record must not attach an empty layout (every
+    chunk would then read as missing), so anything but a complete
+    sharded record is a typed failure naming the record.
+    """
+    if not isinstance(record, dict) or record.get("kind") != LAYOUT_KIND \
+            or not record.get("nodes") or "rf" not in record:
+        raise StoreError(f"unusable .store layout record {record!r}: "
+                         f"expected kind {LAYOUT_KIND!r} with nodes and rf")
+    return ShardedBackend(
+        fs, nodes=record["nodes"],
+        replication_factor=record["rf"],
+        root=record.get("root", "/checkpoints/.shards"))

@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.cluster import Cluster
 from repro.cruz.agent import CheckpointAgent
-from repro.cruz.backend import ShardedBackend, SharedFSBackend, StoreBackend
+from repro.cruz.backend import ShardedBackend
 from repro.cruz.coordinator import CheckpointCoordinator, DistributedApp
 from repro.cruz.faults import ControlFaultInjector, FaultPlan
 from repro.cruz.migration import (
@@ -60,7 +60,6 @@ class CruzCluster(Cluster):
                  lease_misses: int = 3,
                  auto_failover: bool = True,
                  evict_on_suspect: bool = False,
-                 store_backend: str = "sharded",
                  replication_factor: Optional[int] = None,
                  mc_bugs: FrozenSet[str] = frozenset(),
                  **kwargs):
@@ -72,26 +71,18 @@ class CruzCluster(Cluster):
         #: Always empty in production paths.
         self.mc_bugs = frozenset(mc_bugs)
         self.codec = codec if codec is not None else CruzSocketCodec()
-        #: The chunk space is sharded across the app nodes' disks by
-        #: default (RF copies per chunk, writer affinity for the
-        #: primary); ``store_backend="shared-fs"`` keeps the legacy
-        #: single shared directory.
+        #: The chunk space is sharded across the app nodes' disks (RF
+        #: copies per chunk, writer affinity for the primary).
         if replication_factor is None:
             replication_factor = min(2, n_app_nodes)
         self.replication_factor = replication_factor
-        backend: StoreBackend
-        if store_backend == "sharded":
-            backend = ShardedBackend(
+        self.store = ImageStore(
+            self.fs, metrics=self.trace.metrics,
+            sanitizer=self.trace.sanitizer,
+            backend=ShardedBackend(
                 self.fs,
                 nodes=[node.name for node in self.nodes[:n_app_nodes]],
-                replication_factor=replication_factor)
-        elif store_backend == "shared-fs":
-            backend = SharedFSBackend(self.fs)
-        else:
-            raise PodError(f"unknown store backend {store_backend!r}")
-        self.store = ImageStore(self.fs, metrics=self.trace.metrics,
-                                sanitizer=self.trace.sanitizer,
-                                backend=backend)
+                replication_factor=replication_factor))
         self._rereplication_active = False
         self._rereplication_pending = False
         #: Every control datagram (agents and coordinator, ACKs included)
@@ -222,8 +213,6 @@ class CruzCluster(Cluster):
 
     def _schedule_rereplication(self) -> None:
         """Start the background repair pass unless one is running."""
-        if self.store.backend.kind != "sharded":
-            return
         if self._rereplication_active:
             self._rereplication_pending = True
             return

@@ -32,13 +32,11 @@ Save modes:
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.cruz.backend import (
-    SharedFSBackend,
-    StoreBackend,
+    ShardedBackend,
     backend_config,
     backend_from_config,
 )
@@ -64,6 +62,9 @@ from repro.zap.image import (
 _CHUNKED_FD_KINDS = ("tcp_socket", "udp_socket")
 
 MANIFEST_FORMAT = 1
+
+#: The single shard node of a bare ``ImageStore(fs)``.
+DEFAULT_SHARD_NODE = "disk"
 
 
 def blob_chunk_id(blob: bytes) -> str:
@@ -278,20 +279,15 @@ class LivenessLog:
 
 
 class ChunkStore:
-    """Content-addressed, refcounted chunks over a pluggable backend.
+    """Content-addressed, refcounted chunks over the shard backend.
 
     Refcounts and the byte-movement counters live here; the raw copy IO
-    (where chunks physically live, how many replicas) is delegated to a
-    :class:`~repro.cruz.backend.StoreBackend`.
+    (where chunks physically live, how many replicas) is delegated to
+    the :class:`~repro.cruz.backend.ShardedBackend`.
     """
 
-    def __init__(self, fs: SharedFileSystem,
-                 root: str = "/checkpoints/.chunks",
-                 backend: Optional[StoreBackend] = None):
-        self.fs = fs
-        self.root = root
-        self.backend: StoreBackend = backend if backend is not None \
-            else SharedFSBackend(fs, root=root)
+    def __init__(self, backend: ShardedBackend):
+        self.backend = backend
         self.refcounts: Dict[str, int] = {}
         #: Optional runtime sanitizer; flags refcount underflows.
         self.sanitizer = None
@@ -415,13 +411,9 @@ class SavePlan:
         """
         serialized = 0.0
         free: Dict[str, float] = {}
-        dest_groups = self.dest_groups if self.dest_groups else \
-            [None] * len(self.groups)
-        for (serialize_bytes, write_bytes), dests in zip(
-                self.groups, dest_groups):
+        for (serialize_bytes, _write_bytes), dests in zip(
+                self.groups, self.dest_groups):
             serialized += serialize_bytes / costs.serialize_bandwidth
-            if not dests:
-                dests = {"disk": write_bytes}
             for dest in sorted(dests):
                 free[dest] = max(serialized, free.get(dest, 0.0)) \
                     + dests[dest] / costs.disk_write_bandwidth
@@ -432,28 +424,27 @@ class SavePlan:
 class ImageStore:
     """Versioned, chunk-deduplicated checkpoint images.
 
-    A facade over a pluggable :class:`~repro.cruz.backend.StoreBackend`
-    that holds the chunk copies. The metadata plane (manifests, round
-    WAL, liveness WAL) stays on the shared filesystem; the data plane
-    (the bulky chunk space) is wherever the backend puts it — one
-    shared directory (legacy) or replicated shards on the app nodes.
+    A facade over the :class:`~repro.cruz.backend.ShardedBackend` that
+    holds the chunk copies. The metadata plane (manifests, round WAL,
+    liveness WAL) stays on the shared filesystem; the data plane (the
+    bulky chunk space) is replicated shards on the app nodes.
 
-    The backend in use is recorded in a tiny ``.store`` file so a store
+    The shard layout is recorded in a tiny ``.store`` file so a store
     constructed later over the same filesystem (a restarted
     coordinator) re-attaches with the same layout; a bare
-    ``ImageStore(fs)`` over an *empty* filesystem defaults to the
-    legacy single-shard backend.
+    ``ImageStore(fs)`` over an *empty* filesystem is the degenerate
+    layout — one shard node (:data:`DEFAULT_SHARD_NODE`) at RF=1, i.e.
+    one disk holding a single copy of every chunk.
     """
 
     def __init__(self, fs: SharedFileSystem, root: str = "/checkpoints",
                  metrics=None, sanitizer=None,
-                 backend: Optional[StoreBackend] = None):
+                 backend: Optional[ShardedBackend] = None):
         self.fs = fs
         self.root = root
         if backend is None:
             backend = self._detect_backend(fs, root)
-        self._chunks = ChunkStore(fs, root=f"{root}/.chunks",
-                                  backend=backend)
+        self._chunks = ChunkStore(backend)
         self._persist_backend_config()
         #: Optional runtime sanitizer; when set, every save/discard/prune
         #: is followed by a full refcount audit (see :meth:`audit`).
@@ -483,12 +474,14 @@ class ImageStore:
     # -- backend facade ----------------------------------------------------
 
     @staticmethod
-    def _detect_backend(fs: SharedFileSystem,
-                        root: str) -> Optional[StoreBackend]:
-        """Rebuild the backend a previous store recorded in ``.store``."""
+    def _detect_backend(fs: SharedFileSystem, root: str) -> ShardedBackend:
+        """Rebuild the backend a previous store recorded in ``.store``,
+        or lay out the one-disk default over an empty filesystem."""
         path = f"{root}/.store"
         if not fs.exists(path):
-            return None
+            return ShardedBackend(fs, nodes=(DEFAULT_SHARD_NODE,),
+                                  replication_factor=1,
+                                  root=f"{root}/.shards")
         record = thaw_object(fs.read_at(path, 0, fs.size(path)))
         return backend_from_config(fs, record)
 
@@ -501,24 +494,9 @@ class ImageStore:
         self.fs.write_at(path, 0, blob)
 
     @property
-    def backend(self) -> StoreBackend:
+    def backend(self) -> ShardedBackend:
         """The chunk backend (placement, availability, replication)."""
         return self._chunks.backend
-
-    @property
-    def chunks(self) -> ChunkStore:
-        """Deprecated direct access to the internal chunk store.
-
-        Reaching past the facade couples callers to one backend's
-        layout (paths, single-copy assumptions). Use ``store.backend``,
-        ``store.stats`` and ``store.refcounts()`` instead. Flagged
-        in-repo by CruzSan lint CRZ007.
-        """
-        warnings.warn(
-            "ImageStore.chunks is deprecated; use store.backend, "
-            "store.stats and store.refcounts() instead",
-            DeprecationWarning, stacklevel=2)
-        return self._chunks
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -616,10 +594,9 @@ class ImageStore:
     def reconstructible_versions(self, pod_name: str) -> List[int]:
         """Committed versions rebuildable from *surviving* replicas.
 
-        With the legacy shared-FS backend this equals :meth:`versions`;
-        with a sharded backend, versions whose chunks lost every live
-        copy to node failures drop out, and failover / migration must
-        fall back to the newest version still in this list.
+        Versions whose chunks lost every live copy to node failures
+        drop out, and failover / migration must fall back to the newest
+        version still in this list.
         """
         return [version for version in self.versions(pod_name)
                 if self.version_reconstructible(pod_name, version)]
@@ -638,8 +615,6 @@ class ImageStore:
         deficit was scanned).
         """
         backend = self._chunks.backend
-        if backend.kind != "sharded":
-            return None
         if self._chunks.refcounts.get(cid, 0) <= 0:
             return None
         dest = backend.repair_dest(cid)
@@ -661,8 +636,6 @@ class ImageStore:
         the number of stale copies removed.
         """
         backend = self._chunks.backend
-        if backend.kind != "sharded":
-            return 0
         self._ensure_attached()
         removed = 0
         for cid in backend.scan_node(node_name):
@@ -706,7 +679,7 @@ class ImageStore:
             if write:
                 plan.chunks_new += 1
                 plan.write_bytes += nbytes
-                dests = backend.write_dests(cid, writer)
+                dests = backend.placement(cid, writer=writer)
                 for index, dest in enumerate(dests):
                     group_dests[dest] = group_dests.get(dest, 0) + nbytes
                     if index > 0:
@@ -956,18 +929,15 @@ class ImageStore:
         return image
 
     def _chunk_sources(self, manifest: Dict[str, Any]
-                       ) -> Optional[List[Tuple[Tuple[str, ...], int]]]:
+                       ) -> List[Tuple[Tuple[str, ...], int]]:
         """Group a manifest's chunk bytes by surviving holder set.
 
         The restore engine turns this into a parallel-fetch fraction:
         chunks local to the restoring node cost one local disk read,
-        remote groups stream concurrently from every live replica. Only
-        meaningful for placed (sharded) backends; the legacy layout
-        returns ``None`` (single-disk restore, fraction 1.0).
+        remote groups stream concurrently from every live replica (a
+        single holder makes that one serial stream, fraction 1.0).
         """
         backend = self._chunks.backend
-        if backend.kind != "sharded":
-            return None
         grouped: Dict[Tuple[str, ...], int] = {}
         for cid, nbytes in self._manifest_chunk_refs(manifest):
             holders = backend.live_holders(cid)
@@ -1048,17 +1018,11 @@ class ImageStore:
                 if backend.total_copies(cid) == 0:
                     problems.append({"kind": "missing_chunk", "cid": cid,
                                      "expected": expected[cid]})
-            if backend.kind == "sharded":
-                for node in backend.up_nodes:
-                    for cid in backend.scan_node(node):
-                        if expected.get(cid, 0) == 0:
-                            problems.append({"kind": "orphan_chunk",
-                                             "cid": cid, "node": node})
-            else:
-                for cid in backend.scan():
+            for node in backend.up_nodes:
+                for cid in backend.scan_node(node):
                     if expected.get(cid, 0) == 0:
                         problems.append({"kind": "orphan_chunk",
-                                         "cid": cid})
+                                         "cid": cid, "node": node})
         return problems
 
     def _sanitize_audit(self, context: str) -> None:

@@ -17,7 +17,7 @@ class _Address:
 
     These were frozen dataclasses, but addresses key every ARP cache,
     switch table and TCP demux map — the generated tuple-building
-    ``__eq__``/``__hash__`` showed up in simcore profiles. The hash is
+    ``__eq__``/``__hash__`` showed up in event-loop profiles. The hash is
     computed once at construction; comparisons are raw int compares.
     Value-based equality is load-bearing: addresses round-trip through
     pickled checkpoint images and must still match live ones.

@@ -9,12 +9,8 @@ Delivery is **batched** per direction: in-flight frames wait in the
 direction's pending deque and a single armed arrival event walks it,
 delivering every frame that is due as one ordered batch — so a
 back-to-back burst on a busy direction occupies one slot in the
-simulator queue instead of one per frame. An optional coalescing window
-(``coalesce_s``, the NIC interrupt-moderation analogue) holds the
-arrival event open a little longer so more of the burst lands in one
-batch; each frame is then delivered within ``[arrival, arrival +
-coalesce_s]``, never early. ``direct=True`` restores the pre-batching
-one-event-per-frame scheduling (the legacy scheduler preset).
+simulator queue instead of one per frame. Every frame is still
+delivered at its own arrival instant, never early and never late.
 """
 
 from __future__ import annotations
@@ -93,8 +89,7 @@ class Link:
                  bandwidth_bps: float = GIGABIT,
                  latency_s: float = 5e-6,
                  drop_fn: Optional[Callable[[EthernetFrame], bool]] = None,
-                 name: str = "", trace=None,
-                 coalesce_s: float = 0.0, direct: bool = False):
+                 name: str = "", trace=None):
         if a.link is not None or b.link is not None:
             raise NetworkError("port already cabled")
         self.sim = sim
@@ -107,8 +102,6 @@ class Link:
         self.trace = trace
         self._down = False
         self.frames_dropped = 0
-        self.coalesce_s = coalesce_s
-        self.direct = direct
         self.a_to_b = _Direction(a, b)
         self.b_to_a = _Direction(b, a)
         a.link = self
@@ -158,25 +151,15 @@ class Link:
         finish = start + frame.size * 8.0 / self.bandwidth_bps
         direction.busy_until = finish
         arrival = finish + self.latency_s
-        if self.direct:
-            self.sim.call_at(arrival, self._arrive, frame,
-                             direction.destination)
-            return
         direction.pending.append((arrival, frame))
         if not direction.armed:
             # Arm for the *head* pending arrival: during a re-entrant
             # send (a deliver callback transmitting back-to-back) older
             # frames may still be queued ahead of this one.
             direction.armed = True
-            due = direction.pending[0][0] + self.coalesce_s
+            due = direction.pending[0][0]
             self.sim.defer_at(due if due > now else now,
                               self._deliver, direction)
-
-    def _arrive(self, frame: EthernetFrame, destination: Port) -> None:
-        if self._down:
-            self._drop(frame)
-            return
-        destination.deliver(frame)
 
     def _deliver(self, direction: _Direction) -> None:
         """Deliver every pending frame that is due, as one ordered batch."""
@@ -199,5 +182,4 @@ class Link:
             # Frames queued behind the batch (or armed by a re-entrant
             # send during delivery): keep exactly one event in flight.
             direction.armed = True
-            self.sim.defer_at(pending[0][0] + self.coalesce_s,
-                              self._deliver, direction)
+            self.sim.defer_at(pending[0][0], self._deliver, direction)

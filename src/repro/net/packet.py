@@ -47,7 +47,7 @@ class TcpFlags(IntFlag):
 
 #: Plain-int flag masks for the per-segment hot path. ``IntFlag``
 #: operators dispatch through enum machinery (``__and__`` + member
-#: ``__call__``) which showed up as whole percents of simcore runtime;
+#: ``__call__``) which showed up as whole percents of event-loop runtime;
 #: ``int & int`` is a single C-level op. ``TcpSegment.flags`` accepts
 #: either form — ``describe()`` re-wraps for display.
 TCP_FIN = 1

@@ -8,8 +8,6 @@ Forwarding is batched: ingress frames wait in one FIFO of (due, frame,
 ingress) and a single armed drain event forwards every frame that is due
 — a burst delivered to the switch at one instant (e.g. by a batched link
 direction) is forwarded by one event instead of one per frame.
-``direct=True`` restores per-frame forwarding events (the legacy
-scheduler preset).
 
 Frames from *different* ingress ports can arrive at the same simulated
 instant (symmetric paths, equal frame sizes), and the order their
@@ -36,12 +34,10 @@ class Switch:
     """A store-and-forward learning switch."""
 
     def __init__(self, sim: Simulator, name: str = "switch",
-                 forwarding_latency_s: float = 3e-6,
-                 direct: bool = False):
+                 forwarding_latency_s: float = 3e-6):
         self.sim = sim
         self.name = name
         self.forwarding_latency_s = forwarding_latency_s
-        self.direct = direct
         self.ports: List[Port] = []
         self._port_index: Dict[Port, int] = {}
         self.table: Dict[MacAddress, Port] = {}
@@ -59,10 +55,6 @@ class Switch:
 
     def _on_frame(self, frame: EthernetFrame, ingress: Port) -> None:
         self.table[frame.src] = ingress
-        if self.direct:
-            self.sim.call_later(
-                self.forwarding_latency_s, self._forward, frame, ingress)
-            return
         due = self.sim.now + self.forwarding_latency_s
         self._pending.append((due, frame, ingress))
         if not self._armed:

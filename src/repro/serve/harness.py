@@ -42,7 +42,7 @@ def _pod_alive(cluster, pod_name: str) -> bool:
     return False
 
 
-def _restore_backend(cluster, app, pod_name: str, node) -> None:
+def _restart_backend_pod(cluster, app, pod_name: str, node) -> None:
     """Restore a destroyed backend pod from its latest committed image."""
     agent = cluster._agent_for(node.name)
     image = cluster.store.load(pod_name)
@@ -137,7 +137,7 @@ def run_serve(backends: int = 3, clients: int = 6, sessions: int = 12,
             # Ride out detection (down_after_s of silence) plus the shed/
             # re-dispatch storm before restoring from the latest image.
             cluster.run_for(1.2)
-            _restore_backend(cluster, kv_apps[victim], pod_name, node)
+            _restart_backend_pod(cluster, kv_apps[victim], pod_name, node)
             cluster.run_until(
                 lambda: proxy.backends[victim]["state"] == "up",
                 limit=20.0, step=0.01)

@@ -16,7 +16,7 @@ import math
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.eventq import make_queue
+from repro.sim.eventq import CalendarEventQueue
 
 #: Priority used for ordinary events.
 NORMAL = 1
@@ -264,7 +264,7 @@ class _Callback:
     timer-wheel slots) schedule tens of thousands of fire-and-forget
     callbacks that nothing ever waits on or cancels. Carrying a full
     :class:`Event` for each — seven attributes, a callbacks list, a
-    closure — was a measurable slice of simcore runtime. A ``_Callback``
+    closure — was a measurable slice of event-loop runtime. A ``_Callback``
     is just ``(fn, args)`` in the queue entry; the run loop invokes it
     directly.
     """
@@ -288,14 +288,12 @@ class Simulator:
     #: under both and diffs the results (a schedule-race detector).
     TIEBREAKS = ("fifo", "lifo")
 
-    def __init__(self, tiebreak: str = "fifo", queue: str = "calendar",
-                 slotted_timers: bool = True, lightweight: bool = True,
-                 leaky_cancel: bool = False, oracle: Any = None):
+    def __init__(self, tiebreak: str = "fifo", oracle: Any = None):
         if tiebreak not in self.TIEBREAKS:
             raise SimulationError(f"unknown tiebreak {tiebreak!r}")
         self._now = 0.0
-        self._queue = make_queue(
-            queue, sequence_sign=1 if tiebreak == "fifo" else -1)
+        self._queue = CalendarEventQueue(
+            sequence_sign=1 if tiebreak == "fifo" else -1)
         self._running = False
         self.tiebreak = tiebreak
         #: Schedule oracle (``repro.analysis.oracle``): when set, every
@@ -304,20 +302,10 @@ class Simulator:
         #: keeps the original hot loop — the queue's signed sequence is
         #: then the whole tie-break policy, exactly as before the hook.
         self._oracle = oracle
-        #: Whether high-churn timers (TCP) use the hashed timer wheel
-        #: (``repro.sim.timers``) or exact per-timer events; the wheel
-        #: attaches itself here lazily on first use.
-        self.slotted_timers = slotted_timers
+        #: The hashed timer wheel high-churn timers (TCP) share
+        #: (``repro.sim.timers``); it attaches itself here lazily on
+        #: first use.
         self.timers = None
-        #: ``defer()`` scheduling style: lightweight bare-callback
-        #: entries (no Event object) when True, full pre-refactor
-        #: ``call_later`` Timeouts when False (the legacy preset).
-        self.lightweight = lightweight
-        #: Pre-refactor ``cancel`` semantics for the legacy baseline:
-        #: strip callbacks but leave the entry queued until its pop
-        #: time — the leak this refactor fixed, reproduced on purpose so
-        #: the simcore benchmark measures against the honest original.
-        self.leaky_cancel = leaky_cancel
 
     @property
     def now(self) -> float:
@@ -357,27 +345,18 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` — fire-and-forget.
 
         The lightweight sibling of :meth:`call_later`: no Event object,
-        no closure, nothing to wait on or cancel. Under the legacy
-        preset (``lightweight=False``) it degrades to ``call_later`` so
-        the benchmark baseline keeps the pre-refactor cost model.
+        no closure, nothing to wait on or cancel.
         """
         if delay < 0:
             raise SimulationError(f"cannot defer by {delay} < 0")
-        if self.lightweight:
-            self._queue.push(self._now + delay, NORMAL,
-                             _Callback(fn, args))
-        else:
-            self.call_later(delay, fn, *args)
+        self._queue.push(self._now + delay, NORMAL, _Callback(fn, args))
 
     def defer_at(self, when: float, fn: Callable, *args: Any) -> None:
         """Absolute-time :meth:`defer` (see :meth:`call_at`)."""
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule at {when} < now {self._now}")
-        if self.lightweight:
-            self._queue.push(when, NORMAL, _Callback(fn, args))
-        else:
-            self.call_later(when - self._now, fn, *args)
+        self._queue.push(when, NORMAL, _Callback(fn, args))
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event: reclaim its queue slot, strip callbacks.
@@ -385,16 +364,12 @@ class Simulator:
         The entry is tombstoned in O(1) and reclaimed lazily (or by the
         queue's threshold-triggered compaction), so a churn of
         armed-then-cancelled timers keeps the queue bounded instead of
-        accumulating dead events until their pop time. With
-        ``leaky_cancel=True`` (the legacy benchmark baseline) the entry
-        is left in the queue to pop as a no-op at its original time —
-        the pre-refactor behaviour, reproduced deliberately.
+        accumulating dead events until their pop time.
         """
-        if not self.leaky_cancel:
-            entry = event._qentry
-            if entry is not None:
-                self._queue.cancel(entry)
-                event._qentry = None
+        entry = event._qentry
+        if entry is not None:
+            self._queue.cancel(entry)
+            event._qentry = None
         if not event._processed:
             event.callbacks = []
 
@@ -531,8 +506,8 @@ class Simulator:
     def stats(self) -> Dict[str, Any]:
         """Scheduler counters: queue live/dead/pushed/popped, timer wheel.
 
-        ``popped`` counts live events actually processed — the events/sec
-        numerator of the simcore benchmark; ``cancelled``/``dead_popped``
+        ``popped`` counts live events actually processed — the numerator
+        of every events/sec figure; ``cancelled``/``dead_popped``
         make cancellation churn visible; ``peak_live`` bounds queue
         growth (the 100k-timer cancellation regression test watches it).
         """

@@ -1,31 +1,25 @@
-"""Event queues for the discrete-event kernel.
+"""The event queue of the discrete-event kernel.
 
-Two interchangeable implementations of the scheduler's priority queue,
-both ordering entries by ``(time, priority, sequence)`` and both
-supporting **true cancellation**: a cancelled entry is tombstoned in
-place (O(1)) and reclaimed either lazily at pop time or eagerly by a
-threshold-triggered compaction, so dead timers can never come to
-dominate the queue the way stripped-callback events used to.
+:class:`CalendarEventQueue` orders entries by ``(time, priority,
+sequence)`` and supports **true cancellation**: a cancelled entry is
+tombstoned in place (O(1)) and reclaimed either lazily at pop time or
+eagerly by a threshold-triggered compaction, so dead timers can never
+come to dominate the queue.
 
-:class:`HeapEventQueue`
-    The classic monolithic binary heap — kept as the bit-exact reference
-    implementation (the property tests diff pop order against it) and as
-    the ``scheduler="legacy"`` baseline the simcore benchmark measures
-    speedups against.
-
-:class:`CalendarEventQueue`
-    A calendar/bucketed queue: a ring of power-of-two-width time buckets
-    covers the near future, each bucket a small heap; events beyond the
-    ring land in an overflow heap and migrate into the ring as the
-    window advances. Near-term churn (network frames, slot timers) then
-    costs ``O(log bucket)`` instead of ``O(log everything)``, and
-    far-future timers never inflate the hot buckets.
+It is a calendar/bucketed queue: a ring of power-of-two-width time
+buckets covers the near future, each bucket a small heap; events beyond
+the ring land in an overflow heap and migrate into the ring as the
+window advances. Near-term churn (network frames, slot timers) then
+costs ``O(log bucket)`` instead of ``O(log everything)``, and far-future
+timers never inflate the hot buckets.
 
 Entries are 4-lists ``[time, priority, signed_seq, event]`` (lists, not
 tuples, so cancellation can overwrite the event slot in place). The
 signed sequence is unique per entry, so heap comparisons never reach the
-event object — exactly the tie-break contract of the old monolithic
-heap, for both ``fifo`` (+seq) and ``lifo`` (-seq) policies.
+event object, for both ``fifo`` (+seq) and ``lifo`` (-seq) policies.
+The pop order is that of one monolithic binary heap over the same keys;
+the reference heap the property tests diff against lives in
+``tests/heap_eventq.py``.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ Entry = List[Any]  # [time, priority, signed_seq, event-or-None]
 
 
 class _QueueStats:
-    """Shared bookkeeping both queue kinds expose via ``stats()``."""
+    """The counters ``stats()`` exposes."""
 
     __slots__ = ("pushed", "popped", "cancelled", "dead_popped",
                  "compactions", "peak_live")
@@ -66,131 +60,13 @@ class _QueueStats:
         self.peak_live = 0
 
 
-class HeapEventQueue:
-    """The reference monolithic heap, with tombstone cancellation."""
-
-    KIND = "heap"
-
-    def __init__(self, sequence_sign: int = 1):
-        self._sign = sequence_sign
-        self._seq = 0
-        self._heap: List[Entry] = []
-        self._live = 0
-        self._dead = 0
-        self._stats = _QueueStats()
-
-    def __len__(self) -> int:
-        return self._live
-
-    def push(self, time: float, priority: int, event: Any) -> Entry:
-        seq = self._seq = self._seq + 1
-        entry: Entry = [time, priority, self._sign * seq, event]
-        heappush(self._heap, entry)
-        live = self._live = self._live + 1
-        stats = self._stats
-        stats.pushed += 1
-        if live > stats.peak_live:
-            stats.peak_live = live
-        return entry
-
-    def cancel(self, entry: Entry) -> None:
-        if entry[3] is _DEAD:
-            return
-        entry[3] = _DEAD
-        self._live -= 1
-        self._dead += 1
-        self._stats.cancelled += 1
-        if self._dead > COMPACT_MIN_DEAD and self._dead > self._live:
-            self._compact()
-
-    def _compact(self) -> None:
-        self._heap = [e for e in self._heap if e[3] is not _DEAD]
-        heapify(self._heap)
-        self._dead = 0
-        self._stats.compactions += 1
-
-    def pop(self) -> Entry:
-        """Remove and return the next live entry; IndexError if none."""
-        heap = self._heap
-        stats = self._stats
-        while heap:
-            entry = heappop(heap)
-            if entry[3] is _DEAD:
-                self._dead -= 1
-                stats.dead_popped += 1
-                continue
-            self._live -= 1
-            stats.popped += 1
-            return entry
-        raise IndexError("pop from an empty event queue")
-
-    def reinsert(self, entry: Entry) -> None:
-        """Push back a just-popped live entry, key (incl. sequence) intact.
-
-        The schedule-oracle hook pops every entry tied on
-        ``(time, priority)`` to present them as a choice, then returns
-        the unchosen ones. Reinsertion preserves the original signed
-        sequence — tie order is untouched — and undoes the pop's effect
-        on the live/popped counters so ``stats()`` reflects net work.
-        """
-        heappush(self._heap, entry)
-        self._live += 1
-        self._stats.popped -= 1
-
-    def pop_due(self, limit: float) -> Optional[Entry]:
-        """Pop the next live entry due at or before ``limit``, else None.
-
-        One call replaces the ``len``/``peek``/``pop`` triple in the
-        simulator's hot loop.
-        """
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[3] is _DEAD:
-                heappop(heap)
-                self._dead -= 1
-                self._stats.dead_popped += 1
-                continue
-            if head[0] > limit:
-                return None
-            heappop(heap)
-            self._live -= 1
-            self._stats.popped += 1
-            return head
-        return None
-
-    def peek(self) -> float:
-        """Time of the next live entry, or ``inf``."""
-        heap = self._heap
-        stats = self._stats
-        while heap:
-            if heap[0][3] is _DEAD:
-                heappop(heap)
-                self._dead -= 1
-                stats.dead_popped += 1
-                continue
-            return heap[0][0]
-        return math.inf
-
-    def stats(self) -> Dict[str, int]:
-        s = self._stats
-        return {
-            "kind": self.KIND, "live": self._live, "dead": self._dead,
-            "pushed": s.pushed, "popped": s.popped,
-            "cancelled": s.cancelled, "dead_popped": s.dead_popped,
-            "compactions": s.compactions, "peak_live": s.peak_live,
-        }
-
-
 class CalendarEventQueue:
     """Calendar queue: bucket ring for the near future, heap overflow.
 
-    The pop order is bit-identical to :class:`HeapEventQueue` for any
+    The pop order is bit-identical to a monolithic binary heap for any
     push/cancel sequence — the property tests in
     ``tests/test_eventq.py`` drive both side by side and assert it.
     """
-
-    KIND = "calendar"
 
     def __init__(self, sequence_sign: int = 1,
                  bucket_width: float = DEFAULT_BUCKET_WIDTH,
@@ -318,10 +194,13 @@ class CalendarEventQueue:
     def reinsert(self, entry: Entry) -> None:
         """Push back a just-popped live entry, key (incl. sequence) intact.
 
-        Same contract as :meth:`HeapEventQueue.reinsert`; placement
-        mirrors :meth:`push` (ring bucket when the window covers the
-        entry's time, overflow heap otherwise) without minting a new
-        sequence number.
+        The schedule-oracle hook pops every entry tied on
+        ``(time, priority)`` to present them as a choice, then returns
+        the unchosen ones. Placement mirrors :meth:`push` (ring bucket
+        when the window covers the entry's time, overflow heap
+        otherwise) without minting a new sequence number, so tie order
+        is untouched; the pop's effect on the live/popped counters is
+        undone so ``stats()`` reflects net work.
         """
         cur = self._cur
         index = int(entry[0] * self._inv_width)
@@ -401,26 +280,9 @@ class CalendarEventQueue:
     def stats(self) -> Dict[str, int]:
         s = self._stats
         return {
-            "kind": self.KIND, "live": self._live, "dead": self._dead,
+            "live": self._live, "dead": self._dead,
             "near": self._near, "overflow": len(self._overflow),
             "pushed": s.pushed, "popped": s.popped,
             "cancelled": s.cancelled, "dead_popped": s.dead_popped,
             "compactions": s.compactions, "peak_live": s.peak_live,
         }
-
-
-#: ``Simulator(queue=...)`` accepted names.
-QUEUE_KINDS = {
-    "calendar": CalendarEventQueue,
-    "heap": HeapEventQueue,
-}
-
-
-def make_queue(kind: str, sequence_sign: int = 1):
-    try:
-        factory = QUEUE_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown event queue kind {kind!r}; "
-            f"expected one of {sorted(QUEUE_KINDS)}") from None
-    return factory(sequence_sign=sequence_sign)

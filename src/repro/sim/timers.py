@@ -19,10 +19,11 @@ contract as jiffy-resolution kernel timers, which every armed protocol
 Firing order is deterministic: slots fire in time order through the
 simulator queue, and within a slot handles run in arming order.
 
-``timers_for(sim)`` returns the simulator's shared wheel — or, when the
-simulator was built with ``slotted_timers=False`` (the legacy scheduler
-preset the simcore benchmark measures against), a shim with the same
-handle API over exact per-timer ``call_later`` events.
+``timers_for(sim)`` returns the simulator's shared wheel.
+
+Restart-heavy users (the TCP RTO) keep an armed handle and just move
+their logical deadline, re-arming lazily on a stale firing — the
+kernel's ``mod_timer`` discipline: O(1), no wheel traffic per restart.
 """
 
 from __future__ import annotations
@@ -70,13 +71,6 @@ class TimerHandle:
 
 class TimerWheel:
     """Hashed wheel: absolute slot index -> list of handles."""
-
-    KIND = "wheel"
-    #: Restart-heavy users (the TCP RTO) may keep an armed handle and
-    #: just move their logical deadline, re-arming lazily on a stale
-    #: firing — the kernel's ``mod_timer`` discipline. O(1), no wheel
-    #: traffic per restart.
-    LAZY_RESTART = True
 
     def __init__(self, sim, granularity: float = DEFAULT_GRANULARITY):
         if granularity <= 0:
@@ -130,7 +124,7 @@ class TimerWheel:
     def stats(self) -> Dict[str, Any]:
         pending = sum(len(bucket) for bucket in self._slots.values())
         return {
-            "kind": self.KIND, "granularity": self.granularity,
+            "granularity": self.granularity,
             "armed": self.armed, "fired": self.fired,
             "cancelled": self.cancelled_fired,
             "slot_events": self.slot_events,
@@ -138,60 +132,9 @@ class TimerWheel:
         }
 
 
-class DirectTimers:
-    """Exact per-timer events behind the wheel's handle API.
-
-    The legacy scheduler preset: every ``after`` is its own simulator
-    event at the exact deadline, cancellation reclaims it via
-    ``Simulator.cancel``. Kept so the simcore benchmark can measure the
-    wheel against the pre-refactor discipline, and for workloads that
-    need exact (unquantised) timer deadlines.
-    """
-
-    KIND = "direct"
-    #: Pre-refactor discipline: every restart is a fresh event, so lazy
-    #: deadline-bumping must not be used (the benchmark baseline would
-    #: stop modelling the old cost).
-    LAZY_RESTART = False
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.armed = 0
-
-    def after(self, delay: float, fn: Callable, *args: Any):
-        self.armed += 1
-        return _DirectHandle(self.sim, delay, fn, args)
-
-    def stats(self) -> Dict[str, Any]:
-        return {"kind": self.KIND, "armed": self.armed}
-
-
-class _DirectHandle:
-    """TimerHandle lookalike over one ``call_later`` event."""
-
-    __slots__ = ("sim", "deadline", "_event")
-
-    def __init__(self, sim, delay: float, fn: Callable, args: tuple):
-        self.sim = sim
-        self.deadline = sim._now + delay
-        self._event = sim.call_later(delay, fn, *args)
-
-    @property
-    def active(self) -> bool:
-        event = self._event
-        return event is not None and not event.processed
-
-    def cancel(self) -> None:
-        if self._event is not None:
-            self.sim.cancel(self._event)
-            self._event = None
-
-
-def timers_for(sim) -> Any:
-    """The simulator's shared timer facility (created on first use)."""
+def timers_for(sim) -> TimerWheel:
+    """The simulator's shared timer wheel (created on first use)."""
     timers = sim.timers
     if timers is None:
-        timers = (TimerWheel(sim) if sim.slotted_timers
-                  else DirectTimers(sim))
-        sim.timers = timers
+        timers = sim.timers = TimerWheel(sim)
     return timers

@@ -9,7 +9,7 @@ metrics registry (``Trace.metrics``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.spans import MetricsRegistry, SpanRecorder
@@ -96,22 +96,3 @@ class Trace:
             out.append((t, total / window))
             t += step
         return out
-
-
-@dataclass
-class Counter:
-    """A labelled monotonic counter for protocol-message accounting.
-
-    Deprecated: new code should use
-    :meth:`repro.sim.spans.MetricsRegistry.counter` via ``Trace.metrics``;
-    kept because existing call sites and tests construct it directly.
-    """
-
-    name: str
-    value: int = 0
-    by_label: Dict[str, int] = field(default_factory=dict)
-
-    def add(self, amount: int = 1, label: str = "") -> None:
-        self.value += amount
-        if label:
-            self.by_label[label] = self.by_label.get(label, 0) + amount

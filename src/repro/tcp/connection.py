@@ -82,7 +82,6 @@ class TcpConnection:
         #: wheel: arming appends to a slot (one firing event per slot,
         #: not per segment) and cancellation is a flag write.
         self._timers = timers_for(sim)
-        self._lazy_restart = self._timers.LAZY_RESTART
         self._rtx_timer: Optional[TimerHandle] = None
         self._rtx_deadline = -1.0
         #: Loss-recovery window: retransmit up to here on partial ACKs.
@@ -474,18 +473,15 @@ class TcpConnection:
     def _restart_rtx_timer(self) -> None:
         """Reset the RTO deadline to ``now + rto`` after an ACK.
 
-        With the timer wheel this is the kernel's ``mod_timer``
-        discipline: keep the armed slot, move only the logical
-        deadline, and let a stale firing re-arm itself for the
-        remainder — one float store per ACK instead of a cancel plus a
-        fresh timer. Under ``DirectTimers`` (the legacy scheduler
-        preset) it degrades to the pre-refactor cancel-and-re-arm so
-        the benchmark baseline keeps the old cost model.
+        The kernel's ``mod_timer`` discipline: keep the armed slot,
+        move only the logical deadline, and let a stale firing re-arm
+        itself for the remainder — one float store per ACK instead of a
+        cancel plus a fresh timer.
         """
         deadline = self.sim.now + self.tcb.rto
         timer = self._rtx_timer
         if timer is not None and timer.active:
-            if self._lazy_restart and deadline >= timer.deadline:
+            if deadline >= timer.deadline:
                 self._rtx_deadline = deadline
                 return
             timer.cancel()

@@ -39,8 +39,8 @@ def fetch_fraction(chunk_sources, reader: str) -> float:
     concurrently from all of its live replicas, splitting its bytes
     evenly. The restore is bound by the busiest single disk, so the
     effective fetch time is ``busiest / total`` of the serial
-    single-disk time — exactly 1.0 when everything is local or the
-    image is unplaced, which keeps the legacy timing bit-identical.
+    single-disk time — exactly 1.0 when everything is local, when one
+    disk holds every chunk, or when the image was never stored.
     """
     if not chunk_sources:
         return 1.0
@@ -154,10 +154,10 @@ class CheckpointImage:
     #: Store version assigned when the image was committed (0 = unsaved).
     version: int = 0
     sockets_captured: int = 0
-    #: Populated by a placed (sharded) image store on load: the
-    #: manifest's chunk bytes grouped by surviving holder set, as
+    #: Populated by the image store on load: the manifest's chunk
+    #: bytes grouped by surviving holder set, as
     #: ``[(holder_names, nbytes), ...]``. ``None`` for images that were
-    #: never stored or live on a single shared disk.
+    #: never stored.
     chunk_sources: Optional[List[tuple]] = None
 
     def summary(self) -> Dict[str, Any]:

@@ -13,12 +13,11 @@ import random
 import pytest
 
 from repro.sim.core import Simulator
-from repro.sim.eventq import (
-    COMPACT_MIN_DEAD,
-    CalendarEventQueue,
-    HeapEventQueue,
-    make_queue,
-)
+from repro.sim.eventq import COMPACT_MIN_DEAD, CalendarEventQueue
+
+from tests.heap_eventq import HeapEventQueue
+
+QUEUES = (HeapEventQueue, CalendarEventQueue)
 
 
 def _drive_both(seed, sign, ops=4000):
@@ -91,8 +90,8 @@ def test_calendar_overflow_migrates_in_order():
 
 
 def test_pop_due_respects_limit_and_skips_dead():
-    for kind in ("heap", "calendar"):
-        queue = make_queue(kind)
+    for queue_cls in QUEUES:
+        queue = queue_cls()
         early = queue.push(1.0, 0, "early")
         queue.push(2.0, 0, "late")
         queue.cancel(early)
@@ -103,8 +102,8 @@ def test_pop_due_respects_limit_and_skips_dead():
 
 
 def test_cancel_is_idempotent_and_counted():
-    for kind in ("heap", "calendar"):
-        queue = make_queue(kind)
+    for queue_cls in QUEUES:
+        queue = queue_cls()
         entry = queue.push(1.0, 0, "x")
         queue.cancel(entry)
         queue.cancel(entry)                    # second cancel is a no-op
@@ -114,16 +113,16 @@ def test_cancel_is_idempotent_and_counted():
 
 
 def test_compaction_reclaims_dead_entries():
-    for kind in ("heap", "calendar"):
-        queue = make_queue(kind)
+    for queue_cls in QUEUES:
+        queue = queue_cls()
         entries = [queue.push(1.0 + k * 1e-4, 0, k)
                    for k in range(4 * COMPACT_MIN_DEAD)]
         survivor = queue.push(99.0, 0, "survivor")
         for entry in entries:
             queue.cancel(entry)
         stats = queue.stats()
-        assert stats["compactions"] >= 1, kind
-        assert stats["dead"] <= COMPACT_MIN_DEAD, kind
+        assert stats["compactions"] >= 1, queue_cls
+        assert stats["dead"] <= COMPACT_MIN_DEAD, queue_cls
         assert queue.pop()[3] == "survivor"
 
 
@@ -148,20 +147,6 @@ def test_simulator_cancel_keeps_queue_bounded():
     assert stats["dead"] <= COMPACT_MIN_DEAD
     sim.run()
     assert sim.now == 0.0  # nothing was left to pop the clock forward
-
-
-def test_leaky_cancel_preset_reproduces_the_old_cost():
-    sim = Simulator(queue="heap", slotted_timers=False,
-                    lightweight=False, leaky_cancel=True)
-    for k in range(1000):
-        event = sim.call_later(60.0, lambda: None)
-        sim.cancel(event)
-    stats = sim.stats()
-    # The legacy preset leaves every cancelled entry queued (the
-    # pre-refactor leak, reproduced deliberately for the benchmark).
-    assert stats["live"] == 1000
-    sim.run()
-    assert sim.now == 60.0  # the dead entries still dragged the clock
 
 
 def test_defer_is_fire_and_forget_and_ordered():

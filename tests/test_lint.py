@@ -230,33 +230,6 @@ def test_stable_key_not_flagged():
     """) == []
 
 
-# -- CRZ007: deprecated store.chunks --------------------------------------
-
-
-def test_store_chunks_access_flagged():
-    assert codes("""
-        def count(store):
-            return store.chunks.bytes_written
-    """) == ["CRZ007"]
-
-
-def test_store_attribute_chunks_access_flagged():
-    assert codes("""
-        def count(self):
-            return len(self.cluster.store.chunks.refcounts)
-    """) == ["CRZ007"]
-
-
-def test_facade_and_other_chunks_receivers_not_flagged():
-    assert codes("""
-        def fine(store, plan):
-            store.stats["bytes_written"]
-            store.refcounts()
-            store.backend.holders("cid")
-            return plan.chunks
-    """) == []
-
-
 # -- CRZ008: unbounded retry loops -----------------------------------------
 
 

@@ -25,7 +25,9 @@ from repro.analysis.oracle import (
     ample_candidates,
 )
 from repro.sim.core import Simulator
-from repro.sim.eventq import CalendarEventQueue, HeapEventQueue
+from repro.sim.eventq import CalendarEventQueue
+
+from tests.heap_eventq import HeapEventQueue
 
 
 # -- oracle hook: degenerate oracles refine the queue exactly -------------
@@ -304,3 +306,24 @@ def test_cli_analyze_seeds_flag(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["deterministic"] is True
     assert "fifo@seed1" in report["state_hashes"]
+
+
+# -- bench mc: the timer storm behind the oracle-hook overhead A/B --------
+
+
+def test_storm_miniature_completes_with_pinned_counts():
+    from repro.bench.mc import _reference_run, run_storm
+
+    workload = {"n_nodes": 4, "n_flows": 20, "segments_per_flow": 10}
+    hooked = run_storm(**workload)
+    assert hooked["flows_completed"] == 20
+    # Every flow cancels its RTO when it finishes; its last delayed ACK
+    # has no later transmission to cancel it, so exactly that one fires.
+    assert hooked["rto_fired"] == 0
+    assert hooked["delack_fired"] == 20
+    assert hooked["heartbeats"] == 45
+    # The reference loop the A/B times must do the identical work.
+    reference = run_storm(driver=_reference_run, **workload)
+    for key in ("flows_completed", "rto_fired", "delack_fired",
+                "heartbeats", "events_popped", "events_pushed"):
+        assert reference[key] == hooked[key], key

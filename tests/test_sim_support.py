@@ -1,7 +1,7 @@
 """Tests for random streams and trace recording."""
 
 from repro.sim.rand import RandomStreams
-from repro.sim.trace import Counter, Trace
+from repro.sim.trace import Trace
 
 
 def test_streams_are_deterministic():
@@ -53,8 +53,8 @@ def test_sliding_rate_window():
 
 
 def test_counter_labels():
-    counter = Counter("msgs")
-    counter.add(label="checkpoint")
-    counter.add(2, label="done")
+    counter = Trace().metrics.counter("msgs")
+    counter.inc(label="checkpoint")
+    counter.inc(2, label="done")
     assert counter.value == 3
     assert counter.by_label == {"checkpoint": 1, "done": 2}

@@ -7,12 +7,7 @@ from repro.net.link import Link, Port
 from repro.net.packet import EthernetFrame
 from repro.net.addresses import MacAddress
 from repro.sim.core import Simulator
-from repro.sim.timers import (
-    DEFAULT_GRANULARITY,
-    DirectTimers,
-    TimerWheel,
-    timers_for,
-)
+from repro.sim.timers import DEFAULT_GRANULARITY, TimerWheel, timers_for
 
 from tests.helpers import make_pair
 from tests.test_tcp_connection import SinkApp, SourceApp, establish
@@ -83,46 +78,33 @@ def test_wheel_rejects_negative_delay():
         wheel.after(-0.1, lambda: None)
 
 
-def test_direct_timers_shim_matches_handle_api():
-    sim = Simulator(slotted_timers=False)
-    timers = timers_for(sim)
-    assert isinstance(timers, DirectTimers)
-    assert timers.LAZY_RESTART is False
-    fired = []
-    keep = timers.after(0.25, fired.append, "keep")
-    drop = timers.after(0.25, fired.append, "drop")
-    assert keep.active and drop.active
-    drop.cancel()
-    assert not drop.active
-    sim.run()
-    assert fired == ["keep"]
-    assert sim.now == 0.25                    # exact, unquantised deadline
-    assert not keep.active
-
-
 # ---------------------------------------------------------------------------
 # Lazy RTO restart (mod_timer discipline) at the TCP layer
 # ---------------------------------------------------------------------------
 
 def test_rtx_restart_is_lazy_under_the_wheel():
     """Per-ACK RTO restarts are deadline bumps, not fresh wheel arms."""
-    arms = {}
-    acked = {}
-    for lazy in (True, False):
-        sim, wire, a, b = make_pair()
-        client, server = establish(sim, a, b)
-        client._lazy_restart = lazy
-        SinkApp(sim, server)
-        before = client._timers.armed
-        SourceApp(sim, client, b"x" * 40000)
-        sim.run(until=sim.now + 2.0)
-        arms[lazy] = client._timers.armed - before
-        acked[lazy] = client.tcb.snd_una - client.tcb.iss
-    assert acked[True] == acked[False] > 40000  # identical transfer
-    # Eager restart pays one wheel arm per restarting ACK; lazy restart
-    # pays none (its arms are the delayed-ACK and handshake timers both
-    # runs share).
-    assert arms[True] < arms[False], arms
+    sim, wire, a, b = make_pair()
+    client, server = establish(sim, a, b)
+    SinkApp(sim, server)
+    restarts = []
+    restart = client._restart_rtx_timer
+
+    def observed_restart():
+        armed = client._rtx_timer
+        deadline = client._rtx_deadline
+        restart()
+        # True when the armed handle survived and only the logical
+        # deadline moved.
+        restarts.append(armed is not None and client._rtx_timer is armed
+                        and client._rtx_deadline >= deadline)
+
+    client._restart_rtx_timer = observed_restart
+    SourceApp(sim, client, b"x" * 40000)
+    sim.run(until=sim.now + 2.0)
+    assert client.tcb.snd_una - client.tcb.iss > 40000
+    assert len(restarts) >= 10
+    assert all(restarts), restarts
 
 
 def test_lazy_restart_still_retransmits_at_the_bumped_deadline():
@@ -176,51 +158,44 @@ def test_link_burst_delivers_in_order_as_batches():
     got = []
     a = Port("a", lambda frame, port: None)
     b = Port("b", lambda frame, port: got.append(frame.payload.note))
-    # A coalescing window wider than the per-frame serialisation time:
-    # the burst lands as a handful of batches, not one event per frame.
-    link = Link(sim, a, b, bandwidth_bps=1e9, latency_s=5e-6,
-                coalesce_s=1e-3)
+    # No serialisation delay: the whole burst is due at one instant,
+    # so one arrival event must carry all of it.
+    link = Link(sim, a, b, bandwidth_bps=float("inf"), latency_s=5e-6)
     for k in range(50):
         a.transmit(_frame(k))
     sim.run()
     assert got == [str(k) for k in range(50)]
     direction = link.a_to_b
     assert direction.frames == 50
-    assert direction.batches < 10
+    assert direction.batches == 1
+    assert sim.stats()["pushed"] == 1
 
 
-def test_link_direct_mode_matches_batched_delivery_times():
-    results = {}
-    for direct in (False, True):
-        sim = Simulator(queue="calendar" if not direct else "heap",
-                        lightweight=not direct)
-        got = []
-        a = Port("a", lambda frame, port: None)
-        b = Port("b",
-                 lambda frame, port: got.append((sim.now,
-                                                 frame.payload.note)))
-        Link(sim, a, b, bandwidth_bps=1e9, latency_s=5e-6, direct=direct)
-        for k in range(20):
-            a.transmit(_frame(k))
-        sim.run()
-        results[direct] = got
-    assert results[False] == results[True]
-
-
-def test_link_coalescing_never_delivers_early():
+def test_link_batched_delivery_times_match_the_arithmetic_schedule():
+    """Batching changes how many events carry a burst, never when a
+    frame arrives: frame k of a back-to-back burst is delivered at
+    exactly ``(k+1) * size * 8 / bandwidth + latency``."""
     sim = Simulator()
     got = []
     a = Port("a", lambda frame, port: None)
-    b = Port("b", lambda frame, port: got.append(sim.now))
-    coalesce = 2.0 ** -15
-    Link(sim, a, b, bandwidth_bps=1e9, latency_s=5e-6,
-         coalesce_s=coalesce)
-    frame = _frame(0)
-    earliest = frame.size * 8.0 / 1e9 + 5e-6
-    a.transmit(frame)
+    b = Port("b",
+             lambda frame, port: got.append((sim.now, frame.payload.note)))
+    bandwidth, latency = 1e9, 5e-6
+    Link(sim, a, b, bandwidth_bps=bandwidth, latency_s=latency)
+    size = _frame(0).size
+    for k in range(20):
+        a.transmit(_frame(k))
     sim.run()
-    assert len(got) == 1
-    assert earliest <= got[0] <= earliest + coalesce
+    finish = 0.0
+    expected = []
+    for k in range(20):
+        # The link's own accumulation: serialisation back to back.
+        finish = finish + size * 8.0 / bandwidth
+        expected.append((finish + latency, str(k)))
+    assert got == expected
+    for k, (when, _note) in enumerate(got):
+        assert when == pytest.approx((k + 1) * size * 8 / bandwidth
+                                     + latency, rel=1e-12)
 
 
 def test_link_down_drops_pending_frames():

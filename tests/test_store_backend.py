@@ -1,7 +1,8 @@
-"""Sharded, replicated image store behind the StoreBackend API.
+"""Sharded, replicated image store.
 
 Covers the backend in isolation (ring placement, replication, repair),
-the ImageStore facade (deprecation shim, reconstructibility views), and
+the ImageStore facade (the one-disk default, layout re-attach,
+reconstructibility views), and
 the degraded-restore paths the redesign exists for: losing a replica at
 RF=2 must not lose a committed version, losing the only copy at RF=1
 must fail with a *typed* error, and failover must fall back to the
@@ -10,16 +11,19 @@ newest version still reconstructible from surviving replicas.
 
 import pytest
 
-from repro.cruz.backend import ShardedBackend, SharedFSBackend
+from repro.cruz.backend import ShardedBackend, backend_from_config
 from repro.cruz.cluster import CruzCluster
-from repro.cruz.storage import ImageStore, blob_chunk_id
+from repro.cruz.storage import DEFAULT_SHARD_NODE, ImageStore, blob_chunk_id
 from repro.errors import (
     ChunkMissingError,
     StoreError,
     VersionUnreconstructibleError,
 )
+from repro.simos.costs import DEFAULT_COSTS
 from repro.simos.filesystem import SharedFileSystem
 from repro.simos.memory import PAGE_SIZE
+from repro.zap.image import fetch_fraction, freeze_object
+from repro.zap.verify import verify_image
 
 from tests.programs import ComputeLoop
 
@@ -125,34 +129,85 @@ def test_down_node_copies_survive_power_off():
     assert backend.get_chunk(cid) == b"payload"
 
 
-def test_legacy_backend_keeps_single_shard_semantics():
-    backend = SharedFSBackend(SharedFileSystem())
-    cid = blob_chunk_id(b"payload")
-    assert backend.put_chunk(cid, b"payload").logical_write
-    assert backend.holders(cid) == ("shared-fs",)
-    assert backend.under_replicated() == []
-    assert backend.write_dests(cid, None) == ("disk",)
-
-
 # -- the ImageStore facade -------------------------------------------------
 
 
-def test_store_chunks_shim_warns_deprecation():
-    store = ImageStore(SharedFileSystem())
-    with pytest.warns(DeprecationWarning, match="ImageStore.chunks"):
-        chunks = store.chunks
-    assert chunks is store._chunks              # still functional
+def test_bare_store_is_one_disk_rf1_and_costs_what_a_single_disk_does():
+    cluster = CruzCluster(1)
+    pod, _proc = make_pod_with_grid(cluster)
+    taken = cluster.store.load(pod.name, checkpoint(cluster, pod).version)
+
+    fs = SharedFileSystem()
+    store = ImageStore(fs)
+    backend = store.backend
+    assert isinstance(backend, ShardedBackend)
+    assert backend.nodes == [DEFAULT_SHARD_NODE]
+    assert backend.replication_factor == 1
+
+    # One write destination per group: the schedule is the two-stage
+    # (serialize -> one disk) pipeline bound in closed form.
+    plan = store.plan(taken, mode="full")
+    assert all(set(dests) <= {DEFAULT_SHARD_NODE}
+               for dests in plan.dest_groups)
+    assert plan.replica_bytes == 0
+    serialized = disk_free = 0.0
+    for serialize_bytes, write_bytes in plan.groups:
+        serialized += serialize_bytes / DEFAULT_COSTS.serialize_bandwidth
+        disk_free = max(serialized, disk_free) \
+            + write_bytes / DEFAULT_COSTS.disk_write_bandwidth
+    assert plan.schedule(DEFAULT_COSTS) == \
+        (serialized, max(disk_free, serialized))
+
+    version = store.save(taken, plan=plan)
+    image = store.load(taken.pod_name, version)
+    assert verify_image(image).ok
+    assert image.state_bytes == taken.state_bytes
+    assert image.processes[0].program_blob == \
+        taken.processes[0].program_blob
+    # A reader that is not the shard node streams from the one disk at
+    # full serial cost, exactly like the single-disk layout did.
+    assert fetch_fraction(image.chunk_sources, "node0") == 1.0
+    assert store.stats["replica_copies"] == 0
+    assert store.under_replicated() == []
+    assert store.audit(deep=True) == []
+
+    # A store built later over the same filesystem re-attaches through
+    # the .store record and sees the same version.
+    again = ImageStore(fs)
+    assert again.backend.nodes == [DEFAULT_SHARD_NODE]
+    assert again.versions(taken.pod_name) == [version]
+    assert again.audit(deep=True) == []
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": "flat", "rf": 1},
+    {"rf": 2, "nodes": ["a", "b"]},
+    {"kind": "sharded", "rf": 2},
+    {"kind": "sharded", "rf": 2, "nodes": []},
+    {"kind": "sharded", "nodes": ["a"]},
+    "not-a-record",
+])
+def test_unusable_store_record_is_a_typed_failure(record):
+    fs = SharedFileSystem()
+    with pytest.raises(StoreError, match="layout record") as info:
+        backend_from_config(fs, record)
+    assert repr(record) in str(info.value)
+    # The same record on disk fails the attach instead of silently
+    # laying out an empty store over the existing images.
+    fs.create("/checkpoints/.store")
+    fs.write_at("/checkpoints/.store", 0, freeze_object(record))
+    with pytest.raises(StoreError):
+        ImageStore(fs)
 
 
 def test_backend_layout_persists_across_store_instances():
     fs = SharedFileSystem()
     first = ImageStore(fs, backend=ShardedBackend(
         fs, nodes=("a", "b", "c"), replication_factor=2))
-    assert first.backend.kind == "sharded"
+    assert first.backend.nodes == ["a", "b", "c"]
     # A coordinator restarted elsewhere re-attaches with the same
-    # layout from the .store record, not the legacy default.
+    # layout from the .store record, not the one-disk default.
     second = ImageStore(fs)
-    assert second.backend.kind == "sharded"
     assert second.backend.nodes == ["a", "b", "c"]
     assert second.backend.replication_factor == 2
 
