@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 
 @dataclass
@@ -79,7 +79,8 @@ def fingerprint(tiebreak: str, nodes: int = 2, rounds: int = 2,
 
 def _diff(a: Any, b: Any, path: str, out: List[str]) -> None:
     if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
+        # The tie-break axis itself is the one field allowed to differ.
+        for key in sorted((set(a) | set(b)) - {"tiebreak"}):
             _diff(a.get(key), b.get(key), f"{path}.{key}", out)
         return
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
@@ -88,6 +89,23 @@ def _diff(a: Any, b: Any, path: str, out: List[str]) -> None:
         return
     if a != b:
         out.append(f"{path}: fifo={a!r} lifo={b!r}")
+
+
+def tiebreak_diff(run: Callable[[str], Any], label: str,
+                  project: Callable[[Any], Any] = lambda result: result
+                  ) -> Tuple[Any, Any, List[str]]:
+    """The schedule-race probe every harness shares: ``run("fifo")``,
+    then ``run("lifo")``, then a structural diff of the two results.
+
+    Returns ``(fifo, lifo, divergences)`` where each divergence names
+    the path (rooted at ``label``) of one field of ``project(result)``
+    on which the two runs disagree; empty means the tie-break
+    perturbation was invisible. A ``tiebreak`` key is never compared.
+    """
+    fifo, lifo = run("fifo"), run("lifo")
+    divergences: List[str] = []
+    _diff(project(fifo), project(lifo), label, divergences)
+    return fifo, lifo, divergences
 
 
 def run_determinism_check(nodes: int = 2, rounds: int = 2,
@@ -106,18 +124,15 @@ def run_determinism_check(nodes: int = 2, rounds: int = 2,
                 else f"fig5-small[n={nodes},seeds={seeds}]")
     report = DeterminismReport(workload=workload)
     for seed in range(max(1, seeds)):
-        fifo = fingerprint("fifo", nodes=nodes, rounds=rounds,
-                           interval_s=interval_s, memory_mb=memory_mb,
-                           seed=seed)
-        lifo = fingerprint("lifo", nodes=nodes, rounds=rounds,
-                           interval_s=interval_s, memory_mb=memory_mb,
-                           seed=seed)
+        fifo, lifo, divergences = tiebreak_diff(
+            lambda policy: fingerprint(
+                policy, nodes=nodes, rounds=rounds, interval_s=interval_s,
+                memory_mb=memory_mb, seed=seed),
+            "rounds", project=lambda fp: fp["rounds"])
         suffix = f"@seed{seed}" if seed else ""
         prefix = f"seed{seed} " if seed else ""
         report.fingerprints[f"fifo{suffix}"] = fifo
         report.fingerprints[f"lifo{suffix}"] = lifo
-        divergences: List[str] = []
-        _diff(fifo["rounds"], lifo["rounds"], "rounds", divergences)
         if fifo["state_hash"] != lifo["state_hash"]:
             divergences.append(
                 f"state_hash: fifo={fifo['state_hash'][:16]} "

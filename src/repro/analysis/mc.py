@@ -147,7 +147,7 @@ def _retry_policy():
 
 
 def _build_cluster(config: McConfig, oracle: ScheduleOracle):
-    from repro.apps.slm import slm_factory
+    from repro.apps.slm import run_slm_rounds
     from repro.cruz.cluster import CruzCluster
 
     cluster = CruzCluster(
@@ -160,11 +160,7 @@ def _build_cluster(config: McConfig, oracle: ScheduleOracle):
         oracle.bind(cluster)
     for agent in cluster.agents:
         agent.continue_timeout_s = config.continue_timeout_s
-    app = cluster.launch_app_factory(
-        "slm", config.nodes,
-        slm_factory(config.nodes, global_rows=8 * config.nodes, cols=32,
-                    steps=100000, total_work_s=1e6,
-                    memory_mb_per_rank=config.memory_mb))
+    app, _stats = run_slm_rounds(cluster, config.nodes, config.memory_mb)
     return cluster, app
 
 
@@ -277,7 +273,7 @@ def run_policy(policy: str, nodes: int = 2, rounds: int = 2,
     uses.  The returned fingerprint is bit-identical to the pre-oracle
     ``Simulator(tiebreak=...)`` implementation.
     """
-    from repro.apps.slm import slm_factory
+    from repro.apps.slm import run_slm_rounds
     from repro.cruz.cluster import CruzCluster
 
     if policy == "fifo":
@@ -287,18 +283,11 @@ def run_policy(policy: str, nodes: int = 2, rounds: int = 2,
     else:
         raise ValueError(f"unknown schedule policy {policy!r}")
     cluster = CruzCluster(nodes, oracle=oracle, seed=seed)
-    app = cluster.launch_app_factory(
-        "slm", nodes,
-        slm_factory(nodes, global_rows=8 * nodes, cols=32, steps=100000,
-                    total_work_s=1e6, memory_mb_per_rank=memory_mb))
-    cluster.run_for(0.5)
-    stats = []
-    for _ in range(rounds):
-        cluster.run_for(interval_s)
-        stats.append(asdict(cluster.checkpoint_app(app)))
+    _app, stats = run_slm_rounds(cluster, nodes, memory_mb, rounds=rounds,
+                                 interval_s=interval_s)
     return {
         "tiebreak": policy,
-        "rounds": stats,
+        "rounds": [asdict(round_stats) for round_stats in stats],
         "state_hash": state_hash(cluster),
     }
 

@@ -321,18 +321,12 @@ WORKLOADS = {
 
 def _run_fig5_workload(nodes: int, rounds: int, interval_s: float,
                        memory_mb: float, crash: bool = False):
-    from repro.apps.slm import slm_factory
+    from repro.apps.slm import run_slm_rounds
     from repro.cruz.cluster import CruzCluster
 
     cluster = CruzCluster(nodes, sanitize=True)
-    app = cluster.launch_app_factory(
-        "slm", nodes,
-        slm_factory(nodes, global_rows=8 * nodes, cols=32, steps=100000,
-                    total_work_s=1e6, memory_mb_per_rank=memory_mb))
-    cluster.run_for(0.5)
-    for _ in range(rounds):
-        cluster.run_for(interval_s)
-        cluster.checkpoint_app(app)
+    app, _stats = run_slm_rounds(cluster, nodes, memory_mb, rounds=rounds,
+                                 interval_s=interval_s)
     if crash:
         cluster.crash_app(app)
         cluster.restart_app(app)

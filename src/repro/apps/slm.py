@@ -153,3 +153,28 @@ def slm_factory(n_ranks: int, global_rows: int = 64, cols: int = 64,
                        extra_state_bytes=extra)
 
     return make
+
+
+def run_slm_rounds(cluster, n_ranks: int, memory_mb_per_rank: float,
+                   rounds: int = 0, interval_s: float = 0.0,
+                   **checkpoint_options):
+    """The Fig. 5 workload: launch, reach steady state, checkpoint.
+
+    The slm job is sized so it never finishes during a measurement (the
+    paper measures during a long run). After 0.5 s of mesh-up it takes
+    ``rounds`` checkpoints ``interval_s`` apart, ``checkpoint_options``
+    going to ``cluster.checkpoint_app``; ``rounds=0`` only launches.
+    Returns ``(app, [RoundStats])``.
+    """
+    app = cluster.launch_app_factory(
+        "slm", n_ranks,
+        slm_factory(n_ranks, global_rows=8 * n_ranks, cols=32,
+                    steps=100000, total_work_s=1e6,
+                    memory_mb_per_rank=memory_mb_per_rank))
+    stats = []
+    if rounds:
+        cluster.run_for(0.5)
+    for _ in range(rounds):
+        cluster.run_for(interval_s)
+        stats.append(cluster.checkpoint_app(app, **checkpoint_options))
+    return app, stats

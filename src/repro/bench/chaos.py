@@ -186,6 +186,7 @@ def run_chaos(seed: int = 7,
     from repro.apps.slm import reference_solution, slm_factory
     from repro.cruz.cluster import CruzCluster
     from repro.cruz.faults import ChaosInjector
+    from repro.cruz.supervisor import LEASE_MISSES, WORST_CASE_BEAT_S
 
     rows = rows_per_rank * ranks
     result = ChaosResult(seed=seed, tiebreak=tiebreak,
@@ -247,15 +248,13 @@ def run_chaos(seed: int = 7,
         # round is actually in flight (round starts drift with the
         # workload, so a fixed-clock crash would miss the window).
         crash_at = 2 * checkpoint_interval_s
-    worst_beat_s = (cluster.heartbeat_interval_s
-                    + cluster.heartbeat_jitter_s)
     if evict_on_suspect:
         # Healthy node, silent liveness path: mute long past the death
         # lease so the eviction has to beat the declaration, not wait
         # it out.
         chaos.schedule_heartbeat_mute(
             crash_node_index, at=crash_at,
-            duration_s=(cluster.lease_misses + 3) * worst_beat_s)
+            duration_s=(LEASE_MISSES + 3) * WORST_CASE_BEAT_S)
     else:
         chaos.schedule_node_crash_mid_round(
             crash_node_index, after=crash_at, within_s=crash_jitter_s,
@@ -268,10 +267,10 @@ def run_chaos(seed: int = 7,
         # covers, and its dropped app frames would only add
         # retransmission noise to the healing measurement.)
         flap_node = (crash_node_index + 1) % app_nodes
-        flap_misses = max(1, cluster.lease_misses - 2)
+        flap_misses = max(1, LEASE_MISSES - 2)
         chaos.schedule_link_flap(
             flap_node, at=crash_at + 1.0,
-            duration_s=flap_misses * worst_beat_s)
+            duration_s=flap_misses * WORST_CASE_BEAT_S)
 
     try:
         cluster.run_until(done, limit=limit_s)
@@ -323,40 +322,44 @@ def run_chaos(seed: int = 7,
     return result
 
 
-def chaos_determinism(seed: int = 7, **kwargs) -> List[str]:
-    """Run the chaos scenario under FIFO and LIFO event tie-breaking
-    and return every fingerprint path where they disagree (schedule
-    races); empty means the healing pipeline is deterministic."""
-    from repro.analysis.determinism import _diff
+def _fingerprint(r: ChaosResult) -> Dict[str, Any]:
+    """The tiebreak-comparable projection of one chaos run."""
+    return {
+        "completed": r.completed,
+        "output_correct": r.output_correct,
+        "field_hash": r.field_hash,
+        "state_hash": r.state_hash,
+        "rounds": [r.rounds_committed, r.rounds_aborted],
+        "deaths": r.deaths,
+        "evictions": [
+            {key: entry.get(key)
+             for key in ("pod", "from", "to", "ok", "rounds",
+                         "pause_window_s", "before_declaration")}
+            for entry in r.evictions],
+        "failovers": [
+            {"dead_node": fo["dead_node"],
+             "version": fo["version"],
+             "attempts": fo["attempts"],
+             "placement": fo["placement"],
+             "phases": fo["phases"]}
+            for fo in r.failovers],
+        "chaos_log": r.chaos_log,
+        "replica": [r.rereplicated_chunks,
+                    r.under_replicated_after,
+                    r.versions_reconstructible],
+        "sim_time": round(r.sim_time_s, 12),
+    }
 
-    divergences: List[str] = []
-    runs = {}
-    for tiebreak in ("fifo", "lifo"):
-        r = run_chaos(seed=seed, tiebreak=tiebreak, **kwargs)
-        runs[tiebreak] = {
-            "completed": r.completed,
-            "output_correct": r.output_correct,
-            "field_hash": r.field_hash,
-            "state_hash": r.state_hash,
-            "rounds": [r.rounds_committed, r.rounds_aborted],
-            "deaths": r.deaths,
-            "evictions": [
-                {key: entry.get(key)
-                 for key in ("pod", "from", "to", "ok", "rounds",
-                             "pause_window_s", "before_declaration")}
-                for entry in r.evictions],
-            "failovers": [
-                {"dead_node": fo["dead_node"],
-                 "version": fo["version"],
-                 "attempts": fo["attempts"],
-                 "placement": fo["placement"],
-                 "phases": fo["phases"]}
-                for fo in r.failovers],
-            "chaos_log": r.chaos_log,
-            "replica": [r.rereplicated_chunks,
-                        r.under_replicated_after,
-                        r.versions_reconstructible],
-            "sim_time": round(r.sim_time_s, 12),
-        }
-    _diff(runs["fifo"], runs["lifo"], "chaos", divergences)
-    return divergences
+
+def chaos_determinism(**kwargs):
+    """Run the chaos scenario under FIFO and LIFO event tie-breaking.
+
+    Returns ``(fifo_result, divergences)``: every fingerprint path where
+    the two runs disagree (schedule races); empty means the healing
+    pipeline is deterministic."""
+    from repro.analysis.determinism import tiebreak_diff
+
+    fifo, _lifo, divergences = tiebreak_diff(
+        lambda tiebreak: run_chaos(tiebreak=tiebreak, **kwargs),
+        "chaos", project=_fingerprint)
+    return fifo, divergences

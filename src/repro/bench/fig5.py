@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.apps.slm import slm_factory
-from repro.bench.harness import ShapeReport, Stat
+from repro.apps.slm import run_slm_rounds
+from repro.bench.harness import (Figure, ShapeReport, Stat,
+                                 render_table)
 from repro.cruz.cluster import CruzCluster
 from repro.cruz.protocol import RoundStats
 from repro.sim.spans import SpanRecorder
@@ -63,33 +64,20 @@ def run_fig5(node_counts: Sequence[int] = (2, 4, 6, 8),
              rounds: int = 5,
              memory_mb_per_rank: float = 100.0,
              checkpoint_interval_s: float = 2.0,
-             steps: int = 100000,
-             total_work_s: float = 1e6,
              optimized: bool = False) -> List[Fig5Point]:
     """Measure checkpoint and restart rounds for each node count.
 
-    The slm job is sized so it never finishes during the measurement
-    (matching the paper's methodology of measuring during a long run);
-    per-rank memory is constant so the local save is ~1 s at 100 MB/s.
+    Per-rank memory is constant so the local save is ~1 s at 100 MB/s.
     """
     points = []
     for n_nodes in node_counts:
         cluster = CruzCluster(n_nodes, trace_enabled=True)
-        app = cluster.launch_app_factory(
-            "slm", n_nodes,
-            slm_factory(n_nodes, global_rows=8 * n_nodes, cols=32,
-                        steps=steps, total_work_s=total_work_s,
-                        memory_mb_per_rank=memory_mb_per_rank))
-        cluster.run_for(0.5)  # mesh up, steady state
-        checkpoint_rounds = []
-        message_counts = []
-        for _ in range(rounds):
-            cluster.run_for(checkpoint_interval_s)
-            before = cluster.coordination_message_count()
-            stats = cluster.checkpoint_app(app, optimized=optimized)
-            message_counts.append(
-                cluster.coordination_message_count() - before)
-            checkpoint_rounds.append(stats)
+        app, checkpoint_rounds = run_slm_rounds(
+            cluster, n_nodes, memory_mb_per_rank, rounds=rounds,
+            interval_s=checkpoint_interval_s, optimized=optimized)
+        # Control messages flow only inside rounds, so the cluster-wide
+        # count so far is the checkpoint rounds' total.
+        round_messages = cluster.coordination_message_count()
         # Restart measurement: crash and restart from the last image.
         cluster.crash_app(app)
         restart_stats = cluster.restart_app(app)
@@ -105,7 +93,7 @@ def run_fig5(node_counts: Sequence[int] = (2, 4, 6, 8),
             overhead=Stat.of([overhead for _, overhead, _ in measured]),
             local_save=Stat.of([local for _, _, local in measured]),
             restart_latency=Stat.of([restart_latency]),
-            messages_per_round=sum(message_counts) / len(message_counts),
+            messages_per_round=round_messages / rounds,
             rounds=checkpoint_rounds,
             restart_round=restart_stats))
     return points
@@ -148,3 +136,28 @@ def fig5_shape_report(points: List[Fig5Point]) -> ShapeReport:
                         for p in points],
                  expect="restart within 0.3x-3x of checkpoint")
     return report
+
+
+def _render(points: List[Fig5Point]) -> List[str]:
+    rows = [[p.n_nodes, f"{p.latency.mean:.3f} s",
+             f"{p.overhead.mean*1e6:.0f} us",
+             f"{p.restart_latency.mean:.3f} s",
+             int(p.messages_per_round)] for p in points]
+    return [render_table(
+        "Fig 5 — checkpoint latency / coordination overhead / restart",
+        ["nodes", "latency", "overhead", "restart", "msgs"], rows)]
+
+
+def _add_arguments(parser) -> None:
+    parser.add_argument("--nodes", type=int, nargs="+",
+                        default=[2, 4, 6, 8])
+    parser.add_argument("--rounds", type=int, default=5)
+
+
+FIGURE = Figure(
+    name="fig5", help="checkpoint latency/overhead",
+    run=lambda args: run_fig5(node_counts=tuple(args.nodes),
+                              rounds=args.rounds),
+    shape=fig5_shape_report, render=_render,
+    payload=lambda points: {"points": points},
+    add_arguments=_add_arguments)

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.apps.tcpstream import stream_factory
 from repro.bench.fig5 import round_span_metrics
-from repro.bench.harness import ShapeReport
+from repro.bench.harness import Figure, ShapeReport
 from repro.cruz.cluster import CruzCluster
 from repro.cruz.protocol import RoundStats
 
@@ -150,3 +150,21 @@ def fig6_shape_report(result: Fig6Result) -> ShapeReport:
                  result.pre_checkpoint_rate_bps * 0.6,
                  expect="stream returns to >60% of its old rate")
     return report
+
+
+def _render(result: Fig6Result) -> List[str]:
+    return [
+        f"steady rate        : "
+        f"{result.pre_checkpoint_rate_bps/1e6:.1f} Mb/s",
+        f"checkpoint duration: "
+        f"{result.checkpoint_duration_s*1000:.1f} ms",
+        f"drain pulse at     : {result.pulse_time_s*1000:.1f} ms",
+        f"recovery at        : {result.recovery_time_s*1000:.1f} ms",
+        f"retransmissions    : {len(result.retransmit_times_s)}",
+    ]
+
+
+FIGURE = Figure(
+    name="fig6", help="TCP stream through a checkpoint",
+    run=lambda args: run_fig6(), shape=fig6_shape_report,
+    render=_render, payload=lambda result: {"result": result})

@@ -1,14 +1,17 @@
 """Shared benchmark utilities: result records, shape reports, tables,
-and the one ``--save``/``--compare`` baseline tail every suite uses."""
+the :class:`Figure` / :class:`Suite` records every experiment declares
+itself as, and the one ``--save``/``--compare`` baseline tail."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 
 @dataclass
@@ -101,16 +104,54 @@ class ShapeReport:
             rows, note=verdict)
 
 
-def _load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+def _no_arguments(parser: argparse.ArgumentParser) -> None:
+    """A record with no flags of its own."""
 
 
-def _write_json(path: str, report: Any) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+@dataclass(frozen=True)
+class Figure:
+    """One §6 experiment as a declared record: ``repro <name>`` runs
+    the cluster, checks the shape the paper reports, prints or emits."""
+
+    name: str
+    help: str
+    #: ``run(args)`` -> the figure's result record(s).
+    run: Callable[[argparse.Namespace], Any]
+    #: ``shape(result)`` -> the paper's claims as pass/fail checks.
+    shape: Callable[[Any], ShapeReport]
+    #: ``render(result)`` -> the lines printed above the shape table.
+    render: Callable[[Any], List[str]]
+    #: ``payload(result)`` -> the result's keys in the ``--json`` object.
+    payload: Callable[[Any], Dict[str, Any]]
+    add_arguments: Callable[[argparse.ArgumentParser], None] = \
+        _no_arguments
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One committed-baseline guard as a declared record:
+    ``repro bench <name> --save|--compare``.
+
+    ``run(**workload)`` produces the suite's report dict;
+    ``evaluate(report, baseline, tolerance=..., **floors)`` is a pure
+    function returning failure strings (empty = pass; ``baseline`` is
+    ``None`` when saving or when no baseline file exists);
+    ``render(report)`` returns the human-readable lines.
+    ``add_arguments(parser)`` declares the suite's own flags on its own
+    subparser, and ``workload`` / ``floors`` name which parsed flags
+    (by ``dest``) feed ``run`` and ``evaluate``.
+    """
+
+    name: str
+    help: str
+    #: Default baseline path (``--baseline`` overrides).
+    baseline: str
+    run: Callable[..., Dict[str, Any]]
+    evaluate: Callable[..., List[str]]
+    render: Callable[[Dict[str, Any]], List[str]]
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    workload: Tuple[str, ...] = ()
+    floors: Tuple[str, ...] = ()
 
 
 def workload_matches(report: Dict[str, Any],
@@ -128,63 +169,51 @@ def workload_matches(report: Dict[str, Any],
     return False
 
 
-def baseline_cli(*, baseline_path: str,
-                 save: bool,
-                 suite: str = "bench",
-                 run: Callable[[], Any],
-                 evaluate: Callable[[Any, Any], List[str]],
-                 render: Optional[Callable[[Any, Any], List[str]]] = None,
-                 load: Optional[Callable[[str], Any]] = None,
-                 write: Optional[Callable[[str, Any], None]] = None,
-                 require_baseline: bool = False,
-                 vet_before_save: bool = False) -> int:
-    """The one ``--save``/``--compare`` tail shared by every bench suite.
+def baseline_cli(suite: Suite, args: argparse.Namespace) -> Dict[str, Any]:
+    """The one ``--save``/``--compare`` tail every bench suite shares.
 
-    ``run()`` produces the suite's report (``None`` means the run itself
-    failed and already said why); ``evaluate(report, baseline)`` returns
-    failure strings (empty = pass, skipped on ``--save`` unless
-    ``vet_before_save`` refuses to record a failing run);
-    ``render(report, baseline)`` returns human-readable lines printed
-    before the verdict. ``load``/``write`` override how the baseline
-    file is parsed/recorded (pretty-printed JSON by default; a writer
-    may be a no-op when ``run`` produced the artifact itself).
-
-    Exit status: 0 pass, 1 failures, 2 unreadable baseline (or missing
-    when ``require_baseline``).
+    Runs the suite, prints its rendered report and verdict (failures to
+    stderr), and records the baseline on ``--save`` — but only a run
+    that passes its own floors. Returns the verdict record the CLI
+    emits under ``--json``: ``report``, ``failures``, ``baseline``
+    (the path), ``ok`` and ``exit_status`` (0 pass, 1 failures, 2
+    unreadable baseline).
     """
+    path = args.baseline or suite.baseline
+    verdict = {"suite": suite.name, "baseline": path, "ok": False,
+               "exit_status": 1, "report": None, "failures": []}
     baseline = None
-    if not save:
-        if os.path.exists(baseline_path):
-            try:
-                baseline = (load or _load_json)(baseline_path)
-            except (json.JSONDecodeError, OSError, KeyError,
-                    TypeError) as exc:
-                print(f"unreadable baseline {baseline_path}: {exc}",
-                      file=sys.stderr)
-                return 2
-        elif require_baseline:
-            print(f"no baseline at {baseline_path}; run with --save "
-                  f"first", file=sys.stderr)
-            return 2
-    report = run()
-    if report is None:
-        return 1
-    if render is not None:
-        for line in render(report, baseline):
-            print(line)
-    failures: List[str] = []
-    if not save or vet_before_save:
-        failures = evaluate(report, baseline)
+    if not args.save and os.path.exists(path):
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                baseline = json.load(handle)
+        except (ValueError, OSError) as exc:
+            print(f"unreadable baseline {path}: {exc}", file=sys.stderr)
+            verdict.update(exit_status=2,
+                           failures=[f"unreadable baseline: {exc}"])
+            return verdict
+    report = suite.run(**{name: getattr(args, name)
+                          for name in suite.workload})
+    for line in suite.render(report):
+        print(line)
+    failures = suite.evaluate(
+        report, baseline, tolerance=args.tolerance,
+        **{name: getattr(args, name) for name in suite.floors})
+    verdict.update(report=report, failures=failures)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    if save:
-        (write or _write_json)(baseline_path, report)
-        print(f"saved {suite} baseline to {baseline_path}")
+        return verdict
+    if args.save:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"saved {suite.name} baseline to {path}")
     else:
-        print(f"{suite} benchmark within tolerance")
-    return 0
+        print(f"{suite.name} benchmark within tolerance")
+    verdict.update(ok=True, exit_status=0)
+    return verdict
 
 
 def render_table(title: str, headers: List[str],

@@ -28,7 +28,8 @@ import math
 import time
 from typing import Dict, List, Optional
 
-DEFAULT_BASELINE = "benchmarks/BENCH_mc.json"
+from repro.bench.harness import Suite, workload_matches
+
 #: Reduced storm scale for the overhead A/B — big enough that the loop
 #: dominates construction, small enough for CI.
 OVERHEAD_NODES = 64
@@ -304,8 +305,6 @@ def evaluate(report: Dict[str, object],
     compared against the committed baseline (it is machine-independent);
     states/sec is wall-clock and never travels.
     """
-    from repro.bench.harness import workload_matches
-
     failures = []
     overhead = float(report["overhead"]["overhead"])
     if overhead > overhead_limit:
@@ -338,26 +337,19 @@ def evaluate(report: Dict[str, object],
     return failures
 
 
-def save_baseline(baseline_path: str = DEFAULT_BASELINE,
-                  **workload) -> int:
-    from repro.bench.harness import baseline_cli
-    return baseline_cli(
-        baseline_path=baseline_path, save=True, suite="mc",
-        run=lambda: run_suite(**workload),
-        evaluate=evaluate,
-        render=lambda report, _baseline: render(report),
-        vet_before_save=True)
+def _add_arguments(parser) -> None:
+    parser.add_argument("--overhead-limit", type=float,
+                        default=DEFAULT_OVERHEAD_LIMIT,
+                        help="max fractional slowdown the oracle hook "
+                             "may add to the no-oracle scheduler fast "
+                             "path (default 0.03)")
 
 
-def check(baseline_path: str = DEFAULT_BASELINE,
-          tolerance: float = DEFAULT_TOLERANCE,
-          overhead_limit: float = DEFAULT_OVERHEAD_LIMIT,
-          **workload) -> int:
-    from repro.bench.harness import baseline_cli
-    return baseline_cli(
-        baseline_path=baseline_path, save=False, suite="mc",
-        run=lambda: run_suite(**workload),
-        evaluate=lambda report, baseline: evaluate(
-            report, baseline, tolerance=tolerance,
-            overhead_limit=overhead_limit),
-        render=lambda report, _baseline: render(report))
+SUITE = Suite(
+    name="mc",
+    help="model-checker states/sec, reduction ratio and oracle-hook "
+         "overhead",
+    baseline="benchmarks/BENCH_mc.json",
+    run=run_suite, evaluate=evaluate, render=render,
+    add_arguments=_add_arguments,
+    floors=("overhead_limit",))

@@ -16,7 +16,7 @@ from repro.baselines.flush import (
     install_flush_baseline,
     restart_message_estimate,
 )
-from repro.bench.harness import ShapeReport
+from repro.bench.harness import Figure, ShapeReport, render_table
 from repro.cruz.cluster import CruzCluster
 
 
@@ -96,3 +96,25 @@ def messages_shape_report(points: List[MessagePoint]) -> ShapeReport:
                  value=last.cruz_messages / first.cruz_messages,
                  expect=f"count grows exactly {scale:g}x")
     return report
+
+
+def _render(points: List[MessagePoint]) -> List[str]:
+    rows = [[p.n_nodes, p.cruz_messages, p.flush_messages,
+             f"{p.cruz_latency_s*1000:.2f} ms",
+             f"{p.flush_latency_s*1000:.2f} ms"] for p in points]
+    return [render_table(
+        "Message complexity — Cruz O(N) vs flush O(N^2)",
+        ["nodes", "cruz", "flush", "cruz lat", "flush lat"], rows)]
+
+
+def _add_arguments(parser) -> None:
+    parser.add_argument("--nodes", type=int, nargs="+",
+                        default=[2, 4, 8, 16])
+
+
+FIGURE = Figure(
+    name="messages", help="Cruz vs flush message complexity",
+    run=lambda args: run_messages(node_counts=tuple(args.nodes)),
+    shape=messages_shape_report, render=_render,
+    payload=lambda points: {"points": points},
+    add_arguments=_add_arguments)

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-DEFAULT_BASELINE = "benchmarks/BENCH_migration.json"
+from repro.bench.harness import Suite, workload_matches
+
 #: The headline floor: client-visible pause under pre-copy must be
 #: below this fraction of the stop-and-copy pause on the same workload.
 DEFAULT_MAX_PAUSE_RATIO = 0.25
@@ -130,7 +131,7 @@ def run_suite(seed: int = 7,
               memory_mb_per_rank: float = 100.0,
               migrate_at: float = 1.0) -> Dict[str, object]:
     """Both modes on identical workloads, plus the tie-break probe."""
-    from repro.analysis.determinism import _diff
+    from repro.analysis.determinism import tiebreak_diff
 
     workload = {
         "seed": seed, "app_nodes": app_nodes, "ranks": ranks,
@@ -139,30 +140,28 @@ def run_suite(seed: int = 7,
         "memory_mb_per_rank": memory_mb_per_rank,
         "migrate_at": migrate_at,
     }
-    results = {}
-    for label, kwargs in (
-            ("stop_and_copy", {"live": False}),
-            ("precopy", {"live": True}),
-            ("precopy_lifo", {"live": True, "tiebreak": "lifo"})):
+
+    def run(label: str, **mode) -> Dict[str, object]:
         print(f"migration: {label} "
               f"({memory_mb_per_rank:.0f} MB/rank, {ranks} ranks)...",
               flush=True)
-        results[label] = run_mode(**dict(workload, **kwargs))
-    divergences: List[str] = []
-    _diff(results["precopy"], results["precopy_lifo"], "migration",
-          divergences)
-    # The tie-break axis itself is the one field allowed to differ.
-    divergences = [d for d in divergences if "tiebreak" not in d]
-    stop_pause = float(results["stop_and_copy"]["pause_window_s"])
-    pre_pause = float(results["precopy"]["pause_window_s"])
+        return run_mode(**workload, **mode)
+
+    stop = run("stop_and_copy", live=False)
+    pre, _lifo, divergences = tiebreak_diff(
+        lambda tiebreak: run(f"precopy ({tiebreak})", live=True,
+                             tiebreak=tiebreak),
+        "migration")
+    stop_pause = float(stop["pause_window_s"])
+    pre_pause = float(pre["pause_window_s"])
     ratio = pre_pause / stop_pause if stop_pause > 0 else float("inf")
     return {
         "suite": "migration",
         "workload": workload,
-        "stop_and_copy": results["stop_and_copy"],
-        "precopy": results["precopy"],
+        "stop_and_copy": stop,
+        "precopy": pre,
         "pause_ratio": round(ratio, 6),
-        "precopy_rounds": results["precopy"]["precopy_rounds"],
+        "precopy_rounds": pre["precopy_rounds"],
         "divergences": divergences,
     }
 
@@ -227,8 +226,6 @@ def evaluate(report: Dict[str, object],
     if report["divergences"]:
         failures.append(
             f"fifo/lifo divergence: {report['divergences'][:3]}")
-    from repro.bench.harness import workload_matches
-
     if workload_matches(report, baseline, "migration"):
         recorded = float(baseline.get("pause_ratio", 0.0))
         ceiling = recorded * (1.0 + tolerance)
@@ -240,27 +237,23 @@ def evaluate(report: Dict[str, object],
     return failures
 
 
-def save_baseline(baseline_path: str = DEFAULT_BASELINE,
-                  **workload) -> int:
-    from repro.bench.harness import baseline_cli
-    return baseline_cli(
-        baseline_path=baseline_path, save=True, suite="migration",
-        run=lambda: run_suite(**workload),
-        evaluate=evaluate,
-        render=lambda report, _baseline: render(report),
-        vet_before_save=True)
+def _add_arguments(parser) -> None:
+    parser.add_argument("--ranks", type=int, default=2,
+                        help="slm ranks (default 2)")
+    parser.add_argument("--memory-mb", dest="memory_mb_per_rank",
+                        type=float, default=100.0,
+                        help="per-rank state size in MB (default 100)")
+    parser.add_argument("--max-pause-ratio", type=float,
+                        default=DEFAULT_MAX_PAUSE_RATIO,
+                        help="required pre-copy pause as a fraction of "
+                             "stop-and-copy (default 0.25)")
 
 
-def check(baseline_path: str = DEFAULT_BASELINE,
-          max_pause_ratio: float = DEFAULT_MAX_PAUSE_RATIO,
-          max_rounds: int = DEFAULT_MAX_ROUNDS,
-          tolerance: float = DEFAULT_TOLERANCE,
-          **workload) -> int:
-    from repro.bench.harness import baseline_cli
-    return baseline_cli(
-        baseline_path=baseline_path, save=False, suite="migration",
-        run=lambda: run_suite(**workload),
-        evaluate=lambda report, baseline: evaluate(
-            report, baseline, max_pause_ratio=max_pause_ratio,
-            max_rounds=max_rounds, tolerance=tolerance),
-        render=lambda report, _baseline: render(report))
+SUITE = Suite(
+    name="migration",
+    help="pre-copy vs stop-and-copy pause windows",
+    baseline="benchmarks/BENCH_migration.json",
+    run=run_suite, evaluate=evaluate, render=render,
+    add_arguments=_add_arguments,
+    workload=("ranks", "memory_mb_per_rank"),
+    floors=("max_pause_ratio",))

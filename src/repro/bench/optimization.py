@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.apps.compute import compute_factory
-from repro.bench.harness import ShapeReport
+from repro.bench.harness import Figure, ShapeReport, render_table
 from repro.cruz.cluster import CruzCluster
 
 
@@ -94,3 +94,18 @@ def optimization_shape_report(result: OptimizationResult) -> ShapeReport:
                  value=optimized[slowest] / blocking[slowest],
                  expect="slowest pod's pause is save-bound")
     return report
+
+
+def _render(result: OptimizationResult) -> List[str]:
+    rows = [[pod, f"{result.blocking_pause_s[pod]*1000:.0f} ms",
+             f"{result.optimized_pause_s[pod]*1000:.0f} ms"]
+            for pod in sorted(result.blocking_pause_s)]
+    return [render_table("Fig 4 — per-pod pause, blocking vs optimised",
+                         ["pod", "blocking", "optimised"], rows)]
+
+
+FIGURE = Figure(
+    name="fig4", help="early-resume optimisation",
+    run=lambda args: run_optimization(),
+    shape=optimization_shape_report, render=_render,
+    payload=lambda result: {"result": result})

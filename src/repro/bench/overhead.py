@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.apps.slm import slm_factory
-from repro.bench.harness import ShapeReport
+from repro.bench.harness import Figure, ShapeReport
 from repro.cruz.cluster import CruzCluster
 
 
@@ -68,3 +68,21 @@ def overhead_shape_report(result: OverheadResult) -> ShapeReport:
                  value=result.overhead_fraction,
                  expect="< 0.5% (§6)")
     return report
+
+
+def _render(result: OverheadResult) -> List[str]:
+    return [
+        f"bare runtime : {result.bare_runtime_s:.4f} s",
+        f"pod runtime  : {result.pod_runtime_s:.4f} s",
+        f"overhead     : {result.overhead_fraction*100:.4f} % "
+        f"(paper: < 0.5 %)",
+    ]
+
+
+FIGURE = Figure(
+    name="overhead", help="virtualisation runtime overhead",
+    run=lambda args: run_overhead(), shape=overhead_shape_report,
+    render=_render,
+    payload=lambda result: {
+        "result": result,
+        "overhead_fraction": result.overhead_fraction})

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-DEFAULT_BASELINE = "benchmarks/BENCH_slo.json"
+from repro.bench.harness import Suite, workload_matches
+
 DEFAULT_BACKENDS = 3
 DEFAULT_CLIENTS = 4
 DEFAULT_SESSIONS = 8
@@ -87,33 +88,9 @@ def run_suite(backends: int = DEFAULT_BACKENDS,
 
 
 def render(report: Dict[str, object]) -> List[str]:
-    slo = report["slo"]
-    overall = slo["overall"]
-    lines = [
-        f"requests: {overall['requests']} from {slo['clients']} clients  "
-        f"p50 {overall['p50_s'] * 1e3:7.2f}ms  "
-        f"p99 {overall['p99_s'] * 1e3:7.2f}ms  "
-        f"max {overall['max_s'] * 1e3:7.2f}ms",
-        f"status: {overall['by_status']}  "
-        f"extra attempts: {overall['extra_attempts']}",
-    ]
-    for window in slo["windows"]:
-        p99 = window["p99_s"]
-        p99_txt = f"{p99 * 1e3:7.2f}ms" if p99 is not None else "   (idle)"
-        lines.append(f"  {window['window']:>14}: "
-                     f"{window['requests']:3d} req  p99 {p99_txt}  "
-                     f"{window['by_status']}")
-    counters = slo["counters"]
-    lines.append(f"client counters: {counters}")
-    canary = report["canary"] or {}
-    lines.append(f"canary: promoted={canary.get('promoted')} "
-                 f"steps={canary.get('steps')}")
-    lines.append(f"replicas consistent: {report['replicas_consistent']}")
-    if report["divergences"]:
-        lines.append(f"tie-break divergences: {report['divergences']}")
-    else:
-        lines.append("tie-break: fifo and lifo runs are bit-identical")
-    return lines
+    from repro.serve.harness import render_report
+
+    return render_report(report, report["divergences"])
 
 
 def evaluate(report: Dict[str, object],
@@ -121,8 +98,6 @@ def evaluate(report: Dict[str, object],
              p99_limit_s: float = DEFAULT_P99_LIMIT_S,
              tolerance: float = DEFAULT_TOLERANCE) -> List[str]:
     """Pure comparison: list of failure messages (empty = pass)."""
-    from repro.bench.harness import workload_matches
-
     failures = []
     if report["client_errors"]:
         failures.append(f"{report['client_errors']} client-visible "
@@ -162,26 +137,18 @@ def evaluate(report: Dict[str, object],
     return failures
 
 
-def save_baseline(baseline_path: str = DEFAULT_BASELINE,
-                  **workload) -> int:
-    from repro.bench.harness import baseline_cli
-    return baseline_cli(
-        baseline_path=baseline_path, save=True, suite="slo",
-        run=lambda: run_suite(**workload),
-        evaluate=evaluate,
-        render=lambda report, _baseline: render(report),
-        vet_before_save=True)
+def _add_arguments(parser) -> None:
+    parser.add_argument("--p99-limit", dest="p99_limit_s", type=float,
+                        default=DEFAULT_P99_LIMIT_S,
+                        help="max client-observed p99 latency in "
+                             "simulated seconds (default 1.0)")
 
 
-def check(baseline_path: str = DEFAULT_BASELINE,
-          p99_limit_s: float = DEFAULT_P99_LIMIT_S,
-          tolerance: float = DEFAULT_TOLERANCE,
-          **workload) -> int:
-    from repro.bench.harness import baseline_cli
-    return baseline_cli(
-        baseline_path=baseline_path, save=False, suite="slo",
-        run=lambda: run_suite(**workload),
-        evaluate=lambda report, baseline: evaluate(
-            report, baseline, p99_limit_s=p99_limit_s,
-            tolerance=tolerance),
-        render=lambda report, _baseline: render(report))
+SUITE = Suite(
+    name="slo",
+    help="serving-fleet p99/error floors through the full disruption "
+         "gauntlet",
+    baseline="benchmarks/BENCH_slo.json",
+    run=run_suite, evaluate=evaluate, render=render,
+    add_arguments=_add_arguments,
+    floors=("p99_limit_s",))

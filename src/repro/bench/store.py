@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-DEFAULT_BASELINE = "benchmarks/BENCH_store.json"
+from repro.bench.harness import Suite, workload_matches
+
 #: Replication factors the restore-scaling sweep measures.
 DEFAULT_RFS = (1, 2, 4)
 DEFAULT_APP_NODES = 5
@@ -38,15 +39,6 @@ DEFAULT_MEMORY_MB = 16.0
 DEFAULT_MIN_SCALING = 3.0
 #: Allowed relative drop below the committed baseline's scaling.
 DEFAULT_TOLERANCE = 0.25
-
-
-def _launch(cluster, memory_mb: float):
-    from repro.apps.slm import slm_factory
-
-    return cluster.launch_app_factory(
-        "slm", 1, slm_factory(1, global_rows=8, cols=32, steps=100000,
-                              total_work_s=1e6,
-                              memory_mb_per_rank=memory_mb))
 
 
 def run_restore(rf: int,
@@ -59,14 +51,14 @@ def run_restore(rf: int,
     chunk from the application-node replicas — the clean N-source
     parallel-read case the placement map is built for.
     """
+    from repro.apps.slm import run_slm_rounds
+    from repro.cruz.cluster import CruzCluster
     from repro.zap.checkpoint import scrub_pod_network
     from repro.zap.virtualization import uninstall_pod
 
-    from repro.cruz.cluster import CruzCluster
-
     cluster = CruzCluster(app_nodes, replication_factor=rf,
                           tiebreak=tiebreak)
-    app = _launch(cluster, memory_mb)
+    app, _stats = run_slm_rounds(cluster, 1, memory_mb)
     cluster.run_for(0.5)
     pod = app.pods[0]
     cluster.checkpoint_app(app)
@@ -108,6 +100,7 @@ def run_heal(rf: int = 2,
     reconstructible, and once the re-replication daemon has run the
     chunk space must be back at full replication.
     """
+    from repro.apps.slm import run_slm_rounds
     from repro.cruz.cluster import CruzCluster
 
     lost_versions = 0
@@ -115,7 +108,7 @@ def run_heal(rf: int = 2,
     rereplicated_chunks = 0
     for victim in range(app_nodes):
         cluster = CruzCluster(app_nodes, replication_factor=rf)
-        app = _launch(cluster, memory_mb)
+        app, _stats = run_slm_rounds(cluster, 1, memory_mb)
         cluster.run_for(0.3)
         pod = app.pods[0]
         cluster.checkpoint_app(app)
@@ -142,27 +135,28 @@ def run_suite(app_nodes: int = DEFAULT_APP_NODES,
               memory_mb: float = DEFAULT_MEMORY_MB,
               rfs=DEFAULT_RFS) -> Dict[str, object]:
     """The full sweep: scaling, healing, and the tie-break probe."""
-    from repro.analysis.determinism import _diff
+    from repro.analysis.determinism import tiebreak_diff
 
     rfs = tuple(sorted(set(int(rf) for rf in rfs)))
-    restore = {}
+    def restore_at(rf: int, tiebreak: str = "fifo") -> Dict[str, object]:
+        print(f"store: restore at rf={rf} ({memory_mb:.0f} MB, "
+              f"{app_nodes} app nodes, {tiebreak})...", flush=True)
+        return run_restore(rf, app_nodes=app_nodes, memory_mb=memory_mb,
+                           tiebreak=tiebreak)
+
+    restore: Dict[str, object] = {}
+    divergences: List[str] = []
     for rf in rfs:
-        print(f"store: restore at rf={rf} "
-              f"({memory_mb:.0f} MB, {app_nodes} app nodes)...",
-              flush=True)
-        restore[f"rf{rf}"] = run_restore(rf, app_nodes=app_nodes,
-                                         memory_mb=memory_mb)
+        if rf == 2:  # doubles as the tie-break probe
+            restore["rf2"], _lifo, divergences = tiebreak_diff(
+                lambda tiebreak: restore_at(2, tiebreak), "restore.rf2")
+        else:
+            restore[f"rf{rf}"] = restore_at(rf)
     low, high = restore[f"rf{rfs[0]}"], restore[f"rf{rfs[-1]}"]
     scaling = (high["bandwidth_mbps"] / low["bandwidth_mbps"]
                if low["bandwidth_mbps"] > 0 else float("inf"))
     print(f"store: single-loss healing at rf=2...", flush=True)
     heal = run_heal(rf=2, app_nodes=app_nodes)
-    print("store: lifo tie-break probe...", flush=True)
-    lifo = run_restore(2, app_nodes=app_nodes, memory_mb=memory_mb,
-                       tiebreak="lifo")
-    divergences: List[str] = []
-    _diff(restore["rf2"], lifo, "restore.rf2", divergences)
-    divergences = [d for d in divergences if "tiebreak" not in d]
     return {
         "suite": "store",
         "workload": {
@@ -205,8 +199,6 @@ def evaluate(report: Dict[str, object],
              min_scaling: float = DEFAULT_MIN_SCALING,
              tolerance: float = DEFAULT_TOLERANCE) -> List[str]:
     """Pure comparison: list of failure messages (empty = pass)."""
-    from repro.bench.harness import workload_matches
-
     failures = []
     rows = [report["restore"][key]
             for key in sorted(report["restore"],
@@ -247,26 +239,24 @@ def evaluate(report: Dict[str, object],
     return failures
 
 
-def save_baseline(baseline_path: str = DEFAULT_BASELINE,
-                  **workload) -> int:
-    from repro.bench.harness import baseline_cli
-    return baseline_cli(
-        baseline_path=baseline_path, save=True, suite="store",
-        run=lambda: run_suite(**workload),
-        evaluate=evaluate,
-        render=lambda report, _baseline: render(report),
-        vet_before_save=True)
+def _add_arguments(parser) -> None:
+    parser.add_argument("--app-nodes", type=int,
+                        default=DEFAULT_APP_NODES,
+                        help="application node count (default 5)")
+    parser.add_argument("--memory-mb", type=float,
+                        default=DEFAULT_MEMORY_MB,
+                        help="pod state size in MB (default 16)")
+    parser.add_argument("--min-scaling", type=float,
+                        default=DEFAULT_MIN_SCALING,
+                        help="required restore bandwidth growth from "
+                             "rf=1 to the largest rf (default 3.0)")
 
 
-def check(baseline_path: str = DEFAULT_BASELINE,
-          min_scaling: float = DEFAULT_MIN_SCALING,
-          tolerance: float = DEFAULT_TOLERANCE,
-          **workload) -> int:
-    from repro.bench.harness import baseline_cli
-    return baseline_cli(
-        baseline_path=baseline_path, save=False, suite="store",
-        run=lambda: run_suite(**workload),
-        evaluate=lambda report, baseline: evaluate(
-            report, baseline, min_scaling=min_scaling,
-            tolerance=tolerance),
-        render=lambda report, _baseline: render(report))
+SUITE = Suite(
+    name="store",
+    help="sharded-restore bandwidth scaling and healing",
+    baseline="benchmarks/BENCH_store.json",
+    run=run_suite, evaluate=evaluate, render=render,
+    add_arguments=_add_arguments,
+    workload=("app_nodes", "memory_mb"),
+    floors=("min_scaling",))

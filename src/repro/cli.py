@@ -10,11 +10,24 @@ tables; ``trace`` exports a checkpoint round's span timeline as Chrome
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import sys
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
+
+from repro.bench import (fig5, fig6, messages, migration, optimization,
+                         overhead, slo, store)
+from repro.bench import mc as bench_mc
+from repro.bench.harness import baseline_cli, render_table
+
+#: The experiment table: every §6 figure and every committed-baseline
+#: suite is a record its own module declares; registering one here is
+#: the whole of adding it to the CLI.
+FIGURES = (fig5.FIGURE, fig6.FIGURE, messages.FIGURE, overhead.FIGURE,
+           optimization.FIGURE)
+SUITES = (migration.SUITE, store.SUITE, bench_mc.SUITE, slo.SUITE)
 
 #: One exit-code convention for the analysis commands (``lint``,
 #: ``sanitize``, ``analyze``, ``trace``): 0 = clean, 1 = violations or
@@ -52,100 +65,18 @@ def _emit_json(payload: Any) -> None:
     print(json.dumps(to_jsonable(payload), indent=2, allow_nan=False))
 
 
-def _cmd_fig5(args) -> int:
-    from repro.bench.fig5 import fig5_shape_report, run_fig5
-    from repro.bench.harness import render_table
-    points = run_fig5(node_counts=tuple(args.nodes), rounds=args.rounds)
-    report = fig5_shape_report(points)
+def _cmd_figure(args) -> int:
+    """Run one figure, check its shape, print or emit it."""
+    figure = args.figure
+    result = figure.run(args)
+    report = figure.shape(result)
     if args.json:
-        _emit_json({"command": "fig5", "points": points,
+        _emit_json({"command": figure.name, **figure.payload(result),
                     "shape": report})
-        return 0 if report.passed else 1
-    rows = [[p.n_nodes, f"{p.latency.mean:.3f} s",
-             f"{p.overhead.mean*1e6:.0f} us",
-             f"{p.restart_latency.mean:.3f} s",
-             int(p.messages_per_round)] for p in points]
-    print(render_table(
-        "Fig 5 — checkpoint latency / coordination overhead / restart",
-        ["nodes", "latency", "overhead", "restart", "msgs"], rows))
-    print(report.render())
-    return 0 if report.passed else 1
-
-
-def _cmd_fig6(args) -> int:
-    from repro.bench.fig6 import fig6_shape_report, run_fig6
-    result = run_fig6()
-    report = fig6_shape_report(result)
-    if args.json:
-        _emit_json({"command": "fig6", "result": result,
-                    "shape": report})
-        return 0 if report.passed else 1
-    print(f"steady rate        : "
-          f"{result.pre_checkpoint_rate_bps/1e6:.1f} Mb/s")
-    print(f"checkpoint duration: "
-          f"{result.checkpoint_duration_s*1000:.1f} ms")
-    print(f"drain pulse at     : {result.pulse_time_s*1000:.1f} ms")
-    print(f"recovery at        : {result.recovery_time_s*1000:.1f} ms")
-    print(f"retransmissions    : {len(result.retransmit_times_s)}")
-    print(report.render())
-    return 0 if report.passed else 1
-
-
-def _cmd_messages(args) -> int:
-    from repro.bench.harness import render_table
-    from repro.bench.messages import messages_shape_report, run_messages
-    points = run_messages(node_counts=tuple(args.nodes))
-    report = messages_shape_report(points)
-    if args.json:
-        _emit_json({"command": "messages", "points": points,
-                    "shape": report})
-        return 0 if report.passed else 1
-    rows = [[p.n_nodes, p.cruz_messages, p.flush_messages,
-             f"{p.cruz_latency_s*1000:.2f} ms",
-             f"{p.flush_latency_s*1000:.2f} ms"] for p in points]
-    print(render_table("Message complexity — Cruz O(N) vs flush O(N^2)",
-                       ["nodes", "cruz", "flush", "cruz lat",
-                        "flush lat"], rows))
-    print(report.render())
-    return 0 if report.passed else 1
-
-
-def _cmd_overhead(args) -> int:
-    from repro.bench.overhead import overhead_shape_report, run_overhead
-    result = run_overhead()
-    report = overhead_shape_report(result)
-    if args.json:
-        _emit_json({"command": "overhead", "result": result,
-                    "overhead_fraction": result.overhead_fraction,
-                    "shape": report})
-        return 0 if report.passed else 1
-    print(f"bare runtime : {result.bare_runtime_s:.4f} s")
-    print(f"pod runtime  : {result.pod_runtime_s:.4f} s")
-    print(f"overhead     : {result.overhead_fraction*100:.4f} % "
-          f"(paper: < 0.5 %)")
-    print(report.render())
-    return 0 if report.passed else 1
-
-
-def _cmd_fig4(args) -> int:
-    from repro.bench.harness import render_table
-    from repro.bench.optimization import (
-        optimization_shape_report,
-        run_optimization,
-    )
-    result = run_optimization()
-    report = optimization_shape_report(result)
-    if args.json:
-        _emit_json({"command": "fig4", "result": result,
-                    "shape": report})
-        return 0 if report.passed else 1
-    pods = sorted(result.blocking_pause_s)
-    rows = [[pod, f"{result.blocking_pause_s[pod]*1000:.0f} ms",
-             f"{result.optimized_pause_s[pod]*1000:.0f} ms"]
-            for pod in pods]
-    print(render_table("Fig 4 — per-pod pause, blocking vs optimised",
-                       ["pod", "blocking", "optimised"], rows))
-    print(report.render())
+    else:
+        for line in figure.render(result):
+            print(line)
+        print(report.render())
     return 0 if report.passed else 1
 
 
@@ -185,82 +116,29 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.suite == "migration":
-        from repro.bench import migration
-        baseline = args.baseline or migration.DEFAULT_BASELINE
-        workload = {"ranks": args.ranks,
-                    "memory_mb_per_rank": args.memory_mb
-                    if args.memory_mb is not None else 100.0}
-        if args.save:
-            status = migration.save_baseline(baseline, **workload)
-        else:
-            status = migration.check(
-                baseline, max_pause_ratio=args.max_pause_ratio,
-                tolerance=args.tolerance, **workload)
-    elif args.suite == "mc":
-        from repro.bench import mc as bench_mc
-        baseline = args.baseline or bench_mc.DEFAULT_BASELINE
-        if args.save:
-            status = bench_mc.save_baseline(baseline)
-        else:
-            status = bench_mc.check(baseline, tolerance=args.tolerance,
-                                    overhead_limit=args.overhead_limit)
-    elif args.suite == "slo":
-        from repro.bench import slo
-        baseline = args.baseline or slo.DEFAULT_BASELINE
-        if args.save:
-            status = slo.save_baseline(baseline)
-        else:
-            status = slo.check(baseline, p99_limit_s=args.p99_limit,
-                               tolerance=args.tolerance)
-    elif args.suite == "store":
-        from repro.bench import store
-        baseline = args.baseline or store.DEFAULT_BASELINE
-        workload = {"app_nodes": args.app_nodes,
-                    "memory_mb": args.memory_mb
-                    if args.memory_mb is not None
-                    else store.DEFAULT_MEMORY_MB}
-        if args.save:
-            status = store.save_baseline(baseline, **workload)
-        else:
-            status = store.check(baseline,
-                                 min_scaling=args.min_scaling,
-                                 tolerance=args.tolerance, **workload)
-    else:
-        from repro.bench import regression
-        baseline = args.baseline or "benchmarks/BENCH_fig5.json"
-        if args.save:
-            status = regression.save_baseline(baseline)
-        else:
-            status = regression.check_regression(baseline,
-                                                 tolerance=args.tolerance)
+    """``--save``/``--compare`` one suite against its baseline."""
+    # Progress, tables and the verdict line are for humans; under
+    # --json they go to stderr so stdout is exactly one object.
+    with contextlib.redirect_stdout(sys.stderr if args.json
+                                    else sys.stdout):
+        verdict = baseline_cli(args.suite, args)
     if args.json:
-        _emit_json({"command": "bench", "suite": args.suite,
-                    "baseline": baseline,
-                    "ok": status == 0, "exit_status": status})
-    return status
+        _emit_json({"command": "bench", **verdict})
+    return verdict["exit_status"]
 
 
 def _cmd_trace(args) -> int:
     """Run a checkpoint workload and export its span timeline."""
-    from repro.apps.slm import slm_factory
-    from repro.bench.harness import render_table
+    from repro.apps.slm import run_slm_rounds
     from repro.cruz.cluster import CruzCluster
     from repro.sim.spans import round_coverage
     from repro.tools import format_table, round_report
 
     n_nodes = args.nodes
     cluster = CruzCluster(n_nodes, trace_enabled=True)
-    app = cluster.launch_app_factory(
-        "slm", n_nodes,
-        slm_factory(n_nodes, global_rows=8 * n_nodes, cols=32,
-                    steps=100000, total_work_s=1e6,
-                    memory_mb_per_rank=args.memory_mb))
-    cluster.run_for(0.5)
-    rounds = []
-    for _ in range(args.rounds):
-        cluster.run_for(args.interval)
-        rounds.append(cluster.checkpoint_app(app))
+    _app, rounds = run_slm_rounds(cluster, n_nodes, args.memory_mb,
+                                  rounds=args.rounds,
+                                  interval_s=args.interval)
     spans = cluster.spans
     coverages = [round_coverage(spans, stats.epoch) for stats in rounds]
 
@@ -435,78 +313,46 @@ def _cmd_mc(args) -> int:
     return EXIT_VIOLATIONS if report.violations else EXIT_OK
 
 
-def _render_serve(report: dict, divergences: List[str]) -> List[str]:
-    """Human-readable summary of one serving-gauntlet report."""
-    slo = report["slo"]
-    overall = slo["overall"]
-    lines = [
-        f"requests: {overall['requests']} from {slo['clients']} "
-        f"client(s)  "
-        + (f"p50 {overall['p50_s'] * 1e3:.2f}ms  "
-           f"p99 {overall['p99_s'] * 1e3:.2f}ms  "
-           f"max {overall['max_s'] * 1e3:.2f}ms"
-           if overall["p99_s"] is not None else "(no samples)"),
-        f"status: {overall['by_status']}  "
-        f"extra attempts: {overall['extra_attempts']}",
-    ]
-    for window in slo["windows"]:
-        p99 = window["p99_s"]
-        p99_txt = f"p99 {p99 * 1e3:8.2f}ms" if p99 is not None \
-            else "      (idle)"
-        lines.append(f"  {window['window']:>14}: "
-                     f"{window['requests']:3d} req  {p99_txt}  "
-                     f"{window['by_status']}")
-    lines.append(f"client counters: {slo['counters']}")
-    proxy = report["proxy"]
-    lines.append(f"proxy: writes={proxy['writes']} "
-                 f"reads={proxy['reads']} sheds={proxy['sheds']} "
-                 f"dups_served={proxy['dups_served']} "
-                 f"sync_replays={proxy['sync_replays']} "
-                 f"reconnects={proxy['backend_reconnects']}")
-    if report["canary"] is not None:
-        lines.append(f"canary: {report['canary']}")
-    lines.append(
-        f"replicas consistent: {report['replicas_consistent']}  "
-        f"(store digest {report['store_digest'][:12]}..., "
-        f"{report['store_size']} keys)")
-    lines.append(f"client exits: {report['client_exits']}  "
-                 f"client-visible errors: {report['client_errors']}")
-    if divergences:
-        lines.append(f"determinism: FAIL — {divergences[:3]}")
-    return lines
+def _serve_run(args, **kwargs) -> Tuple[dict, Optional[List[str]]]:
+    """One serving gauntlet — twice, fifo and lifo diffed, under
+    ``--check-determinism``. Returns ``(report, divergences)``;
+    divergences are ``None`` when the diff was not asked for."""
+    from repro.serve.harness import run_serve, serve_determinism
+
+    if args.check_determinism:
+        result = serve_determinism(**kwargs)
+        return result["fifo"], result["diffs"]
+    return run_serve(**kwargs), None
+
+
+def _serve_emit(args, verdict: Dict[str, Any], report: dict,
+                divergences: Optional[List[str]], closing: str) -> int:
+    from repro.serve.harness import render_report
+
+    if args.json:
+        _emit_json({**verdict,
+                    "determinism_divergences": divergences or [],
+                    "report": report})
+    else:
+        for line in render_report(report, divergences):
+            print(line)
+        print(closing + ("OK" if verdict["ok"] else "FAILED"))
+    return EXIT_OK if verdict["ok"] else EXIT_VIOLATIONS
 
 
 def _cmd_serve(args) -> int:
     """Sessionful serving under SLO through every Cruz disruption."""
-    from repro.serve.harness import run_serve, serve_determinism
-
-    kwargs = dict(
-        backends=args.backends, clients=args.clients,
+    report, divergences = _serve_run(
+        args, backends=args.backends, clients=args.clients,
         sessions=args.sessions,
         requests_per_session=args.requests_per_session,
         rounds=args.rounds, failover=args.failover,
         migrate=args.migrate, canary=args.canary,
         kill_backend=args.kill_backend,
         canary_divergence=args.canary_divergence, seed=args.seed)
-    divergences: List[str] = []
-    if args.check_determinism:
-        result = serve_determinism(**kwargs)
-        report = result["fifo"]
-        divergences = result["diffs"]
-    else:
-        report = run_serve(**kwargs)
     ok = report["ok"] and not divergences
-    if args.json:
-        _emit_json({"command": "serve", "ok": ok,
-                    "determinism_divergences": divergences,
-                    "report": report})
-        return EXIT_OK if ok else EXIT_VIOLATIONS
-    for line in _render_serve(report, divergences):
-        print(line)
-    if args.check_determinism and not divergences:
-        print("determinism: PASS (fifo == lifo)")
-    print("serve: " + ("OK" if ok else "FAILED"))
-    return EXIT_OK if ok else EXIT_VIOLATIONS
+    return _serve_emit(args, {"command": "serve", "ok": ok}, report,
+                       divergences, "serve: ")
 
 
 def _chaos_kill_backend(args) -> int:
@@ -516,39 +362,24 @@ def _chaos_kill_backend(args) -> int:
     requests within the SLO (zero client-visible errors, bounded p99),
     and log-replay the restored replica back to consistency.
     """
-    from repro.serve.harness import run_serve, serve_determinism
-
-    kwargs = dict(backends=3, clients=3, sessions=4,
-                  requests_per_session=4, rounds=1, kill_backend=True,
-                  seed=args.seed)
-    divergences: List[str] = []
-    if args.check_determinism:
-        result = serve_determinism(**kwargs)
-        report = result["fifo"]
-        divergences = result["diffs"]
-    else:
-        report = run_serve(**kwargs)
+    report, divergences = _serve_run(
+        args, backends=3, clients=3, sessions=4, requests_per_session=4,
+        rounds=1, kill_backend=True, seed=args.seed)
     p99 = report["slo"]["overall"]["p99_s"]
-    within_slo = p99 is not None and p99 <= 1.0
-    ok = report["ok"] and within_slo and not divergences
     counters = report["slo"]["counters"]
-    if args.json:
-        _emit_json({"command": "chaos", "mode": "kill-backend",
-                    "ok": ok, "p99_s": p99,
-                    "client_errors": report["client_errors"],
-                    "sheds": counters["sheds"],
-                    "retries": counters["retries"],
-                    "replicas_consistent":
-                        report["replicas_consistent"],
-                    "determinism_divergences": divergences,
-                    "report": report})
-        return EXIT_OK if ok else EXIT_VIOLATIONS
-    for line in _render_serve(report, divergences):
-        print(line)
-    print(f"kill-backend: p99 {p99 * 1e3:.2f}ms (limit 1000ms), "
-          f"{counters['sheds']} shed(s), {counters['retries']} "
-          f"retrie(s) — " + ("OK" if ok else "FAILED"))
-    return EXIT_OK if ok else EXIT_VIOLATIONS
+    ok = (report["ok"] and not divergences
+          and p99 is not None and p99 <= 1.0)
+    return _serve_emit(
+        args,
+        {"command": "chaos", "mode": "kill-backend", "ok": ok,
+         "p99_s": p99, "client_errors": report["client_errors"],
+         "sheds": counters["sheds"], "retries": counters["retries"],
+         "replicas_consistent": report["replicas_consistent"]},
+        report, divergences,
+        "kill-backend: p99 "
+        + ("n/a" if p99 is None else f"{p99 * 1e3:.2f}ms")
+        + f" (limit 1000ms), {counters['sheds']} shed(s), "
+        f"{counters['retries']} retrie(s) — ")
 
 
 def _cmd_chaos(args) -> int:
@@ -557,16 +388,15 @@ def _cmd_chaos(args) -> int:
 
     if args.kill_backend:
         return _chaos_kill_backend(args)
-    result = run_chaos(seed=args.seed, crash_node_index=args.crash_node,
-                       link_flap=not args.no_flap,
-                       evict_on_suspect=args.evict_on_suspect,
-                       kill_replica=args.kill_replica)
+    kwargs = dict(seed=args.seed, crash_node_index=args.crash_node,
+                  link_flap=not args.no_flap,
+                  evict_on_suspect=args.evict_on_suspect,
+                  kill_replica=args.kill_replica)
     divergences: List[str] = []
     if args.check_determinism:
-        divergences = chaos_determinism(
-            seed=args.seed, link_flap=not args.no_flap,
-            evict_on_suspect=args.evict_on_suspect,
-            kill_replica=args.kill_replica)
+        result, divergences = chaos_determinism(**kwargs)
+    else:
+        result = run_chaos(**kwargs)
     ok = result.ok and not divergences
     if args.json:
         _emit_json({
@@ -576,11 +406,12 @@ def _cmd_chaos(args) -> int:
             "mttr_s": result.mttr_s,
             "determinism_divergences": divergences,
         })
-        return EXIT_OK if ok else EXIT_VIOLATIONS
-    print(result.render())
-    if args.check_determinism:
-        print("determinism: " + ("PASS (fifo == lifo)" if not divergences
-                                 else f"FAIL — {divergences}"))
+    else:
+        print(result.render())
+        if args.check_determinism:
+            print("determinism: "
+                  + ("PASS (fifo == lifo)" if not divergences
+                     else f"FAIL — {divergences}"))
     return EXIT_OK if ok else EXIT_VIOLATIONS
 
 
@@ -598,30 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="narrated live-migration demo")
     demo.set_defaults(fn=_cmd_demo)
 
-    fig5 = sub.add_parser("fig5", parents=[common],
-                          help="checkpoint latency/overhead")
-    fig5.add_argument("--nodes", type=int, nargs="+",
-                      default=[2, 4, 6, 8])
-    fig5.add_argument("--rounds", type=int, default=5)
-    fig5.set_defaults(fn=_cmd_fig5)
-
-    fig6 = sub.add_parser("fig6", parents=[common],
-                          help="TCP stream through a checkpoint")
-    fig6.set_defaults(fn=_cmd_fig6)
-
-    messages = sub.add_parser("messages", parents=[common],
-                              help="Cruz vs flush message complexity")
-    messages.add_argument("--nodes", type=int, nargs="+",
-                          default=[2, 4, 8, 16])
-    messages.set_defaults(fn=_cmd_messages)
-
-    overhead = sub.add_parser("overhead", parents=[common],
-                              help="virtualisation runtime overhead")
-    overhead.set_defaults(fn=_cmd_overhead)
-
-    fig4 = sub.add_parser("fig4", parents=[common],
-                          help="early-resume optimisation")
-    fig4.set_defaults(fn=_cmd_fig4)
+    for figure in FIGURES:
+        fig = sub.add_parser(figure.name, parents=[common],
+                             help=figure.help)
+        figure.add_arguments(fig)
+        fig.set_defaults(fn=_cmd_figure, figure=figure)
 
     trace = sub.add_parser(
         "trace", parents=[common],
@@ -643,47 +455,27 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(fn=_cmd_trace)
 
     bench = sub.add_parser(
-        "bench", parents=[common],
+        "bench",
         help="committed-baseline regression guards, one per suite")
-    bench.add_argument("suite", nargs="?", default="fig5",
-                       choices=["fig5", "migration", "store", "mc", "slo"],
-                       help="fig5: checkpoint-round wall clock; "
-                            "migration: pre-copy vs stop-and-copy "
-                            "pause windows; store: sharded-restore "
-                            "bandwidth scaling and healing; mc: model-"
-                            "checker states/sec, reduction ratio and "
-                            "oracle-hook overhead; slo: serving-fleet "
-                            "p99/error floors through the full "
-                            "disruption gauntlet")
-    bench.add_argument("--save", action="store_true",
-                       help="record a new baseline instead of comparing")
-    bench.add_argument("--compare", action="store_true",
-                       help="compare against the baseline (default)")
-    bench.add_argument("--baseline", default="",
-                       help="baseline JSON path (default per suite)")
-    bench.add_argument("--tolerance", type=float, default=0.2,
-                       help="allowed fractional regression (default 0.2)")
-    bench.add_argument("--ranks", type=int, default=2,
-                       help="migration: slm ranks (default 2)")
-    bench.add_argument("--memory-mb", type=float, default=None,
-                       help="per-rank state size in MB (default 100 "
-                            "for migration, 16 for store)")
-    bench.add_argument("--max-pause-ratio", type=float, default=0.25,
-                       help="migration: required pre-copy pause as a "
-                            "fraction of stop-and-copy (default 0.25)")
-    bench.add_argument("--app-nodes", type=int, default=5,
-                       help="store: application node count (default 5)")
-    bench.add_argument("--min-scaling", type=float, default=3.0,
-                       help="store: required restore bandwidth growth "
-                            "from rf=1 to the largest rf (default 3.0)")
-    bench.add_argument("--overhead-limit", type=float, default=0.03,
-                       help="mc: max fractional slowdown the oracle "
-                            "hook may add to the no-oracle scheduler "
-                            "fast path (default 0.03)")
-    bench.add_argument("--p99-limit", type=float, default=1.0,
-                       help="slo: max client-observed p99 latency in "
-                            "simulated seconds (default 1.0)")
-    bench.set_defaults(fn=_cmd_bench)
+    guard = argparse.ArgumentParser(add_help=False)
+    mode = guard.add_mutually_exclusive_group()
+    mode.add_argument("--save", action="store_true",
+                      help="record a new baseline instead of comparing")
+    mode.add_argument("--compare", action="store_true",
+                      help="compare against the baseline (default)")
+    guard.add_argument("--baseline", default="",
+                       help="baseline JSON path (default: the suite's "
+                            "committed one)")
+    guard.add_argument("--tolerance", type=float, default=0.2,
+                       help="allowed fractional drift from the baseline "
+                            "(default 0.2)")
+    suites = bench.add_subparsers(dest="suite_name", required=True,
+                                  metavar="suite")
+    for suite in SUITES:
+        guarded = suites.add_parser(suite.name, parents=[common, guard],
+                                    help=suite.help)
+        suite.add_arguments(guarded)
+        guarded.set_defaults(fn=_cmd_bench, suite=suite)
 
     lint = sub.add_parser(
         "lint", parents=[common],

@@ -203,7 +203,7 @@ class ShardedBackend:
             for node in sorted(current):
                 if node in self._up:
                     path = self._path(node, cid)
-                    return self.fs.read_at(path, 0, self.fs.size(path))
+                    return self.fs.read_file(path)
         queried = self.up_nodes
         raise ChunkMissingError(cid, queried,
                                 message=f"missing chunk {cid} "
@@ -317,9 +317,7 @@ class ShardedBackend:
         live = self.live_holders(cid)
         if not live:
             raise ReplicationError(cid, self.replication_factor, live)
-        payload = self.fs.read_at(
-            self._path(live[0], cid), 0,
-            self.fs.size(self._path(live[0], cid)))
+        payload = self.fs.read_file(self._path(live[0], cid))
         self.fs.write_file(self._path(dest, cid), payload)
         self._holder_index.setdefault(cid, set()).add(dest)
         return len(payload)

@@ -24,8 +24,6 @@ from repro.cruz.backend import ShardedBackend
 from repro.cruz.coordinator import CheckpointCoordinator, DistributedApp
 from repro.cruz.faults import ControlFaultInjector, FaultPlan
 from repro.cruz.migration import (
-    DEFAULT_DIRTY_THRESHOLD_BYTES,
-    DEFAULT_MAX_ROUNDS,
     MigrationReport,
     PrecopyMigrator,
     stop_and_copy,
@@ -33,7 +31,8 @@ from repro.cruz.migration import (
 from repro.cruz.netstate import CruzSocketCodec
 from repro.cruz.protocol import RetryPolicy, RoundStats
 from repro.cruz.storage import ImageStore
-from repro.cruz.supervisor import NodeSupervisor
+from repro.cruz.supervisor import (HEARTBEAT_INTERVAL_S,
+                                   HEARTBEAT_JITTER_S, NodeSupervisor)
 from repro.errors import PodError, RestartMismatchError
 from repro.simos.program import Program
 from repro.zap.checkpoint import scrub_pod_network
@@ -52,12 +51,8 @@ class CruzCluster(Cluster):
     def __init__(self, n_app_nodes: int,
                  codec: Optional[SocketCodec] = None,
                  coordinator_timeout_s: float = 60.0,
-                 control_faults: Optional[Sequence[FaultPlan]] = None,
                  control_retry: Optional[RetryPolicy] = None,
                  supervise: bool = False,
-                 heartbeat_interval_s: float = 0.05,
-                 heartbeat_jitter_s: float = 0.01,
-                 lease_misses: int = 3,
                  auto_failover: bool = True,
                  evict_on_suspect: bool = False,
                  replication_factor: Optional[int] = None,
@@ -90,8 +85,6 @@ class CruzCluster(Cluster):
         #: it is a transparent pass-through.
         self.fault_injector = ControlFaultInjector(
             self.sim, self.random.stream("control-faults"))
-        for plan in control_faults or ():
-            self.fault_injector.add_plan(plan)
         self.control_retry = control_retry
         self.agents: List[CheckpointAgent] = [
             CheckpointAgent(node, self.store, codec=self.codec,
@@ -108,9 +101,6 @@ class CruzCluster(Cluster):
         self.apps: Dict[str, DistributedApp] = {}
         #: Indices of nodes currently powered off (:meth:`crash_node`).
         self.dead_nodes: Set[int] = set()
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_jitter_s = heartbeat_jitter_s
-        self.lease_misses = lease_misses
         self.auto_failover = auto_failover
         self.evict_on_suspect = evict_on_suspect
         #: Report of the most recent successful :meth:`migrate_pod`.
@@ -124,9 +114,6 @@ class CruzCluster(Cluster):
     def _install_supervisor(self, start_heartbeats: bool) -> NodeSupervisor:
         self.supervisor = NodeSupervisor(
             self, node=self.coordinator_node,
-            heartbeat_interval_s=self.heartbeat_interval_s,
-            heartbeat_jitter_s=self.heartbeat_jitter_s,
-            lease_misses=self.lease_misses,
             auto_failover=self.auto_failover,
             evict_on_suspect=self.evict_on_suspect)
         supervisor_ip = self.coordinator_node.stack.eth0.ip
@@ -137,8 +124,8 @@ class CruzCluster(Cluster):
                 # reordering startup) never perturbs another node's
                 # jitter sequence.
                 agent.start_heartbeats(
-                    supervisor_ip, self.heartbeat_interval_s,
-                    self.heartbeat_jitter_s,
+                    supervisor_ip, HEARTBEAT_INTERVAL_S,
+                    HEARTBEAT_JITTER_S,
                     self.random.stream(f"heartbeat-{agent.node.name}"))
         self.supervisor.start()
         return self.supervisor
@@ -434,10 +421,7 @@ class CruzCluster(Cluster):
         return stats
 
     def migrate_pod(self, pod: Pod, target_node_index: int,
-                    limit: float = 1e6, live: bool = True,
-                    max_rounds: int = DEFAULT_MAX_ROUNDS,
-                    dirty_threshold_bytes: int =
-                    DEFAULT_DIRTY_THRESHOLD_BYTES) -> Pod:
+                    limit: float = 1e6, live: bool = True) -> Pod:
         """Migrate one pod to another node; live (pre-copy) by default.
 
         ``live=True`` runs the :class:`~repro.cruz.migration
@@ -459,10 +443,8 @@ class CruzCluster(Cluster):
         ``source_destroyed=False`` and rewrite nothing.
         """
         if live:
-            migrator = PrecopyMigrator(
-                self, max_rounds=max_rounds,
-                dirty_threshold_bytes=dirty_threshold_bytes)
-            sequence = migrator.migrate(pod, target_node_index)
+            sequence = PrecopyMigrator(self).migrate(
+                pod, target_node_index)
         else:
             sequence = stop_and_copy(self, pod, target_node_index)
         task = self.sim.process(sequence, name=f"migrate({pod.name})")

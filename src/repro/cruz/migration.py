@@ -17,7 +17,7 @@ Machines" (PAPERS.md):
    dirty (``AddressSpace.clear_dirty_captured``) and form the next
    round's delta.
 2. **Convergence** — stop when the remaining dirty bytes fall to
-   ``dirty_threshold_bytes`` or ``max_rounds`` is hit.
+   ``DIRTY_THRESHOLD_BYTES`` or ``MAX_ROUNDS`` is hit.
 3. **Cutover (stop-and-copy of the remainder)** — only now install the
    netfilter drop rule and pause the pod: capture the final delta,
    scrub + kill the source pod, restore on the target charging disk
@@ -58,10 +58,10 @@ from repro.zap.virtualization import uninstall_pod
 #: Cut over after at most this many pre-copy rounds even if the dirty
 #: set never shrinks below the threshold (a write-hot pod would
 #: otherwise pre-copy forever).
-DEFAULT_MAX_ROUNDS = 5
+MAX_ROUNDS = 5
 #: Cut over once the next delta is this small: below it the pause is
 #: dominated by the fixed checkpoint/restart costs anyway.
-DEFAULT_DIRTY_THRESHOLD_BYTES = 64 * 1024
+DIRTY_THRESHOLD_BYTES = 64 * 1024
 
 
 @dataclass
@@ -94,7 +94,7 @@ class MigrationReport:
     mode: str                      # "precopy" | "stop_and_copy"
     started_at: float
     rounds: List[PrecopyRound] = field(default_factory=list)
-    #: True when pre-copy hit the dirty threshold (False: max_rounds).
+    #: True when pre-copy hit the dirty threshold (False: MAX_ROUNDS).
     converged: bool = False
     #: Client-visible pause: netfilter install -> resume on the target.
     pause_window_s: float = 0.0
@@ -198,14 +198,8 @@ class PrecopyMigrator:
     ``(restored_pod, MigrationReport)``.
     """
 
-    def __init__(self, cluster,
-                 max_rounds: int = DEFAULT_MAX_ROUNDS,
-                 dirty_threshold_bytes: int = DEFAULT_DIRTY_THRESHOLD_BYTES):
-        if max_rounds < 1:
-            raise PodError("pre-copy needs at least one round")
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.max_rounds = max_rounds
-        self.dirty_threshold_bytes = dirty_threshold_bytes
 
     # -- helpers -----------------------------------------------------------
 
@@ -275,7 +269,7 @@ class PrecopyMigrator:
         cluster = self.cluster
         sim = cluster.sim
         spans = cluster.trace.spans
-        for index in range(1, self.max_rounds + 1):
+        for index in range(1, MAX_ROUNDS + 1):
             if self._source_died(source_agent, pod):
                 raise self._abort_source_lost(
                     pod, report.target_node,
@@ -332,7 +326,7 @@ class PrecopyMigrator:
                 stop_s=stop_s, round_s=sim.now - round_started))
             spans.end(round_span, dirty_before=dirty_before,
                       written=image.written_bytes, stop_s=stop_s)
-            if pod_dirty_bytes(pod) <= self.dirty_threshold_bytes:
+            if pod_dirty_bytes(pod) <= DIRTY_THRESHOLD_BYTES:
                 return True
         return False
 

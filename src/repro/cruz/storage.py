@@ -142,14 +142,13 @@ class RoundLog:
     def _write(self, epoch: int, record: str, payload: Dict) -> None:
         blob = freeze_object(payload)
         path = self._path(epoch, record)
-        self.fs.create(path)
-        self.fs.write_at(path, 0, blob)
+        self.fs.write_file(path, blob)
 
     def _read(self, epoch: int, record: str) -> Optional[Dict]:
         path = self._path(epoch, record)
         if not self.fs.exists(path):
             return None
-        return thaw_object(self.fs.read_at(path, 0, self.fs.size(path)))
+        return thaw_object(self.fs.read_file(path))
 
     # -- writing -----------------------------------------------------------
 
@@ -254,16 +253,14 @@ class LivenessLog:
         path = f"{self.root}/t{self._next_seq:010d}.rec"
         self._next_seq += 1
         blob = freeze_object(record)
-        self.fs.create(path)
-        self.fs.write_at(path, 0, blob)
+        self.fs.write_file(path, blob)
         return record
 
     def records(self) -> List[Dict]:
         """Every transition, in log order."""
         out = []
         for path in sorted(self.fs.listdir(f"{self.root}/t")):
-            out.append(thaw_object(
-                self.fs.read_at(path, 0, self.fs.size(path))))
+            out.append(thaw_object(self.fs.read_file(path)))
         return sorted(out, key=lambda record: record["seq"])
 
     def transitions(self, node_name: str) -> List[Dict]:
@@ -482,7 +479,7 @@ class ImageStore:
             return ShardedBackend(fs, nodes=(DEFAULT_SHARD_NODE,),
                                   replication_factor=1,
                                   root=f"{root}/.shards")
-        record = thaw_object(fs.read_at(path, 0, fs.size(path)))
+        record = thaw_object(fs.read_file(path))
         return backend_from_config(fs, record)
 
     def _persist_backend_config(self) -> None:
@@ -490,8 +487,7 @@ class ImageStore:
         if self.fs.exists(path):
             return
         blob = freeze_object(backend_config(self._chunks.backend))
-        self.fs.create(path)
-        self.fs.write_at(path, 0, blob)
+        self.fs.write_file(path, blob)
 
     @property
     def backend(self) -> ShardedBackend:
@@ -538,8 +534,7 @@ class ImageStore:
         for path in self.fs.listdir(f"{self.root}/"):
             if not path.endswith(".manifest"):
                 continue
-            manifest = thaw_object(
-                self.fs.read_at(path, 0, self.fs.size(path)))
+            manifest = thaw_object(self.fs.read_file(path))
             meta = manifest["meta"]
             pod_name, version = meta["pod_name"], meta["version"]
             self._latest[pod_name] = max(
@@ -577,7 +572,7 @@ class ImageStore:
         path = self._manifest_path(pod_name, version)
         if not self.fs.exists(path):
             return None
-        return thaw_object(self.fs.read_at(path, 0, self.fs.size(path)))
+        return thaw_object(self.fs.read_file(path))
 
     def version_reconstructible(self, pod_name: str, version: int) -> bool:
         """Every chunk the version references has a live copy."""
@@ -833,8 +828,7 @@ class ImageStore:
         manifest["meta"]["total_chunk_bytes"] = plan.total_bytes
         blob = freeze_object(manifest)
         path = self._manifest_path(image.pod_name, version)
-        self.fs.create(path)
-        self.fs.write_at(path, 0, blob)
+        self.fs.write_file(path, blob)
         if self.sanitizer is not None:
             for cid, _nbytes in self._manifest_chunk_refs(manifest):
                 self._audit_expected[cid] = \
@@ -867,8 +861,7 @@ class ImageStore:
         if not self.fs.exists(path):
             raise CheckpointError(
                 f"no checkpoint v{version} for pod {pod_name!r}")
-        manifest = thaw_object(
-            self.fs.read_at(path, 0, self.fs.size(path)))
+        manifest = thaw_object(self.fs.read_file(path))
         meta = manifest["meta"]
         image = CheckpointImage(
             pod_name=meta["pod_name"], taken_at=meta["taken_at"],
@@ -985,8 +978,7 @@ class ImageStore:
             for path in self.fs.listdir(f"{self.root}/"):
                 if not path.endswith(".manifest"):
                     continue
-                manifest = thaw_object(
-                    self.fs.read_at(path, 0, self.fs.size(path)))
+                manifest = thaw_object(self.fs.read_file(path))
                 for cid, _nbytes in self._manifest_chunk_refs(manifest):
                     rebuilt[cid] = rebuilt.get(cid, 0) + 1
             self._audit_expected = rebuilt
@@ -1034,8 +1026,7 @@ class ImageStore:
         path = self._manifest_path(pod_name, version)
         if not self.fs.exists(path):
             return False
-        manifest = thaw_object(
-            self.fs.read_at(path, 0, self.fs.size(path)))
+        manifest = thaw_object(self.fs.read_file(path))
         for cid, _nbytes in self._manifest_chunk_refs(manifest):
             self._chunks.decref(cid)
             if self.sanitizer is not None:

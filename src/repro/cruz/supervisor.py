@@ -10,7 +10,7 @@ user-level coordinators use:
 * every agent sends periodic fire-and-forget ``HEARTBEAT`` beacons
   (seeded jitter, so beats never collide on a simulator instant);
 * the :class:`NodeSupervisor` keeps a per-node lease on the simulator
-  clock and declares a node **dead** after ``lease_misses`` worst-case
+  clock and declares a node **dead** after ``LEASE_MISSES`` worst-case
   beat intervals of silence;
 * every ``up``/``down`` transition is written ahead to the shared-store
   :class:`~repro.cruz.storage.LivenessLog`, so a restarted supervisor
@@ -52,6 +52,16 @@ from repro.errors import (
 )
 from repro.net.addresses import Ipv4Address
 from repro.zap.verify import verify_image
+
+
+#: Agent beacon period and its seeded uniform jitter (simulated
+#: seconds), and the worst-case beats of silence that declare a node
+#: dead. The detector's whole timing model; chaos schedules derive
+#: their flap and mute windows from these.
+HEARTBEAT_INTERVAL_S = 0.05
+HEARTBEAT_JITTER_S = 0.01
+WORST_CASE_BEAT_S = HEARTBEAT_INTERVAL_S + HEARTBEAT_JITTER_S
+LEASE_MISSES = 3
 
 
 @dataclass
@@ -111,9 +121,6 @@ class NodeSupervisor:
     """
 
     def __init__(self, cluster, node=None,
-                 heartbeat_interval_s: float = 0.05,
-                 heartbeat_jitter_s: float = 0.01,
-                 lease_misses: int = 3,
                  auto_failover: bool = True,
                  evict_on_suspect: bool = False,
                  max_restart_attempts: int = 3,
@@ -121,9 +128,6 @@ class NodeSupervisor:
                  settle_s: float = 0.02):
         self.cluster = cluster
         self.node = node if node is not None else cluster.coordinator_node
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_jitter_s = heartbeat_jitter_s
-        self.lease_misses = lease_misses
         self.auto_failover = auto_failover
         self.evict_on_suspect = evict_on_suspect
         self.max_restart_attempts = max_restart_attempts
@@ -161,9 +165,6 @@ class NodeSupervisor:
     def _spans(self):
         return self.node.trace.spans
 
-    def _worst_case_beat_s(self) -> float:
-        return self.heartbeat_interval_s + self.heartbeat_jitter_s
-
     def watch(self, node_index: int) -> NodeLease:
         """Start tracking one application node's liveness."""
         name = self.cluster.nodes[node_index].name
@@ -180,7 +181,7 @@ class NodeSupervisor:
             return
         self._monitoring = True
         interval = (monitor_interval_s if monitor_interval_s is not None
-                    else self.heartbeat_interval_s)
+                    else HEARTBEAT_INTERVAL_S)
         self._sim.process(self._monitor_loop(interval),
                           name=f"supervisor@{self.node.name}")
 
@@ -227,7 +228,7 @@ class NodeSupervisor:
                 if not lease.alive:
                     continue
                 silence = sim.now - lease.last_beat
-                if silence <= self._worst_case_beat_s():
+                if silence <= WORST_CASE_BEAT_S:
                     continue
                 if lease.suspect_since is None:
                     lease.suspect_since = sim.now
@@ -241,7 +242,7 @@ class NodeSupervisor:
                         self._evicting_nodes.add(lease.index)
                         sim.process(self._evict(lease),
                                     name=f"evict(node{lease.index})")
-                if silence > self.lease_misses * self._worst_case_beat_s():
+                if silence > LEASE_MISSES * WORST_CASE_BEAT_S:
                     self._declare_dead(lease)
 
     # -- suspect-state eviction --------------------------------------------
@@ -250,7 +251,7 @@ class NodeSupervisor:
         """Proactively live-migrate every pod off a *suspect* node.
 
         A suspect lease (one missed worst-case beat) precedes a death
-        declaration by ``lease_misses - 1`` further beats — enough time
+        declaration by ``LEASE_MISSES - 1`` further beats — enough time
         for converged pre-copy migrations to move the pods with a
         near-zero pause, turning reactive failover (restore from the
         last checkpoint, losing progress since it) into zero-loss

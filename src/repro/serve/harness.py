@@ -30,7 +30,7 @@ from repro.apps.kvserver import (KV_PORT, KvServerMulti, KvSessionClient,
 from repro.cruz.cluster import CruzCluster
 from repro.cruz.faults import ChaosInjector
 from repro.errors import RolloutError
-from repro.serve.rollout import AdminClient, canary_restore
+from repro.serve.rollout import AdminClient, canary_restore, restore_pod
 from repro.serve.slo import SloRecorder
 
 
@@ -40,16 +40,6 @@ def _pod_alive(cluster, pod_name: str) -> bool:
         if pod is not None and any(p.is_alive for p in pod.processes()):
             return True
     return False
-
-
-def _restart_backend_pod(cluster, app, pod_name: str, node) -> None:
-    """Restore a destroyed backend pod from its latest committed image."""
-    agent = cluster._agent_for(node.name)
-    image = cluster.store.load(pod_name)
-    restored = cluster.run_until_complete(cluster.sim.process(
-        agent.restart_engine.restart(image, node, resume=True)))
-    agent.register_pod(restored)
-    app.pods = [restored]
 
 
 def _store_digest(store: Dict) -> str:
@@ -137,7 +127,7 @@ def run_serve(backends: int = 3, clients: int = 6, sessions: int = 12,
             # Ride out detection (down_after_s of silence) plus the shed/
             # re-dispatch storm before restoring from the latest image.
             cluster.run_for(1.2)
-            _restart_backend_pod(cluster, kv_apps[victim], pod_name, node)
+            restore_pod(cluster, kv_apps[victim], pod_name, node)
             cluster.run_until(
                 lambda: proxy.backends[victim]["state"] == "up",
                 limit=20.0, step=0.01)
@@ -251,16 +241,62 @@ def _digest(report: dict) -> dict:
 def serve_determinism(**kwargs) -> dict:
     """Run the same serving workload under fifo and lifo tiebreak; the
     client-visible report must match bit for bit."""
-    from repro.analysis.determinism import _diff
+    from repro.analysis.determinism import tiebreak_diff
 
-    kwargs.pop("tiebreak", None)
-    fifo = run_serve(tiebreak="fifo", **kwargs)
-    lifo = run_serve(tiebreak="lifo", **kwargs)
-    diffs: List[str] = []
-    _diff(_digest(fifo), _digest(lifo), "serve", diffs)
+    fifo, lifo, diffs = tiebreak_diff(
+        lambda tiebreak: run_serve(tiebreak=tiebreak, **kwargs),
+        "serve", project=_digest)
     return {
         "deterministic": not diffs,
         "diffs": diffs[:20],
         "fifo": fifo,
         "lifo": lifo,
     }
+
+
+def render_report(report: dict,
+                  divergences: Optional[List[str]] = None) -> List[str]:
+    """Human-readable summary of one gauntlet report (``repro serve``,
+    ``chaos --kill-backend`` and ``bench slo`` all print this).
+
+    ``divergences`` is the fifo/lifo diff when one was run: ``None``
+    prints no determinism line, empty prints PASS.
+    """
+    slo = report["slo"]
+    overall = slo["overall"]
+    lines = [
+        f"requests: {overall['requests']} from {slo['clients']} "
+        f"client(s)  "
+        + (f"p50 {overall['p50_s'] * 1e3:.2f}ms  "
+           f"p99 {overall['p99_s'] * 1e3:.2f}ms  "
+           f"max {overall['max_s'] * 1e3:.2f}ms"
+           if overall["p99_s"] is not None else "(no samples)"),
+        f"status: {overall['by_status']}  "
+        f"extra attempts: {overall['extra_attempts']}",
+    ]
+    for window in slo["windows"]:
+        p99 = window["p99_s"]
+        p99_txt = f"p99 {p99 * 1e3:8.2f}ms" if p99 is not None \
+            else "      (idle)"
+        lines.append(f"  {window['window']:>14}: "
+                     f"{window['requests']:3d} req  {p99_txt}  "
+                     f"{window['by_status']}")
+    lines.append(f"client counters: {slo['counters']}")
+    proxy = report["proxy"]
+    lines.append(f"proxy: writes={proxy['writes']} "
+                 f"reads={proxy['reads']} sheds={proxy['sheds']} "
+                 f"dups_served={proxy['dups_served']} "
+                 f"sync_replays={proxy['sync_replays']} "
+                 f"reconnects={proxy['backend_reconnects']}")
+    if report["canary"] is not None:
+        lines.append(f"canary: {report['canary']}")
+    lines.append(
+        f"replicas consistent: {report['replicas_consistent']}  "
+        f"(store digest {report['store_digest'][:12]}...)")
+    lines.append(f"client exits: {report['client_exits']}  "
+                 f"client-visible errors: {report['client_errors']}")
+    if divergences:
+        lines.append(f"determinism: FAIL — {divergences[:3]}")
+    elif divergences is not None:
+        lines.append("determinism: PASS (fifo == lifo)")
+    return lines

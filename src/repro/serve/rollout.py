@@ -119,15 +119,17 @@ def _await_status(cluster, admin, predicate, limit_s: float,
         cluster.run_for(step_s)
 
 
-def _restore_pod(cluster, app, pod_name: str, node, version: int):
-    """Restore ``pod_name`` at ``version`` on ``node`` and re-point app."""
+def restore_pod(cluster, app, pod_name: str, node,
+                version: Optional[int] = None):
+    """Restore ``pod_name`` at ``version`` (default: the latest
+    committed) on ``node`` and re-point the single-pod ``app`` at it."""
     agent = cluster._agent_for(node.name)
     image = cluster.store.load(pod_name, version)
     restored = cluster.run_until_complete(cluster.sim.process(
         agent.restart_engine.restart(image, node, resume=True)))
     agent.register_pod(restored)
     app.pods = [restored]
-    return restored, image
+    return restored
 
 
 def canary_restore(cluster, admin: AdminClient, app, backend: int,
@@ -222,8 +224,8 @@ def canary_restore(cluster, admin: AdminClient, app, backend: int,
                                    f"{pod_name!r} failed verification: "
                                    f"{verdict.problems}; rolled back to "
                                    f"v{report.from_version}")
-    restored, _ = _restore_pod(cluster, app, pod_name, node,
-                               report.to_version)
+    restored = restore_pod(cluster, app, pod_name, node,
+                           report.to_version)
     report.restore_s = cluster.sim.now - restore_started
     report.steps.append("restore")
     if corrupt is not None:
@@ -277,7 +279,7 @@ def _rollback(cluster, admin: AdminClient, app, backend: int,
                            rolled_back=False,
                            message=f"no pre-canary version of {pod_name!r} "
                                    f"to roll back to; backend left down")
-    _restore_pod(cluster, app, pod_name, node, report.from_version)
+    restore_pod(cluster, app, pod_name, node, report.from_version)
     admin.undrain(backend)
     _await_status(
         cluster, admin,

@@ -52,6 +52,16 @@ class SharedFileSystem:
         self.bytes_read += len(data)
         return data
 
+    def read_file(self, path: str) -> bytes:
+        """The whole of ``path`` (the read twin of :meth:`write_file`)."""
+        data = self._files.get(path)
+        if data is None:
+            raise SyscallError("ENOENT", path)
+        if isinstance(data, bytearray):
+            data = bytes(data)
+        self.bytes_read += len(data)
+        return data
+
     def write_file(self, path: str, data: bytes) -> int:
         """Create-or-truncate ``path`` to exactly ``data``.
 

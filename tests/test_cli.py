@@ -1,10 +1,13 @@
 """CLI smoke tests."""
 
+import argparse
+import dataclasses
 import json
+import re
 
 import pytest
 
-from repro.cli import build_parser, main, to_jsonable
+from repro.cli import FIGURES, SUITES, build_parser, main, to_jsonable
 
 
 def test_parser_knows_all_commands():
@@ -14,6 +17,167 @@ def test_parser_knows_all_commands():
         args = parser.parse_args([command])
         assert callable(args.fn)
         assert args.json is False
+
+
+# -- the experiment table: every figure and bench suite, one shape ---------
+
+#: (argv prefix, record, flags every record of that kind shares).
+FIGURE_FLAGS = {"--help", "--json"}
+SUITE_FLAGS = FIGURE_FLAGS | {"--save", "--compare", "--baseline",
+                              "--tolerance"}
+RECORDS = ([([figure.name], figure, FIGURE_FLAGS) for figure in FIGURES]
+           + [(["bench", suite.name], suite, SUITE_FLAGS)
+              for suite in SUITES])
+#: Reduced scale for the figures that take one.
+SMALL = {"fig5": ["--nodes", "2", "--rounds", "1"],
+         "messages": ["--nodes", "2", "4"]}
+
+
+def _flags(text):
+    return set(re.findall(r"--[a-z0-9][a-z0-9-]*", text))
+
+
+def _own_flags(record):
+    scratch = argparse.ArgumentParser(add_help=False)
+    record.add_arguments(scratch)
+    return _flags(scratch.format_usage())
+
+
+def _one_json_object(out):
+    """``out`` must be exactly one JSON object; returns it."""
+    doc, end = json.JSONDecoder().raw_decode(out)
+    assert out[end:].strip() == "" and isinstance(doc, dict)
+    return doc
+
+
+def test_the_table_registers_every_experiment():
+    assert [figure.name for figure in FIGURES] == [
+        "fig5", "fig6", "messages", "overhead", "fig4"]
+    assert [suite.name for suite in SUITES] == [
+        "migration", "store", "mc", "slo"]
+
+
+@pytest.mark.parametrize("argv,record,shared", RECORDS,
+                         ids=[" ".join(argv) for argv, _r, _s in RECORDS])
+def test_each_record_has_a_subparser_with_only_its_own_flags(
+        argv, record, shared, capsys):
+    args = build_parser().parse_args(argv)
+    assert callable(args.fn) and args.json is False
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--help"])
+    assert excinfo.value.code == 0
+    own = _own_flags(record)
+    assert _flags(capsys.readouterr().out) == shared | own
+    # Every flag some other record declares is a usage error here.
+    everyone = set().union(*(_own_flags(other) | extra
+                             for _argv, other, extra in RECORDS))
+    for foreign in sorted(everyone - shared - own):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [foreign, "2"])
+        assert excinfo.value.code == 2, (argv, foreign)
+    capsys.readouterr()
+
+
+def test_bench_slo_rejects_a_migration_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "slo", "--ranks", "2"])
+    assert excinfo.value.code == 2
+    assert "--ranks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("figure", FIGURES, ids=lambda f: f.name)
+def test_every_figure_json_is_a_single_object(figure, capsys):
+    status = main([figure.name, *SMALL.get(figure.name, []), "--json"])
+    doc = _one_json_object(capsys.readouterr().out)
+    assert doc["command"] == figure.name
+    assert doc["shape"]["passed"] is (status == 0)
+    assert set(doc) - {"command", "shape"}  # carries its result
+
+
+@pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.name)
+def test_every_suite_json_is_a_single_object_with_its_evidence(
+        suite, capsys):
+    """The committed baseline stands in for a run (it *is* one suite
+    report): progress goes to stderr, stdout is one object carrying the
+    report and the failure list, and the baseline passes its own
+    floors un-re-recorded."""
+    with open(suite.baseline, encoding="utf-8") as handle:
+        recorded = json.load(handle)
+
+    def run(**workload):
+        print(f"{suite.name}: progress line")
+        return recorded
+
+    args = build_parser().parse_args(
+        ["bench", suite.name, "--compare", "--json"])
+    args.suite = dataclasses.replace(suite, run=run)
+    assert args.fn(args) == 0
+    captured = capsys.readouterr()
+    doc = _one_json_object(captured.out)
+    assert "progress line" in captured.err
+    assert "within tolerance" in captured.err
+    assert doc["command"] == "bench" and doc["suite"] == suite.name
+    assert doc["baseline"] == suite.baseline
+    assert doc["ok"] is True and doc["exit_status"] == 0
+    assert doc["failures"] == []
+    assert doc["report"] == recorded
+
+
+def test_bench_json_carries_the_failures(tmp_path, capsys):
+    suite = SUITES[0]
+    with open(suite.baseline, encoding="utf-8") as handle:
+        broken = json.load(handle)
+    broken["divergences"] = ["migration.field_hash: fifo=1 lifo=2"]
+    args = build_parser().parse_args(
+        ["bench", suite.name, "--json",
+         "--baseline", str(tmp_path / "absent.json")])
+    args.suite = dataclasses.replace(suite, run=lambda **_w: broken)
+    assert args.fn(args) == 1
+    captured = capsys.readouterr()
+    doc = _one_json_object(captured.out)
+    assert doc["ok"] is False and doc["exit_status"] == 1
+    assert any("divergence" in f for f in doc["failures"])
+    assert "FAIL:" in captured.err
+    assert doc["report"]["divergences"] == broken["divergences"]
+
+
+def test_bench_save_and_compare_are_mutually_exclusive(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "slo", "--save", "--compare"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+
+
+def test_bench_requires_a_suite(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench", "--compare"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+
+
+def test_bench_save_records_only_a_passing_run(tmp_path, capsys):
+    suite = SUITES[0]
+    with open(suite.baseline, encoding="utf-8") as handle:
+        recorded = json.load(handle)
+    target = tmp_path / "sub" / "BENCH.json"
+    args = build_parser().parse_args(
+        ["bench", suite.name, "--save", "--baseline", str(target)])
+    args.suite = dataclasses.replace(suite, run=lambda **_w: recorded)
+    assert args.fn(args) == 0
+    assert json.loads(target.read_text()) == recorded
+    assert f"saved {suite.name} baseline" in capsys.readouterr().out
+    # A run that fails its own floors is never recorded.
+    failing = dict(recorded, divergences=["x"])
+    target.unlink()
+    args.suite = dataclasses.replace(suite, run=lambda **_w: failing)
+    assert args.fn(args) == 1
+    assert not target.exists()
+    # An unreadable baseline is exit 2, not a pass.
+    target.write_text("{not json")
+    args = build_parser().parse_args(
+        ["bench", suite.name, "--compare", "--baseline", str(target)])
+    assert args.fn(args) == 2
+    assert "unreadable baseline" in capsys.readouterr().err
 
 
 def test_cli_requires_a_command(capsys):

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.analysis.determinism import (
-    _diff,
     fingerprint,
     run_determinism_check,
     state_hash,
+    tiebreak_diff,
 )
 from repro.errors import SimulationError
 from repro.sim.core import Simulator
@@ -47,12 +47,23 @@ def test_unknown_tiebreak_rejected():
 
 
 def test_diff_reports_path_of_divergence():
-    out = []
-    _diff({"a": [1, {"b": 2}]}, {"a": [1, {"b": 3}]}, "rounds", out)
+    calls = []
+
+    def run(tiebreak):
+        calls.append(tiebreak)
+        return {"tiebreak": tiebreak,
+                "a": [1, {"b": 2 if tiebreak == "fifo" else 3}]}
+
+    fifo, lifo, out = tiebreak_diff(run, "rounds")
+    assert calls == ["fifo", "lifo"]
+    assert (fifo["tiebreak"], lifo["tiebreak"]) == ("fifo", "lifo")
+    # One differing nested field -> one path-named divergence; the
+    # tiebreak field itself is never compared.
     assert out == ["rounds.a[1].b: fifo=2 lifo=3"]
-    out = []
-    _diff({"same": 1}, {"same": 1}, "rounds", out)
-    assert out == []
+    # Identical runs -> no divergences, also through a projection.
+    assert tiebreak_diff(lambda tiebreak: {"same": 1}, "rounds")[2] == []
+    assert tiebreak_diff(run, "rounds",
+                         project=lambda result: result["a"][0])[2] == []
 
 
 def test_fingerprint_is_reproducible():

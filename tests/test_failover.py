@@ -8,6 +8,7 @@ from repro.apps.slm import reference_solution, slm_factory
 from repro.cruz.cluster import CruzCluster
 from repro.cruz.faults import ChaosInjector
 from repro.cruz.storage import LivenessLog
+from repro.cruz.supervisor import WORST_CASE_BEAT_S
 from repro.errors import (
     CoordinationError,
     FailoverError,
@@ -137,8 +138,7 @@ def test_brief_silence_is_a_false_alarm_not_a_death():
     """A flap shorter than the lease is suspected, then stood down."""
     cluster = make_supervised(2, auto_failover=False)
     cluster.run_for(0.3)
-    flap = 2 * (cluster.heartbeat_interval_s
-                + cluster.heartbeat_jitter_s)
+    flap = 2 * WORST_CASE_BEAT_S
     chaos = ChaosInjector(cluster)
     chaos.schedule_link_flap(0, at=0.35, duration_s=flap)
     cluster.run_for(0.6)

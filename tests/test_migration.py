@@ -17,7 +17,6 @@ import pytest
 from repro.apps.slm import reference_solution, slm_factory
 from repro.cruz.migration import (
     MigrationReport,
-    PrecopyMigrator,
     _fixup_app,
     owning_app,
     pod_dirty_bytes,
@@ -361,9 +360,3 @@ def test_evict_disabled_by_default():
     cluster = make_cluster(2, supervise=True)
     assert not cluster.supervisor.evict_on_suspect
     assert not cluster.supervisor.eviction_active("anything")
-
-
-def test_precopy_migrator_rejects_zero_rounds():
-    cluster = make_cluster(2)
-    with pytest.raises(PodError):
-        PrecopyMigrator(cluster, max_rounds=0)

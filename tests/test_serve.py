@@ -9,8 +9,8 @@ from repro.apps.kvproxy import KvProxy
 from repro.apps.kvserver import KvClient, KvServerMulti
 from repro.cruz.cluster import CruzCluster
 from repro.errors import RolloutError
-from repro.serve.harness import _restart_backend_pod, _store_digest, run_serve
-from repro.serve.rollout import AdminClient, canary_restore
+from repro.serve.harness import _store_digest, run_serve
+from repro.serve.rollout import AdminClient, canary_restore, restore_pod
 
 pytestmark = pytest.mark.serve
 
@@ -95,7 +95,7 @@ def test_duplicate_rid_applied_once_across_failover():
     cluster.run_for(1.0)  # probe silence crosses down_after_s
     assert proxy.backend_downs >= 1
     assert proxy.backends[1]["state"] != "up"
-    _restart_backend_pod(cluster, victim, pod_name, node)
+    restore_pod(cluster, victim, pod_name, node)
     cluster.run_until(lambda: proxy.backends[1]["state"] == "up",
                       limit=20.0, step=0.01)
 

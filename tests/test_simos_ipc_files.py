@@ -147,6 +147,23 @@ def test_file_write_seek_read():
     assert cluster.fs.read_at("/data/test.bin", 0, 100) == b"hello"
 
 
+def test_whole_file_pair_accounts_like_the_offset_calls():
+    """read_file/write_file are create+write_at / read_at(0, size) with
+    the same bytes and the same byte accounting."""
+    from repro.simos.filesystem import SharedFileSystem
+
+    whole, offset = SharedFileSystem(), SharedFileSystem()
+    whole.write_file("/r", b"record")
+    offset.create("/r")
+    offset.write_at("/r", 0, b"record")
+    assert whole.read_file("/r") == offset.read_at("/r", 0, 6) == b"record"
+    assert offset.read_file("/r") == b"record"  # bytearray-backed too
+    assert (whole.bytes_written, whole.bytes_read) == (6, 6)
+    assert (offset.bytes_written, offset.bytes_read) == (6, 12)
+    with pytest.raises(SyscallError):
+        whole.read_file("/absent")
+
+
 def test_filesystem_shared_across_nodes():
     cluster = make_cluster(n=2)
     writer = cluster.nodes[0].spawn(
