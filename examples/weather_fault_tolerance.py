@@ -38,7 +38,7 @@ def main():
           f"{job.checkpoints_taken}")
 
     print("node0 fails (power loss)...")
-    scheduler.fail_node(0)
+    cluster.crash_node(0)
     scheduler.recover_job("weather", node_indices=[2, 3])
     print(f"t={cluster.sim.now:.1f}s  job rolled back to checkpoint "
           f"v{cluster.store.latest_version('weather-r0')} on node2+node3")

@@ -125,8 +125,8 @@ class Sanitizer:
         if self.trace is not None:
             self.trace.metrics.counter("sanitizer.violations").inc(
                 label=code)
-            self.trace.emit(time, "sanitizer", node, code=code,
-                            message=message)
+            self.trace.spans.instant("sanitizer.violation", node=node,
+                                     code=code, message=message)
         return violation
 
     def by_code(self, code: str) -> List[Violation]:
@@ -166,7 +166,7 @@ class Sanitizer:
 
     def check_refcount_underflow(self, cid: str, count: int,
                                  time: float = 0.0) -> None:
-        """Called by ``ChunkStore.decref`` on a zero/negative count."""
+        """Called by ``ImageStore._decref`` on a zero/negative count."""
         self.record(
             "SAN-REFCOUNT",
             f"decref of chunk {cid[:12]} with refcount {count}",

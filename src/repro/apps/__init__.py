@@ -6,7 +6,6 @@ from repro.apps.kvproxy import KvProxy
 from repro.apps.kvserver import (
     KvClient,
     KvServer,
-    KvServerMulti,
     KvSessionClient,
     build_session_script,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "KvClient",
     "KvProxy",
     "KvServer",
-    "KvServerMulti",
     "KvSessionClient",
     "PageRankRank",
     "RingWorker",

@@ -85,32 +85,29 @@ class KvProxy(PhasedProgram):
     initial_phase = "socket"
 
     def __init__(self, backend_ips: List[str], rng,
-                 port: int = KV_PORT, backend_port: int = KV_PORT,
-                 tick_s: float = 0.005, window: int = 32,
-                 pending_cap: int = 256, queue_timeout_s: float = 1.0,
-                 probe_interval_s: float = 0.05,
-                 suspect_after_s: float = 0.2,
-                 down_after_s: float = 0.8,
-                 connect_timeout_s: float = 3.0,
-                 backoff_base_s: float = 0.05,
-                 backoff_cap_s: float = 1.0,
-                 wlog_cap: int = 8192, recent_cap: int = 8192):
+                 port: int = KV_PORT, window: int = 32,
+                 pending_cap: int = 256, queue_timeout_s: float = 1.0):
         super().__init__()
+        # Everything below that is not a parameter is fixed tuning, not
+        # an option. It stays instance state, in this order, because the
+        # proxy is checkpointed: the pickled bytes are content-addressed
+        # into the chunk store and counted in ``state_bytes``, which the
+        # committed SLO baseline and ``serve_fleet``'s ``sim_digest`` pin.
         self.port = port
-        self.backend_port = backend_port
+        self.backend_port = KV_PORT
         self.rng = rng
-        self.tick_s = tick_s
+        self.tick_s = 0.005
         self.window = window
         self.pending_cap = pending_cap
         self.queue_timeout_s = queue_timeout_s
-        self.probe_interval_s = probe_interval_s
-        self.suspect_after_s = suspect_after_s
-        self.down_after_s = down_after_s
-        self.connect_timeout_s = connect_timeout_s
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.wlog_cap = wlog_cap
-        self.recent_cap = recent_cap
+        self.probe_interval_s = 0.05
+        self.suspect_after_s = 0.2
+        self.down_after_s = 0.8
+        self.connect_timeout_s = 3.0
+        self.backoff_base_s = 0.05
+        self.backoff_cap_s = 1.0
+        self.wlog_cap = 8192
+        self.recent_cap = 8192
         self.backends: List[dict] = [
             self._new_backend(ip) for ip in backend_ips]
         self.by_fd: Dict[int, int] = {}

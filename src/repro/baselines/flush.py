@@ -73,9 +73,8 @@ class FlushAgent:
     def _send(self, ip: Ipv4Address, port: int,
               message: ControlMessage) -> None:
         self.messages_sent += 1
-        self.node.trace.emit(self.node.sim.now, "flush_msg",
-                             node=self.node.name, kind=message.kind,
-                             epoch=message.epoch)
+        self.node.trace.metrics.counter("control.messages").inc(
+            label="flush")
         self.node.stack.udp.send(self.node.stack.eth0.ip, FLUSH_AGENT_PORT,
                                  ip, port, message,
                                  payload_size=message.size)
@@ -192,9 +191,8 @@ class FlushCoordinator:
             agent.peer_ips = list(peer_ips)
 
     def _send(self, ip: Ipv4Address, message: ControlMessage) -> None:
-        self.node.trace.emit(self.node.sim.now, "flush_msg",
-                             node=self.node.name, kind=message.kind,
-                             epoch=message.epoch)
+        self.node.trace.metrics.counter("control.messages").inc(
+            label="flush")
         self.node.stack.udp.send(
             self.node.stack.eth0.ip, FLUSH_COORDINATOR_PORT,
             ip, FLUSH_AGENT_PORT, message, payload_size=message.size)

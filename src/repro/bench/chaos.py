@@ -25,6 +25,9 @@ import numpy as np
 
 from repro.errors import CoordinationError
 
+#: The mid-round node crash lands a seeded ``[0, CRASH_JITTER_S)`` into
+#: the first round in flight.
+CRASH_JITTER_S = 0.008
 
 @dataclass
 class ChaosResult:
@@ -152,7 +155,6 @@ def run_chaos(seed: int = 7,
               checkpoint_interval_s: float = 0.6,
               crash_node_index: int = 0,
               crash_at: Optional[float] = None,
-              crash_jitter_s: float = 0.008,
               revive_after: Optional[float] = None,
               link_flap: bool = True,
               evict_on_suspect: bool = False,
@@ -257,7 +259,7 @@ def run_chaos(seed: int = 7,
             duration_s=(LEASE_MISSES + 3) * WORST_CASE_BEAT_S)
     else:
         chaos.schedule_node_crash_mid_round(
-            crash_node_index, after=crash_at, within_s=crash_jitter_s,
+            crash_node_index, after=crash_at, within_s=CRASH_JITTER_S,
             revive_after=revive_after)
     if link_flap and not evict_on_suspect and not kill_replica:
         # A survivor's link drops for less than the death threshold:

@@ -15,7 +15,7 @@ at t = 0. Reported behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.apps.tcpstream import stream_factory
 from repro.bench.fig5 import round_span_metrics
@@ -52,6 +52,28 @@ class Fig6Result:
         return self.recovery_time_s - self.checkpoint_duration_s
 
 
+def sliding_rate(points: Sequence[Tuple[float, float]], window: float,
+                 t_start: float, t_end: float, step: float
+                 ) -> List[Tuple[float, float]]:
+    """Average rate (units/second) of ``(time, value)`` points over a
+    trailing window, sampled every ``step``.
+
+    The paper's Fig 6 methodology: "the average rate measured in the
+    receiver during a sliding window of 10 ms duration previous to the
+    corresponding point".
+    """
+    out: List[Tuple[float, float]] = []
+    t = t_start
+    while t <= t_end + 1e-12:
+        total = 0.0
+        for when, value in points:
+            if t - window < when <= t:
+                total += value
+        out.append((t, total / window))
+        t += step
+    return out
+
+
 def run_fig6(window_s: float = 0.010,
              sample_step_s: float = 0.002,
              warmup_s: float = 0.5,
@@ -79,15 +101,17 @@ def run_fig6(window_s: float = 0.010,
                                    early_network=early_network)
     cluster.run_for(follow_s)
 
-    receiver_node = app.pods[0].node.name
-    series = cluster.trace.sliding_rate(
-        "app", "nbytes", window=window_s,
-        t_start=t0 - 0.05, t_end=t0 + follow_s - 2 * window_s,
-        step=sample_step_s, node=receiver_node)
     # The checkpoint duration comes off the span timeline: round start to
     # the end of the coordinator's wait-for-<done> phase — the same
     # instants RoundStats.latency_s samples.
     spans = cluster.spans
+    received = [(span.start, float(span.attrs["nbytes"]))
+                for span in spans.query("app.log",
+                                        node=app.pods[0].node.name)]
+    series = sliding_rate(
+        received, window=window_s,
+        t_start=t0 - 0.05, t_end=t0 + follow_s - 2 * window_s,
+        step=sample_step_s)
     checkpoint_duration_s, _, _ = round_span_metrics(spans, stats)
     result = Fig6Result(
         series=[(t - t0, rate * 8) for t, rate in series],

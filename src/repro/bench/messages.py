@@ -44,14 +44,15 @@ def run_messages(node_counts: Sequence[int] = (2, 4, 8, 16),
         install_flush_baseline(cluster)
         cluster.run_for(0.4)
 
-        before = cluster.trace.count("coord_msg")
+        before = cluster.coordination_message_count()
         cruz_stats = cluster.checkpoint_app(app)
-        cruz_messages = cluster.trace.count("coord_msg") - before
+        cruz_messages = cluster.coordination_message_count() - before
 
         cluster.run_for(0.2)
-        before = cluster.trace.count("flush_msg")
+        flushed = cluster.metrics.counter("control.messages")
+        before = flushed.labelled("flush")
         flush_stats = flush_checkpoint_app(cluster, app)
-        flush_messages = cluster.trace.count("flush_msg") - before
+        flush_messages = int(flushed.labelled("flush") - before)
 
         points.append(MessagePoint(
             n_nodes=n_nodes,

@@ -52,14 +52,13 @@ def run_mode(live: bool,
              total_work_s: float = 20.0,
              memory_mb_per_rank: float = 100.0,
              migrate_at: float = 1.0,
-             pod_rank: int = 0,
              target_node_index: Optional[int] = None,
              tiebreak: str = "fifo",
              limit_s: float = 120.0) -> Dict[str, object]:
     """One migration on a fresh cluster; returns its measurements.
 
     Launches the slm app, lets it reach steady state, migrates rank
-    ``pod_rank``'s pod to ``target_node_index`` (default: the last
+    0's pod to ``target_node_index`` (default: the last
     application node, which the default placement leaves empty), then
     runs the app to completion and verifies the final field bit-exact.
     """
@@ -82,7 +81,7 @@ def run_mode(live: bool,
     if target_node_index is None:
         target_node_index = app_nodes - 1
     cluster.run_for(migrate_at)
-    pod = app.pods[pod_rank]
+    pod = app.pods[0]
     source_node = pod.node.name
     cluster.migrate_pod(pod, target_node_index, live=live)
     report = cluster.last_migration

@@ -53,8 +53,6 @@ def run_restore(rf: int,
     """
     from repro.apps.slm import run_slm_rounds
     from repro.cruz.cluster import CruzCluster
-    from repro.zap.checkpoint import scrub_pod_network
-    from repro.zap.virtualization import uninstall_pod
 
     cluster = CruzCluster(app_nodes, replication_factor=rf,
                           tiebreak=tiebreak)
@@ -67,12 +65,9 @@ def run_restore(rf: int,
                       for group, _nbytes in (image.chunk_sources or [])
                       for holder in group})
     # The restored instance must be the only one.
-    scrub_pod_network(pod)
-    pod.kill_all()
-    uninstall_pod(pod)
-    cluster.agents[0].unregister_pod(pod.name)
+    cluster.destroy_pod(pod)
     started = cluster.sim.now
-    task = cluster.sim.process(cluster.agents[0].restart_engine.restart(
+    task = cluster.sim.process(cluster.restore_pod(
         image, cluster.coordinator_node, resume=False))
     cluster.sim.run_until_complete(task, limit=1e6)
     restore_s = cluster.sim.now - started
@@ -92,8 +87,7 @@ def run_restore(rf: int,
 
 def run_heal(rf: int = 2,
              app_nodes: int = DEFAULT_APP_NODES,
-             memory_mb: float = 4.0,
-             heal_window_s: float = 2.0) -> Dict[str, object]:
+             memory_mb: float = 4.0) -> Dict[str, object]:
     """Crash every application node in turn (fresh cluster each time).
 
     After each single-node loss every committed version must remain
@@ -118,7 +112,7 @@ def run_heal(rf: int = 2,
         cluster.crash_node(victim)
         surviving = set(cluster.store.reconstructible_versions(pod.name))
         lost_versions += len(committed - surviving)
-        cluster.run_for(heal_window_s)  # let re-replication repair
+        cluster.run_for(2.0)  # let re-replication repair
         unhealed += len(cluster.store.under_replicated())
         rereplicated_chunks += \
             cluster.store.stats["rereplicated_chunks"]

@@ -27,7 +27,7 @@ never commit — or resurrect — that epoch.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.cruz import protocol
 from repro.cruz.netstate import CruzSocketCodec
@@ -40,15 +40,13 @@ from repro.cruz.protocol import (
     RetryPolicy,
 )
 from repro.cruz.storage import ImageStore
-from repro.errors import CoordinationError
 from repro.net.addresses import Ipv4Address
 from repro.sim.core import Interrupt
 from repro.simos.kernel import Node
-from repro.zap.checkpoint import CheckpointEngine, scrub_pod_network
+from repro.zap.checkpoint import CheckpointEngine
 from repro.zap.pod import Pod
 from repro.zap.restart import RestartEngine
 from repro.zap.socket_codec import SocketCodec
-from repro.zap.virtualization import uninstall_pod
 
 #: Completed-epoch bookkeeping kept around for late ABORT undo.
 _VERSION_HISTORY = 16
@@ -58,12 +56,15 @@ class CheckpointAgent:
     """One agent per application node."""
 
     def __init__(self, node: Node, store: ImageStore,
+                 destroy_pod: Callable[[Pod], None],
                  codec: Optional[SocketCodec] = None,
                  continue_timeout_s: float = 120.0,
                  retry: Optional[RetryPolicy] = None,
                  faults=None, mc_bugs=frozenset()):
         self.node = node
         self.store = store
+        #: The cluster's one pod teardown (``CruzCluster.destroy_pod``).
+        self._destroy_pod = destroy_pod
         #: Model-checker mutation flags (see ``repro.analysis.mc``);
         #: "stale-replay" disables the stale-epoch guard below *and* the
         #: endpoint's duplicate suppression, re-opening the hole where a
@@ -94,7 +95,6 @@ class CheckpointAgent:
         #: ABORT (e.g. from a recovering coordinator) can still undo it.
         self._epoch_versions: Dict[int, Tuple[str, int]] = {}
         self.messages_handled = 0
-        self.messages_sent = 0
         #: Failure injection: a crashed agent ignores all traffic (and,
         #: being crashed, sends no ACKs either).
         self.crashed = False
@@ -180,10 +180,8 @@ class CheckpointAgent:
 
     def _send(self, coordinator_ip: Ipv4Address,
               message: ControlMessage) -> None:
-        self.messages_sent += 1
-        self.node.trace.emit(self.node.sim.now, "coord_msg",
-                             node=self.node.name, kind=message.kind,
-                             epoch=message.epoch)
+        self.node.trace.metrics.counter("control.messages").inc(
+            label="cruz")
         self.endpoint.send(coordinator_ip, COORDINATOR_PORT, message)
 
     def _on_message(self, payload: ControlMessage,
@@ -241,9 +239,9 @@ class CheckpointAgent:
         if committed is not None:
             pod_name, version = committed
             self.store.discard(pod_name, version)
-            self.node.trace.emit(
-                self.node.sim.now, "agent_undo", node=self.node.name,
-                pod=pod_name, epoch=epoch, version=version)
+            self.node.trace.spans.instant(
+                "agent.undo", node=self.node.name, pod=pod_name,
+                epoch=epoch, version=version)
 
     def _signal_continue(self, epoch: int, aborted: bool) -> None:
         state = self._rounds.get(epoch)
@@ -294,9 +292,6 @@ class CheckpointAgent:
             self.node.trace.spans.instant(
                 "agent.abort", node=self.node.name,
                 epoch=state["epoch"], reason="coordinator silent")
-            self.node.trace.emit(
-                sim.now, "agent_abort", node=self.node.name,
-                reason="coordinator silent")
 
     def _abort_failed_save(self, message: ControlMessage,
                            coordinator_ip: Ipv4Address, pod: Pod,
@@ -319,8 +314,6 @@ class CheckpointAgent:
         self.node.trace.spans.instant(
             "agent.abort", node=self.node.name, epoch=message.epoch,
             reason=reason)
-        self.node.trace.emit(self.node.sim.now, "agent_abort",
-                             node=self.node.name, reason=reason)
         self._complete_round(message.epoch)
 
     # -- checkpoint ----------------------------------------------------------
@@ -340,7 +333,7 @@ class CheckpointAgent:
         # Pause/local spans open at the exact ``started`` instant (no
         # yields in between) so span durations reproduce the float
         # subtractions reported in DONE bit-for-bit. ``agent.pod_pause``
-        # ends at the pod_resumed emit; ``agent.local`` at the instant
+        # ends where the pod resumes; ``agent.local`` at the instant
         # ``local_checkpoint_s`` is measured.
         spans = self.node.trace.spans
         pause_span = spans.begin("agent.pod_pause", node=self.node.name,
@@ -348,8 +341,6 @@ class CheckpointAgent:
         local_span = spans.begin("agent.local", node=self.node.name,
                                  pod=pod.name, epoch=message.epoch,
                                  op="checkpoint")
-        self.node.trace.emit(sim.now, "pod_paused", node=self.node.name,
-                             pod=pod.name, epoch=message.epoch)
         # Step 1: silently drop all traffic to/from the local pod.
         rule_id = self.node.stack.netfilter.drop_all_for(pod.ip)
         try:
@@ -400,9 +391,6 @@ class CheckpointAgent:
             resume_started = sim.now
             if not message.concurrent:
                 pod.continue_all()
-            self.node.trace.emit(sim.now, "pod_resumed",
-                                 node=self.node.name,
-                                 pod=pod.name, epoch=message.epoch)
             spans.end(pause_span)
             resume_span = spans.begin("agent.resume", node=self.node.name,
                                       pod=pod.name, epoch=message.epoch)
@@ -497,8 +485,6 @@ class CheckpointAgent:
         spans.end(local_span)
         resume_started = sim.now
         pod.continue_all()
-        self.node.trace.emit(sim.now, "pod_resumed", node=self.node.name,
-                             pod=pod.name, epoch=message.epoch)
         spans.end(pause_span)
         resume_span = spans.begin("agent.resume", node=self.node.name,
                                   pod=pod.name, epoch=message.epoch)
@@ -557,10 +543,7 @@ class CheckpointAgent:
                 yield from self._await_continue(state)
             resume_started = sim.now
             if state["aborted"]:
-                scrub_pod_network(pod)
-                pod.kill_all()
-                uninstall_pod(pod)
-                self.unregister_pod(pod.name)
+                self._destroy_pod(pod)
                 self.node.stack.netfilter.remove_rule(rule_id)
                 self._complete_round(message.epoch)
                 return
@@ -589,14 +572,3 @@ class CheckpointAgent:
             sanitizer.check_netfilter_round_end(
                 self.node, pod_ip, epoch=epoch, time=self.node.sim.now)
 
-    def local_checkpoint(self, pod: Pod, resume: bool = True,
-                         incremental: bool = False,
-                         dedup: bool = False) -> Generator:
-        """Uncoordinated single-pod checkpoint (LSF integration path)."""
-        image = yield from self.checkpoint_engine.checkpoint(
-            pod, resume=resume, incremental=incremental, dedup=dedup)
-        return image.version
-
-
-class AgentError(CoordinationError):
-    """Raised for agent-side protocol violations."""

@@ -16,7 +16,8 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import (Callable, Collection, Dict, FrozenSet, Generator, List,
+                    Optional, Sequence, Set)
 
 from repro.cluster import Cluster
 from repro.cruz.agent import CheckpointAgent
@@ -34,8 +35,10 @@ from repro.cruz.storage import ImageStore
 from repro.cruz.supervisor import (HEARTBEAT_INTERVAL_S,
                                    HEARTBEAT_JITTER_S, NodeSupervisor)
 from repro.errors import PodError, RestartMismatchError
+from repro.simos.kernel import Node
 from repro.simos.program import Program
 from repro.zap.checkpoint import scrub_pod_network
+from repro.zap.image import CheckpointImage
 from repro.zap.pod import Pod
 from repro.zap.socket_codec import SocketCodec
 from repro.zap.virtualization import install_pod, uninstall_pod
@@ -87,16 +90,16 @@ class CruzCluster(Cluster):
             self.sim, self.random.stream("control-faults"))
         self.control_retry = control_retry
         self.agents: List[CheckpointAgent] = [
-            CheckpointAgent(node, self.store, codec=self.codec,
-                            retry=control_retry,
+            CheckpointAgent(node, self.store, self.destroy_pod,
+                            codec=self.codec, retry=control_retry,
                             faults=self.fault_injector,
                             mc_bugs=self.mc_bugs)
             for node in self.nodes[:n_app_nodes]]
         self.coordinator_node = self.nodes[n_app_nodes]
         self.coordinator_timeout_s = coordinator_timeout_s
         self.coordinator = CheckpointCoordinator(
-            self.coordinator_node, timeout_s=coordinator_timeout_s,
-            store=self.store, retry=control_retry,
+            self.coordinator_node, self.store,
+            timeout_s=coordinator_timeout_s, retry=control_retry,
             faults=self.fault_injector)
         self.apps: Dict[str, DistributedApp] = {}
         #: Indices of nodes currently powered off (:meth:`crash_node`).
@@ -170,7 +173,6 @@ class CruzCluster(Cluster):
         node.stack.netfilter.rules.clear()
         self.dead_nodes.add(node_index)
         self.spans.instant("node.crash", node=node.name)
-        self.trace.emit(self.sim.now, "node_crash", node=node.name)
         # The node's chunk shard went with it: mark it unavailable and
         # kick the re-replication daemon to restore RF elsewhere.
         self.store.backend.mark_down(node.name)
@@ -190,7 +192,6 @@ class CruzCluster(Cluster):
         self.agents[node_index].revive()
         self.dead_nodes.discard(node_index)
         self.spans.instant("node.revive", node=node.name)
-        self.trace.emit(self.sim.now, "node_revive", node=node.name)
         # The shard comes back with the node; drop copies of chunks
         # garbage-collected while it was out.
         self.store.backend.mark_up(node.name)
@@ -268,10 +269,10 @@ class CruzCluster(Cluster):
         if node_index is not None:
             self.coordinator_node = self.nodes[node_index]
         self.coordinator = CheckpointCoordinator(
-            self.coordinator_node,
+            self.coordinator_node, self.store,
             timeout_s=timeout_s if timeout_s is not None
             else self.coordinator_timeout_s,
-            store=self.store, retry=self.control_retry,
+            retry=self.control_retry,
             faults=self.fault_injector)
         self.coordinator.recover()
         return self.coordinator
@@ -351,6 +352,13 @@ class CruzCluster(Cluster):
             early_network=early_network, concurrent=concurrent))
         return self.run_until_complete(task, limit=limit)
 
+    # -- recovery verbs: teardown, restore, placement ------------------------
+    #
+    # With :meth:`crash_node` / :meth:`revive_node` above, the one
+    # implementation each of the four decisions every recovery path
+    # (supervisor failover, suspect eviction, LSF drain/recover/resume,
+    # canary restore, both migration modes) is a policy over.
+
     def destroy_pod(self, pod: Pod) -> None:
         """Destroy one pod in place, silently (no FIN/RST to peers)."""
         scrub_pod_network(pod)
@@ -368,6 +376,69 @@ class CruzCluster(Cluster):
         """
         for pod in app.pods:
             self.destroy_pod(pod)
+
+    def destroy_members(self, app: DistributedApp) -> None:
+        """Destroy any member pod still registered on a live agent.
+
+        By name, not by object: besides the surviving original pods it
+        covers stragglers an aborted restart attempt recreated (their
+        agents normally clean up on ABORT; this is the backstop). A
+        consistent restart needs everyone back at the same cut.
+        """
+        for pod in app.pods:
+            for agent in self.agents:
+                registered = agent.pods.get(pod.name)
+                if registered is not None and not agent.crashed:
+                    self.destroy_pod(registered)
+
+    def restore_pod(self, image: CheckpointImage, node: Node,
+                    resume: bool = True, warm_bytes: int = 0) -> Generator:
+        """Restore one image on one node; value is the recreated pod,
+        registered with the node's agent.
+
+        Restart engines are stateless, so a node with no agent of its
+        own (the coordinator's) borrows one and registers nowhere.
+        """
+        agent = self._agent_for(node.name)
+        engine = (agent or self.agents[0]).restart_engine
+        pod = yield from engine.restart(image, node, resume=resume,
+                                        warm_bytes=warm_bytes)
+        if agent is not None:
+            agent.register_pod(pod)
+        return pod
+
+    def place(self, pods: Sequence[Pod], alive: Callable[[int], bool],
+              exclude: Collection[int] = ()) -> Optional[Dict[str, int]]:
+        """pod name -> application node index, or ``None`` when no node
+        is a candidate.
+
+        Candidates are the application nodes outside ``exclude`` that
+        the caller's liveness view ``alive`` (the supervisor's lease
+        table, or ground truth for an operator-driven scheduler) holds
+        up. A pod whose node is still a candidate stays; any other goes
+        to the candidate hosting the fewest pods — not counting the ones
+        being placed, which are about to be destroyed and recreated —
+        lowest index winning ties, so placement is deterministic.
+        """
+        candidates = [index for index in range(self.n_app_nodes)
+                      if index not in exclude and alive(index)]
+        if not candidates:
+            return None
+        placing = {pod.name for pod in pods}
+        load = {index: sum(1 for name in self.agents[index].pods
+                           if name not in placing)
+                for index in candidates}
+        home = {agent.node.name: index
+                for index, agent in enumerate(self.agents)}
+        placement = {}
+        for pod in pods:
+            target = home.get(pod.node.name)
+            if target not in candidates:
+                target = min(candidates, key=lambda index: (load[index],
+                                                            index))
+            placement[pod.name] = target
+            load[target] += 1
+        return placement
 
     def repoint_app(self, app: DistributedApp,
                     members: Optional[Sequence] = None) -> List[Pod]:
@@ -469,7 +540,8 @@ class CruzCluster(Cluster):
         return programs
 
     def coordination_message_count(self) -> int:
-        return self.trace.count("coord_msg")
+        return int(self.metrics.counter("control.messages")
+                   .labelled("cruz"))
 
     @property
     def spans(self):

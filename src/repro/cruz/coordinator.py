@@ -70,15 +70,15 @@ class DistributedApp:
 class CheckpointCoordinator:
     """Drives coordinated checkpoint and restart rounds."""
 
-    def __init__(self, node: Node, timeout_s: float = 60.0,
-                 store: Optional[ImageStore] = None,
+    def __init__(self, node: Node, store: ImageStore,
+                 timeout_s: float = 60.0,
                  retry: Optional[RetryPolicy] = None,
                  faults=None):
         self.node = node
         self.timeout_s = timeout_s
         self.store = store
-        self.wal = store.rounds if store is not None else None
-        self._epoch = self.wal.max_epoch() if self.wal is not None else 0
+        self.wal = store.rounds
+        self._epoch = self.wal.max_epoch()
         self.rounds: List[RoundStats] = []
         #: epoch -> kind -> (expected node-name set, received messages,
         #: completion event)
@@ -102,9 +102,8 @@ class CheckpointCoordinator:
         surface as a round failure naming the target, not escape the sim
         process as a bare exception.
         """
-        self.node.trace.emit(self.node.sim.now, "coord_msg",
-                             node=self.node.name, kind=message.kind,
-                             epoch=message.epoch)
+        self.node.trace.metrics.counter("control.messages").inc(
+            label="cruz")
         on_give_up = self._on_send_give_up if fail_round else None
         try:
             self.endpoint.send(agent_ip, AGENT_PORT, message,
@@ -192,8 +191,6 @@ class CheckpointCoordinator:
         treat the re-notification as a stale duplicate; agents still
         holding a paused pod abort, resume it and discard the image.
         """
-        if self.wal is None:
-            return []
         aborted = []
         for record in self.wal.in_flight():
             epoch = record["epoch"]
@@ -267,14 +264,13 @@ class CheckpointCoordinator:
         spans = self.node.trace.spans
         round_span = spans.begin("round", node=self.node.name,
                                  epoch=epoch, kind=kind)
-        if self.wal is not None:
-            sanitizer = self.node.trace.sanitizer
-            if sanitizer is not None:
-                sanitizer.check_wal_epoch(
-                    epoch, self.wal.max_epoch(), node=self.node.name,
-                    time=sim.now)
-            self.wal.log_start(epoch, kind, members, at=sim.now,
-                               coordinator=self.node.name)
+        sanitizer = self.node.trace.sanitizer
+        if sanitizer is not None:
+            sanitizer.check_wal_epoch(
+                epoch, self.wal.max_epoch(), node=self.node.name,
+                time=sim.now)
+        self.wal.log_start(epoch, kind, members, at=sim.now,
+                           coordinator=self.node.name)
         if optimized:
             disabled_event = self._expect(
                 epoch, protocol.COMM_DISABLED, expected_pods)
@@ -349,25 +345,23 @@ class CheckpointCoordinator:
             # first — first WAL record wins.
             with spans.span("coord.commit", node=self.node.name,
                             epoch=epoch):
-                if self.wal is not None:
-                    outcome = self.wal.decide(epoch, self.wal.COMMIT,
-                                              source=self.node.name,
-                                              at=sim.now)
-                    if outcome != self.wal.COMMIT:
-                        record = self.wal.abort_record(epoch) or {}
-                        raise CoordinationError(
-                            f"round {epoch}: aborted by "
-                            f"{record.get('source', 'unknown')} "
-                            f"({record.get('reason', 'no reason')}) "
-                            "before commit")
+                outcome = self.wal.decide(epoch, self.wal.COMMIT,
+                                          source=self.node.name,
+                                          at=sim.now)
+                if outcome != self.wal.COMMIT:
+                    record = self.wal.abort_record(epoch) or {}
+                    raise CoordinationError(
+                        f"round {epoch}: aborted by "
+                        f"{record.get('source', 'unknown')} "
+                        f"({record.get('reason', 'no reason')}) "
+                        "before commit")
             stats.committed = True
         except CoordinationError as error:
             stats.aborted = True
             spans.instant("coord.abort", node=self.node.name,
                           epoch=epoch, reason=str(error))
-            if self.wal is not None:
-                self.wal.decide(epoch, self.wal.ABORT, reason=str(error),
-                                source=self.node.name, at=sim.now)
+            self.wal.decide(epoch, self.wal.ABORT, reason=str(error),
+                            source=self.node.name, at=sim.now)
             for agent_ip, _pod in members:
                 try:
                     self._send(agent_ip, ControlMessage(
@@ -385,11 +379,6 @@ class CheckpointCoordinator:
             self.rounds.append(stats)
             self._collectors.pop(epoch, None)
             self.endpoint.forget_epochs_below(epoch - 1)
-            self.node.trace.emit(
-                sim.now, "round", node=self.node.name, kind=kind,
-                epoch=epoch, latency=stats.latency_s,
-                overhead=stats.coordination_overhead_s,
-                committed=stats.committed)
         return stats
 
     @staticmethod

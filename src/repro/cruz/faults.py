@@ -260,7 +260,6 @@ class ChaosInjector:
 
     def schedule_node_crash_mid_round(self, node_index: int, after: float,
                                       within_s: float = 0.006,
-                                      poll_s: float = 0.001,
                                       revive_after: Optional[float] = None,
                                       ) -> None:
         """Crash a node *during* a checkpoint round — the worst moment.
@@ -269,7 +268,7 @@ class ChaosInjector:
         crashes ``node_index`` a seeded ``[0, within_s)`` into it. Round
         start times drift with workload timing, so a fixed-clock crash
         cannot reliably land mid-save; polling the coordinator's
-        in-flight set (every ``poll_s``, event-driven and deterministic)
+        in-flight set (every millisecond, event-driven and deterministic)
         can. The offset is drawn at schedule time like every other
         chaos draw.
         """
@@ -280,7 +279,7 @@ class ChaosInjector:
                 yield self.sim.timeout(after - self.sim.now)
             coordinator = self.cluster.coordinator
             while not coordinator.in_flight_epochs():
-                yield self.sim.timeout(poll_s)
+                yield self.sim.timeout(0.001)
             epochs = coordinator.in_flight_epochs()
             yield self.sim.timeout(offset)
             self.node_crashes += 1

@@ -51,9 +51,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Generator, List, Optional, Tuple
 
 from repro.errors import MigrationError, PodError
-from repro.zap.checkpoint import scrub_pod_network
 from repro.zap.pod import Pod
-from repro.zap.virtualization import uninstall_pod
 
 #: Cut over after at most this many pre-copy rounds even if the dirty
 #: set never shrinks below the threshold (a write-hot pod would
@@ -208,11 +206,11 @@ class PrecopyMigrator:
                 or pod.name not in source_agent.pods
                 or not pod.live_processes())
 
-    def _abort_source_lost(self, pod: Pod, target_name: str,
-                           last_version: Optional[int]) -> MigrationError:
+    def _abort_source_lost(self, pod: Pod,
+                           report: MigrationReport) -> MigrationError:
         return MigrationError(
-            pod.name, last_version, target_name,
-            "source node died mid-pre-copy",
+            pod.name, report.rounds[-1].version if report.rounds else None,
+            report.target_node, "source node died mid-pre-copy",
             source_destroyed=False)
 
     # -- the migration -----------------------------------------------------
@@ -271,9 +269,7 @@ class PrecopyMigrator:
         spans = cluster.trace.spans
         for index in range(1, MAX_ROUNDS + 1):
             if self._source_died(source_agent, pod):
-                raise self._abort_source_lost(
-                    pod, report.target_node,
-                    report.rounds[-1].version if report.rounds else None)
+                raise self._abort_source_lost(pod, report)
             round_started = sim.now
             dirty_before = pod_dirty_bytes(pod)
             round_span = spans.begin(
@@ -289,9 +285,7 @@ class PrecopyMigrator:
                 # other intermediates and let failover own the recovery.
                 intermediates.append((pod.name, image.version))
                 spans.end(round_span, aborted=True)
-                raise self._abort_source_lost(
-                    pod, report.target_node,
-                    report.rounds[-1].version if report.rounds else None)
+                raise self._abort_source_lost(pod, report)
             intermediates.append((pod.name, image.version))
             # The target can only stage what surviving replicas still
             # hold: a shard lost between this round's commit and the
@@ -339,9 +333,7 @@ class PrecopyMigrator:
         spans = cluster.trace.spans
         source_node, target_node = pod.node, target_agent.node
         if self._source_died(source_agent, pod):
-            raise self._abort_source_lost(
-                pod, report.target_node,
-                report.rounds[-1].version if report.rounds else None)
+            raise self._abort_source_lost(pod, report)
         cutover_span = spans.begin("migrate.cutover",
                                    node=source_node.name, pod=pod.name,
                                    parent=root, attach=False)
@@ -356,9 +348,7 @@ class PrecopyMigrator:
                                                  incremental=True)
             if self._source_died(source_agent, pod):
                 cluster.store.discard(pod.name, final.version)
-                raise self._abort_source_lost(
-                    pod, report.target_node,
-                    report.rounds[-1].version if report.rounds else None)
+                raise self._abort_source_lost(pod, report)
             # Point of no return is next: only destroy the source if
             # the committed final delta can actually be read back from
             # surviving replicas.
@@ -371,10 +361,7 @@ class PrecopyMigrator:
                     f"final delta v{final.version} is not reconstructible "
                     "from surviving replicas; pod left on source",
                     source_destroyed=False)
-            scrub_pod_network(pod)
-            pod.kill_all()
-            uninstall_pod(pod)
-            source_agent.unregister_pod(pod.name)
+            cluster.destroy_pod(pod)
         finally:
             source_node.stack.netfilter.remove_rule(rule_id)
         # Every chunk except this final delta is already staged on the
@@ -383,14 +370,8 @@ class PrecopyMigrator:
         report.warm_bytes = warm_bytes
         report.total_bytes_moved += final.state_bytes - warm_bytes
         report.final_version = final.version
-        try:
-            restored = yield from target_agent.restart_engine.restart(
-                final, target_node, resume=True, warm_bytes=warm_bytes)
-        except Exception as error:  # noqa: BLE001 - engine failure
-            yield from _rollback(cluster, source_agent, pod, final,
-                                 error, target_node.name)
-            raise  # unreachable: _rollback always raises
-        target_agent.register_pod(restored)
+        restored = yield from _restore_or_roll_back(
+            cluster, pod, final, source_node, target_node, warm_bytes)
         report.pause_window_s = sim.now - pause_started
         spans.end(cutover_span, pause_window_s=report.pause_window_s)
         cluster.trace.metrics.histogram("migrate.pause_window_s").observe(
@@ -398,25 +379,30 @@ class PrecopyMigrator:
         return restored
 
 
-def _rollback(cluster, source_agent, pod: Pod, image, error,
-              target_name: str) -> Generator:
-    """Target restore failed after the source pod was destroyed: the
-    committed image is the only copy — try to restore it where it came
-    from. Always raises :class:`MigrationError`."""
+def _restore_or_roll_back(cluster, pod: Pod, image, source_node,
+                          target_node, warm_bytes: int = 0) -> Generator:
+    """Restore the committed image on the target; value is the pod.
+
+    The source pod is already destroyed, so the image is the only copy:
+    if the target restore fails, try to restore it where it came from,
+    then raise :class:`MigrationError` either way."""
     try:
-        fallback = yield from source_agent.restart_engine.restart(
-            image, source_agent.node, resume=True)
-    except Exception as rollback_error:  # noqa: BLE001
+        return (yield from cluster.restore_pod(image, target_node,
+                                               warm_bytes=warm_bytes))
+    except Exception as error:  # noqa: BLE001 - engine failure
+        try:
+            fallback = yield from cluster.restore_pod(image, source_node)
+        except Exception as rollback_error:  # noqa: BLE001
+            failure = MigrationError(
+                pod.name, image.version, target_node.name, error,
+                rolled_back=False)
+            failure.rollback_error = rollback_error
+            raise failure from error
         failure = MigrationError(
-            pod.name, image.version, target_name, error,
-            rolled_back=False)
-        failure.rollback_error = rollback_error
+            pod.name, image.version, target_node.name, error,
+            rolled_back=True)
+        failure.pod = fallback
         raise failure from error
-    source_agent.register_pod(fallback)
-    failure = MigrationError(
-        pod.name, image.version, target_name, error, rolled_back=True)
-    failure.pod = fallback
-    raise failure from error
 
 
 def stop_and_copy(cluster, pod: Pod,
@@ -449,22 +435,13 @@ def stop_and_copy(cluster, pod: Pod,
     try:
         try:
             image = yield from engine.checkpoint(pod, resume=False)
-            scrub_pod_network(pod)
-            pod.kill_all()
-            uninstall_pod(pod)
-            source_agent.unregister_pod(pod.name)
+            cluster.destroy_pod(pod)
         finally:
             source_node.stack.netfilter.remove_rule(rule_id)
         report.total_bytes_moved = image.written_bytes + image.state_bytes
         report.final_version = image.version
-        try:
-            restored = yield from target_agent.restart_engine.restart(
-                image, target_node, resume=True)
-        except Exception as error:  # noqa: BLE001 - engine failure
-            yield from _rollback(cluster, source_agent, pod, image,
-                                 error, target_node.name)
-            raise  # unreachable: _rollback always raises
-        target_agent.register_pod(restored)
+        restored = yield from _restore_or_roll_back(
+            cluster, pod, image, source_node, target_node)
         _fixup_app(app, pod, None, restored)
         report.pause_window_s = sim.now - pause_started
         report.completed_at = sim.now

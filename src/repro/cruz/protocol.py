@@ -314,17 +314,17 @@ class ReliableEndpoint:
             self.retransmissions += 1
             self.retransmissions_by_epoch[message.epoch] = \
                 self.retransmissions_by_epoch.get(message.epoch, 0) + 1
-            self.node.trace.emit(sim.now, "coord_retry",
-                                 node=self.node.name, kind=message.kind,
-                                 epoch=message.epoch, attempt=attempt + 1)
+            self.node.trace.spans.instant(
+                "coord.retry", node=self.node.name, kind=message.kind,
+                epoch=message.epoch, attempt=attempt + 1)
             self._transmit(dst_ip, dst_port, message)
             backoff = min(backoff * self.policy.backoff_factor,
                           self.policy.max_backoff_s)
         self._pending.pop(key, None)
         self.gave_up += 1
-        self.node.trace.emit(sim.now, "coord_give_up",
-                             node=self.node.name, kind=message.kind,
-                             epoch=message.epoch)
+        self.node.trace.spans.instant(
+            "coord.give_up", node=self.node.name, kind=message.kind,
+            epoch=message.epoch)
         if on_give_up is not None:
             on_give_up(message)
 

@@ -275,84 +275,6 @@ class LivenessLog:
         return states
 
 
-class ChunkStore:
-    """Content-addressed, refcounted chunks over the shard backend.
-
-    Refcounts and the byte-movement counters live here; the raw copy IO
-    (where chunks physically live, how many replicas) is delegated to
-    the :class:`~repro.cruz.backend.ShardedBackend`.
-    """
-
-    def __init__(self, backend: ShardedBackend):
-        self.backend = backend
-        self.refcounts: Dict[str, int] = {}
-        #: Optional runtime sanitizer; flags refcount underflows.
-        self.sanitizer = None
-        # Byte-movement counters (the measured quantities the benchmarks
-        # read; distinct from the simulated-time accounting). The
-        # ``chunks_written``/``bytes_written`` pair counts *logical*
-        # chunk writes (one per chunk, as the single-copy layout did);
-        # extra replica copies are tracked separately.
-        self.chunks_written = 0
-        self.bytes_written = 0
-        self.bytes_deduped = 0
-        self.chunks_removed = 0
-        self.bytes_removed = 0
-        self.replica_copies = 0
-        self.replica_bytes = 0
-        self.rereplicated_chunks = 0
-        self.rereplicated_bytes = 0
-
-    def contains(self, cid: str) -> bool:
-        """A copy of the chunk is *readable right now*.
-
-        Deciding dedup on availability (not mere existence) means a
-        save taken while a replica node is down rewrites chunks whose
-        only copies are unreachable — degraded saves self-heal.
-        """
-        return self.backend.available(cid)
-
-    def write(self, cid: str, payload: bytes, force: bool = False,
-              writer: Optional[str] = None) -> int:
-        """Store a chunk; returns logical bytes moved (0 if dedup'd)."""
-        result = self.backend.put_chunk(cid, payload, writer=writer,
-                                        force=force)
-        self.replica_copies += result.replica_copies
-        self.replica_bytes += result.replica_bytes
-        if not result.logical_write:
-            self.bytes_deduped += len(payload)
-            return 0
-        self.chunks_written += 1
-        self.bytes_written += len(payload)
-        return len(payload)
-
-    def read(self, cid: str) -> bytes:
-        return self.backend.get_chunk(cid)
-
-    def incref(self, cid: str) -> None:
-        self.refcounts[cid] = self.refcounts.get(cid, 0) + 1
-
-    def decref(self, cid: str) -> bool:
-        """Drop one reference; unlink the chunk when none remain.
-
-        Only reachable copies are unlinked — a powered-off shard's
-        copies are reconciled when the node revives.
-        """
-        if self.sanitizer is not None and self.refcounts.get(cid, 0) <= 0:
-            self.sanitizer.check_refcount_underflow(
-                cid, self.refcounts.get(cid, 0))
-        remaining = self.refcounts.get(cid, 0) - 1
-        if remaining > 0:
-            self.refcounts[cid] = remaining
-            return False
-        self.refcounts.pop(cid, None)
-        nbytes, copies = self.backend.delete(cid)
-        if copies:
-            self.bytes_removed += nbytes
-            self.chunks_removed += 1
-        return True
-
-
 @dataclass
 class _PlannedChunk:
     cid: str
@@ -439,14 +361,28 @@ class ImageStore:
                  backend: Optional[ShardedBackend] = None):
         self.fs = fs
         self.root = root
-        if backend is None:
-            backend = self._detect_backend(fs, root)
-        self._chunks = ChunkStore(backend)
+        #: Where chunk copies physically live (placement, availability,
+        #: replication); refcounts and byte accounting stay here.
+        self.backend = backend if backend is not None \
+            else self._detect_backend(fs, root)
         self._persist_backend_config()
+        #: cid -> references from committed manifests; a chunk is
+        #: unlinked when its count reaches zero.
+        self._refcounts: Dict[str, int] = {}
+        # Byte-movement counters (the measured quantities the benchmarks
+        # read; distinct from the simulated-time accounting). The
+        # ``chunks_written``/``bytes_written`` pair counts *logical*
+        # chunk writes (one per chunk, as a single-copy layout would);
+        # extra replica copies are tracked separately.
+        self._stats: Dict[str, int] = dict.fromkeys((
+            "chunks_written", "bytes_written", "bytes_deduped",
+            "chunks_removed", "bytes_removed", "replica_copies",
+            "replica_bytes", "rereplicated_chunks", "rereplicated_bytes"),
+            0)
         #: Optional runtime sanitizer; when set, every save/discard/prune
-        #: is followed by a full refcount audit (see :meth:`audit`).
+        #: is followed by a full refcount audit (see :meth:`audit`) and
+        #: a refcount underflow is flagged where it happens.
         self.sanitizer = sanitizer
-        self._chunks.sanitizer = sanitizer
         #: Coordination-round WAL, shared (like the images) by every node.
         self.rounds = RoundLog(fs, root=f"{root}/.rounds")
         #: Node-liveness WAL (supervisor death/rejoin declarations).
@@ -455,7 +391,7 @@ class ImageStore:
         self._attached = False
         self.last_plan: Optional[SavePlan] = None
         #: Shadow refcounts for :meth:`audit`, derived from the manifests
-        #: (not from :class:`ChunkStore` bookkeeping) and maintained
+        #: (not from the live ``_refcounts`` table) and maintained
         #: incrementally by :meth:`save` / :meth:`_drop_version` so the
         #: per-save sanitizer audit stays O(1)-ish instead of re-reading
         #: every manifest.  Saves made with no sanitizer attached skip
@@ -486,34 +422,39 @@ class ImageStore:
         path = f"{self.root}/.store"
         if self.fs.exists(path):
             return
-        blob = freeze_object(backend_config(self._chunks.backend))
+        blob = freeze_object(backend_config(self.backend))
         self.fs.write_file(path, blob)
-
-    @property
-    def backend(self) -> ShardedBackend:
-        """The chunk backend (placement, availability, replication)."""
-        return self._chunks.backend
 
     @property
     def stats(self) -> Dict[str, int]:
         """Byte-movement counters (logical writes, dedup, replicas)."""
-        chunks = self._chunks
-        return {
-            "chunks_written": chunks.chunks_written,
-            "bytes_written": chunks.bytes_written,
-            "bytes_deduped": chunks.bytes_deduped,
-            "chunks_removed": chunks.chunks_removed,
-            "bytes_removed": chunks.bytes_removed,
-            "replica_copies": chunks.replica_copies,
-            "replica_bytes": chunks.replica_bytes,
-            "rereplicated_chunks": chunks.rereplicated_chunks,
-            "rereplicated_bytes": chunks.rereplicated_bytes,
-        }
+        return dict(self._stats)
 
     def refcounts(self) -> Dict[str, int]:
         """A copy of the chunk refcount table (cid -> references)."""
         self._ensure_attached()
-        return dict(self._chunks.refcounts)
+        return dict(self._refcounts)
+
+    def _incref(self, cid: str) -> None:
+        self._refcounts[cid] = self._refcounts.get(cid, 0) + 1
+
+    def _decref(self, cid: str) -> None:
+        """Drop one reference; unlink the chunk when none remain.
+
+        Only reachable copies are unlinked — a powered-off shard's
+        copies are reconciled when the node revives.
+        """
+        count = self._refcounts.get(cid, 0)
+        if self.sanitizer is not None and count <= 0:
+            self.sanitizer.check_refcount_underflow(cid, count)
+        if count > 1:
+            self._refcounts[cid] = count - 1
+            return
+        self._refcounts.pop(cid, None)
+        nbytes, copies = self.backend.delete(cid)
+        if copies:
+            self._stats["bytes_removed"] += nbytes
+            self._stats["chunks_removed"] += 1
 
     # -- paths and the persistent index -----------------------------------
 
@@ -540,7 +481,7 @@ class ImageStore:
             self._latest[pod_name] = max(
                 self._latest.get(pod_name, 0), version)
             for cid, _nbytes in self._manifest_chunk_refs(manifest):
-                self._chunks.incref(cid)
+                self._incref(cid)
                 self._audit_expected[cid] = \
                     self._audit_expected.get(cid, 0) + 1
 
@@ -580,7 +521,7 @@ class ImageStore:
         manifest = self._read_manifest(pod_name, version)
         if manifest is None:
             return False
-        backend = self._chunks.backend
+        backend = self.backend
         for cid, _nbytes in self._manifest_chunk_refs(manifest):
             if not backend.available(cid):
                 return False
@@ -600,7 +541,7 @@ class ImageStore:
 
     def under_replicated(self) -> List[Tuple[str, Tuple[str, ...]]]:
         """(cid, live holders) below the backend's live RF target."""
-        return self._chunks.backend.under_replicated()
+        return self.backend.under_replicated()
 
     def rereplicate_one(self, cid: str) -> Optional[Tuple[str, int]]:
         """Repair one chunk's replication; returns (dest, bytes).
@@ -609,15 +550,15 @@ class ImageStore:
         (no spare up node, or the chunk was garbage-collected since the
         deficit was scanned).
         """
-        backend = self._chunks.backend
-        if self._chunks.refcounts.get(cid, 0) <= 0:
+        backend = self.backend
+        if self._refcounts.get(cid, 0) <= 0:
             return None
         dest = backend.repair_dest(cid)
         if dest is None:
             return None
         nbytes = backend.replicate(cid, dest)
-        self._chunks.rereplicated_chunks += 1
-        self._chunks.rereplicated_bytes += nbytes
+        self._stats["rereplicated_chunks"] += 1
+        self._stats["rereplicated_bytes"] += nbytes
         if self.metrics is not None:
             self.metrics.counter("store.rereplicated_chunks").inc()
             self.metrics.counter("store.rereplicated_bytes").inc(nbytes)
@@ -630,11 +571,11 @@ class ImageStore:
         shard may hold chunk files nothing references any more. Returns
         the number of stale copies removed.
         """
-        backend = self._chunks.backend
+        backend = self.backend
         self._ensure_attached()
         removed = 0
         for cid in backend.scan_node(node_name):
-            if self._chunks.refcounts.get(cid, 0) <= 0:
+            if self._refcounts.get(cid, 0) <= 0:
                 backend.delete_on(node_name, cid)
                 removed += 1
         return removed
@@ -654,17 +595,20 @@ class ImageStore:
             raise CheckpointError(f"unknown save mode {mode!r}")
         self._ensure_attached()
         plan = SavePlan(mode=mode, writer=writer)
-        backend = self._chunks.backend
+        backend = self.backend
         planned: set = set()
         group_dests: Dict[str, int] = {}
 
         def add(cid: str, nbytes: int, payload: Optional[bytes],
                 must_hash: bool) -> Tuple[bool, int]:
             """Plan one chunk; returns (written?, serialize_bytes)."""
+            # Dedup on availability, not mere existence: a save taken
+            # while a replica node is down rewrites chunks whose only
+            # copies are unreachable, so degraded saves self-heal.
             if mode == "full":
                 write = True
             else:
-                write = cid not in planned and not self._chunks.contains(cid)
+                write = cid not in planned and not backend.available(cid)
             planned.add(cid)
             plan.chunks.append(_PlannedChunk(
                 cid=cid, nbytes=nbytes, write=write,
@@ -805,10 +749,8 @@ class ImageStore:
             plan = self.plan(image, mode=mode, writer=writer)
         if writer is None:
             writer = plan.writer
-        chunks_before = self._chunks.chunks_written
-        written_before = self._chunks.bytes_written
-        deduped_before = self._chunks.bytes_deduped
-        replicas_before = self._chunks.replica_bytes
+        stats = self._stats
+        before = dict(stats)
         try:
             version = self.latest_version(image.pod_name) + 1
         except CheckpointError:
@@ -817,11 +759,18 @@ class ImageStore:
             if chunk.write:
                 payload = chunk.payload if chunk.payload is not None \
                     else page_chunk_payload(chunk.cid)
-                self._chunks.write(chunk.cid, payload, force=chunk.force,
-                                   writer=writer)
+                result = self.backend.put_chunk(
+                    chunk.cid, payload, writer=writer, force=chunk.force)
+                stats["replica_copies"] += result.replica_copies
+                stats["replica_bytes"] += result.replica_bytes
+                if result.logical_write:
+                    stats["chunks_written"] += 1
+                    stats["bytes_written"] += len(payload)
+                else:
+                    stats["bytes_deduped"] += len(payload)
             else:
-                self._chunks.bytes_deduped += chunk.nbytes
-            self._chunks.incref(chunk.cid)
+                stats["bytes_deduped"] += chunk.nbytes
+            self._incref(chunk.cid)
         manifest = plan.manifest
         manifest["meta"]["version"] = version
         manifest["meta"]["written_bytes"] = image.written_bytes
@@ -839,16 +788,20 @@ class ImageStore:
         self.last_plan = plan
         if self.metrics is not None:
             self.metrics.counter("store.saves").inc(label=mode)
+            written = stats["bytes_written"] - before["bytes_written"]
             self.metrics.counter("store.chunks_written").inc(
-                self._chunks.chunks_written - chunks_before, label=mode)
+                stats["chunks_written"] - before["chunks_written"],
+                label=mode)
             self.metrics.counter("store.bytes_written").inc(
-                self._chunks.bytes_written - written_before, label=mode)
+                written, label=mode)
             self.metrics.counter("store.bytes_deduped").inc(
-                self._chunks.bytes_deduped - deduped_before, label=mode)
+                stats["bytes_deduped"] - before["bytes_deduped"],
+                label=mode)
             self.metrics.counter("store.replica_bytes_written").inc(
-                self._chunks.replica_bytes - replicas_before, label=mode)
+                stats["replica_bytes"] - before["replica_bytes"],
+                label=mode)
             self.metrics.histogram("store.save_write_bytes").observe(
-                self._chunks.bytes_written - written_before)
+                written)
         self._sanitize_audit("save")
         return version
 
@@ -879,7 +832,7 @@ class ImageStore:
                 for fd_entry in entry["fds"]:
                     if "detail_cid" in fd_entry:
                         detail = thaw_object(
-                            self._chunks.read(fd_entry["detail_cid"]))
+                            self.backend.get_chunk(fd_entry["detail_cid"]))
                     else:
                         detail = fd_entry["detail"]
                     fds.append(FdImage(fd=fd_entry["fd"],
@@ -892,11 +845,11 @@ class ImageStore:
                 # to GC or node failure.
                 for cid, _page in iter_page_chunks(
                         meta["pod_name"], entry["vpid"], memory):
-                    self._chunks.read(cid)
+                    self.backend.get_chunk(cid)
                 image.processes.append(ProcessImage(
                     vpid=entry["vpid"], parent_vpid=entry["parent_vpid"],
                     name=entry["name"],
-                    program_blob=self._chunks.read(entry["program_cid"]),
+                    program_blob=self.backend.get_chunk(entry["program_cid"]),
                     memory=memory,
                     resume_syscall=entry["resume_syscall"], fds=fds,
                     was_stopped_by_user=entry["was_stopped_by_user"],
@@ -904,13 +857,13 @@ class ImageStore:
             for entry in manifest["pipes"]:
                 image.pipes.append(PipeImage(
                     index=entry["index"],
-                    buffer=self._chunks.read(entry["buffer_cid"]),
+                    buffer=self.backend.get_chunk(entry["buffer_cid"]),
                     readers=entry["readers"], writers=entry["writers"]))
             for entry in manifest["shm"]:
                 image.shm.append(ShmImage(
                     vid=entry["vid"], app_key=entry["app_key"],
                     size=entry["size"],
-                    payload_blob=self._chunks.read(entry["payload_cid"])))
+                    payload_blob=self.backend.get_chunk(entry["payload_cid"])))
         except ChunkMissingError as exc:
             raise VersionUnreconstructibleError(
                 pod_name, version, missing_cid=exc.cid,
@@ -930,7 +883,7 @@ class ImageStore:
         remote groups stream concurrently from every live replica (a
         single holder makes that one serial stream, fraction 1.0).
         """
-        backend = self._chunks.backend
+        backend = self.backend
         grouped: Dict[Tuple[str, ...], int] = {}
         for cid, nbytes in self._manifest_chunk_refs(manifest):
             holders = backend.live_holders(cid)
@@ -985,14 +938,14 @@ class ImageStore:
             self._audit_valid = True
         expected = self._audit_expected
         problems: List[Dict[str, Any]] = []
-        if expected != self._chunks.refcounts:
+        if expected != self._refcounts:
             for cid, count in sorted(expected.items()):
-                actual = self._chunks.refcounts.get(cid, 0)
+                actual = self._refcounts.get(cid, 0)
                 if actual != count:
                     problems.append({"kind": "refcount_mismatch",
                                      "cid": cid, "expected": count,
                                      "actual": actual})
-            for cid, count in sorted(self._chunks.refcounts.items()):
+            for cid, count in sorted(self._refcounts.items()):
                 if cid not in expected:
                     problems.append({"kind": "dangling_refcount",
                                      "cid": cid, "actual": count})
@@ -1000,7 +953,7 @@ class ImageStore:
                     problems.append({"kind": "nonpositive_refcount",
                                      "cid": cid, "actual": count})
         if deep:
-            backend = self._chunks.backend
+            backend = self.backend
             # Per-shard sweep: a referenced chunk is *missing* only when
             # no shard (up or down) holds a copy — copies on a powered-
             # off node are unavailable, not lost. Orphans are audited on
@@ -1028,7 +981,7 @@ class ImageStore:
             return False
         manifest = thaw_object(self.fs.read_file(path))
         for cid, _nbytes in self._manifest_chunk_refs(manifest):
-            self._chunks.decref(cid)
+            self._decref(cid)
             if self.sanitizer is not None:
                 left = self._audit_expected.get(cid, 0) - 1
                 if left > 0:

@@ -40,7 +40,7 @@ from repro.cruz.protocol import (
     ControlMessage,
     ReliableEndpoint,
 )
-from repro.cruz.migration import PrecopyMigrator
+from repro.cruz.migration import PrecopyMigrator, owning_app
 from repro.cruz.storage import LivenessLog
 from repro.errors import (
     CheckpointError,
@@ -62,6 +62,11 @@ HEARTBEAT_INTERVAL_S = 0.05
 HEARTBEAT_JITTER_S = 0.01
 WORST_CASE_BEAT_S = HEARTBEAT_INTERVAL_S + HEARTBEAT_JITTER_S
 LEASE_MISSES = 3
+#: Coordinated-restart attempts per failover before it fails typed, and
+#: the linear backoff step between them (lets an aborted round's cleanup
+#: land and the monitor declare further deaths).
+MAX_RESTART_ATTEMPTS = 3
+RETRY_BACKOFF_S = 0.25
 
 
 @dataclass
@@ -120,18 +125,14 @@ class NodeSupervisor:
     application-node failure.
     """
 
-    def __init__(self, cluster, node=None,
+    def __init__(self, cluster, node,
                  auto_failover: bool = True,
                  evict_on_suspect: bool = False,
-                 max_restart_attempts: int = 3,
-                 retry_backoff_s: float = 0.25,
                  settle_s: float = 0.02):
         self.cluster = cluster
-        self.node = node if node is not None else cluster.coordinator_node
+        self.node = node
         self.auto_failover = auto_failover
         self.evict_on_suspect = evict_on_suspect
-        self.max_restart_attempts = max_restart_attempts
-        self.retry_backoff_s = retry_backoff_s
         self.settle_s = settle_s
         self.liveness: LivenessLog = cluster.store.liveness
         self.leases: Dict[int, NodeLease] = {}
@@ -152,7 +153,7 @@ class NodeSupervisor:
         self._inherited = self.liveness.last_states()
         self.endpoint = ReliableEndpoint(
             self.node, SUPERVISOR_PORT, self._on_message,
-            faults=getattr(cluster, "fault_injector", None),
+            faults=cluster.fault_injector,
             name=f"supervisor@{self.node.name}")
 
     # -- lease bookkeeping -------------------------------------------------
@@ -175,14 +176,12 @@ class NodeSupervisor:
         self.leases[node_index] = lease
         return lease
 
-    def start(self, monitor_interval_s: Optional[float] = None) -> None:
+    def start(self) -> None:
         """Launch the monitor loop (idempotent)."""
         if self._monitoring:
             return
         self._monitoring = True
-        interval = (monitor_interval_s if monitor_interval_s is not None
-                    else HEARTBEAT_INTERVAL_S)
-        self._sim.process(self._monitor_loop(interval),
+        self._sim.process(self._monitor_loop(),
                           name=f"supervisor@{self.node.name}")
 
     def close(self) -> None:
@@ -216,13 +215,11 @@ class NodeSupervisor:
                               source=self.node.name)
             self._spans.instant("supervisor.rejoin", node=self.node.name,
                                 subject=lease.name)
-            self.node.trace.emit(self._sim.now, "node_rejoin",
-                                 node=self.node.name, subject=lease.name)
 
-    def _monitor_loop(self, interval: float) -> Generator:
+    def _monitor_loop(self) -> Generator:
         sim = self._sim
         while True:
-            yield sim.timeout(interval)
+            yield sim.timeout(HEARTBEAT_INTERVAL_S)
             for index in sorted(self.leases):
                 lease = self.leases[index]
                 if not lease.alive:
@@ -260,9 +257,6 @@ class NodeSupervisor:
         the recovery; if the suspicion was a false alarm, the migration
         was merely transparent.
         """
-        from repro.cruz.migration import owning_app
-        from repro.lsf.scheduler import least_loaded_target
-
         cluster = self.cluster
         sim = self._sim
         agent = cluster.agents[lease.index]
@@ -283,10 +277,9 @@ class NodeSupervisor:
                     continue
                 entry = {"pod": pod_name, "from": lease.name,
                          "started_at": sim.now, "ok": False}
-                target = least_loaded_target(
-                    cluster, exclude={lease.index},
-                    node_alive=self._node_alive)
-                if target is None:
+                placement = cluster.place([pod], self._node_alive,
+                                          exclude={lease.index})
+                if placement is None:
                     entry["reason"] = "no live target"
                     self.evictions.append(entry)
                     break
@@ -296,7 +289,7 @@ class NodeSupervisor:
                     self._evicting_apps.add(app_name)
                 try:
                     _restored, report = yield from migrator.migrate(
-                        pod, target)
+                        pod, placement[pod_name])
                 except (MigrationError, CheckpointError,
                         CoordinationError) as error:
                     entry["reason"] = str(error)
@@ -348,9 +341,7 @@ class NodeSupervisor:
         self.node.trace.metrics.counter("supervisor.deaths").inc(
             label=lease.name)
         self._spans.instant("supervisor.death", node=self.node.name,
-                            subject=lease.name)
-        self.node.trace.emit(sim.now, "node_death", node=self.node.name,
-                             subject=lease.name, reason=reason)
+                            subject=lease.name, reason=reason)
         self.deaths.append({"node": lease.name, "at": sim.now,
                             "reason": reason})
         # Rounds waiting on the dead node's <done> must not burn their
@@ -398,7 +389,7 @@ class NodeSupervisor:
             place_span = self._spans.begin(
                 "failover.place", node=self.node.name, app=app.name,
                 parent=root, attach=False)
-            placement = self._place(app)
+            placement = self._placement(app)
             self._spans.end(place_span)
 
             restart_span = self._spans.begin(
@@ -407,7 +398,7 @@ class NodeSupervisor:
             attempts = 0
             while True:
                 attempts += 1
-                self._destroy_members(app)
+                self.cluster.destroy_members(app)
                 members = [
                     (self.cluster.nodes[placement[pod.name]]
                      .stack.eth0.ip, pod.name)
@@ -417,7 +408,7 @@ class NodeSupervisor:
                         app.name, members, version=version)
                     break
                 except CoordinationError as error:
-                    if attempts >= self.max_restart_attempts:
+                    if attempts >= MAX_RESTART_ATTEMPTS:
                         raise FailoverError(
                             app.name,
                             f"restart failed after {attempts} "
@@ -427,8 +418,8 @@ class NodeSupervisor:
                     # have died. Back off (lets the aborted round's
                     # cleanup land and the monitor declare new deaths),
                     # then re-place on whoever still holds a lease.
-                    yield sim.timeout(self.retry_backoff_s * attempts)
-                    placement = self._place(app)
+                    yield sim.timeout(RETRY_BACKOFF_S * attempts)
+                    placement = self._placement(app)
             self._spans.end(restart_span, attempts=attempts)
             self.cluster.repoint_app(app, members)
             record = FailoverRecord(
@@ -445,9 +436,6 @@ class NodeSupervisor:
             self.failovers.append(record)
             self.node.trace.metrics.histogram("failover.mttr_s").observe(
                 record.mttr_s)
-            self.node.trace.emit(sim.now, "failover", node=self.node.name,
-                                 app=app.name, version=version,
-                                 attempts=attempts, mttr=record.mttr_s)
         except (FailoverError, RestartMismatchError) as error:
             failure = error if isinstance(error, FailoverError) else \
                 FailoverError(app.name, str(error))
@@ -456,9 +444,6 @@ class NodeSupervisor:
                 label=app.name)
             self._spans.instant("failover.failed", node=self.node.name,
                                 app=app.name, reason=str(failure))
-            self.node.trace.emit(sim.now, "failover_failed",
-                                 node=self.node.name, app=app.name,
-                                 reason=str(failure))
         finally:
             self._spans.end(root)
             self._active_failovers.discard(app.name)
@@ -535,51 +520,13 @@ class NodeSupervisor:
             return lease.alive
         return not self.cluster.agents[index].crashed
 
-    def _place(self, app) -> Dict[str, int]:
-        """pod name -> target node index; least-loaded, index tie-break.
-
-        Pods whose home node still holds a lease stay put; the dead
-        node's pods go to the surviving node currently hosting the
-        fewest pods (excluding this app's own members, which are about
-        to be destroyed and re-placed), lowest index winning ties.
-        """
-        cluster = self.cluster
-        candidates = [i for i in range(cluster.n_app_nodes)
-                      if self._node_alive(i)]
-        if not candidates:
+    def _placement(self, app) -> Dict[str, int]:
+        """pod name -> node index among the nodes still holding a lease."""
+        placement = self.cluster.place(app.pods, self._node_alive)
+        if placement is None:
             raise FailoverError(
                 app.name, "no surviving capacity: every app node is dead")
-        member_names = {pod.name for pod in app.pods}
-        load = {i: sum(1 for name in cluster.agents[i].pods
-                       if name not in member_names)
-                for i in candidates}
-        by_name = {node.name: index
-                   for index, node in enumerate(cluster.nodes)}
-        placement = {}
-        for pod in app.pods:
-            home = by_name.get(pod.node.name)
-            if home in candidates:
-                target = home
-            else:
-                target = min(candidates, key=lambda i: (load[i], i))
-            placement[pod.name] = target
-            load[target] += 1
         return placement
-
-    def _destroy_members(self, app) -> None:
-        """Destroy any member pod still registered on a live agent.
-
-        Covers the surviving original pods before the first restart
-        attempt, and stragglers from an aborted attempt before a retry
-        (their agents normally clean up on ABORT; this is the backstop).
-        """
-        for pod in app.pods:
-            for agent in self.cluster.agents:
-                if agent.crashed:
-                    continue
-                registered = agent.pods.get(pod.name)
-                if registered is not None:
-                    self.cluster.destroy_pod(registered)
 
     def failover_active(self, app_name: str) -> bool:
         """True while an automatic failover of ``app_name`` is running."""

@@ -1,6 +1,8 @@
 """Job scheduling on top of Cruz.
 
-The scheduler exercises the paper's §1 use cases:
+Policy only: node failure, pod teardown, restore and placement are the
+cluster's (:mod:`repro.cruz.cluster`). The scheduler exercises the
+paper's §1 use cases:
 
 * **fault tolerance** — periodic coordinated checkpoints; after a node
   failure the job rolls back to its last committed image on healthy nodes;
@@ -17,33 +19,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cruz.cluster import CruzCluster
 from repro.errors import CoordinationError, ReproError
-from repro.zap.checkpoint import scrub_pod_network
-from repro.zap.virtualization import uninstall_pod
-
-
-def least_loaded_target(cluster, exclude=(),
-                        node_alive: Optional[Callable[[int], bool]] = None
-                        ) -> Optional[int]:
-    """The live application node hosting the fewest pods, or ``None``.
-
-    The placement primitive shared by planned-maintenance draining and
-    the supervisor's suspect-state eviction: candidates are application
-    nodes outside ``exclude`` that are powered on and (per ``node_alive``,
-    when given — e.g. the supervisor's lease table) believed alive;
-    lowest index wins ties, so placement is deterministic.
-    """
-    candidates = []
-    for index in range(cluster.n_app_nodes):
-        if index in exclude or index in cluster.dead_nodes:
-            continue
-        alive = (node_alive(index) if node_alive is not None
-                 else not cluster.agents[index].crashed)
-        if alive:
-            candidates.append(index)
-    if not candidates:
-        return None
-    return min(candidates,
-               key=lambda index: (len(cluster.agents[index].pods), index))
 
 
 class JobState(enum.Enum):
@@ -84,7 +59,6 @@ class JobScheduler:
     def __init__(self, cluster: CruzCluster):
         self.cluster = cluster
         self.jobs: Dict[str, Job] = {}
-        self.failed_nodes: set = set()
 
     # -- submission ----------------------------------------------------------
 
@@ -145,17 +119,16 @@ class JobScheduler:
         With no explicit ``targets``, each pod goes to the least-loaded
         live node (re-evaluated per pod, so a big drain spreads out).
         """
-        node = self.cluster.nodes[node_index]
         moved = []
         agent = self.cluster.agents[node_index]
         for slot, pod in enumerate(list(agent.pods.values())):
             if targets is None:
-                target = least_loaded_target(
-                    self.cluster,
-                    exclude=set(self.failed_nodes) | {node_index})
-                if target is None:
+                placement = self.cluster.place(
+                    [pod], self._node_alive, exclude={node_index})
+                if placement is None:
                     raise ReproError(
                         f"drain of node{node_index}: no live target")
+                target = placement[pod.name]
             else:
                 target = targets[slot % len(targets)]
             new_pod = self.cluster.migrate_pod(pod, target)
@@ -166,19 +139,13 @@ class JobScheduler:
                     job.events.append(
                         f"migrated:{new_pod.name}->"
                         f"node{target}@{self.cluster.sim.now:.3f}")
-        del node
         return moved
 
     # -- failure handling -------------------------------------------------------
 
-    def fail_node(self, node_index: int) -> None:
-        """Simulate a machine crash: link down, everything on it dies."""
-        self.failed_nodes.add(node_index)
-        self.cluster.links[node_index].down = True
-        node = self.cluster.nodes[node_index]
-        for pid in list(node.processes):
-            node.signal_now(pid, "SIGKILL")
-        self.cluster.agents[node_index].crashed = True
+    def _node_alive(self, node_index: int) -> bool:
+        """The operator's liveness view: powered on (ground truth)."""
+        return node_index not in self.cluster.dead_nodes
 
     def recover_job(self, name: str,
                     node_indices: Optional[Sequence[int]] = None) -> Job:
@@ -188,29 +155,27 @@ class JobScheduler:
         if job.checkpoints_taken == 0:
             raise CoordinationError(
                 f"job {name!r} has no committed checkpoint to recover")
+        if node_indices is None:
+            placement = self.cluster.place(job.app.pods, self._node_alive)
+            if placement is None:
+                raise CoordinationError(
+                    f"job {name!r}: no live node to recover onto")
+            node_indices = [placement[pod.name] for pod in job.app.pods]
         # Dispose of the survivors: a consistent restart needs everyone
         # back at the same cut.
-        for pod in job.app.pods:
-            node_alive = pod.node.name not in {
-                f"node{i}" for i in self.failed_nodes}
-            if node_alive:
-                scrub_pod_network(pod)
-                pod.kill_all()
-                uninstall_pod(pod)
-            agent = self.cluster._agent_for(pod.node.name)
-            if agent is not None:
-                agent.unregister_pod(pod.name)
-        if node_indices is None:
-            healthy = [i for i in range(self.cluster.n_app_nodes)
-                       if i not in self.failed_nodes]
-            node_indices = [healthy[i % len(healthy)]
-                            for i in range(len(job.app.pods))]
+        self.cluster.destroy_members(job.app)
+        return self._restart(job, node_indices, "recovered")
+
+    def _restart(self, job: Job, node_indices: Optional[Sequence[int]],
+                 event: str) -> Job:
+        """Coordinated restart from the last committed images."""
         self.cluster.restart_app(job.app, node_indices=node_indices)
         job.restarts += 1
         job.state = JobState.RUNNING
-        job.events.append(f"recovered@{self.cluster.sim.now:.3f}")
+        job.events.append(f"{event}@{self.cluster.sim.now:.3f}")
         self.cluster.sim.process(
-            self._completion_watch(job), name=f"lsf-watch({name})")
+            self._completion_watch(job),
+            name=f"lsf-watch({job.spec.name})")
         return job
 
     # -- suspend / resume --------------------------------------------------------
@@ -232,13 +197,7 @@ class JobScheduler:
         job = self.jobs[name]
         if job.state != JobState.SUSPENDED:
             raise ReproError(f"job {name!r} is not suspended")
-        self.cluster.restart_app(job.app, node_indices=node_indices)
-        job.state = JobState.RUNNING
-        job.restarts += 1
-        job.events.append(f"resumed@{self.cluster.sim.now:.3f}")
-        self.cluster.sim.process(
-            self._completion_watch(job), name=f"lsf-watch({name})")
-        return job
+        return self._restart(job, node_indices, "resumed")
 
     def wait_for(self, name: str, limit: float = 1e5) -> Job:
         job = self.jobs[name]

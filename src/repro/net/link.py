@@ -122,9 +122,6 @@ class Link:
                 1 if value else -1)
             self.trace.spans.instant(
                 "link.down" if value else "link.up", link=self.name)
-            self.trace.emit(self.sim.now,
-                            "link_down" if value else "link_up",
-                            link=self.name)
 
     def _drop(self, frame: EthernetFrame) -> None:
         self.frames_dropped += 1

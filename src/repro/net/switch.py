@@ -29,15 +29,16 @@ from repro.net.link import Port
 from repro.net.packet import EthernetFrame
 from repro.sim.core import Simulator
 
+#: Store-and-forward delay of one frame through the switch.
+FORWARDING_LATENCY_S = 3e-6
+
 
 class Switch:
     """A store-and-forward learning switch."""
 
-    def __init__(self, sim: Simulator, name: str = "switch",
-                 forwarding_latency_s: float = 3e-6):
+    def __init__(self, sim: Simulator, name: str = "switch"):
         self.sim = sim
         self.name = name
-        self.forwarding_latency_s = forwarding_latency_s
         self.ports: List[Port] = []
         self._port_index: Dict[Port, int] = {}
         self.table: Dict[MacAddress, Port] = {}
@@ -55,7 +56,7 @@ class Switch:
 
     def _on_frame(self, frame: EthernetFrame, ingress: Port) -> None:
         self.table[frame.src] = ingress
-        due = self.sim.now + self.forwarding_latency_s
+        due = self.sim.now + FORWARDING_LATENCY_S
         self._pending.append((due, frame, ingress))
         if not self._armed:
             self._armed = True

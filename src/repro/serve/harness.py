@@ -2,7 +2,7 @@
 clients, disrupted by everything Cruz has.
 
 Topology: backend ``i`` is a single-pod app ``kv{i}`` on node ``i``
-(:class:`~repro.apps.kvserver.KvServerMulti`), the proxy runs in its own
+(:class:`~repro.apps.kvserver.KvServer`), the proxy runs in its own
 pod on the last app node, and the session clients live on the
 coordinator node — outside any pod, never checkpointed, exactly like the
 paper's "customer on another machine" (§1). Disruptions run in sequence,
@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from repro.apps.kvproxy import KvProxy
-from repro.apps.kvserver import (KV_PORT, KvServerMulti, KvSessionClient,
+from repro.apps.kvserver import (KV_PORT, KvServer, KvSessionClient,
                                  build_session_script)
 from repro.cruz.cluster import CruzCluster
 from repro.cruz.faults import ChaosInjector
@@ -64,7 +64,7 @@ def run_serve(backends: int = 3, clients: int = 6, sessions: int = 12,
     chaos = ChaosInjector(cluster, rng=cluster.random.stream("serve-chaos"))
     recorder = SloRecorder(metrics=cluster.trace.metrics)
 
-    kv_apps = [cluster.launch_app(f"kv{i}", [KvServerMulti()],
+    kv_apps = [cluster.launch_app(f"kv{i}", [KvServer()],
                                   node_indices=[i])
                for i in range(backends)]
     backend_ips = [str(app.pods[0].ip) for app in kv_apps]

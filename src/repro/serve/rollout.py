@@ -23,6 +23,11 @@ from repro.apps.kvserver import KV_PORT, KvClient
 from repro.errors import RolloutError
 from repro.zap.verify import verify_image
 
+#: Sim-time budgets: one admin batch; draining / re-admitting a backend
+#: (also the ``admin.status`` wait after a rollback); the status poll.
+ADMIN_CALL_LIMIT_S = 30.0
+STATUS_LIMIT_S = 10.0
+STATUS_POLL_S = 0.02
 
 class AdminClient:
     """Issues admin/kv requests through the proxy from outside the fleet.
@@ -34,12 +39,10 @@ class AdminClient:
     like everyone else's.
     """
 
-    def __init__(self, cluster, proxy_ip: str, port: int = KV_PORT,
-                 limit_s: float = 30.0):
+    def __init__(self, cluster, proxy_ip: str, port: int = KV_PORT):
         self.cluster = cluster
         self.proxy_ip = proxy_ip
         self.port = port
-        self.limit_s = limit_s
         self.rng = cluster.random.stream("serve-admin")
         self._rid = 0
 
@@ -57,7 +60,7 @@ class AdminClient:
                           rng=self.rng)
         proc = self.cluster.coordinator_node.spawn(client)
         self.cluster.run_until(lambda: not proc.is_alive,
-                               limit=self.limit_s, step=0.005)
+                               limit=ADMIN_CALL_LIMIT_S, step=0.005)
         return client.responses
 
     def one(self, request: dict) -> dict:
@@ -106,37 +109,32 @@ class RolloutReport:
     steps: List[str] = field(default_factory=list)
 
 
-def _await_status(cluster, admin, predicate, limit_s: float,
-                  step_s: float = 0.02) -> dict:
+def _await_status(cluster, admin, predicate) -> dict:
     """Poll ``admin.status`` until ``predicate(status)`` holds."""
-    deadline = cluster.sim.now + limit_s
+    deadline = cluster.sim.now + STATUS_LIMIT_S
     while True:
         status = admin.status()
         if status.get("ok") and predicate(status):
             return status
         if cluster.sim.now >= deadline:
             return status
-        cluster.run_for(step_s)
+        cluster.run_for(STATUS_POLL_S)
 
 
 def restore_pod(cluster, app, pod_name: str, node,
                 version: Optional[int] = None):
     """Restore ``pod_name`` at ``version`` (default: the latest
     committed) on ``node`` and re-point the single-pod ``app`` at it."""
-    agent = cluster._agent_for(node.name)
     image = cluster.store.load(pod_name, version)
-    restored = cluster.run_until_complete(cluster.sim.process(
-        agent.restart_engine.restart(image, node, resume=True)))
-    agent.register_pod(restored)
+    restored = cluster.run_until_complete(
+        cluster.sim.process(cluster.restore_pod(image, node)))
     app.pods = [restored]
     return restored
 
 
 def canary_restore(cluster, admin: AdminClient, app, backend: int,
                    probe_key: Optional[str] = None,
-                   corrupt: Optional[Callable] = None,
-                   drain_limit_s: float = 10.0,
-                   promote_limit_s: float = 10.0) -> RolloutReport:
+                   corrupt: Optional[Callable] = None) -> RolloutReport:
     """Run one canary rolling restore of ``app`` (a single-pod backend).
 
     The state machine, in order:
@@ -196,7 +194,7 @@ def canary_restore(cluster, admin: AdminClient, app, backend: int,
         return (me["outstanding"] == 0 and me["drained"]
                 and me["acked_seq"] >= sentinel_seq)
 
-    status = _await_status(cluster, admin, quiesced, drain_limit_s)
+    status = _await_status(cluster, admin, quiesced)
     report.drain_s = cluster.sim.now - drain_started
     report.steps.append("drain")
     if not (status.get("ok")
@@ -240,8 +238,7 @@ def canary_restore(cluster, admin: AdminClient, app, backend: int,
     _await_status(
         cluster, admin,
         lambda s: (s["backends"][backend]["state"]
-                   in ("syncing", "up", "suspect")),
-        promote_limit_s)
+                   in ("syncing", "up", "suspect")))
     probe = admin.probe(backend, report.probe_key)
     got = probe.get("value")
     if not probe.get("ok") or got != report.probe_value:
@@ -257,8 +254,7 @@ def canary_restore(cluster, admin: AdminClient, app, backend: int,
     admin.undrain(backend)
     _await_status(
         cluster, admin,
-        lambda s: s["backends"][backend]["state"] == "up",
-        promote_limit_s)
+        lambda s: s["backends"][backend]["state"] == "up")
     report.promoted = True
     report.steps.append("promote")
     report.total_s = cluster.sim.now - began
@@ -283,5 +279,5 @@ def _rollback(cluster, admin: AdminClient, app, backend: int,
     admin.undrain(backend)
     _await_status(
         cluster, admin,
-        lambda s: s["backends"][backend]["state"] == "up", 10.0)
+        lambda s: s["backends"][backend]["state"] == "up")
     report.steps.append("rollback")

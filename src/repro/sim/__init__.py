@@ -23,7 +23,7 @@ from repro.sim.spans import (
     round_phases,
     union_coverage,
 )
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import Trace
 
 __all__ = [
     "AllOf",
@@ -42,7 +42,6 @@ __all__ = [
     "SpanRecorder",
     "Timeout",
     "Trace",
-    "TraceRecord",
     "URGENT",
     "round_coverage",
     "round_phases",

@@ -195,9 +195,9 @@ class Node:
                         # An application bug kills the process, not the
                         # node (the kernel survives a segfault).
                         proc.crash_exception = exc
-                        self.trace.emit(
-                            self.sim.now, "proc_crash", node=self.name,
-                            pid=proc.pid, error=repr(exc))
+                        self.trace.spans.instant(
+                            "proc.crash", node=self.name, pid=proc.pid,
+                            error=repr(exc))
                         exit_code = -11  # SIGSEGV-style
                         break
                     if isinstance(step, Exit):
@@ -397,9 +397,8 @@ class Node:
 
     def _sys_log(self, proc, call) -> Generator:
         (message,) = call.args
-        self.trace.emit(self.sim.now, "app", node=self.name,
-                        pid=proc.pid, message=message,
-                        **call.kwargs)
+        self.trace.spans.instant("app.log", node=self.name, pid=proc.pid,
+                                 message=message, **call.kwargs)
         return None
         yield  # pragma: no cover
 

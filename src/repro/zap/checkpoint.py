@@ -140,8 +140,6 @@ class CheckpointEngine:
                                   write_bytes / costs.disk_write_bandwidth)
             if incremental:
                 self._retire_dirty(pod, image)
-        node.trace.emit(sim.now, "checkpoint", node=node.name,
-                        **image.summary())
         if resume and not concurrent:
             pod.continue_all()
         return image

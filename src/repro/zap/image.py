@@ -160,13 +160,3 @@ class CheckpointImage:
     #: never stored.
     chunk_sources: Optional[List[tuple]] = None
 
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "pod": self.pod_name,
-            "taken_at": self.taken_at,
-            "processes": len(self.processes),
-            "sockets": self.sockets_captured,
-            "state_bytes": self.state_bytes,
-            "written_bytes": self.written_bytes,
-            "version": self.version,
-        }

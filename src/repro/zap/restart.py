@@ -59,8 +59,9 @@ class RestartEngine:
         if image.sockets_captured:
             yield sim.timeout(
                 costs.socket_capture_time * image.sockets_captured)
-        node.trace.emit(sim.now, "restart", node=node.name,
-                        pod=pod.name, processes=len(image.processes))
+        node.trace.spans.instant("zap.restart", node=node.name,
+                                 pod=pod.name,
+                                 processes=len(image.processes))
         if resume:
             self.resume(pod, image)
         return pod

@@ -193,18 +193,12 @@ def test_kvserver_state_survives_crash_restart():
     assert client.exit_code == 0
 
     # Checkpoint the idle server, crash it, restart it elsewhere.
-    agent = cluster.agents[0]
-    task = cluster.sim.process(agent.local_checkpoint(pod, resume=True))
+    task = cluster.sim.process(
+        cluster.agents[0].checkpoint_engine.checkpoint(pod, resume=True))
     cluster.sim.run_until_complete(task, limit=1e6)
-    from repro.zap.checkpoint import scrub_pod_network
-    from repro.zap.virtualization import uninstall_pod
-    scrub_pod_network(pod)
-    pod.kill_all()
-    uninstall_pod(pod)
-    image = cluster.store.load("kv")
+    cluster.destroy_pod(pod)
     restore = cluster.sim.process(
-        cluster.agents[1].restart_engine.restart(
-            image, cluster.nodes[1], resume=True))
+        cluster.restore_pod(cluster.store.load("kv"), cluster.nodes[1]))
     new_pod = cluster.sim.run_until_complete(restore, limit=1e6)
 
     probe = cluster.nodes[1].spawn(
@@ -227,7 +221,6 @@ def test_stream_transfers_all_bytes_and_logs_rate_events():
     run_app(cluster, app)
     receiver = programs(cluster, app)[0]
     assert receiver.received == total
-    logged = sum(rec.detail["nbytes"]
-                 for rec in cluster.trace.select("app")
-                 if rec.detail.get("message") == "rx")
+    logged = sum(span.attrs["nbytes"]
+                 for span in cluster.spans.query("app.log", message="rx"))
     assert logged == total

@@ -52,9 +52,10 @@ def test_flush_message_complexity_is_quadratic():
                                   steps=100000, total_work_s=1e6))
         install_flush_baseline(cluster)
         cluster.run_for(0.3)
-        before = cluster.trace.count("flush_msg")
+        sent = cluster.metrics.counter("control.messages")
+        before = sent.labelled("flush")
         flush_checkpoint_app(cluster, app)
-        counts[n] = cluster.trace.count("flush_msg") - before
+        counts[n] = sent.labelled("flush") - before
     # 4N protocol messages + N(N-1) markers.
     assert counts[2] == 4 * 2 + 2 * 1
     assert counts[4] == 4 * 4 + 4 * 3

@@ -297,7 +297,6 @@ def test_cascading_restart_failure_retries_with_backoff():
     app = slm_app(cluster)
     cluster.run_for(0.5)
     assert cluster.checkpoint_app(app).committed
-    cluster.supervisor.retry_backoff_s = 0.05
     original = cluster.coordinator.restart
     calls = {"n": 0}
 

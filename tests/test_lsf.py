@@ -54,11 +54,44 @@ def test_node_failure_recovery_from_periodic_checkpoint():
         node_indices=[0, 1]))
     cluster.run_for(2.5)  # at least two checkpoints committed
     assert job.checkpoints_taken >= 2
-    sched.fail_node(0)
+    cluster.crash_node(0)
     sched.recover_job("j1", node_indices=[2, 3])
     sched.wait_for("j1")
     assert job.state == JobState.FINISHED
     assert job.restarts == 1
+    field = assemble_field(cluster.app_programs(job.app))
+    np.testing.assert_array_equal(field, reference_solution(16, 16, 80))
+
+
+def test_failed_node_leaves_the_store_and_recovery_reads_survivors():
+    """Regression: the scheduler's old private ``fail_node`` only downed
+    the link and flagged the agent, so the store kept costing restores
+    as reads from the powered-off disk and never re-replicated. Node
+    failure is the cluster's ``crash_node`` now."""
+    cluster, sched = make_sched(4)
+    job = sched.submit(JobSpec(
+        name="j1",
+        factory=slm_factory(2, global_rows=16, cols=16, steps=80,
+                            total_work_s=8.0),
+        n_ranks=2, checkpoint_interval_s=1.0,
+        node_indices=[0, 1]))
+    cluster.run_for(2.5)
+    assert job.checkpoints_taken >= 2
+    cluster.crash_node(0)
+    assert "node0" not in cluster.store.backend.up_nodes
+    assert not cluster.agents[0].pods
+    assert not cluster.nodes[0].stack.netfilter.rules
+    for pod in job.app.pods:
+        sources = cluster.store.load(pod.name).chunk_sources
+        assert sources
+        assert all("node0" not in holders for holders, _nbytes in sources)
+    sched.recover_job("j1")
+    # The survivor stayed home; the dead node's rank went to the
+    # lowest-index live node hosting no pod of another app.
+    assert [pod.node.name for pod in job.app.pods] == ["node1", "node1"]
+    sched.wait_for("j1")
+    assert job.state == JobState.FINISHED
+    assert not cluster.store.under_replicated()
     field = assemble_field(cluster.app_programs(job.app))
     np.testing.assert_array_equal(field, reference_solution(16, 16, 80))
 

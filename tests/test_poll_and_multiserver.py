@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.kvserver import KvClient, KvServerMulti
+from repro.apps.kvserver import KvClient, KvServer
 from repro.cruz.cluster import CruzCluster
 from repro.simos.program import PhasedProgram
 from repro.simos.syscalls import Exit, sys
@@ -97,7 +97,7 @@ def client_requests(tag, n):
 def test_multi_server_serves_concurrent_clients():
     cluster = make_cluster(3)
     pod = cluster.create_pod(0, "kvm")
-    server = pod.spawn(KvServerMulti())
+    server = pod.spawn(KvServer())
     clients = []
     for index, tag in enumerate(("a", "b", "c")):
         node = cluster.nodes[1] if index % 2 else cluster.nodes[2]
@@ -120,7 +120,7 @@ def test_multi_server_survives_live_migration_with_three_clients():
     """Migration must preserve ALL concurrent connections at once."""
     cluster = make_cluster(3)
     pod = cluster.create_pod(0, "kvm")
-    pod.spawn(KvServerMulti())
+    pod.spawn(KvServer())
     clients = []
     for index, tag in enumerate(("x", "y", "z")):
         node = cluster.nodes[2] if index % 2 else cluster.coordinator_node
@@ -145,7 +145,7 @@ def test_multi_server_survives_live_migration_with_three_clients():
 def test_multi_server_checkpoint_while_blocked_in_poll():
     cluster = make_cluster(2)
     pod = cluster.create_pod(0, "kvm")
-    proc = pod.spawn(KvServerMulti())
+    proc = pod.spawn(KvServer())
     cluster.run_for(0.5)  # idle: blocked in poll with no clients
     assert proc.current_syscall is not None
     assert proc.current_syscall.name == "poll"

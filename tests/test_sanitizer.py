@@ -100,7 +100,7 @@ def test_corrupted_refcount_is_flagged_with_span_context():
     sanitizer = cluster.trace.sanitizer
     assert sanitizer.violations == []
     cid = next(iter(cluster.store.refcounts()))
-    cluster.store._chunks.refcounts[cid] += 5
+    cluster.store._refcounts[cid] += 5
     cluster.run_for(0.2)
     cluster.checkpoint_app(app)
     hits = sanitizer.by_code("SAN-REFCOUNT")
@@ -132,7 +132,7 @@ def test_deep_audit_spots_missing_chunk_file():
 
 def test_decref_underflow_is_flagged():
     cluster, _app = make_sanitized_cluster()
-    cluster.store._chunks.decref("no-such-chunk")
+    cluster.store._decref("no-such-chunk")
     hits = cluster.trace.sanitizer.by_code("SAN-REFCOUNT")
     assert len(hits) == 1
     assert hits[0].details["refcount"] == 0

@@ -6,7 +6,7 @@ failover, and a diverged canary rolls back to bit-identical state.
 import pytest
 
 from repro.apps.kvproxy import KvProxy
-from repro.apps.kvserver import KvClient, KvServerMulti
+from repro.apps.kvserver import KvClient, KvServer
 from repro.cruz.cluster import CruzCluster
 from repro.errors import RolloutError
 from repro.serve.harness import _store_digest, run_serve
@@ -18,7 +18,7 @@ pytestmark = pytest.mark.serve
 def _fleet(backends=2, **proxy_kwargs):
     """A proxy fronting ``backends`` single-pod kv replicas, all up."""
     cluster = CruzCluster(backends + 1)
-    apps = [cluster.launch_app(f"kv{i}", [KvServerMulti()],
+    apps = [cluster.launch_app(f"kv{i}", [KvServer()],
                                node_indices=[i])
             for i in range(backends)]
     ips = [str(app.pods[0].ip) for app in apps]

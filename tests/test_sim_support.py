@@ -1,5 +1,6 @@
-"""Tests for random streams and trace recording."""
+"""Tests for random streams, the telemetry hub and the Fig. 6 window."""
 
+from repro.bench.fig6 import sliding_rate
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import Trace
 
@@ -25,31 +26,25 @@ def test_fork_differs_from_parent():
     assert child.stream("x").random() != parent.stream("x").random()
 
 
-def test_trace_select_and_series():
-    trace = Trace()
-    trace.emit(1.0, "rx", node="n1", nbytes=100)
-    trace.emit(2.0, "rx", node="n2", nbytes=50)
-    trace.emit(3.0, "rx", node="n1", nbytes=200)
-    assert trace.count("rx") == 3
-    assert trace.series("rx", "nbytes", node="n1") == [(1.0, 100.0),
-                                                       (3.0, 200.0)]
-
-
 def test_trace_counts_when_disabled():
     trace = Trace(enabled=False)
-    trace.emit(1.0, "rx", nbytes=1)
-    assert trace.count("rx") == 1
-    assert trace.records == []
+    trace.metrics.counter("control.messages").inc(label="cruz")
+    assert trace.metrics.counter("control.messages").labelled("cruz") == 1
 
 
 def test_sliding_rate_window():
-    trace = Trace()
     # 100 bytes at t=0.995 and t=1.0; window (0.99, 1.0] catches both.
-    trace.emit(0.995, "rx", node="r", nbytes=100)
-    trace.emit(1.0, "rx", node="r", nbytes=100)
-    points = trace.sliding_rate("rx", "nbytes", window=0.01,
-                                t_start=1.0, t_end=1.0, step=0.01, node="r")
-    assert points == [(1.0, 20000.0)]
+    received = [(0.995, 100.0), (1.0, 100.0)]
+    assert sliding_rate(received, window=0.01, t_start=1.0, t_end=1.0,
+                        step=0.01) == [(1.0, 20000.0)]
+    # The window is open below and closed above: 0.75 is outside
+    # (0.75, 1.0], 1.0 inside.
+    assert sliding_rate([(0.75, 7.0), (1.0, 1.0)], window=0.25,
+                        t_start=1.0, t_end=1.0, step=1.0) == [(1.0, 4.0)]
+    # One sample per step, t_end included; each sees only its own window.
+    assert sliding_rate([(1.0, 2.0), (3.0, 4.0)], window=1.0,
+                        t_start=1.0, t_end=3.0, step=1.0) == [
+        (1.0, 2.0), (2.0, 0.0), (3.0, 4.0)]
 
 
 def test_counter_labels():

@@ -251,22 +251,13 @@ def test_registry_is_get_or_create_and_type_checked():
     assert registry.names() == ["depth", "lat", "x"]
 
 
-def test_trace_count_is_backed_by_the_registry():
-    trace = Trace(enabled=True)
-    trace.emit(0.0, "msg", node="n0", nbytes=10)
-    trace.emit(1.0, "msg", node="n1", nbytes=20)
-    trace.emit(2.0, "other")
-    assert trace.count("msg") == 2
-    assert trace.metrics.counter("trace.emits").value == 3
-    assert len(trace.records) == 3
-
-
 def test_disabled_trace_still_counts_but_retains_nothing():
     trace = Trace(enabled=False)
-    trace.emit(0.0, "msg")
-    trace.emit(1.0, "msg")
-    assert trace.count("msg") == 2
-    assert trace.records == []
+    trace.metrics.counter("msg").inc()
+    trace.metrics.counter("msg").inc()
+    trace.spans.instant("app.log", node="n0", nbytes=10)
+    assert trace.metrics.counter("msg").value == 2
+    assert trace.spans.spans == []
     assert trace.spans.enabled is False
 
 
@@ -303,20 +294,6 @@ def test_round_stats_carry_the_phase_breakdown():
     # The local phase is the critical path of the round's latency.
     assert phases["agent.local"] == stats.max_local_op_s
     assert phases["coord.wait_done"] <= stats.latency_s
-
-
-def test_pause_span_matches_the_trace_records():
-    """agent.pod_pause opens at the pod_paused emit and closes at
-    pod_resumed — span timeline and flat records agree exactly."""
-    cluster, _, stats = checkpointed_cluster()
-    paused = {r.node: r.time for r in cluster.trace.select("pod_paused")}
-    resumed = {r.node: r.time
-               for r in cluster.trace.select("pod_resumed")}
-    spans = cluster.spans.query("agent.pod_pause", epoch=stats.epoch)
-    assert len(spans) == len(paused) > 0
-    for span in spans:
-        assert span.start == paused[span.node]
-        assert span.end == resumed[span.node]
 
 
 def test_store_metrics_accumulate_per_mode():

@@ -33,7 +33,7 @@ def test_ps_shows_pod_and_virtual_identity():
     assert row["vpid"] == 1
     assert row["state"] in ("BLOCKED", "RUNNABLE")
     assert row["syscalls"] > 0
-    assert "recv" in row["syscall"] or "accept" in row["syscall"]
+    assert "poll" in row["syscall"]
 
 
 def test_netstat_lists_listener_and_connection():
@@ -59,9 +59,9 @@ def test_pod_report_follows_migration():
 
 def test_checkpoint_report_inventory():
     cluster, pod, _client = serving_cluster()
-    agent = cluster.agents[0]
+    engine = cluster.agents[0].checkpoint_engine
     for _ in range(3):
-        task = cluster.sim.process(agent.local_checkpoint(pod))
+        task = cluster.sim.process(engine.checkpoint(pod))
         cluster.sim.run_until_complete(task, limit=1e6)
         cluster.run_for(0.05)
     rows = checkpoint_report(cluster.store, ["kv", "missing-pod"])
