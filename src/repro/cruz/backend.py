@@ -24,35 +24,68 @@ itself be lost.
 All enumeration is sorted and all placement is a pure function of
 ``(chunk id, writer, availability)``, so runs remain bit-identical
 under event tie-break perturbation (CruzSan's fifo/lifo check).
+
+The chunk API takes *runs* of ids (``put_chunks``, ``read_chunks``,
+``placements``, ``unavailable``) — a process image is thousands of
+page chunks, and one pass over a list costs a fraction of that many
+calls; ``put_chunk`` and ``get_chunk`` are the one-element cases of
+the first two, ``placement`` and ``available`` the one-chunk forms of
+the others.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.errors import ChunkMissingError, ReplicationError, StoreError
+from repro.errors import (
+    ChunkMissingError,
+    ReplicationError,
+    StoreError,
+    SyscallError,
+)
 from repro.simos.filesystem import SharedFileSystem
 
 #: Virtual-node tokens per physical node; smooths the ring so replica
 #: load spreads evenly even with a handful of nodes.
 RING_TOKENS = 16
 
+#: File writes a ``put_chunks`` run buffers before handing them to the
+#: filesystem in one call. A forced rewrite holds each buffered payload
+#: beside the copy it replaces, so this bounds that overlap to ~2 MB of
+#: pages instead of a whole process image.
+WRITE_BATCH = 512
+
 
 @dataclass
 class PutResult:
-    """What one ``put_chunk`` physically did.
+    """What one ``put_chunks`` run physically did, summed over its chunks.
 
-    ``logical_write`` is True when the chunk's payload was (re)written
-    as a first-class copy — the byte movement the benchmarks count;
-    False means the primary copy already existed (dedup).
+    ``logical_write`` counts the chunks whose payload was (re)written
+    as a first-class copy — the byte movement the benchmarks count —
+    and ``logical_bytes`` their payload bytes; the remaining
+    ``nbytes - logical_bytes`` already had a primary copy (dedup).
     ``replica_copies``/``replica_bytes`` count the *additional* copies
     created beyond the first, and ``dests`` names every node written.
+    For a single chunk (:meth:`ShardedBackend.put_chunk`)
+    ``logical_write`` is therefore 1 or 0.
     """
 
-    logical_write: bool
+    logical_write: int = 0
+    logical_bytes: int = 0
+    nbytes: int = 0
     replica_copies: int = 0
     replica_bytes: int = 0
     dests: Tuple[str, ...] = ()
@@ -99,8 +132,8 @@ class ShardedBackend:
         # filesystem rebuilds it here). ``total_copies``, ``scan`` and
         # ``scan_node`` stay filesystem-backed so the deep store audit
         # checks ground truth rather than the index.
-        self._placement_cache: Dict[Tuple[str, Optional[str]],
-                                    Tuple[str, ...]] = {}
+        self._placement_cache: Dict[Optional[str],
+                                    Dict[str, Tuple[str, ...]]] = {}
         self._holder_index: Dict[str, Set[str]] = {}
         for node in self.nodes:
             for path in self.fs.listdir(f"{self.root}/{node}/"):
@@ -119,6 +152,14 @@ class ShardedBackend:
                 seen.add(node)
                 yield node
 
+    def _writer_cache(self, writer: Optional[str]
+                      ) -> Dict[str, Tuple[str, ...]]:
+        """The memoized ``cid -> placement`` table of one writer."""
+        cache = self._placement_cache.get(writer)
+        if cache is None:
+            cache = self._placement_cache[writer] = {}
+        return cache
+
     def placement(self, cid: str,
                   writer: Optional[str] = None) -> Tuple[str, ...]:
         """The up nodes that should hold ``cid``, primary first.
@@ -127,8 +168,8 @@ class ShardedBackend:
         and the remaining RF-1 copies go to the chunk's ring successors
         (skipping the writer and any down node).
         """
-        key = (cid, writer)
-        cached = self._placement_cache.get(key)
+        cache = self._writer_cache(writer)
+        cached = cache.get(cid)
         if cached is not None:
             return cached
         dests: List[str] = []
@@ -144,9 +185,23 @@ class ShardedBackend:
                     dests.append(node)
                     if len(dests) >= self.replication_factor:
                         break
-        result = tuple(dests)
-        self._placement_cache[key] = result
+        result = cache[cid] = tuple(dests)
         return result
+
+    def placements(self, cids: Sequence[str], writer: Optional[str]
+                   ) -> Dict[Tuple[str, ...], int]:
+        """How many of ``cids`` land on each distinct placement.
+
+        One writer sees at most nodes^(RF-1) distinct placements, so a
+        save plan splits a run of pages per destination disk by
+        counting these instead of walking the ring page by page.
+        """
+        found = list(map(self._writer_cache(writer).get, cids))
+        if None in found:
+            placement = self.placement
+            found = [dests if dests is not None else placement(cid, writer)
+                     for cid, dests in zip(cids, found)]
+        return Counter(found)
 
     def repair_dest(self, cid: str) -> Optional[str]:
         """The next up non-holder in ring order, for re-replication."""
@@ -161,53 +216,112 @@ class ShardedBackend:
     def _path(self, node: str, cid: str) -> str:
         return f"{self.root}/{node}/{cid[:2]}/{cid}"
 
+    def put_chunks(self, cids: Sequence[str],
+                   payload_of: Callable[[str], bytes],
+                   writer: Optional[str], force: bool) -> PutResult:
+        """Store a run of chunks; returns the summed :class:`PutResult`.
+
+        Each chunk goes to every node of its placement that does not
+        hold it yet (``force`` rewrites the ones that do). A chunk
+        that cannot be placed at all — no shard node is up — is a typed
+        :class:`ReplicationError`: nothing would hold the bytes the
+        caller is about to commit a manifest for.
+        """
+        index = self._holder_index
+        cached = self._writer_cache(writer).get
+        root = self.root
+        write_files = self.fs.write_files
+        files: List[Tuple[str, bytes]] = []
+        written: Set[str] = set()
+        logical_write = logical_bytes = total_bytes = 0
+        replica_copies = replica_bytes = 0
+        try:
+            for cid in cids:
+                dests = cached(cid) or self.placement(cid, writer)
+                if not dests:
+                    raise ReplicationError(
+                        cid, self.replication_factor,
+                        message=f"cannot place chunk {cid}: "
+                                f"no shard node is up")
+                payload = payload_of(cid)
+                nbytes = len(payload)
+                total_bytes += nbytes
+                current = index.get(cid)
+                if current is None:
+                    current = index[cid] = set()
+                # Every new copy of a chunk that already has one is a
+                # replica; of a fresh (or forced) chunk, all but the
+                # primary are.
+                extra = bool(current) and not force
+                if not extra:
+                    logical_write += 1
+                    logical_bytes += nbytes
+                prefix = cid[:2]
+                for node in dests:
+                    existed = node in current
+                    if force or not existed:
+                        files.append((f"{root}/{node}/{prefix}/{cid}",
+                                      payload))
+                        written.add(node)
+                        if not existed:
+                            current.add(node)
+                            if extra:
+                                replica_copies += 1
+                                replica_bytes += nbytes
+                    extra = True
+                if len(files) >= WRITE_BATCH:
+                    write_files(files)
+                    files.clear()
+        finally:
+            # Also on the way out of a failure: the holder index above
+            # and the shard directories never disagree.
+            write_files(files)
+        return PutResult(logical_write=logical_write,
+                         logical_bytes=logical_bytes, nbytes=total_bytes,
+                         replica_copies=replica_copies,
+                         replica_bytes=replica_bytes,
+                         dests=tuple(sorted(written)))
+
     def put_chunk(self, cid: str, payload: bytes,
                   writer: Optional[str] = None,
                   force: bool = False) -> PutResult:
-        dests = self.placement(cid, writer=writer)
-        current = self._holder_index.get(cid)
-        if current is None:
-            current = self._holder_index[cid] = set()
-        logical = force or not current
-        written: List[str] = []
-        replica_copies = 0
-        replica_bytes = 0
+        return self.put_chunks((cid,), lambda _cid: payload, writer, force)
+
+    def read_chunks(self, cids: Sequence[str]
+                    ) -> Dict[Tuple[str, ...], List[bytes]]:
+        """Read a run of chunks; payloads grouped by live-holder tuple.
+
+        One rule per chunk: try its live holders in sorted order, fall
+        through a copy whose file is gone (a torn replica), and raise
+        :class:`ChunkMissingError` naming the queried shards only when
+        none of them can serve it. The grouping is what a restore needs
+        to know about its sources: which surviving disks hold how much.
+        """
+        index_get = self._holder_index.get
+        live_of = self._up.intersection
         root = self.root
-        prefix = cid[:2]
-        write_file = self.fs.write_file
-        for index, node in enumerate(dests):
-            existed = node in current
-            if existed and not force:
-                continue
-            write_file(f"{root}/{node}/{prefix}/{cid}", payload)
-            current.add(node)
-            written.append(node)
-            is_extra_copy = (index > 0) or (not logical)
-            if is_extra_copy and not existed:
-                replica_copies += 1
-                replica_bytes += len(payload)
-        if not current:
-            del self._holder_index[cid]
-        if logical and not written:
-            # force-rewrite with every dest already holding a copy
-            # still counts as a write to each of them.
-            written = list(dests)
-        return PutResult(logical_write=logical,
-                         replica_copies=replica_copies,
-                         replica_bytes=replica_bytes,
-                         dests=tuple(written))
+        read_file = self.fs.read_file
+        grouped: Dict[Tuple[str, ...], List[bytes]] = {}
+        for cid in cids:
+            live = tuple(sorted(live_of(index_get(cid, ()))))
+            for node in live:
+                try:
+                    payload = read_file(f"{root}/{node}/{cid[:2]}/{cid}")
+                except SyscallError:
+                    continue
+                break
+            else:
+                raise ChunkMissingError(cid, self.up_nodes)
+            group = grouped.get(live)
+            if group is None:
+                grouped[live] = [payload]
+            else:
+                group.append(payload)
+        return grouped
 
     def get_chunk(self, cid: str) -> bytes:
-        current = self._holder_index.get(cid)
-        if current:
-            for node in sorted(current):
-                if node in self._up:
-                    path = self._path(node, cid)
-                    return self.fs.read_file(path)
-        queried = self.up_nodes
-        raise ChunkMissingError(cid, queried,
-                                message=f"missing chunk {cid} "
-                                        f"(queried: {', '.join(queried) or 'no up nodes'})")
+        (payloads,) = self.read_chunks((cid,)).values()
+        return payloads[0]
 
     def has(self, cid: str) -> bool:
         """At least one copy exists somewhere (up or down shards)."""
@@ -229,15 +343,20 @@ class ShardedBackend:
 
     def available(self, cid: str) -> bool:
         """At least one copy is readable right now."""
-        current = self._holder_index.get(cid)
-        return bool(current) and any(node in self._up for node in current)
+        return not self._up.isdisjoint(self._holder_index.get(cid, ()))
+
+    def unavailable(self, cids: Sequence[str]) -> List[str]:
+        """The chunks of ``cids`` with no readable copy right now."""
+        index_get = self._holder_index.get
+        none_up = self._up.isdisjoint
+        return [cid for cid in cids if none_up(index_get(cid, ()))]
 
     def holders(self, cid: str) -> Tuple[str, ...]:
         return tuple(sorted(self._holder_index.get(cid, ())))
 
     def live_holders(self, cid: str) -> Tuple[str, ...]:
-        return tuple(node for node in sorted(self._holder_index.get(cid, ()))
-                     if node in self._up)
+        return tuple(sorted(
+            self._up.intersection(self._holder_index.get(cid, ()))))
 
     def total_copies(self, cid: str) -> int:
         # Deliberately filesystem-backed: the deep store audit uses
@@ -317,7 +436,7 @@ class ShardedBackend:
         live = self.live_holders(cid)
         if not live:
             raise ReplicationError(cid, self.replication_factor, live)
-        payload = self.fs.read_file(self._path(live[0], cid))
+        payload = self.get_chunk(cid)
         self.fs.write_file(self._path(dest, cid), payload)
         self._holder_index.setdefault(cid, set()).add(dest)
         return len(payload)

@@ -27,12 +27,19 @@ Save modes:
 ``dedup``         hash everything, write only chunks not already stored.
 ``incremental``   additionally use the dirty-page bits to skip even
                   hashing clean pages (§5.2 incremental checkpointing).
+
+The chunk format is per page; the code path is per *run*: a process's
+pages go through ``plan`` → ``put_chunks`` → ``read_chunks`` as one
+list each, and their ids come from one walk memoised by write version
+(:meth:`ImageStore._page_ids`). :func:`iter_page_chunks` is the plain
+reference enumeration that walk must agree with.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.cruz.backend import (
@@ -105,6 +112,13 @@ def iter_page_chunks(pod_name: str, vpid: int,
             version = memory.page_versions.get(page, 0)
             yield (page_chunk_id(pod_name, vpid, name, index, version),
                    page)
+
+
+def _page_numbers(memory: AddressSpace) -> List[int]:
+    """Absolute page numbers in :func:`iter_page_chunks` order."""
+    return [page for _name, region in sorted(memory.regions.items())
+            for page in range(region.base_page,
+                              region.base_page + region.page_count)]
 
 
 class RoundLog:
@@ -276,16 +290,6 @@ class LivenessLog:
 
 
 @dataclass
-class _PlannedChunk:
-    cid: str
-    nbytes: int
-    write: bool
-    force: bool
-    #: Blob payload; None for pages (expanded from the cid on demand).
-    payload: Optional[bytes] = None
-
-
-@dataclass
 class SavePlan:
     """What one ``save`` will move, and how the write pipelines.
 
@@ -301,7 +305,13 @@ class SavePlan:
     """
 
     mode: str
-    chunks: List[_PlannedChunk] = field(default_factory=list)
+    #: Every chunk id the image references, with multiplicity — what
+    #: ``save`` increfs.
+    refs: List[str] = field(default_factory=list)
+    #: The ``(chunk id, payload)`` blobs to write.
+    blob_writes: List[Tuple[str, bytes]] = field(default_factory=list)
+    #: The page chunk ids to write (payloads expand from the ids).
+    page_writes: List[str] = field(default_factory=list)
     groups: List[Tuple[int, int]] = field(default_factory=list)
     dest_groups: List[Dict[str, int]] = field(default_factory=list)
     total_bytes: int = 0
@@ -390,6 +400,13 @@ class ImageStore:
         self._latest: Dict[str, int] = {}
         self._attached = False
         self.last_plan: Optional[SavePlan] = None
+        #: pod -> (vpid, region) -> (write versions, page chunk ids):
+        #: what :meth:`_page_ids` last hashed for that region. It lives
+        #: here and never on the AddressSpace, which is pickled into
+        #: every manifest (so anything added to it moves manifest
+        #: bytes, ring placement and every simulated number after).
+        self._page_id_memo: Dict[
+            str, Dict[Tuple[int, str], Tuple[List[int], List[str]]]] = {}
         #: Shadow refcounts for :meth:`audit`, derived from the manifests
         #: (not from the live ``_refcounts`` table) and maintained
         #: incrementally by :meth:`save` / :meth:`_drop_version` so the
@@ -435,8 +452,12 @@ class ImageStore:
         self._ensure_attached()
         return dict(self._refcounts)
 
-    def _incref(self, cid: str) -> None:
-        self._refcounts[cid] = self._refcounts.get(cid, 0) + 1
+    @staticmethod
+    def _count_refs(counts: Dict[str, int], cids: List[str]) -> None:
+        """Add one reference per listed chunk id to ``counts``."""
+        get = counts.get
+        for cid in cids:
+            counts[cid] = get(cid, 0) + 1
 
     def _decref(self, cid: str) -> None:
         """Drop one reference; unlink the chunk when none remain.
@@ -480,10 +501,9 @@ class ImageStore:
             pod_name, version = meta["pod_name"], meta["version"]
             self._latest[pod_name] = max(
                 self._latest.get(pod_name, 0), version)
-            for cid, _nbytes in self._manifest_chunk_refs(manifest):
-                self._incref(cid)
-                self._audit_expected[cid] = \
-                    self._audit_expected.get(cid, 0) + 1
+            refs = self._manifest_chunk_refs(manifest)
+            self._count_refs(self._refcounts, refs)
+            self._count_refs(self._audit_expected, refs)
 
     def versions(self, pod_name: str) -> List[int]:
         """Versions whose manifests actually exist in the filesystem."""
@@ -521,11 +541,8 @@ class ImageStore:
         manifest = self._read_manifest(pod_name, version)
         if manifest is None:
             return False
-        backend = self.backend
-        for cid, _nbytes in self._manifest_chunk_refs(manifest):
-            if not backend.available(cid):
-                return False
-        return True
+        return not self.backend.unavailable(
+            self._manifest_chunk_refs(manifest))
 
     def reconstructible_versions(self, pod_name: str) -> List[int]:
         """Committed versions rebuildable from *surviving* replicas.
@@ -582,6 +599,41 @@ class ImageStore:
 
     # -- chunk planning ----------------------------------------------------
 
+    def _page_ids(self, pod_name: str, vpid: int,
+                  memory: AddressSpace) -> List[str]:
+        """A process's page chunk ids, in :func:`iter_page_chunks` order.
+
+        The one page-id walk: plan, load, GC and audit all take their
+        ids from here. A page's id is a pure function of ``(pod, vpid,
+        region, index, write version)``, so each region's ids are
+        memoised against its list of write versions and only the pages
+        whose version moved since the last walk are hashed again. The
+        memoised strings are the objects the refcount table and the
+        backend's holder index key on, so the memo costs two lists of
+        pointers per region.
+        """
+        memo = self._page_id_memo.get(pod_name)
+        if memo is None:
+            memo = self._page_id_memo[pod_name] = {}
+        version_of = memory.page_versions.get
+        ids: List[str] = []
+        for name in sorted(memory.regions):
+            region = memory.regions[name]
+            versions = list(map(version_of, range(
+                region.base_page, region.base_page + region.page_count),
+                repeat(0)))
+            cached = memo.get((vpid, name))
+            if cached is None or cached[0] != versions:
+                old_versions, old_ids = cached or ((), ())
+                kept = len(old_versions)
+                cached = memo[(vpid, name)] = (versions, [
+                    old_ids[index]
+                    if index < kept and old_versions[index] == version
+                    else page_chunk_id(pod_name, vpid, name, index, version)
+                    for index, version in enumerate(versions)])
+            ids.extend(cached[1])
+        return ids
+
     def plan(self, image: CheckpointImage, mode: str = "full",
              writer: Optional[str] = None) -> SavePlan:
         """Split the image into chunks and decide what must be written.
@@ -596,118 +648,126 @@ class ImageStore:
         self._ensure_attached()
         plan = SavePlan(mode=mode, writer=writer)
         backend = self.backend
+        full = mode == "full"
         planned: set = set()
+        # The pipeline group being built: its serialize and write bytes,
+        # and the write bytes per destination disk.
+        group_serialize = group_write = 0
         group_dests: Dict[str, int] = {}
 
-        def add(cid: str, nbytes: int, payload: Optional[bytes],
-                must_hash: bool) -> Tuple[bool, int]:
-            """Plan one chunk; returns (written?, serialize_bytes)."""
+        def place(dests: Tuple[str, ...], nbytes: int) -> None:
+            """Account ``nbytes`` of new chunks written to ``dests``."""
+            nonlocal group_write
+            plan.write_bytes += nbytes
+            group_write += nbytes
+            for index, dest in enumerate(dests):
+                group_dests[dest] = group_dests.get(dest, 0) + nbytes
+                if index > 0:
+                    plan.replica_bytes += nbytes
+
+        def close_group() -> None:
+            nonlocal group_serialize, group_write
+            plan.groups.append((group_serialize, group_write))
+            plan.dest_groups.append(dict(group_dests))
+            group_serialize = group_write = 0
+            group_dests.clear()
+
+        def add_blob(blob: bytes) -> str:
+            """Plan one blob chunk; returns its id. A blob is hashed to
+            be addressed at all, so it is always serialized."""
+            nonlocal group_serialize
+            cid = blob_chunk_id(blob)
+            nbytes = len(blob)
             # Dedup on availability, not mere existence: a save taken
             # while a replica node is down rewrites chunks whose only
             # copies are unreachable, so degraded saves self-heal.
-            if mode == "full":
-                write = True
-            else:
-                write = cid not in planned and not backend.available(cid)
+            if full or (cid not in planned and not backend.available(cid)):
+                plan.chunks_new += 1
+                plan.blob_writes.append((cid, blob))
+                place(backend.placement(cid, writer=writer), nbytes)
             planned.add(cid)
-            plan.chunks.append(_PlannedChunk(
-                cid=cid, nbytes=nbytes, write=write,
-                force=(mode == "full"), payload=payload))
+            plan.refs.append(cid)
             plan.chunks_total += 1
             plan.total_bytes += nbytes
-            if write:
-                plan.chunks_new += 1
-                plan.write_bytes += nbytes
-                dests = backend.placement(cid, writer=writer)
-                for index, dest in enumerate(dests):
-                    group_dests[dest] = group_dests.get(dest, 0) + nbytes
-                    if index > 0:
-                        plan.replica_bytes += nbytes
-            serialize = nbytes if (must_hash or write) else 0
-            plan.serialize_bytes += serialize
-            return write, serialize
+            plan.serialize_bytes += nbytes
+            group_serialize += nbytes
+            return cid
+
+        def add_pages(vpid: int, memory: AddressSpace) -> None:
+            """Plan a process's pages as one run (same rule as blobs;
+            an incremental save serializes a clean page only if it has
+            to be written)."""
+            nonlocal group_serialize
+            ids = self._page_ids(image.pod_name, vpid, memory)
+            if full:
+                writes = ids
+            else:
+                fresh = ids if planned.isdisjoint(ids) else [
+                    cid for cid in ids if cid not in planned]
+                writes = backend.unavailable(fresh)
+                planned.update(ids)
+            serialized = len(ids)
+            if mode == "incremental":
+                dirty = memory.dirty_pages
+                page_of = dict(zip(ids, _page_numbers(memory)))
+                serialized = len(dirty.intersection(page_of.values())) \
+                    + len([cid for cid in writes
+                           if page_of[cid] not in dirty])
+            for dests, count in backend.placements(writes, writer).items():
+                place(dests, count * PAGE_SIZE)
+            plan.chunks_new += len(writes)
+            plan.page_writes.extend(writes)
+            plan.refs.extend(ids)
+            plan.chunks_total += len(ids)
+            plan.total_bytes += len(ids) * PAGE_SIZE
+            plan.serialize_bytes += serialized * PAGE_SIZE
+            group_serialize += serialized * PAGE_SIZE
 
         manifest_procs = []
         for proc in image.processes:
-            group_serialize = 0
-            group_write = 0
             blob = proc.program_blob
-            wrote, ser = add(blob_chunk_id(blob), len(blob), blob,
-                             must_hash=True)
-            group_serialize += ser
-            group_write += len(blob) if wrote else 0
-
+            program_cid = add_blob(blob)
             fd_entries = []
             for fd_image in proc.fds:
                 if fd_image.kind in _CHUNKED_FD_KINDS:
                     detail_blob = freeze_object(fd_image.detail)
-                    cid = blob_chunk_id(detail_blob)
-                    wrote, ser = add(cid, len(detail_blob), detail_blob,
-                                     must_hash=True)
-                    group_serialize += ser
-                    group_write += len(detail_blob) if wrote else 0
                     fd_entries.append({
                         "fd": fd_image.fd, "kind": fd_image.kind,
-                        "mode": fd_image.mode, "detail_cid": cid,
+                        "mode": fd_image.mode,
+                        "detail_cid": add_blob(detail_blob),
                         "detail_len": len(detail_blob)})
                 else:
                     fd_entries.append({
                         "fd": fd_image.fd, "kind": fd_image.kind,
                         "mode": fd_image.mode, "detail": fd_image.detail})
-
-            memory = proc.memory
-            dirty = memory.dirty_pages
-            for cid, page in iter_page_chunks(
-                    image.pod_name, proc.vpid, memory):
-                must_hash = mode != "incremental" or page in dirty
-                wrote, ser = add(cid, PAGE_SIZE, None,
-                                 must_hash=must_hash)
-                group_serialize += ser
-                group_write += PAGE_SIZE if wrote else 0
-
-            plan.groups.append((group_serialize, group_write))
-            plan.dest_groups.append(dict(group_dests))
-            group_dests.clear()
+            add_pages(proc.vpid, proc.memory)
+            close_group()
             manifest_procs.append({
                 "vpid": proc.vpid, "parent_vpid": proc.parent_vpid,
                 "name": proc.name,
-                "program_cid": blob_chunk_id(blob),
+                "program_cid": program_cid,
                 "program_len": len(blob),
-                "memory": memory,
+                "memory": proc.memory,
                 "resume_syscall": proc.resume_syscall,
                 "fds": fd_entries,
                 "was_stopped_by_user": proc.was_stopped_by_user,
                 "initial_result": proc.initial_result,
             })
 
-        tail_serialize = 0
-        tail_write = 0
         manifest_pipes = []
         for pipe in image.pipes:
-            cid = blob_chunk_id(pipe.buffer)
-            wrote, ser = add(cid, len(pipe.buffer), pipe.buffer,
-                             must_hash=True)
-            tail_serialize += ser
-            tail_write += len(pipe.buffer) if wrote else 0
             manifest_pipes.append({
-                "index": pipe.index, "buffer_cid": cid,
+                "index": pipe.index, "buffer_cid": add_blob(pipe.buffer),
                 "buffer_len": len(pipe.buffer),
                 "readers": pipe.readers, "writers": pipe.writers})
         manifest_shm = []
         for shm in image.shm:
-            cid = blob_chunk_id(shm.payload_blob)
-            wrote, ser = add(cid, len(shm.payload_blob), shm.payload_blob,
-                             must_hash=True)
-            tail_serialize += ser
-            tail_write += len(shm.payload_blob) if wrote else 0
             manifest_shm.append({
                 "vid": shm.vid, "app_key": shm.app_key, "size": shm.size,
-                "payload_cid": cid,
+                "payload_cid": add_blob(shm.payload_blob),
                 "payload_len": len(shm.payload_blob)})
-        if tail_serialize or tail_write:
-            plan.groups.append((tail_serialize, tail_write))
-            plan.dest_groups.append(dict(group_dests))
-            group_dests.clear()
+        if group_serialize or group_write:
+            close_group()
 
         plan.manifest = {
             "format": MANIFEST_FORMAT,
@@ -755,22 +815,23 @@ class ImageStore:
             version = self.latest_version(image.pod_name) + 1
         except CheckpointError:
             version = 1
-        for chunk in plan.chunks:
-            if chunk.write:
-                payload = chunk.payload if chunk.payload is not None \
-                    else page_chunk_payload(chunk.cid)
-                result = self.backend.put_chunk(
-                    chunk.cid, payload, writer=writer, force=chunk.force)
-                stats["replica_copies"] += result.replica_copies
-                stats["replica_bytes"] += result.replica_bytes
-                if result.logical_write:
-                    stats["chunks_written"] += 1
-                    stats["bytes_written"] += len(payload)
-                else:
-                    stats["bytes_deduped"] += len(payload)
-            else:
-                stats["bytes_deduped"] += chunk.nbytes
-            self._incref(chunk.cid)
+        # Write first: a run that cannot be placed raises before any
+        # counter, refcount or manifest has moved.
+        force = plan.mode == "full"
+        put_chunks = self.backend.put_chunks
+        puts = (put_chunks([cid for cid, _blob in plan.blob_writes],
+                           dict(plan.blob_writes).__getitem__,
+                           writer, force),
+                put_chunks(plan.page_writes, page_chunk_payload,
+                           writer, force))
+        for result in puts:
+            stats["replica_copies"] += result.replica_copies
+            stats["replica_bytes"] += result.replica_bytes
+            stats["chunks_written"] += result.logical_write
+            stats["bytes_written"] += result.logical_bytes
+            stats["bytes_deduped"] += result.nbytes - result.logical_bytes
+        stats["bytes_deduped"] += plan.total_bytes - plan.write_bytes
+        self._count_refs(self._refcounts, plan.refs)
         manifest = plan.manifest
         manifest["meta"]["version"] = version
         manifest["meta"]["written_bytes"] = image.written_bytes
@@ -779,9 +840,10 @@ class ImageStore:
         path = self._manifest_path(image.pod_name, version)
         self.fs.write_file(path, blob)
         if self.sanitizer is not None:
-            for cid, _nbytes in self._manifest_chunk_refs(manifest):
-                self._audit_expected[cid] = \
-                    self._audit_expected.get(cid, 0) + 1
+            # From the manifest, not from plan.refs: the audit compares
+            # what was just counted with what a drop will uncount.
+            self._count_refs(self._audit_expected,
+                             self._manifest_chunk_refs(manifest))
         else:
             self._audit_valid = False
         self._latest[image.pod_name] = version
@@ -826,6 +888,12 @@ class ImageStore:
             total_chunk_bytes=meta["total_chunk_bytes"],
             sockets_captured=meta["sockets_captured"],
             version=meta["version"])
+        # Chunk bytes by surviving holder set: the restore engine turns
+        # this into a parallel-fetch fraction — chunks local to the
+        # restoring node cost one local disk read, remote groups stream
+        # concurrently from every live replica (a single holder makes
+        # that one serial stream, fraction 1.0).
+        sources: Dict[Tuple[str, ...], int] = {}
         try:
             for entry in manifest["processes"]:
                 fds = []
@@ -843,9 +911,11 @@ class ImageStore:
                 # Pull every page chunk back from the store (the real
                 # read traffic of a restore) and verify none were lost
                 # to GC or node failure.
-                for cid, _page in iter_page_chunks(
-                        meta["pod_name"], entry["vpid"], memory):
-                    self.backend.get_chunk(cid)
+                pages = self.backend.read_chunks(self._page_ids(
+                    meta["pod_name"], entry["vpid"], memory))
+                for holders, payloads in pages.items():
+                    sources[holders] = sources.get(holders, 0) \
+                        + sum(map(len, payloads))
                 image.processes.append(ProcessImage(
                     vpid=entry["vpid"], parent_vpid=entry["parent_vpid"],
                     name=entry["name"],
@@ -871,45 +941,39 @@ class ImageStore:
         for vid, app_key, value in manifest["sem"]:
             image.sem.append(SemImage(vid=vid, app_key=app_key,
                                       value=value))
-        image.chunk_sources = self._chunk_sources(manifest)
+        for cid, nbytes in self._manifest_blob_refs(manifest):
+            holders = self.backend.live_holders(cid)
+            sources[holders] = sources.get(holders, 0) + nbytes
+        image.chunk_sources = sorted(sources.items())
         return image
-
-    def _chunk_sources(self, manifest: Dict[str, Any]
-                       ) -> List[Tuple[Tuple[str, ...], int]]:
-        """Group a manifest's chunk bytes by surviving holder set.
-
-        The restore engine turns this into a parallel-fetch fraction:
-        chunks local to the restoring node cost one local disk read,
-        remote groups stream concurrently from every live replica (a
-        single holder makes that one serial stream, fraction 1.0).
-        """
-        backend = self.backend
-        grouped: Dict[Tuple[str, ...], int] = {}
-        for cid, nbytes in self._manifest_chunk_refs(manifest):
-            holders = backend.live_holders(cid)
-            grouped[holders] = grouped.get(holders, 0) + nbytes
-        return sorted(grouped.items())
 
     # -- garbage collection ------------------------------------------------
 
-    def _manifest_chunk_refs(self,
-                             manifest: Dict[str, Any]
-                             ) -> Iterator[Tuple[str, int]]:
-        """Every (chunk id, size) reference a manifest holds, with
-        multiplicity — the exact sequence save incref'd."""
-        pod_name = manifest["meta"]["pod_name"]
+    @staticmethod
+    def _manifest_blob_refs(manifest: Dict[str, Any]
+                            ) -> List[Tuple[str, int]]:
+        """The (chunk id, size) of every blob a manifest references."""
+        refs = []
         for entry in manifest["processes"]:
-            yield entry["program_cid"], entry["program_len"]
-            for fd_entry in entry["fds"]:
-                if "detail_cid" in fd_entry:
-                    yield fd_entry["detail_cid"], fd_entry["detail_len"]
-            for cid, _page in iter_page_chunks(
-                    pod_name, entry["vpid"], entry["memory"]):
-                yield cid, PAGE_SIZE
-        for entry in manifest["pipes"]:
-            yield entry["buffer_cid"], entry["buffer_len"]
-        for entry in manifest["shm"]:
-            yield entry["payload_cid"], entry["payload_len"]
+            refs.append((entry["program_cid"], entry["program_len"]))
+            refs.extend((fd_entry["detail_cid"], fd_entry["detail_len"])
+                        for fd_entry in entry["fds"]
+                        if "detail_cid" in fd_entry)
+        refs.extend((entry["buffer_cid"], entry["buffer_len"])
+                    for entry in manifest["pipes"])
+        refs.extend((entry["payload_cid"], entry["payload_len"])
+                    for entry in manifest["shm"])
+        return refs
+
+    def _manifest_chunk_refs(self, manifest: Dict[str, Any]) -> List[str]:
+        """Every chunk id a manifest references, with multiplicity —
+        exactly the references save counted."""
+        pod_name = manifest["meta"]["pod_name"]
+        refs = [cid for cid, _nbytes in self._manifest_blob_refs(manifest)]
+        for entry in manifest["processes"]:
+            refs.extend(self._page_ids(pod_name, entry["vpid"],
+                                       entry["memory"]))
+        return refs
 
     def audit(self, deep: bool = False) -> List[Dict[str, Any]]:
         """Compare the manifest-derived chunk refcounts against the
@@ -932,8 +996,8 @@ class ImageStore:
                 if not path.endswith(".manifest"):
                     continue
                 manifest = thaw_object(self.fs.read_file(path))
-                for cid, _nbytes in self._manifest_chunk_refs(manifest):
-                    rebuilt[cid] = rebuilt.get(cid, 0) + 1
+                self._count_refs(rebuilt,
+                                 self._manifest_chunk_refs(manifest))
             self._audit_expected = rebuilt
             self._audit_valid = True
         expected = self._audit_expected
@@ -980,7 +1044,7 @@ class ImageStore:
         if not self.fs.exists(path):
             return False
         manifest = thaw_object(self.fs.read_file(path))
-        for cid, _nbytes in self._manifest_chunk_refs(manifest):
+        for cid in self._manifest_chunk_refs(manifest):
             self._decref(cid)
             if self.sanitizer is not None:
                 left = self._audit_expected.get(cid, 0) - 1
@@ -993,13 +1057,20 @@ class ImageStore:
         self.fs.unlink(path)
         return True
 
+    def _versions_dropped(self, pod_name: str, context: str) -> None:
+        """Re-derive a pod's newest version after a drop; its page-id
+        memo goes with its last version."""
+        remaining = self.versions(pod_name)
+        self._latest[pod_name] = max(remaining) if remaining else 0
+        if not remaining:
+            self._page_id_memo.pop(pod_name, None)
+        self._sanitize_audit(context)
+
     def discard(self, pod_name: str, version: int) -> None:
         """Drop an uncommitted image (aborted round)."""
         self._ensure_attached()
         self._drop_version(pod_name, version)
-        remaining = self.versions(pod_name)
-        self._latest[pod_name] = max(remaining) if remaining else 0
-        self._sanitize_audit("discard")
+        self._versions_dropped(pod_name, "discard")
 
     def prune(self, pod_name: str, keep: int = 1) -> int:
         """Delete all but the newest ``keep`` versions; returns removed.
@@ -1015,7 +1086,5 @@ class ImageStore:
         for version in doomed:
             if self._drop_version(pod_name, version):
                 removed += 1
-        remaining = self.versions(pod_name)
-        self._latest[pod_name] = max(remaining) if remaining else 0
-        self._sanitize_audit("prune")
+        self._versions_dropped(pod_name, "prune")
         return removed

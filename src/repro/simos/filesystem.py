@@ -9,7 +9,7 @@ checkpoint image store writes into it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import SyscallError
 
@@ -73,6 +73,21 @@ class SharedFileSystem:
         self._files[path] = bytes(data)
         self.bytes_written += len(data)
         return len(data)
+
+    def write_files(self, files: Iterable[Tuple[str, bytes]]) -> int:
+        """:meth:`write_file` for a run of ``(path, data)`` pairs.
+
+        The chunk store hands over a whole run of pages at once; every
+        pair counts in ``bytes_written`` exactly as its own
+        ``write_file`` would (a path listed twice is written twice).
+        """
+        stored = self._files
+        total = 0
+        for path, data in files:
+            stored[path] = bytes(data)
+            total += len(data)
+        self.bytes_written += total
+        return total
 
     def write_at(self, path: str, offset: int, data: bytes) -> int:
         if path not in self._files:

@@ -214,13 +214,25 @@ class Node:
                 call = None
         except Interrupt:
             exit_code = -9
-        finally:
-            self._cleanup(proc)
-            if self.trace.sanitizer is not None:
-                self.trace.sanitizer.check_process_exit(
-                    self.name, proc, time=self.sim.now)
+        except GeneratorExit:
+            # Kills arrive as throw(Interrupt), never close(): only the
+            # garbage collector finalizing a dropped simulator raises
+            # this. Cleaning up now would allocate events that point
+            # back into the garbage and keep the whole cluster alive
+            # for another collector pass, so just let the frame die.
+            raise
+        except BaseException:
+            self._reap(proc)
+            raise
+        self._reap(proc)
         proc.mark_exited(exit_code)
         return exit_code
+
+    def _reap(self, proc: ProcessControlBlock) -> None:
+        self._cleanup(proc)
+        if self.trace.sanitizer is not None:
+            self.trace.sanitizer.check_process_exit(
+                self.name, proc, time=self.sim.now)
 
     def _cleanup(self, proc: ProcessControlBlock) -> None:
         for fd in proc.fds.fds():
@@ -302,15 +314,17 @@ class Node:
         grant = self.cpu.request()
         try:
             yield grant
+            yield self.sim.timeout(seconds)
+        except GeneratorExit:
+            # Collector-time only (see _loop): the CPU is garbage too.
+            raise
         except BaseException:
-            # Killed while queued for a CPU: withdraw the request so the
-            # slot is never granted to a dead process.
+            # Killed while queued for or holding a CPU: withdraw the
+            # request (a granted one is released) so the slot is never
+            # kept by a dead process.
             self.cpu.cancel(grant)
             raise
-        try:
-            yield self.sim.timeout(seconds)
-        finally:
-            self.cpu.release()
+        self.cpu.release()
         proc.cpu_seconds += seconds
         return None
 
