@@ -4,7 +4,7 @@ The simulator orders events by ``(time, priority, sequence)``; everything
 sharing the first two keys is a **tie**, and correct code must be
 indifferent to how ties are broken.  A :class:`ScheduleOracle` plugged
 into :class:`repro.sim.core.Simulator` decides every tie explicitly:
-``Simulator._pop_choice`` pops the whole tie set and asks the oracle for
+``Simulator._choose`` pops the whole tie set and asks the oracle for
 an index.  The queue's signed-sequence policy then becomes the
 *degenerate* oracle — :class:`FifoOracle` (oldest first) and
 :class:`LifoOracle` (newest first) reproduce ``tiebreak="fifo"/"lifo"``
@@ -106,8 +106,8 @@ def entry_info(entry: Entry) -> Tuple[str, Optional[str]]:
                     owner = _owner_from_name(holder_name)
                     break
         return label, owner
-    # _Callback: a bare (fn, args) deferred call.
-    fn = getattr(target, "fn", None)
+    # A bare (fn, args) deferred call.
+    fn = target[0]
     holder = getattr(fn, "__self__", None)
     holder_name = getattr(holder, "name", None)
     fn_name = getattr(fn, "__name__", "call")

@@ -14,9 +14,9 @@ Two measurements, recorded to ``benchmarks/BENCH_mc.json``:
   (default 3%) on the timer storm (:func:`run_storm`), the workload
   that isolates the scheduler.  Both sides run the byte-identical
   storm in this process: the shipping ``Simulator.run`` (hook present,
-  oracle ``None``) against a reference loop replicating the pre-hook
-  run() body (direct ``queue.pop_due``, no oracle dispatch).  Min-of-N
-  wall clock on each side.
+  oracle ``None``) against a reference loop with the same dispatch and
+  no hooks (direct ``queue.pop_due``, no oracle test, no batch
+  bookkeeping).  Min-of-N wall clock on each side.
 
 This module measures wall-clock by design, hence the CRZ001
 suppressions below.
@@ -153,14 +153,16 @@ def run_storm(n_nodes: int = OVERHEAD_NODES,
 
 
 def _reference_run(sim, until: Optional[float]) -> None:
-    """The pre-oracle-hook ``Simulator.run`` body.
+    """The hook-free event loop: ``Simulator.run`` without the oracle.
 
-    Byte-for-byte the event loop as it stood before the scheduler grew
-    the oracle dispatch: a direct ``queue.pop_due`` with no per-run
-    callable selection.  Timing this against the shipping ``run()``
-    isolates exactly what the hook costs the no-oracle path.
+    The shipping drive loop's dispatch — a direct ``queue.pop_due``, a
+    bare ``(fn, args)`` tuple called in place, an ``Event``'s callbacks
+    run otherwise — with neither the per-event oracle test nor the
+    timestamp-batch bookkeeping ``run_until`` needs.  Timing this
+    against the shipping ``run()`` isolates what the hooks cost the
+    plain no-oracle, no-predicate path.
     """
-    from repro.sim.core import SimulationError, _Callback
+    from repro.sim.core import SimulationError
 
     queue = sim._queue
     limit = math.inf if until is None else until
@@ -170,11 +172,11 @@ def _reference_run(sim, until: Optional[float]) -> None:
             break
         when = entry[0]
         target = entry[3]
-        if when < sim._now:
+        if when < sim.now:
             raise SimulationError("event queue went backwards")
-        sim._now = when
-        if target.__class__ is _Callback:
-            target.fn(*target.args)
+        sim.now = when
+        if target.__class__ is tuple:
+            target[0](*target[1])
             continue
         target._qentry = None
         callbacks = target.callbacks
@@ -182,8 +184,8 @@ def _reference_run(sim, until: Optional[float]) -> None:
         target._processed = True
         for callback in callbacks:
             callback(target)
-    if until is not None and until > sim._now:
-        sim._now = until
+    if until is not None and until > sim.now:
+        sim.now = until
 
 
 def measure_overhead(reps: int = OVERHEAD_REPS,

@@ -147,17 +147,11 @@ class Cluster:
         time that made it true instead of at the next fixed-step
         boundary, without paying a predicate call per frame. ``step`` is
         only the fallback stride when the event queue is empty and only
-        wall-clock progress (pure time predicates) can change the answer.
+        the passage of time (pure time predicates) can change the
+        answer. The loop itself is :meth:`Simulator.run_until` — the
+        simulator's one drive loop, shared with :meth:`run`.
         """
-        while not predicate():
-            if self.sim.now > limit:
-                raise TimeoutError("run_until limit exceeded")
-            upcoming = self.sim.peek()
-            if upcoming == float("inf"):
-                target = min(self.sim.now + step, limit + step)
-            else:
-                target = min(upcoming, limit + step)
-            self.sim.run(until=target)
+        self.sim.run_until(predicate, limit=limit, step=step)
 
     def run_until_complete(self, process, limit: float = 1e6):
         """Drive one simulation process to completion; returns its value."""

@@ -7,62 +7,46 @@ learning tables, and connection demux maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from repro.errors import NetworkError
 
 
-class _Address:
+class _Address(tuple):
     """Shared machinery for int-valued address types.
 
-    These were frozen dataclasses, but addresses key every ARP cache,
-    switch table and TCP demux map — the generated tuple-building
-    ``__eq__``/``__hash__`` showed up in event-loop profiles. The hash is
-    computed once at construction; comparisons are raw int compares.
-    Value-based equality is load-bearing: addresses round-trip through
-    pickled checkpoint images and must still match live ones.
+    An address is the tuple ``(family, value)``: addresses key every
+    ARP cache, switch table, route cache and TCP demux map, so hashing
+    and comparison must not leave C. ``tuple`` provides both (and the
+    ordering), and the integer family tag keeps an ``Ipv4Address`` and a
+    ``MacAddress`` of equal value unequal. Value-based equality is
+    load-bearing: addresses round-trip through pickled checkpoint images
+    and must still match live ones.
     """
 
-    __slots__ = ("value", "_hash")
+    __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return other.value == self.value
-        return NotImplemented
+    #: Distinguishes the address families; an int, so hashes (and the
+    #: iteration order of any set of addresses) repeat across processes.
+    FAMILY = 0
+    #: Width of the address in bits.
+    BITS = 0
 
-    def __ne__(self, other):
-        if other.__class__ is self.__class__:
-            return other.value != self.value
-        return NotImplemented
+    def __new__(cls, value: int):
+        if not 0 <= value < 1 << cls.BITS:
+            raise NetworkError(
+                f"{cls.__name__} out of range: {value:#x}")
+        return tuple.__new__(cls, (cls.FAMILY, value))
 
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value < other.value
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value <= other.value
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value > other.value
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value >= other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
+    value = property(itemgetter(1), doc="The address as an integer.")
 
     def __repr__(self):
         return f"{self.__class__.__name__}(value={self.value})"
 
     def __reduce__(self):
-        # Re-validate and re-hash on unpickle/deepcopy via __init__.
+        # Re-validate on unpickle/deepcopy via __new__; also keeps the
+        # pickled form (class, value) independent of the tuple layout.
         return (self.__class__, (self.value,))
 
 
@@ -70,12 +54,8 @@ class MacAddress(_Address):
     """A 48-bit Ethernet address."""
 
     __slots__ = ()
-
-    def __init__(self, value: int):
-        if not 0 <= value < 1 << 48:
-            raise NetworkError(f"MAC out of range: {value:#x}")
-        self.value = value
-        self._hash = hash(value)
+    FAMILY = 6
+    BITS = 48
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
@@ -105,12 +85,8 @@ class Ipv4Address(_Address):
     """A 32-bit IPv4 address."""
 
     __slots__ = ()
-
-    def __init__(self, value: int):
-        if not 0 <= value < 1 << 32:
-            raise NetworkError(f"IPv4 out of range: {value:#x}")
-        self.value = value
-        self._hash = hash(value)
+    FAMILY = 4
+    BITS = 32
 
     @classmethod
     def parse(cls, text: str) -> "Ipv4Address":

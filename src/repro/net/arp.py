@@ -34,10 +34,13 @@ class ArpService:
         self.request_timeout_s = request_timeout_s
         self.cache: Dict[Ipv4Address, MacAddress] = {}
         self._pending: Dict[Ipv4Address, List[Event]] = {}
-        #: Bumped on every cache mutation; the network stack's route
-        #: cache keys its validity on this (plus interface/netfilter
-        #: versions), so gratuitous ARP after a migration invalidates
-        #: stale cached routes immediately.
+        #: Bumped whenever a mapping *changes* (learned, re-pointed,
+        #: evicted); the network stack's route cache keys its validity
+        #: on this (plus the interface version), so gratuitous ARP after
+        #: a migration invalidates stale cached routes immediately.
+        #: Re-hearing a mapping the cache already holds is not a change:
+        #: every bystander of a flooded request would otherwise drop its
+        #: whole route cache although nothing it cached moved.
         self.version = 0
 
     def lookup(self, ip: Ipv4Address) -> Optional[MacAddress]:
@@ -77,16 +80,18 @@ class ArpService:
         """Process a received ARP packet (request or reply)."""
         # Learn the sender mapping opportunistically; this is also how
         # gratuitous ARP announcements take effect.
-        self.cache[packet.sender_ip] = packet.sender_mac
-        self.version += 1
-        waiters = self._pending.pop(packet.sender_ip, [])
-        for event in waiters:
-            if not event.triggered:
-                event.succeed(packet.sender_mac)
+        sender_ip = packet.sender_ip
+        sender_mac = packet.sender_mac
+        if self.cache.get(sender_ip) != sender_mac:
+            self.cache[sender_ip] = sender_mac
+            self.version += 1
+        if self._pending:
+            for event in self._pending.pop(sender_ip, ()):
+                if not event.triggered:
+                    event.succeed(sender_mac)
         if packet.operation != ARP_REQUEST:
             return
-        owned = self._owned_addresses()
-        mac = owned.get(packet.target_ip)
+        mac = self._owned_addresses().get(packet.target_ip)
         if mac is None:
             return
         reply = ArpPacket(
@@ -107,5 +112,5 @@ class ArpService:
             ethertype=ETHERTYPE_ARP, payload=packet))
 
     def evict(self, ip: Ipv4Address) -> None:
-        self.cache.pop(ip, None)
-        self.version += 1
+        if self.cache.pop(ip, None) is not None:
+            self.version += 1

@@ -4,6 +4,12 @@ Attach a :class:`PacketCapture` to any :class:`~repro.net.link.Link` to
 record every frame that crosses it (including dropped ones, marked as
 such) — the tool that makes "why did this connection stall" questions
 answerable in tests and examples.
+
+The tap is a link observer (:meth:`repro.net.link.Link.observe`): one
+record when the link accepts a frame for transmission, one
+``[DROPPED]`` record when it drops one — at send, or at the arrival
+instant if the link went down while the frame was in flight (that frame
+therefore shows twice: sent, then dropped).
 """
 
 from __future__ import annotations
@@ -61,22 +67,22 @@ class PacketCapture:
         self._links: List[Link] = []
 
     def attach(self, link: Link) -> None:
-        """Wrap the link's send path to record every frame."""
+        """Start recording every frame ``link`` sends or drops."""
+        link.observe(self._record)
         self._links.append(link)
-        original_send = link.send
-        capture = self
 
-        def tapped_send(frame: EthernetFrame, source) -> None:
-            dropped_before = link.frames_dropped
-            original_send(frame, source)
-            dropped = link.frames_dropped > dropped_before
-            if capture.predicate is None or capture.predicate(frame):
-                if len(capture.frames) < capture.max_frames:
-                    capture.frames.append(CapturedFrame(
-                        time=link.sim.now, frame=frame,
-                        dropped=dropped, link=link.name))
+    def detach(self, link: Link) -> None:
+        """Stop recording ``link``; what was captured stays."""
+        link.unobserve(self._record)
+        self._links.remove(link)
 
-        link.send = tapped_send
+    def _record(self, link: Link, frame: EthernetFrame,
+                dropped: bool) -> None:
+        if self.predicate is None or self.predicate(frame):
+            if len(self.frames) < self.max_frames:
+                self.frames.append(CapturedFrame(
+                    time=link.sim.now, frame=frame,
+                    dropped=dropped, link=link.name))
 
     def tcp_segments(self):
         """Iterate (record, ip_packet, tcp_segment) for TCP frames."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Set
 
 from repro.errors import NetworkError
-from repro.net.addresses import MacAddress
+from repro.net.addresses import BROADCAST_MAC, MacAddress
 from repro.net.link import Port
 from repro.net.packet import EthernetFrame
 from repro.sim.core import Simulator
@@ -50,9 +50,8 @@ class Nic:
         self.macs.discard(mac)
 
     def accepts(self, frame: EthernetFrame) -> bool:
-        if self.promiscuous or frame.dst.is_broadcast:
-            return True
-        return frame.dst in self.macs
+        dst = frame.dst
+        return dst in self.macs or dst == BROADCAST_MAC or self.promiscuous
 
     def send(self, frame: EthernetFrame) -> None:
         self.tx_frames += 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Tuple
 
-from repro.net.addresses import MacAddress
+from repro.net.addresses import BROADCAST_MAC, MacAddress
 from repro.net.link import Port
 from repro.net.packet import EthernetFrame
 from repro.sim.core import Simulator
@@ -56,11 +56,12 @@ class Switch:
 
     def _on_frame(self, frame: EthernetFrame, ingress: Port) -> None:
         self.table[frame.src] = ingress
-        due = self.sim.now + FORWARDING_LATENCY_S
+        sim = self.sim
+        due = sim.now + FORWARDING_LATENCY_S
         self._pending.append((due, frame, ingress))
         if not self._armed:
             self._armed = True
-            self.sim.defer_at(due, self._drain)
+            sim.defer_at(due, self._drain)
 
     def _drain(self) -> None:
         """Forward every due frame; keep one event armed for the rest."""
@@ -88,7 +89,8 @@ class Switch:
             self.sim.defer_at(due if due > now else now, self._drain)
 
     def _forward(self, frame: EthernetFrame, ingress: Port) -> None:
-        egress = None if frame.dst.is_broadcast else self.table.get(frame.dst)
+        dst = frame.dst
+        egress = None if dst == BROADCAST_MAC else self.table.get(dst)
         if egress is not None and egress is not ingress:
             self.frames_forwarded += 1
             egress.transmit(frame)

@@ -8,6 +8,13 @@ Everything in the reproduction — NICs, the TCP engine, OS schedulers, the
 checkpoint coordinator — runs on one :class:`Simulator`. Determinism matters
 because the paper's correctness argument (§5.1) is about *arbitrary*
 interleavings; seeded runs let tests replay a specific interleaving.
+
+Events are dispatched in two places only: :meth:`Simulator.step` (one
+event) and :meth:`Simulator._drive`, the one loop behind both
+:meth:`Simulator.run` and :meth:`Simulator.run_until`. A queue entry's
+payload is either an :class:`Event` (its callbacks run) or a bare
+``(fn, args)`` tuple from :meth:`Simulator.defer`/``defer_at`` (called in
+place); :attr:`Simulator.now` is a plain attribute.
 """
 
 from __future__ import annotations
@@ -257,25 +264,6 @@ class SimProcess(Event):
             self.sim._schedule_event(immediate, 0.0)
 
 
-class _Callback:
-    """A bare deferred call: the lightweight alternative to an Event.
-
-    The kernel's internal hot paths (frame delivery, switch drains,
-    timer-wheel slots) schedule tens of thousands of fire-and-forget
-    callbacks that nothing ever waits on or cancels. Carrying a full
-    :class:`Event` for each — seven attributes, a callbacks list, a
-    closure — was a measurable slice of event-loop runtime. A ``_Callback``
-    is just ``(fn, args)`` in the queue entry; the run loop invokes it
-    directly.
-    """
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: Callable, args: tuple):
-        self.fn = fn
-        self.args = args
-
-
 class Simulator:
     """The discrete-event scheduler.
 
@@ -291,25 +279,24 @@ class Simulator:
     def __init__(self, tiebreak: str = "fifo", oracle: Any = None):
         if tiebreak not in self.TIEBREAKS:
             raise SimulationError(f"unknown tiebreak {tiebreak!r}")
-        self._now = 0.0
+        #: Current simulated time. A plain attribute, not a property: it
+        #: is read several times per event on every hot path. Only the
+        #: drive loop and :meth:`step` write it.
+        self.now = 0.0
         self._queue = CalendarEventQueue(
             sequence_sign=1 if tiebreak == "fifo" else -1)
         self._running = False
         self.tiebreak = tiebreak
         #: Schedule oracle (``repro.analysis.oracle``): when set, every
-        #: pop routes through :meth:`_pop_choice` so the oracle decides
-        #: among same-``(time, priority)`` ties. ``None`` (the default)
-        #: keeps the original hot loop — the queue's signed sequence is
-        #: then the whole tie-break policy, exactly as before the hook.
+        #: dispatched entry first goes through :meth:`_choose` so the
+        #: oracle decides among same-``(time, priority)`` ties. ``None``
+        #: (the default) leaves the queue's signed sequence as the whole
+        #: tie-break policy.
         self._oracle = oracle
         #: The hashed timer wheel high-churn timers (TCP) share
         #: (``repro.sim.timers``); it attaches itself here lazily on
         #: first use.
         self.timers = None
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     # -- event factory helpers -------------------------------------------
 
@@ -330,10 +317,10 @@ class Simulator:
 
     def call_at(self, when: float, fn: Callable, *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute simulated time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when} < now {self._now}")
-        return self.call_later(when - self._now, fn, *args)
+                f"cannot schedule at {when} < now {self.now}")
+        return self.call_later(when - self.now, fn, *args)
 
     def call_later(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Run ``fn(*args)`` after ``delay``. Returns a cancellable event."""
@@ -345,18 +332,20 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` — fire-and-forget.
 
         The lightweight sibling of :meth:`call_later`: no Event object,
-        no closure, nothing to wait on or cancel.
+        no closure, nothing to wait on or cancel. The queue entry
+        carries a bare ``(fn, args)`` tuple, which the drive loop calls
+        directly.
         """
         if delay < 0:
             raise SimulationError(f"cannot defer by {delay} < 0")
-        self._queue.push(self._now + delay, NORMAL, _Callback(fn, args))
+        self._queue.push(self.now + delay, NORMAL, (fn, args))
 
     def defer_at(self, when: float, fn: Callable, *args: Any) -> None:
         """Absolute-time :meth:`defer` (see :meth:`call_at`)."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when} < now {self._now}")
-        self._queue.push(when, NORMAL, _Callback(fn, args))
+                f"cannot schedule at {when} < now {self.now}")
+        self._queue.push(when, NORMAL, (fn, args))
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event: reclaim its queue slot, strip callbacks.
@@ -378,8 +367,9 @@ class Simulator:
     def set_oracle(self, oracle: Any) -> None:
         """Install (or clear) the schedule oracle.
 
-        Takes effect on the next :meth:`run`/:meth:`step` call — a loop
-        already inside :meth:`run` keeps the pop path it started with.
+        Takes effect on the next :meth:`run`/:meth:`run_until`/
+        :meth:`step` call — a drive loop already running keeps the
+        oracle it started with.
         """
         self._oracle = oracle
 
@@ -387,20 +377,18 @@ class Simulator:
     def oracle(self) -> Any:
         return self._oracle
 
-    def _pop_choice(self, limit: float) -> Optional[Any]:
-        """Oracle-mediated pop: collect the (time, priority) tie set,
-        let the oracle pick one member, reinsert the rest.
+    def _choose(self, first: Any) -> Any:
+        """Oracle-mediated tie-break for the just-popped ``first``:
+        collect the rest of its (time, priority) tie set, let the
+        oracle pick one member, reinsert the others.
 
-        Entries tie iff they share the head's exact time and priority;
+        Entries tie iff they share ``first``'s exact time and priority;
         collection stops at the first entry with a different priority
         (queue order guarantees nothing after it can still tie). The
         tie set is presented in queue order, so an oracle returning 0
         is bit-identical to no oracle at all.
         """
         queue = self._queue
-        first = queue.pop_due(limit)
-        if first is None:
-            return None
         when = first[0]
         ties = [first]
         while True:
@@ -420,23 +408,20 @@ class Simulator:
 
     def _schedule_event(self, event: Event, delay: float,
                         priority: int = NORMAL) -> None:
-        event._qentry = self._queue.push(self._now + delay, priority, event)
+        event._qentry = self._queue.push(self.now + delay, priority, event)
 
     def step(self) -> None:
         """Process the single next event."""
-        if self._oracle is None:
-            entry = self._queue.pop()
-        else:
-            entry = self._pop_choice(math.inf)
-            if entry is None:
-                raise IndexError("pop from an empty event queue")
+        entry = self._queue.pop()
+        if self._oracle is not None:
+            entry = self._choose(entry)
         when = entry[0]
         target = entry[3]
-        if when < self._now:
+        if when < self.now:
             raise SimulationError("event queue went backwards")
-        self._now = when
-        if target.__class__ is _Callback:
-            target.fn(*target.args)
+        self.now = when
+        if target.__class__ is tuple:
+            target[0](*target[1])
             return
         target._qentry = None
         callbacks = target.callbacks
@@ -447,39 +432,92 @@ class Simulator:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time passes ``until``."""
+        self._drive(math.inf if until is None else until)
+        if until is not None and until > self.now:
+            self.now = until
+
+    def run_until(self, predicate: Callable[[], bool],
+                  limit: float = 1e6, step: float = 0.01) -> None:
+        """Advance time until ``predicate()`` holds.
+
+        The predicate is evaluated on entry and then once after every
+        timestamp batch (all events sharing a simulated instant), with
+        the clock still at that batch's instant: the wait returns at
+        the exact event time that made it true. ``step`` is only the
+        fallback stride when the queue holds nothing within
+        ``limit + step`` and only the passage of time can change the
+        answer. Raises :class:`TimeoutError` once the predicate reads
+        false with the clock past ``limit``.
+        """
+        if predicate():
+            return
+        if self.now > limit:
+            raise TimeoutError("run_until limit exceeded")
+        self._drive(limit + step, predicate, limit, step)
+
+    def _drive(self, bound: float,
+               predicate: Optional[Callable[[], bool]] = None,
+               limit: float = math.inf, step: float = 0.0) -> None:
+        """The one event-dispatch loop behind :meth:`run` and
+        :meth:`run_until`: dispatch every event due at or before
+        ``bound``, one queue pop per event.
+
+        With a ``predicate`` the loop works a timestamp batch at a time:
+        the pops inside a batch are limited to ``now``, so the pop that
+        finds nothing else due *at this instant* closes the batch with
+        the queue untouched beyond it, and the predicate is evaluated
+        there — before the clock advances, with every later event still
+        queued (a predicate may read the queue, schedule, cancel or
+        raise). Only when it reads false is the next batch's first entry
+        popped. Without a predicate there are no batch boundaries to
+        find and every pop is limited to ``bound``.
+        """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
-        limit = math.inf if until is None else until
+        queue = self._queue
+        pop_due = queue.pop_due
+        oracle = self._oracle
         try:
-            # Inlined step(): one pop_due call per event replaces the
-            # len/peek/pop triple — this loop is the simulator's single
-            # hottest path. With an oracle installed the pop routes
-            # through _pop_choice instead; selecting the callable once
-            # here keeps the no-oracle path free of per-event branches.
-            queue = self._queue
-            pop_due = queue.pop_due if self._oracle is None \
-                else self._pop_choice
             while True:
-                entry = pop_due(limit)
-                if entry is None:
-                    break
-                when = entry[0]
-                target = entry[3]
-                if when < self._now:
-                    raise SimulationError("event queue went backwards")
-                self._now = when
-                if target.__class__ is _Callback:
-                    target.fn(*target.args)
-                    continue
-                target._qentry = None
-                callbacks = target.callbacks
-                target.callbacks = None
-                target._processed = True
-                for callback in callbacks:
-                    callback(target)
-            if until is not None and until > self._now:
-                self._now = until
+                entry = pop_due(bound)
+                if entry is not None:
+                    batch = bound if predicate is None else entry[0]
+                    while entry is not None:
+                        if oracle is not None:
+                            entry = self._choose(entry)
+                        when = entry[0]
+                        target = entry[3]
+                        if when < self.now:
+                            raise SimulationError(
+                                "event queue went backwards")
+                        self.now = when
+                        if target.__class__ is tuple:
+                            target[0](*target[1])
+                        else:
+                            target._qentry = None
+                            callbacks = target.callbacks
+                            target.callbacks = None
+                            target._processed = True
+                            for callback in callbacks:
+                                callback(target)
+                        entry = pop_due(batch)
+                    if predicate is None:
+                        return
+                elif predicate is None:
+                    return
+                else:
+                    # Nothing due within ``bound``: only time can change
+                    # the predicate's answer. Jump by ``step`` over an
+                    # empty queue, straight to ``bound`` otherwise.
+                    target_time = bound if queue.peek() != math.inf \
+                        else min(self.now + step, bound)
+                    if target_time > self.now:
+                        self.now = target_time
+                if predicate():
+                    return
+                if self.now > limit:
+                    raise TimeoutError("run_until limit exceeded")
         finally:
             self._running = False
 
@@ -511,7 +549,7 @@ class Simulator:
         make cancellation churn visible; ``peak_live`` bounds queue
         growth (the 100k-timer cancellation regression test watches it).
         """
-        stats: Dict[str, Any] = {"now": self._now,
+        stats: Dict[str, Any] = {"now": self.now,
                                  "tiebreak": self.tiebreak}
         stats.update(self._queue.stats())
         if self.timers is not None:

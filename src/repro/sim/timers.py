@@ -90,7 +90,7 @@ class TimerWheel:
         if delay < 0:
             raise SimulationError(f"negative timer delay {delay}")
         sim = self.sim
-        now = sim._now
+        now = sim.now
         deadline = now + delay
         handle = TimerHandle(deadline, fn, args)
         slot = math.ceil(deadline * self._inv)

@@ -44,9 +44,11 @@ class InterfaceTable:
 
     def __init__(self):
         self._interfaces: Dict[str, Interface] = {}
-        #: Bumped on add/remove (and by ``configure_eth0``); consumers
-        #: cache derived lookups (owned-IP set, routes) keyed on this.
+        #: Bumped on add/remove (and by ``configure_eth0``); derived
+        #: lookups (the owned-IP map, routes) are cached keyed on this.
         self.version = 0
+        self._owned_ips: Dict[Ipv4Address, MacAddress] = {}
+        self._owned_version = -1
 
     def add(self, interface: Interface) -> Interface:
         if interface.name in self._interfaces:
@@ -81,5 +83,11 @@ class InterfaceTable:
         return [i for i in self._interfaces.values() if i.pod_id == pod_id]
 
     def owned_ips(self) -> Dict[Ipv4Address, MacAddress]:
-        return {i.ip: i.mac for i in self._interfaces.values()
-                if i.ip is not None}
+        """IP -> wire MAC of every addressed interface. Rebuilt only
+        when ``version`` moved; callers must not mutate the result."""
+        if self._owned_version != self.version:
+            self._owned_ips = {i.ip: i.mac
+                               for i in self._interfaces.values()
+                               if i.ip is not None}
+            self._owned_version = self.version
+        return self._owned_ips

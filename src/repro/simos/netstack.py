@@ -48,7 +48,9 @@ class NetworkStack:
         nic.rx_handler = self._on_frame
         self.interfaces = InterfaceTable()
         self.netfilter = Netfilter()
-        self.arp = ArpService(sim, self._send_frame_raw,
+        #: Frame output is the NIC's own send: no hop in between.
+        self._send_frame = nic.send
+        self.arp = ArpService(sim, self._send_frame,
                               self.interfaces.owned_ips)
         self.tcp = TcpStack(sim, self.send_packet, name=node_name,
                             time_wait_s=time_wait_s, iss_seed=iss_seed)
@@ -59,16 +61,15 @@ class NetworkStack:
         self.packets_dropped_no_route = 0
         # Route/flow cache: (src_ip, dst_ip) -> (src_mac, dst_mac), or
         # the LOCAL sentinel for node-local destinations. Valid only
-        # while the (interfaces, arp, netfilter) version triple is
-        # unchanged — a migration's gratuitous ARP, a VIF add/remove or
-        # a checkpoint drop-rule each flush it wholesale. Mirrors the
-        # kernel's per-flow dst-entry cache: the full resolution walk
-        # (netfilter scan, interface scan, ARP lookup) runs once per
-        # flow, not once per packet.
+        # while the interface and ARP versions it was filled under are
+        # current — a migration's gratuitous ARP or a VIF add/remove
+        # flushes it wholesale (netfilter is consulted before the cache,
+        # per packet). Mirrors the kernel's per-flow dst-entry cache:
+        # the full resolution walk (interface scan, ARP lookup) runs
+        # once per flow, not once per packet.
         self._routes: Dict = {}
-        self._route_epoch = (-1, -1, -1)
-        self._owned_ips: frozenset = frozenset()
-        self._owned_version = -1
+        self._routes_if_version = -1
+        self._routes_arp_version = -1
 
         # The physical interface.
         self.eth0 = self.interfaces.add(
@@ -113,17 +114,9 @@ class NetworkStack:
             self.arp.announce(interface.ip, interface.mac)
 
     def owns_ip(self, ip: Ipv4Address) -> bool:
-        if self._owned_version != self.interfaces.version:
-            self._owned_ips = frozenset(
-                iface.ip for iface in self.interfaces.all()
-                if iface.ip is not None)
-            self._owned_version = self.interfaces.version
-        return ip in self._owned_ips
+        return ip in self.interfaces.owned_ips()
 
     # -- output path -----------------------------------------------------
-
-    def _send_frame_raw(self, frame: EthernetFrame) -> None:
-        self.nic.send(frame)
 
     def send_packet(self, packet: IpPacket) -> None:
         """IP output: netfilter, loopback, ARP resolution, framing."""
@@ -136,19 +129,21 @@ class NetworkStack:
             # the scan but keep the hook counter exact.
             netfilter.passed[OUTPUT] += 1
         self.packets_sent += 1
-        epoch = (self.interfaces.version, self.arp.version)
-        if epoch != self._route_epoch:
+        if_version = self.interfaces.version
+        arp_version = self.arp.version
+        if if_version != self._routes_if_version \
+                or arp_version != self._routes_arp_version:
             self._routes.clear()
-            self._route_epoch = epoch
+            self._routes_if_version = if_version
+            self._routes_arp_version = arp_version
         route = self._routes.get((packet.src, packet.dst))
         if route is None:
             self._route_and_send(packet)
         elif route is _LOCAL_ROUTE:
             self.sim.defer(LOOPBACK_DELAY, self._input, packet)
         else:
-            self._send_frame_raw(EthernetFrame(
-                src=route[0], dst=route[1],
-                ethertype=ETHERTYPE_IP, payload=packet))
+            self._send_frame(EthernetFrame(
+                route[0], route[1], ETHERTYPE_IP, packet))
 
     def _route_and_send(self, packet: IpPacket) -> None:
         """Route-cache miss: the full resolution walk, caching the result."""
@@ -163,14 +158,14 @@ class NetworkStack:
             else self.nic.primary_mac
         if packet.dst == BROADCAST_IP:
             # Broadcasts are rare control traffic; never cached.
-            self._send_frame_raw(EthernetFrame(
+            self._send_frame(EthernetFrame(
                 src=src_mac, dst=BROADCAST_MAC,
                 ethertype=ETHERTYPE_IP, payload=packet))
             return
         dst_mac = self.arp.lookup(packet.dst)
         if dst_mac is not None:
             self._routes[(packet.src, packet.dst)] = (src_mac, dst_mac)
-            self._send_frame_raw(EthernetFrame(
+            self._send_frame(EthernetFrame(
                 src=src_mac, dst=dst_mac,
                 ethertype=ETHERTYPE_IP, payload=packet))
             return
@@ -195,7 +190,7 @@ class NetworkStack:
                 iface = self.interfaces.by_ip(queued_packet.src)
                 mac_src = iface.mac if iface is not None \
                     else self.nic.primary_mac
-                self._send_frame_raw(EthernetFrame(
+                self._send_frame(EthernetFrame(
                     src=mac_src, dst=mac,
                     ethertype=ETHERTYPE_IP, payload=queued_packet))
 
@@ -217,9 +212,15 @@ class NetworkStack:
             self._input(frame.payload)
 
     def _input(self, packet: IpPacket) -> None:
-        if not self.netfilter.allows(packet, INPUT):
-            return
-        if packet.dst != BROADCAST_IP and not self.owns_ip(packet.dst):
+        netfilter = self.netfilter
+        if netfilter.rules:
+            if not netfilter.allows(packet, INPUT):
+                return
+        else:
+            # As on output: no rules, a guaranteed pass, counter exact.
+            netfilter.passed[INPUT] += 1
+        dst = packet.dst
+        if dst not in self.interfaces.owned_ips() and dst != BROADCAST_IP:
             return  # not a router
         self.packets_received += 1
         if packet.protocol == PROTO_TCP:

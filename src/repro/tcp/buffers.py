@@ -39,10 +39,11 @@ class SendBuffer:
         self.capacity = capacity
         self.segments: List[BufferedSegment] = []  # [snd_una, snd_nxt)
         self.pending = bytearray()                 # accepted, not yet sent
-
-    @property
-    def unacked_bytes(self) -> int:
-        return sum(len(s.payload) for s in self.segments)
+        #: Payload bytes held in ``segments`` — a running count kept by
+        #: :meth:`segmentize` and :meth:`acknowledge` (the only two
+        #: places that change what ``segments`` holds), because every
+        #: ACK asks for :attr:`free_space`.
+        self.unacked_bytes = 0
 
     @property
     def used(self) -> int:
@@ -74,6 +75,7 @@ class SendBuffer:
                 f"segment gap: expected seq {self.segments[-1].end}, "
                 f"got {seq}")
         self.segments.append(BufferedSegment(seq=seq, payload=payload))
+        self.unacked_bytes += len(payload)
         return payload
 
     def acknowledge(self, ack: int) -> int:
@@ -83,14 +85,24 @@ class SendBuffer:
         (mid-segment) trims the front segment, though with boundary-preserving
         peers acks land on segment edges.
         """
+        segments = self.segments
         released = 0
-        while self.segments and self.segments[0].end <= ack:
-            self.segments.pop(0)
+        freed = 0
+        for segment in segments:
+            size = len(segment.payload)
+            if segment.seq + size > ack:
+                break
             released += 1
-        if self.segments and self.segments[0].seq < ack:
-            head = self.segments[0]
-            head.payload = head.payload[ack - head.seq:]
+            freed += size
+        if released:
+            del segments[:released]
+        if segments and segments[0].seq < ack:
+            head = segments[0]
+            trimmed = ack - head.seq
+            head.payload = head.payload[trimmed:]
             head.seq = ack
+            freed += trimmed
+        self.unacked_bytes -= freed
         return released
 
     def walk(self) -> List[Tuple[int, bytes]]:
@@ -145,7 +157,8 @@ class ReceiveBuffer:
         self.data.extend(payload)
         self.rcv_nxt += len(payload)
         delivered = len(payload)
-        delivered += self._drain_out_of_order()
+        if self._out_of_order:
+            delivered += self._drain_out_of_order()
         return delivered
 
     def _drain_out_of_order(self) -> int:

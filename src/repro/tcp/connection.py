@@ -326,20 +326,20 @@ class TcpConnection:
 
     def _emit(self, flags: int, seq: int, payload: bytes = b"") -> None:
         tcb = self.tcb
-        ack = tcb.rcv_nxt if flags & TCP_ACK else 0
+        receive_buffer = self.receive_buffer
+        # receive_buffer.window and _cancel_ack_timer(), in line: this
+        # runs once per transmitted segment.
+        window = receive_buffer.capacity - len(receive_buffer.data)
         segment = TcpSegment(
-            src_port=tcb.local_port, dst_port=tcb.remote_port,
-            seq=seq, ack=ack, flags=flags,
-            window=self.receive_buffer.window, payload=payload)
+            tcb.local_port, tcb.remote_port, seq,
+            tcb.rcv_nxt if flags & TCP_ACK else 0, flags,
+            window if window > 0 else 0, payload)
         self.segments_transmitted += 1
         self._segments_since_ack = 0
-        self._cancel_ack_timer()
+        if self._ack_timer is not None:
+            self._ack_timer.cancel()
+            self._ack_timer = None
         self.transmit(segment, tcb.local_ip, tcb.remote_ip)
-
-    def _usable_window(self) -> int:
-        tcb = self.tcb
-        window = min(tcb.snd_wnd, tcb.cwnd)
-        return max(0, window - tcb.flight_size)
 
     def _nagle_blocks(self, chunk_len: int) -> bool:
         """True if Nagle/CORK says to hold back a sub-MSS segment."""
@@ -350,7 +350,7 @@ class TcpConnection:
             return True
         if not options.nagle_enabled:
             return False
-        return self.tcb.flight_size > 0
+        return self.tcb.snd_nxt > self.tcb.snd_una
 
     def _output(self) -> None:
         """Transmit as much pending data as windows and Nagle allow."""
@@ -361,37 +361,43 @@ class TcpConnection:
                              TcpState.FIN_WAIT_1, TcpState.CLOSING,
                              TcpState.LAST_ACK):
             return
+        send_buffer = self.send_buffer
+        pending = send_buffer.pending  # mutated in place, never rebound
         sent_something = False
-        while self.send_buffer.pending:
-            usable = self._usable_window()
+        mss = tcb.options.mss
+        while pending:
+            # Usable window: what snd_wnd and cwnd allow beyond the flight.
+            usable = min(tcb.snd_wnd, tcb.cwnd) - (tcb.snd_nxt - tcb.snd_una)
             if usable <= 0:
                 self._arm_probe_timer()
                 break
-            chunk_len = min(len(self.send_buffer.pending),
-                            tcb.options.mss, usable)
-            if self._nagle_blocks(min(len(self.send_buffer.pending),
-                                      tcb.options.mss)):
+            ready = min(len(pending), mss)
+            if self._nagle_blocks(ready):
                 break
-            payload = self.send_buffer.segmentize(tcb.snd_nxt, chunk_len)
+            payload = send_buffer.segmentize(tcb.snd_nxt,
+                                             min(ready, usable))
             if payload is None:
                 break
-            segment = self.send_buffer.segments[-1]
+            segment = send_buffer.segments[-1]
             segment.transmit_count = 1
             segment.last_sent_at = self.sim.now
             self._emit(TCP_ACK | TCP_PSH, seq=segment.seq,
                        payload=payload)
             tcb.snd_nxt += len(payload)
             sent_something = True
-        if (self._close_requested and not self.send_buffer.pending
+        if (self._close_requested and not pending
                 and tcb.fin_seq is None
                 and tcb.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT)):
             self._send_fin()
             sent_something = True
         if sent_something:
             self._arm_rtx_timer()
-        for callback in list(self.on_writable):
-            if self.send_space > 0:
-                callback()
+        if self.on_writable:
+            for callback in list(self.on_writable):
+                # send_space > 0, off the running counter.
+                if send_buffer.capacity - send_buffer.unacked_bytes \
+                        - len(pending) > 0:
+                    callback()
 
     def _send_fin(self) -> None:
         tcb = self.tcb
@@ -639,53 +645,55 @@ class TcpConnection:
         Under ``CRUZ_SANITIZE`` the §5.1 sequence invariants
         (``snd_una <= snd_nxt``, monotonic ``rcv_nxt``, receive buffer
         in sync with the TCB) are re-checked after every segment,
-        whatever path it took through the state machine.
+        whatever path it took through the state machine — the
+        ``finally`` runs on every ``return`` below and on an exception.
         """
         try:
-            self._on_segment(segment)
+            if self.frozen:
+                return  # dropped exactly like the netfilter rule would
+            self._last_activity = self.sim.now
+            self._keepalive_misses = 0
+            tcb = self.tcb
+            state = tcb.state
+            if state == TcpState.CLOSED:
+                return
+            flags = segment.flags
+            if flags & TCP_RST:
+                self._on_rst(segment)
+                return
+            if state == TcpState.SYN_SENT:
+                self._on_segment_syn_sent(segment)
+                return
+            if flags & TCP_SYN:
+                if state == TcpState.SYN_RCVD:
+                    # Duplicate SYN: re-send SYN|ACK.
+                    self._emit(TCP_SYN | TCP_ACK, seq=tcb.iss)
+                    return
+                if state in SYNCHRONISED_STATES:
+                    # SYN in a synchronised state: stale duplicate; ack
+                    # and ignore.
+                    self._send_ack()
+                    return
+            if flags & TCP_ACK:
+                self._process_ack(segment)
+            if tcb.state == TcpState.CLOSED:
+                return
+            if segment.payload:
+                self._process_payload(segment)
+            if flags & TCP_FIN:
+                self._process_fin(segment)
+            elif not segment.payload and segment.seq < tcb.rcv_nxt and \
+                    tcb.state in SYNCHRONISED_STATES:
+                # Zero-length segment below the window (a keepalive
+                # probe): RFC 793 obliges an ACK for unacceptable
+                # segments.
+                self._send_ack()
         finally:
-            if self.telemetry is not None \
-                    and self.telemetry.sanitizer is not None \
+            telemetry = self.telemetry
+            if telemetry is not None and telemetry.sanitizer is not None \
                     and not self.frozen:
-                self.telemetry.sanitizer.check_tcp_segment(
+                telemetry.sanitizer.check_tcp_segment(
                     self, time=self.sim.now)
-
-    def _on_segment(self, segment: TcpSegment) -> None:
-        if self.frozen:
-            return  # dropped exactly like the netfilter rule would
-        self._last_activity = self.sim.now
-        self._keepalive_misses = 0
-        tcb = self.tcb
-        state = tcb.state
-        if state == TcpState.CLOSED:
-            return
-        if segment.flags & TCP_RST:
-            self._on_rst(segment)
-            return
-        if state == TcpState.SYN_SENT:
-            self._on_segment_syn_sent(segment)
-            return
-        if state == TcpState.SYN_RCVD and segment.flags & TCP_SYN:
-            # Duplicate SYN: re-send SYN|ACK.
-            self._emit(TCP_SYN | TCP_ACK, seq=tcb.iss)
-            return
-        if segment.flags & TCP_SYN and state in SYNCHRONISED_STATES:
-            # SYN in a synchronised state: stale duplicate; ack and ignore.
-            self._send_ack()
-            return
-        if segment.flags & TCP_ACK:
-            self._process_ack(segment)
-        if tcb.state == TcpState.CLOSED:
-            return
-        if segment.payload:
-            self._process_payload(segment)
-        if segment.flags & TCP_FIN:
-            self._process_fin(segment)
-        elif not segment.payload and segment.seq < tcb.rcv_nxt and \
-                tcb.state in SYNCHRONISED_STATES:
-            # Zero-length segment below the window (a keepalive probe):
-            # RFC 793 obliges an ACK for unacceptable segments.
-            self._send_ack()
 
     def _on_rst(self, segment: TcpSegment) -> None:
         tcb = self.tcb
@@ -748,7 +756,8 @@ class TcpConnection:
             self._dupacks = 0
             # RTT sample per Karn's algorithm: only segments sent once.
             for buffered in self.send_buffer.segments:
-                if buffered.end == ack and buffered.transmit_count == 1:
+                if buffered.seq + len(buffered.payload) == ack \
+                        and buffered.transmit_count == 1:
                     tcb.update_rtt(self.sim.now - buffered.last_sent_at)
                     break
             newly_acked = ack - old_una
@@ -758,7 +767,7 @@ class TcpConnection:
             if tcb.fin_seq is not None and ack > tcb.fin_seq:
                 tcb.fin_acked = True
             self._grow_cwnd(newly_acked)
-            if tcb.flight_size == 0:
+            if tcb.snd_nxt == ack:
                 self._cancel_rtx_timer()
             else:
                 self._restart_rtx_timer()
@@ -767,7 +776,7 @@ class TcpConnection:
                 # the loss window as cwnd allows.
                 self._retransmit_recovery_window()
             self._advance_close_states()
-        elif ack == tcb.snd_una and tcb.flight_size > 0 \
+        elif ack == tcb.snd_una and tcb.snd_nxt > ack \
                 and not segment.payload and not segment.flags & TCP_FIN:
             self._dupacks += 1
             if self._dupacks == DUPACK_THRESHOLD:
@@ -831,10 +840,11 @@ class TcpConnection:
 
     def _process_payload(self, segment: TcpSegment) -> None:
         tcb = self.tcb
-        before = self.receive_buffer.available
-        self.receive_buffer.store(segment.seq, segment.payload)
-        tcb.rcv_nxt = self.receive_buffer.rcv_nxt
-        delivered = self.receive_buffer.available - before
+        receive_buffer = self.receive_buffer
+        before = len(receive_buffer.data)
+        receive_buffer.store(segment.seq, segment.payload)
+        tcb.rcv_nxt = receive_buffer.rcv_nxt
+        delivered = len(receive_buffer.data) - before
         if segment.seq != tcb.rcv_nxt - len(segment.payload) and delivered == 0:
             # Out-of-order or duplicate: immediate dup-ACK for fast rtx.
             self._send_ack()

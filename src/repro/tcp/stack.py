@@ -128,8 +128,7 @@ class TcpStack:
     def _transmit_for(self, connection: TcpConnection):
         def transmit(segment: TcpSegment, src: Ipv4Address,
                      dst: Ipv4Address) -> None:
-            self.send_packet(IpPacket(
-                src=src, dst=dst, protocol=PROTO_TCP, payload=segment))
+            self.send_packet(IpPacket(src, dst, PROTO_TCP, segment))
         return transmit
 
     def register(self, connection: TcpConnection) -> None:

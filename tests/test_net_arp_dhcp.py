@@ -103,6 +103,43 @@ def test_gratuitous_arp_updates_peer_cache():
     assert arp_b.cache[IP_A] == new_mac
 
 
+def test_overhearing_a_known_mapping_again_flushes_no_routes():
+    """A flooded ARP request reaches every node on the subnet. Hearing
+    a mapping the cache already holds changes nothing, so it must not
+    bump ``arp.version`` — the stack's whole route cache hangs on it."""
+    from repro.cluster import Cluster
+    from repro.net.packet import ArpPacket
+
+    cluster = Cluster(3, trace_enabled=False)
+    listener, asker, target = (node.stack for node in cluster.nodes)
+    # The bystander has resolved a route of its own (to the target).
+    listener.udp.send(listener.eth0.ip, 9, target.eth0.ip, 9, b"warm")
+    cluster.run_for(0.01)
+    listener.udp.send(listener.eth0.ip, 9, target.eth0.ip, 9, b"cached")
+    assert listener._routes
+    request = ArpPacket(ARP_REQUEST, asker.eth0.mac, asker.eth0.ip,
+                        None, target.eth0.ip)
+    listener.arp.handle(request)        # first time: learns the asker
+    listener.udp.send(listener.eth0.ip, 9, target.eth0.ip, 9, b"refill")
+    # A flush-and-refill would rebuild the live route but not this one.
+    canary = (listener.eth0.ip, Ipv4Address.parse("10.1.9.9"))
+    listener._routes[canary] = (listener.eth0.mac, MAC_B)
+    version = listener.arp.version
+    listener.arp.handle(request)        # overheard again
+    listener.udp.send(listener.eth0.ip, 9, target.eth0.ip, 9, b"again")
+    assert listener.arp.version == version
+    assert canary in listener._routes
+    # The same IP at a new MAC (gratuitous ARP after a migration) is a
+    # change and still invalidates.
+    moved = ArpPacket(ARP_REPLY, MacAddress.ordinal(77), asker.eth0.ip,
+                      asker.eth0.mac, asker.eth0.ip)
+    listener.arp.handle(moved)
+    assert listener.arp.version == version + 1
+    listener.udp.send(listener.eth0.ip, 9, target.eth0.ip, 9, b"after")
+    assert listener.arp.lookup(asker.eth0.ip) == MacAddress.ordinal(77)
+    assert canary not in listener._routes
+
+
 def _make_server(replies, now=lambda: 0.0, lease=10.0):
     pool = Subnet(Ipv4Address.parse("10.0.0.0"), 24).hosts(start=100)
     return DhcpServer("srv", pool,

@@ -1,5 +1,7 @@
 """Tests for the packetised send buffer and reassembly receive buffer."""
 
+import random
+
 import pytest
 
 from repro.errors import TcpError
@@ -56,6 +58,53 @@ def test_acknowledge_partial_trims_head():
     buf.segmentize(0, 10)
     buf.acknowledge(4)
     assert buf.walk() == [(4, b"efghij")]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_running_byte_count_survives_a_random_walk(seed):
+    """``unacked_bytes`` is a running counter, not a sum over the
+    flight: after every accept / segmentize / acknowledge — acks on a
+    segment edge, inside a segment, repeated, and beyond everything
+    sent — it still equals the recomputed sum, and ``used`` and
+    ``free_space`` follow from it."""
+    rng = random.Random(seed)
+    buf = SendBuffer(capacity=4000)
+    snd_una = snd_nxt = 7000
+    acked_whole = acked_inside = acked_again = acked_beyond = 0
+    for _ in range(600):
+        roll = rng.random()
+        if roll < 0.35:
+            offered = rng.randrange(1, 900)
+            assert buf.accept(b"x" * offered) <= offered
+        elif roll < 0.65:
+            payload = buf.segmentize(snd_nxt, rng.randrange(0, 400))
+            if payload is not None:
+                snd_nxt += len(payload)
+        elif buf.segments:
+            kind = rng.random()
+            if kind < 0.4:
+                ack = rng.choice(buf.segments).end
+                acked_whole += 1
+            elif kind < 0.7:
+                ack = rng.randrange(snd_una, snd_nxt + 1)
+                acked_inside += 1
+            elif kind < 0.85:
+                ack = snd_una
+                acked_again += 1
+            else:
+                ack = snd_nxt + rng.randrange(1, 50)
+                acked_beyond += 1
+            before = len(buf.segments)
+            released = buf.acknowledge(ack)
+            assert released == before - len(buf.segments)
+            snd_una = max(snd_una, min(ack, snd_nxt))
+            if buf.segments:
+                assert buf.segments[0].seq == snd_una
+        flight = sum(len(s.payload) for s in buf.segments)
+        assert buf.unacked_bytes == flight == snd_nxt - snd_una
+        assert buf.used == flight + len(buf.pending)
+        assert buf.free_space == max(0, buf.capacity - buf.used)
+    assert min(acked_whole, acked_inside, acked_again, acked_beyond) > 0
 
 
 def test_ack_frees_space_for_new_data():
