@@ -14,7 +14,9 @@ at t = 0. Reported behaviour:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.apps.tcpstream import stream_factory
@@ -61,14 +63,19 @@ def sliding_rate(points: Sequence[Tuple[float, float]], window: float,
     The paper's Fig 6 methodology: "the average rate measured in the
     receiver during a sliding window of 10 ms duration previous to the
     corresponding point".
+
+    Each window is one slice of the time-ordered points (ties keep
+    their input order), added up front to back.
     """
+    ordered = sorted(points, key=itemgetter(0))
+    times = [when for when, _value in ordered]
     out: List[Tuple[float, float]] = []
     t = t_start
     while t <= t_end + 1e-12:
         total = 0.0
-        for when, value in points:
-            if t - window < when <= t:
-                total += value
+        for _when, value in ordered[bisect_right(times, t - window):
+                                    bisect_right(times, t)]:
+            total += value
         out.append((t, total / window))
         t += step
     return out

@@ -19,7 +19,18 @@ survive on its disk (they are *unavailable*, not lost) and are
 reconciled against the refcounts when the node revives. Who holds a
 chunk is discovered from the filesystem itself (shard path existence
 scanned in sorted node order) — no extra metadata plane that could
-itself be lost.
+itself be lost. The in-memory mirror of that, the *holder index*, maps
+a chunk id to the sorted tuple of its holders; tuples are interned (one
+object per distinct holder combination, however many chunks share it)
+and the live subset of each is computed once per availability change,
+so a chunk costs the index one dict slot and no object of its own.
+
+A chunk is one file per copy, and the file is the unit of placement,
+refcount GC, repair, reconcile and fault injection. What the file
+holds is the caller's business: blobs are real bytes, memory pages are
+:class:`~repro.simos.filesystem.SyntheticExtent` descriptors (see
+:func:`repro.cruz.storage.page_chunk_payload`), and this module only
+ever needs a payload's size.
 
 All enumeration is sorted and all placement is a pure function of
 ``(chunk id, writer, availability)``, so runs remain bit-identical
@@ -56,17 +67,41 @@ from repro.errors import (
     StoreError,
     SyscallError,
 )
-from repro.simos.filesystem import SharedFileSystem
+from repro.simos.filesystem import (
+    Content,
+    SharedFileSystem,
+    SyntheticExtent,
+)
 
 #: Virtual-node tokens per physical node; smooths the ring so replica
 #: load spreads evenly even with a handful of nodes.
 RING_TOKENS = 16
 
 #: File writes a ``put_chunks`` run buffers before handing them to the
-#: filesystem in one call. A forced rewrite holds each buffered payload
-#: beside the copy it replaces, so this bounds that overlap to ~2 MB of
-#: pages instead of a whole process image.
+#: filesystem in one call; bounds the buffered paths and the payloads a
+#: forced rewrite holds beside the copies they replace.
 WRITE_BATCH = 512
+
+
+class _LiveHolders(dict):
+    """Holder tuple -> its members on up nodes, computed on first use.
+
+    Emptied by every availability change. Values are interned like the
+    keys, so a restore groups its sources by object identity.
+    """
+
+    __slots__ = ("_up", "_interned")
+
+    def __init__(self, up: Set[str],
+                 interned: Dict[Tuple[str, ...], Tuple[str, ...]]):
+        super().__init__()
+        self._up = up
+        self._interned = interned
+
+    def __missing__(self, holders: Tuple[str, ...]) -> Tuple[str, ...]:
+        live = tuple(node for node in holders if node in self._up)
+        live = self[holders] = self._interned.setdefault(live, live)
+        return live
 
 
 @dataclass
@@ -134,11 +169,39 @@ class ShardedBackend:
         # checks ground truth rather than the index.
         self._placement_cache: Dict[Optional[str],
                                     Dict[str, Tuple[str, ...]]] = {}
-        self._holder_index: Dict[str, Set[str]] = {}
+        #: Every node tuple handed out (holders, live holders,
+        #: placements), canonical object by value.
+        self._tuples: Dict[Tuple[str, ...], Tuple[str, ...]] = {(): ()}
+        #: (holders, nodes written) -> the union, sorted and interned.
+        self._unions: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]],
+                           Tuple[str, ...]] = {}
+        #: cid -> sorted holder tuple; a chunk with no copy has no entry.
+        self._holder_index: Dict[str, Tuple[str, ...]] = {}
+        self._live = _LiveHolders(self._up, self._tuples)
         for node in self.nodes:
-            for path in self.fs.listdir(f"{self.root}/{node}/"):
-                cid = path.rsplit("/", 1)[-1]
-                self._holder_index.setdefault(cid, set()).add(node)
+            for cid in self.scan_node(node):
+                self._holder_index[cid] = self._union(
+                    self._holder_index.get(cid, ()), (node,))
+
+    # -- holder tuples -----------------------------------------------------
+
+    def _union(self, holders: Tuple[str, ...],
+               added: Tuple[str, ...]) -> Tuple[str, ...]:
+        """``holders`` plus ``added`` as a holder tuple."""
+        union = tuple(sorted(set(holders).union(added)))
+        union = self._unions[holders, added] = \
+            self._tuples.setdefault(union, union)
+        return union
+
+    def _drop_holders(self, cid: str, gone: Sequence[str]) -> None:
+        """Take ``gone`` out of ``cid``'s holders (the entry with the
+        last of them)."""
+        left = tuple(node for node in self._holder_index[cid]
+                     if node not in gone)
+        if left:
+            self._holder_index[cid] = self._tuples.setdefault(left, left)
+        else:
+            del self._holder_index[cid]
 
     # -- ring placement ----------------------------------------------------
 
@@ -185,7 +248,8 @@ class ShardedBackend:
                     dests.append(node)
                     if len(dests) >= self.replication_factor:
                         break
-        result = cache[cid] = tuple(dests)
+        found = tuple(dests)
+        result = cache[cid] = self._tuples.setdefault(found, found)
         return result
 
     def placements(self, cids: Sequence[str], writer: Optional[str]
@@ -205,7 +269,7 @@ class ShardedBackend:
 
     def repair_dest(self, cid: str) -> Optional[str]:
         """The next up non-holder in ring order, for re-replication."""
-        holding = set(self.holders(cid))
+        holding = self.holders(cid)
         for node in self._successors(cid):
             if node in self._up and node not in holding:
                 return node
@@ -217,7 +281,7 @@ class ShardedBackend:
         return f"{self.root}/{node}/{cid[:2]}/{cid}"
 
     def put_chunks(self, cids: Sequence[str],
-                   payload_of: Callable[[str], bytes],
+                   payload_of: Callable[[str], Content],
                    writer: Optional[str], force: bool) -> PutResult:
         """Store a run of chunks; returns the summed :class:`PutResult`.
 
@@ -229,9 +293,10 @@ class ShardedBackend:
         """
         index = self._holder_index
         cached = self._writer_cache(writer).get
+        union_of = self._unions.get
         root = self.root
         write_files = self.fs.write_files
-        files: List[Tuple[str, bytes]] = []
+        files: List[Tuple[str, Content]] = []
         written: Set[str] = set()
         logical_write = logical_bytes = total_bytes = 0
         replica_copies = replica_bytes = 0
@@ -244,11 +309,12 @@ class ShardedBackend:
                         message=f"cannot place chunk {cid}: "
                                 f"no shard node is up")
                 payload = payload_of(cid)
-                nbytes = len(payload)
+                # A page's size is a field of its extent; len() of one
+                # would be a Python call per page.
+                nbytes = payload.length \
+                    if type(payload) is SyntheticExtent else len(payload)
                 total_bytes += nbytes
-                current = index.get(cid)
-                if current is None:
-                    current = index[cid] = set()
+                current = index.get(cid, ())
                 # Every new copy of a chunk that already has one is a
                 # replica; of a fresh (or forced) chunk, all but the
                 # primary are.
@@ -257,6 +323,7 @@ class ShardedBackend:
                     logical_write += 1
                     logical_bytes += nbytes
                 prefix = cid[:2]
+                grew = False
                 for node in dests:
                     existed = node in current
                     if force or not existed:
@@ -264,11 +331,14 @@ class ShardedBackend:
                                       payload))
                         written.add(node)
                         if not existed:
-                            current.add(node)
+                            grew = True
                             if extra:
                                 replica_copies += 1
                                 replica_bytes += nbytes
                     extra = True
+                if grew:
+                    index[cid] = union_of((current, dests)) \
+                        or self._union(current, dests)
                 if len(files) >= WRITE_BATCH:
                     write_files(files)
                     files.clear()
@@ -282,13 +352,13 @@ class ShardedBackend:
                          replica_bytes=replica_bytes,
                          dests=tuple(sorted(written)))
 
-    def put_chunk(self, cid: str, payload: bytes,
+    def put_chunk(self, cid: str, payload: Content,
                   writer: Optional[str] = None,
                   force: bool = False) -> PutResult:
         return self.put_chunks((cid,), lambda _cid: payload, writer, force)
 
     def read_chunks(self, cids: Sequence[str]
-                    ) -> Dict[Tuple[str, ...], List[bytes]]:
+                    ) -> Dict[Tuple[str, ...], List[Content]]:
         """Read a run of chunks; payloads grouped by live-holder tuple.
 
         One rule per chunk: try its live holders in sorted order, fall
@@ -298,12 +368,12 @@ class ShardedBackend:
         to know about its sources: which surviving disks hold how much.
         """
         index_get = self._holder_index.get
-        live_of = self._up.intersection
+        live_of = self._live
         root = self.root
         read_file = self.fs.read_file
-        grouped: Dict[Tuple[str, ...], List[bytes]] = {}
+        grouped: Dict[Tuple[str, ...], List[Content]] = {}
         for cid in cids:
-            live = tuple(sorted(live_of(index_get(cid, ()))))
+            live = live_of[index_get(cid, ())]
             for node in live:
                 try:
                     payload = read_file(f"{root}/{node}/{cid[:2]}/{cid}")
@@ -319,13 +389,13 @@ class ShardedBackend:
                 group.append(payload)
         return grouped
 
-    def get_chunk(self, cid: str) -> bytes:
+    def get_chunk(self, cid: str) -> Content:
         (payloads,) = self.read_chunks((cid,)).values()
         return payloads[0]
 
     def has(self, cid: str) -> bool:
         """At least one copy exists somewhere (up or down shards)."""
-        return bool(self._holder_index.get(cid))
+        return cid in self._holder_index
 
     def scan(self) -> List[str]:
         """Every chunk id with at least one copy, sorted."""
@@ -336,27 +406,34 @@ class ShardedBackend:
         return sorted(found)
 
     def scan_node(self, node: str) -> List[str]:
-        return sorted(path.rsplit("/", 1)[-1]
-                      for path in self.fs.listdir(f"{self.root}/{node}/"))
+        return [cid for cid, _stored in self.stored_on(node)]
+
+    def stored_on(self, node: str) -> List[Tuple[str, Content]]:
+        """``(chunk id, what the disk holds)`` for every copy on
+        ``node``, sorted by id — looked at in place, not read
+        (:meth:`SharedFileSystem.scan`)."""
+        return [(path.rsplit("/", 1)[-1], stored) for path, stored
+                in self.fs.scan(f"{self.root}/{node}/")]
 
     # -- placement / availability ------------------------------------------
 
     def available(self, cid: str) -> bool:
         """At least one copy is readable right now."""
-        return not self._up.isdisjoint(self._holder_index.get(cid, ()))
+        return bool(self._live[self._holder_index.get(cid, ())])
 
     def unavailable(self, cids: Sequence[str]) -> List[str]:
         """The chunks of ``cids`` with no readable copy right now."""
         index_get = self._holder_index.get
-        none_up = self._up.isdisjoint
-        return [cid for cid in cids if none_up(index_get(cid, ()))]
+        live_of = self._live
+        return [cid for cid in cids if not live_of[index_get(cid, ())]]
 
     def holders(self, cid: str) -> Tuple[str, ...]:
-        return tuple(sorted(self._holder_index.get(cid, ())))
+        """Every node with a copy, sorted; equal results are one object."""
+        return self._holder_index.get(cid, ())
 
     def live_holders(self, cid: str) -> Tuple[str, ...]:
-        return tuple(sorted(
-            self._up.intersection(self._holder_index.get(cid, ()))))
+        """The holders that are up, sorted; equal results are one object."""
+        return self._live[self._holder_index.get(cid, ())]
 
     def total_copies(self, cid: str) -> int:
         # Deliberately filesystem-backed: the deep store audit uses
@@ -365,7 +442,7 @@ class ShardedBackend:
                    if self.fs.exists(self._path(node, cid)))
 
     def chunk_size(self, cid: str) -> int:
-        for node in sorted(self._holder_index.get(cid, ())):
+        for node in self.holders(cid):
             return self.fs.size(self._path(node, cid))
         return 0
 
@@ -373,32 +450,22 @@ class ShardedBackend:
         """Unlink reachable copies; down-node copies are reconciled on
         revive (see :meth:`ImageStore.reconcile_node`)."""
         nbytes = 0
-        copies = 0
-        current = self._holder_index.get(cid)
-        if not current:
-            return 0, 0
-        for node in sorted(current):
-            if node not in self._up:
-                continue
+        reachable = self.live_holders(cid)
+        for node in reachable:
             path = self._path(node, cid)
             nbytes = self.fs.size(path)
             self.fs.unlink(path)
-            current.discard(node)
-            copies += 1
-        if not current:
-            del self._holder_index[cid]
-        return nbytes, copies
+        if reachable:
+            self._drop_holders(cid, reachable)
+        return nbytes, len(reachable)
 
     def delete_on(self, node: str, cid: str) -> int:
-        current = self._holder_index.get(cid)
-        if not current or node not in current:
+        if node not in self.holders(cid):
             return 0
         path = self._path(node, cid)
         nbytes = self.fs.size(path)
         self.fs.unlink(path)
-        current.discard(node)
-        if not current:
-            del self._holder_index[cid]
+        self._drop_holders(cid, (node,))
         return nbytes
 
     # -- availability / repair ---------------------------------------------
@@ -406,11 +473,13 @@ class ShardedBackend:
     def mark_down(self, node_name: str) -> None:
         self._up.discard(node_name)
         self._placement_cache.clear()
+        self._live.clear()
 
     def mark_up(self, node_name: str) -> None:
         if node_name in self.nodes:
             self._up.add(node_name)
             self._placement_cache.clear()
+            self._live.clear()
 
     @property
     def up_nodes(self) -> Tuple[str, ...]:
@@ -437,9 +506,9 @@ class ShardedBackend:
         if not live:
             raise ReplicationError(cid, self.replication_factor, live)
         payload = self.get_chunk(cid)
-        self.fs.write_file(self._path(dest, cid), payload)
-        self._holder_index.setdefault(cid, set()).add(dest)
-        return len(payload)
+        nbytes = self.fs.write_file(self._path(dest, cid), payload)
+        self._holder_index[cid] = self._union(self.holders(cid), (dest,))
+        return nbytes
 
 
 #: The ``kind`` every ``.store`` layout record carries; a record with

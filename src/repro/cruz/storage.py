@@ -11,7 +11,12 @@ optimisations are real byte movement, not accounting:
   content hash; a page's logical content is fully determined by its
   ``(pod, vpid, region, page, write-version)`` identity (see
   :class:`~repro.simos.memory.AddressSpace`), so an untouched page hashes
-  to the same chunk in every epoch and is stored exactly once.
+  to the same chunk in every epoch and is stored exactly once. What is
+  stored for it is that content's descriptor — a
+  :class:`~repro.simos.filesystem.SyntheticExtent` of the id's 32 bytes
+  (:func:`page_chunk_payload`) — which every size, counter and copy
+  treats as the PAGE_SIZE bytes it stands for; blobs (programs, socket
+  state, pipes, shm), manifests and WAL records are real bytes.
 * A small pickled *manifest* per version records the image metadata and
   the chunk references; ``load`` reconstructs the image from it.
 * Chunks are refcounted: ``discard``/``prune`` decrement and a chunk is
@@ -52,7 +57,7 @@ from repro.errors import (
     ChunkMissingError,
     VersionUnreconstructibleError,
 )
-from repro.simos.filesystem import SharedFileSystem
+from repro.simos.filesystem import SharedFileSystem, SyntheticExtent
 from repro.simos.memory import PAGE_SIZE, AddressSpace
 from repro.zap.image import (
     CheckpointImage,
@@ -85,17 +90,17 @@ def page_chunk_id(pod_name: str, vpid: int, region: str,
 
     The simulated address space tracks page *identity* (region, index,
     write-version) rather than byte content; the page's synthetic content
-    is expanded deterministically from that identity (see
-    :func:`page_chunk_payload`), so hashing the identity and hashing the
-    content are equivalent.
+    is determined by that identity (see :func:`page_chunk_payload`), so
+    hashing the identity and hashing the content are equivalent.
     """
     identity = f"page|{pod_name}|{vpid}|{region}|{page_index}|{version}"
     return hashlib.sha256(identity.encode()).hexdigest()
 
 
-def page_chunk_payload(cid: str) -> bytes:
-    """The PAGE_SIZE bytes stored for a page chunk (seed-expanded)."""
-    return bytes.fromhex(cid) * (PAGE_SIZE // 32)
+def page_chunk_payload(cid: str) -> SyntheticExtent:
+    """What is stored for a page chunk: PAGE_SIZE bytes that are the
+    chunk id's 32 bytes repeated, as the extent saying so."""
+    return SyntheticExtent((bytes.fromhex(cid), PAGE_SIZE))
 
 
 def iter_page_chunks(pod_name: str, vpid: int,
@@ -914,8 +919,10 @@ class ImageStore:
                 pages = self.backend.read_chunks(self._page_ids(
                     meta["pod_name"], entry["vpid"], memory))
                 for holders, payloads in pages.items():
-                    sources[holders] = sources.get(holders, 0) \
-                        + sum(map(len, payloads))
+                    sources[holders] = sources.get(holders, 0) + sum([
+                        payload.length
+                        if type(payload) is SyntheticExtent
+                        else len(payload) for payload in payloads])
                 image.processes.append(ProcessImage(
                     vpid=entry["vpid"], parent_vpid=entry["parent_vpid"],
                     name=entry["name"],
@@ -982,13 +989,18 @@ class ImageStore:
         The shallow form uses the incrementally maintained shadow counts
         and is cheap enough to run after every save; the deep form
         re-reads every manifest from disk (cross-checking the shadow's
-        own upkeep) and additionally looks for missing and orphan chunk
-        files.  Returns a list of problems, empty when sound:
-        refcount mismatches, dangling in-memory counts, non-positive
-        counts, and (deep) references to missing chunk files plus chunk
-        files nothing references.
+        own upkeep) and additionally looks for missing, orphan and
+        corrupt chunk files.  Returns a list of problems, empty when
+        sound: refcount mismatches, dangling in-memory counts,
+        non-positive counts, and (deep) references to missing chunk
+        files, chunk files nothing references, and copies on reachable
+        shards that do not hold what their id says (``corrupt_chunk``,
+        naming the node: a page that is not its extent — other seed,
+        torn short, or differing real bytes — or a blob whose hash is
+        not its id).
         """
         self._ensure_attached()
+        blobs: set = set()
         if deep or not self._audit_valid:
             deep = True
             rebuilt: Dict[str, int] = {}
@@ -998,6 +1010,8 @@ class ImageStore:
                 manifest = thaw_object(self.fs.read_file(path))
                 self._count_refs(rebuilt,
                                  self._manifest_chunk_refs(manifest))
+                blobs.update(cid for cid, _nbytes
+                             in self._manifest_blob_refs(manifest))
             self._audit_expected = rebuilt
             self._audit_valid = True
         expected = self._audit_expected
@@ -1028,9 +1042,22 @@ class ImageStore:
                     problems.append({"kind": "missing_chunk", "cid": cid,
                                      "expected": expected[cid]})
             for node in backend.up_nodes:
-                for cid in backend.scan_node(node):
+                for cid, stored in backend.stored_on(node):
                     if expected.get(cid, 0) == 0:
                         problems.append({"kind": "orphan_chunk",
+                                         "cid": cid, "node": node})
+                        continue
+                    if cid in blobs:
+                        sound = blob_chunk_id(bytes(stored)) == cid
+                    elif type(stored) is SyntheticExtent:
+                        # page_chunk_payload(cid), field by field: no
+                        # call and nothing built per copy.
+                        sound = stored.length == PAGE_SIZE \
+                            and stored.seed == bytes.fromhex(cid)
+                    else:
+                        sound = stored == page_chunk_payload(cid)
+                    if not sound:
+                        problems.append({"kind": "corrupt_chunk",
                                          "cid": cid, "node": node})
         return problems
 

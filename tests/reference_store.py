@@ -8,10 +8,17 @@ tests drive this store and the real one with the same operations and
 diff every counter, plan, refcount and file, so it stays the plain
 per-page loop — ids from :func:`iter_page_chunks`, nothing memoised —
 and is not to be optimised.
+
+It shares no chunk bookkeeping and no payload with the product: the
+reference backend keeps its own ``cid -> set of holders`` index (the
+product's is interned tuples) and stores every page as 4 KiB of real
+bytes (the product stores a ``SyntheticExtent``), so equal files,
+counters and sources mean the descriptor stands for exactly those
+bytes.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cruz.backend import PutResult, ShardedBackend
 from repro.cruz.storage import (
@@ -21,11 +28,11 @@ from repro.cruz.storage import (
     SavePlan,
     blob_chunk_id,
     iter_page_chunks,
-    page_chunk_payload,
 )
 from repro.errors import (
     CheckpointError,
     ChunkMissingError,
+    ReplicationError,
     VersionUnreconstructibleError,
 )
 from repro.simos.memory import PAGE_SIZE
@@ -41,16 +48,34 @@ from repro.zap.image import (
 )
 
 
+def reference_page_payload(cid: str) -> bytes:
+    """The PAGE_SIZE real bytes of a page chunk (seed-expanded)."""
+    return bytes.fromhex(cid) * (PAGE_SIZE // 32)
+
+
 class ReferenceBackend(ShardedBackend):
-    """``ShardedBackend`` with the one-chunk put and get."""
+    """The one-chunk put and get over a set-per-chunk holder index.
+
+    Ring placement and the up-set are the product's; everything that
+    answers "who holds this chunk" is answered from ``_holders`` here.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Nothing inherited may answer from the product's index.
+        del self._holder_index
+        self._holders: Dict[str, Set[str]] = {}
+        for node in self.nodes:
+            for cid in self.scan_node(node):
+                self._holders.setdefault(cid, set()).add(node)
 
     def put_chunk(self, cid: str, payload: bytes,
                   writer: Optional[str] = None,
                   force: bool = False) -> PutResult:
         dests = self.placement(cid, writer=writer)
-        current = self._holder_index.get(cid)
+        current = self._holders.get(cid)
         if current is None:
-            current = self._holder_index[cid] = set()
+            current = self._holders[cid] = set()
         logical = force or not current
         written: List[str] = []
         replica_copies = 0
@@ -67,7 +92,7 @@ class ReferenceBackend(ShardedBackend):
                 replica_copies += 1
                 replica_bytes += len(payload)
         if not current:
-            del self._holder_index[cid]
+            del self._holders[cid]
         return PutResult(logical_write=int(logical),
                          logical_bytes=len(payload) if logical else 0,
                          nbytes=len(payload),
@@ -76,12 +101,64 @@ class ReferenceBackend(ShardedBackend):
                          dests=tuple(sorted(written)))
 
     def get_chunk(self, cid: str) -> bytes:
-        current = self._holder_index.get(cid)
-        if current:
-            for node in sorted(current):
-                if node in self._up:
-                    return self.fs.read_file(self._path(node, cid))
+        for node in self.live_holders(cid):
+            return self.fs.read_file(self._path(node, cid))
         raise ChunkMissingError(cid, self.up_nodes)
+
+    def put_chunks(self, cids, payload_of, writer, force):
+        raise NotImplementedError("the reference is per chunk")
+
+    read_chunks = put_chunks
+
+    def has(self, cid: str) -> bool:
+        return bool(self._holders.get(cid))
+
+    def available(self, cid: str) -> bool:
+        return not self._up.isdisjoint(self._holders.get(cid, ()))
+
+    def unavailable(self, cids: Sequence[str]) -> List[str]:
+        return [cid for cid in cids if not self.available(cid)]
+
+    def holders(self, cid: str) -> Tuple[str, ...]:
+        return tuple(sorted(self._holders.get(cid, ())))
+
+    def live_holders(self, cid: str) -> Tuple[str, ...]:
+        return tuple(sorted(
+            self._up.intersection(self._holders.get(cid, ()))))
+
+    def chunk_size(self, cid: str) -> int:
+        for node in self.holders(cid):
+            return self.fs.size(self._path(node, cid))
+        return 0
+
+    def delete(self, cid: str) -> Tuple[int, int]:
+        nbytes = 0
+        copies = 0
+        for node in self.live_holders(cid):
+            nbytes = self.delete_on(node, cid)
+            copies += 1
+        return nbytes, copies
+
+    def delete_on(self, node: str, cid: str) -> int:
+        current = self._holders.get(cid)
+        if not current or node not in current:
+            return 0
+        path = self._path(node, cid)
+        nbytes = self.fs.size(path)
+        self.fs.unlink(path)
+        current.discard(node)
+        if not current:
+            del self._holders[cid]
+        return nbytes
+
+    def replicate(self, cid: str, dest: str) -> int:
+        live = self.live_holders(cid)
+        if not live:
+            raise ReplicationError(cid, self.replication_factor, live)
+        payload = self.get_chunk(cid)
+        self.fs.write_file(self._path(dest, cid), payload)
+        self._holders.setdefault(cid, set()).add(dest)
+        return len(payload)
 
 
 @dataclass
@@ -278,7 +355,7 @@ class ReferenceImageStore(ImageStore):
         for chunk in plan.chunks:
             if chunk.write:
                 payload = chunk.payload if chunk.payload is not None \
-                    else page_chunk_payload(chunk.cid)
+                    else reference_page_payload(chunk.cid)
                 result = self.backend.put_chunk(
                     chunk.cid, payload, writer=writer, force=chunk.force)
                 stats["replica_copies"] += result.replica_copies

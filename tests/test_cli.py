@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -31,6 +32,12 @@ RECORDS = ([([figure.name], figure, FIGURE_FLAGS) for figure in FIGURES]
 #: Reduced scale for the figures that take one.
 SMALL = {"fig5": ["--nodes", "2", "--rounds", "1"],
          "messages": ["--nodes", "2", "4"]}
+#: sha256 of the whole ``--json`` stdout where every byte is simulated:
+#: fig6's rate series is 526 sliding-window sums over ~128 k points, and
+#: a different order of additions would show here.
+PINNED_STDOUT = {
+    "fig6": "6c7e64073a8e6511c69e4f14d87f65a869656d460154b0b6b8b2628af41b16c5",
+}
 
 
 def _flags(text):
@@ -88,7 +95,11 @@ def test_bench_slo_rejects_a_migration_flag(capsys):
 @pytest.mark.parametrize("figure", FIGURES, ids=lambda f: f.name)
 def test_every_figure_json_is_a_single_object(figure, capsys):
     status = main([figure.name, *SMALL.get(figure.name, []), "--json"])
-    doc = _one_json_object(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    if figure.name in PINNED_STDOUT:
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            PINNED_STDOUT[figure.name]
+    doc = _one_json_object(out)
     assert doc["command"] == figure.name
     assert doc["shape"]["passed"] is (status == 0)
     assert set(doc) - {"command", "shape"}  # carries its result

@@ -211,7 +211,8 @@ def test_runs_match_the_per_chunk_reference(seed):
             store.reconcile_node(node)
     assert real.audit(deep=True) == []
     # Every file, byte for byte (manifests included).
-    assert {path: real.fs.read_file(path) for path in real.fs.paths()} == \
+    assert {path: bytes(real.fs.read_file(path))
+            for path in real.fs.paths()} == \
         {path: reference.fs.read_file(path)
          for path in reference.fs.paths()}
 
