@@ -1,6 +1,7 @@
 """Shared benchmark utilities: result records, shape reports, tables,
 the :class:`Figure` / :class:`Suite` records every experiment declares
-itself as, and the one ``--save``/``--compare`` baseline tail."""
+itself as, the EXPERIMENTS.md generator over the figure table, and the
+one ``--save``/``--compare`` baseline tail."""
 
 from __future__ import annotations
 
@@ -90,18 +91,38 @@ class ShapeReport:
         }
 
     def render(self) -> str:
-        rows = []
-        for c in self.checks:
-            value = "" if c.value is None else (
-                f"{c.value:.4g}" if isinstance(c.value, float)
-                else str(c.value))
-            rows.append([c.name, "PASS" if c.ok else "FAIL", value,
-                         c.expect])
+        rows = [[c.name, "PASS" if c.ok else "FAIL", _measured(c.value),
+                 c.expect] for c in self.checks]
         verdict = "all checks pass" if self.passed else "CHECKS FAILED"
         return render_table(
             self.title or "shape checks",
             ["check", "verdict", "measured", "expected"],
             rows, note=verdict)
+
+
+def _measured(value: Any) -> str:
+    """A check's value as the table shows it: floats to four
+    significant digits, inside sequences too."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.4g}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_measured(item) for item in value) + "]"
+    return str(value)
+
+
+def at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type=``: an integer no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _no_arguments(parser: argparse.ArgumentParser) -> None:
@@ -110,11 +131,19 @@ def _no_arguments(parser: argparse.ArgumentParser) -> None:
 
 @dataclass(frozen=True)
 class Figure:
-    """One §6 experiment as a declared record: ``repro <name>`` runs
-    the cluster, checks the shape the paper reports, prints or emits."""
+    """One paper experiment as a declared record: ``repro <name>`` runs
+    the cluster, checks the shape the paper reports, prints or emits;
+    ``repro experiments`` writes every record's section of
+    EXPERIMENTS.md from the same three functions."""
 
     name: str
     help: str
+    #: The record's heading in EXPERIMENTS.md.
+    section: str
+    #: What the paper reports, in its own words and numbers, with any
+    #: caveat about how this reproduction differs: the prose of the
+    #: record's section (the measured side is ``render`` and ``shape``).
+    paper: str
     #: ``run(args)`` -> the figure's result record(s).
     run: Callable[[argparse.Namespace], Any]
     #: ``shape(result)`` -> the paper's claims as pass/fail checks.
@@ -125,6 +154,44 @@ class Figure:
     payload: Callable[[Any], Dict[str, Any]]
     add_arguments: Callable[[argparse.ArgumentParser], None] = \
         _no_arguments
+
+    def run_at_paper_scale(self) -> Any:
+        """Run with every flag at its default, the scale the paper
+        reports and EXPERIMENTS.md records."""
+        parser = argparse.ArgumentParser(add_help=False)
+        self.add_arguments(parser)
+        return self.run(parser.parse_args([]))
+
+
+EXPERIMENTS_HEAD = """\
+# EXPERIMENTS — paper vs measured
+
+The output of `python -m repro experiments > EXPERIMENTS.md`; do not
+edit it. One section per record of the figure table: what the paper
+reports, then what `repro <name>` prints at paper scale. Every quantity
+is simulated (time, bytes, messages) and exact for the fixed seeds, so
+CI regenerates the file and fails on any difference.
+
+The substrate is a calibrated simulator, so absolute numbers are model
+outputs; what must (and does) match is the *shape*: who wins, by what
+factor, and where the behaviour changes. Each `expected` column states
+that shape and each `verdict` is computed from the run.
+"""
+
+
+def render_section(figure: Figure, result: Any) -> str:
+    """One record's section of EXPERIMENTS.md."""
+    return "\n".join([
+        f"## {figure.section} (`repro {figure.name}`)", "",
+        figure.paper, "",
+        "```", *figure.render(result), figure.shape(result).render(),
+        "```", ""])
+
+
+def render_experiments(runs: Sequence[Tuple[Figure, Any]]) -> str:
+    """The whole of EXPERIMENTS.md from ``(figure, result)`` pairs."""
+    return "\n".join([EXPERIMENTS_HEAD] + [
+        render_section(figure, result) for figure, result in runs])
 
 
 @dataclass(frozen=True)
@@ -232,14 +299,3 @@ def render_table(title: str, headers: List[str],
     if note:
         lines.append(note)
     return "\n".join(lines)
-
-
-def paper_vs_measured(title: str, rows: List[tuple],
-                      note: str = "") -> str:
-    """Render 'quantity / paper / measured / verdict' comparison rows."""
-    table_rows = []
-    for quantity, paper, measured, holds in rows:
-        table_rows.append([quantity, paper, measured,
-                           "OK" if holds else "MISMATCH"])
-    return render_table(title, ["quantity", "paper", "measured", "shape"],
-                        table_rows, note=note)

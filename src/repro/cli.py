@@ -17,16 +17,19 @@ import math
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bench import (fig5, fig6, messages, migration, optimization,
-                         overhead, slo, store)
+from repro.bench import (dedup, fig5, fig6, messages, migration,
+                         optimization, overhead, slo, store)
 from repro.bench import mc as bench_mc
-from repro.bench.harness import baseline_cli, render_table
+from repro.bench.harness import (at_least, baseline_cli,
+                                 render_experiments, render_table)
 
-#: The experiment table: every §6 figure and every committed-baseline
-#: suite is a record its own module declares; registering one here is
-#: the whole of adding it to the CLI.
+#: The experiment table: every paper experiment and every
+#: committed-baseline suite is a record its own module declares;
+#: registering one here is the whole of adding it to the CLI and, for a
+#: figure, to EXPERIMENTS.md.
 FIGURES = (fig5.FIGURE, fig6.FIGURE, messages.FIGURE, overhead.FIGURE,
-           optimization.FIGURE)
+           optimization.FIGURE, optimization.ABLATION, dedup.FIGURE,
+           fig5.SCALABILITY)
 SUITES = (migration.SUITE, store.SUITE, bench_mc.SUITE, slo.SUITE)
 
 #: One exit-code convention for the analysis commands (``lint``,
@@ -65,19 +68,39 @@ def _emit_json(payload: Any) -> None:
     print(json.dumps(to_jsonable(payload), indent=2, allow_nan=False))
 
 
+def _figure_object(figure, result) -> Dict[str, Any]:
+    """What ``repro <name> --json`` emits for one run of a figure."""
+    return {"command": figure.name, **figure.payload(result),
+            "shape": figure.shape(result)}
+
+
 def _cmd_figure(args) -> int:
     """Run one figure, check its shape, print or emit it."""
     figure = args.figure
     result = figure.run(args)
-    report = figure.shape(result)
+    emitted = _figure_object(figure, result)
+    report = emitted["shape"]
     if args.json:
-        _emit_json({"command": figure.name, **figure.payload(result),
-                    "shape": report})
+        _emit_json(emitted)
     else:
         for line in figure.render(result):
             print(line)
         print(report.render())
     return 0 if report.passed else 1
+
+
+def _cmd_experiments(args) -> int:
+    """Run the whole figure table at paper scale; stdout is
+    EXPERIMENTS.md (``--json``: every figure's own object)."""
+    runs = [(figure, figure.run_at_paper_scale()) for figure in FIGURES]
+    emitted = [_figure_object(figure, result) for figure, result in runs]
+    passed = all(figure["shape"].passed for figure in emitted)
+    if args.json:
+        _emit_json({"command": "experiments", "passed": passed,
+                    "figures": emitted})
+    else:
+        sys.stdout.write(render_experiments(runs))
+    return 0 if passed else 1
 
 
 def _cmd_demo(args) -> int:
@@ -435,12 +458,18 @@ def build_parser() -> argparse.ArgumentParser:
         figure.add_arguments(fig)
         fig.set_defaults(fn=_cmd_figure, figure=figure)
 
+    experiments = sub.add_parser(
+        "experiments", parents=[common],
+        help="run every figure at paper scale and write EXPERIMENTS.md "
+             "to stdout")
+    experiments.set_defaults(fn=_cmd_experiments)
+
     trace = sub.add_parser(
         "trace", parents=[common],
         help="run a checkpoint round and export its span timeline")
-    trace.add_argument("--nodes", type=int, default=4,
+    trace.add_argument("--nodes", type=at_least(1), default=4,
                        help="cluster size (default 4)")
-    trace.add_argument("--rounds", type=int, default=1,
+    trace.add_argument("--rounds", type=at_least(1), default=1,
                        help="checkpoint rounds to record (default 1)")
     trace.add_argument("--interval", type=float, default=0.5,
                        help="seconds of app time between rounds")

@@ -1,4 +1,5 @@
-"""Shared pytest plumbing: the ``--cruz-sanitize`` lane.
+"""Shared pytest plumbing: the ``--cruz-sanitize`` lane, and one run
+per session of each figure that tier-1 drives at paper scale.
 
 ``pytest --cruz-sanitize`` runs every test with ``CRUZ_SANITIZE=1`` in
 the environment, so each :class:`repro.cluster.Cluster` a test builds
@@ -39,3 +40,18 @@ def cruz_sanitize(request, monkeypatch):
         lines = "\n".join(v.render() for v in violations)
         pytest.fail(
             f"cruz sanitizer: {len(violations)} violation(s)\n{lines}")
+
+
+@pytest.fixture(scope="session")
+def paper_scale():
+    """``paper_scale(figure)`` -> the figure's result with every flag at
+    its default, run once however many tests read it (fig6 alone is
+    13 s): the CLI tests emit it, the EXPERIMENTS.md tests render it."""
+    results = {}
+
+    def run(figure):
+        if figure.name not in results:
+            results[figure.name] = figure.run_at_paper_scale()
+        return results[figure.name]
+
+    return run

@@ -8,13 +8,15 @@ import re
 
 import pytest
 
+from repro.bench import dedup, optimization
 from repro.cli import FIGURES, SUITES, build_parser, main, to_jsonable
 
 
 def test_parser_knows_all_commands():
     parser = build_parser()
     for command in ("demo", "fig5", "fig6", "messages", "overhead",
-                    "fig4", "trace"):
+                    "fig4", "ablation", "dedup", "scalability",
+                    "experiments", "trace"):
         args = parser.parse_args([command])
         assert callable(args.fn)
         assert args.json is False
@@ -32,6 +34,19 @@ RECORDS = ([([figure.name], figure, FIGURE_FLAGS) for figure in FIGURES]
 #: Reduced scale for the figures that take one.
 SMALL = {"fig5": ["--nodes", "2", "--rounds", "1"],
          "messages": ["--nodes", "2", "4"]}
+#: Records with no flags whose only scale costs more than 5 s (the CI
+#: ``experiments`` lane runs them at paper scale): here the same command
+#: is driven over their run function at a small scale. The stream half
+#: of ``ablation`` is two fig6 runs, 13 s each whatever the memory size,
+#: so it is a literal.
+PAPER_SCALE_ONLY = {
+    "ablation": lambda args: optimization.AblationResult(
+        rounds=optimization.run_ablation_rounds(state_mb=6.0),
+        stream={optimization.BASELINE: (0.350, 0.296),
+                optimization.EARLY_NETWORK: (0.350, 0.006)}),
+    "dedup": lambda args: dedup.run_dedup(n_ranks=1, epochs=2,
+                                          workspace_mb=1.0),
+}
 #: sha256 of the whole ``--json`` stdout where every byte is simulated:
 #: fig6's rate series is 526 sliding-window sums over ~128 k points, and
 #: a different order of additions would show here.
@@ -59,7 +74,8 @@ def _one_json_object(out):
 
 def test_the_table_registers_every_experiment():
     assert [figure.name for figure in FIGURES] == [
-        "fig5", "fig6", "messages", "overhead", "fig4"]
+        "fig5", "fig6", "messages", "overhead", "fig4", "ablation",
+        "dedup", "scalability"]
     assert [suite.name for suite in SUITES] == [
         "migration", "store", "mc", "slo"]
 
@@ -93,8 +109,17 @@ def test_bench_slo_rejects_a_migration_flag(capsys):
 
 
 @pytest.mark.parametrize("figure", FIGURES, ids=lambda f: f.name)
-def test_every_figure_json_is_a_single_object(figure, capsys):
-    status = main([figure.name, *SMALL.get(figure.name, []), "--json"])
+def test_every_figure_json_is_a_single_object(figure, capsys,
+                                              paper_scale):
+    args = build_parser().parse_args(
+        [figure.name, *SMALL.get(figure.name, []), "--json"])
+    if figure.name not in SMALL:
+        # No flags: one scale, shared with tests/test_experiments.py.
+        assert not _own_flags(figure)
+        args.figure = dataclasses.replace(
+            figure, run=PAPER_SCALE_ONLY.get(
+                figure.name, lambda _args: paper_scale(figure)))
+    status = args.fn(args)
     out = capsys.readouterr().out
     if figure.name in PINNED_STDOUT:
         assert hashlib.sha256(out.encode()).hexdigest() == \
@@ -218,6 +243,35 @@ def test_cli_demo_runs(capsys):
     assert "migration was transparent" in out
 
 
+#: A figure flag that makes no sense is a usage error, not a traceback
+#: out of the cluster or a shape check failing for want of two points.
+@pytest.mark.parametrize("argv", [
+    ["fig5", "--nodes", "2", "--rounds", "0"],
+    ["fig5", "--nodes", "0"],
+    ["trace", "--rounds", "0"],
+    ["trace", "--nodes", "0"],
+    ["messages", "--nodes", "1"],
+], ids=" ".join)
+def test_a_senseless_figure_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least" in err
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_repeated_node_counts_are_swept_once_in_order(capsys):
+    assert main(["fig5", "--nodes", "3", "2", "3", "--rounds", "1",
+                 "--json"]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert [p["n_nodes"] for p in points] == [2, 3]
+    # One count cannot show a trend: the trend check says so and passes.
+    assert main(["messages", "--nodes", "2", "2", "--json"]) == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert [p["n_nodes"] for p in points] == [2]
+
+
 def test_cli_messages_small_runs(capsys):
     assert main(["messages", "--nodes", "2", "4"]) == 0
     out = capsys.readouterr().out
@@ -283,6 +337,22 @@ def test_cli_overhead_json_output(capsys):
     assert doc["overhead_fraction"] < 0.005
     checks = {c["name"]: c["ok"] for c in doc["shape"]["checks"]}
     assert checks["overhead_below_half_percent"] is True
+
+
+def test_shape_report_renders_float_lists_to_four_digits():
+    from repro.bench.harness import ShapeReport
+
+    report = ShapeReport("t")
+    report.check("floats", True, expect="e",
+                 value=[0.00035695899999765857, 1.0510000000000002])
+    report.check("counts", True, value=[8, 16], expect="e")
+    report.check("scalar", True, value=0.00035695899999765857)
+    text = report.render()
+    assert "[0.000357, 1.051]" in text and "[8, 16]" in text
+    assert "0.00035695" not in text
+    # The JSON keeps every digit.
+    assert report.to_jsonable()["checks"][0]["value"] == [
+        0.00035695899999765857, 1.0510000000000002]
 
 
 def test_to_jsonable_handles_the_harness_types():
