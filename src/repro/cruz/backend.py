@@ -17,16 +17,20 @@ Availability is explicit: :meth:`ShardedBackend.mark_down` /
 :meth:`mark_up` mirror node power state. Copies on a powered-off node
 survive on its disk (they are *unavailable*, not lost) and are
 reconciled against the refcounts when the node revives. Who holds a
-chunk is discovered from the filesystem itself (shard path existence
-scanned in sorted node order) — no extra metadata plane that could
-itself be lost. The in-memory mirror of that, the *holder index*, maps
-a chunk id to the sorted tuple of its holders; tuples are interned (one
-object per distinct holder combination, however many chunks share it)
-and the live subset of each is computed once per availability change,
-so a chunk costs the index one dict slot and no object of its own.
+chunk is discovered from the filesystem itself (the shard directories,
+looked through in sorted node order) — no extra metadata plane that
+could itself be lost. The in-memory mirror of that, the *holder index*,
+maps a chunk id to the sorted tuple of its holders; tuples are interned
+(one object per distinct holder combination, however many chunks share
+it) and the live subset of each is computed once per availability
+change, so a chunk costs the index one dict slot and no object of its
+own.
 
-A chunk is one file per copy, and the file is the unit of placement,
-refcount GC, repair, reconcile and fault injection. What the file
+A chunk is one file per copy, ``root/<node>/<cid>``, and the file is
+the unit of placement, refcount GC, repair, reconcile and fault
+injection. A shard is one directory and a copy is a slot in it keyed by
+the chunk id — the same string object the holder index and the store's
+refcount table key on, so a copy costs no path string. What the file
 holds is the caller's business: blobs are real bytes, memory pages are
 :class:`~repro.simos.filesystem.SyntheticExtent` descriptors (see
 :func:`repro.cruz.storage.page_chunk_payload`), and this module only
@@ -38,21 +42,26 @@ under event tie-break perturbation (CruzSan's fifo/lifo check).
 
 The chunk API takes *runs* of ids (``put_chunks``, ``read_chunks``,
 ``placements``, ``unavailable``) — a process image is thousands of
-page chunks, and one pass over a list costs a fraction of that many
-calls; ``put_chunk`` and ``get_chunk`` are the one-element cases of
-the first two, ``placement`` and ``available`` the one-chunk forms of
-the others.
+page chunks. A run is partitioned into the few groups of chunks that
+share a placement and a holder tuple, and each group moves as one
+filesystem run per shard: the work per page is C loops over aligned
+lists, the Python statements are per group. ``put_chunk`` and
+``get_chunk`` are the one-element cases of the first two, ``placement``
+and ``available`` the one-chunk forms of the others.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from itertools import compress, count, islice, repeat
+from operator import not_
 from typing import (
-    Callable,
     Dict,
+    Hashable,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -61,26 +70,33 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import (
-    ChunkMissingError,
-    ReplicationError,
-    StoreError,
-    SyscallError,
-)
-from repro.simos.filesystem import (
-    Content,
-    SharedFileSystem,
-    SyntheticExtent,
-)
+from repro.errors import ChunkMissingError, ReplicationError, StoreError
+from repro.simos.filesystem import Content, SharedFileSystem, run_bytes
 
 #: Virtual-node tokens per physical node; smooths the ring so replica
 #: load spreads evenly even with a handful of nodes.
 RING_TOKENS = 16
 
-#: File writes a ``put_chunks`` run buffers before handing them to the
-#: filesystem in one call; bounds the buffered paths and the payloads a
-#: forced rewrite holds beside the copies they replace.
-WRITE_BATCH = 512
+_NONE = type(None)
+
+
+def _partition(keys: Iterable[Hashable]) -> Dict[Hashable, List[int]]:
+    """The positions of a run split by the key at each: key -> its
+    positions in run order, keys in first-seen order. ``list.append``
+    mapped over the pairs and drained, so no Python statement per
+    position — and positions rather than rows, because ints are nothing
+    to the cyclic collector, while a tuple per chunk held for the length
+    of a put is promoted a generation and buys full collections."""
+    groups: Dict[Hashable, List[int]] = defaultdict(list)
+    deque(map(list.append, map(groups.__getitem__, keys), count()),
+          maxlen=0)
+    return groups
+
+
+def _pick(run: Sequence, positions: List[int]) -> Sequence:
+    """``run`` at ``positions`` (itself when that is all of it)."""
+    return run if len(positions) == len(run) \
+        else list(map(run.__getitem__, positions))
 
 
 class _LiveHolders(dict):
@@ -125,6 +141,15 @@ class PutResult:
     replica_bytes: int = 0
     dests: Tuple[str, ...] = ()
 
+    def __add__(self, other: "PutResult") -> "PutResult":
+        return PutResult(
+            self.logical_write + other.logical_write,
+            self.logical_bytes + other.logical_bytes,
+            self.nbytes + other.nbytes,
+            self.replica_copies + other.replica_copies,
+            self.replica_bytes + other.replica_bytes,
+            tuple(sorted(set(self.dests).union(other.dests))))
+
 
 class ShardedBackend:
     """Replicated chunk shards on the application nodes' disks.
@@ -160,15 +185,19 @@ class ShardedBackend:
         ring.sort()
         self._ring = ring
         self._ring_keys = [token for token, _node in ring]
-        # Hot-path caches. Placement is a pure function of the up-set,
-        # so results are memoized until mark_down/mark_up; the holder
-        # index mirrors the shard directories (every chunk mutation
-        # goes through this class, and re-attaching over an existing
-        # filesystem rebuilds it here). ``total_copies``, ``scan`` and
-        # ``scan_node`` stay filesystem-backed so the deep store audit
-        # checks ground truth rather than the index.
-        self._placement_cache: Dict[Optional[str],
-                                    Dict[str, Tuple[str, ...]]] = {}
+        #: node -> its shard directory, as the filesystem names it.
+        self._shards: Dict[str, str] = {
+            node: f"{root}/{node}/" for node in self.nodes}
+        # Hot-path caches. Placement is a pure function of the up-set
+        # and of the ring arc a chunk id falls into, so each writer has
+        # one table of len(ring) + 1 placements, dropped by
+        # mark_down/mark_up; the holder index mirrors the shard
+        # directories (every chunk mutation goes through this class,
+        # and re-attaching over an existing filesystem rebuilds it
+        # here). ``total_copies``, ``absent``, ``scan`` and
+        # ``scan_node`` read the directories themselves so the deep
+        # store audit checks ground truth rather than the index.
+        self._arc_tables: Dict[Optional[str], List[Tuple[str, ...]]] = {}
         #: Every node tuple handed out (holders, live holders,
         #: placements), canonical object by value.
         self._tuples: Dict[Tuple[str, ...], Tuple[str, ...]] = {(): ()}
@@ -179,7 +208,7 @@ class ShardedBackend:
         self._holder_index: Dict[str, Tuple[str, ...]] = {}
         self._live = _LiveHolders(self._up, self._tuples)
         for node in self.nodes:
-            for cid in self.scan_node(node):
+            for cid in self._copies(node):
                 self._holder_index[cid] = self._union(
                     self._holder_index.get(cid, ()), (node,))
 
@@ -188,9 +217,11 @@ class ShardedBackend:
     def _union(self, holders: Tuple[str, ...],
                added: Tuple[str, ...]) -> Tuple[str, ...]:
         """``holders`` plus ``added`` as a holder tuple."""
-        union = tuple(sorted(set(holders).union(added)))
-        union = self._unions[holders, added] = \
-            self._tuples.setdefault(union, union)
+        union = self._unions.get((holders, added))
+        if union is None:
+            union = tuple(sorted(set(holders).union(added)))
+            union = self._unions[holders, added] = \
+                self._tuples.setdefault(union, union)
         return union
 
     def _drop_holders(self, cid: str, gone: Sequence[str]) -> None:
@@ -207,21 +238,35 @@ class ShardedBackend:
 
     def _successors(self, cid: str) -> Iterator[str]:
         """Distinct node names clockwise from ``cid`` on the ring."""
-        start = bisect.bisect_left(self._ring_keys, cid)
+        return self._clockwise(bisect_left(self._ring_keys, cid))
+
+    def _clockwise(self, arc: int) -> Iterator[str]:
+        """Distinct node names clockwise from the ring's ``arc``-th
+        token (``len(ring)`` wraps to the first)."""
         seen: Set[str] = set()
         for offset in range(len(self._ring)):
-            _token, node = self._ring[(start + offset) % len(self._ring)]
+            _token, node = self._ring[(arc + offset) % len(self._ring)]
             if node not in seen:
                 seen.add(node)
                 yield node
 
-    def _writer_cache(self, writer: Optional[str]
-                      ) -> Dict[str, Tuple[str, ...]]:
-        """The memoized ``cid -> placement`` table of one writer."""
-        cache = self._placement_cache.get(writer)
-        if cache is None:
-            cache = self._placement_cache[writer] = {}
-        return cache
+    def _arc_table(self, writer: Optional[str]) -> List[Tuple[str, ...]]:
+        """One writer's placement per ring arc. A chunk id bisects into
+        one of ``len(ring) + 1`` arcs and its placement is a function
+        of that arc alone (and the up-set: availability changes drop
+        the tables)."""
+        table = self._arc_tables.get(writer)
+        if table is None:
+            up = self._up
+            first = (writer,) if writer in up else ()
+            table = self._arc_tables[writer] = []
+            for arc in range(len(self._ring) + 1):
+                others = (node for node in self._clockwise(arc)
+                          if node in up and node != writer)
+                found = first + tuple(islice(
+                    others, self.replication_factor - len(first)))
+                table.append(self._tuples.setdefault(found, found))
+        return table
 
     def placement(self, cid: str,
                   writer: Optional[str] = None) -> Tuple[str, ...]:
@@ -231,26 +276,11 @@ class ShardedBackend:
         and the remaining RF-1 copies go to the chunk's ring successors
         (skipping the writer and any down node).
         """
-        cache = self._writer_cache(writer)
-        cached = cache.get(cid)
-        if cached is not None:
-            return cached
-        dests: List[str] = []
-        if writer is not None and writer in self._up:
-            dests.append(writer)
-        if len(dests) < self.replication_factor:
-            ring = self._ring
-            count = len(ring)
-            start = bisect.bisect_left(self._ring_keys, cid)
-            for offset in range(count):
-                node = ring[(start + offset) % count][1]
-                if node in self._up and node not in dests:
-                    dests.append(node)
-                    if len(dests) >= self.replication_factor:
-                        break
-        found = tuple(dests)
-        result = cache[cid] = self._tuples.setdefault(found, found)
-        return result
+        return self._arc_table(writer)[bisect_left(self._ring_keys, cid)]
+
+    def _arcs(self, cids: Sequence[str]) -> Iterator[int]:
+        """The ring arc each of ``cids`` bisects into, lazily."""
+        return map(bisect_left, repeat(self._ring_keys), cids)
 
     def placements(self, cids: Sequence[str], writer: Optional[str]
                    ) -> Dict[Tuple[str, ...], int]:
@@ -258,14 +288,14 @@ class ShardedBackend:
 
         One writer sees at most nodes^(RF-1) distinct placements, so a
         save plan splits a run of pages per destination disk by
-        counting these instead of walking the ring page by page.
+        counting these — the run's arcs first, then the few arcs into
+        placements — instead of walking the ring page by page.
         """
-        found = list(map(self._writer_cache(writer).get, cids))
-        if None in found:
-            placement = self.placement
-            found = [dests if dests is not None else placement(cid, writer)
-                     for cid, dests in zip(cids, found)]
-        return Counter(found)
+        table = self._arc_table(writer)
+        found: Dict[Tuple[str, ...], int] = Counter()
+        for arc, count in Counter(self._arcs(cids)).items():
+            found[table[arc]] += count
+        return found
 
     def repair_dest(self, cid: str) -> Optional[str]:
         """The next up non-holder in ring order, for re-replication."""
@@ -278,84 +308,81 @@ class ShardedBackend:
     # -- core protocol -----------------------------------------------------
 
     def _path(self, node: str, cid: str) -> str:
-        return f"{self.root}/{node}/{cid[:2]}/{cid}"
+        return self._shards[node] + cid
 
-    def put_chunks(self, cids: Sequence[str],
-                   payload_of: Callable[[str], Content],
+    def _copies(self, node: str) -> Dict[str, Content]:
+        """What ``node``'s disk holds, ``cid -> stored value``: its
+        shard directory itself, looked at in place."""
+        return self.fs.directory(self._shards[node])
+
+    def put_chunks(self, cids: Sequence[str], payloads: Sequence[Content],
                    writer: Optional[str], force: bool) -> PutResult:
-        """Store a run of chunks; returns the summed :class:`PutResult`.
+        """Store a run of chunks, ``payloads`` aligned with ``cids``;
+        returns the summed :class:`PutResult`.
 
         Each chunk goes to every node of its placement that does not
-        hold it yet (``force`` rewrites the ones that do). A chunk
-        that cannot be placed at all — no shard node is up — is a typed
-        :class:`ReplicationError`: nothing would hold the bytes the
-        caller is about to commit a manifest for.
+        hold it yet (``force`` rewrites the ones that do). A run that
+        cannot be placed at all — no shard node is up — is a typed
+        :class:`ReplicationError` before anything has moved: nothing
+        would hold the bytes the caller is about to commit a manifest
+        for.
         """
+        result = PutResult()
+        if not cids:
+            return result
+        if not self._up:
+            raise ReplicationError(
+                cids[0], self.replication_factor,
+                message=f"cannot place chunk {cids[0]}: "
+                        f"no shard node is up")
+        if len(set(cids)) < len(cids):
+            # An id listed twice is put twice, the second time against
+            # what the first left: later occurrences make a follow-up
+            # run (which splits again if it must).
+            seen: Set[str] = set()
+            first: List[Tuple[str, Content]] = []
+            later: List[Tuple[str, Content]] = []
+            for row in zip(cids, payloads):
+                (later if row[0] in seen else first).append(row)
+                seen.add(row[0])
+            return self.put_chunks(*zip(*first), writer, force) \
+                + self.put_chunks(*zip(*later), writer, force)
         index = self._holder_index
-        cached = self._writer_cache(writer).get
-        union_of = self._unions.get
-        root = self.root
-        write_files = self.fs.write_files
-        files: List[Tuple[str, Content]] = []
+        write_run = self.fs.write_run
         written: Set[str] = set()
-        logical_write = logical_bytes = total_bytes = 0
-        replica_copies = replica_bytes = 0
-        try:
-            for cid in cids:
-                dests = cached(cid) or self.placement(cid, writer)
-                if not dests:
-                    raise ReplicationError(
-                        cid, self.replication_factor,
-                        message=f"cannot place chunk {cid}: "
-                                f"no shard node is up")
-                payload = payload_of(cid)
-                # A page's size is a field of its extent; len() of one
-                # would be a Python call per page.
-                nbytes = payload.length \
-                    if type(payload) is SyntheticExtent else len(payload)
-                total_bytes += nbytes
-                current = index.get(cid, ())
-                # Every new copy of a chunk that already has one is a
-                # replica; of a fresh (or forced) chunk, all but the
-                # primary are.
-                extra = bool(current) and not force
-                if not extra:
-                    logical_write += 1
-                    logical_bytes += nbytes
-                prefix = cid[:2]
-                grew = False
-                for node in dests:
-                    existed = node in current
-                    if force or not existed:
-                        files.append((f"{root}/{node}/{prefix}/{cid}",
-                                      payload))
-                        written.add(node)
-                        if not existed:
-                            grew = True
-                            if extra:
-                                replica_copies += 1
-                                replica_bytes += nbytes
-                    extra = True
-                if grew:
-                    index[cid] = union_of((current, dests)) \
-                        or self._union(current, dests)
-                if len(files) >= WRITE_BATCH:
-                    write_files(files)
-                    files.clear()
-        finally:
-            # Also on the way out of a failure: the holder index above
-            # and the shard directories never disagree.
-            write_files(files)
-        return PutResult(logical_write=logical_write,
-                         logical_bytes=logical_bytes, nbytes=total_bytes,
-                         replica_copies=replica_copies,
-                         replica_bytes=replica_bytes,
-                         dests=tuple(sorted(written)))
+        groups = _partition(zip(
+            map(self._arc_table(writer).__getitem__, self._arcs(cids)),
+            map(index.get, cids, repeat(()))))
+        for (dests, current), positions in groups.items():
+            ids = _pick(cids, positions)
+            contents = _pick(payloads, positions)
+            new = [node for node in dests if node not in current]
+            targets = dests if force else new
+            wrote = [write_run(self._shards[node], ids, contents)
+                     for node in targets]
+            written.update(targets)
+            nbytes = wrote[0] if wrote else run_bytes(contents)
+            result.nbytes += nbytes
+            # Every new copy of a chunk that already has one is a
+            # replica; of a fresh (or forced) chunk, all but the
+            # primary are.
+            replicas = len(new)
+            if force or not current:
+                result.logical_write += len(ids)
+                result.logical_bytes += nbytes
+                if dests[0] not in current:
+                    replicas -= 1
+            result.replica_copies += replicas * len(ids)
+            result.replica_bytes += replicas * nbytes
+            if new:
+                index.update(zip(ids, repeat(self._union(current, dests))))
+        result.dests = tuple(sorted(written))
+        return result
 
     def put_chunk(self, cid: str, payload: Content,
                   writer: Optional[str] = None,
                   force: bool = False) -> PutResult:
-        return self.put_chunks((cid,), lambda _cid: payload, writer, force)
+        return self.put_chunks((cid,), (payload,), writer, force)
 
     def read_chunks(self, cids: Sequence[str]
                     ) -> Dict[Tuple[str, ...], List[Content]]:
@@ -364,29 +391,44 @@ class ShardedBackend:
         One rule per chunk: try its live holders in sorted order, fall
         through a copy whose file is gone (a torn replica), and raise
         :class:`ChunkMissingError` naming the queried shards only when
-        none of them can serve it. The grouping is what a restore needs
-        to know about its sources: which surviving disks hold how much.
+        none of them can serve it — for the first such chunk of the
+        run, with ``bytes_read`` counting the chunks before it and no
+        more. The grouping is what a restore needs to know about its
+        sources: which surviving disks hold how much.
         """
-        index_get = self._holder_index.get
-        live_of = self._live
-        root = self.root
-        read_file = self.fs.read_file
+        read_run = self.fs.read_run
+        runs = {live: _pick(cids, positions) for live, positions
+                in _partition(self._live_of(cids)).items()}
         grouped: Dict[Tuple[str, ...], List[Content]] = {}
-        for cid in cids:
-            live = live_of[index_get(cid, ())]
-            for node in live:
-                try:
-                    payload = read_file(f"{root}/{node}/{cid[:2]}/{cid}")
-                except SyscallError:
-                    continue
-                break
-            else:
-                raise ChunkMissingError(cid, self.up_nodes)
-            group = grouped.get(live)
-            if group is None:
-                grouped[live] = [payload]
-            else:
-                group.append(payload)
+        missed = False
+        for live, ids in runs.items():
+            found = grouped[live] = read_run(self._shards[live[0]], ids) \
+                if live else [None] * len(ids)
+            fallbacks = iter(live[1:])
+            # Not ``None in found``: an extent's ``__eq__`` per page.
+            while _NONE in set(map(type, found)):
+                node = next(fallbacks, None)
+                if node is None:
+                    missed = True
+                    break
+                holes = [position for position, payload in enumerate(found)
+                         if payload is None]
+                for hole, payload in zip(holes, read_run(
+                        self._shards[node], [ids[hole] for hole in holes])):
+                    found[hole] = payload
+        if missed:
+            # Rare enough to be plain about. The error is the one a
+            # chunk-by-chunk read raises: the first miss in run order,
+            # nothing read after it counted.
+            served: Dict[str, Optional[Content]] = {}
+            for live, ids in runs.items():
+                served.update(zip(ids, grouped[live]))
+            at = next(position for position, cid in enumerate(cids)
+                      if served[cid] is None)
+            self.fs.bytes_read -= run_bytes(
+                [served[cid] for cid in cids[at + 1:]
+                 if served[cid] is not None])
+            raise ChunkMissingError(cids[at], self.up_nodes)
         return grouped
 
     def get_chunk(self, cid: str) -> Content:
@@ -399,21 +441,21 @@ class ShardedBackend:
 
     def scan(self) -> List[str]:
         """Every chunk id with at least one copy, sorted."""
-        found: Set[str] = set()
-        for node in self.nodes:
-            for path in self.fs.listdir(f"{self.root}/{node}/"):
-                found.add(path.rsplit("/", 1)[-1])
-        return sorted(found)
+        return sorted(set().union(*map(self._copies, self.nodes)))
 
     def scan_node(self, node: str) -> List[str]:
-        return [cid for cid, _stored in self.stored_on(node)]
+        return sorted(self._copies(node))
 
     def stored_on(self, node: str) -> List[Tuple[str, Content]]:
         """``(chunk id, what the disk holds)`` for every copy on
-        ``node``, sorted by id — looked at in place, not read
-        (:meth:`SharedFileSystem.scan`)."""
-        return [(path.rsplit("/", 1)[-1], stored) for path, stored
-                in self.fs.scan(f"{self.root}/{node}/")]
+        ``node``, sorted by id — looked at in place, not read."""
+        return sorted(self._copies(node).items())
+
+    def absent(self, cids: Iterable[str]) -> List[str]:
+        """The chunks of ``cids`` that no shard, up or down, holds a
+        copy of, sorted. Read from the directories, like
+        :meth:`total_copies`."""
+        return sorted(set(cids).difference(*map(self._copies, self.nodes)))
 
     # -- placement / availability ------------------------------------------
 
@@ -423,9 +465,13 @@ class ShardedBackend:
 
     def unavailable(self, cids: Sequence[str]) -> List[str]:
         """The chunks of ``cids`` with no readable copy right now."""
-        index_get = self._holder_index.get
-        live_of = self._live
-        return [cid for cid in cids if not live_of[index_get(cid, ())]]
+        return list(compress(cids, map(not_, self._live_of(cids))))
+
+    def _live_of(self, cids: Sequence[str]
+                 ) -> Iterator[Tuple[str, ...]]:
+        """:meth:`live_holders` of each of ``cids``, lazily."""
+        return map(self._live.__getitem__,
+                   map(self._holder_index.get, cids, repeat(())))
 
     def holders(self, cid: str) -> Tuple[str, ...]:
         """Every node with a copy, sorted; equal results are one object."""
@@ -438,8 +484,7 @@ class ShardedBackend:
     def total_copies(self, cid: str) -> int:
         # Deliberately filesystem-backed: the deep store audit uses
         # this as ground truth against the in-memory holder index.
-        return sum(1 for node in self.nodes
-                   if self.fs.exists(self._path(node, cid)))
+        return sum(cid in self._copies(node) for node in self.nodes)
 
     def chunk_size(self, cid: str) -> int:
         for node in self.holders(cid):
@@ -472,13 +517,13 @@ class ShardedBackend:
 
     def mark_down(self, node_name: str) -> None:
         self._up.discard(node_name)
-        self._placement_cache.clear()
+        self._arc_tables.clear()
         self._live.clear()
 
     def mark_up(self, node_name: str) -> None:
         if node_name in self.nodes:
             self._up.add(node_name)
-            self._placement_cache.clear()
+            self._arc_tables.clear()
             self._live.clear()
 
     @property

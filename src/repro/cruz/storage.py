@@ -43,9 +43,10 @@ reference enumeration that walk must agree with.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cruz.backend import (
     ShardedBackend,
@@ -57,7 +58,11 @@ from repro.errors import (
     ChunkMissingError,
     VersionUnreconstructibleError,
 )
-from repro.simos.filesystem import SharedFileSystem, SyntheticExtent
+from repro.simos.filesystem import (
+    SharedFileSystem,
+    SyntheticExtent,
+    run_bytes,
+)
 from repro.simos.memory import PAGE_SIZE, AddressSpace
 from repro.zap.image import (
     CheckpointImage,
@@ -101,6 +106,12 @@ def page_chunk_payload(cid: str) -> SyntheticExtent:
     """What is stored for a page chunk: PAGE_SIZE bytes that are the
     chunk id's 32 bytes repeated, as the extent saying so."""
     return SyntheticExtent((bytes.fromhex(cid), PAGE_SIZE))
+
+
+def page_chunk_payloads(cids: Sequence[str]) -> List[SyntheticExtent]:
+    """:func:`page_chunk_payload` of a run of page chunk ids."""
+    return list(map(SyntheticExtent,
+                    zip(map(bytes.fromhex, cids), repeat(PAGE_SIZE))))
 
 
 def iter_page_chunks(pod_name: str, vpid: int,
@@ -383,7 +394,7 @@ class ImageStore:
         self._persist_backend_config()
         #: cid -> references from committed manifests; a chunk is
         #: unlinked when its count reaches zero.
-        self._refcounts: Dict[str, int] = {}
+        self._refcounts: Counter = Counter()
         # Byte-movement counters (the measured quantities the benchmarks
         # read; distinct from the simulated-time accounting). The
         # ``chunks_written``/``bytes_written`` pair counts *logical*
@@ -419,7 +430,7 @@ class ImageStore:
         #: every manifest.  Saves made with no sanitizer attached skip
         #: the upkeep and invalidate the shadow; the next audit rebuilds
         #: it from disk.
-        self._audit_expected: Dict[str, int] = {}
+        self._audit_expected: Counter = Counter()
         self._audit_valid = True
         #: Optional :class:`repro.sim.spans.MetricsRegistry` — each save
         #: mirrors the chunk byte-movement into typed counters
@@ -456,13 +467,6 @@ class ImageStore:
         """A copy of the chunk refcount table (cid -> references)."""
         self._ensure_attached()
         return dict(self._refcounts)
-
-    @staticmethod
-    def _count_refs(counts: Dict[str, int], cids: List[str]) -> None:
-        """Add one reference per listed chunk id to ``counts``."""
-        get = counts.get
-        for cid in cids:
-            counts[cid] = get(cid, 0) + 1
 
     def _decref(self, cid: str) -> None:
         """Drop one reference; unlink the chunk when none remain.
@@ -507,8 +511,8 @@ class ImageStore:
             self._latest[pod_name] = max(
                 self._latest.get(pod_name, 0), version)
             refs = self._manifest_chunk_refs(manifest)
-            self._count_refs(self._refcounts, refs)
-            self._count_refs(self._audit_expected, refs)
+            self._refcounts.update(refs)
+            self._audit_expected.update(refs)
 
     def versions(self, pod_name: str) -> List[int]:
         """Versions whose manifests actually exist in the filesystem."""
@@ -824,19 +828,19 @@ class ImageStore:
         # counter, refcount or manifest has moved.
         force = plan.mode == "full"
         put_chunks = self.backend.put_chunks
-        puts = (put_chunks([cid for cid, _blob in plan.blob_writes],
-                           dict(plan.blob_writes).__getitem__,
-                           writer, force),
-                put_chunks(plan.page_writes, page_chunk_payload,
-                           writer, force))
-        for result in puts:
-            stats["replica_copies"] += result.replica_copies
-            stats["replica_bytes"] += result.replica_bytes
-            stats["chunks_written"] += result.logical_write
-            stats["bytes_written"] += result.logical_bytes
-            stats["bytes_deduped"] += result.nbytes - result.logical_bytes
-        stats["bytes_deduped"] += plan.total_bytes - plan.write_bytes
-        self._count_refs(self._refcounts, plan.refs)
+        blob_ids, blobs = zip(*plan.blob_writes) \
+            if plan.blob_writes else ((), ())
+        result = put_chunks(blob_ids, blobs, writer, force) \
+            + put_chunks(plan.page_writes,
+                         page_chunk_payloads(plan.page_writes),
+                         writer, force)
+        stats["replica_copies"] += result.replica_copies
+        stats["replica_bytes"] += result.replica_bytes
+        stats["chunks_written"] += result.logical_write
+        stats["bytes_written"] += result.logical_bytes
+        stats["bytes_deduped"] += result.nbytes - result.logical_bytes \
+            + plan.total_bytes - plan.write_bytes
+        self._refcounts.update(plan.refs)
         manifest = plan.manifest
         manifest["meta"]["version"] = version
         manifest["meta"]["written_bytes"] = image.written_bytes
@@ -847,8 +851,8 @@ class ImageStore:
         if self.sanitizer is not None:
             # From the manifest, not from plan.refs: the audit compares
             # what was just counted with what a drop will uncount.
-            self._count_refs(self._audit_expected,
-                             self._manifest_chunk_refs(manifest))
+            self._audit_expected.update(
+                self._manifest_chunk_refs(manifest))
         else:
             self._audit_valid = False
         self._latest[image.pod_name] = version
@@ -919,10 +923,8 @@ class ImageStore:
                 pages = self.backend.read_chunks(self._page_ids(
                     meta["pod_name"], entry["vpid"], memory))
                 for holders, payloads in pages.items():
-                    sources[holders] = sources.get(holders, 0) + sum([
-                        payload.length
-                        if type(payload) is SyntheticExtent
-                        else len(payload) for payload in payloads])
+                    sources[holders] = sources.get(holders, 0) \
+                        + run_bytes(payloads)
                 image.processes.append(ProcessImage(
                     vpid=entry["vpid"], parent_vpid=entry["parent_vpid"],
                     name=entry["name"],
@@ -1003,20 +1005,21 @@ class ImageStore:
         blobs: set = set()
         if deep or not self._audit_valid:
             deep = True
-            rebuilt: Dict[str, int] = {}
+            rebuilt: Counter = Counter()
             for path in self.fs.listdir(f"{self.root}/"):
                 if not path.endswith(".manifest"):
                     continue
                 manifest = thaw_object(self.fs.read_file(path))
-                self._count_refs(rebuilt,
-                                 self._manifest_chunk_refs(manifest))
+                rebuilt.update(self._manifest_chunk_refs(manifest))
                 blobs.update(cid for cid, _nbytes
                              in self._manifest_blob_refs(manifest))
             self._audit_expected = rebuilt
             self._audit_valid = True
         expected = self._audit_expected
         problems: List[Dict[str, Any]] = []
-        if expected != self._refcounts:
+        # As plain tables: a Counter's own ``!=`` is a Python loop over
+        # both and takes a zero count for an absent one.
+        if dict.__ne__(expected, self._refcounts):
             for cid, count in sorted(expected.items()):
                 actual = self._refcounts.get(cid, 0)
                 if actual != count:
@@ -1037,10 +1040,9 @@ class ImageStore:
             # off node are unavailable, not lost. Orphans are audited on
             # reachable shards only; a down shard legitimately keeps
             # copies of chunks deleted while it was out.
-            for cid in sorted(expected):
-                if backend.total_copies(cid) == 0:
-                    problems.append({"kind": "missing_chunk", "cid": cid,
-                                     "expected": expected[cid]})
+            for cid in backend.absent(expected):
+                problems.append({"kind": "missing_chunk", "cid": cid,
+                                 "expected": expected[cid]})
             for node in backend.up_nodes:
                 for cid, stored in backend.stored_on(node):
                     if expected.get(cid, 0) == 0:

@@ -19,7 +19,17 @@ for, and the bytes are there for whoever asks (``bytes(extent)``,
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.errors import SyscallError
 
@@ -79,40 +89,96 @@ class SyntheticExtent(tuple):
 #: What a whole-file write stores and ``read_file`` returns: real bytes
 #: (a chunk store's blobs) or an extent (its pages).
 Content = Union[bytes, SyntheticExtent]
+#: What a directory holds under a name: that, or the bytearray a
+#: ``create``/``write_at`` file is.
+Stored = Union[bytearray, Content]
+
+_extent_length = itemgetter(1)
+_path_of = itemgetter(0)
+
+
+def run_bytes(contents: Sequence[Content],
+              kinds: Optional[Set[type]] = None) -> int:
+    """The bytes a run of contents stands for. A run of extents (a
+    process's pages) is summed with no Python call per page; ``kinds``
+    is ``set(map(type, contents))`` for a caller that already has it."""
+    if kinds is None:
+        kinds = set(map(type, contents))
+    if kinds == {SyntheticExtent}:
+        return sum(map(_extent_length, contents))
+    return sum(map(len, contents))
+
+
+#: The types a whole-file value is stored as without conversion.
+_IMMUTABLE = {bytes, SyntheticExtent}
+#: Stands in for a directory nothing was ever written under.
+_NO_FILES: Dict[str, Stored] = {}
 
 
 class SharedFileSystem:
-    """Path → content, visible from every node."""
+    """Path → content, visible from every node.
+
+    Held as directories. A path splits after its last ``/``: the part
+    up to and including that slash names the directory (``""`` for a
+    path with none), the rest is the file's name in it, and the two
+    concatenate back to the path. The directory is the unit of listing
+    and of the run verbs. There is no ``mkdir``: a directory exists
+    from the first write under it (or the first :meth:`directory`),
+    stays when its last file is unlinked, and appears in no listing —
+    those name files only.
+    """
 
     def __init__(self):
         # Whole-file writes keep their immutable value (bytes or extent)
         # and are converted to a bytearray lazily, on the first
         # write_at.
-        self._files: Dict[str, Union[bytearray, Content]] = {}
+        self._dirs: Dict[str, Dict[str, Stored]] = {}
         self.bytes_written = 0
         self.bytes_read = 0
 
+    def directory(self, directory: str) -> Dict[str, Stored]:
+        """The live ``name → stored value`` table of ``directory``, to
+        look at in place (the view :meth:`scan` gives, without a path
+        string per file; counts as no read). One object for the life of
+        the filesystem, emptied and refilled or not."""
+        files = self._dirs.get(directory)
+        if files is None:
+            files = self._dirs[directory] = {}
+        return files
+
+    # Every path verb splits its path the same way, inline: these are
+    # the simulated kernel's file syscalls, and a shared helper would be
+    # a second Python call on each.
+
     def exists(self, path: str) -> bool:
-        return path in self._files
+        head, slash, name = path.rpartition("/")
+        return name in self._dirs.get(head + slash, _NO_FILES)
 
     def create(self, path: str, truncate: bool = True) -> None:
-        if truncate or path not in self._files:
-            self._files[path] = bytearray()
+        head, slash, name = path.rpartition("/")
+        files = self.directory(head + slash)
+        if truncate or name not in files:
+            files[name] = bytearray()
 
     def unlink(self, path: str) -> None:
-        if path not in self._files:
-            raise SyscallError("ENOENT", path)
-        del self._files[path]
+        head, slash, name = path.rpartition("/")
+        try:
+            del self._dirs.get(head + slash, _NO_FILES)[name]
+        except KeyError:
+            raise SyscallError("ENOENT", path) from None
 
     def size(self, path: str) -> int:
-        if path not in self._files:
-            raise SyscallError("ENOENT", path)
-        return len(self._files[path])
+        head, slash, name = path.rpartition("/")
+        try:
+            return len(self._dirs.get(head + slash, _NO_FILES)[name])
+        except KeyError:
+            raise SyscallError("ENOENT", path) from None
 
     def read_at(self, path: str, offset: int, nbytes: int) -> bytes:
-        if path not in self._files:
+        head, slash, name = path.rpartition("/")
+        data = self._dirs.get(head + slash, _NO_FILES).get(name)
+        if data is None:
             raise SyscallError("ENOENT", path)
-        data = self._files[path]
         if type(data) is SyntheticExtent:
             data = data.read(offset, nbytes)
         else:
@@ -123,70 +189,114 @@ class SharedFileSystem:
     def read_file(self, path: str) -> Content:
         """The whole of ``path`` (the read twin of :meth:`write_file`);
         an extent comes back as the extent, not expanded."""
-        data = self._files.get(path)
+        head, slash, name = path.rpartition("/")
+        data = self._dirs.get(head + slash, _NO_FILES).get(name)
         if data is None:
             raise SyscallError("ENOENT", path)
         if type(data) is SyntheticExtent:
             self.bytes_read += data.length
             return data
-        if isinstance(data, bytearray):
+        if type(data) is bytearray:
             data = bytes(data)
         self.bytes_read += len(data)
         return data
 
     def write_file(self, path: str, data: Content) -> int:
-        """Create-or-truncate ``path`` to exactly ``data``.
+        """Create-or-truncate ``path`` to exactly ``data``; an extent is
+        stored as the extent."""
+        if type(data) is SyntheticExtent:
+            nbytes = data.length
+        else:
+            data = bytes(data)
+            nbytes = len(data)
+        head, slash, name = path.rpartition("/")
+        self.directory(head + slash)[name] = data
+        self.bytes_written += nbytes
+        return nbytes
 
-        One dict store instead of create+write_at — the chunk-store hot
-        path writes hundreds of thousands of whole small files. An
-        extent is stored as the extent.
-        """
-        return self.write_files(((path, data),))
-
-    def write_files(self, files: Iterable[Tuple[str, Content]]) -> int:
-        """:meth:`write_file` for a run of ``(path, data)`` pairs.
+    def write_run(self, directory: str, names: Sequence[str],
+                  contents: Sequence[Content]) -> int:
+        """:meth:`write_file` of ``directory + name`` for a run of names
+        and the contents aligned with them, in C-level passes.
 
         The chunk store hands over a whole run of pages at once; every
         pair counts in ``bytes_written`` exactly as its own
-        ``write_file`` would (a path listed twice is written twice).
+        ``write_file`` would (a name listed twice is written twice).
+        Names are single path components.
         """
-        stored = self._files
-        total = 0
-        for path, data in files:
-            if type(data) is SyntheticExtent:
-                total += data.length
-            else:
-                data = bytes(data)
-                total += len(data)
-            stored[path] = data
+        kinds = set(map(type, contents))
+        if not kinds <= _IMMUTABLE:
+            contents = [data if type(data) is SyntheticExtent
+                        else bytes(data) for data in contents]
+        total = run_bytes(contents, kinds)
+        self.directory(directory).update(zip(names, contents))
         self.bytes_written += total
         return total
 
+    def read_run(self, directory: str, names: Sequence[str]
+                 ) -> List[Optional[Content]]:
+        """:meth:`read_file` of ``directory + name`` for a run of names;
+        a file that is not there is a ``None`` in its place and counts
+        for nothing."""
+        got = list(map(self._dirs.get(directory, _NO_FILES).get, names))
+        # Not ``None in got``: that is an extent's ``__eq__`` per page.
+        kinds = set(map(type, got))
+        if kinds <= _IMMUTABLE:
+            self.bytes_read += run_bytes(got, kinds)
+        else:
+            got = [bytes(data) if type(data) is bytearray else data
+                   for data in got]
+            self.bytes_read += run_bytes(
+                [data for data in got if data is not None])
+        return got
+
     def write_at(self, path: str, offset: int, data: bytes) -> int:
-        if path not in self._files:
+        head, slash, name = path.rpartition("/")
+        files = self._dirs.get(head + slash, _NO_FILES)
+        blob = files.get(name)
+        if blob is None:
             raise SyscallError("ENOENT", path)
-        blob = self._files[path]
-        if not isinstance(blob, bytearray):
-            blob = self._files[path] = bytearray(bytes(blob))
+        if type(blob) is not bytearray:
+            blob = files[name] = bytearray(bytes(blob))
         if offset > len(blob):
             blob.extend(b"\x00" * (offset - len(blob)))
         blob[offset:offset + len(data)] = data
         self.bytes_written += len(data)
         return len(data)
 
+    def _under(self, prefix: str) -> Iterator[Tuple[str, Iterable[str]]]:
+        """``(directory, names)`` of the files whose path starts with
+        ``prefix`` — a string prefix, so it may end mid-name. Only
+        directories the prefix can match are looked into."""
+        for directory, files in self._dirs.items():
+            if directory.startswith(prefix):
+                yield directory, files
+            elif prefix.startswith(directory):
+                stem = prefix[len(directory):]
+                yield directory, [name for name in files
+                                  if name.startswith(stem)]
+
     def listdir(self, prefix: str = "") -> List[str]:
-        return sorted(p for p in self._files if p.startswith(prefix))
+        """Every path that starts with ``prefix``, sorted."""
+        found: List[str] = []
+        for directory, names in self._under(prefix):
+            found.extend(map(directory.__add__, names))
+        found.sort()
+        return found
 
     def paths(self) -> Iterator[str]:
-        return iter(sorted(self._files))
+        return iter(self.listdir())
 
-    def scan(self, prefix: str = ""
-             ) -> List[Tuple[str, Union[bytearray, Content]]]:
+    def scan(self, prefix: str = "") -> List[Tuple[str, Stored]]:
         """Sorted ``(path, stored value)`` under ``prefix``, as stored.
 
         The fsck view: it expands nothing and counts as no read, so an
         audit can compare what every disk holds without moving
         ``bytes_read``.
         """
-        return sorted(item for item in self._files.items()
-                      if item[0].startswith(prefix))
+        found: List[Tuple[str, Stored]] = []
+        for directory, names in self._under(prefix):
+            found.extend(zip(map(directory.__add__, names),
+                             map(self._dirs[directory].__getitem__, names)))
+        found.sort(key=_path_of)
+        return found

@@ -105,7 +105,7 @@ class ReferenceBackend(ShardedBackend):
             return self.fs.read_file(self._path(node, cid))
         raise ChunkMissingError(cid, self.up_nodes)
 
-    def put_chunks(self, cids, payload_of, writer, force):
+    def put_chunks(self, cids, payloads, writer, force):
         raise NotImplementedError("the reference is per chunk")
 
     read_chunks = put_chunks

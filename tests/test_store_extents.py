@@ -85,11 +85,11 @@ def test_an_extent_file_behaves_as_its_bytes(seed):
                     == real[offset:offset + nbytes]
         same()
 
-        # A run of writes keeps every extent an extent, and a path
+        # A run of writes keeps every extent an extent, and a name
         # listed twice is written (and counted) twice.
-        run = [("/d/y", extent), ("/d/z", b"blob"), ("/d/y", extent)]
-        assert fs.write_files(run) == twin.write_files(
-            [(path, bytes(data)) for path, data in run])
+        names, run = ("y", "z", "y"), (extent, b"blob", extent)
+        assert fs.write_run("/d/", names, run) == twin.write_run(
+            "/d/", names, [bytes(data) for data in run])
         assert fs.read_file("/d/y") is extent
         assert fs.read_file("/d/z") == b"blob"
         twin.read_file("/d/y"), twin.read_file("/d/z")

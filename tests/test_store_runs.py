@@ -9,6 +9,7 @@ every counter, plan, refcount and file must stay equal.
 import gc
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -22,6 +23,8 @@ from repro.cruz.storage import (
     blob_chunk_id,
     iter_page_chunks,
     page_chunk_id,
+    page_chunk_payload,
+    page_chunk_payloads,
 )
 from repro.errors import (
     ChunkMissingError,
@@ -30,7 +33,7 @@ from repro.errors import (
 )
 from repro.net.addresses import Ipv4Address, MacAddress
 from repro.simos.costs import DEFAULT_COSTS
-from repro.simos.filesystem import SharedFileSystem
+from repro.simos.filesystem import SharedFileSystem, SyntheticExtent
 from repro.simos.memory import PAGE_SIZE, AddressSpace
 from repro.zap.image import (
     CheckpointImage,
@@ -42,7 +45,11 @@ from repro.zap.image import (
 from repro.zap.verify import verify_image
 
 from tests.programs import ComputeLoop
-from tests.reference_store import ReferenceBackend, ReferenceImageStore
+from tests.reference_store import (
+    ReferenceBackend,
+    ReferenceImageStore,
+    reference_page_payload,
+)
 
 NODES = ("node0", "node1", "node2", "node3")
 MODES = ("full", "dedup", "incremental")
@@ -95,6 +102,7 @@ def reference_ids(pod_name, vpid, memory):
 
 
 def listing(store):
+    """Every file with its size (``store``: anything with an ``fs``)."""
     return {path: store.fs.size(path) for path in store.fs.listdir("")}
 
 
@@ -340,8 +348,7 @@ def test_put_chunk_is_the_one_element_put_chunks(name, prepare, force):
             result = backend.put_chunk(cid, b"payload", writer="node1",
                                        force=force)
         else:
-            result = backend.put_chunks([cid], {cid: b"payload"}.__getitem__,
-                                        "node1", force)
+            result = backend.put_chunks([cid], [b"payload"], "node1", force)
         results.append((result, backend.holders(cid),
                         backend.fs.bytes_written - written_before,
                         backend.fs.listdir("")))
@@ -353,18 +360,25 @@ def test_put_chunk_is_the_one_element_put_chunks(name, prepare, force):
 
 
 def test_put_with_no_shard_up_is_a_typed_failure():
+    """Raised before any file, index entry or counter has moved — for a
+    run as for one chunk, and naming the run's first chunk."""
     for single in (True, False):
         backend = ShardedBackend(SharedFileSystem(), NODES, 2)
         for node in NODES:
             backend.mark_down(node)
         cid = blob_chunk_id(b"payload")
-        with pytest.raises(ReplicationError, match="no shard node is up"):
+        pages = page_run(32)
+        with pytest.raises(ReplicationError,
+                           match="no shard node is up") as refused:
             if single:
                 backend.put_chunk(cid, b"payload", writer="node1")
             else:
-                backend.put_chunks([cid], lambda _cid: b"payload",
+                backend.put_chunks([cid] + pages, [b"payload"]
+                                   + page_chunk_payloads(pages),
                                    "node1", False)
+        assert refused.value.cid == cid
         assert not backend.has(cid)
+        assert backend._holder_index == {}
         assert backend.fs.listdir("") == []
         assert backend.fs.bytes_written == 0
 
@@ -429,6 +443,189 @@ def test_torn_copy_is_read_from_the_surviving_replica():
     with pytest.raises(VersionUnreconstructibleError) as lost:
         store.load("beta")
     assert lost.value.missing_cid == page
+
+
+# -- what a run must not get wrong ----------------------------------------
+
+
+def page_run(count, pod_name="beta"):
+    return [page_chunk_id(pod_name, 1, "grid", index, 1)
+            for index in range(count)]
+
+
+def test_holes_are_found_without_comparing_extents(monkeypatch):
+    """``None in [extents...]`` is one ``SyntheticExtent.__eq__`` per
+    page; a run is checked for holes by type."""
+    backend = ShardedBackend(SharedFileSystem(), NODES, 2)
+    ids = page_run(64)
+    backend.put_chunks(ids, page_chunk_payloads(ids), "node0", False)
+    torn = ids[5]
+    first, second = backend.live_holders(torn)
+    backend.fs.unlink(backend._path(first, torn))
+    compared = []
+    monkeypatch.setattr(
+        SyntheticExtent, "__eq__",
+        lambda self, other: compared.append(other) or NotImplemented)
+    read_before = backend.fs.bytes_read
+    grouped = backend.read_chunks(ids)
+    run_read = backend.fs.bytes_read - read_before
+    from_first = backend.fs.read_run(backend._shards[first], ids)
+    monkeypatch.undo()
+    assert compared == []
+    # The filesystem reports the hole in its place and counts nothing
+    # for it; the backend filled it from the replica, in place too.
+    assert from_first[5] is None
+    assert [type(payload) for payload in from_first].count(
+        SyntheticExtent) == 63
+    assert backend.fs.bytes_read - read_before - run_read == 63 * PAGE_SIZE
+    assert run_read == 64 * PAGE_SIZE
+    group = [cid for cid in ids
+             if backend.live_holders(cid) == (first, second)]
+    assert grouped[first, second] == page_chunk_payloads(group)
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_an_id_listed_twice_is_put_twice(force):
+    """Two equal blobs in one plan: the second put of the id sees what
+    the first left (a dedup hit, or with ``force`` a rewrite)."""
+    a, b, c = (blob_chunk_id(name) for name in (b"a", b"b", b"c"))
+    run = [a, b, a, c, a, b]
+    payloads = [b"a", b"b", b"a", b"c", b"a", b"b"]
+    backend = ShardedBackend(SharedFileSystem(), NODES, 2)
+    reference = ReferenceBackend(SharedFileSystem(), NODES, 2)
+    whole = backend.put_chunks(run, payloads, "node2", force)
+    singles = [reference.put_chunk(cid, payload, writer="node2",
+                                   force=force)
+               for cid, payload in zip(run, payloads)]
+    assert whole.logical_write == sum(r.logical_write for r in singles) \
+        == (6 if force else 3)
+    for field in ("logical_bytes", "nbytes", "replica_copies",
+                  "replica_bytes"):
+        assert getattr(whole, field) == \
+            sum(getattr(r, field) for r in singles), field
+    assert set(whole.dests) == {d for r in singles for d in r.dests}
+    assert backend.fs.bytes_written == reference.fs.bytes_written
+    assert listing(backend) == listing(reference)
+    for cid in (a, b, c):
+        assert backend.holders(cid) == reference.holders(cid)
+
+
+def test_a_miss_is_the_first_in_run_order_and_counts_what_came_before():
+    backends = (ShardedBackend(SharedFileSystem(), NODES, 2),
+                ReferenceBackend(SharedFileSystem(), NODES, 2))
+    ids = page_run(48)
+    real, reference = backends
+    real.put_chunks(ids, page_chunk_payloads(ids), "node0", False)
+    for cid in ids:
+        reference.put_chunk(cid, reference_page_payload(cid),
+                            writer="node0")
+    # Every page is on node0 and one ring successor; with node0 and
+    # node2 down the pages of that pair are lost, scattered over the
+    # run, and the rest are read from their other holder — several
+    # holder groups, misses in one of them.
+    for backend in backends:
+        backend.mark_down("node0")
+        backend.mark_down("node2")
+    lost = [cid for cid in ids if not real.available(cid)]
+    assert 0 < len(lost) < len(ids) and ids.index(lost[0]) > 0
+    outcomes = []
+    for backend in backends:
+        before = backend.fs.bytes_read
+        with pytest.raises(ChunkMissingError) as miss:
+            if backend is real:
+                backend.read_chunks(ids)
+            else:
+                for cid in ids:
+                    backend.get_chunk(cid)
+        outcomes.append((miss.value.cid, miss.value.queried_nodes,
+                         backend.fs.bytes_read - before))
+    assert outcomes[0] == outcomes[1] == \
+        (lost[0], ("node1", "node3"), ids.index(lost[0]) * PAGE_SIZE)
+    # Nothing about the miss is sticky: the same run reads whole again.
+    real.mark_up("node2")
+    before = real.fs.bytes_read
+    assert sum(map(len, real.read_chunks(ids).values())) == len(ids)
+    assert real.fs.bytes_read - before == len(ids) * PAGE_SIZE
+
+
+def test_an_emptied_directory_is_the_same_directory():
+    fs = SharedFileSystem()
+    held = fs.directory("/d/")
+    assert fs.listdir("") == [] and held == {}
+    fs.write_run("/d/", ["x", "y"], [b"1", b"22"])
+    assert held == {"x": b"1", "y": b"22"}
+    fs.unlink("/d/x"), fs.unlink("/d/y")
+    assert held == {} and fs.listdir("/d") == []
+    fs.write_file("/d/z", b"333")
+    assert fs.directory("/d/") is held and held == {"z": b"333"}
+
+    # The backend holds its shard directories for as long as it lives:
+    # a store emptied by GC and filled again is still what it scans.
+    store, _reference = make_stores()
+    memories = {("beta", 1): AddressSpace()}
+    memories["beta", 1].allocate("grid", 6 * PAGE_SIZE)
+    image = build_image("beta", memories, taken_at=0.0)
+    store.save(image, mode="full", writer="node0")
+    chunks = store.backend.scan()
+    assert store.prune("beta", keep=0) == 1
+    assert store.backend.scan() == [] and store.fs.listdir(
+        store.backend.root + "/") == []
+    store.save(image, mode="full", writer="node0")
+    assert store.backend.scan() == chunks
+    assert store.audit(deep=True) == []
+    assert ImageStore(store.fs).backend.scan() == chunks
+
+
+# -- calls follow groups, not pages ----------------------------------------
+
+#: Python-level calls a put, a forced re-put and a read of one run may
+#: make between them on a 4-node RF=2 backend (3 placement groups): 98
+#: today, whatever the run's length. The per-chunk loop this replaced
+#: made two per page.
+CALLS_PER_RUN = 120
+
+
+def store_calls(function):
+    """How many Python-level calls ``function()`` makes into the chunk
+    backend and the filesystem. C functions do not count (they are the
+    point), nor does whatever a collector pass happens to finalize."""
+    layers = tuple(sys.modules[module.__module__].__file__
+                   for module in (ShardedBackend, SharedFileSystem))
+    calls = 0
+
+    def on_event(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename in layers:
+            calls += 1
+
+    sys.setprofile(on_event)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_calls_per_run_do_not_depend_on_its_length():
+    counts = []
+    for pages in (1024, 4096):
+        backend = ShardedBackend(SharedFileSystem(), NODES, 2)
+        ids = page_run(pages)
+        payloads = page_chunk_payloads(ids)
+        # The writer's placement table is built once per availability
+        # change, not per run.
+        assert len(backend.placements(ids, "node0")) == 3
+
+        def put_and_read():
+            backend.put_chunks(ids, payloads, "node0", False)
+            backend.put_chunks(ids, payloads, "node0", True)
+            backend.read_chunks(ids)
+
+        counts.append(store_calls(put_and_read))
+        assert backend.fs.bytes_written == 2 * 2 * pages * PAGE_SIZE
+        assert backend.fs.bytes_read == pages * PAGE_SIZE
+    assert counts[0] == counts[1], counts
+    assert counts[0] <= CALLS_PER_RUN, counts
 
 
 # -- a dropped cluster dies in one collector pass --------------------------
