@@ -187,8 +187,16 @@ def run_serve(backends: int = 3, clients: int = 6, sessions: int = 12,
                     "error": str(error),
                 }
 
-    cluster.run_until(lambda: all(not p.is_alive for p in procs),
-                      limit=limit_s, step=0.01)
+    # Evaluated after every timestamp batch: drop the finished clients
+    # instead of asking all of them again each time.
+    running = list(procs)
+
+    def clients_done() -> bool:
+        while running and not running[-1].is_alive:
+            running.pop()
+        return not running
+
+    cluster.run_until(clients_done, limit=limit_s, step=0.01)
     cluster.run_for(0.3)
     cluster.run_until(fleet_up, limit=20.0, step=0.01)
     cluster.run_for(0.3)  # let final sync replays land

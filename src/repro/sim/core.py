@@ -13,8 +13,9 @@ Events are dispatched in two places only: :meth:`Simulator.step` (one
 event) and :meth:`Simulator._drive`, the one loop behind both
 :meth:`Simulator.run` and :meth:`Simulator.run_until`. A queue entry's
 payload is either an :class:`Event` (its callbacks run) or a bare
-``(fn, args)`` tuple from :meth:`Simulator.defer`/``defer_at`` (called in
-place); :attr:`Simulator.now` is a plain attribute.
+``(fn, args)`` tuple from :meth:`Simulator.defer`/``defer_at`` or a
+process's plain sleep (called in place); :attr:`Simulator.now` is a plain
+attribute.
 """
 
 from __future__ import annotations
@@ -190,16 +191,31 @@ class Interrupt(Exception):
         self.cause = cause
 
 
+class _Slept:
+    """What a process that yielded a plain delay is resumed with: the
+    two fields :meth:`SimProcess._resume` reads of an event."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_SLEPT = _Slept()
+
+
 class SimProcess(Event):
     """A generator-based coroutine driven by the simulator.
 
     The generator yields :class:`Event` instances; the process resumes when
-    the yielded event triggers, receiving its value (or exception). The
+    the yielded event triggers, receiving its value (or exception). It may
+    also yield a plain ``float`` — "sleep this long" — which costs one bare
+    queue entry where ``yield sim.timeout(delay)`` costs an event: same
+    time, priority and sequence position, resumed with ``None``. The
     process object is itself an event that triggers when the generator
     returns, carrying the return value.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_sleeps")
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  name: str = ""):
@@ -207,6 +223,10 @@ class SimProcess(Event):
             generator, "__name__", "process"))
         self._generator = generator
         self._waiting_on: Optional[Event] = None
+        #: Token of the current plain sleep. :meth:`interrupt` bumps it,
+        #: so the queue entry of a sleep that was cut short finds a
+        #: different number and does nothing.
+        self._sleeps = 0
         init = Event(sim, name=f"init({self.name})")
         init.callbacks.append(self._resume)
         init.succeed()
@@ -229,6 +249,7 @@ class SimProcess(Event):
                 and self._resume in target.callbacks:
             target.callbacks.remove(self._resume)
         self._waiting_on = None
+        self._sleeps += 1
         poke.callbacks.append(self._resume)
         self.sim._schedule_event(poke, 0.0, priority=URGENT)
 
@@ -248,9 +269,17 @@ class SimProcess(Event):
                 self.fail(exc)
                 return
             raise
+        if target.__class__ is float:
+            if target < 0:
+                raise SimulationError(f"negative delay {target}")
+            sim = self.sim
+            sim._queue.push(sim.now + target, NORMAL,
+                            (self._sleep_over, (self._sleeps,)))
+            return
         if not isinstance(target, Event):
             raise SimulationError(
-                f"process {self.name!r} yielded {target!r}, not an Event")
+                f"process {self.name!r} yielded {target!r}, neither an "
+                f"Event nor a float delay")
         self._waiting_on = target
         if target.callbacks is not None:
             # Pending or scheduled-but-unprocessed: wait for processing.
@@ -262,6 +291,10 @@ class SimProcess(Event):
             immediate._ok = target._ok
             immediate.callbacks.append(self._resume)
             self.sim._schedule_event(immediate, 0.0)
+
+    def _sleep_over(self, token: int) -> None:
+        if token == self._sleeps:
+            self._resume(_SLEPT)
 
 
 class Simulator:

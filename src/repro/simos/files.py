@@ -31,16 +31,24 @@ class KernelObject:
         self.write_waiters: List[Event] = []
 
     def _wake(self, waiters: List[Event]) -> None:
-        while waiters:
-            event = waiters.pop(0)
-            if not event.triggered:
-                event.succeed()
+        if waiters:
+            woken = waiters[:]
+            waiters.clear()
+            for event in woken:
+                if not event.triggered:
+                    event.succeed()
 
     def wake_readers(self) -> None:
         self._wake(self.read_waiters)
 
     def wake_writers(self) -> None:
         self._wake(self.write_waiters)
+
+    def poll_readable(self) -> bool:
+        """``poll``'s question: would a read return at once? A kind
+        that never blocks a read (POSIX: a regular file) is always
+        ready; the kinds that can block override this."""
+        return True
 
     def wait_readable(self) -> Event:
         event = self.sim.event("readable")
@@ -88,6 +96,9 @@ class Pipe(KernelObject):
         self.buffer.extend(chunk)
         self.wake_readers()
         return len(chunk)
+
+    def poll_readable(self) -> bool:
+        return bool(self.buffer) or self.writers == 0
 
     def close_side(self, mode: str) -> None:
         if mode == "r":

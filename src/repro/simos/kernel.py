@@ -184,7 +184,10 @@ class Node:
         exit_code = 0
         try:
             while True:
-                yield from self._stop_gate(proc)
+                if proc.stopped:
+                    yield from self._stop_gate(proc)
+                elif not proc.killed:
+                    proc.state = ProcessState.RUNNABLE
                 if proc.killed:
                     exit_code = -9
                     break
@@ -264,7 +267,7 @@ class Node:
         cost = self.costs.syscall_time
         if interposer is not None:
             cost += self.costs.pod_syscall_overhead
-        yield self.sim.timeout(cost)
+        yield cost
         result = yield from handler(proc, call)
         if interposer is not None:
             result = interposer.translate_result(proc, call, result)
@@ -641,57 +644,58 @@ class Node:
         """poll(fds, timeout=None) -> list of fds readable right now.
 
         A socket is "readable" when data (or a pending accept, or EOF)
-        is available; a pipe when it has bytes or its writers are gone.
-        ``timeout`` of None blocks until something is ready; a number
-        bounds the wait (0 = pure poll).
+        is available; a pipe when it has bytes or its writers are gone;
+        a regular file always. ``timeout`` of None blocks until
+        something is ready; a number bounds the wait (0 = pure poll).
+
+        The descriptors are resolved once, so a bad one is ``EBADF``
+        before anything is registered. A blocked poll is one event put
+        on every watched object's waiter list, plus at most one deadline
+        timer that succeeds the same event; whichever way the wait ends
+        — woken, killed, collected — the event is withdrawn from every
+        list still holding it and the timer is cancelled.
         """
         (fds,) = call.args
         timeout = call.kwargs.get("timeout")
-
-        def ready_now():
-            ready = []
-            for fd in fds:
-                obj = self._descriptor(proc, fd).obj
-                if isinstance(obj, TcpSocket):
-                    if obj.recv_available() > 0:
-                        ready.append(fd)
-                    elif obj.listener is not None and \
-                            obj.listener.accept_queue:
-                        ready.append(fd)
-                    elif obj.connection is not None and (
-                            obj.connection.peer_closed or
-                            obj.connection.state.value in
-                            ("CLOSED", "TIME_WAIT")):
-                        ready.append(fd)
-                elif isinstance(obj, UdpSocket):
-                    if obj.queue:
-                        ready.append(fd)
-                elif isinstance(obj, Pipe):
-                    if obj.buffer or obj.writers == 0:
-                        ready.append(fd)
-            return ready
-
-        deadline = None if timeout is None else self.sim.now + timeout
+        resolve = proc.fds.get
+        watched = [(fd, resolve(fd).obj) for fd in fds]
+        listeners = [obj.listener for _fd, obj in watched
+                     if isinstance(obj, TcpSocket)
+                     and obj.listener is not None]
+        sim = self.sim
+        deadline = None if timeout is None else sim.now + timeout
         while True:
-            ready = ready_now()
+            ready = [fd for fd, obj in watched if obj.poll_readable()]
             if ready:
                 return ready
-            if deadline is not None and self.sim.now >= deadline:
+            if deadline is not None and sim.now >= deadline:
                 return []
             proc.state = ProcessState.BLOCKED
-            waiters = []
-            for fd in fds:
-                obj = self._descriptor(proc, fd).obj
-                if isinstance(obj, TcpSocket) and obj.listener is not None:
-                    waiters.append(obj.listener.wait_pending())
-                waiters.append(obj.wait_readable())
-            if deadline is not None:
-                waiters.append(self.sim.timeout(
-                    max(0.0, deadline - self.sim.now)))
-            yield self.sim.any_of(waiters)
+            woken = sim.event("poll")
+            joined = [obj.read_waiters for _fd, obj in watched]
+            joined += [listener._pending_notify for listener in listeners]
+            for waiters in joined:
+                waiters.append(woken)
+            timer = None if deadline is None else sim.call_later(
+                max(0.0, deadline - sim.now), self._poll_expired, woken)
+            try:
+                yield woken
+            finally:
+                # A list its owner has swapped out since is no longer
+                # anybody's; taking the event off it is harmless.
+                for waiters in joined:
+                    if woken in waiters:
+                        waiters.remove(woken)
+                if timer is not None:
+                    sim.cancel(timer)
             yield from self._stop_gate(proc)
             if proc.killed:
                 raise SyscallError("EINTR", "killed")
+
+    @staticmethod
+    def _poll_expired(woken) -> None:
+        if not woken.triggered:
+            woken.succeed()
 
     def _sys_setsockopt(self, proc, call) -> Generator:
         fd, option, value = call.args

@@ -28,6 +28,10 @@ from repro.simos.syscalls import (
 from repro.tcp.connection import TcpConnection
 from repro.tcp.options import SocketOptions
 from repro.tcp.stack import Listener
+from repro.tcp.state import TcpState
+
+#: Connection states in which a read returns at once with EOF.
+_READ_OVER_STATES = (TcpState.CLOSED, TcpState.TIME_WAIT)
 
 
 class TcpSocket(KernelObject):
@@ -133,12 +137,17 @@ class TcpSocket(KernelObject):
             return b""
         raise WouldBlock
 
-    def recv_available(self) -> int:
+    def poll_readable(self) -> bool:
+        """Data (restored or received), a pending accept, or EOF."""
+        if self.alternate:
+            return True
         conn = self.connection
-        backlog = len(self.alternate)
-        if conn is not None:
-            backlog += conn.available
-        return backlog
+        if conn is not None and (
+                conn.receive_buffer.data or conn.peer_closed
+                or conn.tcb.state in _READ_OVER_STATES):
+            return True
+        listener = self.listener
+        return listener is not None and bool(listener.accept_queue)
 
     def close(self) -> None:
         if self.closed:
@@ -224,6 +233,9 @@ class UdpSocket(KernelObject):
         src_port = self.bound[1] if self.bound is not None else 0
         self.stack.udp.send(src_ip, src_port, dst_ip, dst_port, payload,
                             payload_size=payload_size)
+
+    def poll_readable(self) -> bool:
+        return bool(self.queue)
 
     def recvfrom(self):
         if not self.queue:

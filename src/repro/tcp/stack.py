@@ -30,7 +30,9 @@ class Listener:
         self.options = options
         self.accept_queue: List[TcpConnection] = []
         self._waiters: List[Event] = []
-        #: Non-consuming readiness notifications (poll support).
+        #: Events of blocked polls watching this listener: succeeded when
+        #: a connection is queued, consuming nothing. The poll puts its
+        #: event here and takes it back.
         self._pending_notify: List[Event] = []
         self.embryos: List[TcpConnection] = []
         self.closed = False
@@ -42,16 +44,6 @@ class Listener:
             event.succeed(self.accept_queue.pop(0))
         else:
             self._waiters.append(event)
-        return event
-
-    def wait_pending(self) -> Event:
-        """Event that fires when the accept queue is (or becomes)
-        non-empty, without consuming anything (poll semantics)."""
-        event = self.stack.sim.event(f"pending(:{self.port})")
-        if self.accept_queue:
-            event.succeed()
-        else:
-            self._pending_notify.append(event)
         return event
 
     def _connection_ready(self, connection: TcpConnection) -> None:

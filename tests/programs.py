@@ -1,7 +1,8 @@
 """Small application programs used across the test suite.
 
 All of them follow the checkpointable state-machine discipline: every bit of
-mutable state is an instance attribute.
+mutable state is an instance attribute — except :class:`Scripted`, which
+wraps a live generator and so can never be checkpointed.
 """
 
 from __future__ import annotations
@@ -358,3 +359,25 @@ class PeekThenRead(PhasedProgram):
     def phase_finish(self, result):
         self.consumed = result
         return Exit(0)
+
+
+class Scripted(Program):
+    """A program written as a generator: it yields syscalls and is sent
+    their results; its return value is the exit code. For kernel-level
+    tests that never checkpoint the process (a generator cannot be
+    pickled)."""
+
+    name = "scripted"
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.started = False
+
+    def step(self, result):
+        try:
+            if self.started:
+                return self.generator.send(result)
+            self.started = True
+            return next(self.generator)
+        except StopIteration as stop:
+            return Exit(stop.value or 0)

@@ -206,3 +206,81 @@ def test_nested_processes():
 
     assert sim.run_until_complete(sim.process(parent())) == 30
     assert sim.now == 3.0
+
+
+# -- a process may yield a plain float: sleep this long ----------------------
+
+@pytest.mark.parametrize("tiebreak", Simulator.TIEBREAKS)
+def test_float_sleep_takes_the_queue_position_of_a_timeout(tiebreak):
+    """Same instants, and the same order among sleepers that tie."""
+    delays = [[0.5, 0.5, 1.0], [0.5, 1.0, 0.5], [1.0, 0.5, 0.5],
+              [0.25, 0.25, 0.0, 1.5], [2.0]]
+
+    def trace(plain):
+        sim = Simulator(tiebreak=tiebreak)
+        log = []
+
+        def sleeper(index, naps):
+            for nap in naps:
+                woke = yield (nap if plain else sim.timeout(nap))
+                assert woke is None
+                log.append((sim.now, index))
+
+        for index, naps in enumerate(delays):
+            sim.process(sleeper(index, naps))
+        sim.call_later(1.0, log.append, "tick")     # a tie that is no sleep
+        sim.run()
+        return log, sim.stats()["pushed"]
+
+    (plain_log, plain_pushed), (event_log, event_pushed) = \
+        trace(True), trace(False)
+    assert plain_log == event_log
+    assert plain_pushed == event_pushed     # one entry per sleep either way
+
+
+def test_interrupted_float_sleep_leaves_a_stale_entry_that_does_nothing():
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        try:
+            yield 1.0
+        except Interrupt as intr:
+            seen.append((sim.now, intr.cause))
+        yield 2.0           # the stale entry (t=1.0) fires inside this
+        seen.append(sim.now)
+        return "done"
+
+    task = sim.process(proc())
+    sim.call_later(0.5, task.interrupt, "wakeup")
+    assert sim.run_until_complete(task) == "done"
+    assert seen == [(0.5, "wakeup"), 2.5]
+    sim.run()
+    assert sim.stats()["live"] == 0
+
+
+def test_stale_sleep_entry_of_a_finished_process_does_nothing():
+    sim = Simulator()
+
+    def proc():
+        try:
+            yield 5.0
+        except Interrupt:
+            return "killed"
+
+    task = sim.process(proc())
+    sim.call_later(1.0, task.interrupt)
+    assert sim.run_until_complete(task) == "killed"
+    sim.run()               # the entry at t=5.0 finds the process gone
+    assert sim.now == 5.0 and task.value == "killed"
+
+
+def test_negative_float_sleep_rejected():
+    sim = Simulator()
+
+    def proc():
+        yield -1.0
+
+    sim.process(proc())
+    with pytest.raises(SimulationError, match="negative delay"):
+        sim.run()

@@ -128,6 +128,20 @@ def test_sigkill_terminates_blocked_process():
     assert proc.exit_code == -9
 
 
+def test_sigkill_while_paying_a_syscalls_cost():
+    """The cost is a bare queue entry; the one a kill leaves behind fires
+    with nobody to resume."""
+    cluster = make_cluster()
+    node = cluster.nodes[0]
+    proc = node.spawn(Sleeper(1.0))
+    cluster.sim.step()          # the first step is taken: paying for it
+    assert proc.current_syscall.name == "sleep" and cluster.sim.now == 0.0
+    node.signal_now(proc.pid, SIGKILL)
+    cluster.run()
+    assert proc.exit_code == -9
+    assert cluster.sim.now < 1.0        # the sleep itself never began
+
+
 def test_waitpid_returns_child_exit_code():
     class Parent(PhasedProgram):
         initial_phase = "spawn"
