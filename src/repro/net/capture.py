@@ -76,13 +76,12 @@ class PacketCapture:
         link.unobserve(self._record)
         self._links.remove(link)
 
-    def _record(self, link: Link, frame: EthernetFrame,
-                dropped: bool) -> None:
+    def _record(self, link: Link, frame: EthernetFrame, dropped: bool,
+                at: float) -> None:
         if self.predicate is None or self.predicate(frame):
             if len(self.frames) < self.max_frames:
                 self.frames.append(CapturedFrame(
-                    time=link.sim.now, frame=frame,
-                    dropped=dropped, link=link.name))
+                    time=at, frame=frame, dropped=dropped, link=link.name))
 
     def tcp_segments(self):
         """Iterate (record, ip_packet, tcp_segment) for TCP frames."""

@@ -58,7 +58,10 @@ class Nic:
         self.port.transmit(frame)
 
     def _on_frame(self, frame: EthernetFrame, _port: Port) -> None:
-        if not self.accepts(frame):
+        # accepts(frame), inlined: the last step of every frame's hop.
+        dst = frame.dst
+        if not (dst in self.macs or dst == BROADCAST_MAC
+                or self.promiscuous):
             self.rx_filtered += 1
             return
         self.rx_frames += 1

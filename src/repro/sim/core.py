@@ -21,10 +21,11 @@ attribute.
 from __future__ import annotations
 
 import math
+from heapq import heappop
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.eventq import CalendarEventQueue
+from repro.sim.eventq import HeapEventQueue
 
 #: Priority used for ordinary events.
 NORMAL = 1
@@ -316,7 +317,7 @@ class Simulator:
         #: is read several times per event on every hot path. Only the
         #: drive loop and :meth:`step` write it.
         self.now = 0.0
-        self._queue = CalendarEventQueue(
+        self._queue = HeapEventQueue(
             sequence_sign=1 if tiebreak == "fifo" else -1)
         self._running = False
         self.tiebreak = tiebreak
@@ -493,12 +494,13 @@ class Simulator:
                limit: float = math.inf, step: float = 0.0) -> None:
         """The one event-dispatch loop behind :meth:`run` and
         :meth:`run_until`: dispatch every event due at or before
-        ``bound``, one queue pop per event.
+        ``bound``, popping the queue's heap in line (C ``heappop``, the
+        queue's counters kept here).
 
         With a ``predicate`` the loop works a timestamp batch at a time:
-        the pops inside a batch are limited to ``now``, so the pop that
-        finds nothing else due *at this instant* closes the batch with
-        the queue untouched beyond it, and the predicate is evaluated
+        inside a batch only entries due at ``now`` are popped, so reading
+        a head due later closes the batch with the queue untouched
+        beyond it, and the predicate is evaluated
         there — before the clock advances, with every later event still
         queued (a predicate may read the queue, schedule, cancel or
         raise). Only when it reads false is the next batch's first entry
@@ -509,37 +511,44 @@ class Simulator:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
         queue = self._queue
-        pop_due = queue.pop_due
+        heap = queue._heap
         oracle = self._oracle
         try:
             while True:
-                entry = pop_due(bound)
-                if entry is not None:
-                    batch = bound if predicate is None else entry[0]
-                    while entry is not None:
-                        if oracle is not None:
-                            entry = self._choose(entry)
-                        when = entry[0]
+                cap = bound
+                fired = False
+                while heap:
+                    if heap[0][0] > cap:
+                        break
+                    entry = heappop(heap)
+                    when = entry[0]
+                    target = entry[3]
+                    if target is None:          # a tombstone: shed it
+                        queue._dead -= 1
+                        queue.dead_popped += 1
+                        continue
+                    queue.popped += 1
+                    if predicate is not None:
+                        cap = when
+                    fired = True
+                    if oracle is not None:
+                        entry = self._choose(entry)
                         target = entry[3]
-                        if when < self.now:
-                            raise SimulationError(
-                                "event queue went backwards")
-                        self.now = when
-                        if target.__class__ is tuple:
-                            target[0](*target[1])
-                        else:
-                            target._qentry = None
-                            callbacks = target.callbacks
-                            target.callbacks = None
-                            target._processed = True
-                            for callback in callbacks:
-                                callback(target)
-                        entry = pop_due(batch)
-                    if predicate is None:
-                        return
-                elif predicate is None:
+                    if when < self.now:
+                        raise SimulationError("event queue went backwards")
+                    self.now = when
+                    if target.__class__ is tuple:
+                        target[0](*target[1])
+                    else:
+                        target._qentry = None
+                        callbacks = target.callbacks
+                        target.callbacks = None
+                        target._processed = True
+                        for callback in callbacks:
+                            callback(target)
+                if predicate is None:
                     return
-                else:
+                if not fired:
                     # Nothing due within ``bound``: only time can change
                     # the predicate's answer. Jump by ``step`` over an
                     # empty queue, straight to ``bound`` otherwise.

@@ -50,16 +50,6 @@ class KernelObject:
         ready; the kinds that can block override this."""
         return True
 
-    def wait_readable(self) -> Event:
-        event = self.sim.event("readable")
-        self.read_waiters.append(event)
-        return event
-
-    def wait_writable(self) -> Event:
-        event = self.sim.event("writable")
-        self.write_waiters.append(event)
-        return event
-
     def close_side(self, mode: str) -> None:
         """Release one reference ('r' or 'w')."""
 

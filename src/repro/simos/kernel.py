@@ -13,12 +13,12 @@ provides an interposer, every syscall is passed through it for rewriting
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Optional, Union
+from typing import Any, Callable, Dict, Generator, List, Optional, Union
 
 from repro.errors import SyscallError
 from repro.net.addresses import ANY_IP, Ipv4Address
 from repro.net.nic import Nic
-from repro.sim.core import Interrupt, SimProcess, Simulator
+from repro.sim.core import Event, Interrupt, SimProcess, Simulator
 from repro.sim.resources import Resource
 from repro.sim.trace import Trace
 from repro.simos.costs import CostModel, DEFAULT_COSTS
@@ -274,14 +274,24 @@ class Node:
         return result
 
     def _blocking(self, proc: ProcessControlBlock, attempt: Callable,
-                  wait: Callable) -> Generator:
-        """Run ``attempt`` until it stops raising WouldBlock."""
+                  waiters: List[Event], name: str) -> Generator:
+        """Run ``attempt`` until it stops raising WouldBlock, waiting on
+        an event ``name`` in ``waiters`` (the object's read or write
+        waiters) between tries. However the wait ends — woken, killed,
+        collected — the event leaves the list, as a blocked poll's does."""
         while True:
             try:
                 return attempt()
             except WouldBlock:
                 proc.state = ProcessState.BLOCKED
-                yield wait()
+                woken = self.sim.event(name)
+                waiters.append(woken)
+                try:
+                    yield woken
+                finally:
+                    # A wake swaps the list out; then it is gone already.
+                    if woken in waiters:
+                        waiters.remove(woken)
                 yield from self._stop_gate(proc)
                 if proc.killed:
                     raise SyscallError("EINTR", "killed")
@@ -464,7 +474,8 @@ class Node:
             if "r" not in descriptor.mode:
                 raise SyscallError("EBADF", "not open for reading")
             result = yield from self._blocking(
-                proc, lambda: obj.read(nbytes), obj.wait_readable)
+                proc, lambda: obj.read(nbytes), obj.read_waiters,
+                "readable")
             return result
         raise SyscallError("EBADF", f"fd {fd} not readable")
 
@@ -484,7 +495,8 @@ class Node:
             if "w" not in descriptor.mode:
                 raise SyscallError("EBADF", "not open for writing")
             result = yield from self._blocking(
-                proc, lambda: obj.write(data), obj.wait_writable)
+                proc, lambda: obj.write(data), obj.write_waiters,
+                "writable")
             return result
         raise SyscallError("EBADF", f"fd {fd} not writable")
 
@@ -607,7 +619,7 @@ class Node:
             except WouldBlock:
                 raise SyscallError("EAGAIN", "send would block")
         result = yield from self._blocking(
-            proc, lambda: sock.send(data), sock.wait_writable)
+            proc, lambda: sock.send(data), sock.write_waiters, "writable")
         return result
 
     def _sys_recv(self, proc, call) -> Generator:
@@ -620,7 +632,8 @@ class Node:
             except WouldBlock:
                 raise SyscallError("EAGAIN", "recv would block")
         result = yield from self._blocking(
-            proc, lambda: sock.recv(max_bytes, flags), sock.wait_readable)
+            proc, lambda: sock.recv(max_bytes, flags), sock.read_waiters,
+            "readable")
         return result
 
     def _sys_sendto(self, proc, call) -> Generator:
@@ -636,7 +649,7 @@ class Node:
         (fd,) = call.args
         sock = self._udp_socket(proc, fd)
         result = yield from self._blocking(
-            proc, sock.recvfrom, sock.wait_readable)
+            proc, sock.recvfrom, sock.read_waiters, "readable")
         payload, src_ip, src_port = result
         return (payload, str(src_ip), src_port)
 

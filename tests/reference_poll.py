@@ -2,11 +2,12 @@
 
 The body of ``Node._sys_poll`` as it stood before a blocked poll became
 one shared event — verbatim, with ``self`` spelled ``node``, and with
-``Listener.wait_pending`` and ``TcpSocket.recv_available`` (which only
-this handler used) moved here. It re-resolves every descriptor per scan,
-asks readiness through the ``isinstance`` ladder, allocates a
-``wait_readable`` event per descriptor (plus one per listener and a
-``Timeout``) and withdraws none of them. That is exactly the behaviour the
+``Listener.wait_pending``, ``TcpSocket.recv_available`` and
+``KernelObject.wait_readable`` (which only this handler used) moved
+here. It re-resolves every descriptor per scan, asks readiness through
+the ``isinstance`` ladder, allocates a ``wait_readable`` event per
+descriptor (plus one per listener and a ``Timeout``) and withdraws none
+of them. That is exactly the behaviour the
 kernel's handler must reproduce as seen by a program — the same fds at
 the same simulated instants — so this stays the plain per-descriptor wait
 and is not to be optimised.
@@ -30,6 +31,12 @@ def _wait_pending(listener):
         event.succeed()
     else:
         listener._pending_notify.append(event)
+    return event
+
+
+def _wait_readable(obj):
+    event = obj.sim.event("readable")
+    obj.read_waiters.append(event)
     return event
 
 
@@ -81,7 +88,7 @@ def reference_sys_poll(node, proc, call):
             obj = node._descriptor(proc, fd).obj
             if isinstance(obj, TcpSocket) and obj.listener is not None:
                 waiters.append(_wait_pending(obj.listener))
-            waiters.append(obj.wait_readable())
+            waiters.append(_wait_readable(obj))
         if deadline is not None:
             waiters.append(node.sim.timeout(
                 max(0.0, deadline - node.sim.now)))

@@ -1,11 +1,11 @@
-"""Event-queue equivalence and cancellation-leak regression tests.
+"""Event-queue ordering and cancellation-leak regression tests.
 
-The calendar queue's contract is bit-identical pop order with the
-reference heap for *any* interleaving of pushes and cancels, under both
-tie-break policies. The seeded property test here drives both queues
-side by side; the Simulator-level tests pin the cancellation fix the
-refactor shipped (a cancelled timer reclaims its slot instead of
-lingering until its pop time).
+The queue's contract is that it pops live entries in ``(time, priority,
+signed sequence)`` order for *any* interleaving of pushes, cancels and
+bounded pops, under both tie-break policies. The seeded property test
+here diffs it against a ``sorted()`` model of the live keys; the
+Simulator-level tests pin the cancellation fix (a cancelled timer
+reclaims its slot instead of lingering until its pop time).
 """
 
 import random
@@ -13,117 +13,100 @@ import random
 import pytest
 
 from repro.sim.core import Simulator
-from repro.sim.eventq import COMPACT_MIN_DEAD, CalendarEventQueue
-
-from tests.heap_eventq import HeapEventQueue
-
-QUEUES = (HeapEventQueue, CalendarEventQueue)
+from repro.sim.eventq import COMPACT_MIN_DEAD, HeapEventQueue
 
 
-def _drive_both(seed, sign, ops=4000):
-    """Apply one seeded op sequence to both queues; return pop streams."""
+def _drive(seed, sign, ops=4000):
+    """Apply one seeded op sequence to the queue and to a model of its
+    live keys; return both pop streams."""
     rng = random.Random(seed)
-    heap = HeapEventQueue(sequence_sign=sign)
-    calendar = CalendarEventQueue(sequence_sign=sign)
-    # Parallel entry handles so a cancel hits "the same" entry in both.
-    # A popped entry leaves the pool (the Simulator upholds the same
-    # contract by clearing _qentry when it pops an event).
-    pairs = {}
-    popped_heap = []
-    popped_cal = []
+    queue = HeapEventQueue(sequence_sign=sign)
+    # token -> (entry, key): the model is the set of live keys. A popped
+    # entry leaves it (the Simulator upholds the same contract by
+    # clearing _qentry when it pops an event).
+    live = {}
+    popped, expected = [], []
     token = 0
     clock = 0.0
     for _ in range(ops):
         roll = rng.random()
-        if roll < 0.55 or not pairs:
+        if roll < 0.55 or not live:
             token += 1
-            # Mix of near-future (in the ring), far-future (overflow),
-            # and exactly-now times, with colliding priorities.
+            # Near-future, far-future and exactly-now times, with
+            # colliding priorities: sequence numbers break the ties.
             time = clock + rng.choice(
                 (0.0, rng.random() * 0.01, rng.random() * 10.0))
             priority = rng.choice((0, 0, 0, 5, 10))
-            pairs[token] = (heap.push(time, priority, token),
-                            calendar.push(time, priority, token))
+            entry = queue.push(time, priority, token)
+            live[token] = (entry, (time, priority, sign * token))
         elif roll < 0.80:
-            victim = rng.choice(sorted(pairs))
-            entry_h, entry_c = pairs.pop(victim)
-            heap.cancel(entry_h)
-            calendar.cancel(entry_c)
+            entry, _key = live.pop(rng.choice(sorted(live)))
+            queue.cancel(entry)
         else:
             limit = clock + rng.random() * 0.05
+            due = sorted((key, tok) for tok, (_e, key) in live.items()
+                         if key[0] <= limit)
+            expected += [(key[0], key[1], key[2], tok) for key, tok in due]
             while True:
-                got_h = heap.pop_due(limit)
-                got_c = calendar.pop_due(limit)
-                assert (got_h is None) == (got_c is None)
-                if got_h is None:
+                got = queue.pop_due(limit)
+                if got is None:
                     break
-                popped_heap.append(tuple(got_h))
-                popped_cal.append(tuple(got_c))
-                pairs.pop(got_h[3], None)
-                clock = max(clock, got_h[0])
-    # Drain whatever is left through the unbounded pop.
-    while len(heap):
-        popped_heap.append(tuple(heap.pop()))
-    while len(calendar):
-        popped_cal.append(tuple(calendar.pop()))
-    return popped_heap, popped_cal
+                popped.append(tuple(got))
+                live.pop(got[3])
+                clock = max(clock, got[0])
+    expected += [(key[0], key[1], key[2], tok) for key, tok in
+                 sorted((key, tok) for tok, (_e, key) in live.items())]
+    while len(queue):
+        popped.append(tuple(queue.pop()))
+    return popped, expected
 
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["fifo", "lifo"])
 @pytest.mark.parametrize("seed", range(8))
 def test_calendar_matches_heap_pop_order(seed, sign):
-    popped_heap, popped_cal = _drive_both(seed, sign)
-    assert popped_heap == popped_cal
-    assert popped_heap  # the sequence actually exercised pops
-
-
-def test_calendar_overflow_migrates_in_order():
-    calendar = CalendarEventQueue(bucket_width=2.0 ** -10, nbuckets=4)
-    # Far beyond the 4-bucket window: everything lands in overflow.
-    for k in range(50):
-        calendar.push(1.0 + k * 0.001, 0, k)
-    order = [calendar.pop()[3] for _ in range(50)]
-    assert order == list(range(50))
-    stats = calendar.stats()
-    assert stats["popped"] == 50
-    assert stats["overflow"] == 0
+    """The contract the calendar queue was held to — a monolithic heap's
+    pop order — kept by the heap that replaced it, checked against the
+    sorted keys."""
+    popped, expected = _drive(seed, sign)
+    assert popped == expected
+    assert popped  # the sequence actually exercised pops
 
 
 def test_pop_due_respects_limit_and_skips_dead():
-    for queue_cls in QUEUES:
-        queue = queue_cls()
-        early = queue.push(1.0, 0, "early")
-        queue.push(2.0, 0, "late")
-        queue.cancel(early)
-        assert queue.pop_due(0.5) is None
-        assert queue.pop_due(1.5) is None      # only a tombstone there
-        assert queue.pop_due(2.5)[3] == "late"
-        assert queue.pop_due(2.5) is None
+    queue = HeapEventQueue()
+    early = queue.push(1.0, 0, "early")
+    queue.push(2.0, 0, "late")
+    queue.cancel(early)
+    assert queue.pop_due(0.5) is None
+    assert queue.pop_due(1.5) is None      # only a tombstone there
+    assert queue.pop_due(2.5)[3] == "late"
+    assert queue.pop_due(2.5) is None
 
 
 def test_cancel_is_idempotent_and_counted():
-    for queue_cls in QUEUES:
-        queue = queue_cls()
-        entry = queue.push(1.0, 0, "x")
-        queue.cancel(entry)
-        queue.cancel(entry)                    # second cancel is a no-op
-        stats = queue.stats()
-        assert stats["cancelled"] == 1
-        assert len(queue) == 0
+    queue = HeapEventQueue()
+    entry = queue.push(1.0, 0, "x")
+    queue.cancel(entry)
+    queue.cancel(entry)                    # second cancel is a no-op
+    stats = queue.stats()
+    assert stats["cancelled"] == 1
+    assert len(queue) == 0
 
 
 def test_compaction_reclaims_dead_entries():
-    for queue_cls in QUEUES:
-        queue = queue_cls()
-        entries = [queue.push(1.0 + k * 1e-4, 0, k)
-                   for k in range(4 * COMPACT_MIN_DEAD)]
-        survivor = queue.push(99.0, 0, "survivor")
-        for entry in entries:
-            queue.cancel(entry)
-        stats = queue.stats()
-        assert stats["compactions"] >= 1, queue_cls
-        assert stats["dead"] <= COMPACT_MIN_DEAD, queue_cls
-        assert queue.pop()[3] == "survivor"
+    queue = HeapEventQueue()
+    heap = queue._heap
+    entries = [queue.push(1.0 + k * 1e-4, 0, k)
+               for k in range(4 * COMPACT_MIN_DEAD)]
+    survivor = queue.push(99.0, 0, "survivor")
+    for entry in entries:
+        queue.cancel(entry)
+    stats = queue.stats()
+    assert stats["compactions"] >= 1
+    assert stats["dead"] <= COMPACT_MIN_DEAD
+    # In place: the drive loop holds this very list.
+    assert queue._heap is heap and survivor in heap
+    assert queue.pop()[3] == "survivor"
 
 
 # ---------------------------------------------------------------------------

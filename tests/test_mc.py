@@ -25,9 +25,7 @@ from repro.analysis.oracle import (
     ample_candidates,
 )
 from repro.sim.core import Simulator
-from repro.sim.eventq import CalendarEventQueue
-
-from tests.heap_eventq import HeapEventQueue
+from repro.sim.eventq import HeapEventQueue
 
 
 # -- oracle hook: degenerate oracles refine the queue exactly -------------
@@ -101,7 +99,7 @@ def test_run_policy_matches_plain_tiebreak_cluster():
 # -- queue reinsert -------------------------------------------------------
 
 
-@pytest.mark.parametrize("queue_cls", [HeapEventQueue, CalendarEventQueue])
+@pytest.mark.parametrize("queue_cls", [HeapEventQueue])
 def test_reinsert_restores_pop_order(queue_cls):
     queue = queue_cls()
     for name in "abc":
@@ -114,7 +112,7 @@ def test_reinsert_restores_pop_order(queue_cls):
     assert queue.pop_due(10.0) is None
 
 
-@pytest.mark.parametrize("queue_cls", [HeapEventQueue, CalendarEventQueue])
+@pytest.mark.parametrize("queue_cls", [HeapEventQueue])
 def test_reinsert_keeps_live_count(queue_cls):
     queue = queue_cls()
     queue.push(1.0, 1, "a")

@@ -1,5 +1,7 @@
 """Tests for links, NICs and the learning switch."""
 
+import itertools
+
 import pytest
 
 from repro.errors import NetworkError
@@ -194,3 +196,118 @@ def test_switch_forget_forces_reflood():
     assert macs[0] in switch.table
     switch.forget(macs[0])
     assert macs[0] not in switch.table
+
+
+# -- a frame hop is one queue entry ------------------------------------------
+
+def _hosts(sim, switch, n):
+    """``n`` plain ports cabled to ``switch``; returns them, their MACs
+    and what each received, as (instant, frame)."""
+    inboxes = [[] for _ in range(n)]
+    ports = []
+    for index in range(n):
+        port = Port(f"h{index}", lambda frame, port, box=inboxes[index]:
+                    box.append((sim.now, frame)))
+        Link(sim, port, switch.new_port(), latency_s=1e-6)
+        ports.append(port)
+    return ports, [MacAddress.ordinal(i + 1) for i in range(n)], inboxes
+
+
+def _pushes(sim):
+    return sim.stats()["pushed"]
+
+
+def test_a_flood_to_idle_ports_is_one_queue_entry():
+    sim = Simulator()
+    switch = Switch(sim)
+    ports, macs, inboxes = _hosts(sim, switch, 9)
+    ports[0].transmit(_frame(macs[0], BROADCAST_MAC))
+    sim.run()
+    # Its arrival at the switch, then one entry for all eight copies.
+    assert _pushes(sim) == 2
+    assert [len(box) for box in inboxes] == [0] + [1] * 8
+    assert len({when for box in inboxes[1:] for when, _f in box}) == 1
+
+
+def test_a_unicast_frame_through_the_switch_is_two_queue_entries():
+    sim = Simulator()
+    switch = Switch(sim)
+    ports, macs, inboxes = _hosts(sim, switch, 3)
+    ports[1].transmit(_frame(macs[1], BROADCAST_MAC))      # teach mac 1
+    sim.run()
+    before = _pushes(sim)
+    frame = _frame(macs[0], macs[1])
+    ports[0].transmit(frame)
+    sim.run()
+    assert _pushes(sim) - before == 2      # arrival at switch, at host 1
+    assert inboxes[1][-1][1] is frame and len(inboxes[2]) == 1
+
+
+@pytest.mark.parametrize("tiebreak", ["fifo", "lifo"])
+@pytest.mark.parametrize("order", list(itertools.permutations((1, 2, 3))),
+                         ids=lambda order: "".join(map(str, order)))
+def test_same_instant_frames_for_one_egress_leave_in_port_order(
+        tiebreak, order):
+    sim = Simulator(tiebreak=tiebreak)
+    switch = Switch(sim)
+    ports, macs, inboxes = _hosts(sim, switch, 4)
+    ports[0].transmit(_frame(macs[0], BROADCAST_MAC))      # teach mac 0
+    sim.run()
+    popped = sim.stats()["popped"]
+    frames = {index: _frame(macs[index], macs[0], 1000)
+              for index in (1, 2, 3)}
+    # Equal paths, equal sizes: all reach the switch at one instant,
+    # their callbacks in whichever order the sends and the tie-break
+    # give — every order of the three, some handed over after a higher
+    # port's frame.
+    for index in order:
+        ports[index].transmit(frames[index])
+    sim.run()
+    assert [frame for _when, frame in inboxes[0]] == [
+        frames[1], frames[2], frames[3]]
+    # Three arrivals at the switch, three at host 0. A re-slot takes
+    # the group's entries back and pushes them anew.
+    assert sim.stats()["popped"] - popped == 6
+
+
+def test_capture_reports_the_switch_hand_off_instant():
+    from repro.net.capture import PacketCapture
+    from repro.net.switch import FORWARDING_LATENCY_S
+
+    sim = Simulator()
+    switch = Switch(sim)
+    ports, macs, inboxes = _hosts(sim, switch, 2)
+    ports[1].transmit(_frame(macs[1], BROADCAST_MAC))      # teach mac 1
+    sim.run()
+    capture = PacketCapture()
+    capture.attach(ports[1].link)
+    arrived = []
+    switch_port = ports[0].link.b
+    receive = switch_port._receive
+    switch_port._receive = lambda frame, port: (arrived.append(sim.now),
+                                                receive(frame, port))
+    before = _pushes(sim)
+    frame = _frame(macs[0], macs[1])
+    ports[0].transmit(frame)
+    sim.run()
+    (record,) = capture.frames
+    assert record.frame is frame and not record.dropped
+    # Handed over on arrival; reported at arrival + 3 µs, when the
+    # egress may start it.
+    assert record.time == arrived[0] + FORWARDING_LATENCY_S
+    assert _pushes(sim) - before == 2
+
+
+def test_a_frame_due_at_an_instant_already_delivered_gets_its_own_entry():
+    sim = Simulator()
+    got = []
+    a = _capture_port("a", [])
+    b = _capture_port("b", got)
+    Link(sim, a, b, bandwidth_bps=float("inf"), latency_s=0.0)
+    first, second = (_frame(MacAddress.ordinal(1), MacAddress.ordinal(2))
+                     for _ in range(2))
+    a.transmit(first)
+    sim.run()
+    a.transmit(second)          # arrives at the same instant, t = 0
+    sim.run()
+    assert got == [first, second] and sim.now == 0.0

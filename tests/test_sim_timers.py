@@ -154,21 +154,21 @@ def _frame(k, size=1486):
 
 
 def test_link_burst_delivers_in_order_as_batches():
-    sim = Simulator()
-    got = []
-    a = Port("a", lambda frame, port: None)
-    b = Port("b", lambda frame, port: got.append(frame.payload.note))
-    # No serialisation delay: the whole burst is due at one instant,
-    # so one arrival event must carry all of it.
-    link = Link(sim, a, b, bandwidth_bps=float("inf"), latency_s=5e-6)
-    for k in range(50):
-        a.transmit(_frame(k))
-    sim.run()
-    assert got == [str(k) for k in range(50)]
-    direction = link.a_to_b
-    assert direction.frames == 50
-    assert direction.batches == 1
-    assert sim.stats()["pushed"] == 1
+    """A frame's arrival is its own queue entry, and the frames that
+    arrive at one instant are one batch: they share that entry."""
+    for bandwidth, entries in ((float("inf"), 1), (1e9, 50)):
+        sim = Simulator()
+        got = []
+        a = Port("a", lambda frame, port: None)
+        b = Port("b", lambda frame, port: got.append(
+            (sim.now, frame.payload.note)))
+        Link(sim, a, b, bandwidth_bps=bandwidth, latency_s=5e-6)
+        for k in range(50):
+            a.transmit(_frame(k))
+        sim.run()
+        assert [note for _now, note in got] == [str(k) for k in range(50)]
+        assert len({now for now, _note in got}) == entries
+        assert sim.stats()["pushed"] == entries
 
 
 def test_link_batched_delivery_times_match_the_arithmetic_schedule():

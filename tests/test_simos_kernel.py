@@ -128,6 +128,34 @@ def test_sigkill_terminates_blocked_process():
     assert proc.exit_code == -9
 
 
+def test_sigkill_of_blocked_readers_leaves_no_waiter_on_the_pipe():
+    """A read that blocks waits on one event on the pipe; a kill
+    mid-wait used to leave it there for good, one per process."""
+    from repro.simos.files import Descriptor, Pipe
+
+    from tests.programs import Scripted
+
+    def reader():
+        yield sys("read", 3, 10)
+
+    cluster = make_cluster()
+    node = cluster.nodes[0]
+    pipe = Pipe(cluster.sim)
+    procs = []
+    for _ in range(200):
+        proc = node.spawn(Scripted(reader()))
+        proc.fds.install_at(3, Descriptor(pipe, mode="r"))
+        procs.append(proc)
+    cluster.run_for(0.1)
+    assert all(proc.state == ProcessState.BLOCKED for proc in procs)
+    assert len(pipe.read_waiters) == 200
+    for proc in procs:
+        node.signal_now(proc.pid, SIGKILL)
+    cluster.run_for(0.1)
+    assert all(proc.exit_code == -9 for proc in procs)
+    assert pipe.read_waiters == []
+
+
 def test_sigkill_while_paying_a_syscalls_cost():
     """The cost is a bare queue entry; the one a kill leaves behind fires
     with nobody to resume."""
