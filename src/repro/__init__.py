@@ -26,49 +26,6 @@ pod CR), :mod:`repro.cruz` (the paper's contribution), with
 :mod:`repro.apps` and :mod:`repro.bench` alongside.
 """
 
-from repro.cluster import Cluster
-from repro.cruz.agent import CheckpointAgent
 from repro.cruz.cluster import CruzCluster
-from repro.cruz.coordinator import CheckpointCoordinator, DistributedApp
-from repro.cruz.storage import ImageStore
-from repro.errors import (
-    CheckpointError,
-    CoordinationError,
-    NetworkError,
-    PodError,
-    ReproError,
-    SimulationError,
-    SyscallError,
-    TcpError,
-)
-from repro.lsf import JobScheduler, JobSpec, JobState
-from repro.simos.program import PhasedProgram, Program
+from repro.simos.program import PhasedProgram
 from repro.simos.syscalls import Exit, sys
-from repro.zap.pod import Pod
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "CheckpointAgent",
-    "CheckpointCoordinator",
-    "CheckpointError",
-    "Cluster",
-    "CoordinationError",
-    "CruzCluster",
-    "DistributedApp",
-    "Exit",
-    "ImageStore",
-    "JobScheduler",
-    "JobSpec",
-    "JobState",
-    "NetworkError",
-    "PhasedProgram",
-    "Pod",
-    "PodError",
-    "Program",
-    "ReproError",
-    "SimulationError",
-    "SyscallError",
-    "TcpError",
-    "sys",
-]

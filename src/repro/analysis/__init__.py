@@ -17,14 +17,3 @@ round).  This package checks them mechanically:
 
 See docs/ANALYSIS.md for the rule catalog and hook points.
 """
-
-from repro.analysis.lint import LintViolation, lint_paths, lint_source
-from repro.analysis.sanitize import Sanitizer, Violation
-
-__all__ = [
-    "LintViolation",
-    "Sanitizer",
-    "Violation",
-    "lint_paths",
-    "lint_source",
-]

@@ -27,7 +27,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.mpi.api import MpiProgram
-from repro.simos.syscalls import Exit, sys
+from repro.simos.syscalls import sys
 
 
 def initial_field(rows: int, cols: int) -> np.ndarray:

@@ -1,27 +1,1 @@
-"""Prior-work baselines Cruz is compared against (§2, §5.2)."""
-
-from repro.baselines.flush import (
-    FlushAgent,
-    FlushCoordinator,
-    flush_checkpoint_app,
-    install_flush_baseline,
-    restart_message_estimate,
-)
-from repro.baselines.logging_cr import LoggingMpiProgram
-from repro.baselines.userlevel import (
-    UnsupportedResource,
-    UserLevelCheckpointer,
-    UserLevelImage,
-)
-
-__all__ = [
-    "FlushAgent",
-    "FlushCoordinator",
-    "LoggingMpiProgram",
-    "UnsupportedResource",
-    "UserLevelCheckpointer",
-    "UserLevelImage",
-    "flush_checkpoint_app",
-    "install_flush_baseline",
-    "restart_message_estimate",
-]
+"""Channel flushing: the prior-work baseline Cruz is compared with (§5.2)."""

@@ -23,7 +23,7 @@ in :data:`RESTART_RECONNECT_MESSAGES_PER_PAIR`).
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
 from repro.cruz.netstate import CruzSocketCodec
 from repro.cruz.protocol import ControlMessage, RoundStats

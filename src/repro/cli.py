@@ -106,7 +106,7 @@ def _cmd_experiments(args) -> int:
 def _cmd_demo(args) -> int:
     from repro.apps.kvserver import KvClient, KvServer
     from repro.cruz.cluster import CruzCluster
-    from repro.tools import format_table, netstat, pod_report, ps
+    from repro.tools.inspect import format_table, netstat, pod_report, ps
 
     cluster = CruzCluster(2)
     pod = cluster.create_pod(0, "kv")
@@ -155,7 +155,7 @@ def _cmd_trace(args) -> int:
     from repro.apps.slm import run_slm_rounds
     from repro.cruz.cluster import CruzCluster
     from repro.sim.spans import round_coverage
-    from repro.tools import format_table, round_report
+    from repro.tools.inspect import format_table, round_report
 
     n_nodes = args.nodes
     cluster = CruzCluster(n_nodes, trace_enabled=True)

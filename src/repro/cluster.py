@@ -93,12 +93,6 @@ class Cluster:
         self._next_vif_mac += 1
         return mac
 
-    def node_by_name(self, name: str) -> Node:
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise KeyError(name)
-
     # -- infrastructure services ---------------------------------------------
 
     def add_dhcp_server(self, node_index: int = 0,

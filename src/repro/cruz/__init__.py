@@ -11,56 +11,5 @@ The paper's two contributions:
 :class:`repro.cruz.cluster.CruzCluster` is the high-level entry point.
 """
 
-from repro.cruz.agent import CheckpointAgent
-from repro.cruz.faults import ControlFaultInjector, FaultPlan
-from repro.cruz.consistency import (
-    ChannelVerdict,
-    ConsistencyReport,
-    check_app_checkpoint,
-    check_global_consistency,
-)
 from repro.cruz.cluster import CruzCluster
-from repro.cruz.coordinator import CheckpointCoordinator, DistributedApp
-from repro.cruz.netstate import (
-    CruzSocketCodec,
-    capture_connection,
-    restore_connection,
-)
-from repro.cruz.protocol import (
-    ControlMessage,
-    ReliableEndpoint,
-    RetryPolicy,
-    RoundStats,
-)
-from repro.cruz.storage import ImageStore, LivenessLog, RoundLog
-from repro.cruz.supervisor import (
-    FailoverRecord,
-    NodeLease,
-    NodeSupervisor,
-)
-
-__all__ = [
-    "ChannelVerdict",
-    "CheckpointAgent",
-    "ConsistencyReport",
-    "CheckpointCoordinator",
-    "ControlFaultInjector",
-    "ControlMessage",
-    "CruzCluster",
-    "CruzSocketCodec",
-    "DistributedApp",
-    "FailoverRecord",
-    "FaultPlan",
-    "ImageStore",
-    "LivenessLog",
-    "NodeLease",
-    "NodeSupervisor",
-    "ReliableEndpoint",
-    "RetryPolicy",
-    "RoundLog",
-    "RoundStats",
-    "capture_connection",
-    "check_app_checkpoint",
-    "check_global_consistency",
-    "restore_connection",
-]
+from repro.cruz.netstate import CruzSocketCodec

@@ -486,11 +486,6 @@ class ShardedBackend:
         # this as ground truth against the in-memory holder index.
         return sum(cid in self._copies(node) for node in self.nodes)
 
-    def chunk_size(self, cid: str) -> int:
-        for node in self.holders(cid):
-            return self.fs.size(self._path(node, cid))
-        return 0
-
     def delete(self, cid: str) -> Tuple[int, int]:
         """Unlink reachable copies; down-node copies are reconciled on
         revive (see :meth:`ImageStore.reconcile_node`)."""

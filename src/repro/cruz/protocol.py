@@ -168,15 +168,6 @@ class RetryPolicy:
     max_backoff_s: float = 1.0
     max_retries: int = 6
 
-    def give_up_after_s(self) -> float:
-        """Worst-case seconds from first transmission to give-up."""
-        total, backoff = 0.0, self.initial_backoff_s
-        for _ in range(self.max_retries + 1):
-            total += backoff
-            backoff = min(backoff * self.backoff_factor,
-                          self.max_backoff_s)
-        return total
-
 
 class ReliableEndpoint:
     """ACK + retransmit + duplicate suppression over the simulated UDP.

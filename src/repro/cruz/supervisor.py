@@ -531,14 +531,3 @@ class NodeSupervisor:
     def failover_active(self, app_name: str) -> bool:
         """True while an automatic failover of ``app_name`` is running."""
         return app_name in self._active_failovers
-
-    # -- reporting ---------------------------------------------------------
-
-    def lease_table(self) -> List[Dict]:
-        """Plain-data liveness snapshot (CLI/debugging)."""
-        now = self._sim.now
-        return [{"node": lease.name, "alive": lease.alive,
-                 "beats": lease.beats,
-                 "silence_s": now - lease.last_beat,
-                 "suspect": lease.suspect_since is not None}
-                for _index, lease in sorted(self.leases.items())]

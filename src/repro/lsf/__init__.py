@@ -1,6 +1,4 @@
 """A minimal LSF-style job scheduler driving Cruz (§6: "integrated it
 with LSF, a job scheduler for clusters")."""
 
-from repro.lsf.scheduler import Job, JobScheduler, JobSpec, JobState
-
-__all__ = ["Job", "JobScheduler", "JobSpec", "JobState"]
+from repro.lsf.scheduler import JobScheduler, JobSpec, JobState

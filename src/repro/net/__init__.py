@@ -1,60 +1,12 @@
 """Simulated Ethernet substrate: wire formats, links, NICs, switch, ARP, DHCP."""
 
-from repro.net.addresses import (
-    ANY_IP,
-    BROADCAST_MAC,
-    Ipv4Address,
-    MacAddress,
-    Subnet,
-)
-from repro.net.arp import ArpService
-from repro.net.capture import CapturedFrame, PacketCapture
-from repro.net.dhcp import DhcpMessage, DhcpServer, Lease
-from repro.net.link import GIGABIT, Link, Port
-from repro.net.nic import Nic
+from repro.net.addresses import Ipv4Address, MacAddress
+from repro.net.link import Link, Port
 from repro.net.packet import (
-    ArpPacket,
-    DEFAULT_MSS,
-    EthernetFrame,
-    ETHERTYPE_ARP,
     ETHERTYPE_IP,
-    IpPacket,
-    MTU,
-    PROTO_TCP,
     PROTO_UDP,
-    TcpFlags,
-    TcpSegment,
+    EthernetFrame,
+    IpPacket,
     UdpDatagram,
 )
 from repro.net.switch import Switch
-
-__all__ = [
-    "ANY_IP",
-    "ArpPacket",
-    "ArpService",
-    "BROADCAST_MAC",
-    "CapturedFrame",
-    "DEFAULT_MSS",
-    "DhcpMessage",
-    "DhcpServer",
-    "ETHERTYPE_ARP",
-    "ETHERTYPE_IP",
-    "EthernetFrame",
-    "GIGABIT",
-    "IpPacket",
-    "Ipv4Address",
-    "Lease",
-    "Link",
-    "MTU",
-    "MacAddress",
-    "Nic",
-    "PacketCapture",
-    "PROTO_TCP",
-    "PROTO_UDP",
-    "Port",
-    "Subnet",
-    "Switch",
-    "TcpFlags",
-    "TcpSegment",
-    "UdpDatagram",
-]

@@ -14,7 +14,7 @@ therefore shows twice: sent, then dropped).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.net.link import Link

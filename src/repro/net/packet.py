@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from enum import IntFlag
 from functools import cached_property
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from repro.net.addresses import Ipv4Address, MacAddress
 
@@ -160,36 +160,15 @@ class EthernetFrame:
     __slots__ = ("src", "dst", "ethertype", "payload", "frame_id", "size")
 
     def __init__(self, src: MacAddress, dst: MacAddress, ethertype: int,
-                 payload: Union[IpPacket, ArpPacket],
-                 frame_id: Optional[int] = None):
+                 payload: Union[IpPacket, ArpPacket]):
         self.src = src
         self.dst = dst
         self.ethertype = ethertype
         self.payload = payload
-        self.frame_id = next(_frame_ids) if frame_id is None else frame_id
+        self.frame_id = next(_frame_ids)
         self.size = ETHERNET_HEADER_BYTES + payload.size
-
-    def with_payload(self, payload) -> "EthernetFrame":
-        return EthernetFrame(src=self.src, dst=self.dst,
-                             ethertype=self.ethertype, payload=payload,
-                             frame_id=self.frame_id)
 
     def __repr__(self) -> str:
         return (f"<EthernetFrame #{self.frame_id} {self.src}->{self.dst} "
                 f"{self.size}B>")
 
-
-def tcp_frame(src_mac: MacAddress, dst_mac: MacAddress,
-              src_ip: Ipv4Address, dst_ip: Ipv4Address,
-              segment: TcpSegment) -> EthernetFrame:
-    """Convenience constructor for a full TCP-in-IP-in-Ethernet frame."""
-    packet = IpPacket(src=src_ip, dst=dst_ip, protocol=PROTO_TCP,
-                      payload=segment)
-    return EthernetFrame(src=src_mac, dst=dst_mac, ethertype=ETHERTYPE_IP,
-                         payload=packet)
-
-
-def connection_key(packet: IpPacket) -> Tuple:
-    """The 4-tuple identifying a TCP connection, from the receiver's side."""
-    segment = packet.payload
-    return (packet.dst, segment.dst_port, packet.src, segment.src_port)

@@ -11,16 +11,3 @@ replicated kv backends + sessionful clients) through checkpoint rounds,
 failover, live migration, and canary restores while recording what the
 clients actually experienced.
 """
-
-from repro.serve.harness import run_serve, serve_determinism
-from repro.serve.rollout import AdminClient, RolloutReport, canary_restore
-from repro.serve.slo import SloRecorder
-
-__all__ = [
-    "AdminClient",
-    "RolloutReport",
-    "SloRecorder",
-    "canary_restore",
-    "run_serve",
-    "serve_determinism",
-]

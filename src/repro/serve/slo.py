@@ -17,7 +17,7 @@ observed latency, not an interpolation artifact.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 #: Client counters mirrored into the shared MetricsRegistry.
 _CLIENT_COUNTERS = ("responses_ok", "errors", "sheds", "retries",

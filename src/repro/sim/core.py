@@ -398,15 +398,6 @@ class Simulator:
 
     # -- scheduling internals --------------------------------------------
 
-    def set_oracle(self, oracle: Any) -> None:
-        """Install (or clear) the schedule oracle.
-
-        Takes effect on the next :meth:`run`/:meth:`run_until`/
-        :meth:`step` call — a drive loop already running keeps the
-        oracle it started with.
-        """
-        self._oracle = oracle
-
     @property
     def oracle(self) -> Any:
         return self._oracle

@@ -1,8 +1,8 @@
-"""Counting resources (e.g. CPUs) for the simulation kernel."""
+"""A counting resource (e.g. CPUs) for the simulation kernel."""
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.sim.core import Event, Simulator
 
@@ -59,34 +59,3 @@ class Resource:
         if grant in self._waiters:
             self._waiters.remove(grant)
 
-
-class Semaphore:
-    """A counting semaphore usable from simulation processes."""
-
-    def __init__(self, sim: Simulator, value: int = 0, name: str = ""):
-        self.sim = sim
-        self.value = value
-        self.name = name
-        self._waiters: List[Tuple[int, Event]] = []
-
-    def post(self, amount: int = 1) -> None:
-        self.value += amount
-        self._wake()
-
-    def wait(self, amount: int = 1) -> Event:
-        event = self.sim.event(f"{self.name}.wait")
-        self._waiters.append((amount, event))
-        self._wake()
-        return event
-
-    def _wake(self) -> None:
-        while self._waiters:
-            amount, event = self._waiters[0]
-            if event.triggered:
-                self._waiters.pop(0)
-                continue
-            if self.value < amount:
-                return
-            self._waiters.pop(0)
-            self.value -= amount
-            event.succeed()

@@ -1,65 +1,3 @@
 """A simulated Linux-like OS per node: processes, syscalls, sockets, netfilter."""
 
-from repro.simos.costs import CostModel, DEFAULT_COSTS
 from repro.simos.filesystem import SharedFileSystem
-from repro.simos.kernel import Node, SyscallInterposer, as_ip
-from repro.simos.memory import AddressSpace, PAGE_SIZE
-from repro.simos.netdev import Interface, InterfaceTable
-from repro.simos.netfilter import INPUT, Netfilter, OUTPUT, Rule
-from repro.simos.netstack import BROADCAST_IP, NetworkStack, cable
-from repro.simos.process import (
-    ProcessControlBlock,
-    ProcessState,
-    SIGCONT,
-    SIGKILL,
-    SIGSTOP,
-    SIGTERM,
-)
-from repro.simos.program import PhasedProgram, Program
-from repro.simos.sockets import TcpSocket, UdpSocket
-from repro.simos.syscalls import (
-    Exit,
-    MSG_PEEK,
-    SIOCGIFHWADDR,
-    SO_CORK,
-    SO_NODELAY,
-    Syscall,
-    sys,
-)
-
-__all__ = [
-    "AddressSpace",
-    "BROADCAST_IP",
-    "CostModel",
-    "DEFAULT_COSTS",
-    "Exit",
-    "INPUT",
-    "Interface",
-    "InterfaceTable",
-    "MSG_PEEK",
-    "Netfilter",
-    "NetworkStack",
-    "Node",
-    "OUTPUT",
-    "PAGE_SIZE",
-    "PhasedProgram",
-    "ProcessControlBlock",
-    "ProcessState",
-    "Program",
-    "Rule",
-    "SIGCONT",
-    "SIGKILL",
-    "SIGSTOP",
-    "SIGTERM",
-    "SIOCGIFHWADDR",
-    "SO_CORK",
-    "SO_NODELAY",
-    "SharedFileSystem",
-    "Syscall",
-    "SyscallInterposer",
-    "TcpSocket",
-    "UdpSocket",
-    "as_ip",
-    "cable",
-    "sys",
-]

@@ -25,8 +25,7 @@ class CostModel:
     #: latency ("the time to write this state to disk", §6).
     disk_write_bandwidth: float = 100e6   # bytes/s
     disk_read_bandwidth: float = 150e6    # bytes/s
-    #: Fixed latency per synchronous file write (seek + commit). This is
-    #: what makes per-message logging "prohibitive" for chatty apps (§2).
+    #: Fixed latency per synchronous file write (seek + commit).
     disk_op_latency: float = 1e-4
     #: Memory-copy bandwidth for serialising captured state into chunks.
     #: The §5.2 pipeline overlaps this copy-out with the disk write; only

@@ -485,8 +485,7 @@ class Node:
         obj = descriptor.obj
         if isinstance(obj, RegularFile):
             if data:
-                # Stable-storage writes pay disk latency + bandwidth (the
-                # message-logging baseline's overhead is exactly this).
+                # Stable-storage writes pay disk latency + bandwidth.
                 yield self.sim.timeout(
                     self.costs.disk_op_latency +
                     len(data) / self.costs.disk_write_bandwidth)

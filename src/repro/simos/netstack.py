@@ -20,8 +20,6 @@ from repro.net.packet import (
     PROTO_TCP,
     PROTO_UDP,
 )
-from repro.net.switch import Switch
-from repro.net.link import Link
 from repro.sim.core import Simulator
 from repro.simos.netdev import Interface, InterfaceTable
 from repro.simos.netfilter import INPUT, Netfilter, OUTPUT
@@ -228,9 +226,3 @@ class NetworkStack:
         elif packet.protocol == PROTO_UDP:
             self.udp.on_packet(packet)
 
-
-def cable(sim: Simulator, stack_nic: Nic, switch: Switch,
-          bandwidth_bps: float = 1e9, latency_s: float = 5e-6) -> Link:
-    """Wire a NIC to a switch port."""
-    return Link(sim, stack_nic.port, switch.new_port(),
-                bandwidth_bps=bandwidth_bps, latency_s=latency_s)

@@ -42,15 +42,6 @@ class Program:
         """
         raise NotImplementedError
 
-    def on_restart(self) -> None:
-        """Hook invoked after this program was restored from a checkpoint.
-
-        Most programs need nothing; ones holding node-local caches can
-        invalidate them here. Application-transparent CR means real apps
-        have no such hook — it exists for tests that *verify* transparency
-        by asserting it is never needed.
-        """
-
     def memory_footprint(self) -> int:
         """Extra bytes of state beyond the address-space regions."""
         return 0

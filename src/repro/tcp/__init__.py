@@ -1,26 +1,1 @@
 """Sequence-number-accurate TCP (and minimal UDP) for the simulated cluster."""
-
-from repro.tcp.buffers import BufferedSegment, ReceiveBuffer, SendBuffer
-from repro.tcp.connection import TcpConnection
-from repro.tcp.options import SocketOptions
-from repro.tcp.stack import Listener, TcpStack
-from repro.tcp.state import (
-    MIN_RTO,
-    TcpState,
-    TransmissionControlBlock,
-)
-from repro.tcp.udp import UdpStack
-
-__all__ = [
-    "BufferedSegment",
-    "Listener",
-    "MIN_RTO",
-    "ReceiveBuffer",
-    "SendBuffer",
-    "SocketOptions",
-    "TcpConnection",
-    "TcpStack",
-    "TcpState",
-    "TransmissionControlBlock",
-    "UdpStack",
-]

@@ -1,19 +1,1 @@
 """Operator tooling: cluster introspection and reporting."""
-
-from repro.tools.inspect import (
-    checkpoint_report,
-    format_table,
-    netstat,
-    pod_report,
-    ps,
-    round_report,
-)
-
-__all__ = [
-    "checkpoint_report",
-    "format_table",
-    "netstat",
-    "pod_report",
-    "ps",
-    "round_report",
-]

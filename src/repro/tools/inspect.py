@@ -1,4 +1,4 @@
-"""Cluster introspection: ``ps``, ``netstat`` and checkpoint reports.
+"""Cluster introspection: ``ps``, ``netstat``, pod and round reports.
 
 These functions return plain data (lists of dicts) so tests can assert on
 them, plus a :func:`format_table` renderer for human output — the same
@@ -11,7 +11,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.cluster import Cluster
 from repro.simos.kernel import Node
-from repro.simos.sockets import TcpSocket, UdpSocket
 
 
 def ps(node: Node) -> List[Dict[str, Any]]:
@@ -87,30 +86,6 @@ def pod_report(cluster: Cluster) -> List[Dict[str, Any]]:
                 "identity_mac": str(interface.identity_mac),
                 "processes": len(pod.live_processes())
                 if pod is not None else 0,
-            })
-    return rows
-
-
-def checkpoint_report(store, pod_names: List[str]) -> List[Dict[str, Any]]:
-    """Stored checkpoint inventory for a set of pods."""
-    rows = []
-    for name in pod_names:
-        try:
-            versions = store.versions(name)
-        except Exception:  # noqa: BLE001
-            versions = []
-        for version in versions:
-            try:
-                image = store.load(name, version)
-            except Exception:  # noqa: BLE001
-                continue
-            rows.append({
-                "pod": name,
-                "version": version,
-                "taken_at": round(image.taken_at, 3),
-                "processes": len(image.processes),
-                "sockets": image.sockets_captured,
-                "state_mb": round(image.state_bytes / (1 << 20), 2),
             })
     return rows
 

@@ -1,40 +1,6 @@
 """Zap: pods, virtualisation, and single-node pod checkpoint/restart."""
 
 from repro.zap.checkpoint import CheckpointEngine
-from repro.zap.image import (
-    CheckpointImage,
-    FdImage,
-    PipeImage,
-    ProcessImage,
-    SemImage,
-    ShmImage,
-    freeze_object,
-    thaw_object,
-)
-from repro.zap.pod import Pod
+from repro.zap.image import thaw_object
 from repro.zap.restart import RestartEngine
-from repro.zap.socket_codec import BasicZapCodec, SocketCodec
-from repro.zap.verify import VerificationReport, verify_image, verify_images
-from repro.zap.virtualization import ZapInterposer, install_pod, uninstall_pod
-
-__all__ = [
-    "BasicZapCodec",
-    "CheckpointEngine",
-    "CheckpointImage",
-    "FdImage",
-    "PipeImage",
-    "Pod",
-    "ProcessImage",
-    "RestartEngine",
-    "SemImage",
-    "ShmImage",
-    "SocketCodec",
-    "VerificationReport",
-    "ZapInterposer",
-    "freeze_object",
-    "install_pod",
-    "thaw_object",
-    "uninstall_pod",
-    "verify_image",
-    "verify_images",
-]
+from repro.zap.verify import verify_image

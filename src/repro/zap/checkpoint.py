@@ -13,7 +13,7 @@ The sequence follows §4.1:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List
 
 from repro.errors import CheckpointError
 from repro.simos.files import Pipe, RegularFile

@@ -79,21 +79,6 @@ class Pod:
         self.node.stack.remove_vif(self.vif.name)
         self.vif = None
 
-    def move_to(self, node: Node, own_wire_mac: Optional[bool] = None) -> None:
-        """Re-home the pod: delete VIF at the source, create at the target.
-
-        With ``own_wire_mac`` False (shared-MAC hardware at the target) the
-        pod keeps its IP but uses the target NIC's MAC on the wire; the
-        gratuitous ARP sent by :meth:`attach` re-points the subnet.
-        """
-        self.detach()
-        self.node = node
-        if own_wire_mac is not None:
-            self.own_wire_mac = own_wire_mac
-        if not self.own_wire_mac:
-            self.mac = node.stack.nic.primary_mac
-        self.attach()
-
     # -- process membership -----------------------------------------------
 
     def adopt(self, proc: ProcessControlBlock,
@@ -163,11 +148,6 @@ class Pod:
             self.node.signal_now(proc.pid, SIGKILL)
         for pid in list(self.pid_to_vpid):
             self.node.reap(pid)
-
-    def forget_processes(self) -> None:
-        """Drop pid maps (after migration killed the originals)."""
-        self.vpid_to_pid.clear()
-        self.pid_to_vpid.clear()
 
     # -- IPC virtualisation -------------------------------------------------
 

@@ -1,6 +1,4 @@
-"""Baseline protocols: channel flushing (O(N²)) and message logging."""
-
-import pytest
+"""The §5.2 baseline: channel-flushing coordinated CR (O(N²) messages)."""
 
 from repro.apps.slm import slm_factory
 from repro.baselines.flush import (
@@ -8,10 +6,7 @@ from repro.baselines.flush import (
     install_flush_baseline,
     restart_message_estimate,
 )
-from repro.baselines.logging_cr import LoggingMpiProgram
 from repro.cruz.cluster import CruzCluster
-
-from tests.mpi_programs import PingPonger
 
 
 def make_cluster(n, **kwargs):
@@ -85,40 +80,3 @@ def test_flush_restart_message_estimate_quadratic():
     assert restart_message_estimate(8) == 28 * 4 + 16
     assert restart_message_estimate(16) >= 3.9 * restart_message_estimate(8)
 
-
-class LoggingPingPonger(LoggingMpiProgram, PingPonger):
-    """PingPonger whose sends are logged to stable storage."""
-
-    name = "logging-ping-ponger"
-
-
-def test_message_logging_slows_communication_intensive_app():
-    def runtime(cls):
-        cluster = make_cluster(2)
-        app = cluster.launch_app_factory(
-            "pp", 2, lambda rank, ips: cls(rank, ips, rounds=200))
-        cluster.run_until(
-            lambda: all(not proc.is_alive
-                        for pod in app.pods
-                        for proc in pod.processes()),
-            limit=600, step=0.001)
-        return cluster.sim.now
-
-    plain = runtime(PingPonger)
-    logged = runtime(LoggingPingPonger)
-    # "prohibitive performance overhead for communication-intensive
-    # applications" (§2): at least a large constant factor here.
-    assert logged > plain * 1.5
-
-
-def test_message_logging_records_every_send():
-    cluster = make_cluster(2)
-    app = cluster.launch_app_factory(
-        "pp", 2,
-        lambda rank, ips: LoggingPingPonger(rank, ips, rounds=50))
-    run_app(cluster, app)
-    workers = cluster.app_programs(app)
-    for worker in workers:
-        assert worker.bytes_logged > 0
-        log_path = f"/msglog/rank{worker.rank}.log"
-        assert cluster.fs.size(log_path) == worker.bytes_logged

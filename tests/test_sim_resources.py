@@ -1,9 +1,9 @@
-"""Unit tests for simulation resources (CPU pool, semaphore)."""
+"""Unit tests for the simulation's counting resource (CPU pool)."""
 
 import pytest
 
 from repro.sim.core import Simulator
-from repro.sim.resources import Resource, Semaphore
+from repro.sim.resources import Resource
 
 
 def test_resource_grants_up_to_capacity():
@@ -49,24 +49,3 @@ def test_resource_capacity_validation():
     with pytest.raises(ValueError):
         Resource(sim, 0)
 
-
-def test_semaphore_fifo_wakeup():
-    sim = Simulator()
-    semaphore = Semaphore(sim, value=0)
-    first = semaphore.wait(1)
-    second = semaphore.wait(1)
-    semaphore.post()
-    assert first.triggered and not second.triggered
-    semaphore.post()
-    assert second.triggered
-
-
-def test_semaphore_bulk_wait():
-    sim = Simulator()
-    semaphore = Semaphore(sim, value=0)
-    big = semaphore.wait(3)
-    semaphore.post(2)
-    assert not big.triggered
-    semaphore.post(1)
-    assert big.triggered
-    assert semaphore.value == 0

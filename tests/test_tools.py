@@ -1,9 +1,8 @@
-"""Operator tooling: ps/netstat/pod/checkpoint reports."""
+"""Operator tooling: ps/netstat/pod/round reports."""
 
 from repro.apps.kvserver import KvClient, KvServer
 from repro.cruz.cluster import CruzCluster
-from repro.tools import (
-    checkpoint_report,
+from repro.tools.inspect import (
     format_table,
     netstat,
     pod_report,
@@ -55,20 +54,6 @@ def test_pod_report_follows_migration():
     row = [r for r in after if r["pod"] == "kv"][0]
     assert row["ip"] == str(pod.ip)  # same address on the new node
     del client
-
-
-def test_checkpoint_report_inventory():
-    cluster, pod, _client = serving_cluster()
-    engine = cluster.agents[0].checkpoint_engine
-    for _ in range(3):
-        task = cluster.sim.process(engine.checkpoint(pod))
-        cluster.sim.run_until_complete(task, limit=1e6)
-        cluster.run_for(0.05)
-    rows = checkpoint_report(cluster.store, ["kv", "missing-pod"])
-    assert len(rows) == 3
-    assert [r["version"] for r in rows] == [1, 2, 3]
-    assert all(r["processes"] == 1 for r in rows)
-    assert rows[0]["taken_at"] < rows[-1]["taken_at"]
 
 
 def test_format_table_alignment_and_empty():
