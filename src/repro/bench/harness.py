@@ -11,8 +11,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 
 @dataclass
@@ -196,80 +195,100 @@ def render_experiments(runs: Sequence[Tuple[Figure, Any]]) -> str:
 
 @dataclass(frozen=True)
 class Suite:
-    """One committed-baseline guard as a declared record:
+    """One committed baseline as a declared record:
     ``repro bench <name> --save|--compare``.
 
-    ``run(**workload)`` produces the suite's report dict;
-    ``evaluate(report, baseline, tolerance=..., **floors)`` is a pure
-    function returning failure strings (empty = pass; ``baseline`` is
-    ``None`` when saving or when no baseline file exists);
-    ``render(report)`` returns the human-readable lines.
-    ``add_arguments(parser)`` declares the suite's own flags on its own
-    subparser, and ``workload`` / ``floors`` name which parsed flags
-    (by ``dest``) feed ``run`` and ``evaluate``.
+    A figure's three functions over one report dict — ``run()`` produces
+    it, ``shape(report)`` checks it, ``render(report)`` returns its
+    human-readable lines — plus the ``baseline`` file the report is held
+    equal to, leaf for leaf, and the ``host_clock`` leaf paths exempt
+    from that equality because they time the host, not the simulation.
     """
 
     name: str
     help: str
+    run: Callable[[], Dict[str, Any]]
+    shape: Callable[[Dict[str, Any]], ShapeReport]
+    render: Callable[[Dict[str, Any]], List[str]]
     #: Default baseline path (``--baseline`` overrides).
     baseline: str
-    run: Callable[..., Dict[str, Any]]
-    evaluate: Callable[..., List[str]]
-    render: Callable[[Dict[str, Any]], List[str]]
-    add_arguments: Callable[[argparse.ArgumentParser], None]
-    workload: Tuple[str, ...] = ()
-    floors: Tuple[str, ...] = ()
+    host_clock: Tuple[str, ...] = ()
 
 
-def workload_matches(report: Dict[str, Any],
-                     baseline: Optional[Dict[str, Any]],
-                     suite: str) -> bool:
-    """The shared drift guard: baseline ratios only apply when the run's
-    workload matches the committed baseline's (a reduced-scale smoke run
-    is guarded by its explicit floors instead)."""
-    if baseline is None:
-        return False
-    if baseline.get("workload") == report.get("workload"):
-        return True
-    print(f"{suite}: workload differs from committed baseline; "
-          f"applying only the explicit floors")
-    return False
+#: A key present on the other side of a diff only.
+_ABSENT = object()
+
+
+def _leaf(value: Any) -> str:
+    return "absent" if value is _ABSENT else json.dumps(value,
+                                                         sort_keys=True)
+
+
+def _drift(committed: Any, fresh: Any, host_clock: Tuple[str, ...],
+           path: str, out: List[str]) -> None:
+    if path in host_clock:
+        return
+    if isinstance(committed, dict) and isinstance(fresh, dict):
+        for key in sorted(set(committed) | set(fresh)):
+            _drift(committed.get(key, _ABSENT), fresh.get(key, _ABSENT),
+                   host_clock, f"{path}.{key}" if path else key, out)
+        return
+    if isinstance(committed, list) and isinstance(fresh, list):
+        for index in range(max(len(committed), len(fresh))):
+            _drift(committed[index] if index < len(committed) else _ABSENT,
+                   fresh[index] if index < len(fresh) else _ABSENT,
+                   host_clock, f"{path}[{index}]", out)
+        return
+    if _leaf(committed) != _leaf(fresh):
+        out.append(f"{path}: {_leaf(committed)} → {_leaf(fresh)}")
+
+
+def baseline_drift(committed: Any, fresh: Any,
+                   host_clock: Tuple[str, ...]) -> List[str]:
+    """Every leaf where ``fresh`` differs from ``committed`` but the
+    ``host_clock`` paths, as ``path: committed → fresh`` (a key present
+    on one side only reads ``absent`` on the other). Leaves compare by
+    their JSON text, the form a baseline is saved in."""
+    out: List[str] = []
+    _drift(committed, fresh, host_clock, "", out)
+    return out
 
 
 def baseline_cli(suite: Suite, args: argparse.Namespace) -> Dict[str, Any]:
     """The one ``--save``/``--compare`` tail every bench suite shares.
 
-    Runs the suite, prints its rendered report and verdict (failures to
-    stderr), and records the baseline on ``--save`` — but only a run
-    that passes its own floors. Returns the verdict record the CLI
-    emits under ``--json``: ``report``, ``failures``, ``baseline``
-    (the path), ``ok`` and ``exit_status`` (0 pass, 1 failures, 2
-    unreadable baseline).
+    Runs the suite and prints its lines and shape table. ``--compare``
+    diffs the run against the committed baseline, every simulated leaf
+    held to equality; ``--save`` records the run, but only one whose
+    shape passes. Returns the object the CLI emits under ``--json``:
+    ``report``, ``shape``, ``baseline`` (the path), ``drift``, ``ok``
+    and ``exit_status`` (0 pass, 1 a failed check or any drift, 2 an
+    unreadable or missing baseline).
     """
     path = args.baseline or suite.baseline
-    verdict = {"suite": suite.name, "baseline": path, "ok": False,
-               "exit_status": 1, "report": None, "failures": []}
-    baseline = None
-    if not args.save and os.path.exists(path):
+    verdict = {"suite": suite.name, "report": None, "shape": None,
+               "baseline": path, "drift": [], "ok": False,
+               "exit_status": 1}
+    if not args.save:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
+                committed = json.load(handle)
         except (ValueError, OSError) as exc:
             print(f"unreadable baseline {path}: {exc}", file=sys.stderr)
-            verdict.update(exit_status=2,
-                           failures=[f"unreadable baseline: {exc}"])
+            verdict.update(exit_status=2)
             return verdict
-    report = suite.run(**{name: getattr(args, name)
-                          for name in suite.workload})
+    # The record this run would save: JSON's types, JSON's keys.
+    report = json.loads(json.dumps(suite.run()))
     for line in suite.render(report):
         print(line)
-    failures = suite.evaluate(
-        report, baseline, tolerance=args.tolerance,
-        **{name: getattr(args, name) for name in suite.floors})
-    verdict.update(report=report, failures=failures)
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
+    shape = suite.shape(report)
+    print(shape.render())
+    drift = ([] if args.save
+             else baseline_drift(committed, report, suite.host_clock))
+    verdict.update(report=report, shape=shape, drift=drift)
+    for line in drift:
+        print(f"DRIFT: {line}", file=sys.stderr)
+    if not shape.passed or drift:
         return verdict
     if args.save:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -278,7 +297,7 @@ def baseline_cli(suite: Suite, args: argparse.Namespace) -> Dict[str, Any]:
             handle.write("\n")
         print(f"saved {suite.name} baseline to {path}")
     else:
-        print(f"{suite.name} benchmark within tolerance")
+        print(f"{suite.name}: every simulated field equals {path}")
     verdict.update(ok=True, exit_status=0)
     return verdict
 

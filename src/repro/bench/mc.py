@@ -7,28 +7,30 @@ Two measurements, recorded to ``benchmarks/BENCH_mc.json``:
   states (runs) per second and the partial-order-reduction ratio
   (orderings pruned / orderings considered).  The reduction ratio is a
   pure function of the protocol and travels across machines; states/sec
-  is recorded for context but never compared against the baseline.
+  is recorded for context only.
 * ``overhead`` — the guard that keeps model checking free for everyone
   who isn't using it.  The scheduler hook (`Simulator(oracle=...)`)
-  must cost the normal no-oracle fast path under ``overhead_limit``
-  (default 3%) on the timer storm (:func:`run_storm`), the workload
-  that isolates the scheduler.  Both sides run the byte-identical
-  storm in this process: the shipping ``Simulator.run`` (hook present,
-  oracle ``None``) against a reference loop with the same dispatch and
-  no hooks (direct ``queue.pop_due``, no oracle test, no batch
-  bookkeeping).  Min-of-N wall clock on each side.
+  must cost the normal no-oracle fast path under
+  :data:`OVERHEAD_LIMIT` on the timer storm (:func:`run_storm`), the
+  workload that isolates the scheduler.  Both sides run the
+  byte-identical storm in this process: the shipping ``Simulator.run``
+  (hooks present, oracle and predicate ``None``) against
+  :func:`_reference_run`, the same drive loop with neither test.
+  Min-of-N wall clock on each side.
 
 This module measures wall-clock by design, hence the CRZ001
-suppressions below.
+suppressions below and the :data:`HOST_CLOCK` fields ``--compare``
+leaves out of its equality.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from heapq import heappop
 from typing import Dict, List, Optional
 
-from repro.bench.harness import Suite, workload_matches
+from repro.bench.harness import ShapeReport, Suite
 
 #: Reduced storm scale for the overhead A/B — big enough that the loop
 #: dominates construction, small enough for CI.
@@ -41,8 +43,15 @@ OVERHEAD_SEGMENTS = 100
 # (min-of-5 flaked at ±3%, right at the guard's limit; min-of-17
 # holds within ±1.5%).
 OVERHEAD_REPS = 17
-DEFAULT_OVERHEAD_LIMIT = 0.03
-DEFAULT_TOLERANCE = 0.2
+#: Max fractional slowdown the oracle hook may add to the no-oracle
+#: scheduler fast path.
+OVERHEAD_LIMIT = 0.03
+#: The report's wall-clock leaves: the host's speed, not the protocol's.
+HOST_CLOCK = (
+    "explorer.schedule.wall_s", "explorer.schedule.states_per_sec",
+    "explorer.faults.wall_s", "explorer.faults.states_per_sec",
+    "overhead.hooked_wall_s", "overhead.reference_wall_s",
+    "overhead.overhead")
 
 #: Start-stagger window of the storm's flows (simulated seconds).
 STORM_WINDOW_S = 1.0
@@ -153,54 +162,55 @@ def run_storm(n_nodes: int = OVERHEAD_NODES,
 
 
 def _reference_run(sim, until: Optional[float]) -> None:
-    """The hook-free event loop: ``Simulator.run`` without the oracle.
-
-    The shipping drive loop's dispatch — a direct ``queue.pop_due``, a
-    bare ``(fn, args)`` tuple called in place, an ``Event``'s callbacks
-    run otherwise — with neither the per-event oracle test nor the
-    timestamp-batch bookkeeping ``run_until`` needs.  Timing this
-    against the shipping ``run()`` isolates what the hooks cost the
-    plain no-oracle, no-predicate path.
+    """``Simulator.run`` without its hooks: the inner loop of
+    ``Simulator._drive`` line for line — the heap popped in line,
+    tombstones shed here, the queue's counters kept here — minus the
+    per-event oracle and predicate tests and the batch flag only the
+    predicate reads.  Timing this against the
+    shipping ``run()`` isolates what those tests cost the plain
+    no-oracle, no-predicate path.
     """
     from repro.sim.core import SimulationError
 
     queue = sim._queue
-    limit = math.inf if until is None else until
-    while True:
-        entry = queue.pop_due(limit)
-        if entry is None:
+    heap = queue._heap
+    bound = math.inf if until is None else until
+    while heap:
+        if heap[0][0] > bound:
             break
+        entry = heappop(heap)
         when = entry[0]
         target = entry[3]
+        if target is None:          # a tombstone: shed it
+            queue._dead -= 1
+            queue.dead_popped += 1
+            continue
+        queue.popped += 1
         if when < sim.now:
             raise SimulationError("event queue went backwards")
         sim.now = when
         if target.__class__ is tuple:
             target[0](*target[1])
-            continue
-        target._qentry = None
-        callbacks = target.callbacks
-        target.callbacks = None
-        target._processed = True
-        for callback in callbacks:
-            callback(target)
+        else:
+            target._qentry = None
+            callbacks = target.callbacks
+            target.callbacks = None
+            target._processed = True
+            for callback in callbacks:
+                callback(target)
     if until is not None and until > sim.now:
         sim.now = until
 
 
-def measure_overhead(reps: int = OVERHEAD_REPS,
-                     n_nodes: int = OVERHEAD_NODES,
-                     n_flows: int = OVERHEAD_FLOWS,
-                     segments_per_flow: int = OVERHEAD_SEGMENTS
-                     ) -> Dict[str, object]:
-    """A/B the shipping run() against the pre-hook reference loop."""
-    workload = {"n_nodes": n_nodes, "n_flows": n_flows,
-                "segments_per_flow": segments_per_flow}
+def measure_overhead() -> Dict[str, object]:
+    """A/B the shipping run() against the hook-free reference loop."""
+    workload = {"n_nodes": OVERHEAD_NODES, "n_flows": OVERHEAD_FLOWS,
+                "segments_per_flow": OVERHEAD_SEGMENTS}
     hooked_walls: List[float] = []
     reference_walls: List[float] = []
     events = 0
     run_storm(**workload)  # warmup: allocator + code caches
-    for rep in range(reps):
+    for rep in range(OVERHEAD_REPS):
         # Alternate the A/B order so neither side systematically runs
         # on the other's warmed caches.
         if rep % 2 == 0:
@@ -223,7 +233,7 @@ def measure_overhead(reps: int = OVERHEAD_REPS,
     overhead = (hooked_best / reference_best - 1.0
                 if reference_best > 0 else 0.0)
     return {
-        "workload": dict(workload, reps=reps),
+        "workload": dict(workload, reps=OVERHEAD_REPS),
         "events_popped": events,
         "hooked_wall_s": round(hooked_best, 4),
         "reference_wall_s": round(reference_best, 4),
@@ -257,13 +267,13 @@ def measure_explorer() -> Dict[str, object]:
     return components
 
 
-def run_suite(**workload) -> Dict[str, object]:
+def run_suite() -> Dict[str, object]:
     print("mc: exploring the 2-node round (schedule-only and "
           "drop/dup fault spaces)...", flush=True)
     explorer = measure_explorer()
     print("mc: measuring oracle-hook overhead on the storm "
           "benchmark...", flush=True)
-    overhead = measure_overhead(**workload)
+    overhead = measure_overhead()
     return {
         "suite": "mc",
         "workload": {
@@ -272,8 +282,6 @@ def run_suite(**workload) -> Dict[str, object]:
         },
         "explorer": explorer,
         "overhead": overhead,
-        "reduction_ratio": explorer["faults"]["reduction_ratio"],
-        "states_per_sec": explorer["faults"]["states_per_sec"],
     }
 
 
@@ -295,63 +303,27 @@ def render(report: Dict[str, object]) -> List[str]:
     return lines
 
 
-def evaluate(report: Dict[str, object],
-             baseline: Optional[Dict[str, object]],
-             tolerance: float = DEFAULT_TOLERANCE,
-             overhead_limit: float = DEFAULT_OVERHEAD_LIMIT
-             ) -> List[str]:
-    """Floors on this run; ratio comparison against the baseline.
-
-    The overhead guard and the exhaustion/zero-violation checks apply
-    to the measured run unconditionally.  Only the reduction ratio is
-    compared against the committed baseline (it is machine-independent);
-    states/sec is wall-clock and never travels.
-    """
-    failures = []
-    overhead = float(report["overhead"]["overhead"])
-    if overhead > overhead_limit:
-        failures.append(
-            f"oracle hook costs the no-oracle fast path {overhead:.2%} "
-            f"(limit {overhead_limit:.0%}) on the storm benchmark")
+def shape(report: Dict[str, object]) -> ShapeReport:
+    """The hook's tax and a clean, exhausted exploration as checks."""
+    checks = ShapeReport("bench mc: explorer and oracle-hook overhead")
+    overhead = report["overhead"]["overhead"]
+    checks.check("oracle_hook_overhead", overhead <= OVERHEAD_LIMIT,
+                 overhead, f"<= {OVERHEAD_LIMIT} on the storm benchmark")
     for name in ("schedule", "faults"):
         row = report["explorer"][name]
-        if not row["exhausted"]:
-            failures.append(
-                f"{name} exploration no longer exhausts its reduced "
-                f"space within budget ({row['runs']} runs)")
-        if row["violations"]:
-            failures.append(
-                f"{name} exploration found {row['violations']} "
-                "violation(s) in the unmutated protocol")
-        if row["harness_errors"]:
-            failures.append(
-                f"{name} exploration hit {row['harness_errors']} "
-                "harness error(s)")
-    if workload_matches(report, baseline, "mc"):
-        recorded = float(baseline.get("reduction_ratio", 0.0))
-        measured = float(report.get("reduction_ratio", 0.0))
-        floor = recorded * (1.0 - tolerance)
-        if measured < floor:
-            failures.append(
-                f"reduction ratio {measured:.2f} dropped more than "
-                f"{tolerance:.0%} below the committed baseline's "
-                f"{recorded:.2f}")
-    return failures
-
-
-def _add_arguments(parser) -> None:
-    parser.add_argument("--overhead-limit", type=float,
-                        default=DEFAULT_OVERHEAD_LIMIT,
-                        help="max fractional slowdown the oracle hook "
-                             "may add to the no-oracle scheduler fast "
-                             "path (default 0.03)")
+        checks.check(f"{name}_exhausted", row["exhausted"], row["runs"],
+                     "frontier empty within budget")
+        checks.check(f"{name}_no_violations", row["violations"] == 0,
+                     row["violations"], "0 in the unmutated protocol")
+        checks.check(f"{name}_no_harness_errors",
+                     row["harness_errors"] == 0, row["harness_errors"],
+                     "0")
+    return checks
 
 
 SUITE = Suite(
     name="mc",
     help="model-checker states/sec, reduction ratio and oracle-hook "
          "overhead",
-    baseline="benchmarks/BENCH_mc.json",
-    run=run_suite, evaluate=evaluate, render=render,
-    add_arguments=_add_arguments,
-    floors=("overhead_limit",))
+    run=run_suite, shape=shape, render=render,
+    baseline="benchmarks/BENCH_mc.json", host_clock=HOST_CLOCK)

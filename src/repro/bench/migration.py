@@ -17,50 +17,38 @@ answer. The pre-copy run is repeated under the LIFO event tie-break and
 diffed field-for-field against FIFO, so the benchmark doubles as a
 determinism probe for the whole migration path.
 
-``--save`` records the run to ``benchmarks/BENCH_migration.json``;
-``--compare`` re-runs and fails when the pause ratio exceeds the
-explicit floor (pause < 25% of stop-and-copy), pre-copy needs more than
-5 rounds to converge, the tie-break runs diverge, or — when the
-workload matches the committed baseline — the measured ratio drifts
-above the baseline's by more than the tolerance. All quantities are
-simulated seconds, so they travel across machines.
+All quantities are simulated seconds, so ``--compare`` holds every field
+of the run equal to ``benchmarks/BENCH_migration.json``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.bench.harness import Suite, workload_matches
+from repro.bench.harness import ShapeReport, Suite
 
+#: The fig5-sized slm workload both modes run, on identical clusters.
+WORKLOAD = {"seed": 7, "app_nodes": 3, "ranks": 2, "steps": 200,
+            "rows_per_rank": 4, "cols": 16, "total_work_s": 20.0,
+            "memory_mb_per_rank": 100.0, "migrate_at": 1.0}
 #: The headline floor: client-visible pause under pre-copy must be
 #: below this fraction of the stop-and-copy pause on the same workload.
-DEFAULT_MAX_PAUSE_RATIO = 0.25
+MAX_PAUSE_RATIO = 0.25
 #: Pre-copy must converge (dirty bytes under threshold) within this
 #: many rounds on the fig5 workload.
-DEFAULT_MAX_ROUNDS = 5
-#: Allowed relative drift above the committed baseline's pause ratio.
-DEFAULT_TOLERANCE = 0.25
+MAX_ROUNDS = 5
 
 
-def run_mode(live: bool,
-             seed: int = 7,
-             app_nodes: int = 3,
-             ranks: int = 2,
-             steps: int = 200,
-             rows_per_rank: int = 4,
-             cols: int = 16,
-             total_work_s: float = 20.0,
-             memory_mb_per_rank: float = 100.0,
-             migrate_at: float = 1.0,
-             target_node_index: Optional[int] = None,
-             tiebreak: str = "fifo",
-             limit_s: float = 120.0) -> Dict[str, object]:
+def run_mode(live: bool, tiebreak: str, seed: int, app_nodes: int,
+             ranks: int, steps: int, rows_per_rank: int, cols: int,
+             total_work_s: float, memory_mb_per_rank: float,
+             migrate_at: float) -> Dict[str, object]:
     """One migration on a fresh cluster; returns its measurements.
 
     Launches the slm app, lets it reach steady state, migrates rank
-    0's pod to ``target_node_index`` (default: the last
-    application node, which the default placement leaves empty), then
-    runs the app to completion and verifies the final field bit-exact.
+    0's pod to the last application node (which the default placement
+    leaves empty), then runs the app to completion and verifies the
+    final field bit-exact.
     """
     import hashlib
 
@@ -78,12 +66,10 @@ def run_mode(live: bool,
         slm_factory(ranks, global_rows=rows, cols=cols, steps=steps,
                     total_work_s=total_work_s,
                     memory_mb_per_rank=memory_mb_per_rank))
-    if target_node_index is None:
-        target_node_index = app_nodes - 1
     cluster.run_for(migrate_at)
     pod = app.pods[0]
     source_node = pod.node.name
-    cluster.migrate_pod(pod, target_node_index, live=live)
+    cluster.migrate_pod(pod, app_nodes - 1, live=live)
     report = cluster.last_migration
 
     def done() -> bool:
@@ -91,7 +77,7 @@ def run_mode(live: bool,
         return (len(programs) == ranks
                 and all(p.step_count >= steps for p in programs))
 
-    cluster.run_until(done, limit=limit_s)
+    cluster.run_until(done, limit=120.0)
     cluster.run_for(0.2)  # drain retransmits and trailing ACKs
 
     programs = sorted(cluster.app_programs(app), key=lambda p: p.rank)
@@ -120,33 +106,17 @@ def run_mode(live: bool,
     }
 
 
-def run_suite(seed: int = 7,
-              app_nodes: int = 3,
-              ranks: int = 2,
-              steps: int = 200,
-              rows_per_rank: int = 4,
-              cols: int = 16,
-              total_work_s: float = 20.0,
-              memory_mb_per_rank: float = 100.0,
-              migrate_at: float = 1.0) -> Dict[str, object]:
+def run_suite() -> Dict[str, object]:
     """Both modes on identical workloads, plus the tie-break probe."""
     from repro.analysis.determinism import tiebreak_diff
 
-    workload = {
-        "seed": seed, "app_nodes": app_nodes, "ranks": ranks,
-        "steps": steps, "rows_per_rank": rows_per_rank, "cols": cols,
-        "total_work_s": total_work_s,
-        "memory_mb_per_rank": memory_mb_per_rank,
-        "migrate_at": migrate_at,
-    }
-
     def run(label: str, **mode) -> Dict[str, object]:
         print(f"migration: {label} "
-              f"({memory_mb_per_rank:.0f} MB/rank, {ranks} ranks)...",
-              flush=True)
-        return run_mode(**workload, **mode)
+              f"({WORKLOAD['memory_mb_per_rank']:.0f} MB/rank, "
+              f"{WORKLOAD['ranks']} ranks)...", flush=True)
+        return run_mode(**WORKLOAD, **mode)
 
-    stop = run("stop_and_copy", live=False)
+    stop = run("stop_and_copy", live=False, tiebreak="fifo")
     pre, _lifo, divergences = tiebreak_diff(
         lambda tiebreak: run(f"precopy ({tiebreak})", live=True,
                              tiebreak=tiebreak),
@@ -156,7 +126,7 @@ def run_suite(seed: int = 7,
     ratio = pre_pause / stop_pause if stop_pause > 0 else float("inf")
     return {
         "suite": "migration",
-        "workload": workload,
+        "workload": dict(WORKLOAD),
         "stop_and_copy": stop,
         "precopy": pre,
         "pause_ratio": round(ratio, 6),
@@ -185,74 +155,39 @@ def render(report: Dict[str, object]) -> List[str]:
             f"wrote={entry['written_bytes'] / 1e6:7.2f}MB "
             f"stop={entry['stop_s'] * 1e3:.3f}ms "
             f"took={entry['round_s'] * 1e3:.3f}ms")
-    lines.append(
-        f"pause ratio: {report['pause_ratio']:.4f} "
-        f"(floor {DEFAULT_MAX_PAUSE_RATIO})")
-    if report["divergences"]:
-        lines.append(f"tie-break divergences: {report['divergences']}")
-    else:
-        lines.append("tie-break: fifo and lifo runs are bit-identical")
     return lines
 
 
-def evaluate(report: Dict[str, object],
-             baseline: Optional[Dict[str, object]],
-             max_pause_ratio: float = DEFAULT_MAX_PAUSE_RATIO,
-             max_rounds: int = DEFAULT_MAX_ROUNDS,
-             tolerance: float = DEFAULT_TOLERANCE) -> List[str]:
-    """Pure comparison: list of failure messages (empty = pass)."""
-    failures = []
-    for label in ("stop_and_copy", "precopy"):
-        row = report[label]
-        if not row["output_correct"]:
-            failures.append(f"{label}: final field is not bit-exact")
-        if row["sanitizer_violations"]:
-            failures.append(
-                f"{label}: {row['sanitizer_violations']} sanitizer "
-                f"violation(s)")
-    ratio = float(report["pause_ratio"])
-    if ratio >= max_pause_ratio:
-        failures.append(
-            f"pre-copy pause is {ratio:.2%} of stop-and-copy "
-            f"(floor {max_pause_ratio:.0%})")
-    if not report["precopy"]["converged"]:
-        failures.append("pre-copy did not converge below the dirty "
-                        "threshold")
-    rounds = int(report["precopy_rounds"])
-    if rounds > max_rounds:
-        failures.append(
-            f"pre-copy took {rounds} rounds (limit {max_rounds})")
-    if report["divergences"]:
-        failures.append(
-            f"fifo/lifo divergence: {report['divergences'][:3]}")
-    if workload_matches(report, baseline, "migration"):
-        recorded = float(baseline.get("pause_ratio", 0.0))
-        ceiling = recorded * (1.0 + tolerance)
-        if recorded > 0 and ratio > ceiling:
-            failures.append(
-                f"pause ratio {ratio:.4f} drifted more than "
-                f"{tolerance:.0%} above the committed baseline's "
-                f"{recorded:.4f}")
-    return failures
-
-
-def _add_arguments(parser) -> None:
-    parser.add_argument("--ranks", type=int, default=2,
-                        help="slm ranks (default 2)")
-    parser.add_argument("--memory-mb", dest="memory_mb_per_rank",
-                        type=float, default=100.0,
-                        help="per-rank state size in MB (default 100)")
-    parser.add_argument("--max-pause-ratio", type=float,
-                        default=DEFAULT_MAX_PAUSE_RATIO,
-                        help="required pre-copy pause as a fraction of "
-                             "stop-and-copy (default 0.25)")
+def shape(report: Dict[str, object]) -> ShapeReport:
+    """Transparency and the pause-window claim as named checks."""
+    checks = ShapeReport("bench migration: pre-copy vs stop-and-copy")
+    modes = ("stop_and_copy", "precopy")
+    checks.check("output_bit_exact",
+                 all(report[mode]["output_correct"] for mode in modes),
+                 [report[mode]["output_correct"] for mode in modes],
+                 "both modes finish on the analytic field")
+    checks.check("sanitizer_clean",
+                 not any(report[mode]["sanitizer_violations"]
+                         for mode in modes),
+                 [report[mode]["sanitizer_violations"] for mode in modes],
+                 "0 violations in both modes")
+    checks.check("pause_ratio_under_floor",
+                 report["pause_ratio"] < MAX_PAUSE_RATIO,
+                 report["pause_ratio"],
+                 f"pre-copy pause < {MAX_PAUSE_RATIO} x stop-and-copy")
+    checks.check("precopy_converged", report["precopy"]["converged"],
+                 report["precopy"]["converged"],
+                 "dirty bytes under the threshold")
+    checks.check("precopy_rounds_within_budget",
+                 report["precopy_rounds"] <= MAX_ROUNDS,
+                 report["precopy_rounds"], f"<= {MAX_ROUNDS}")
+    checks.check("fifo_equals_lifo", not report["divergences"],
+                 report["divergences"][:3], "no divergence")
+    return checks
 
 
 SUITE = Suite(
     name="migration",
     help="pre-copy vs stop-and-copy pause windows",
-    baseline="benchmarks/BENCH_migration.json",
-    run=run_suite, evaluate=evaluate, render=render,
-    add_arguments=_add_arguments,
-    workload=("ranks", "memory_mb_per_rank"),
-    floors=("max_pause_ratio",))
+    run=run_suite, shape=shape, render=render,
+    baseline="benchmarks/BENCH_migration.json")

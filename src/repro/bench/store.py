@@ -10,7 +10,7 @@ that buys and what it must never lose:
   shard, so every chunk is a remote fetch). A restore streams in
   parallel from every surviving replica; the effective bandwidth must
   grow with the number of source nodes (RF=4 vs RF=1 at least
-  ``--min-scaling``, 3x by default).
+  :data:`MIN_SCALING`).
 * **single-loss healing** — at RF=2, crash each application node in
   turn: every committed version must stay reconstructible from the
   surviving replicas (zero lost versions), and the background
@@ -18,33 +18,28 @@ that buys and what it must never lose:
 * **determinism** — the RF=2 restore run is repeated under the LIFO
   event tie-break and diffed field-for-field against FIFO.
 
-All quantities are simulated seconds, so they travel across machines.
-``--save`` records the run to ``benchmarks/BENCH_store.json``;
-``--compare`` re-runs and fails on the explicit floors or — when the
-workload matches the committed baseline — on scaling drift beyond the
-tolerance.
+All quantities are simulated seconds, so ``--compare`` holds every field
+of the run equal to ``benchmarks/BENCH_store.json``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.bench.harness import Suite, workload_matches
+from repro.bench.harness import ShapeReport, Suite
 
 #: Replication factors the restore-scaling sweep measures.
-DEFAULT_RFS = (1, 2, 4)
-DEFAULT_APP_NODES = 5
-DEFAULT_MEMORY_MB = 16.0
+RFS = (1, 2, 4)
+APP_NODES = 5
+MEMORY_MB = 16.0
+#: The single-loss healing sweep: one crash per node at this RF and size.
+HEAL_RF = 2
+HEAL_MEMORY_MB = 4.0
 #: Required RF=4 / RF=1 restore bandwidth ratio (4 source disks vs 1).
-DEFAULT_MIN_SCALING = 3.0
-#: Allowed relative drop below the committed baseline's scaling.
-DEFAULT_TOLERANCE = 0.25
+MIN_SCALING = 3.0
 
 
-def run_restore(rf: int,
-                app_nodes: int = DEFAULT_APP_NODES,
-                memory_mb: float = DEFAULT_MEMORY_MB,
-                tiebreak: str = "fifo") -> Dict[str, object]:
+def run_restore(rf: int, tiebreak: str) -> Dict[str, object]:
     """Checkpoint at ``rf``, restore on the coordinator; measurements.
 
     The coordinator node holds no shard, so the restore fetches every
@@ -54,9 +49,9 @@ def run_restore(rf: int,
     from repro.apps.slm import run_slm_rounds
     from repro.cruz.cluster import CruzCluster
 
-    cluster = CruzCluster(app_nodes, replication_factor=rf,
+    cluster = CruzCluster(APP_NODES, replication_factor=rf,
                           tiebreak=tiebreak)
-    app, _stats = run_slm_rounds(cluster, 1, memory_mb)
+    app, _stats = run_slm_rounds(cluster, 1, MEMORY_MB)
     cluster.run_for(0.5)
     pod = app.pods[0]
     cluster.checkpoint_app(app)
@@ -85,9 +80,7 @@ def run_restore(rf: int,
     }
 
 
-def run_heal(rf: int = 2,
-             app_nodes: int = DEFAULT_APP_NODES,
-             memory_mb: float = 4.0) -> Dict[str, object]:
+def run_heal() -> Dict[str, object]:
     """Crash every application node in turn (fresh cluster each time).
 
     After each single-node loss every committed version must remain
@@ -100,9 +93,9 @@ def run_heal(rf: int = 2,
     lost_versions = 0
     unhealed = 0
     rereplicated_chunks = 0
-    for victim in range(app_nodes):
-        cluster = CruzCluster(app_nodes, replication_factor=rf)
-        app, _stats = run_slm_rounds(cluster, 1, memory_mb)
+    for victim in range(APP_NODES):
+        cluster = CruzCluster(APP_NODES, replication_factor=HEAL_RF)
+        app, _stats = run_slm_rounds(cluster, 1, HEAL_MEMORY_MB)
         cluster.run_for(0.3)
         pod = app.pods[0]
         cluster.checkpoint_app(app)
@@ -117,45 +110,41 @@ def run_heal(rf: int = 2,
         rereplicated_chunks += \
             cluster.store.stats["rereplicated_chunks"]
     return {
-        "rf": rf,
-        "nodes_tested": app_nodes,
+        "rf": HEAL_RF,
+        "nodes_tested": APP_NODES,
         "lost_versions": lost_versions,
         "unhealed_chunks": unhealed,
         "rereplicated_chunks": rereplicated_chunks,
     }
 
 
-def run_suite(app_nodes: int = DEFAULT_APP_NODES,
-              memory_mb: float = DEFAULT_MEMORY_MB,
-              rfs=DEFAULT_RFS) -> Dict[str, object]:
+def run_suite() -> Dict[str, object]:
     """The full sweep: scaling, healing, and the tie-break probe."""
     from repro.analysis.determinism import tiebreak_diff
 
-    rfs = tuple(sorted(set(int(rf) for rf in rfs)))
     def restore_at(rf: int, tiebreak: str = "fifo") -> Dict[str, object]:
-        print(f"store: restore at rf={rf} ({memory_mb:.0f} MB, "
-              f"{app_nodes} app nodes, {tiebreak})...", flush=True)
-        return run_restore(rf, app_nodes=app_nodes, memory_mb=memory_mb,
-                           tiebreak=tiebreak)
+        print(f"store: restore at rf={rf} ({MEMORY_MB:.0f} MB, "
+              f"{APP_NODES} app nodes, {tiebreak})...", flush=True)
+        return run_restore(rf, tiebreak)
 
     restore: Dict[str, object] = {}
     divergences: List[str] = []
-    for rf in rfs:
+    for rf in RFS:
         if rf == 2:  # doubles as the tie-break probe
             restore["rf2"], _lifo, divergences = tiebreak_diff(
                 lambda tiebreak: restore_at(2, tiebreak), "restore.rf2")
         else:
             restore[f"rf{rf}"] = restore_at(rf)
-    low, high = restore[f"rf{rfs[0]}"], restore[f"rf{rfs[-1]}"]
+    low, high = restore[f"rf{RFS[0]}"], restore[f"rf{RFS[-1]}"]
     scaling = (high["bandwidth_mbps"] / low["bandwidth_mbps"]
                if low["bandwidth_mbps"] > 0 else float("inf"))
-    print(f"store: single-loss healing at rf=2...", flush=True)
-    heal = run_heal(rf=2, app_nodes=app_nodes)
+    print(f"store: single-loss healing at rf={HEAL_RF}...", flush=True)
+    heal = run_heal()
     return {
         "suite": "store",
         "workload": {
-            "app_nodes": app_nodes, "memory_mb": memory_mb,
-            "rfs": list(rfs),
+            "app_nodes": APP_NODES, "memory_mb": MEMORY_MB,
+            "rfs": list(RFS),
         },
         "restore": restore,
         "scaling": round(scaling, 4),
@@ -173,84 +162,42 @@ def render(report: Dict[str, object]) -> List[str]:
             f"{len(row['source_nodes'])} node(s) = "
             f"{row['bandwidth_mbps']:7.1f} MB/s  "
             f"(replica bytes {row['replica_bytes'] / 1e6:.1f}MB)")
-    lines.append(f"restore bandwidth scaling: {report['scaling']:.2f}x "
-                 f"(floor {DEFAULT_MIN_SCALING})")
     heal = report["heal"]
     lines.append(
         f"single-loss @rf={heal['rf']}: {heal['nodes_tested']} crashes, "
         f"{heal['lost_versions']} lost version(s), "
         f"{heal['unhealed_chunks']} unhealed chunk(s), "
         f"{heal['rereplicated_chunks']} re-replicated")
-    if report["divergences"]:
-        lines.append(f"tie-break divergences: {report['divergences']}")
-    else:
-        lines.append("tie-break: fifo and lifo runs are bit-identical")
     return lines
 
 
-def evaluate(report: Dict[str, object],
-             baseline: Optional[Dict[str, object]],
-             min_scaling: float = DEFAULT_MIN_SCALING,
-             tolerance: float = DEFAULT_TOLERANCE) -> List[str]:
-    """Pure comparison: list of failure messages (empty = pass)."""
-    failures = []
-    rows = [report["restore"][key]
-            for key in sorted(report["restore"],
-                              key=lambda k: int(k[2:]))]
-    for earlier, later in zip(rows, rows[1:]):
-        if later["bandwidth_mbps"] <= earlier["bandwidth_mbps"]:
-            failures.append(
-                f"restore bandwidth did not grow from rf={earlier['rf']} "
-                f"({earlier['bandwidth_mbps']} MB/s) to "
-                f"rf={later['rf']} ({later['bandwidth_mbps']} MB/s)")
-    scaling = float(report["scaling"])
-    if scaling < min_scaling:
-        failures.append(
-            f"restore scaling rf={rows[-1]['rf']} vs rf={rows[0]['rf']} "
-            f"is only {scaling:.2f}x (floor {min_scaling:.1f}x)")
+def shape(report: Dict[str, object]) -> ShapeReport:
+    """Restore scaling and single-loss healing as named checks."""
+    checks = ShapeReport("bench store: sharded restore and healing")
+    bandwidths = [report["restore"][f"rf{rf}"]["bandwidth_mbps"]
+                  for rf in RFS]
+    checks.check("bandwidth_grows_with_rf",
+                 all(a < b for a, b in zip(bandwidths, bandwidths[1:])),
+                 bandwidths, f"strictly increasing over rf {list(RFS)}")
+    checks.check("restore_scaling", report["scaling"] >= MIN_SCALING,
+                 report["scaling"],
+                 f">= {MIN_SCALING}x from rf={RFS[0]} to rf={RFS[-1]}")
     heal = report["heal"]
-    if heal["lost_versions"]:
-        failures.append(
-            f"{heal['lost_versions']} committed version(s) lost to a "
-            f"single node crash at rf={heal['rf']}")
-    if heal["unhealed_chunks"]:
-        failures.append(
-            f"{heal['unhealed_chunks']} chunk(s) still under-replicated "
-            f"after the heal window")
-    if not heal["rereplicated_chunks"]:
-        failures.append("re-replication daemon repaired nothing")
-    if report["divergences"]:
-        failures.append(
-            f"fifo/lifo divergence: {report['divergences'][:3]}")
-    if workload_matches(report, baseline, "store"):
-        recorded = float(baseline.get("scaling", 0.0))
-        floor = recorded * (1.0 - tolerance)
-        if recorded > 0 and scaling < floor:
-            failures.append(
-                f"scaling {scaling:.2f}x dropped more than "
-                f"{tolerance:.0%} below the committed baseline's "
-                f"{recorded:.2f}x")
-    return failures
-
-
-def _add_arguments(parser) -> None:
-    parser.add_argument("--app-nodes", type=int,
-                        default=DEFAULT_APP_NODES,
-                        help="application node count (default 5)")
-    parser.add_argument("--memory-mb", type=float,
-                        default=DEFAULT_MEMORY_MB,
-                        help="pod state size in MB (default 16)")
-    parser.add_argument("--min-scaling", type=float,
-                        default=DEFAULT_MIN_SCALING,
-                        help="required restore bandwidth growth from "
-                             "rf=1 to the largest rf (default 3.0)")
+    checks.check("no_version_lost", heal["lost_versions"] == 0,
+                 heal["lost_versions"],
+                 f"0 after each single crash at rf={heal['rf']}")
+    checks.check("every_chunk_healed", heal["unhealed_chunks"] == 0,
+                 heal["unhealed_chunks"], "0 under-replicated")
+    checks.check("rereplication_repaired",
+                 heal["rereplicated_chunks"] > 0,
+                 heal["rereplicated_chunks"], "> 0 chunks")
+    checks.check("fifo_equals_lifo", not report["divergences"],
+                 report["divergences"][:3], "no divergence")
+    return checks
 
 
 SUITE = Suite(
     name="store",
     help="sharded-restore bandwidth scaling and healing",
-    baseline="benchmarks/BENCH_store.json",
-    run=run_suite, evaluate=evaluate, render=render,
-    add_arguments=_add_arguments,
-    workload=("app_nodes", "memory_mb"),
-    floors=("min_scaling",))
+    run=run_suite, shape=shape, render=render,
+    baseline="benchmarks/BENCH_store.json")

@@ -391,7 +391,7 @@ def _chaos_kill_backend(args) -> int:
     p99 = report["slo"]["overall"]["p99_s"]
     counters = report["slo"]["counters"]
     ok = (report["ok"] and not divergences
-          and p99 is not None and p99 <= 1.0)
+          and p99 is not None and p99 <= slo.P99_LIMIT_S)
     return _serve_emit(
         args,
         {"command": "chaos", "mode": "kill-backend", "ok": ok,
@@ -401,7 +401,8 @@ def _chaos_kill_backend(args) -> int:
         report, divergences,
         "kill-backend: p99 "
         + ("n/a" if p99 is None else f"{p99 * 1e3:.2f}ms")
-        + f" (limit 1000ms), {counters['sheds']} shed(s), "
+        + f" (limit {slo.P99_LIMIT_S * 1e3:.0f}ms), "
+        f"{counters['sheds']} shed(s), "
         f"{counters['retries']} retrie(s) — ")
 
 
@@ -495,15 +496,11 @@ def build_parser() -> argparse.ArgumentParser:
     guard.add_argument("--baseline", default="",
                        help="baseline JSON path (default: the suite's "
                             "committed one)")
-    guard.add_argument("--tolerance", type=float, default=0.2,
-                       help="allowed fractional drift from the baseline "
-                            "(default 0.2)")
     suites = bench.add_subparsers(dest="suite_name", required=True,
                                   metavar="suite")
     for suite in SUITES:
         guarded = suites.add_parser(suite.name, parents=[common, guard],
                                     help=suite.help)
-        suite.add_arguments(guarded)
         guarded.set_defaults(fn=_cmd_bench, suite=suite)
 
     lint = sub.add_parser(

@@ -1,9 +1,13 @@
-"""migration benchmark: evaluate() guard logic and a reduced-scale run."""
+"""migration benchmark: shape checks and the committed-scale run
+against its baseline."""
 
+import json
+
+from repro.bench.harness import baseline_drift
 from repro.bench.migration import SUITE
 
 # The pure functions, reached the way the CLI reaches them.
-evaluate, run_suite = SUITE.evaluate, SUITE.run
+shape, run_suite = SUITE.shape, SUITE.run
 
 
 def _mode(mode, pause_s, rounds=1, converged=True, correct=True,
@@ -23,10 +27,10 @@ def _mode(mode, pause_s, rounds=1, converged=True, correct=True,
 
 
 def _report(pre_pause=0.005, stop_pause=0.4, rounds=1, converged=True,
-            correct=True, divergences=(), workload=None):
+            correct=True, divergences=()):
     return {
         "suite": "migration",
-        "workload": workload or {"seed": 7, "memory_mb_per_rank": 20.0},
+        "workload": {"seed": 7, "memory_mb_per_rank": 20.0},
         "stop_and_copy": _mode("stop_and_copy", stop_pause, rounds=0,
                                correct=correct),
         "precopy": _mode("precopy", pre_pause, rounds=rounds,
@@ -38,43 +42,37 @@ def _report(pre_pause=0.005, stop_pause=0.4, rounds=1, converged=True,
 
 
 def test_evaluate_passes_below_ratio_floor():
-    assert evaluate(_report(), None) == []
+    checks = shape(_report())
+    assert checks.passed and len(checks) == 6
 
 
 def test_evaluate_fails_above_ratio_floor():
-    failures = evaluate(_report(pre_pause=0.2), None)
-    assert any("pause" in f for f in failures)
+    checks = shape(_report(pre_pause=0.2))
+    assert not checks["pause_ratio_under_floor"]
+    assert checks["precopy_converged"]
 
 
 def test_evaluate_fails_on_round_budget_and_convergence():
-    failures = evaluate(_report(rounds=7, converged=False), None)
-    assert any("rounds" in f for f in failures)
-    assert any("converge" in f for f in failures)
+    checks = shape(_report(rounds=7, converged=False))
+    assert not checks["precopy_rounds_within_budget"]
+    assert not checks["precopy_converged"]
+    assert checks["pause_ratio_under_floor"]
 
 
 def test_evaluate_fails_on_wrong_output_or_divergence():
-    failures = evaluate(_report(correct=False,
-                                divergences=["migration.field_hash"]),
-                        None)
-    assert any("bit-exact" in f for f in failures)
-    assert any("divergence" in f for f in failures)
-
-
-def test_evaluate_compares_ratio_against_matching_baseline():
-    baseline = _report(pre_pause=0.004)
-    failures = evaluate(_report(pre_pause=0.04), baseline,
-                        tolerance=0.25)
-    assert any("baseline" in f for f in failures)
-    # A different workload only gets the explicit floors.
-    other = _report(pre_pause=0.04,
-                    workload={"seed": 7, "memory_mb_per_rank": 5.0})
-    assert evaluate(other, baseline, tolerance=0.25) == []
+    checks = shape(_report(correct=False,
+                           divergences=["migration.field_hash"]))
+    assert not checks["output_bit_exact"]
+    assert not checks["fifo_equals_lifo"]
+    assert checks["sanitizer_clean"]
 
 
 def test_reduced_scale_suite_meets_every_floor():
-    report = run_suite(memory_mb_per_rank=10.0, steps=100,
-                       total_work_s=10.0)
-    assert evaluate(report, None) == []
-    assert report["precopy"]["converged"]
-    assert report["divergences"] == []
+    """The committed 100 MB/rank scale (~2 s): every check passes and
+    every field equals the committed baseline."""
+    report = json.loads(json.dumps(run_suite()))
+    assert shape(report).passed
     assert report["pause_ratio"] < 0.25
+    with open(SUITE.baseline, encoding="utf-8") as handle:
+        assert baseline_drift(json.load(handle), report,
+                              SUITE.host_clock) == []

@@ -1,11 +1,14 @@
-"""store benchmark: evaluate() guard logic, a reduced-scale run, and
-the kill-replica chaos verdict."""
+"""store benchmark: shape checks, the committed-scale run against its
+baseline, and the kill-replica chaos verdict."""
+
+import json
 
 from repro.bench.chaos import ChaosResult
+from repro.bench.harness import baseline_drift
 from repro.bench.store import SUITE
 
 # The pure functions, reached the way the CLI reaches them.
-evaluate, run_suite = SUITE.evaluate, SUITE.run
+shape, run_suite = SUITE.shape, SUITE.run
 
 
 def _row(rf, bandwidth):
@@ -22,12 +25,11 @@ def _row(rf, bandwidth):
 
 
 def _report(bandwidths=(150.0, 290.0, 540.0), lost=0, unhealed=0,
-            rereplicated=1800, divergences=(), workload=None):
+            rereplicated=1800, divergences=()):
     rfs = (1, 2, 4)
     return {
         "suite": "store",
-        "workload": workload or {"app_nodes": 5, "memory_mb": 16.0,
-                                 "rfs": list(rfs)},
+        "workload": {"app_nodes": 5, "memory_mb": 16.0, "rfs": list(rfs)},
         "restore": {f"rf{rf}": _row(rf, bw)
                     for rf, bw in zip(rfs, bandwidths)},
         "scaling": bandwidths[-1] / bandwidths[0],
@@ -39,45 +41,40 @@ def _report(bandwidths=(150.0, 290.0, 540.0), lost=0, unhealed=0,
 
 
 def test_evaluate_passes_healthy_report():
-    assert evaluate(_report(), None) == []
+    checks = shape(_report())
+    assert checks.passed and len(checks) == 6
 
 
 def test_evaluate_fails_on_flat_or_weak_scaling():
-    failures = evaluate(_report(bandwidths=(150.0, 140.0, 300.0)), None)
-    assert any("did not grow" in f for f in failures)
-    assert any("scaling" in f for f in failures)
+    checks = shape(_report(bandwidths=(150.0, 140.0, 300.0)))
+    assert not checks["bandwidth_grows_with_rf"]
+    assert not checks["restore_scaling"]
+    assert checks["no_version_lost"] and checks["fifo_equals_lifo"]
 
 
 def test_evaluate_fails_on_lost_versions_or_unhealed_chunks():
-    failures = evaluate(_report(lost=1, unhealed=3, rereplicated=0), None)
-    assert any("lost" in f for f in failures)
-    assert any("under-replicated" in f for f in failures)
-    assert any("repaired nothing" in f for f in failures)
+    checks = shape(_report(lost=1, unhealed=3, rereplicated=0))
+    assert not checks["no_version_lost"]
+    assert not checks["every_chunk_healed"]
+    assert not checks["rereplication_repaired"]
+    assert checks["restore_scaling"]
 
 
 def test_evaluate_fails_on_divergence():
-    failures = evaluate(_report(divergences=["restore.rf2.restore_s"]),
-                        None)
-    assert any("divergence" in f for f in failures)
-
-
-def test_evaluate_compares_scaling_against_matching_baseline():
-    baseline = _report(bandwidths=(150.0, 290.0, 600.0))
-    failures = evaluate(_report(bandwidths=(150.0, 290.0, 460.0)),
-                        baseline, tolerance=0.2)
-    assert any("baseline" in f for f in failures)
-    # A different workload only gets the explicit floors.
-    other = _report(bandwidths=(150.0, 290.0, 460.0),
-                    workload={"app_nodes": 3, "memory_mb": 4.0,
-                              "rfs": [1, 2, 4]})
-    assert evaluate(other, baseline, tolerance=0.2) == []
+    checks = shape(_report(divergences=["restore.rf2.restore_s"]))
+    assert not checks["fifo_equals_lifo"]
+    assert [check.name for check in checks.checks if not check.ok] == [
+        "fifo_equals_lifo"]
 
 
 def test_reduced_scale_suite_meets_every_floor():
-    report = run_suite(app_nodes=5, memory_mb=4.0)
-    assert evaluate(report, None) == []
-    assert report["divergences"] == []
-    assert report["heal"]["lost_versions"] == 0
+    """The committed scale (~0.5 s): every check passes and every field
+    equals the committed baseline."""
+    report = json.loads(json.dumps(run_suite()))
+    assert shape(report).passed
+    with open(SUITE.baseline, encoding="utf-8") as handle:
+        assert baseline_drift(json.load(handle), report,
+                              SUITE.host_clock) == []
 
 
 def test_kill_replica_chaos_verdict():

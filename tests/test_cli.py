@@ -1,6 +1,7 @@
 """CLI smoke tests."""
 
 import argparse
+import copy
 import dataclasses
 import hashlib
 import json
@@ -9,6 +10,7 @@ import re
 import pytest
 
 from repro.bench import dedup, optimization
+from repro.bench.harness import Figure
 from repro.cli import FIGURES, SUITES, build_parser, main, to_jsonable
 
 
@@ -26,8 +28,7 @@ def test_parser_knows_all_commands():
 
 #: (argv prefix, record, flags every record of that kind shares).
 FIGURE_FLAGS = {"--help", "--json"}
-SUITE_FLAGS = FIGURE_FLAGS | {"--save", "--compare", "--baseline",
-                              "--tolerance"}
+SUITE_FLAGS = FIGURE_FLAGS | {"--save", "--compare", "--baseline"}
 RECORDS = ([([figure.name], figure, FIGURE_FLAGS) for figure in FIGURES]
            + [(["bench", suite.name], suite, SUITE_FLAGS)
               for suite in SUITES])
@@ -60,8 +61,10 @@ def _flags(text):
 
 
 def _own_flags(record):
+    """A figure's own flags; a suite has none."""
     scratch = argparse.ArgumentParser(add_help=False)
-    record.add_arguments(scratch)
+    if isinstance(record, Figure):
+        record.add_arguments(scratch)
     return _flags(scratch.format_usage())
 
 
@@ -101,13 +104,6 @@ def test_each_record_has_a_subparser_with_only_its_own_flags(
     capsys.readouterr()
 
 
-def test_bench_slo_rejects_a_migration_flag(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["bench", "slo", "--ranks", "2"])
-    assert excinfo.value.code == 2
-    assert "--ranks" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("figure", FIGURES, ids=lambda f: f.name)
 def test_every_figure_json_is_a_single_object(figure, capsys,
                                               paper_scale):
@@ -130,50 +126,114 @@ def test_every_figure_json_is_a_single_object(figure, capsys,
     assert set(doc) - {"command", "shape"}  # carries its result
 
 
+def _committed(suite):
+    with open(suite.baseline, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _bench(capsys, suite, report, *flags):
+    """``repro bench <suite> --json`` over ``report`` in place of a
+    run; returns ``(exit status, emitted object, stderr)``."""
+    args = build_parser().parse_args(["bench", suite.name, "--json",
+                                      *flags])
+
+    def run():
+        print(f"{suite.name}: progress line")
+        return report
+
+    args.suite = dataclasses.replace(suite, run=run)
+    status = args.fn(args)
+    captured = capsys.readouterr()
+    return status, _one_json_object(captured.out), captured.err
+
+
 @pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.name)
 def test_every_suite_json_is_a_single_object_with_its_evidence(
         suite, capsys):
     """The committed baseline stands in for a run (it *is* one suite
     report): progress goes to stderr, stdout is one object carrying the
-    report and the failure list, and the baseline passes its own
-    floors un-re-recorded."""
-    with open(suite.baseline, encoding="utf-8") as handle:
-        recorded = json.load(handle)
-
-    def run(**workload):
-        print(f"{suite.name}: progress line")
-        return recorded
-
-    args = build_parser().parse_args(
-        ["bench", suite.name, "--compare", "--json"])
-    args.suite = dataclasses.replace(suite, run=run)
-    assert args.fn(args) == 0
-    captured = capsys.readouterr()
-    doc = _one_json_object(captured.out)
-    assert "progress line" in captured.err
-    assert "within tolerance" in captured.err
+    report, its shape and the drift, and the baseline passes its own
+    checks and equals itself un-re-recorded."""
+    recorded = _committed(suite)
+    status, doc, err = _bench(capsys, suite, recorded, "--compare")
+    assert status == 0
+    assert "progress line" in err
+    assert "every simulated field equals" in err
     assert doc["command"] == "bench" and doc["suite"] == suite.name
     assert doc["baseline"] == suite.baseline
     assert doc["ok"] is True and doc["exit_status"] == 0
-    assert doc["failures"] == []
+    assert doc["drift"] == [] and doc["shape"]["passed"] is True
     assert doc["report"] == recorded
 
 
-def test_bench_json_carries_the_failures(tmp_path, capsys):
+#: One simulated leaf per committed baseline, each moved by 10 % below:
+#: inside every suite's old ratio tolerance, outside equality.
+MOVED_LEAF = {"store": ("restore", "rf4", "restore_s"),
+              "migration": ("precopy", "pause_window_s"),
+              "slo": ("slo", "overall", "p99_s"),
+              "mc": ("explorer", "faults", "reduction_ratio")}
+
+
+def _moved(report, keys, factor):
+    report = copy.deepcopy(report)
+    *parents, leaf = keys
+    node = report
+    for key in parents:
+        node = node[key]
+    node[leaf] *= factor
+    return report
+
+
+@pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.name)
+def test_a_simulated_leaf_moved_by_ten_percent_fails_by_path(
+        suite, capsys):
+    keys = MOVED_LEAF[suite.name]
+    recorded = _committed(suite)
+    status, doc, err = _bench(capsys, suite,
+                              _moved(recorded, keys, 1.1), "--compare")
+    path = ".".join(keys)
+    assert status == 1 and doc["ok"] is False
+    assert doc["shape"]["passed"] is True
+    assert [line.split(":")[0] for line in doc["drift"]] == [path]
+    assert f"DRIFT: {path}: " in err
+
+
+def test_host_clock_fields_are_free_and_a_missing_key_is_drift(
+        tmp_path, capsys):
+    suite = next(suite for suite in SUITES if suite.name == "mc")
+    recorded = _committed(suite)
+    slow = _moved(recorded, ("explorer", "faults", "wall_s"), 2.0)
+    status, doc, _err = _bench(capsys, suite, slow, "--compare")
+    assert status == 0 and doc["drift"] == []
+    # A key the run no longer reports.
+    short = copy.deepcopy(recorded)
+    del short["workload"]["explorer"]["rounds"]
+    status, doc, _err = _bench(capsys, suite, short, "--compare")
+    assert status == 1
+    assert doc["drift"] == ["workload.explorer.rounds: 1 → absent"]
+    # A key the committed baseline does not hold.
+    target = tmp_path / "BENCH_mc.json"
+    target.write_text(json.dumps(short))
+    status, doc, _err = _bench(capsys, suite, recorded, "--compare",
+                               "--baseline", str(target))
+    assert status == 1
+    assert doc["drift"] == ["workload.explorer.rounds: absent → 1"]
+
+
+def test_bench_json_carries_the_failures(capsys):
     suite = SUITES[0]
-    with open(suite.baseline, encoding="utf-8") as handle:
-        broken = json.load(handle)
-    broken["divergences"] = ["migration.field_hash: fifo=1 lifo=2"]
-    args = build_parser().parse_args(
-        ["bench", suite.name, "--json",
-         "--baseline", str(tmp_path / "absent.json")])
-    args.suite = dataclasses.replace(suite, run=lambda **_w: broken)
-    assert args.fn(args) == 1
-    captured = capsys.readouterr()
-    doc = _one_json_object(captured.out)
+    broken = dict(_committed(suite),
+                  divergences=["migration.field_hash: fifo=1 lifo=2"])
+    status, doc, err = _bench(capsys, suite, broken)
+    assert status == 1
     assert doc["ok"] is False and doc["exit_status"] == 1
-    assert any("divergence" in f for f in doc["failures"])
-    assert "FAIL:" in captured.err
+    assert doc["shape"]["passed"] is False
+    assert {check["name"]: check["ok"]
+            for check in doc["shape"]["checks"]}["fifo_equals_lifo"] \
+        is False
+    assert doc["drift"] == [
+        'divergences[0]: absent → "migration.field_hash: fifo=1 lifo=2"']
+    assert "DRIFT:" in err
     assert doc["report"]["divergences"] == broken["divergences"]
 
 
@@ -193,25 +253,25 @@ def test_bench_requires_a_suite(capsys):
 
 def test_bench_save_records_only_a_passing_run(tmp_path, capsys):
     suite = SUITES[0]
-    with open(suite.baseline, encoding="utf-8") as handle:
-        recorded = json.load(handle)
+    recorded = _committed(suite)
     target = tmp_path / "sub" / "BENCH.json"
     args = build_parser().parse_args(
         ["bench", suite.name, "--save", "--baseline", str(target)])
-    args.suite = dataclasses.replace(suite, run=lambda **_w: recorded)
+    args.suite = dataclasses.replace(suite, run=lambda: recorded)
     assert args.fn(args) == 0
     assert json.loads(target.read_text()) == recorded
     assert f"saved {suite.name} baseline" in capsys.readouterr().out
-    # A run that fails its own floors is never recorded.
+    # A run that fails its own checks is never recorded.
     failing = dict(recorded, divergences=["x"])
     target.unlink()
-    args.suite = dataclasses.replace(suite, run=lambda **_w: failing)
+    args.suite = dataclasses.replace(suite, run=lambda: failing)
     assert args.fn(args) == 1
     assert not target.exists()
-    # An unreadable baseline is exit 2, not a pass.
-    target.write_text("{not json")
+    # A missing or unreadable baseline is exit 2, not a pass.
     args = build_parser().parse_args(
         ["bench", suite.name, "--compare", "--baseline", str(target)])
+    assert args.fn(args) == 2
+    target.write_text("{not json")
     assert args.fn(args) == 2
     assert "unreadable baseline" in capsys.readouterr().err
 
