@@ -40,12 +40,15 @@ All enumeration is sorted and all placement is a pure function of
 ``(chunk id, writer, availability)``, so runs remain bit-identical
 under event tie-break perturbation (CruzSan's fifo/lifo check).
 
-The chunk API takes *runs* of ids (``put_chunks``, ``read_chunks``,
+The chunk API takes *runs* (``put_chunks``, ``read_chunks``,
 ``placements``, ``unavailable``) — a process image is thousands of
 page chunks. A run is partitioned into the few groups of chunks that
 share a placement and a holder tuple, and each group moves as one
 filesystem run per shard: the work per page is C loops over aligned
-lists, the Python statements are per group. ``put_chunk`` and
+lists, the Python statements are per group. Placement is by *ring
+arc*: ``arcs`` bisects a run of ids once, and a put and a placement
+count take those arcs, so a caller that keeps a chunk's arc (the store
+memoises each page's) never has it bisected again. ``put_chunk`` and
 ``get_chunk`` are the one-element cases of the first two, ``placement``
 and ``available`` the one-chunk forms of the others.
 """
@@ -53,6 +56,7 @@ and ``available`` the one-chunk forms of the others.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
@@ -64,6 +68,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -76,6 +81,10 @@ from repro.simos.filesystem import Content, SharedFileSystem, run_bytes
 #: Virtual-node tokens per physical node; smooths the ring so replica
 #: load spreads evenly even with a handful of nodes.
 RING_TOKENS = 16
+
+#: The ``array`` typecode of a run of ring arcs: two bytes an arc, room
+#: for a ring of 65,535 tokens (4,095 shard nodes).
+ARC_TYPECODE = "H"
 
 _NONE = type(None)
 
@@ -236,6 +245,18 @@ class ShardedBackend:
 
     # -- ring placement ----------------------------------------------------
 
+    def arc(self, cid: str) -> int:
+        """The ring arc ``cid`` bisects into: ``i`` when it sorts just
+        below the ``i``-th token (``len(ring)`` past the last). The ring
+        is fixed for the backend's life, so an arc never goes stale."""
+        return bisect_left(self._ring_keys, cid)
+
+    def arcs(self, cids: Iterable[str]) -> array:
+        """:meth:`arc` of each of ``cids``, as an ``array`` of
+        :data:`ARC_TYPECODE`."""
+        return array(ARC_TYPECODE,
+                     map(bisect_left, repeat(self._ring_keys), cids))
+
     def _successors(self, cid: str) -> Iterator[str]:
         """Distinct node names clockwise from ``cid`` on the ring."""
         return self._clockwise(bisect_left(self._ring_keys, cid))
@@ -278,23 +299,20 @@ class ShardedBackend:
         """
         return self._arc_table(writer)[bisect_left(self._ring_keys, cid)]
 
-    def _arcs(self, cids: Sequence[str]) -> Iterator[int]:
-        """The ring arc each of ``cids`` bisects into, lazily."""
-        return map(bisect_left, repeat(self._ring_keys), cids)
-
-    def placements(self, cids: Sequence[str], writer: Optional[str]
+    def placements(self, weights: Mapping[int, int], writer: Optional[str]
                    ) -> Dict[Tuple[str, ...], int]:
-        """How many of ``cids`` land on each distinct placement.
+        """How much of a run lands on each distinct placement, given how
+        much of it (chunks, or bytes) falls into each ring arc.
 
         One writer sees at most nodes^(RF-1) distinct placements, so a
-        save plan splits a run of pages per destination disk by
-        counting these — the run's arcs first, then the few arcs into
-        placements — instead of walking the ring page by page.
+        save plan splits its writes per destination disk by summing a
+        histogram of arcs — a few entries — instead of walking the ring
+        page by page.
         """
         table = self._arc_table(writer)
         found: Dict[Tuple[str, ...], int] = Counter()
-        for arc, count in Counter(self._arcs(cids)).items():
-            found[table[arc]] += count
+        for arc, weight in weights.items():
+            found[table[arc]] += weight
         return found
 
     def repair_dest(self, cid: str) -> Optional[str]:
@@ -316,9 +334,11 @@ class ShardedBackend:
         return self.fs.directory(self._shards[node])
 
     def put_chunks(self, cids: Sequence[str], payloads: Sequence[Content],
-                   writer: Optional[str], force: bool) -> PutResult:
-        """Store a run of chunks, ``payloads`` aligned with ``cids``;
-        returns the summed :class:`PutResult`.
+                   arcs: Sequence[int], writer: Optional[str],
+                   force: bool) -> PutResult:
+        """Store a run of chunks, ``payloads`` and ring ``arcs`` (see
+        :meth:`arcs`) aligned with ``cids``; returns the summed
+        :class:`PutResult`.
 
         Each chunk goes to every node of its placement that does not
         hold it yet (``force`` rewrites the ones that do). A run that
@@ -340,9 +360,9 @@ class ShardedBackend:
             # what the first left: later occurrences make a follow-up
             # run (which splits again if it must).
             seen: Set[str] = set()
-            first: List[Tuple[str, Content]] = []
-            later: List[Tuple[str, Content]] = []
-            for row in zip(cids, payloads):
+            first: List[Tuple[str, Content, int]] = []
+            later: List[Tuple[str, Content, int]] = []
+            for row in zip(cids, payloads, arcs):
                 (later if row[0] in seen else first).append(row)
                 seen.add(row[0])
             return self.put_chunks(*zip(*first), writer, force) \
@@ -351,7 +371,7 @@ class ShardedBackend:
         write_run = self.fs.write_run
         written: Set[str] = set()
         groups = _partition(zip(
-            map(self._arc_table(writer).__getitem__, self._arcs(cids)),
+            map(self._arc_table(writer).__getitem__, arcs),
             map(index.get, cids, repeat(()))))
         for (dests, current), positions in groups.items():
             ids = _pick(cids, positions)
@@ -382,7 +402,8 @@ class ShardedBackend:
     def put_chunk(self, cid: str, payload: Content,
                   writer: Optional[str] = None,
                   force: bool = False) -> PutResult:
-        return self.put_chunks((cid,), (payload,), writer, force)
+        return self.put_chunks((cid,), (payload,), (self.arc(cid),),
+                               writer, force)
 
     def read_chunks(self, cids: Sequence[str]
                     ) -> Dict[Tuple[str, ...], List[Content]]:

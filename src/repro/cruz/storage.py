@@ -36,19 +36,23 @@ Save modes:
 The chunk format is per page; the code path is per *run*: a process's
 pages go through ``plan`` → ``put_chunks`` → ``read_chunks`` as one
 list each, and their ids come from one walk memoised by write version
-(:meth:`ImageStore._page_ids`). :func:`iter_page_chunks` is the plain
-reference enumeration that walk must agree with.
+(:meth:`ImageStore._page_ids`). The memo also keeps, for a page a
+``full`` save wrote, its ring arc and the extent stored for it, so an
+untouched page costs a full save a lookup. :func:`iter_page_chunks` is
+the plain reference enumeration that walk must agree with.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cruz.backend import (
+    ARC_TYPECODE,
     ShardedBackend,
     backend_config,
     backend_from_config,
@@ -128,6 +132,32 @@ def iter_page_chunks(pod_name: str, vpid: int,
             version = memory.page_versions.get(page, 0)
             yield (page_chunk_id(pod_name, vpid, name, index, version),
                    page)
+
+
+class _RegionPages:
+    """One region's pages as :meth:`ImageStore._page_regions` last saw
+    them: the write versions and the page ids hashed from them, then —
+    filled by the first ``full`` save that writes them (:meth:`fill`) —
+    each page's ring arc, how many pages fall into each arc, and the
+    extent stored for each page. A region whose versions move gets a
+    new entry, so none of it is ever stale."""
+
+    __slots__ = ("versions", "ids", "arcs", "arc_counts", "extents")
+
+    def __init__(self, versions: List[int], ids: List[str]):
+        self.versions = versions
+        self.ids = ids
+        self.arcs: Optional[array] = None
+        self.arc_counts: Optional[Counter] = None
+        self.extents: Optional[List[SyntheticExtent]] = None
+
+    def fill(self, backend: ShardedBackend) -> None:
+        """Bisect and build the region's pages once (arcs are fixed for
+        the backend's life, whatever goes down or up)."""
+        if self.extents is None:
+            self.arcs = backend.arcs(self.ids)
+            self.arc_counts = Counter(self.arcs)
+            self.extents = page_chunk_payloads(self.ids)
 
 
 def _page_numbers(memory: AddressSpace) -> List[int]:
@@ -324,10 +354,13 @@ class SavePlan:
     #: Every chunk id the image references, with multiplicity — what
     #: ``save`` increfs.
     refs: List[str] = field(default_factory=list)
-    #: The ``(chunk id, payload)`` blobs to write.
-    blob_writes: List[Tuple[str, bytes]] = field(default_factory=list)
-    #: The page chunk ids to write (payloads expand from the ids).
+    #: The ``(chunk id, payload, ring arc)`` blobs to write.
+    blob_writes: List[Tuple[str, bytes, int]] = field(default_factory=list)
+    #: The page chunk ids to write, and aligned with them their ring
+    #: arcs and the extents to store.
     page_writes: List[str] = field(default_factory=list)
+    page_arcs: array = field(default_factory=lambda: array(ARC_TYPECODE))
+    page_payloads: List[SyntheticExtent] = field(default_factory=list)
     groups: List[Tuple[int, int]] = field(default_factory=list)
     dest_groups: List[Dict[str, int]] = field(default_factory=list)
     total_bytes: int = 0
@@ -415,14 +448,13 @@ class ImageStore:
         self.liveness = LivenessLog(fs, root=f"{root}/.liveness")
         self._latest: Dict[str, int] = {}
         self._attached = False
-        self.last_plan: Optional[SavePlan] = None
-        #: pod -> (vpid, region) -> (write versions, page chunk ids):
-        #: what :meth:`_page_ids` last hashed for that region. It lives
-        #: here and never on the AddressSpace, which is pickled into
-        #: every manifest (so anything added to it moves manifest
-        #: bytes, ring placement and every simulated number after).
+        #: pod -> (vpid, region) -> what :meth:`_page_regions` last saw
+        #: of that region. It lives here and never on the AddressSpace,
+        #: which is pickled into every manifest (so anything added to it
+        #: moves manifest bytes, ring placement and every simulated
+        #: number after).
         self._page_id_memo: Dict[
-            str, Dict[Tuple[int, str], Tuple[List[int], List[str]]]] = {}
+            str, Dict[Tuple[int, str], _RegionPages]] = {}
         #: Shadow refcounts for :meth:`audit`, derived from the manifests
         #: (not from the live ``_refcounts`` table) and maintained
         #: incrementally by :meth:`save` / :meth:`_drop_version` so the
@@ -608,9 +640,9 @@ class ImageStore:
 
     # -- chunk planning ----------------------------------------------------
 
-    def _page_ids(self, pod_name: str, vpid: int,
-                  memory: AddressSpace) -> List[str]:
-        """A process's page chunk ids, in :func:`iter_page_chunks` order.
+    def _page_regions(self, pod_name: str, vpid: int,
+                      memory: AddressSpace) -> List[_RegionPages]:
+        """A process's regions, in :func:`iter_page_chunks` order.
 
         The one page-id walk: plan, load, GC and audit all take their
         ids from here. A page's id is a pure function of ``(pod, vpid,
@@ -618,29 +650,39 @@ class ImageStore:
         memoised against its list of write versions and only the pages
         whose version moved since the last walk are hashed again. The
         memoised strings are the objects the refcount table and the
-        backend's holder index key on, so the memo costs two lists of
-        pointers per region.
+        backend's holder index key on, and the extents are the objects
+        the shard directories hold, so the memo costs a few pointers
+        and a two-byte arc per page.
         """
         memo = self._page_id_memo.get(pod_name)
         if memo is None:
             memo = self._page_id_memo[pod_name] = {}
         version_of = memory.page_versions.get
-        ids: List[str] = []
+        regions: List[_RegionPages] = []
         for name in sorted(memory.regions):
             region = memory.regions[name]
             versions = list(map(version_of, range(
                 region.base_page, region.base_page + region.page_count),
                 repeat(0)))
             cached = memo.get((vpid, name))
-            if cached is None or cached[0] != versions:
-                old_versions, old_ids = cached or ((), ())
+            if cached is None or cached.versions != versions:
+                old_versions, old_ids = (cached.versions, cached.ids) \
+                    if cached else ((), ())
                 kept = len(old_versions)
-                cached = memo[(vpid, name)] = (versions, [
+                cached = memo[(vpid, name)] = _RegionPages(versions, [
                     old_ids[index]
                     if index < kept and old_versions[index] == version
                     else page_chunk_id(pod_name, vpid, name, index, version)
                     for index, version in enumerate(versions)])
-            ids.extend(cached[1])
+            regions.append(cached)
+        return regions
+
+    def _page_ids(self, pod_name: str, vpid: int,
+                  memory: AddressSpace) -> List[str]:
+        """A process's page chunk ids, in :func:`iter_page_chunks` order."""
+        ids: List[str] = []
+        for pages in self._page_regions(pod_name, vpid, memory):
+            ids.extend(pages.ids)
         return ids
 
     def plan(self, image: CheckpointImage, mode: str = "full",
@@ -659,27 +701,29 @@ class ImageStore:
         backend = self.backend
         full = mode == "full"
         planned: set = set()
-        # The pipeline group being built: its serialize and write bytes,
-        # and the write bytes per destination disk.
-        group_serialize = group_write = 0
-        group_dests: Dict[str, int] = {}
-
-        def place(dests: Tuple[str, ...], nbytes: int) -> None:
-            """Account ``nbytes`` of new chunks written to ``dests``."""
-            nonlocal group_write
-            plan.write_bytes += nbytes
-            group_write += nbytes
-            for index, dest in enumerate(dests):
-                group_dests[dest] = group_dests.get(dest, 0) + nbytes
-                if index > 0:
-                    plan.replica_bytes += nbytes
+        # The pipeline group being built: its serialize bytes, and the
+        # bytes it writes per ring arc (placed when the group closes).
+        group_serialize = 0
+        group_arcs: Dict[int, int] = {}
 
         def close_group() -> None:
-            nonlocal group_serialize, group_write
+            """Split the group's writes per destination disk; every copy
+            after a chunk's first is replica bytes."""
+            nonlocal group_serialize
+            group_write = 0
+            group_dests: Dict[str, int] = {}
+            for dests, nbytes in backend.placements(
+                    group_arcs, writer).items():
+                group_write += nbytes
+                for index, dest in enumerate(dests):
+                    group_dests[dest] = group_dests.get(dest, 0) + nbytes
+                    if index > 0:
+                        plan.replica_bytes += nbytes
+            plan.write_bytes += group_write
             plan.groups.append((group_serialize, group_write))
-            plan.dest_groups.append(dict(group_dests))
-            group_serialize = group_write = 0
-            group_dests.clear()
+            plan.dest_groups.append(group_dests)
+            group_serialize = 0
+            group_arcs.clear()
 
         def add_blob(blob: bytes) -> str:
             """Plan one blob chunk; returns its id. A blob is hashed to
@@ -691,9 +735,10 @@ class ImageStore:
             # while a replica node is down rewrites chunks whose only
             # copies are unreachable, so degraded saves self-heal.
             if full or (cid not in planned and not backend.available(cid)):
+                arc = backend.arc(cid)
                 plan.chunks_new += 1
-                plan.blob_writes.append((cid, blob))
-                place(backend.placement(cid, writer=writer), nbytes)
+                plan.blob_writes.append((cid, blob, arc))
+                group_arcs[arc] = group_arcs.get(arc, 0) + nbytes
             planned.add(cid)
             plan.refs.append(cid)
             plan.chunks_total += 1
@@ -705,16 +750,33 @@ class ImageStore:
         def add_pages(vpid: int, memory: AddressSpace) -> None:
             """Plan a process's pages as one run (same rule as blobs;
             an incremental save serializes a clean page only if it has
-            to be written)."""
+            to be written). A full save takes each region's arcs and
+            extents from the memo; the other modes bisect and build
+            only the pages they write."""
             nonlocal group_serialize
-            ids = self._page_ids(image.pod_name, vpid, memory)
+            regions = self._page_regions(image.pod_name, vpid, memory)
+            ids: List[str] = []
+            for pages in regions:
+                ids.extend(pages.ids)
             if full:
                 writes = ids
+                arc_counts: Counter = Counter()
+                for pages in regions:
+                    pages.fill(backend)
+                    plan.page_arcs.extend(pages.arcs)
+                    plan.page_payloads.extend(pages.extents)
+                    arc_counts.update(pages.arc_counts)
             else:
                 fresh = ids if planned.isdisjoint(ids) else [
                     cid for cid in ids if cid not in planned]
                 writes = backend.unavailable(fresh)
                 planned.update(ids)
+                arcs = backend.arcs(writes)
+                plan.page_arcs.extend(arcs)
+                plan.page_payloads.extend(page_chunk_payloads(writes))
+                arc_counts = Counter(arcs)
+            for arc, count in arc_counts.items():
+                group_arcs[arc] = group_arcs.get(arc, 0) + count * PAGE_SIZE
             serialized = len(ids)
             if mode == "incremental":
                 dirty = memory.dirty_pages
@@ -722,8 +784,6 @@ class ImageStore:
                 serialized = len(dirty.intersection(page_of.values())) \
                     + len([cid for cid in writes
                            if page_of[cid] not in dirty])
-            for dests, count in backend.placements(writes, writer).items():
-                place(dests, count * PAGE_SIZE)
             plan.chunks_new += len(writes)
             plan.page_writes.extend(writes)
             plan.refs.extend(ids)
@@ -775,7 +835,8 @@ class ImageStore:
                 "vid": shm.vid, "app_key": shm.app_key, "size": shm.size,
                 "payload_cid": add_blob(shm.payload_blob),
                 "payload_len": len(shm.payload_blob)})
-        if group_serialize or group_write:
+        # (Every tail chunk is a blob, serialized whether written or not.)
+        if group_serialize:
             close_group()
 
         plan.manifest = {
@@ -828,12 +889,11 @@ class ImageStore:
         # counter, refcount or manifest has moved.
         force = plan.mode == "full"
         put_chunks = self.backend.put_chunks
-        blob_ids, blobs = zip(*plan.blob_writes) \
-            if plan.blob_writes else ((), ())
-        result = put_chunks(blob_ids, blobs, writer, force) \
-            + put_chunks(plan.page_writes,
-                         page_chunk_payloads(plan.page_writes),
-                         writer, force)
+        blob_ids, blobs, blob_arcs = zip(*plan.blob_writes) \
+            if plan.blob_writes else ((), (), ())
+        result = put_chunks(blob_ids, blobs, blob_arcs, writer, force) \
+            + put_chunks(plan.page_writes, plan.page_payloads,
+                         plan.page_arcs, writer, force)
         stats["replica_copies"] += result.replica_copies
         stats["replica_bytes"] += result.replica_bytes
         stats["chunks_written"] += result.logical_write
@@ -856,7 +916,6 @@ class ImageStore:
         else:
             self._audit_valid = False
         self._latest[image.pod_name] = version
-        self.last_plan = plan
         if self.metrics is not None:
             self.metrics.counter("store.saves").inc(label=mode)
             written = stats["bytes_written"] - before["bytes_written"]

@@ -105,7 +105,7 @@ class ReferenceBackend(ShardedBackend):
             return self.fs.read_file(self._path(node, cid))
         raise ChunkMissingError(cid, self.up_nodes)
 
-    def put_chunks(self, cids, payloads, writer, force):
+    def put_chunks(self, cids, payloads, arcs, writer, force):
         raise NotImplementedError("the reference is per chunk")
 
     read_chunks = put_chunks
@@ -377,7 +377,6 @@ class ReferenceImageStore(ImageStore):
                            freeze_object(manifest))
         self._audit_valid = False
         self._latest[image.pod_name] = version
-        self.last_plan = plan
         return version
 
     def load(self, pod_name: str,

@@ -10,9 +10,12 @@ import gc
 import hashlib
 import random
 import sys
+from collections import Counter
 
 import pytest
 
+import repro.cruz.backend as backend_module
+import repro.cruz.storage as storage_module
 from repro.analysis.sanitize import Sanitizer
 from repro.apps.slm import slm_factory
 from repro.cluster import Cluster
@@ -133,11 +136,26 @@ def mutate_memory(rng, memory):
         memory.touch(name, fraction=rng.choice((0.05, 0.3, 1.0)))
 
 
+def save_both(stores, image, mode, writer, step):
+    """Plan and save ``image`` in both stores; the plans must agree."""
+    plans = [store.plan(image, mode=mode, writer=writer) for store in stores]
+    for field in ("groups", "dest_groups", "replica_bytes", "total_bytes",
+                  "write_bytes", "serialize_bytes", "chunks_total",
+                  "chunks_new", "dedup_ratio"):
+        assert getattr(plans[0], field) == getattr(plans[1], field), \
+            (step, mode, field)
+    assert plans[0].schedule(DEFAULT_COSTS) == \
+        plans[1].schedule(DEFAULT_COSTS)
+    versions = [store.save(image, mode=mode, plan=plan)
+                for store, plan in zip(stores, plans)]
+    assert versions[0] == versions[1]
+
+
 @pytest.mark.parametrize("seed", [7, 11, 2026])
 def test_runs_match_the_per_chunk_reference(seed):
     rng = random.Random(seed)
     sanitizer = Sanitizer()
-    real, reference = make_stores(sanitizer)
+    real, reference = stores = make_stores(sanitizer)
     memories = {(pod_name, vpid): AddressSpace()
                 for pod_name, vpids in PODS.items() for vpid in vpids}
     for memory in memories.values():
@@ -146,30 +164,60 @@ def test_runs_match_the_per_chunk_reference(seed):
     for step in range(120):
         op = rng.random()
         pod_name = rng.choice(sorted(PODS))
-        if op < 0.35:
+        image = build_image(pod_name, memories, taken_at=float(step))
+        if op < 0.32:
             mutate_memory(rng, memories[pod_name,
                                         rng.choice(PODS[pod_name])])
-        elif op < 0.65:
+        elif op < 0.58:
             mode = rng.choice(MODES)
             writer = rng.choice(NODES)   # possibly a node that is down
-            image = build_image(pod_name, memories, taken_at=float(step))
-            plans = [store.plan(image, mode=mode, writer=writer)
-                     for store in (real, reference)]
-            for field in ("groups", "dest_groups", "replica_bytes",
-                          "total_bytes", "write_bytes", "serialize_bytes",
-                          "chunks_total", "chunks_new", "dedup_ratio"):
-                assert getattr(plans[0], field) == \
-                    getattr(plans[1], field), (step, mode, field)
-            assert plans[0].schedule(DEFAULT_COSTS) == \
-                plans[1].schedule(DEFAULT_COSTS)
-            versions = [store.save(image, mode=mode, plan=plan)
-                        for store, plan in zip((real, reference), plans)]
-            assert versions[0] == versions[1]
+            save_both(stores, image, mode, writer, step)
             if mode == "incremental":
                 for vpid, captured in zip(PODS[pod_name], image.processes):
                     memories[pod_name, vpid].clear_dirty_captured(
                         captured.memory)
-        elif op < 0.80:
+        elif op < 0.64:
+            # Back-to-back full saves of one image, a shard going down
+            # and coming back between them: the memoised ring arcs
+            # outlive every placement table.
+            writer = rng.choice(NODES)
+            node = rng.choice([n for n in NODES if n not in down])
+            save_both(stores, image, "full", writer, step)
+            for store in stores:
+                store.backend.mark_down(node)
+            save_both(stores, image, "full", writer, step)
+            for store in stores:
+                store.backend.mark_up(node)
+                store.reconcile_node(node)
+            save_both(stores, image, "full", writer, step)
+        elif op < 0.68:
+            # A forced save over a copy that holds the wrong seed: the
+            # memoised extent comes from the id, never from a disk, so
+            # the rewrite heals the copy.
+            writer = rng.choice([n for n in NODES if n not in down])
+            save_both(stores, image, "full", writer, step)
+            ids = [cid for proc in image.processes for cid in
+                   real._page_ids(pod_name, proc.vpid, proc.memory)]
+            if ids:
+                cid = rng.choice(ids)
+                rot = SyntheticExtent((b"rot" * 11, PAGE_SIZE))
+                real.fs.write_file(real.backend._path(writer, cid), rot)
+                reference.fs.write_file(
+                    reference.backend._path(writer, cid), bytes(rot))
+                for store in stores:
+                    assert store.audit(deep=True) == [{
+                        "kind": "corrupt_chunk", "cid": cid, "node": writer}]
+                save_both(stores, image, "full", writer, step)
+                for store in stores:
+                    assert store.audit(deep=True) == []
+        elif op < 0.72:
+            # The memo goes with the pod's last version, and the next
+            # full save builds it again.
+            assert real.prune(pod_name, keep=0) == \
+                reference.prune(pod_name, keep=0)
+            assert pod_name not in real._page_id_memo
+            save_both(stores, image, "full", rng.choice(NODES), step)
+        elif op < 0.82:
             existing = real.versions(pod_name)
             assert existing == reference.versions(pod_name)
             if existing:
@@ -185,7 +233,7 @@ def test_runs_match_the_per_chunk_reference(seed):
                     expected = reference.load(pod_name, version)
                     assert loaded.chunk_sources == expected.chunk_sources
                     assert loaded == expected
-        elif op < 0.86:
+        elif op < 0.87:
             existing = real.versions(pod_name)
             if existing:
                 for store in (real, reference):
@@ -283,6 +331,52 @@ def test_untouched_full_save_hashes_only_the_blobs(monkeypatch):
     assert len([d for d in hashed if d.startswith(b"page|")]) == 1
 
 
+def test_untouched_full_save_builds_and_bisects_nothing_per_page(
+        monkeypatch):
+    store, _reference = make_stores()
+    memories = {("alpha", 1): AddressSpace(), ("alpha", 2): AddressSpace()}
+    memories["alpha", 1].allocate("grid", 64 * PAGE_SIZE)
+    memories["alpha", 2].allocate("halo", 16 * PAGE_SIZE)
+    image = build_image("alpha", memories, taken_at=0.0)
+    store.save(image, mode="full", writer="node1")
+    pages = {cid for (pod, vpid), memory in memories.items()
+             for cid in store._page_ids(pod, vpid, memory)}
+    assert len(pages) == 80
+
+    bisected, built = [], []
+    real_bisect = backend_module.bisect_left
+    real_extent = storage_module.SyntheticExtent
+
+    def count_calls():
+        monkeypatch.setattr(
+            backend_module, "bisect_left",
+            lambda keys, cid: bisected.append(cid) or real_bisect(keys, cid))
+        monkeypatch.setattr(
+            storage_module, "SyntheticExtent",
+            lambda pair: built.append(pair) or real_extent(pair))
+
+    count_calls()
+    written = store.stats["chunks_written"]
+    store.save(image, mode="full", writer="node1")
+    monkeypatch.undo()
+    # Every page rewritten, and only the six blobs bisected.
+    assert store.stats["chunks_written"] - written == 80 + 6
+    assert pages.isdisjoint(bisected) and len(bisected) == 6
+    assert built == []
+
+    # An incremental save bisects and builds the one page it writes.
+    memories["alpha", 1].touch("grid", fraction=1 / 64)
+    image = build_image("alpha", memories, taken_at=1.0)
+    del bisected[:]
+    count_calls()
+    store.save(image, mode="incremental", writer="node1")
+    monkeypatch.undo()
+    (touched,) = set(store._page_ids("alpha", 1, memories["alpha", 1])) \
+        - pages
+    assert bisected == [touched]
+    assert built == [(bytes.fromhex(touched), PAGE_SIZE)]
+
+
 def test_memo_follows_a_restore_onto_another_node():
     cluster = CruzCluster(3)
     app = cluster.launch_app_factory(
@@ -348,7 +442,8 @@ def test_put_chunk_is_the_one_element_put_chunks(name, prepare, force):
             result = backend.put_chunk(cid, b"payload", writer="node1",
                                        force=force)
         else:
-            result = backend.put_chunks([cid], [b"payload"], "node1", force)
+            result = backend.put_chunks([cid], [b"payload"],
+                                        backend.arcs([cid]), "node1", force)
         results.append((result, backend.holders(cid),
                         backend.fs.bytes_written - written_before,
                         backend.fs.listdir("")))
@@ -375,6 +470,7 @@ def test_put_with_no_shard_up_is_a_typed_failure():
             else:
                 backend.put_chunks([cid] + pages, [b"payload"]
                                    + page_chunk_payloads(pages),
+                                   backend.arcs([cid] + pages),
                                    "node1", False)
         assert refused.value.cid == cid
         assert not backend.has(cid)
@@ -458,7 +554,8 @@ def test_holes_are_found_without_comparing_extents(monkeypatch):
     page; a run is checked for holes by type."""
     backend = ShardedBackend(SharedFileSystem(), NODES, 2)
     ids = page_run(64)
-    backend.put_chunks(ids, page_chunk_payloads(ids), "node0", False)
+    backend.put_chunks(ids, page_chunk_payloads(ids), backend.arcs(ids),
+                       "node0", False)
     torn = ids[5]
     first, second = backend.live_holders(torn)
     backend.fs.unlink(backend._path(first, torn))
@@ -493,7 +590,8 @@ def test_an_id_listed_twice_is_put_twice(force):
     payloads = [b"a", b"b", b"a", b"c", b"a", b"b"]
     backend = ShardedBackend(SharedFileSystem(), NODES, 2)
     reference = ReferenceBackend(SharedFileSystem(), NODES, 2)
-    whole = backend.put_chunks(run, payloads, "node2", force)
+    whole = backend.put_chunks(run, payloads, backend.arcs(run), "node2",
+                               force)
     singles = [reference.put_chunk(cid, payload, writer="node2",
                                    force=force)
                for cid, payload in zip(run, payloads)]
@@ -515,7 +613,8 @@ def test_a_miss_is_the_first_in_run_order_and_counts_what_came_before():
                 ReferenceBackend(SharedFileSystem(), NODES, 2))
     ids = page_run(48)
     real, reference = backends
-    real.put_chunks(ids, page_chunk_payloads(ids), "node0", False)
+    real.put_chunks(ids, page_chunk_payloads(ids), real.arcs(ids), "node0",
+                    False)
     for cid in ids:
         reference.put_chunk(cid, reference_page_payload(cid),
                             writer="node0")
@@ -612,13 +711,14 @@ def test_calls_per_run_do_not_depend_on_its_length():
         backend = ShardedBackend(SharedFileSystem(), NODES, 2)
         ids = page_run(pages)
         payloads = page_chunk_payloads(ids)
+        arcs = backend.arcs(ids)
         # The writer's placement table is built once per availability
         # change, not per run.
-        assert len(backend.placements(ids, "node0")) == 3
+        assert len(backend.placements(Counter(arcs), "node0")) == 3
 
         def put_and_read():
-            backend.put_chunks(ids, payloads, "node0", False)
-            backend.put_chunks(ids, payloads, "node0", True)
+            backend.put_chunks(ids, payloads, arcs, "node0", False)
+            backend.put_chunks(ids, payloads, arcs, "node0", True)
             backend.read_chunks(ids)
 
         counts.append(store_calls(put_and_read))
