@@ -3,26 +3,28 @@
 The simulator's event queue breaks (time, priority) ties by insertion
 sequence.  Correct code must not depend on that arbitrary order: any two
 tie-break policies must produce bit-identical results.  This module runs
-the same workload twice — once under the FIFO schedule oracle, once
-under LIFO (newest-first among same-timestamp, same-priority events) —
+the same workload twice — once with ``tiebreak="fifo"``, once with
+``"lifo"`` (newest-first among same-timestamp, same-priority events) —
 and diffs the per-round :class:`RoundStats` plus a hash of the final
 store state.  Divergence means some component consumed the queue's
 arbitrary ordering (a schedule race).
 
-Since CruzMC this detector is the trivial two-point instance of the
-model checker's schedule exploration: fifo and lifo are the two constant
-:class:`~repro.analysis.oracle.ScheduleOracle` policies, run through the
-same scheduler hook every explored interleaving uses (see
-:func:`repro.analysis.mc.run_policy`).  `repro mc` explores the space
-*between* those two points.
+These are the two end points of the schedule space; `repro mc` explores
+the space *between* them through a
+:class:`~repro.analysis.oracle.ScheduleOracle`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
+
+#: The fig5-small workload: rounds this far apart, this much state per
+#: rank.
+INTERVAL_S = 0.2
+MEMORY_MB = 4.0
 
 
 @dataclass
@@ -66,15 +68,20 @@ def state_hash(cluster) -> str:
 
 
 def fingerprint(tiebreak: str, nodes: int = 2, rounds: int = 2,
-                interval_s: float = 0.2,
-                memory_mb: float = 4.0, seed: int = 0) -> Dict[str, Any]:
+                seed: int = 0) -> Dict[str, Any]:
     """Run the fig5-small workload under one tie-break policy and
     reduce it to a comparable fingerprint."""
-    from repro.analysis import mc
+    from repro.apps.slm import run_slm_rounds
+    from repro.cruz.cluster import CruzCluster
 
-    return mc.run_policy(tiebreak, nodes=nodes, rounds=rounds,
-                         interval_s=interval_s, memory_mb=memory_mb,
-                         seed=seed)
+    cluster = CruzCluster(nodes, tiebreak=tiebreak, seed=seed)
+    _app, stats = run_slm_rounds(cluster, nodes, MEMORY_MB, rounds=rounds,
+                                 interval_s=INTERVAL_S)
+    return {
+        "tiebreak": tiebreak,
+        "rounds": [asdict(round_stats) for round_stats in stats],
+        "state_hash": state_hash(cluster),
+    }
 
 
 def _diff(a: Any, b: Any, path: str, out: List[str]) -> None:
@@ -109,8 +116,6 @@ def tiebreak_diff(run: Callable[[str], Any], label: str,
 
 
 def run_determinism_check(nodes: int = 2, rounds: int = 2,
-                          interval_s: float = 0.2,
-                          memory_mb: float = 4.0,
                           seeds: int = 1) -> DeterminismReport:
     """The fig5-small workload, twice, with perturbed tie-breaking.
 
@@ -126,8 +131,7 @@ def run_determinism_check(nodes: int = 2, rounds: int = 2,
     for seed in range(max(1, seeds)):
         fifo, lifo, divergences = tiebreak_diff(
             lambda policy: fingerprint(
-                policy, nodes=nodes, rounds=rounds, interval_s=interval_s,
-                memory_mb=memory_mb, seed=seed),
+                policy, nodes=nodes, rounds=rounds, seed=seed),
             "rounds", project=lambda fp: fp["rounds"])
         suffix = f"@seed{seed}" if seed else ""
         prefix = f"seed{seed} " if seed else ""

@@ -46,8 +46,6 @@ from repro.analysis.determinism import state_hash
 from repro.analysis.oracle import (
     Choice,
     ExplorerOracle,
-    FifoOracle,
-    LifoOracle,
     ReplayDivergence,
     ScheduleOracle,
 )
@@ -262,36 +260,6 @@ def run_once(config: McConfig, forced: Sequence[int] = (),
         orderings_pruned=oracle.orderings_pruned)
 
 
-def run_policy(policy: str, nodes: int = 2, rounds: int = 2,
-               interval_s: float = 0.2, memory_mb: float = 4.0,
-               seed: int = 0) -> Dict[str, Any]:
-    """The fig5-small workload under one *degenerate* oracle.
-
-    This is `repro analyze determinism` rebuilt as the trivial
-    two-point instance of the explorer: fifo and lifo are just the two
-    constant oracles, run through the same hook every explored schedule
-    uses.  The returned fingerprint is bit-identical to the pre-oracle
-    ``Simulator(tiebreak=...)`` implementation.
-    """
-    from repro.apps.slm import run_slm_rounds
-    from repro.cruz.cluster import CruzCluster
-
-    if policy == "fifo":
-        oracle: ScheduleOracle = FifoOracle()
-    elif policy == "lifo":
-        oracle = LifoOracle()
-    else:
-        raise ValueError(f"unknown schedule policy {policy!r}")
-    cluster = CruzCluster(nodes, oracle=oracle, seed=seed)
-    _app, stats = run_slm_rounds(cluster, nodes, memory_mb, rounds=rounds,
-                                 interval_s=interval_s)
-    return {
-        "tiebreak": policy,
-        "rounds": [asdict(round_stats) for round_stats in stats],
-        "state_hash": state_hash(cluster),
-    }
-
-
 @dataclass
 class _Item:
     """A frontier entry: a forced prefix plus sleep-set metadata."""
@@ -386,18 +354,18 @@ def _trim(choices: List[int]) -> List[int]:
     return out
 
 
-def minimize(config: McConfig, result: RunResult,
-             max_runs: int = 64) -> Tuple[List[int], RunResult]:
+def minimize(config: McConfig,
+             result: RunResult) -> Tuple[List[int], RunResult]:
     """Greedy counterexample minimization.
 
     Flip each non-default choice back to 0 (latest first); keep a flip
     when the run still produces at least one violation with an original
-    code.  Deterministic, bounded by ``max_runs`` extra runs.
+    code.  Deterministic, bounded by 64 extra runs.
     """
     codes = set(result.violation_codes)
     choices = _trim([c.chosen for c in result.choices])
     best = result
-    budget = max_runs
+    budget = 64
     improved = True
     while improved and budget > 0:
         improved = False

@@ -5,10 +5,9 @@ sharing the first two keys is a **tie**, and correct code must be
 indifferent to how ties are broken.  A :class:`ScheduleOracle` plugged
 into :class:`repro.sim.core.Simulator` decides every tie explicitly:
 ``Simulator._choose`` pops the whole tie set and asks the oracle for
-an index.  The queue's signed-sequence policy then becomes the
-*degenerate* oracle — :class:`FifoOracle` (oldest first) and
-:class:`LifoOracle` (newest first) reproduce ``tiebreak="fifo"/"lifo"``
-bit-identically, which is what `repro analyze determinism` now runs.
+an index.  An oracle that always picks the oldest (newest) member
+reproduces ``tiebreak="fifo"`` (``"lifo"``) bit-identically; `repro
+analyze determinism` runs those two policies as plain tie-breaks.
 
 The same object doubles as the **fault oracle**: when installed on a
 :class:`repro.cruz.faults.ControlFaultInjector`, every eligible control
@@ -155,32 +154,6 @@ class ScheduleOracle:
         (dropped/duplicated it), ``False`` to deliver normally.
         """
         return False
-
-
-class FifoOracle(ScheduleOracle):
-    """Degenerate oracle: oldest tie first — ``tiebreak="fifo"``."""
-
-    def choose(self, ties: Sequence[Entry], now: float) -> int:
-        best = 0
-        best_seq = abs(ties[0][2])
-        for index in range(1, len(ties)):
-            seq = abs(ties[index][2])
-            if seq < best_seq:
-                best, best_seq = index, seq
-        return best
-
-
-class LifoOracle(ScheduleOracle):
-    """Degenerate oracle: newest tie first — ``tiebreak="lifo"``."""
-
-    def choose(self, ties: Sequence[Entry], now: float) -> int:
-        best = 0
-        best_seq = abs(ties[0][2])
-        for index in range(1, len(ties)):
-            seq = abs(ties[index][2])
-            if seq > best_seq:
-                best, best_seq = index, seq
-        return best
 
 
 @dataclass

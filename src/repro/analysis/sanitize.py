@@ -164,13 +164,12 @@ class Sanitizer:
                 f"{conn.receive_buffer.rcv_nxt} != tcb rcv_nxt "
                 f"{tcb.rcv_nxt}", node=node, time=time, conn=conn.name)
 
-    def check_refcount_underflow(self, cid: str, count: int,
-                                 time: float = 0.0) -> None:
+    def check_refcount_underflow(self, cid: str, count: int) -> None:
         """Called by ``ImageStore._decref`` on a zero/negative count."""
         self.record(
             "SAN-REFCOUNT",
             f"decref of chunk {cid[:12]} with refcount {count}",
-            time=time, cid=cid, refcount=count)
+            cid=cid, refcount=count)
 
     def check_store(self, store, time: float = 0.0,
                     context: str = "", deep: bool = False) -> None:

@@ -60,6 +60,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.apps.kvserver import KV_PORT, encode, try_decode
+from repro.errors import SyscallError
 from repro.simos.program import PhasedProgram
 from repro.simos.syscalls import MSG_DONTWAIT, Exit, sys
 
@@ -273,7 +274,6 @@ class KvProxy(PhasedProgram):
         return None
 
     def _finish(self, action, result):
-        from repro.errors import SyscallError
         kind = action[0]
         failed = isinstance(result, SyscallError)
         if kind == "accept":

@@ -22,8 +22,9 @@ import pickle
 import struct
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import SyscallError
 from repro.simos.program import PhasedProgram
-from repro.simos.syscalls import Exit, sys
+from repro.simos.syscalls import MSG_DONTWAIT, Exit, sys
 
 KV_PORT = 9900
 LENGTH_FORMAT = ">I"
@@ -62,10 +63,10 @@ class KvServerMulti(PhasedProgram):
     name = "kv-server-multi"
     initial_phase = "socket"
 
-    def __init__(self, port: int = KV_PORT, backlog: int = 16):
+    def __init__(self):
         super().__init__()
-        self.port = port
-        self.backlog = backlog
+        self.port = KV_PORT
+        self.backlog = 16
         self.store: Dict[str, object] = {}
         self.requests_served = 0
         self.clients_accepted = 0
@@ -112,7 +113,6 @@ class KvServerMulti(PhasedProgram):
             return sys("accept", self.fd)
         self.current_fd = fd
         self.goto("received")
-        from repro.simos.syscalls import MSG_DONTWAIT
         return sys("recv", fd, 65536, flags=MSG_DONTWAIT)
 
     def phase_accepted(self, result):
@@ -125,7 +125,6 @@ class KvServerMulti(PhasedProgram):
 
     def phase_received(self, result):
         fd = self.current_fd
-        from repro.errors import SyscallError
         if isinstance(result, SyscallError) or result is None:
             self.goto("dispatch")
             return self.phase_dispatch(None)
@@ -232,11 +231,10 @@ class KvClient(PhasedProgram):
     BACKOFF_CAP_S = 2.0
 
     def __init__(self, server_ip: str, requests: List[dict],
-                 port: int = KV_PORT, think_time_s: float = 0.0,
-                 rng=None):
+                 think_time_s: float = 0.0, rng=None):
         super().__init__()
         self.server_ip = server_ip
-        self.port = port
+        self.port = KV_PORT
         self.requests = list(requests)
         self.think_time_s = think_time_s
         self.rng = rng
@@ -278,7 +276,6 @@ class KvClient(PhasedProgram):
         return sys("sleep", delay * (0.5 + self.rng.random()))
 
     def phase_next_request(self, result):
-        from repro.errors import SyscallError
         if isinstance(result, SyscallError):
             # Connection refused (or reset mid-handshake).
             return self._failed(2, retrying=self.index > 0)
@@ -290,7 +287,6 @@ class KvClient(PhasedProgram):
         return sys("send", self.fd, self.unsent)
 
     def phase_sending(self, result):
-        from repro.errors import SyscallError
         if isinstance(result, SyscallError):
             return self._failed(1, retrying=True)
         self.unsent = self.unsent[result:]
@@ -300,7 +296,6 @@ class KvClient(PhasedProgram):
         return sys("recv", self.fd, 65536)
 
     def phase_awaiting(self, result):
-        from repro.errors import SyscallError
         if isinstance(result, SyscallError) or result == b"":
             return self._failed(1, retrying=True)
         self.rx += result
@@ -390,11 +385,10 @@ class KvSessionClient(PhasedProgram):
     BACKOFF_CAP_S = 0.5
 
     def __init__(self, server_ip: str, script: List[dict], rng,
-                 port: int = KV_PORT, deadline_s: float = 1.5,
-                 think_time_s: float = 0.0):
+                 deadline_s: float = 1.5, think_time_s: float = 0.0):
         super().__init__()
         self.server_ip = server_ip
-        self.port = port
+        self.port = KV_PORT
         self.script = list(script)
         self.rng = rng
         self.deadline_s = deadline_s
@@ -424,7 +418,6 @@ class KvSessionClient(PhasedProgram):
         return sys("socket", "tcp")
 
     def phase_connected(self, result):
-        from repro.errors import SyscallError
         if isinstance(result, SyscallError):
             return self._transport_fail()
         if isinstance(result, int):
@@ -469,7 +462,6 @@ class KvSessionClient(PhasedProgram):
         return sys("send", self.fd, self.unsent)
 
     def phase_sending(self, result):
-        from repro.errors import SyscallError
         if isinstance(result, SyscallError):
             return self._transport_fail()
         self.unsent = self.unsent[result:]
@@ -486,17 +478,14 @@ class KvSessionClient(PhasedProgram):
         return sys("poll", [self.fd], timeout=remaining)
 
     def phase_waiting(self, result):
-        from repro.errors import SyscallError
         if isinstance(result, SyscallError):
             return self._transport_fail()
         if not result:
             return self._transport_fail(miss=True)
         self.goto("receiving")
-        from repro.simos.syscalls import MSG_DONTWAIT
         return sys("recv", self.fd, 65536, flags=MSG_DONTWAIT)
 
     def phase_receiving(self, result):
-        from repro.errors import SyscallError
         if isinstance(result, SyscallError) or result is None:
             self.goto("prewait")
             return sys("gettime")

@@ -21,6 +21,9 @@ import numpy as np
 from repro.mpi.api import MpiProgram
 from repro.simos.syscalls import sys
 
+#: The PageRank damping factor.
+DAMPING = 0.85
+
 
 def build_link_matrix(n_vertices: int) -> np.ndarray:
     """A deterministic column-stochastic link matrix."""
@@ -37,8 +40,8 @@ def build_link_matrix(n_vertices: int) -> np.ndarray:
     return matrix / column_sums
 
 
-def reference_pagerank(n_vertices: int, n_ranks: int, iterations: int,
-                       damping: float = 0.85) -> np.ndarray:
+def reference_pagerank(n_vertices: int, n_ranks: int,
+                       iterations: int) -> np.ndarray:
     """The exact result of the distributed computation.
 
     Reproduces the distributed floating-point order: per-rank row-block
@@ -56,7 +59,7 @@ def reference_pagerank(n_vertices: int, n_ranks: int, iterations: int,
             pad = np.zeros(n_vertices)
             pad[row0:row1] = matrix[row0:row1] @ x
             total = pad if total is None else total + pad
-        x = (1.0 - damping) / n_vertices + damping * total
+        x = (1.0 - DAMPING) / n_vertices + DAMPING * total
     return x
 
 
@@ -67,14 +70,13 @@ class PageRankRank(MpiProgram):
 
     def __init__(self, rank: int, peer_ips: List[str],
                  n_vertices: int = 60, iterations: int = 20,
-                 damping: float = 0.85, work_s_per_iter: float = 0.002,
-                 port: int = 9700):
-        super().__init__(rank, peer_ips, port=port)
+                 work_s_per_iter: float = 0.002):
+        super().__init__(rank, peer_ips)
         if n_vertices < self.size:
             raise ValueError("need at least one vertex per rank")
         self.n_vertices = n_vertices
         self.iterations = iterations
-        self.damping = damping
+        self.damping = DAMPING
         self.work_s_per_iter = work_s_per_iter
         rows_per_rank = n_vertices // self.size
         self.row0 = rank * rows_per_rank
@@ -111,7 +113,7 @@ class PageRankRank(MpiProgram):
     def phase_pr_iterate(self, result):
         if self.iteration >= self.iterations:
             self.result = self.x
-            return self.mpi_exit(0)
+            return self.mpi_exit()
         self.goto("pr_combine")
         return sys("compute", self.work_s_per_iter)
 
@@ -133,14 +135,12 @@ class PageRankRank(MpiProgram):
 
 
 def pagerank_factory(n_ranks: int, n_vertices: int = 60,
-                     iterations: int = 20, damping: float = 0.85,
-                     work_s_per_iter: float = 0.002, port: int = 9700):
+                     iterations: int = 20, work_s_per_iter: float = 0.002):
     """Factory for :meth:`CruzCluster.launch_app_factory`."""
 
     def make(rank: int, peer_ips: List[str]) -> PageRankRank:
         return PageRankRank(rank=rank, peer_ips=peer_ips,
                             n_vertices=n_vertices, iterations=iterations,
-                            damping=damping,
-                            work_s_per_iter=work_s_per_iter, port=port)
+                            work_s_per_iter=work_s_per_iter)
 
     return make

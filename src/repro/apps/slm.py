@@ -89,7 +89,7 @@ class SlmRank(MpiProgram):
 
     def phase_slm_step(self, result):
         if self.step_count >= self.steps:
-            return self.mpi_exit(0)
+            return self.mpi_exit()
         self.goto("slm_exchange")
         return sys("compute", self.compute_s_per_step)
 

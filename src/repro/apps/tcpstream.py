@@ -23,12 +23,11 @@ class StreamSender(PhasedProgram):
     name = "stream-sender"
     initial_phase = "socket"
 
-    def __init__(self, receiver_ip: str, total_bytes: int,
-                 port: int = STREAM_PORT):
+    def __init__(self, receiver_ip: str, total_bytes: int):
         super().__init__()
         self.receiver_ip = receiver_ip
         self.total_bytes = total_bytes
-        self.port = port
+        self.port = STREAM_PORT
         self.sent = 0
         self.fd: Optional[int] = None
 
@@ -60,10 +59,11 @@ class StreamReceiver(PhasedProgram):
     name = "stream-receiver"
     initial_phase = "socket"
 
-    def __init__(self, port: int = STREAM_PORT, bind_ip=None):
+    def __init__(self):
         super().__init__()
-        self.port = port
-        self.bind_ip = bind_ip
+        self.port = STREAM_PORT
+        #: Listen on every address (kept: the attribute is pickled).
+        self.bind_ip = None
         self.received = 0
         self.fd: Optional[int] = None
         self.conn_fd: Optional[int] = None
@@ -104,13 +104,13 @@ class StreamReceiver(PhasedProgram):
         return Exit(0)
 
 
-def stream_factory(total_bytes: int, port: int = STREAM_PORT):
+def stream_factory(total_bytes: int):
     """Two-rank factory: rank 0 receives, rank 1 transmits."""
 
     def make(rank: int, peer_ips: List[str]):
         if rank == 0:
-            return StreamReceiver(port=port)
+            return StreamReceiver()
         return StreamSender(receiver_ip=peer_ips[0],
-                            total_bytes=total_bytes, port=port)
+                            total_bytes=total_bytes)
 
     return make

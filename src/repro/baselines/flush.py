@@ -177,11 +177,10 @@ class FlushAgent:
 class FlushCoordinator:
     """Coordinator for the flush-based baseline."""
 
-    def __init__(self, node: Node, agents: List[FlushAgent],
-                 timeout_s: float = 120.0):
+    def __init__(self, node: Node, agents: List[FlushAgent]):
         self.node = node
         self.agents = agents
-        self.timeout_s = timeout_s
+        self.timeout_s = 120.0
         self._epoch = 1000  # distinct from Cruz epochs in shared traces
         self.rounds: List[RoundStats] = []
         self._collectors: Dict[int, Dict[str, Dict]] = {}
@@ -271,7 +270,7 @@ def install_flush_baseline(cluster) -> FlushCoordinator:
     return coordinator
 
 
-def flush_checkpoint_app(cluster, app, limit: float = 1e6) -> RoundStats:
+def flush_checkpoint_app(cluster, app) -> RoundStats:
     """Convenience mirror of :meth:`CruzCluster.checkpoint_app`."""
     if not hasattr(cluster, "flush_coordinator"):
         install_flush_baseline(cluster)
@@ -280,7 +279,7 @@ def flush_checkpoint_app(cluster, app, limit: float = 1e6) -> RoundStats:
             if agent.node is pod.node:
                 agent.register_pod(pod)
     task = cluster.sim.process(cluster.flush_coordinator.checkpoint(app))
-    return cluster.sim.run_until_complete(task, limit=limit)
+    return cluster.sim.run_until_complete(task, limit=1e6)
 
 
 def restart_message_estimate(n_nodes: int) -> int:

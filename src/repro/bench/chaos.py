@@ -25,9 +25,25 @@ import numpy as np
 
 from repro.errors import CoordinationError
 
-#: The mid-round node crash lands a seeded ``[0, CRASH_JITTER_S)`` into
-#: the first round in flight.
+#: The scenario: slm on ``RANKS`` pods of ``APP_NODES`` nodes, a round
+#: every ``CHECKPOINT_INTERVAL_S``.
+APP_NODES = 3
+RANKS = 2
+STEPS = 40
+ROWS_PER_RANK = 4
+COLS = 16
+TOTAL_WORK_S = 4.0
+MEMORY_MB_PER_RANK = 2.0
+CHECKPOINT_INTERVAL_S = 0.6
+#: The crash arms just before the second round and fires mid-save once
+#: the round is actually in flight (round starts drift with the
+#: workload, so a fixed-clock crash would miss the window): a seeded
+#: ``[0, CRASH_JITTER_S)`` into the first round in flight.
+CRASH_AT = 2 * CHECKPOINT_INTERVAL_S
 CRASH_JITTER_S = 0.008
+#: Simulated seconds the app gets to finish before the run reports it
+#: incomplete.
+LIMIT_S = 60.0
 
 @dataclass
 class ChaosResult:
@@ -145,22 +161,11 @@ class ChaosResult:
 
 
 def run_chaos(seed: int = 7,
-              app_nodes: int = 3,
-              ranks: int = 2,
-              steps: int = 40,
-              rows_per_rank: int = 4,
-              cols: int = 16,
-              total_work_s: float = 4.0,
-              memory_mb_per_rank: float = 2.0,
-              checkpoint_interval_s: float = 0.6,
               crash_node_index: int = 0,
-              crash_at: Optional[float] = None,
-              revive_after: Optional[float] = None,
               link_flap: bool = True,
               evict_on_suspect: bool = False,
               kill_replica: bool = False,
-              tiebreak: str = "fifo",
-              limit_s: float = 60.0) -> ChaosResult:
+              tiebreak: str = "fifo") -> ChaosResult:
     """One seeded chaos run; see the module docstring for the scenario.
 
     The default crash lands ~10 ms into the second checkpoint round —
@@ -190,7 +195,7 @@ def run_chaos(seed: int = 7,
     from repro.cruz.faults import ChaosInjector
     from repro.cruz.supervisor import LEASE_MISSES, WORST_CASE_BEAT_S
 
-    rows = rows_per_rank * ranks
+    rows = ROWS_PER_RANK * RANKS
     result = ChaosResult(seed=seed, tiebreak=tiebreak,
                          evict_mode=evict_on_suspect,
                          kill_replica_mode=kill_replica)
@@ -198,25 +203,21 @@ def run_chaos(seed: int = 7,
         # The victim must be a replica-only node: the default placement
         # packs the ranks onto the low-index nodes, so the last node
         # holds chunk copies (rf=2 ring successors) but no pods.
-        if ranks >= app_nodes:
-            raise ValueError("kill_replica needs a pod-free node: "
-                             f"ranks={ranks} fills all {app_nodes} "
-                             "application nodes")
-        crash_node_index = app_nodes - 1
-    cluster = CruzCluster(app_nodes, seed=seed, supervise=True,
+        crash_node_index = APP_NODES - 1
+    cluster = CruzCluster(APP_NODES, seed=seed, supervise=True,
                           sanitize=True, tiebreak=tiebreak,
                           evict_on_suspect=evict_on_suspect,
                           replication_factor=2 if kill_replica else None)
     app = cluster.launch_app_factory(
-        "slm", ranks,
-        slm_factory(ranks, global_rows=rows, cols=cols, steps=steps,
-                    total_work_s=total_work_s,
-                    memory_mb_per_rank=memory_mb_per_rank))
+        "slm", RANKS,
+        slm_factory(RANKS, global_rows=rows, cols=COLS, steps=STEPS,
+                    total_work_s=TOTAL_WORK_S,
+                    memory_mb_per_rank=MEMORY_MB_PER_RANK))
 
     def done() -> bool:
         programs = cluster.app_programs(app)
-        return (len(programs) == ranks
-                and all(p.step_count >= steps for p in programs))
+        return (len(programs) == RANKS
+                and all(p.step_count >= STEPS for p in programs))
 
     def members_alive() -> bool:
         return all(
@@ -226,7 +227,7 @@ def run_chaos(seed: int = 7,
 
     def checkpoint_daemon():
         while True:
-            yield cluster.sim.timeout(checkpoint_interval_s)
+            yield cluster.sim.timeout(CHECKPOINT_INTERVAL_S)
             if done():
                 return
             if cluster.supervisor.failover_active(app.name) \
@@ -245,22 +246,16 @@ def run_chaos(seed: int = 7,
     cluster.sim.process(checkpoint_daemon(), name="checkpoint-daemon")
 
     chaos = ChaosInjector(cluster)
-    if crash_at is None:
-        # Arm just before the second round; fire mid-save once the
-        # round is actually in flight (round starts drift with the
-        # workload, so a fixed-clock crash would miss the window).
-        crash_at = 2 * checkpoint_interval_s
     if evict_on_suspect:
         # Healthy node, silent liveness path: mute long past the death
         # lease so the eviction has to beat the declaration, not wait
         # it out.
         chaos.schedule_heartbeat_mute(
-            crash_node_index, at=crash_at,
+            crash_node_index, at=CRASH_AT,
             duration_s=(LEASE_MISSES + 3) * WORST_CASE_BEAT_S)
     else:
         chaos.schedule_node_crash_mid_round(
-            crash_node_index, after=crash_at, within_s=CRASH_JITTER_S,
-            revive_after=revive_after)
+            crash_node_index, after=CRASH_AT, within_s=CRASH_JITTER_S)
     if link_flap and not evict_on_suspect and not kill_replica:
         # A survivor's link drops for less than the death threshold:
         # the detector must suspect and then stand down, not declare.
@@ -268,14 +263,14 @@ def run_chaos(seed: int = 7,
         # failure detector, which the compute-crash scenario already
         # covers, and its dropped app frames would only add
         # retransmission noise to the healing measurement.)
-        flap_node = (crash_node_index + 1) % app_nodes
+        flap_node = (crash_node_index + 1) % APP_NODES
         flap_misses = max(1, LEASE_MISSES - 2)
         chaos.schedule_link_flap(
-            flap_node, at=crash_at + 1.0,
+            flap_node, at=CRASH_AT + 1.0,
             duration_s=flap_misses * WORST_CASE_BEAT_S)
 
     try:
-        cluster.run_until(done, limit=limit_s)
+        cluster.run_until(done, limit=LIMIT_S)
         result.completed = True
     except TimeoutError:
         result.completed = False
@@ -286,7 +281,7 @@ def run_chaos(seed: int = 7,
         programs = sorted(cluster.app_programs(app),
                           key=lambda p: p.rank)
         final = np.vstack([p.q for p in programs])
-        expected = reference_solution(rows, cols, steps)
+        expected = reference_solution(rows, COLS, STEPS)
         result.output_correct = bool(np.array_equal(final, expected))
         result.field_hash = hashlib.sha256(
             np.ascontiguousarray(final).tobytes()).hexdigest()

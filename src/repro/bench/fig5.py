@@ -15,6 +15,10 @@ from repro.cruz.cluster import CruzCluster
 from repro.cruz.protocol import RoundStats
 from repro.sim.spans import SpanRecorder
 
+#: Per-rank state, so the local save is ~1 s at 100 MB/s.
+MEMORY_MB_PER_RANK = 100.0
+CHECKPOINT_INTERVAL_S = 2.0
+
 
 @dataclass
 class Fig5Point:
@@ -54,20 +58,14 @@ def round_span_metrics(spans: SpanRecorder,
 
 
 def run_fig5(node_counts: Sequence[int] = (2, 4, 6, 8),
-             rounds: int = 5,
-             memory_mb_per_rank: float = 100.0,
-             checkpoint_interval_s: float = 2.0,
-             optimized: bool = False) -> List[Fig5Point]:
-    """Measure checkpoint and restart rounds for each node count.
-
-    Per-rank memory is constant so the local save is ~1 s at 100 MB/s.
-    """
+             rounds: int = 5) -> List[Fig5Point]:
+    """Measure checkpoint and restart rounds for each node count."""
     points = []
     for n_nodes in node_counts:
         cluster = CruzCluster(n_nodes, trace_enabled=True)
         app, checkpoint_rounds = run_slm_rounds(
-            cluster, n_nodes, memory_mb_per_rank, rounds=rounds,
-            interval_s=checkpoint_interval_s, optimized=optimized)
+            cluster, n_nodes, MEMORY_MB_PER_RANK, rounds=rounds,
+            interval_s=CHECKPOINT_INTERVAL_S)
         # Control messages flow only inside rounds, so the cluster-wide
         # count so far is the checkpoint rounds' total.
         round_messages = cluster.coordination_message_count()

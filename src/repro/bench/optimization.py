@@ -16,6 +16,9 @@ from repro.bench.fig6 import run_fig6
 from repro.bench.harness import Figure, ShapeReport, render_table
 from repro.cruz.cluster import CruzCluster
 
+#: Fig. 4's compute job: r0 saves 100 MB, the other ranks 5 MB each.
+STATE_MB = (100.0, 5.0, 5.0, 5.0)
+
 
 @dataclass
 class OptimizationResult:
@@ -35,25 +38,22 @@ class OptimizationResult:
         return min(self.optimized_pause_s.values())
 
 
-def _pause_durations(cluster, epoch=None) -> Dict[str, float]:
+def _pause_durations(cluster) -> Dict[str, float]:
     """Per-pod pause windows, straight off the ``agent.pod_pause`` spans
     (which begin at the pod_paused instant and end at pod_resumed)."""
-    attrs = {} if epoch is None else {"epoch": epoch}
     return {span.attrs["pod"]: span.duration
-            for span in cluster.spans.query("agent.pod_pause", **attrs)}
+            for span in cluster.spans.query("agent.pod_pause")}
 
 
-def run_optimization(n_nodes: int = 4,
-                     state_mb: List[float] = (100.0, 5.0, 5.0, 5.0),
-                     ) -> OptimizationResult:
+def run_optimization() -> OptimizationResult:
     """One blocking and one optimised round over unequal state sizes."""
 
     def one_round(optimized: bool):
-        cluster = CruzCluster(n_nodes, trace_enabled=True)
+        cluster = CruzCluster(len(STATE_MB), trace_enabled=True)
         app = cluster.launch_app_factory(
-            "cb", n_nodes,
+            "cb", len(STATE_MB),
             compute_factory(iterations=1_000_000, work_s=0.001,
-                            state_mb_per_rank=list(state_mb)))
+                            state_mb_per_rank=list(STATE_MB)))
         cluster.run_for(0.2)
         stats = cluster.checkpoint_app(app, optimized=optimized)
         return _pause_durations(cluster), stats.total_s

@@ -14,6 +14,11 @@ from repro.apps.slm import slm_factory
 from repro.bench.harness import Figure, ShapeReport
 from repro.cruz.cluster import CruzCluster
 
+#: The slm job both runs complete.
+N_NODES = 2
+STEPS = 200
+TOTAL_WORK_S = 4.0
+
 
 @dataclass
 class OverheadResult:
@@ -26,28 +31,27 @@ class OverheadResult:
             self.bare_runtime_s
 
 
-def _run_until_done(cluster, procs, limit=1e5):
+def _run_until_done(cluster, procs):
     done = cluster.sim.all_of([p.exit_event for p in procs])
-    cluster.sim.run_until_complete(done, limit=limit)
+    cluster.sim.run_until_complete(done, limit=1e5)
     return cluster.sim.now
 
 
-def run_overhead(n_nodes: int = 2, steps: int = 200,
-                 total_work_s: float = 4.0) -> OverheadResult:
-    factory = slm_factory(n_nodes, global_rows=8 * n_nodes, cols=16,
-                          steps=steps, total_work_s=total_work_s)
+def run_overhead() -> OverheadResult:
+    factory = slm_factory(N_NODES, global_rows=8 * N_NODES, cols=16,
+                          steps=STEPS, total_work_s=TOTAL_WORK_S)
 
     # Bare: plain processes on the node addresses, no pods anywhere.
-    bare = CruzCluster(n_nodes, trace_enabled=False)
+    bare = CruzCluster(N_NODES, trace_enabled=False)
     node_ips = [str(node.stack.eth0.ip) for node in
-                bare.nodes[:n_nodes]]
+                bare.nodes[:N_NODES]]
     bare_procs = [bare.nodes[rank].spawn(factory(rank, node_ips))
-                  for rank in range(n_nodes)]
+                  for rank in range(N_NODES)]
     bare_runtime = _run_until_done(bare, bare_procs)
 
     # Pods: the same program through the Zap virtualisation layer.
-    podded = CruzCluster(n_nodes, trace_enabled=False)
-    app = podded.launch_app_factory("slm", n_nodes, factory)
+    podded = CruzCluster(N_NODES, trace_enabled=False)
+    app = podded.launch_app_factory("slm", N_NODES, factory)
     pod_procs = [proc for pod in app.pods for proc in pod.processes()]
     pod_runtime = _run_until_done(podded, pod_procs)
 

@@ -96,8 +96,7 @@ class Cluster:
     # -- infrastructure services ---------------------------------------------
 
     def add_dhcp_server(self, node_index: int = 0,
-                        pool_start: int = 512,
-                        default_lease_s: float = 3600.0) -> DhcpServer:
+                        pool_start: int = 512) -> DhcpServer:
         """Run a DHCP server on a node, answering broadcasts on the subnet."""
         node = self.nodes[node_index]
         pool = self.subnet.hosts(start=pool_start)
@@ -111,8 +110,7 @@ class Cluster:
                 DHCP_CLIENT_PORT, message, payload_size=message.size)
 
         server = DhcpServer(f"dhcp@{node.name}", pool, send,
-                            clock=lambda: self.sim.now,
-                            default_lease_s=default_lease_s)
+                            clock=lambda: self.sim.now)
 
         def handler(payload, src_ip, src_port, dst_ip) -> None:
             if isinstance(payload, DhcpMessage):

@@ -58,7 +58,6 @@ class CheckpointAgent:
     def __init__(self, node: Node, store: ImageStore,
                  destroy_pod: Callable[[Pod], None],
                  codec: Optional[SocketCodec] = None,
-                 continue_timeout_s: float = 120.0,
                  retry: Optional[RetryPolicy] = None,
                  faults=None, mc_bugs=frozenset()):
         self.node = node
@@ -75,7 +74,7 @@ class CheckpointAgent:
         #: aborts unilaterally — resumes its pod, re-enables
         #: communication, discards the uncommitted image, and records the
         #: abort in the shared round WAL.
-        self.continue_timeout_s = continue_timeout_s
+        self.continue_timeout_s = 120.0
         self.unilateral_aborts = 0
         codec = codec if codec is not None else CruzSocketCodec()
         # The engine saves through the chunk store itself, so serialization

@@ -254,24 +254,17 @@ class CruzCluster(Cluster):
         """
         self.coordinator.endpoint.close()
 
-    def restart_coordinator(self,
-                            node_index: Optional[int] = None,
-                            timeout_s: Optional[float] = None
-                            ) -> CheckpointCoordinator:
+    def restart_coordinator(self) -> CheckpointCoordinator:
         """Replace the coordinator and run WAL crash recovery.
 
-        The new coordinator (on the same node by default, or any other —
-        the WAL and images live in the shared filesystem) aborts every
-        round the old one left in flight and resumes epoch numbering
-        after the highest logged epoch.
+        The new coordinator, on the same node (the WAL and images live in
+        the shared filesystem), aborts every round the old one left in
+        flight and resumes epoch numbering after the highest logged epoch.
         """
         self.crash_coordinator()
-        if node_index is not None:
-            self.coordinator_node = self.nodes[node_index]
         self.coordinator = CheckpointCoordinator(
             self.coordinator_node, self.store,
-            timeout_s=timeout_s if timeout_s is not None
-            else self.coordinator_timeout_s,
+            timeout_s=self.coordinator_timeout_s,
             retry=self.control_retry,
             faults=self.fault_injector)
         self.coordinator.recover()
@@ -279,11 +272,9 @@ class CruzCluster(Cluster):
 
     # -- pods and apps -----------------------------------------------------
 
-    def create_pod(self, node_index: int, name: str,
-                   own_wire_mac: Optional[bool] = None) -> Pod:
+    def create_pod(self, node_index: int, name: str) -> Pod:
         node = self.nodes[node_index]
-        if own_wire_mac is None:
-            own_wire_mac = node.stack.nic.supports_multiple_macs
+        own_wire_mac = node.stack.nic.supports_multiple_macs
         if own_wire_mac:
             mac = self.allocate_vif_mac()
             fake = None
@@ -492,7 +483,7 @@ class CruzCluster(Cluster):
         return stats
 
     def migrate_pod(self, pod: Pod, target_node_index: int,
-                    limit: float = 1e6, live: bool = True) -> Pod:
+                    live: bool = True) -> Pod:
         """Migrate one pod to another node; live (pre-copy) by default.
 
         ``live=True`` runs the :class:`~repro.cruz.migration
@@ -519,7 +510,7 @@ class CruzCluster(Cluster):
         else:
             sequence = stop_and_copy(self, pod, target_node_index)
         task = self.sim.process(sequence, name=f"migrate({pod.name})")
-        new_pod, report = self.run_until_complete(task, limit=limit)
+        new_pod, report = self.run_until_complete(task, limit=1e6)
         self.last_migration = report
         return new_pod
 

@@ -235,9 +235,8 @@ class ChaosInjector:
     # -- node power ---------------------------------------------------------
 
     def schedule_node_crash(self, node_index: int, at: float,
-                            revive_after: Optional[float] = None,
                             jitter_s: float = 0.0) -> float:
-        """Crash a node at ``at`` (+ seeded jitter); optionally revive.
+        """Crash a node at ``at`` (+ seeded jitter).
 
         Returns the actual crash time so callers can line further chaos
         up against it.
@@ -250,12 +249,6 @@ class ChaosInjector:
             self.cluster.crash_node(node_index)
 
         self.sim.call_at(crash_at, crash)
-        if revive_after is not None:
-            def revive() -> None:
-                self._record("revive_node", node=node_index)
-                self.cluster.revive_node(node_index)
-
-            self.sim.call_at(crash_at + revive_after, revive)
         return crash_at
 
     def schedule_node_crash_mid_round(self, node_index: int, after: float,
@@ -294,17 +287,15 @@ class ChaosInjector:
 
     # -- pods ---------------------------------------------------------------
 
-    def schedule_pod_kill(self, pod_name: str, at: float,
-                          jitter_s: float = 0.0) -> float:
-        """Destroy one named pod at ``at`` (+ seeded jitter), silently.
+    def schedule_pod_kill(self, pod_name: str, at: float) -> float:
+        """Destroy one named pod at ``at``, silently.
 
         The pod dies without FIN/RST to its peers and without taking the
         node down — the proxy-backend-kill chaos mode: a serving backend
         vanishes mid-request and the proxy must detect it by probe
         timeout, shed or re-dispatch its in-flight work, and re-admit the
-        backend after an external restore. Returns the actual kill time.
+        backend after an external restore. Returns the kill time.
         """
-        kill_at = at + (self.rng.random() * jitter_s if jitter_s else 0.0)
 
         def kill() -> None:
             for agent in self.cluster.agents:
@@ -317,10 +308,10 @@ class ChaosInjector:
                     return
             self._record("kill_pod_miss", pod=pod_name)
 
-        self.sim.call_at(kill_at, kill)
-        return kill_at
+        self.sim.call_at(at, kill)
+        return at
 
-    def canary_divergence(self, key: str, value: str = "corrupted"):
+    def canary_divergence(self, key: str):
         """A canary-verify-failure hook for ``serve.rollout``.
 
         Returns a callable that silently flips ``key`` in every kv store
@@ -336,13 +327,12 @@ class ChaosInjector:
             for proc in pod.processes():
                 store = getattr(proc.program, "store", None)
                 if isinstance(store, dict):
-                    store[key] = value
+                    store[key] = "corrupted"
 
         return corrupt
 
     def schedule_heartbeat_mute(self, node_index: int, at: float,
-                                duration_s: float,
-                                jitter_s: float = 0.0) -> float:
+                                duration_s: float) -> float:
         """Silence one agent's liveness beacons for ``duration_s``.
 
         The node stays fully alive — pods keep running, the data plane
@@ -351,9 +341,8 @@ class ChaosInjector:
         lease, wrongly declares) a healthy node. This is the eviction
         scenario: with ``evict_on_suspect`` the suspect node's pods must
         be live-migrated away before the declaration, with zero lost
-        acknowledged data. Returns the actual mute time.
+        acknowledged data. Returns the mute time.
         """
-        start = at + (self.rng.random() * jitter_s if jitter_s else 0.0)
 
         def mute() -> None:
             self._record("mute_heartbeats", node=node_index)
@@ -363,17 +352,15 @@ class ChaosInjector:
             self._record("unmute_heartbeats", node=node_index)
             self.cluster.agents[node_index].mute_heartbeats = False
 
-        self.sim.call_at(start, mute)
-        self.sim.call_at(start + duration_s, unmute)
-        return start
+        self.sim.call_at(at, mute)
+        self.sim.call_at(at + duration_s, unmute)
+        return at
 
     # -- links --------------------------------------------------------------
 
     def schedule_link_flap(self, node_index: int, at: float,
-                           duration_s: float,
-                           jitter_s: float = 0.0) -> float:
-        """Take one node's link down for ``duration_s``; returns start."""
-        start = at + (self.rng.random() * jitter_s if jitter_s else 0.0)
+                           duration_s: float) -> float:
+        """Take one node's link down for ``duration_s``; returns ``at``."""
 
         def down() -> None:
             self.link_flaps += 1
@@ -384,9 +371,9 @@ class ChaosInjector:
             self._record("link_up", node=node_index)
             self.cluster.links[node_index].down = False
 
-        self.sim.call_at(start, down)
-        self.sim.call_at(start + duration_s, up)
-        return start
+        self.sim.call_at(at, down)
+        self.sim.call_at(at + duration_s, up)
+        return at
 
     # -- partitions ---------------------------------------------------------
 

@@ -191,10 +191,9 @@ class RoundLog:
     START, COMMIT, ABORT = "start", "commit", "abort"
     _OUTCOMES = (COMMIT, ABORT)
 
-    def __init__(self, fs: SharedFileSystem,
-                 root: str = "/checkpoints/.rounds"):
+    def __init__(self, fs: SharedFileSystem):
         self.fs = fs
-        self.root = root
+        self.root = "/checkpoints/.rounds"
 
     def _path(self, epoch: int, record: str) -> str:
         return f"{self.root}/e{epoch:08d}.{record}"
@@ -287,10 +286,9 @@ class LivenessLog:
 
     UP, DOWN = "up", "down"
 
-    def __init__(self, fs: SharedFileSystem,
-                 root: str = "/checkpoints/.liveness"):
+    def __init__(self, fs: SharedFileSystem):
         self.fs = fs
-        self.root = root
+        self.root = "/checkpoints/.liveness"
         self._next_seq = self._scan_next_seq()
 
     def _scan_next_seq(self) -> int:
@@ -415,15 +413,14 @@ class ImageStore:
     one disk holding a single copy of every chunk.
     """
 
-    def __init__(self, fs: SharedFileSystem, root: str = "/checkpoints",
-                 metrics=None, sanitizer=None,
+    def __init__(self, fs: SharedFileSystem, metrics=None, sanitizer=None,
                  backend: Optional[ShardedBackend] = None):
         self.fs = fs
-        self.root = root
+        self.root = "/checkpoints"
         #: Where chunk copies physically live (placement, availability,
         #: replication); refcounts and byte accounting stay here.
         self.backend = backend if backend is not None \
-            else self._detect_backend(fs, root)
+            else self._detect_backend(fs, self.root)
         self._persist_backend_config()
         #: cid -> references from committed manifests; a chunk is
         #: unlinked when its count reaches zero.
@@ -443,9 +440,9 @@ class ImageStore:
         #: a refcount underflow is flagged where it happens.
         self.sanitizer = sanitizer
         #: Coordination-round WAL, shared (like the images) by every node.
-        self.rounds = RoundLog(fs, root=f"{root}/.rounds")
+        self.rounds = RoundLog(fs)
         #: Node-liveness WAL (supervisor death/rejoin declarations).
-        self.liveness = LivenessLog(fs, root=f"{root}/.liveness")
+        self.liveness = LivenessLog(fs)
         self._latest: Dict[str, int] = {}
         self._attached = False
         #: pod -> (vpid, region) -> what :meth:`_page_regions` last saw

@@ -127,13 +127,12 @@ class NodeSupervisor:
 
     def __init__(self, cluster, node,
                  auto_failover: bool = True,
-                 evict_on_suspect: bool = False,
-                 settle_s: float = 0.02):
+                 evict_on_suspect: bool = False):
         self.cluster = cluster
         self.node = node
         self.auto_failover = auto_failover
         self.evict_on_suspect = evict_on_suspect
-        self.settle_s = settle_s
+        self.settle_s = 0.02
         self.liveness: LivenessLog = cluster.store.liveness
         self.leases: Dict[int, NodeLease] = {}
         self.heartbeats_received = 0

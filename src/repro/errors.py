@@ -58,12 +58,11 @@ class ChunkMissingError(StoreError):
     error itself documents which replicas were unreachable.
     """
 
-    def __init__(self, cid, queried_nodes=(), message=""):
+    def __init__(self, cid, queried_nodes=()):
         self.cid = cid
         self.queried_nodes = tuple(queried_nodes)
         where = ", ".join(self.queried_nodes) or "no nodes"
-        super().__init__(
-            message or f"missing chunk {cid} (queried: {where})")
+        super().__init__(f"missing chunk {cid} (queried: {where})")
 
 
 class ReplicationError(StoreError):
@@ -92,17 +91,16 @@ class VersionUnreconstructibleError(StoreError):
     """
 
     def __init__(self, pod_name, version, missing_cid=None,
-                 queried_nodes=(), message=""):
+                 queried_nodes=()):
         self.pod_name = pod_name
         self.version = version
         self.missing_cid = missing_cid
         self.queried_nodes = tuple(queried_nodes)
         detail = (f"; first missing chunk {missing_cid}"
                   if missing_cid else "")
-        super().__init__(
-            message or f"checkpoint v{version} of pod {pod_name!r} is "
-                       f"not reconstructible from surviving "
-                       f"replicas{detail}")
+        super().__init__(f"checkpoint v{version} of pod {pod_name!r} is "
+                         f"not reconstructible from surviving "
+                         f"replicas{detail}")
 
 
 class CoordinationError(ReproError):
@@ -117,12 +115,11 @@ class RestartMismatchError(CoordinationError):
     untouched rather than silently re-pointed at a partial membership.
     """
 
-    def __init__(self, app_name, missing, message=""):
+    def __init__(self, app_name, missing):
         self.app_name = app_name
         self.missing = list(missing)
-        super().__init__(
-            message or f"restart of {app_name!r} left members "
-                       f"{self.missing} unregistered")
+        super().__init__(f"restart of {app_name!r} left members "
+                         f"{self.missing} unregistered")
 
 
 class FailoverError(CoordinationError):

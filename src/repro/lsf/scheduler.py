@@ -192,16 +192,15 @@ class JobScheduler:
         job.events.append(f"suspended@{self.cluster.sim.now:.3f}")
         return job
 
-    def resume_job(self, name: str,
-                   node_indices: Optional[Sequence[int]] = None) -> Job:
+    def resume_job(self, name: str) -> Job:
         job = self.jobs[name]
         if job.state != JobState.SUSPENDED:
             raise ReproError(f"job {name!r} is not suspended")
-        return self._restart(job, node_indices, "resumed")
+        return self._restart(job, None, "resumed")
 
-    def wait_for(self, name: str, limit: float = 1e5) -> Job:
+    def wait_for(self, name: str) -> Job:
         job = self.jobs[name]
         self.cluster.run_until(
             lambda: job.state in (JobState.FINISHED, JobState.FAILED),
-            limit=limit, step=0.25)
+            limit=1e5, step=0.25)
         return job

@@ -164,8 +164,8 @@ class MpiProgram(PhasedProgram):
                     "then": then, "value": None, "payload": payload}
         return self._run_op(None)
 
-    def mpi_exit(self, code: int = 0):
-        return Exit(code)
+    def mpi_exit(self):
+        return Exit(0)
 
     # -- collective plans ---------------------------------------------------
 

@@ -65,9 +65,9 @@ class MacAddress(_Address):
         return cls(int("".join(parts), 16))
 
     @classmethod
-    def ordinal(cls, index: int, prefix: int = 0x02_00_00) -> "MacAddress":
+    def ordinal(cls, index: int) -> "MacAddress":
         """Deterministically numbered locally-administered MAC."""
-        return cls((prefix << 24) | index)
+        return cls((0x02_00_00 << 24) | index)
 
     @property
     def is_broadcast(self) -> bool:

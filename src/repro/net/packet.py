@@ -119,15 +119,14 @@ class UdpDatagram:
 class IpPacket:
     """An IPv4 packet carrying TCP or UDP (plain slots, hot path)."""
 
-    __slots__ = ("src", "dst", "protocol", "payload", "ttl", "size")
+    __slots__ = ("src", "dst", "protocol", "payload", "size")
 
     def __init__(self, src: Ipv4Address, dst: Ipv4Address, protocol: int,
-                 payload: Union[TcpSegment, UdpDatagram], ttl: int = 64):
+                 payload: Union[TcpSegment, UdpDatagram]):
         self.src = src
         self.dst = dst
         self.protocol = protocol
         self.payload = payload
-        self.ttl = ttl
         self.size = IP_HEADER_BYTES + payload.size
 
     def __repr__(self) -> str:

@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from repro.apps.kvproxy import KvProxy
-from repro.apps.kvserver import (KV_PORT, KvServer, KvSessionClient,
+from repro.apps.kvserver import (KvServer, KvSessionClient,
                                  build_session_script)
 from repro.cruz.cluster import CruzCluster
 from repro.cruz.faults import ChaosInjector
@@ -106,7 +106,7 @@ def run_serve(backends: int = 3, clients: int = 6, sessions: int = 12,
             requests_per_session, write_ratio=write_ratio)
         program = KvSessionClient(
             proxy_ip, script, cluster.random.stream(f"serve-client-{c}"),
-            port=KV_PORT, deadline_s=deadline_s,
+            deadline_s=deadline_s,
             think_time_s=think_time_s)
         procs.append(cluster.coordinator_node.spawn(program))
         programs.append(program)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.apps.kvserver import KV_PORT, KvClient
+from repro.apps.kvserver import KvClient
 from repro.errors import RolloutError
 from repro.zap.verify import verify_image
 
@@ -39,10 +39,9 @@ class AdminClient:
     like everyone else's.
     """
 
-    def __init__(self, cluster, proxy_ip: str, port: int = KV_PORT):
+    def __init__(self, cluster, proxy_ip: str):
         self.cluster = cluster
         self.proxy_ip = proxy_ip
-        self.port = port
         self.rng = cluster.random.stream("serve-admin")
         self._rid = 0
 
@@ -56,8 +55,7 @@ class AdminClient:
         requests = [dict(request) for request in requests]
         for request in requests:
             request.setdefault("rid", self.next_rid())
-        client = KvClient(self.proxy_ip, requests, port=self.port,
-                          rng=self.rng)
+        client = KvClient(self.proxy_ip, requests, rng=self.rng)
         proc = self.cluster.coordinator_node.spawn(client)
         self.cluster.run_until(lambda: not proc.is_alive,
                                limit=ADMIN_CALL_LIMIT_S, step=0.005)

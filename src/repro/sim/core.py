@@ -76,16 +76,16 @@ class Event:
             raise SimulationError("event not yet triggered")
         return self._value
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
         if self.triggered:
             raise SimulationError(f"event {self.name!r} already triggered")
         self._value = value
         self._ok = True
-        self.sim._schedule_event(self, delay)
+        self.sim._schedule_event(self, 0.0)
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 
         A waiting process will see the exception raised at its ``yield``.
@@ -96,7 +96,7 @@ class Event:
             raise SimulationError("fail() requires an exception instance")
         self._value = exception
         self._ok = False
-        self.sim._schedule_event(self, delay)
+        self.sim._schedule_event(self, 0.0)
         return self
 
     def __repr__(self) -> str:

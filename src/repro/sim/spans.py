@@ -50,10 +50,9 @@ class Span:
                  "attrs", "kind")
 
     def __init__(self, span_id: int, name: str, node: str, start: float,
-                 parent_id: Optional[int] = None, kind: str = SPAN,
-                 attrs: Optional[Dict[str, Any]] = None):
+                 kind: str = SPAN, attrs: Optional[Dict[str, Any]] = None):
         self.span_id = span_id
-        self.parent_id = parent_id
+        self.parent_id: Optional[int] = None
         self.name = name
         self.node = node
         self.start = start

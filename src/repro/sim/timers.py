@@ -72,12 +72,10 @@ class TimerHandle:
 class TimerWheel:
     """Hashed wheel: absolute slot index -> list of handles."""
 
-    def __init__(self, sim, granularity: float = DEFAULT_GRANULARITY):
-        if granularity <= 0:
-            raise SimulationError(f"bad wheel granularity {granularity}")
+    def __init__(self, sim):
         self.sim = sim
-        self.granularity = granularity
-        self._inv = 1.0 / granularity
+        self.granularity = DEFAULT_GRANULARITY
+        self._inv = 1.0 / DEFAULT_GRANULARITY
         self._slots: Dict[int, List[TimerHandle]] = {}
         self.armed = 0
         self.fired = 0

@@ -9,7 +9,7 @@ registry (``Trace.metrics``).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.sim.spans import MetricsRegistry, SpanRecorder
 
@@ -22,11 +22,10 @@ class Trace:
     runs.
     """
 
-    def __init__(self, enabled: bool = True,
-                 clock: Optional[Callable[[], float]] = None):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.metrics = MetricsRegistry()
-        self.spans = SpanRecorder(clock=clock, enabled=enabled)
+        self.spans = SpanRecorder(enabled=enabled)
         #: Optional :class:`repro.analysis.sanitize.Sanitizer`. The
         #: runtime hooks (TCP input, chunk store, coordinator, agents,
         #: kernel) check this slot and stay silent while it is None.

@@ -59,9 +59,8 @@ class Pipe(KernelObject):
 
     kind = "pipe"
 
-    def __init__(self, sim: Simulator, capacity: int = PIPE_CAPACITY):
+    def __init__(self, sim: Simulator):
         super().__init__(sim)
-        self.capacity = capacity
         self.buffer = bytearray()
         self.readers = 1
         self.writers = 1
@@ -79,7 +78,7 @@ class Pipe(KernelObject):
     def write(self, data: bytes) -> int:
         if self.readers == 0:
             raise SyscallError("EPIPE", "pipe has no readers")
-        space = self.capacity - len(self.buffer)
+        space = PIPE_CAPACITY - len(self.buffer)
         if space <= 0:
             raise WouldBlock
         chunk = data[:space]
@@ -154,9 +153,9 @@ class Descriptor:
 class FdTable:
     """Per-process descriptor table."""
 
-    def __init__(self, first_fd: int = 3):
+    def __init__(self):
         self._slots: Dict[int, Descriptor] = {}
-        self._next = first_fd
+        self._next = 3  # after stdin, stdout and stderr
 
     def install(self, descriptor: Descriptor) -> int:
         fd = self._next

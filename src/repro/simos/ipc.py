@@ -102,11 +102,9 @@ class IpcNamespace:
         self._next_id += 1
         return self._next_id
 
-    def shmget(self, key: int, size: int, create: bool = True) -> int:
+    def shmget(self, key: int, size: int) -> int:
         if key in self._shm_by_key:
             return self._shm_by_key[key]
-        if not create:
-            raise SyscallError("ENOENT", f"shm key {key}")
         shmid = self._allocate_id()
         self.shm[shmid] = SharedMemorySegment(shmid, key, size)
         self._shm_by_key[key] = shmid
@@ -124,12 +122,9 @@ class IpcNamespace:
             raise SyscallError("EINVAL", f"shmid {shmid}")
         self._shm_by_key.pop(segment.key, None)
 
-    def semget(self, key: int, initial: int = 0,
-               create: bool = True) -> int:
+    def semget(self, key: int, initial: int = 0) -> int:
         if key in self._sem_by_key:
             return self._sem_by_key[key]
-        if not create:
-            raise SyscallError("ENOENT", f"sem key {key}")
         semid = self._allocate_id()
         self.sem[semid] = SysVSemaphore(self.sim, semid, key, initial)
         self._sem_by_key[key] = semid

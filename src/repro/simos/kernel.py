@@ -110,18 +110,12 @@ class Node:
         self._next_pid = max(self._next_pid, pid + 1)
 
     def spawn(self, program: Program, name: str = "", pod=None,
-              ppid: int = 0, pid: Optional[int] = None,
-              resume_syscall: Optional[Syscall] = None,
-              tgid: Optional[int] = None) -> ProcessControlBlock:
+              ppid: int = 0,
+              resume_syscall: Optional[Syscall] = None) -> ProcessControlBlock:
         """Create a process and start running it."""
-        if pid is None:
-            pid = self.allocate_pid()
-        elif pid in self.processes:
-            raise SyscallError("EEXIST", f"pid {pid} in use")
-        else:
-            self.reserve_pid(pid)
+        pid = self.allocate_pid()
         proc = ProcessControlBlock(self.sim, pid, program, name=name,
-                                   ppid=ppid, tgid=tgid)
+                                   ppid=ppid)
         proc.resume_syscall = resume_syscall
         if pod is not None:
             proc.pod = pod

@@ -33,16 +33,13 @@ class ProcessState(enum.Enum):
 
 
 class ProcessControlBlock:
-    """Kernel bookkeeping for one process (or thread, see ``tgid``)."""
+    """Kernel bookkeeping for one process."""
 
     def __init__(self, sim: Simulator, pid: int, program: Program,
-                 name: str = "", ppid: int = 0,
-                 tgid: Optional[int] = None):
+                 name: str = "", ppid: int = 0):
         self.sim = sim
         self.pid = pid
         self.ppid = ppid
-        #: Thread-group id: threads share a tgid, an address space and fds.
-        self.tgid = tgid if tgid is not None else pid
         self.program = program
         self.name = name or program.name
         self.state = ProcessState.RUNNABLE

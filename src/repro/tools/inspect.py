@@ -7,7 +7,7 @@ split real operator tools use.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.cluster import Cluster
 from repro.simos.kernel import Node
@@ -115,13 +115,11 @@ def round_report(rounds) -> List[Dict[str, Any]]:
     return rows
 
 
-def format_table(rows: List[Dict[str, Any]],
-                 columns: Optional[List[str]] = None) -> str:
+def format_table(rows: List[Dict[str, Any]]) -> str:
     """Render dict-rows as an aligned text table."""
     if not rows:
         return "(empty)"
-    if columns is None:
-        columns = list(rows[0].keys())
+    columns = list(rows[0].keys())
     cells = [[str(row.get(col, "")) for col in columns] for row in rows]
     widths = [max(len(col), *(len(line[i]) for line in cells))
               for i, col in enumerate(columns)]

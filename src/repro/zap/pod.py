@@ -32,9 +32,8 @@ class Pod:
 
     def __init__(self, node: Node, name: str, ip: Ipv4Address,
                  mac: MacAddress, own_wire_mac: bool = True,
-                 fake_mac: Optional[MacAddress] = None,
-                 pod_id: Optional[int] = None):
-        self.pod_id = pod_id if pod_id is not None else next(_pod_ids)
+                 fake_mac: Optional[MacAddress] = None):
+        self.pod_id = next(_pod_ids)
         self.name = name
         self.node = node
         self.ip = ip

@@ -9,7 +9,7 @@ its old physical PIDs are taken on the target node.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator
 
 from repro.errors import CheckpointError
 from repro.simos.files import Descriptor, Pipe, RegularFile
@@ -34,7 +34,6 @@ class RestartEngine:
 
     def restart(self, image: CheckpointImage, node: Node,
                 resume: bool = True,
-                own_wire_mac: Optional[bool] = None,
                 warm_bytes: int = 0) -> Generator:
         """A simulation coroutine; its value is the recreated pod.
 
@@ -52,7 +51,7 @@ class RestartEngine:
         fraction = fetch_fraction(image.chunk_sources, node.name)
         yield sim.timeout(costs.restart_fixed +
                           cold_bytes * fraction / costs.disk_read_bandwidth)
-        pod = self.instantiate(image, node, own_wire_mac=own_wire_mac)
+        pod = self.instantiate(image, node)
         sanitizer = node.trace.sanitizer
         if sanitizer is not None:
             sanitizer.check_restored_memory(image, pod, time=sim.now)
@@ -66,11 +65,9 @@ class RestartEngine:
             self.resume(pod, image)
         return pod
 
-    def instantiate(self, image: CheckpointImage, node: Node,
-                    own_wire_mac: Optional[bool] = None) -> Pod:
+    def instantiate(self, image: CheckpointImage, node: Node) -> Pod:
         """Recreate the pod and all its processes, stopped."""
-        use_own_mac = image.own_wire_mac if own_wire_mac is None \
-            else own_wire_mac
+        use_own_mac = image.own_wire_mac
         if use_own_mac and not node.stack.nic.supports_multiple_macs:
             use_own_mac = False
         mac = image.mac if use_own_mac else node.stack.nic.primary_mac

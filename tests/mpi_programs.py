@@ -38,7 +38,7 @@ class CollectiveTester(MpiProgram):
 
     def phase_got_bcast(self, result):
         self.bcast_result = result
-        return self.mpi_exit(0)
+        return self.mpi_exit()
 
 
 class PingPonger(MpiProgram):
@@ -60,7 +60,7 @@ class PingPonger(MpiProgram):
 
     def _next(self, _):
         if self.round >= self.rounds:
-            return self.mpi_exit(0)
+            return self.mpi_exit()
         if self.work_s:
             self.goto("after_work")
             return sys("compute", self.work_s)

@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import repro.cluster
 from repro.analysis import mc
-from repro.analysis.determinism import state_hash
+from repro.analysis.determinism import fingerprint, state_hash
 from repro.apps.slm import slm_factory
 from repro.bench.chaos import run_chaos
 from repro.cluster import Cluster
@@ -106,7 +106,7 @@ def test_a_cruzmc_run():
     def scenario():
         result = mc.run_once(mc.McConfig())
         return (result.state_hash, result.committed, result.violations,
-                mc.run_policy("fifo", rounds=1))
+                fingerprint("fifo", rounds=1))
 
     assert compare(scenario) == []
 

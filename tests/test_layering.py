@@ -1,4 +1,4 @@
-"""Import layering and reachability.
+"""Import layering, reachability and options.
 
 Layering: the core never depends on the packages built on it.
 
@@ -10,6 +10,12 @@ that defines it, so a package ``__init__`` re-export never makes a module
 look reached, and an ``__init__`` may only import names that a root or a
 ``src/repro`` module imports through it. A module kept without such a
 path is in ``ALLOWLIST`` with the decision that keeps it.
+
+Options: every keyword-default parameter under ``src/repro`` is passed a
+value other than its default by some call site in ``src/``, ``tests/``,
+``benchmarks/perf``, ``examples/`` or the documented snippets (see
+:class:`OptionIndex`). A parameter kept without one is in
+``OPTION_ALLOWLIST`` with the decision that keeps it.
 """
 
 import ast
@@ -19,7 +25,7 @@ import pytest
 
 import repro
 
-from tests.test_examples import readme_quickstart
+from tests.test_examples import package_quick_tour, readme_quickstart
 
 CORE = ("repro.cruz", "repro.zap", "repro.simos", "repro.tcp", "repro.net",
         "repro.sim")
@@ -195,3 +201,316 @@ def test_the_rule_fails_on_each_planted_violation(
     problems = reachability_violations(
         tmp_path / "pkg", [], [ROOT], {"pkg.kept": "kept", **allowlist})
     assert problems == expected
+
+
+# -- Options: a parameter is a value some caller sets ----------------------
+
+#: ``module:qualname.param`` -> the decision that keeps a keyword-default
+#: parameter that no call site sets to anything but its default.
+OPTION_ALLOWLIST = {
+    "repro.cruz.consistency:check_app_checkpoint.version":
+        "the module is kept by the reachability ALLOWLIST until ROADMAP "
+        "items 2 and 9 call it; `repro image cut EPOCH` names a version",
+    "repro.net.capture:PacketCapture.__init__.max_frames":
+        "the module is kept by the reachability ALLOWLIST as the "
+        "documented link tap; a long capture bounds its ring with it",
+}
+
+#: The value of a ``*sequence``/``**mapping`` spread, and the keyword a
+#: ``**mapping`` of unknown content binds: it matches every parameter.
+UNKNOWN = None
+
+
+def _base_names(node):
+    return [getattr(base, "id", getattr(base, "attr", ""))
+            for base in node.bases]
+
+
+def _mappings(scope):
+    """name -> [(key, value node)] for each dict built in ``scope`` from
+    string keys only (``dict(k=v)``, ``{"k": v}``, ``d["k"] = v``);
+    None for a name whose content is open."""
+    found = {}
+    for node in ast.walk(scope):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+            continue
+        target, value = node.targets[0], node.value
+        if isinstance(target, ast.Name):
+            pairs = None
+            if isinstance(value, ast.Dict) and all(
+                    isinstance(key, ast.Constant)
+                    and isinstance(key.value, str) for key in value.keys):
+                pairs = [(key.value, item)
+                         for key, item in zip(value.keys, value.values)]
+            elif isinstance(value, ast.Call) \
+                    and getattr(value.func, "id", "") == "dict" \
+                    and not value.args and all(k.arg for k in value.keywords):
+                pairs = [(k.arg, k.value) for k in value.keywords]
+            found[target.id] = None if target.id in found else pairs
+        elif isinstance(target, ast.Subscript) \
+                and found.get(getattr(target.value, "id", "")) is not None:
+            key = target.slice
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                found[target.value.id].append((key.value, value))
+            else:
+                found[target.value.id] = None
+    return found
+
+
+class Signature:
+    """One ``def``'s parameters, as a call site binds them."""
+
+    def __init__(self, module, qualname, node, owner):
+        self.module, self.qualname, self.node = module, qualname, node
+        #: the ClassDef a method belongs to, or None
+        self.owner = owner
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        static = any(getattr(d, "id", "") == "staticmethod"
+                     for d in node.decorator_list)
+        #: what a call's positional arguments bind, in order
+        self.bound = positional[1:] if owner and not static else positional
+        first = len(positional) - len(args.defaults)
+        #: keyword-default parameter -> ``ast.dump`` of its default
+        self.defaults = {name: ast.dump(default) for name, default
+                         in zip(positional[first:], args.defaults)}
+        self.defaults.update((a.arg, ast.dump(d)) for a, d
+                             in zip(args.kwonlyargs, args.kw_defaults) if d)
+        self.names = set(positional) | {a.arg for a in args.kwonlyargs}
+        self.kwargs = args.kwarg.arg if args.kwarg else None
+
+    def key(self, param: str) -> str:
+        return f"{self.module}:{self.qualname}.{param}"
+
+
+class OptionIndex:
+    """The keyword-default parameters of a package tree, and which of them
+    some call site sets to a value other than its default.
+
+    A call resolves to its callees by name: ``f(...)`` and ``x.f(...)``
+    to every ``def f``; ``C(...)``, ``cls(...)``, ``type(self)(...)`` and
+    ``super().__init__(...)`` to the ``__init__`` the class inherits. A
+    value is its ``ast``, so a caller that passes the default's own
+    expression sets nothing. A keyword a callee takes into ``**kwargs``
+    and hands on with ``g(**kwargs)`` is credited to ``g``, and so is each
+    key of a ``**mapping`` built in the calling function (``_mappings``).
+    A call that spreads a ``*sequence`` or a ``**mapping`` of unknown
+    content credits every parameter it could reach."""
+
+    def __init__(self, package_dir: Path):
+        self.signatures, self.by_name, self.classes = [], {}, {}
+        #: (module, line) -> the signature defined there
+        self.at = {}
+        #: module -> its source file
+        self.modules = {}
+        for path in sorted(package_dir.rglob("*.py")):
+            parts = path.relative_to(package_dir.parent).with_suffix("").parts
+            module = ".".join(parts[:-1] if parts[-1] == "__init__"
+                              else parts)
+            self.modules[module] = path
+            self._collect(ast.parse(path.read_text()), module, "", None)
+        self.credited = set()
+        #: signature -> {keyword: {value}} its ``**kwargs`` received
+        self.received = {}
+        #: (caller, callee) per ``callee(**kwargs)`` inside ``caller``
+        self.forwards = []
+
+    def _collect(self, tree, module, prefix, owner):
+        for node in ast.iter_child_nodes(tree):
+            if isinstance(node, ast.ClassDef):
+                self.classes.setdefault(node.name, []).append(node)
+                self._collect(node, module, f"{prefix}{node.name}.", node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                signature = Signature(module, prefix + node.name, node, owner)
+                self.signatures.append(signature)
+                self.at[module, node.lineno] = signature
+                self.by_name.setdefault(node.name, []).append(signature)
+                self._collect(node, module, f"{prefix}{node.name}.", None)
+            else:
+                self._collect(node, module, prefix, owner)
+
+    def options(self):
+        return [signature.key(param) for signature in self.signatures
+                for param in signature.defaults]
+
+    def _init(self, names, seen=()):
+        """The ``__init__`` signatures that classes named ``names`` run."""
+        found = []
+        for name in names:
+            for node in self.classes.get(name, ()):
+                own = [s for s in self.by_name.get("__init__", ())
+                       if s.owner is node]
+                found += own or self._init(
+                    [b for b in _base_names(node) if b not in seen],
+                    (*seen, name))
+        return found
+
+    def _callees(self, func, cls):
+        name = getattr(func, "id", None)
+        if name is not None:
+            if name == "cls" and cls is not None:
+                return self._init([cls.name])
+            if name in self.classes:
+                return self._init([name])
+            return [s for s in self.by_name.get(name, ()) if s.owner is None]
+        if isinstance(func, ast.Call):  # type(self)(...)
+            if getattr(func.func, "id", "") == "type" and cls is not None:
+                return self._init([cls.name])
+            return []
+        if not isinstance(func, ast.Attribute):
+            return []
+        if func.attr == "__init__":  # super().__init__(...)
+            return self._init(_base_names(cls)) if cls is not None else []
+        if func.attr in self.classes:
+            return self._init([func.attr])
+        return self.by_name.get(func.attr, [])
+
+    def _credit(self, signature, param, value):
+        default = signature.defaults.get(param)
+        if default is not None and value != default:
+            self.credited.add(signature.key(param))
+
+    def _receive(self, signature, name, value):
+        """Bind keyword ``name`` (UNKNOWN: any keyword) to ``value``."""
+        if name is UNKNOWN:
+            for param in signature.defaults:
+                self._credit(signature, param, UNKNOWN)
+        elif name in signature.names:
+            self._credit(signature, name, value)
+            return
+        if signature.kwargs:
+            self.received.setdefault(signature, {}).setdefault(
+                name, set()).add(value)
+
+    def _bind(self, call, callee, caller, mappings):
+        for index, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                for param in callee.bound[index:]:
+                    self._credit(callee, param, UNKNOWN)
+                break
+            if index < len(callee.bound):
+                self._credit(callee, callee.bound[index], ast.dump(arg))
+        for keyword in call.keywords:
+            spread = getattr(keyword.value, "id", "")
+            if keyword.arg is not None:
+                self._receive(callee, keyword.arg, ast.dump(keyword.value))
+            elif caller is not None and spread == caller.kwargs:
+                self.forwards.append((caller, callee))
+            elif mappings.get(spread):
+                for name, value in mappings[spread]:
+                    self._receive(callee, name, ast.dump(value))
+            else:
+                self._receive(callee, UNKNOWN, UNKNOWN)
+
+    def scan(self, source: str, module: str = ""):
+        """Credit every call in one module's (or snippet's) source."""
+        tree = ast.parse(source)
+        self._visit(tree, module, None, None, _mappings(tree))
+
+    def _visit(self, tree, module, caller, cls, mappings):
+        for node in ast.iter_child_nodes(tree):
+            if isinstance(node, ast.ClassDef):
+                self._visit(node, module, None, node, mappings)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._visit(node, module, self.at.get((module, node.lineno)),
+                            cls, _mappings(node))
+            else:
+                if isinstance(node, ast.Call):
+                    for callee in self._callees(node.func, cls):
+                        self._bind(node, callee, caller, mappings)
+                self._visit(node, module, caller, cls, mappings)
+
+    def _size(self):
+        return len(self.credited) + sum(
+            len(values) for got in self.received.values()
+            for values in got.values())
+
+    def unset(self):
+        """The parameters no call site sets, forwarding followed."""
+        size = None
+        while size != self._size():
+            size = self._size()
+            for caller, callee in self.forwards:
+                for name, values in list(self.received.get(caller,
+                                                           {}).items()):
+                    for value in list(values):
+                        self._receive(callee, name, value)
+        return [key for key in self.options() if key not in self.credited]
+
+
+def option_violations(package_dir: Path, sources, allowlist):
+    index = OptionIndex(package_dir)
+    for module, path in index.modules.items():
+        index.scan(path.read_text(), module)
+    for source in sources:
+        index.scan(source)
+    unset = index.unset()
+    return [f"stale allowlist: {key}" for key in sorted(allowlist)
+            if key not in unset] + \
+        [f"never set: {key}" for key in unset if key not in allowlist]
+
+
+def test_every_option_is_set_by_a_caller():
+    paths = [path for tree in ("tests", "benchmarks/perf", "examples")
+             for path in sorted((REPO / tree).rglob("*.py"))]
+    sources = [path.read_text() for path in paths] \
+        + [readme_quickstart(), package_quick_tour()]
+    assert option_violations(SRC, sources, OPTION_ALLOWLIST) == []
+
+
+OPTION_TREE = {
+    "__init__.py": "",
+    "core.py": (
+        "class Engine:\n"
+        "    def __init__(self, size=1, mode='a'):\n"
+        "        self.size, self.mode = size, mode\n"
+        "\n"
+        "    def run(self, steps=10):\n"
+        "        return steps\n"
+        "\n"
+        "\n"
+        "class Turbo(Engine):\n"
+        "    def __init__(self, boost=2, **kwargs):\n"
+        "        super().__init__(**kwargs)\n"
+        "        self.boost = boost\n"
+        "\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls(boost=3)\n"
+        "\n"
+        "\n"
+        "def start(**options):\n"
+        "    return Engine(**options)\n"),
+}
+OPTION_ROOT = ("from pkg.core import Engine, Turbo, start\n"
+               "Engine(2).run(steps=5)\n"
+               "Turbo.make()\n"
+               "Turbo(size=4)\n"
+               "settings = dict(mode='b')\n"
+               "start(**settings)\n")
+
+
+@pytest.mark.parametrize("planted, allowlist, expected", [
+    ({}, {}, []),
+    ({"extra.py": "def helper(flag=False):\n    return flag\n\n\n"
+                  "helper()\n"},
+     {}, ["never set: pkg.extra:helper.flag"]),
+    ({"extra.py": "def helper(flag=False):\n    return flag\n\n\n"
+                  "helper(flag=False)\n"},
+     {}, ["never set: pkg.extra:helper.flag"]),
+    ({"extra.py": "def inner(flag=False, **rest):\n    return flag\n\n\n"
+                  "def outer(**kwargs):\n    return inner(**kwargs)\n\n\n"
+                  "outer(level=1)\n"},
+     {}, ["never set: pkg.extra:inner.flag"]),
+    ({}, {"pkg.core:Engine.run.steps": "set by the root"},
+     ["stale allowlist: pkg.core:Engine.run.steps"]),
+], ids=["clean", "never-set", "set-only-to-its-default",
+        "forwarded-without-it", "stale-allowlist"])
+def test_the_option_rule_fails_on_each_planted_violation(
+        tmp_path, planted, allowlist, expected):
+    for name, text in {**OPTION_TREE, **planted}.items():
+        path = tmp_path / "pkg" / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+    assert option_violations(tmp_path / "pkg", [OPTION_ROOT],
+                             allowlist) == expected

@@ -14,14 +14,16 @@ import pytest
 
 from repro.analysis import mc
 from repro.analysis.determinism import (
+    INTERVAL_S,
+    MEMORY_MB,
+    fingerprint,
     run_determinism_check,
     state_hash,
 )
 from repro.analysis.oracle import (
     ExplorerOracle,
-    FifoOracle,
-    LifoOracle,
     ReplayDivergence,
+    ScheduleOracle,
     ample_candidates,
 )
 from repro.sim.core import Simulator
@@ -29,6 +31,22 @@ from repro.sim.eventq import HeapEventQueue
 
 
 # -- oracle hook: degenerate oracles refine the queue exactly -------------
+
+
+class FifoOracle(ScheduleOracle):
+    """Oldest tie first: ``tiebreak="fifo"`` as an oracle."""
+
+    def choose(self, ties, now):
+        seqs = [abs(entry[2]) for entry in ties]
+        return seqs.index(min(seqs))
+
+
+class LifoOracle(ScheduleOracle):
+    """Newest tie first: ``tiebreak="lifo"`` as an oracle."""
+
+    def choose(self, ties, now):
+        seqs = [abs(entry[2]) for entry in ties]
+        return seqs.index(max(seqs))
 
 
 def _pop_order(tiebreak=None, oracle=None):
@@ -70,30 +88,20 @@ def test_oracle_sees_events_scheduled_mid_tie():
     assert order == ["first", "late", "early"]
 
 
-def test_run_policy_matches_plain_tiebreak_cluster():
-    # The pre-oracle implementation built CruzCluster(tiebreak=...);
-    # the degenerate oracles must reproduce it bit-for-bit.
-    from repro.apps.slm import slm_factory
+def test_degenerate_oracles_match_the_tiebreak_fingerprint():
+    # `repro analyze determinism` builds CruzCluster(tiebreak=...); an
+    # oracle run through the scheduler hook must reproduce it
+    # bit-for-bit on the same workload.
+    from repro.apps.slm import run_slm_rounds
     from repro.cruz.cluster import CruzCluster
 
-    def plain(tiebreak):
-        cluster = CruzCluster(2, tiebreak=tiebreak)
-        app = cluster.launch_app_factory(
-            "slm", 2, slm_factory(2, global_rows=16, cols=32,
-                                  steps=100000, total_work_s=1e6,
-                                  memory_mb_per_rank=4.0))
-        cluster.run_for(0.5)
-        stats = []
-        for _ in range(2):
-            cluster.run_for(0.2)
-            stats.append(asdict(cluster.checkpoint_app(app)))
-        return {"rounds": stats, "state_hash": state_hash(cluster)}
-
-    for policy in ("fifo", "lifo"):
-        oracle_run = mc.run_policy(policy)
-        reference = plain(policy)
-        assert oracle_run["rounds"] == reference["rounds"]
-        assert oracle_run["state_hash"] == reference["state_hash"]
+    for policy, oracle in (("fifo", FifoOracle()), ("lifo", LifoOracle())):
+        cluster = CruzCluster(2, oracle=oracle)
+        _app, stats = run_slm_rounds(cluster, 2, MEMORY_MB, rounds=2,
+                                     interval_s=INTERVAL_S)
+        reference = fingerprint(policy)
+        assert [asdict(s) for s in stats] == reference["rounds"]
+        assert state_hash(cluster) == reference["state_hash"]
 
 
 # -- queue reinsert -------------------------------------------------------

@@ -55,7 +55,7 @@ class CollectiveSuite(MpiProgram):
 
     def phase_got_array(self, result):
         self.array_sum = result
-        return self.mpi_exit(0)
+        return self.mpi_exit()
 
 
 def test_extended_collectives():
@@ -100,11 +100,11 @@ class BigMessenger(MpiProgram):
         return self.recv_from(0, then="done_recv")
 
     def phase_done_send(self, result):
-        return self.mpi_exit(0)
+        return self.mpi_exit()
 
     def phase_done_recv(self, result):
         self.received = result
-        return self.mpi_exit(0)
+        return self.mpi_exit()
 
 
 def test_large_message_crosses_many_segments():

@@ -8,6 +8,7 @@ the transport layer, before any checkpoint code is involved.
 import pytest
 
 from repro.net.packet import PROTO_TCP
+from repro.tcp.connection import TcpConnection
 from repro.tcp.state import TcpState
 
 from tests.helpers import make_pair
@@ -268,3 +269,42 @@ def test_syn_during_pod_pause_accepted_after_resume():
     assert [r["ok"] for r in responses] == [True, True]
     assert responses[1]["value"] == 1
     assert cluster.sim.now > paused_until
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: an endpoint restored behind its peer and the peer "
+    "answer each other's bare ACKs for ever"))
+def test_restore_behind_the_peer_does_not_ack_forever():
+    """One end restored from an image older than its peer's view.
+
+    A's TCB is captured, then A sends 500 B that B acknowledges. A is
+    restored from the capture, so its ``snd_nxt`` is 500 B behind B's
+    ``rcv_nxt``: B's ACK acknowledges data A never sent (A answers with a
+    bare ACK), and that ACK is a zero-length segment below B's window (B
+    answers with a bare ACK). Nothing on a lossless wire breaks the cycle.
+    """
+    sim, wire, a, b = make_pair()
+    _ip_a, stack_a = a
+    client, server = establish(sim, a, b)
+    SinkApp(sim, client)
+    SinkApp(sim, server)
+    client.send(b"a" * 100)
+    server.send(b"b" * 100)
+    sim.run(until=sim.now + 0.05)
+    capture = client.tcb.snapshot_for_checkpoint()
+    client.send(b"c" * 500)
+    sim.run(until=sim.now + 0.05)
+    assert server.tcb.rcv_nxt == capture.snd_nxt + 500
+
+    stack_a.release(client)
+    client.destroy()
+    restored = TcpConnection.restore(sim, capture, client.transmit,
+                                     name="A")
+    stack_a.adopt_restored(restored)
+    before = len(wire.log)
+    restored.send(b"d" * 10)
+    deadline, events = sim.now + 1.0, 0
+    while events < 10_000 and sim.peek() <= deadline:
+        sim.step()
+        events += 1
+    assert len(wire.log) - before <= 50
