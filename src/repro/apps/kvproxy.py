@@ -86,7 +86,6 @@ class KvProxy(PhasedProgram):
     initial_phase = "socket"
 
     def __init__(self, backend_ips: List[str], rng,
-                 port: int = KV_PORT, window: int = 32,
                  pending_cap: int = 256, queue_timeout_s: float = 1.0):
         super().__init__()
         # Everything below that is not a parameter is fixed tuning, not
@@ -94,11 +93,11 @@ class KvProxy(PhasedProgram):
         # proxy is checkpointed: the pickled bytes are content-addressed
         # into the chunk store and counted in ``state_bytes``, which the
         # committed SLO baseline and ``serve_fleet``'s ``sim_digest`` pin.
-        self.port = port
+        self.port = KV_PORT
         self.backend_port = KV_PORT
         self.rng = rng
         self.tick_s = 0.005
-        self.window = window
+        self.window = 32
         self.pending_cap = pending_cap
         self.queue_timeout_s = queue_timeout_s
         self.probe_interval_s = 0.05

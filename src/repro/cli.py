@@ -14,6 +14,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -652,7 +653,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro ... --json | head``). Point stdout
+        # at /dev/null so the flush at exit cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VIOLATIONS
+    return status
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from repro.net.switch import Switch
 from repro.sim.core import Simulator
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import Trace
-from repro.simos.costs import CostModel, DEFAULT_COSTS
+from repro.simos.costs import DEFAULT_COSTS
 from repro.simos.filesystem import SharedFileSystem
 from repro.simos.kernel import Node
 from repro.simos.netstack import BROADCAST_IP
@@ -36,11 +36,8 @@ class Cluster:
     """
 
     def __init__(self, n_nodes: int, seed: int = 0,
-                 costs: CostModel = DEFAULT_COSTS,
                  trace_enabled: bool = True,
                  time_wait_s: float = 60.0,
-                 bandwidth_bps: float = 1e9,
-                 latency_s: float = 5e-6,
                  cpus_per_node: int = 2,
                  nic_supports_multiple_macs: bool = True,
                  tiebreak: str = "fifo",
@@ -59,7 +56,7 @@ class Cluster:
         if sanitize or (sanitize is None and _sanitize.env_enabled()):
             _sanitize.install(self.trace, register=sanitize is None)
         self.fs = SharedFileSystem()
-        self.costs = costs
+        self.costs = DEFAULT_COSTS
         self.subnet = Subnet(Ipv4Address.parse("10.1.0.0"), 16)
         self.switch = Switch(self.sim, "switch0")
         self.nodes: List[Node] = []
@@ -72,12 +69,11 @@ class Cluster:
                       MacAddress.ordinal(index + 1),
                       supports_multiple_macs=nic_supports_multiple_macs)
             node = Node(self.sim, f"node{index}", nic, self.fs,
-                        costs=costs, trace=self.trace, cpus=cpus_per_node,
+                        trace=self.trace, cpus=cpus_per_node,
                         time_wait_s=time_wait_s, iss_seed=index + 1)
             node.stack.configure_eth0(self.subnet.host(index + 1))
             self.links.append(Link(
                 self.sim, nic.port, self.switch.new_port(),
-                bandwidth_bps=bandwidth_bps, latency_s=latency_s,
                 name=f"node{index}<->switch", trace=self.trace))
             self.nodes.append(node)
 

@@ -46,7 +46,6 @@ from repro.simos.kernel import Node
 from repro.zap.checkpoint import CheckpointEngine
 from repro.zap.pod import Pod
 from repro.zap.restart import RestartEngine
-from repro.zap.socket_codec import SocketCodec
 
 #: Completed-epoch bookkeeping kept around for late ABORT undo.
 _VERSION_HISTORY = 16
@@ -57,7 +56,6 @@ class CheckpointAgent:
 
     def __init__(self, node: Node, store: ImageStore,
                  destroy_pod: Callable[[Pod], None],
-                 codec: Optional[SocketCodec] = None,
                  retry: Optional[RetryPolicy] = None,
                  faults=None, mc_bugs=frozenset()):
         self.node = node
@@ -76,7 +74,7 @@ class CheckpointAgent:
         #: abort in the shared round WAL.
         self.continue_timeout_s = 120.0
         self.unilateral_aborts = 0
-        codec = codec if codec is not None else CruzSocketCodec()
+        codec = CruzSocketCodec()
         # The engine saves through the chunk store itself, so serialization
         # pipelines with the disk write and written_bytes is measured.
         self.checkpoint_engine = CheckpointEngine(codec, store=store)

@@ -29,7 +29,6 @@ from repro.cruz.migration import (
     PrecopyMigrator,
     stop_and_copy,
 )
-from repro.cruz.netstate import CruzSocketCodec
 from repro.cruz.protocol import RetryPolicy, RoundStats
 from repro.cruz.storage import ImageStore
 from repro.cruz.supervisor import (HEARTBEAT_INTERVAL_S,
@@ -40,7 +39,6 @@ from repro.simos.program import Program
 from repro.zap.checkpoint import scrub_pod_network
 from repro.zap.image import CheckpointImage
 from repro.zap.pod import Pod
-from repro.zap.socket_codec import SocketCodec
 from repro.zap.virtualization import install_pod, uninstall_pod
 
 
@@ -52,7 +50,6 @@ class CruzCluster(Cluster):
     """
 
     def __init__(self, n_app_nodes: int,
-                 codec: Optional[SocketCodec] = None,
                  coordinator_timeout_s: float = 60.0,
                  control_retry: Optional[RetryPolicy] = None,
                  supervise: bool = False,
@@ -68,7 +65,6 @@ class CruzCluster(Cluster):
         #: each re-opens a fixed, historically real protocol hole.
         #: Always empty in production paths.
         self.mc_bugs = frozenset(mc_bugs)
-        self.codec = codec if codec is not None else CruzSocketCodec()
         #: The chunk space is sharded across the app nodes' disks (RF
         #: copies per chunk, writer affinity for the primary).
         if replication_factor is None:
@@ -91,7 +87,7 @@ class CruzCluster(Cluster):
         self.control_retry = control_retry
         self.agents: List[CheckpointAgent] = [
             CheckpointAgent(node, self.store, self.destroy_pod,
-                            codec=self.codec, retry=control_retry,
+                            retry=control_retry,
                             faults=self.fault_injector,
                             mc_bugs=self.mc_bugs)
             for node in self.nodes[:n_app_nodes]]

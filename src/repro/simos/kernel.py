@@ -21,7 +21,7 @@ from repro.net.nic import Nic
 from repro.sim.core import Event, Interrupt, SimProcess, Simulator
 from repro.sim.resources import Resource
 from repro.sim.trace import Trace
-from repro.simos.costs import CostModel, DEFAULT_COSTS
+from repro.simos.costs import DEFAULT_COSTS
 from repro.simos.files import (
     Descriptor,
     Pipe,
@@ -71,13 +71,13 @@ class Node:
     """One machine of the cluster."""
 
     def __init__(self, sim: Simulator, name: str, nic: Nic,
-                 fs: SharedFileSystem, costs: CostModel = DEFAULT_COSTS,
+                 fs: SharedFileSystem,
                  trace: Optional[Trace] = None, cpus: int = 2,
                  time_wait_s: float = 60.0, iss_seed: int = 1):
         self.sim = sim
         self.name = name
         self.fs = fs
-        self.costs = costs
+        self.costs = DEFAULT_COSTS
         self.trace = trace if trace is not None else Trace(enabled=False)
         self.stack = NetworkStack(sim, name, nic, time_wait_s=time_wait_s,
                                   iss_seed=iss_seed)

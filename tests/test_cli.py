@@ -5,13 +5,21 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench import dedup, optimization
 from repro.bench.harness import Figure
-from repro.cli import FIGURES, SUITES, build_parser, main, to_jsonable
+from repro.cli import (EXIT_VIOLATIONS, FIGURES, SUITES, build_parser, main,
+                       to_jsonable)
+
+SRC = Path(repro.__file__).parent.parent
 
 
 def test_parser_knows_all_commands():
@@ -497,10 +505,11 @@ def test_cli_analyze_rejects_unknown_check(capsys):
 
 
 def test_cli_analyze_determinism_passes(capsys):
-    assert main(["analyze", "determinism", "--nodes", "2",
-                 "--rounds", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
+    for rounds in ("1", "2"):
+        assert main(["analyze", "determinism", "--nodes", "2",
+                     "--rounds", rounds]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out
 
 
 def test_cli_analyze_determinism_json(capsys):
@@ -539,3 +548,64 @@ def test_cli_chaos_json_reports_mttr_phases(capsys):
     assert phases["detect"] > 0 and phases["restart"] > 0
     assert doc["result"]["sanitizer_violations"] == 0
     assert doc["result"]["rounds_aborted"] >= 1
+
+
+def _suspects_evicted_before_declaration(d):
+    assert d["ok"], d
+    ev = d["result"]["evictions"]
+    assert ev and all(e["ok"] and e["before_declaration"]
+                      for e in ev), ev
+
+
+def _replica_loss_heals_back_to_rf(d):
+    assert d["ok"], d
+    r = d["result"]
+    assert not r["failovers"], r
+    assert r["versions_reconstructible"], r
+    assert r["under_replicated_after"] == 0, r
+
+
+def _backend_kill_sheds_within_slo(d):
+    assert d["ok"], d
+    assert d["client_errors"] == 0, d
+    assert d["p99_s"] <= 1.0, d["p99_s"]
+    assert d["replicas_consistent"], d
+    assert not d["determinism_divergences"], d["determinism_divergences"]
+
+
+def _gauntlet_has_zero_errors(d):
+    assert d["ok"], d
+    r = d["report"]
+    assert r["client_errors"] == 0, r
+    assert r["canary"]["promoted"], r["canary"]
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["chaos", "--seed", "7", "--evict-on-suspect"],
+     _suspects_evicted_before_declaration),
+    (["chaos", "--seed", "7", "--kill-replica", "--check-determinism"],
+     _replica_loss_heals_back_to_rf),
+    (["chaos", "--kill-backend", "--check-determinism"],
+     _backend_kill_sheds_within_slo),
+    (["serve", "--rounds", "2", "--failover", "--migrate", "--canary"],
+     _gauntlet_has_zero_errors),
+], ids=["evict-on-suspect", "kill-replica", "kill-backend",
+        "serve-gauntlet"])
+def test_cli_disruption_json_verdict(argv, check, capsys):
+    assert main(argv + ["--json"]) == 0
+    check(json.loads(capsys.readouterr().out))
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    """``repro ... --json | head`` closes the pipe under the writer."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "lint", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr.decode(), done.stderr.decode()
+    assert done.returncode == EXIT_VIOLATIONS

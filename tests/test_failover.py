@@ -363,7 +363,6 @@ def test_partition_blocks_only_cross_side_ip_traffic():
 # -- the chaos harness -----------------------------------------------------
 
 
-@pytest.mark.chaos
 def test_chaos_run_self_heals_and_replays_bit_for_bit():
     from repro.bench.chaos import run_chaos
     result = run_chaos(seed=7)
@@ -386,7 +385,6 @@ def test_chaos_run_self_heals_and_replays_bit_for_bit():
     assert replay.chaos_log == result.chaos_log
 
 
-@pytest.mark.chaos
 @pytest.mark.torture
 def test_chaos_torture_crash_revive_second_crash():
     """Two generations of failure: node0 dies mid-round and later

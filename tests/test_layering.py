@@ -1,4 +1,4 @@
-"""Import layering, reachability and options.
+"""Import layering, reachability, options and dependencies.
 
 Layering: the core never depends on the packages built on it.
 
@@ -15,10 +15,19 @@ Options: every keyword-default parameter under ``src/repro`` is passed a
 value other than its default by some call site in ``src/``, ``tests/``,
 ``benchmarks/perf``, ``examples/`` or the documented snippets (see
 :class:`OptionIndex`). A parameter kept without one is in
-``OPTION_ALLOWLIST`` with the decision that keeps it.
+``OPTION_ALLOWLIST`` with the decision that keeps it. A ``def`` outside
+the package is a forwarder: its parameters are not options, and a
+keyword it hands on through ``**kwargs`` is credited to its callee.
+
+Dependencies: the third-party imports of ``src/``, ``tests/``,
+``benchmarks/perf`` and ``examples/`` are exactly what ``pyproject.toml``
+declares, and every CI job that runs Python installs that set first.
 """
 
 import ast
+import re
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -330,7 +339,9 @@ class OptionIndex:
                 self._collect(node, module, prefix, owner)
 
     def options(self):
+        """The package's parameters; a forwarder's are not options."""
         return [signature.key(param) for signature in self.signatures
+                if signature.module in self.modules
                 for param in signature.defaults]
 
     def _init(self, names, seen=()):
@@ -402,6 +413,13 @@ class OptionIndex:
             else:
                 self._receive(callee, UNKNOWN, UNKNOWN)
 
+    def forwarders(self, source: str, module: str):
+        """Index the ``def``s of a source outside the package as
+        forwarders: a helper's ``make(n, **kwargs): return
+        Cluster(n, **kwargs)`` then hands on only the keywords its own
+        callers pass."""
+        self._collect(ast.parse(source), module, "", None)
+
     def scan(self, source: str, module: str = ""):
         """Credit every call in one module's (or snippet's) source."""
         tree = ast.parse(source)
@@ -442,8 +460,12 @@ def option_violations(package_dir: Path, sources, allowlist):
     index = OptionIndex(package_dir)
     for module, path in index.modules.items():
         index.scan(path.read_text(), module)
-    for source in sources:
-        index.scan(source)
+    named = {f"<source {number}>": source
+             for number, source in enumerate(sources)}
+    for module, source in named.items():
+        index.forwarders(source, module)
+    for module, source in named.items():
+        index.scan(source, module)
     unset = index.unset()
     return [f"stale allowlist: {key}" for key in sorted(allowlist)
             if key not in unset] + \
@@ -490,27 +512,207 @@ OPTION_ROOT = ("from pkg.core import Engine, Turbo, start\n"
                "start(**settings)\n")
 
 
-@pytest.mark.parametrize("planted, allowlist, expected", [
-    ({}, {}, []),
+#: A test helper outside the package that forwards its ``**kwargs``.
+BOX = ("class Box:\n"
+       "    def __init__(self, n, lid=False):\n        self.lid = lid\n")
+HELPER = ("from pkg.box import Box\n\n\n"
+          "def make_box(n, **kwargs):\n    return Box(n, **kwargs)\n\n\n")
+
+
+@pytest.mark.parametrize("planted, root, allowlist, expected", [
+    ({}, "", {}, []),
     ({"extra.py": "def helper(flag=False):\n    return flag\n\n\n"
                   "helper()\n"},
-     {}, ["never set: pkg.extra:helper.flag"]),
+     "", {}, ["never set: pkg.extra:helper.flag"]),
     ({"extra.py": "def helper(flag=False):\n    return flag\n\n\n"
                   "helper(flag=False)\n"},
-     {}, ["never set: pkg.extra:helper.flag"]),
+     "", {}, ["never set: pkg.extra:helper.flag"]),
     ({"extra.py": "def inner(flag=False, **rest):\n    return flag\n\n\n"
                   "def outer(**kwargs):\n    return inner(**kwargs)\n\n\n"
                   "outer(level=1)\n"},
-     {}, ["never set: pkg.extra:inner.flag"]),
-    ({}, {"pkg.core:Engine.run.steps": "set by the root"},
+     "", {}, ["never set: pkg.extra:inner.flag"]),
+    ({"box.py": BOX}, HELPER + "make_box(1)\n",
+     {}, ["never set: pkg.box:Box.__init__.lid"]),
+    ({"box.py": BOX}, HELPER + "make_box(1, lid=True)\n", {}, []),
+    ({}, "", {"pkg.core:Engine.run.steps": "set by the root"},
      ["stale allowlist: pkg.core:Engine.run.steps"]),
 ], ids=["clean", "never-set", "set-only-to-its-default",
-        "forwarded-without-it", "stale-allowlist"])
+        "forwarded-without-it", "forwarded-through-a-helper",
+        "set-through-a-helper", "stale-allowlist"])
 def test_the_option_rule_fails_on_each_planted_violation(
-        tmp_path, planted, allowlist, expected):
+        tmp_path, planted, root, allowlist, expected):
     for name, text in {**OPTION_TREE, **planted}.items():
         path = tmp_path / "pkg" / name
         path.parent.mkdir(exist_ok=True)
         path.write_text(text)
-    assert option_violations(tmp_path / "pkg", [OPTION_ROOT],
+    assert option_violations(tmp_path / "pkg", [OPTION_ROOT, root],
                              allowlist) == expected
+
+
+# -- Dependencies: what the code imports is what every CI job installs -----
+
+#: The trees whose imports a clean runner must satisfy.
+IMPORTING_TREES = ("src", "tests", "benchmarks/perf", "examples")
+WORKFLOW = Path(".github/workflows/ci.yml")
+INSTALL = "python -m pip install "
+
+
+def third_party_imports(root: Path, first_party):
+    """top-level module -> the first file importing it, for every absolute
+    import under ``IMPORTING_TREES`` that is neither stdlib, a package in
+    ``first_party``, nor a module beside its importer (a file of these
+    trees: the perf ledger's ``metrics``, an example)."""
+    paths = [path for tree in IMPORTING_TREES
+             for path in sorted((root / tree).rglob("*.py"))]
+    local = set(first_party) | {path.stem for path in paths}
+    found = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in sys.stdlib_module_names and top not in local:
+                    found.setdefault(top, path.relative_to(root).as_posix())
+    return found
+
+
+def declared_dependencies(root: Path):
+    """``dependencies`` and the ``test`` extra of ``pyproject.toml``."""
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    return {re.match(r"[\w.-]+", spec).group() for spec in
+            project["dependencies"] + project["optional-dependencies"]["test"]}
+
+
+def workflow_jobs(text: str):
+    """job id -> the ``run:`` command of each of its steps, in order.
+
+    A line scan of the ``jobs:`` block: a YAML library is not a declared
+    dependency, and the workflow's shape is fixed (a job id at two
+    spaces, a step opening with ``- ``, ``run:`` inline or as a ``|``
+    block indented under its key). Comment lines are skipped."""
+    jobs, steps, in_jobs, block = {}, None, False, None
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        indent = len(line) - len(line.lstrip())
+        if block is not None and indent > block:
+            steps[-1] += stripped + "\n"
+            continue
+        block = None
+        if indent == 0:
+            in_jobs = stripped == "jobs:"
+        elif in_jobs and indent == 2:
+            steps = jobs.setdefault(stripped.rstrip(":"), [])
+        elif in_jobs and steps is not None:
+            key = stripped.removeprefix("- ")
+            if key.startswith("run:"):
+                command = key.removeprefix("run:").strip()
+                if command == "|":  # the block is indented under the key
+                    block, command = indent + len(stripped) - len(key), ""
+                steps.append(command)
+    return jobs
+
+
+def dependency_violations(root: Path, first_party):
+    declared = declared_dependencies(root)
+    imported = third_party_imports(root, first_party)
+    problems = [f"undeclared import: {name} ({imported[name]})"
+                for name in sorted(set(imported) - declared)]
+    problems += [f"declared, never imported: {name}"
+                 for name in sorted(declared - set(imported))]
+    wanted = " ".join(sorted(declared))
+    for job, commands in workflow_jobs((root / WORKFLOW).read_text()).items():
+        python = [command for command in commands
+                  if re.search(r"\bpython3?\b", command)]
+        if not python:
+            continue
+        installs = [command for command in python
+                    if command.startswith(INSTALL)]
+        if not installs:
+            problems.append(f"{job}: runs python with no install step")
+            continue
+        if python[0] not in installs:
+            problems.append(f"{job}: runs python before its install step")
+        if len(installs) > 1:
+            problems.append(f"{job}: {len(installs)} install steps")
+        got = " ".join(sorted(installs[0].removeprefix(INSTALL).split()))
+        if got != wanted:
+            problems.append(f"{job}: installs {got}; pyproject declares "
+                            f"{wanted}")
+    return problems
+
+
+def test_imports_pyproject_and_the_workflow_install_agree():
+    assert dependency_violations(REPO, ("repro", "tests")) == []
+
+
+DEPENDENCY_TREE = {
+    "pyproject.toml": ('[project]\ndependencies = ["numpy"]\n\n'
+                       '[project.optional-dependencies]\n'
+                       'test = ["pytest"]\n'),
+    "src/pkg/__init__.py": "import numpy\nfrom . import core\n",
+    "src/pkg/core.py": "import json\nfrom pkg import sub\n",
+    "tests/test_core.py": "import pytest\nimport helpers\nimport pkg.core\n",
+    "tests/helpers.py": "from tests.test_core import pytest\n",
+    "benchmarks/perf/run.py": "import metrics\n",
+    "benchmarks/perf/metrics.py": "import os.path\n",
+    "examples/demo.py": "import pkg\n",
+}
+JOBS = {
+    "tests": ["- run: python -m pip install pytest numpy",
+              "- run: python -m pytest -x -q"],
+    "bench": ["- run: python -m pip install numpy pytest",
+              "- name: the suite as one JSON object",
+              "  run: |",
+              "    python -m pkg bench --json \\",
+              "      | python -c \"import json,sys; json.load(sys.stdin)\""],
+    "docs": ["- run: echo done"],
+}
+
+
+def render_workflow(jobs):
+    lines = ["name: ci", "", "jobs:"]
+    for job, steps in jobs.items():
+        lines += [f"  {job}:", "    runs-on: ubuntu-latest", "    steps:",
+                  "      - uses: actions/setup-python@v5",
+                  "        # a comment"]
+        lines += [f"      {step}" for step in steps]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("planted, jobs, expected", [
+    ({}, {}, []),
+    ({"src/pkg/plot.py": "import matplotlib.pyplot\n"}, {},
+     ["undeclared import: matplotlib (src/pkg/plot.py)"]),
+    ({"pyproject.toml": DEPENDENCY_TREE["pyproject.toml"].replace(
+        '"numpy"', '"numpy", "requests>=2"')}, {},
+     ["declared, never imported: requests",
+      "tests: installs numpy pytest; pyproject declares numpy pytest "
+      "requests",
+      "bench: installs numpy pytest; pyproject declares numpy pytest "
+      "requests"]),
+    ({}, {"lint": ["- run: python -m pkg lint"]},
+     ["lint: runs python with no install step"]),
+    ({}, {"bench": JOBS["bench"][1:] + JOBS["bench"][:1]},
+     ["bench: runs python before its install step"]),
+    ({}, {"tests": ["- run: python -m pip install pytest",
+                    "- run: python -m pytest -x -q"]},
+     ["tests: installs pytest; pyproject declares numpy pytest"]),
+], ids=["clean", "undeclared-import", "declared-never-imported",
+        "job-without-install", "install-after-python",
+        "install-of-the-wrong-set"])
+def test_the_dependency_rule_fails_on_each_planted_violation(
+        tmp_path, planted, jobs, expected):
+    tree = {**DEPENDENCY_TREE, **planted,
+            str(WORKFLOW): render_workflow({**JOBS, **jobs})}
+    for name, text in tree.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert dependency_violations(tmp_path, ("pkg", "tests")) == expected

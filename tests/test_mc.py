@@ -156,7 +156,6 @@ def test_replay_divergence_on_out_of_range_choice():
 # -- explorer -------------------------------------------------------------
 
 
-@pytest.mark.mc
 def test_schedule_exploration_exhausts_clean():
     report = mc.explore(mc.McConfig(max_states=500))
     assert report.exhausted
@@ -169,7 +168,6 @@ def test_schedule_exploration_exhausts_clean():
     assert report.orderings_pruned > 0
 
 
-@pytest.mark.mc
 def test_partition_at_every_choice_point_stays_reconstructible():
     # The satellite guarantee: a network partition dropped at any fault
     # choice point of a 2-node round never yields a committed version
@@ -193,7 +191,6 @@ def test_partition_at_every_choice_point_stays_reconstructible():
         assert not codes, (index, result.choices[index].label, codes)
 
 
-@pytest.mark.mc
 def test_mutation_produces_replayable_counterexample(tmp_path):
     config = mc.McConfig(fault_modes=("dup",),
                          fault_kinds=("CHECKPOINT",),
@@ -219,7 +216,6 @@ def test_mutation_produces_replayable_counterexample(tmp_path):
     assert not fixed_report.violations
 
 
-@pytest.mark.mc
 def test_minimized_trace_is_at_most_original_length():
     config = mc.McConfig(fault_modes=("dup",),
                          fault_kinds=("CHECKPOINT",),
@@ -243,7 +239,6 @@ def test_determinism_check_unchanged_default_surface():
     assert "PASS — tie-break perturbation is invisible" in report.render()
 
 
-@pytest.mark.mc
 def test_determinism_multi_seed_sweep():
     report = run_determinism_check(rounds=1, seeds=2)
     assert report.deterministic
@@ -269,7 +264,6 @@ def test_cli_mc_smoke_json(capsys):
     assert report["harness_errors"] == []
 
 
-@pytest.mark.mc
 def test_cli_mc_mutation_and_replay_exit_codes(tmp_path, capsys):
     from repro.cli import main
 
@@ -283,6 +277,8 @@ def test_cli_mc_mutation_and_replay_exit_codes(tmp_path, capsys):
     assert main(["mc", "--replay", str(trace_path)]) == 1
     out = capsys.readouterr().out
     assert "bit-identical" in out
+    assert main(["mc", "--replay", str(trace_path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["identical"] is True
 
 
 def test_cli_mc_rejects_unknown_bug(capsys):

@@ -12,8 +12,6 @@ from repro.errors import RolloutError
 from repro.serve.harness import _store_digest, run_serve
 from repro.serve.rollout import AdminClient, canary_restore, restore_pod
 
-pytestmark = pytest.mark.serve
-
 
 def _fleet(backends=2, **proxy_kwargs):
     """A proxy fronting ``backends`` single-pod kv replicas, all up."""
