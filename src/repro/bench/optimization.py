@@ -29,14 +29,6 @@ class OptimizationResult:
     blocking_round_total_s: float
     optimized_round_total_s: float
 
-    @property
-    def max_blocking_pause(self) -> float:
-        return max(self.blocking_pause_s.values())
-
-    @property
-    def min_optimized_pause(self) -> float:
-        return min(self.optimized_pause_s.values())
-
 
 def _pause_durations(cluster) -> Dict[str, float]:
     """Per-pod pause windows, straight off the ``agent.pod_pause`` spans

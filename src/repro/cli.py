@@ -65,6 +65,12 @@ def to_jsonable(obj: Any) -> Any:
     return str(obj)
 
 
+def _dict_table(title: str, rows: List[Dict[str, Any]]) -> str:
+    """:func:`render_table` of dict rows that share one key order."""
+    return render_table(title, list(rows[0]) if rows else [],
+                        [row.values() for row in rows])
+
+
 def _emit_json(payload: Any) -> None:
     print(json.dumps(to_jsonable(payload), indent=2, allow_nan=False))
 
@@ -107,7 +113,7 @@ def _cmd_experiments(args) -> int:
 def _cmd_demo(args) -> int:
     from repro.apps.kvserver import KvClient, KvServer
     from repro.cruz.cluster import CruzCluster
-    from repro.tools.inspect import format_table, netstat, pod_report, ps
+    from repro.tools.inspect import netstat, pod_report, ps
 
     cluster = CruzCluster(2)
     pod = cluster.create_pod(0, "kv")
@@ -118,10 +124,10 @@ def _cmd_demo(args) -> int:
         KvClient(str(pod.ip), requests, think_time_s=0.005))
     cluster.run_for(0.2)
     if not args.json:
-        print("## processes on node0")
-        print(format_table(ps(cluster.nodes[0])))
-        print("\n## connections on node0")
-        print(format_table(netstat(cluster.nodes[0])))
+        print(_dict_table("processes on node0", ps(cluster.nodes[0])))
+        print()
+        print(_dict_table("connections on node0",
+                          netstat(cluster.nodes[0])))
         print(f"\nmigrating pod {pod.name!r} to node1 mid-conversation...")
     cluster.migrate_pod(pod, target_node_index=1)
     cluster.run_until(lambda: not client.is_alive, limit=60, step=0.1)
@@ -132,8 +138,8 @@ def _cmd_demo(args) -> int:
                     "responses": len(client.program.responses),
                     "pods": pod_report(cluster)})
         return 0 if ok else 1
-    print("\n## pods after migration")
-    print(format_table(pod_report(cluster)))
+    print()
+    print(_dict_table("pods after migration", pod_report(cluster)))
     print(f"\nclient finished {len(client.program.responses)} requests: "
           f"{'all OK — migration was transparent' if ok else 'FAILED'}")
     return 0 if ok else 1
@@ -156,7 +162,7 @@ def _cmd_trace(args) -> int:
     from repro.apps.slm import run_slm_rounds
     from repro.cruz.cluster import CruzCluster
     from repro.sim.spans import round_coverage
-    from repro.tools.inspect import format_table, round_report
+    from repro.tools.inspect import round_report
 
     n_nodes = args.nodes
     cluster = CruzCluster(n_nodes, trace_enabled=True)
@@ -196,7 +202,8 @@ def _cmd_trace(args) -> int:
                        f"{n_nodes} nodes",
                        ["span", "count", "total", "mean", "max"], rows))
     print()
-    print(format_table(round_report(rounds)))
+    print(_dict_table("Rounds — latency and phases (ms)",
+                      round_report(rounds)))
     for stats, coverage in zip(rounds, coverages):
         print(f"epoch {stats.epoch}: spans cover {coverage*100:.1f}% "
               f"of the round's latency window")

@@ -321,9 +321,6 @@ class CruzCluster(Cluster):
         self.apps[name] = app
         return app
 
-    def pod_ips(self, app: DistributedApp) -> List[str]:
-        return [str(pod.ip) for pod in app.pods]
-
     # -- coordinated operations -----------------------------------------------
 
     def checkpoint_app(self, app: DistributedApp, optimized: bool = False,

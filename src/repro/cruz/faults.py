@@ -102,10 +102,6 @@ class ControlFaultInjector:
     def clear(self) -> None:
         self.plans.clear()
 
-    @property
-    def faults_injected(self) -> int:
-        return self.dropped + self.duplicated + self.delayed
-
     def _reinject_delay(self, plan: FaultPlan) -> float:
         return plan.delay_s + self.rng.random() * plan.jitter_s
 

@@ -121,7 +121,7 @@ class RoundStats:
     messages_received: int = 0
     #: Control datagrams retransmitted by the coordinator endpoint for
     #: this round (lost message or lost ACK), and duplicate protocol
-    #: messages it suppressed. Excluded from ``total_messages``.
+    #: messages it suppressed; neither is in the two counts above.
     retransmissions: int = 0
     duplicates: int = 0
     committed: bool = False
@@ -147,10 +147,6 @@ class RoundStats:
         if self.total_chunk_bytes <= 0:
             return 0.0
         return 1.0 - self.new_chunk_bytes / self.total_chunk_bytes
-
-    @property
-    def total_messages(self) -> int:
-        return self.messages_sent + self.messages_received
 
 
 @dataclass(frozen=True)

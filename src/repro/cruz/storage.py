@@ -18,7 +18,11 @@ optimisations are real byte movement, not accounting:
   treats as the PAGE_SIZE bytes it stands for; blobs (programs, socket
   state, pipes, shm), manifests and WAL records are real bytes.
 * A small pickled *manifest* per version records the image metadata and
-  the chunk references; ``load`` reconstructs the image from it.
+  the chunk references; ``load`` reconstructs the image from it. One
+  codec (:func:`_encode`/:func:`_decode`) writes each image record as
+  its fields in declaration order, a blob field as its chunk's id and
+  length (:data:`_BLOB_KEYS`), so a field added to a record in
+  :mod:`repro.zap.image` is saved and loaded with no edit here.
 * Chunks are refcounted: ``discard``/``prune`` decrement and a chunk is
   deleted only when no surviving version references it.
 * The version index is *derived from the filesystem* (manifests are
@@ -47,7 +51,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from itertools import repeat
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -69,6 +73,7 @@ from repro.simos.filesystem import (
 )
 from repro.simos.memory import PAGE_SIZE, AddressSpace
 from repro.zap.image import (
+    SOCKET_FD_KINDS,
     CheckpointImage,
     FdImage,
     PipeImage,
@@ -79,13 +84,106 @@ from repro.zap.image import (
     thaw_object,
 )
 
-#: fd kinds whose (potentially large) detail payloads get their own chunk.
-_CHUNKED_FD_KINDS = ("tcp_socket", "udp_socket")
-
 MANIFEST_FORMAT = 1
 
 #: The single shard node of a bare ``ImageStore(fs)``.
 DEFAULT_SHARD_NODE = "disk"
+
+#: The image records' blob fields. A blob is stored as one chunk, and
+#: its record's manifest entry holds the chunk's id and length under
+#: these two keys, in the field's place. The keys are built here once:
+#: pickle memoises a string by identity, so a key built per entry would
+#: be pickled again in every entry and grow every manifest.
+_BLOB_KEYS = {
+    (ProcessImage, "program_blob"): ("program_cid", "program_len"),
+    (FdImage, "detail"): ("detail_cid", "detail_len"),
+    (PipeImage, "buffer"): ("buffer_cid", "buffer_len"),
+    (ShmImage, "payload_blob"): ("payload_cid", "payload_len"),
+}
+#: The record-list fields of a record, with the type of their records.
+_NESTED = {(ProcessImage, "fds"): FdImage}
+#: record type -> ``(name, blob keys, nested type)`` per field, in
+#: declaration order: the one table the codec and the blob walk read.
+_LAYOUT = {
+    cls: [(f.name, _BLOB_KEYS.get((cls, f.name)), _NESTED.get((cls, f.name)))
+          for f in fields(cls)]
+    for cls in (ProcessImage, FdImage, PipeImage, ShmImage)}
+#: The image fields a manifest keeps as its ``meta``: all but the record
+#: lists and the ``chunk_sources`` a load derives.
+_META_FIELDS = [f.name for f in fields(CheckpointImage) if f.name not in (
+    "processes", "pipes", "shm", "sem", "chunk_sources")]
+
+
+def _encode(record, add_blob) -> Dict[str, Any]:
+    """An image record's manifest entry: its fields in declaration order,
+    a record list as their entries, a blob field as its chunk's id (what
+    ``add_blob`` returns for the bytes) and length. A socket's detail is
+    pickled into a chunk (it can be large); another fd's detail is a
+    small dict and stays in the entry."""
+    cls = type(record)
+    entry: Dict[str, Any] = {}
+    for name, keys, nested in _LAYOUT[cls]:
+        value = getattr(record, name)
+        if nested is not None:
+            value = [_encode(item, add_blob) for item in value]
+        elif keys is not None and (
+                cls is not FdImage or record.kind in SOCKET_FD_KINDS):
+            blob = freeze_object(value) if cls is FdImage else value
+            entry[keys[0]] = add_blob(blob)
+            entry[keys[1]] = len(blob)
+            continue
+        entry[name] = value
+    return entry
+
+
+def _decode(cls, entry: Dict[str, Any], get_chunk, read_pages=None):
+    """The record :func:`_encode` made ``entry`` from. Chunks are read in
+    the order a restore reads them: the nested records' blobs, then the
+    pages (``read_pages`` of the decoded plain fields), then the record's
+    own blobs."""
+    values: Dict[str, Any] = {}
+    for name, keys, nested in _LAYOUT[cls]:
+        if nested is not None:
+            values[name] = [_decode(nested, item, get_chunk)
+                            for item in entry[name]]
+        elif keys is None or keys[0] not in entry:
+            values[name] = entry[name]
+    if read_pages is not None:
+        read_pages(values)
+    for name, keys, _nested in _LAYOUT[cls]:
+        if keys is not None and keys[0] in entry:
+            blob = get_chunk(entry[keys[0]])
+            values[name] = thaw_object(blob) if cls is FdImage else blob
+    return cls(**values)
+
+
+def _blob_refs(cls, entry: Dict[str, Any],
+               refs: List[Tuple[str, int]]) -> None:
+    """Append the (chunk id, size) of every blob ``entry`` references."""
+    for name, keys, nested in _LAYOUT[cls]:
+        if nested is not None:
+            for item in entry[name]:
+                _blob_refs(nested, item, refs)
+        elif keys is not None and keys[0] in entry:
+            refs.append((entry[keys[0]], entry[keys[1]]))
+
+
+def _read_record(fs: SharedFileSystem, path: str) -> Optional[Any]:
+    """The record pickled at ``path``, or ``None`` when there is none."""
+    if not fs.exists(path):
+        return None
+    return thaw_object(fs.read_file(path))
+
+
+def _write_record(fs: SharedFileSystem, path: str, record: Any) -> None:
+    fs.write_file(path, freeze_object(record))
+
+
+def _numbered(fs: SharedFileSystem, prefix: str, suffix: str) -> List[int]:
+    """The numbers ``n`` of the files ``{prefix}{n}{suffix}``, ascending."""
+    stems = [path[len(prefix):len(path) - len(suffix)]
+             for path in fs.listdir(prefix) if path.endswith(suffix)]
+    return sorted([int(stem) for stem in stems if stem.isdigit()])
 
 
 def blob_chunk_id(blob: bytes) -> str:
@@ -198,23 +296,12 @@ class RoundLog:
     def _path(self, epoch: int, record: str) -> str:
         return f"{self.root}/e{epoch:08d}.{record}"
 
-    def _write(self, epoch: int, record: str, payload: Dict) -> None:
-        blob = freeze_object(payload)
-        path = self._path(epoch, record)
-        self.fs.write_file(path, blob)
-
-    def _read(self, epoch: int, record: str) -> Optional[Dict]:
-        path = self._path(epoch, record)
-        if not self.fs.exists(path):
-            return None
-        return thaw_object(self.fs.read_file(path))
-
     # -- writing -----------------------------------------------------------
 
     def log_start(self, epoch: int, kind: str, members, at: float = 0.0,
                   coordinator: str = "") -> None:
         """Record a round's membership before any message is sent."""
-        self._write(epoch, self.START, {
+        _write_record(self.fs, self._path(epoch, self.START), {
             "epoch": epoch, "kind": kind, "at": at,
             "coordinator": coordinator,
             "members": [(str(ip), pod_name) for ip, pod_name in members],
@@ -228,7 +315,7 @@ class RoundLog:
         existing = self.outcome(epoch)
         if existing is not None:
             return existing
-        self._write(epoch, outcome, {
+        _write_record(self.fs, self._path(epoch, outcome), {
             "epoch": epoch, "reason": reason, "source": source, "at": at})
         return outcome
 
@@ -247,21 +334,14 @@ class RoundLog:
         return None
 
     def abort_record(self, epoch: int) -> Optional[Dict]:
-        return self._read(epoch, self.ABORT)
+        return _read_record(self.fs, self._path(epoch, self.ABORT))
 
     def read_start(self, epoch: int) -> Optional[Dict]:
-        return self._read(epoch, self.START)
+        return _read_record(self.fs, self._path(epoch, self.START))
 
     def epochs(self) -> List[int]:
         """Every epoch with a start record, ascending."""
-        found = []
-        prefix = f"{self.root}/e"
-        suffix = f".{self.START}"
-        for path in self.fs.listdir(prefix):
-            tail = path[len(prefix):]
-            if tail.endswith(suffix) and tail[:-len(suffix)].isdigit():
-                found.append(int(tail[:-len(suffix)]))
-        return sorted(found)
+        return _numbered(self.fs, f"{self.root}/e", f".{self.START}")
 
     def max_epoch(self) -> int:
         epochs = self.epochs()
@@ -289,17 +369,11 @@ class LivenessLog:
     def __init__(self, fs: SharedFileSystem):
         self.fs = fs
         self.root = "/checkpoints/.liveness"
-        self._next_seq = self._scan_next_seq()
+        logged = _numbered(fs, f"{self.root}/t", ".rec")
+        self._next_seq = logged[-1] + 1 if logged else 1
 
-    def _scan_next_seq(self) -> int:
-        highest = 0
-        prefix = f"{self.root}/t"
-        for path in self.fs.listdir(prefix):
-            tail = path[len(prefix):]
-            stem = tail.split(".", 1)[0]
-            if stem.isdigit():
-                highest = max(highest, int(stem))
-        return highest + 1
+    def _path(self, seq: int) -> str:
+        return f"{self.root}/t{seq:010d}.rec"
 
     def log(self, node_name: str, state: str, at: float = 0.0,
             reason: str = "", source: str = "") -> Dict:
@@ -308,18 +382,14 @@ class LivenessLog:
         record = {"seq": self._next_seq, "node": node_name,
                   "state": state, "at": at, "reason": reason,
                   "source": source}
-        path = f"{self.root}/t{self._next_seq:010d}.rec"
+        _write_record(self.fs, self._path(self._next_seq), record)
         self._next_seq += 1
-        blob = freeze_object(record)
-        self.fs.write_file(path, blob)
         return record
 
     def records(self) -> List[Dict]:
         """Every transition, in log order."""
-        out = []
-        for path in sorted(self.fs.listdir(f"{self.root}/t")):
-            out.append(thaw_object(self.fs.read_file(path)))
-        return sorted(out, key=lambda record: record["seq"])
+        return [_read_record(self.fs, self._path(seq))
+                for seq in _numbered(self.fs, f"{self.root}/t", ".rec")]
 
     def transitions(self, node_name: str) -> List[Dict]:
         return [record for record in self.records()
@@ -327,10 +397,8 @@ class LivenessLog:
 
     def last_states(self) -> Dict[str, str]:
         """node name -> last logged ``up``/``down`` state."""
-        states: Dict[str, str] = {}
-        for record in self.records():
-            states[record["node"]] = record["state"]
-        return states
+        return {record["node"]: record["state"]
+                for record in self.records()}
 
 
 @dataclass
@@ -472,20 +540,17 @@ class ImageStore:
     def _detect_backend(fs: SharedFileSystem, root: str) -> ShardedBackend:
         """Rebuild the backend a previous store recorded in ``.store``,
         or lay out the one-disk default over an empty filesystem."""
-        path = f"{root}/.store"
-        if not fs.exists(path):
+        record = _read_record(fs, f"{root}/.store")
+        if record is None:
             return ShardedBackend(fs, nodes=(DEFAULT_SHARD_NODE,),
                                   replication_factor=1,
                                   root=f"{root}/.shards")
-        record = thaw_object(fs.read_file(path))
         return backend_from_config(fs, record)
 
     def _persist_backend_config(self) -> None:
         path = f"{self.root}/.store"
-        if self.fs.exists(path):
-            return
-        blob = freeze_object(backend_config(self.backend))
-        self.fs.write_file(path, blob)
+        if not self.fs.exists(path):
+            _write_record(self.fs, path, backend_config(self.backend))
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -520,6 +585,12 @@ class ImageStore:
     def _manifest_path(self, pod_name: str, version: int) -> str:
         return f"{self.root}/{pod_name}/v{version:06d}.manifest"
 
+    def _manifests(self) -> Iterator[Dict[str, Any]]:
+        """Every manifest in the filesystem."""
+        for path in self.fs.listdir(f"{self.root}/"):
+            if path.endswith(".manifest"):
+                yield thaw_object(self.fs.read_file(path))
+
     def _ensure_attached(self) -> None:
         """Rebuild the version index and chunk refcounts from the FS.
 
@@ -531,10 +602,7 @@ class ImageStore:
         if self._attached:
             return
         self._attached = True
-        for path in self.fs.listdir(f"{self.root}/"):
-            if not path.endswith(".manifest"):
-                continue
-            manifest = thaw_object(self.fs.read_file(path))
+        for manifest in self._manifests():
             meta = manifest["meta"]
             pod_name, version = meta["pod_name"], meta["version"]
             self._latest[pod_name] = max(
@@ -546,14 +614,7 @@ class ImageStore:
     def versions(self, pod_name: str) -> List[int]:
         """Versions whose manifests actually exist in the filesystem."""
         self._ensure_attached()
-        found = []
-        prefix = f"{self.root}/{pod_name}/v"
-        for path in self.fs.listdir(prefix):
-            tail = path[len(prefix):]
-            if tail.endswith(".manifest") and \
-                    tail[:-len(".manifest")].isdigit():
-                found.append(int(tail[:-len(".manifest")]))
-        return sorted(found)
+        return _numbered(self.fs, f"{self.root}/{pod_name}/v", ".manifest")
 
     def latest_version(self, pod_name: str) -> int:
         self._ensure_attached()
@@ -568,10 +629,7 @@ class ImageStore:
 
     def _read_manifest(self, pod_name: str,
                        version: int) -> Optional[Dict[str, Any]]:
-        path = self._manifest_path(pod_name, version)
-        if not self.fs.exists(path):
-            return None
-        return thaw_object(self.fs.read_file(path))
+        return _read_record(self.fs, self._manifest_path(pod_name, version))
 
     def version_reconstructible(self, pod_name: str, version: int) -> bool:
         """Every chunk the version references has a live copy."""
@@ -789,73 +847,23 @@ class ImageStore:
             plan.serialize_bytes += serialized * PAGE_SIZE
             group_serialize += serialized * PAGE_SIZE
 
-        manifest_procs = []
+        processes = []
         for proc in image.processes:
-            blob = proc.program_blob
-            program_cid = add_blob(blob)
-            fd_entries = []
-            for fd_image in proc.fds:
-                if fd_image.kind in _CHUNKED_FD_KINDS:
-                    detail_blob = freeze_object(fd_image.detail)
-                    fd_entries.append({
-                        "fd": fd_image.fd, "kind": fd_image.kind,
-                        "mode": fd_image.mode,
-                        "detail_cid": add_blob(detail_blob),
-                        "detail_len": len(detail_blob)})
-                else:
-                    fd_entries.append({
-                        "fd": fd_image.fd, "kind": fd_image.kind,
-                        "mode": fd_image.mode, "detail": fd_image.detail})
+            processes.append(_encode(proc, add_blob))
             add_pages(proc.vpid, proc.memory)
             close_group()
-            manifest_procs.append({
-                "vpid": proc.vpid, "parent_vpid": proc.parent_vpid,
-                "name": proc.name,
-                "program_cid": program_cid,
-                "program_len": len(blob),
-                "memory": proc.memory,
-                "resume_syscall": proc.resume_syscall,
-                "fds": fd_entries,
-                "was_stopped_by_user": proc.was_stopped_by_user,
-                "initial_result": proc.initial_result,
-            })
-
-        manifest_pipes = []
-        for pipe in image.pipes:
-            manifest_pipes.append({
-                "index": pipe.index, "buffer_cid": add_blob(pipe.buffer),
-                "buffer_len": len(pipe.buffer),
-                "readers": pipe.readers, "writers": pipe.writers})
-        manifest_shm = []
-        for shm in image.shm:
-            manifest_shm.append({
-                "vid": shm.vid, "app_key": shm.app_key, "size": shm.size,
-                "payload_cid": add_blob(shm.payload_blob),
-                "payload_len": len(shm.payload_blob)})
+        pipes = [_encode(pipe, add_blob) for pipe in image.pipes]
+        shm = [_encode(segment, add_blob) for segment in image.shm]
         # (Every tail chunk is a blob, serialized whether written or not.)
         if group_serialize:
             close_group()
 
+        # ``save`` stamps the meta's version and byte counts.
         plan.manifest = {
             "format": MANIFEST_FORMAT,
-            "meta": {
-                "pod_name": image.pod_name, "taken_at": image.taken_at,
-                "ip": image.ip, "mac": image.mac,
-                "fake_mac": image.fake_mac,
-                "own_wire_mac": image.own_wire_mac,
-                "next_vpid": image.next_vpid,
-                "next_vipc": image.next_vipc,
-                "state_bytes": image.state_bytes,
-                "written_bytes": image.written_bytes,
-                "total_chunk_bytes": plan.total_bytes,
-                "sockets_captured": image.sockets_captured,
-                "version": 0,
-            },
-            "processes": manifest_procs,
-            "pipes": manifest_pipes,
-            "shm": manifest_shm,
-            "sem": [(s.vid, s.app_key, s.value) for s in image.sem],
-        }
+            "meta": {name: getattr(image, name) for name in _META_FIELDS},
+            "processes": processes, "pipes": pipes, "shm": shm,
+            "sem": [astuple(sem) for sem in image.sem]}
         return plan
 
     # -- save / load -------------------------------------------------------
@@ -899,12 +907,11 @@ class ImageStore:
             + plan.total_bytes - plan.write_bytes
         self._refcounts.update(plan.refs)
         manifest = plan.manifest
-        manifest["meta"]["version"] = version
-        manifest["meta"]["written_bytes"] = image.written_bytes
-        manifest["meta"]["total_chunk_bytes"] = plan.total_bytes
-        blob = freeze_object(manifest)
-        path = self._manifest_path(image.pod_name, version)
-        self.fs.write_file(path, blob)
+        manifest["meta"].update(
+            version=version, written_bytes=image.written_bytes,
+            total_chunk_bytes=plan.total_bytes)
+        _write_record(self.fs, self._manifest_path(image.pod_name, version),
+                      manifest)
         if self.sanitizer is not None:
             # From the manifest, not from plan.refs: the audit compares
             # what was just counted with what a drop will uncount.
@@ -915,20 +922,15 @@ class ImageStore:
         self._latest[image.pod_name] = version
         if self.metrics is not None:
             self.metrics.counter("store.saves").inc(label=mode)
-            written = stats["bytes_written"] - before["bytes_written"]
-            self.metrics.counter("store.chunks_written").inc(
-                stats["chunks_written"] - before["chunks_written"],
-                label=mode)
-            self.metrics.counter("store.bytes_written").inc(
-                written, label=mode)
-            self.metrics.counter("store.bytes_deduped").inc(
-                stats["bytes_deduped"] - before["bytes_deduped"],
-                label=mode)
-            self.metrics.counter("store.replica_bytes_written").inc(
-                stats["replica_bytes"] - before["replica_bytes"],
-                label=mode)
+            moved = {key: stats[key] - before[key] for key in before}
+            for counter, key in (("chunks_written", "chunks_written"),
+                                 ("bytes_written", "bytes_written"),
+                                 ("bytes_deduped", "bytes_deduped"),
+                                 ("replica_bytes_written", "replica_bytes")):
+                self.metrics.counter(f"store.{counter}").inc(
+                    moved[key], label=mode)
             self.metrics.histogram("store.save_write_bytes").observe(
-                written)
+                moved["bytes_written"])
         self._sanitize_audit("save")
         return version
 
@@ -937,78 +939,42 @@ class ImageStore:
         self._ensure_attached()
         if version is None:
             version = self.latest_version(pod_name)
-        path = self._manifest_path(pod_name, version)
-        if not self.fs.exists(path):
+        manifest = self._read_manifest(pod_name, version)
+        if manifest is None:
             raise CheckpointError(
                 f"no checkpoint v{version} for pod {pod_name!r}")
-        manifest = thaw_object(self.fs.read_file(path))
-        meta = manifest["meta"]
-        image = CheckpointImage(
-            pod_name=meta["pod_name"], taken_at=meta["taken_at"],
-            ip=meta["ip"], mac=meta["mac"], fake_mac=meta["fake_mac"],
-            own_wire_mac=meta["own_wire_mac"],
-            next_vpid=meta["next_vpid"], next_vipc=meta["next_vipc"],
-            state_bytes=meta["state_bytes"],
-            written_bytes=meta["written_bytes"],
-            total_chunk_bytes=meta["total_chunk_bytes"],
-            sockets_captured=meta["sockets_captured"],
-            version=meta["version"])
+        image = CheckpointImage(**manifest["meta"])
         # Chunk bytes by surviving holder set: the restore engine turns
         # this into a parallel-fetch fraction — chunks local to the
         # restoring node cost one local disk read, remote groups stream
         # concurrently from every live replica (a single holder makes
         # that one serial stream, fraction 1.0).
-        sources: Dict[Tuple[str, ...], int] = {}
+        sources: Counter = Counter()
+        get_chunk = self.backend.get_chunk
+
+        def read_pages(process: Dict[str, Any]) -> None:
+            # Every page chunk back from the store (the real read traffic
+            # of a restore); a chunk lost to GC or node failure raises.
+            pages = self.backend.read_chunks(self._page_ids(
+                image.pod_name, process["vpid"], process["memory"]))
+            for holders, payloads in pages.items():
+                sources[holders] += run_bytes(payloads)
+
         try:
-            for entry in manifest["processes"]:
-                fds = []
-                for fd_entry in entry["fds"]:
-                    if "detail_cid" in fd_entry:
-                        detail = thaw_object(
-                            self.backend.get_chunk(fd_entry["detail_cid"]))
-                    else:
-                        detail = fd_entry["detail"]
-                    fds.append(FdImage(fd=fd_entry["fd"],
-                                       kind=fd_entry["kind"],
-                                       mode=fd_entry["mode"],
-                                       detail=detail))
-                memory = entry["memory"]
-                # Pull every page chunk back from the store (the real
-                # read traffic of a restore) and verify none were lost
-                # to GC or node failure.
-                pages = self.backend.read_chunks(self._page_ids(
-                    meta["pod_name"], entry["vpid"], memory))
-                for holders, payloads in pages.items():
-                    sources[holders] = sources.get(holders, 0) \
-                        + run_bytes(payloads)
-                image.processes.append(ProcessImage(
-                    vpid=entry["vpid"], parent_vpid=entry["parent_vpid"],
-                    name=entry["name"],
-                    program_blob=self.backend.get_chunk(entry["program_cid"]),
-                    memory=memory,
-                    resume_syscall=entry["resume_syscall"], fds=fds,
-                    was_stopped_by_user=entry["was_stopped_by_user"],
-                    initial_result=entry["initial_result"]))
-            for entry in manifest["pipes"]:
-                image.pipes.append(PipeImage(
-                    index=entry["index"],
-                    buffer=self.backend.get_chunk(entry["buffer_cid"]),
-                    readers=entry["readers"], writers=entry["writers"]))
-            for entry in manifest["shm"]:
-                image.shm.append(ShmImage(
-                    vid=entry["vid"], app_key=entry["app_key"],
-                    size=entry["size"],
-                    payload_blob=self.backend.get_chunk(entry["payload_cid"])))
+            image.processes = [
+                _decode(ProcessImage, entry, get_chunk, read_pages)
+                for entry in manifest["processes"]]
+            image.pipes = [_decode(PipeImage, entry, get_chunk)
+                           for entry in manifest["pipes"]]
+            image.shm = [_decode(ShmImage, entry, get_chunk)
+                         for entry in manifest["shm"]]
         except ChunkMissingError as exc:
             raise VersionUnreconstructibleError(
                 pod_name, version, missing_cid=exc.cid,
                 queried_nodes=exc.queried_nodes) from exc
-        for vid, app_key, value in manifest["sem"]:
-            image.sem.append(SemImage(vid=vid, app_key=app_key,
-                                      value=value))
+        image.sem = [SemImage(*row) for row in manifest["sem"]]
         for cid, nbytes in self._manifest_blob_refs(manifest):
-            holders = self.backend.live_holders(cid)
-            sources[holders] = sources.get(holders, 0) + nbytes
+            sources[self.backend.live_holders(cid)] += nbytes
         image.chunk_sources = sorted(sources.items())
         return image
 
@@ -1018,16 +984,11 @@ class ImageStore:
     def _manifest_blob_refs(manifest: Dict[str, Any]
                             ) -> List[Tuple[str, int]]:
         """The (chunk id, size) of every blob a manifest references."""
-        refs = []
-        for entry in manifest["processes"]:
-            refs.append((entry["program_cid"], entry["program_len"]))
-            refs.extend((fd_entry["detail_cid"], fd_entry["detail_len"])
-                        for fd_entry in entry["fds"]
-                        if "detail_cid" in fd_entry)
-        refs.extend((entry["buffer_cid"], entry["buffer_len"])
-                    for entry in manifest["pipes"])
-        refs.extend((entry["payload_cid"], entry["payload_len"])
-                    for entry in manifest["shm"])
+        refs: List[Tuple[str, int]] = []
+        for cls, key in ((ProcessImage, "processes"), (PipeImage, "pipes"),
+                         (ShmImage, "shm")):
+            for entry in manifest[key]:
+                _blob_refs(cls, entry, refs)
         return refs
 
     def _manifest_chunk_refs(self, manifest: Dict[str, Any]) -> List[str]:
@@ -1062,10 +1023,7 @@ class ImageStore:
         if deep or not self._audit_valid:
             deep = True
             rebuilt: Counter = Counter()
-            for path in self.fs.listdir(f"{self.root}/"):
-                if not path.endswith(".manifest"):
-                    continue
-                manifest = thaw_object(self.fs.read_file(path))
+            for manifest in self._manifests():
                 rebuilt.update(self._manifest_chunk_refs(manifest))
                 blobs.update(cid for cid, _nbytes
                              in self._manifest_blob_refs(manifest))
@@ -1125,10 +1083,9 @@ class ImageStore:
 
     def _drop_version(self, pod_name: str, version: int) -> bool:
         """Decref a version's chunks and delete its manifest."""
-        path = self._manifest_path(pod_name, version)
-        if not self.fs.exists(path):
+        manifest = self._read_manifest(pod_name, version)
+        if manifest is None:
             return False
-        manifest = thaw_object(self.fs.read_file(path))
         for cid in self._manifest_chunk_refs(manifest):
             self._decref(cid)
             if self.sanitizer is not None:
@@ -1139,7 +1096,7 @@ class ImageStore:
                     self._audit_expected.pop(cid, None)
         if self.sanitizer is None:
             self._audit_valid = False
-        self.fs.unlink(path)
+        self.fs.unlink(self._manifest_path(pod_name, version))
         return True
 
     def _versions_dropped(self, pod_name: str, context: str) -> None:

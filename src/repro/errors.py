@@ -21,10 +21,6 @@ class TcpError(NetworkError):
     """TCP protocol violation or misuse of a connection object."""
 
 
-class ConnectionResetError_(TcpError):
-    """The peer reset the connection (RST received)."""
-
-
 class SyscallError(ReproError):
     """A simulated system call failed.
 

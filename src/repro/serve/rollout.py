@@ -164,9 +164,11 @@ def canary_restore(cluster, admin: AdminClient, app, backend: int,
     pod = app.pods[0]
     pod_name, node = pod.name, pod.node
     began = cluster.sim.now
+    # A backend never checkpointed has no version to roll back to.
+    before = cluster.store.versions(pod_name)
     report = RolloutReport(
         app_name=app.name, backend=backend, pod_name=pod_name,
-        from_version=cluster.store.latest_version(pod_name) or None)
+        from_version=before[-1] if before else None)
 
     # 1. Sentinel write through the proxy (fans to the whole fleet).
     report.probe_key = probe_key or f"canary.{pod_name}"

@@ -97,9 +97,6 @@ class AddressSpace:
             self.dirty_pages.add(page)
             self.page_versions[page] = version
 
-    def page_version(self, page: int) -> int:
-        return self.page_versions.get(page, 0)
-
     def dirty_bytes(self) -> int:
         return len(self.dirty_pages) * PAGE_SIZE
 

@@ -79,9 +79,6 @@ class InterfaceTable:
                 return interface
         return None
 
-    def for_pod(self, pod_id: int) -> List[Interface]:
-        return [i for i in self._interfaces.values() if i.pod_id == pod_id]
-
     def owned_ips(self) -> Dict[Ipv4Address, MacAddress]:
         """IP -> wire MAC of every addressed interface. Rebuilt only
         when ``version`` moved; callers must not mutate the result."""

@@ -42,10 +42,6 @@ class Program:
         """
         raise NotImplementedError
 
-    def memory_footprint(self) -> int:
-        """Extra bytes of state beyond the address-space regions."""
-        return 0
-
 
 class PhasedProgram(Program):
     """A program whose control flow is named phases.

@@ -151,7 +151,3 @@ class TransmissionControlBlock:
         snap.rto = MIN_RTO
         snap.backoff_count = 0
         return snap
-
-    def invariant_holds(self, receiver_rcv_nxt: int) -> bool:
-        """The paper's §5.1 invariant: unack_nxt <= rcv_nxt <= snd_nxt."""
-        return self.snd_una <= receiver_rcv_nxt <= self.snd_nxt

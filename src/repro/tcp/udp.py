@@ -33,9 +33,6 @@ class UdpStack:
     def unbind(self, port: int) -> None:
         self._bindings.pop(port, None)
 
-    def is_bound(self, port: int) -> bool:
-        return port in self._bindings
-
     def send(self, src_ip: Ipv4Address, src_port: int, dst_ip: Ipv4Address,
              dst_port: int, payload: object,
              payload_size: Optional[int] = None) -> None:

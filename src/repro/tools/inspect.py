@@ -1,8 +1,8 @@
 """Cluster introspection: ``ps``, ``netstat``, pod and round reports.
 
 These functions return plain data (lists of dicts) so tests can assert on
-them, plus a :func:`format_table` renderer for human output — the same
-split real operator tools use.
+them; the CLI renders them with :func:`repro.bench.harness.render_table`
+— the same split real operator tools use.
 """
 
 from __future__ import annotations
@@ -114,18 +114,3 @@ def round_report(rounds) -> List[Dict[str, Any]]:
         rows.append(row)
     return rows
 
-
-def format_table(rows: List[Dict[str, Any]]) -> str:
-    """Render dict-rows as an aligned text table."""
-    if not rows:
-        return "(empty)"
-    columns = list(rows[0].keys())
-    cells = [[str(row.get(col, "")) for col in columns] for row in rows]
-    widths = [max(len(col), *(len(line[i]) for line in cells))
-              for i, col in enumerate(columns)]
-    out = ["  ".join(col.ljust(w) for col, w in zip(columns, widths))]
-    out.append("  ".join("-" * w for w in widths))
-    for line in cells:
-        out.append("  ".join(cell.ljust(w)
-                             for cell, w in zip(line, widths)))
-    return "\n".join(out)

@@ -19,6 +19,7 @@ from repro.errors import CheckpointError
 from repro.simos.files import Pipe, RegularFile
 from repro.simos.sockets import TcpSocket, UdpSocket
 from repro.zap.image import (
+    SOCKET_FD_KINDS,
     CheckpointImage,
     FdImage,
     PipeImage,
@@ -214,7 +215,7 @@ class CheckpointEngine:
             state_bytes += shm_image.size
         for proc_image in image.processes:
             for fd_image in proc_image.fds:
-                if fd_image.kind in ("tcp_socket", "udp_socket"):
+                if fd_image.kind in SOCKET_FD_KINDS:
                     state_bytes += self.codec.image_bytes(
                         fd_image.detail if isinstance(fd_image.detail, dict)
                         else {})

@@ -3,6 +3,11 @@
 Images are plain-data object trees, pickled for storage in the shared
 filesystem. Every restore deep-copies out of the image, so one image can be
 restarted any number of times (and on any node) without mutation.
+
+These dataclasses are the stored format: the image store writes each
+record as its fields in declaration order (``repro.cruz.storage``), so
+a field added here is saved and loaded as it is, and reordering fields
+changes the bytes of every manifest.
 """
 
 from __future__ import annotations
@@ -78,15 +83,20 @@ class PipeImage:
     writers: int
 
 
+#: The kinds of descriptor an image can hold, and of those the sockets.
+FD_KINDS = ("file", "pipe", "tcp_socket", "udp_socket")
+SOCKET_FD_KINDS = ("tcp_socket", "udp_socket")
+
+
 @dataclass
 class FdImage:
     """One descriptor-table slot.
 
-    ``detail`` depends on ``kind``:
+    ``kind`` is one of :data:`FD_KINDS`, and ``detail`` depends on it:
 
     * ``file`` — ``{"path", "offset", "file_mode"}``
     * ``pipe`` — ``{"pipe_index"}``
-    * ``tcp_socket`` / ``udp_socket`` — codec-defined socket image
+    * a :data:`SOCKET_FD_KINDS` kind — codec-defined socket image
     """
 
     fd: int
@@ -151,9 +161,9 @@ class CheckpointImage:
     #: Logical bytes the image references in the chunk store (dedup'd
     #: chunks included); 0 when saved without a chunk store.
     total_chunk_bytes: int = 0
+    sockets_captured: int = 0
     #: Store version assigned when the image was committed (0 = unsaved).
     version: int = 0
-    sockets_captured: int = 0
     #: Populated by the image store on load: the manifest's chunk
     #: bytes grouped by surviving holder set, as
     #: ``[(holder_names, nbytes), ...]``. ``None`` for images that were

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from repro.zap.image import CheckpointImage, thaw_object
-
-KNOWN_FD_KINDS = {"file", "pipe", "tcp_socket", "udp_socket"}
+from repro.zap.image import FD_KINDS, CheckpointImage, thaw_object
 
 
 @dataclass
@@ -91,7 +89,7 @@ def _check_fds(image: CheckpointImage, report: VerificationReport):
     for proc in image.processes:
         seen = set()
         for fd_image in proc.fds:
-            if fd_image.kind not in KNOWN_FD_KINDS:
+            if fd_image.kind not in FD_KINDS:
                 report.fail(
                     f"vpid {proc.vpid} fd {fd_image.fd}: unknown kind "
                     f"{fd_image.kind!r}")

@@ -156,9 +156,6 @@ class ZapInterposer(SyscallInterposer):
             return self.pod.vif.identity_mac
         return result
 
-    def _tr_getsockname(self, proc, call, result):
-        return result  # pod addresses are already network-visible (§4.2)
-
 
 def install_pod(pod: Pod) -> ZapInterposer:
     """Attach the pod's VIF and register its interposer with the kernel."""

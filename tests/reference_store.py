@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cruz.backend import PutResult, ShardedBackend
 from repro.cruz.storage import (
-    _CHUNKED_FD_KINDS,
     MANIFEST_FORMAT,
     ImageStore,
     SavePlan,
@@ -37,6 +36,7 @@ from repro.errors import (
 )
 from repro.simos.memory import PAGE_SIZE
 from repro.zap.image import (
+    SOCKET_FD_KINDS,
     CheckpointImage,
     FdImage,
     PipeImage,
@@ -247,7 +247,7 @@ class ReferenceImageStore(ImageStore):
 
             fd_entries = []
             for fd_image in proc.fds:
-                if fd_image.kind in _CHUNKED_FD_KINDS:
+                if fd_image.kind in SOCKET_FD_KINDS:
                     detail_blob = freeze_object(fd_image.detail)
                     cid = blob_chunk_id(detail_blob)
                     wrote, ser = add(cid, len(detail_blob), detail_blob,

@@ -19,6 +19,13 @@ value other than its default by some call site in ``src/``, ``tests/``,
 the package is a forwarder: its parameters are not options, and a
 keyword it hands on through ``**kwargs`` is credited to its callee.
 
+Definitions: every ``def`` and ``class`` name under ``src/repro`` is
+an identifier somewhere besides its own definitions: in ``src/``,
+``tests/``, ``benchmarks/perf``, ``examples/`` or the README. A name
+spelled only in a comment or a docstring does not count. Dunders and the
+names a dispatcher builds from a prefix (``DISPATCH_PREFIXES``) are
+exempt.
+
 Dependencies: the third-party imports of ``src/``, ``tests/``,
 ``benchmarks/perf`` and ``examples/`` are exactly what ``pyproject.toml``
 declares, and every CI job that runs Python installs that set first.
@@ -27,7 +34,9 @@ declares, and every CI job that runs Python installs that set first.
 import ast
 import re
 import sys
+import tokenize
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -547,6 +556,85 @@ def test_the_option_rule_fails_on_each_planted_violation(
         path.write_text(text)
     assert option_violations(tmp_path / "pkg", [OPTION_ROOT, root],
                              allowlist) == expected
+
+
+# -- Definitions: every def and class is named somewhere else -------------
+
+#: The trees (and, beside them, the README) where a definition is named.
+NAMING_TREES = ("src", "tests", "benchmarks/perf", "examples")
+#: Prefixes of the names a dispatcher builds at run time
+#: (``getattr(self, f"_sys_{name}")`` and the like), which no caller spells.
+DISPATCH_PREFIXES = ("_sys_", "_rw_", "_tr_", "phase_", "visit_")
+
+
+def identifiers(path: Path):
+    """Every identifier in ``path``: a Python file's name tokens (no
+    comment, no string), any other file's words."""
+    if path.suffix != ".py":
+        return re.findall(r"[A-Za-z_]\w*", path.read_text())
+    with path.open("rb") as handle:
+        return [token.string for token in tokenize.tokenize(handle.readline)
+                if token.type == tokenize.NAME]
+
+
+def unnamed_definitions(root: Path, package: str):
+    """``path:line: name`` of every ``def``/``class`` under
+    ``src/<package>`` whose name occurs nowhere but at its definitions."""
+    defined, where = Counter(), {}
+    for path in sorted((root / "src" / package).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined[node.name] += 1
+                where.setdefault(node.name, f"{path.relative_to(root)}:"
+                                            f"{node.lineno}: {node.name}")
+    named = Counter(identifiers(root / "README.md"))
+    for tree in NAMING_TREES:
+        for path in sorted((root / tree).rglob("*.py")):
+            named.update(identifiers(path))
+    return [where[name] for name in sorted(defined, key=where.get)
+            if named[name] <= defined[name]
+            and not (name.startswith("__") and name.endswith("__"))
+            and not name.startswith(DISPATCH_PREFIXES)]
+
+
+def test_every_definition_is_named_elsewhere():
+    assert unnamed_definitions(REPO, "repro") == []
+
+
+NAMING_TREE = {
+    "README.md": "Call `pkg.core.documented()` to begin.\n",
+    "src/pkg/__init__.py": "",
+    "src/pkg/core.py": (
+        "class Engine:\n"
+        "    def __repr__(self):\n        return 'Engine'\n\n"
+        "    def _sys_read(self):\n        return 0\n\n"
+        "    def run(self):\n        return helper()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def documented():\n    return 2\n"),
+    "tests/test_core.py": "from pkg.core import Engine\n\nEngine().run()\n",
+}
+ORPHAN = {"src/pkg/extra.py": "def orphan():\n    pass\n"}
+
+
+@pytest.mark.parametrize("planted, expected", [
+    ({}, []),
+    (ORPHAN, ["src/pkg/extra.py:1: orphan"]),
+    ({**ORPHAN, "tests/test_extra.py": "# orphan() in a comment\n"
+                                       "'''orphan() in a string'''\n"},
+     ["src/pkg/extra.py:1: orphan"]),
+    ({**ORPHAN, "src/pkg/more.py": ORPHAN["src/pkg/extra.py"]},
+     ["src/pkg/extra.py:1: orphan"]),
+    ({**ORPHAN, "examples/use.py": "from pkg.extra import orphan\n"}, []),
+], ids=["clean", "unnamed", "named-only-in-a-comment-or-string",
+        "defined-twice-named-nowhere", "named-in-an-example"])
+def test_the_definition_rule_fails_on_each_planted_violation(
+        tmp_path, planted, expected):
+    for name, text in {**NAMING_TREE, **planted}.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert unnamed_definitions(tmp_path, "pkg") == expected
 
 
 # -- Dependencies: what the code imports is what every CI job installs -----

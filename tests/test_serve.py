@@ -110,6 +110,39 @@ def test_duplicate_rid_applied_once_across_failover():
         assert "dup-1" in server.applied
 
 
+def corrupter(probe_key):
+    """A ``corrupt=`` hook: the restored kv store reads ``probe_key``
+    back wrong."""
+    def corrupt(pod):
+        for proc in pod.processes():
+            store = getattr(proc.program, "store", None)
+            if isinstance(store, dict):
+                store[probe_key] = "corrupted"
+    return corrupt
+
+
+@pytest.mark.parametrize("diverges", [False, True],
+                         ids=["promotes", "cannot-roll-back"])
+def test_canary_of_a_never_checkpointed_backend(diverges):
+    """With no version before the canary's own, a canary that passes is
+    promoted from nothing, and one that diverges has nothing to roll
+    back to: a typed error saying so, not a missing-checkpoint one."""
+    cluster, apps, proxy_app, _proxy = _fleet(backends=2)
+    admin = AdminClient(cluster, str(proxy_app.pods[0].ip))
+    assert cluster.store.versions(apps[1].pods[0].name) == []
+    if not diverges:
+        report = canary_restore(cluster, admin, apps[1], 1)
+        assert report.promoted
+        assert report.from_version is None
+        assert report.to_version == 1
+        return
+    with pytest.raises(RolloutError) as err:
+        canary_restore(cluster, admin, apps[1], 1, probe_key="canary.test",
+                       corrupt=corrupter("canary.test"))
+    assert err.value.rolled_back is False
+    assert "no pre-canary version" in str(err.value)
+
+
 def test_canary_rollback_restores_pre_canary_state():
     """A canary whose restored state diverges at the read-back probe is
     rolled back to the bit-identical pre-canary image (then re-synced)."""
@@ -123,16 +156,9 @@ def test_canary_rollback_restores_pre_canary_state():
     pre_digest = _store_digest(cluster.app_programs(apps[1])[0].store)
 
     probe_key = "canary.test"
-
-    def corrupt(pod):
-        for proc in pod.processes():
-            store = getattr(proc.program, "store", None)
-            if isinstance(store, dict):
-                store[probe_key] = "corrupted"
-
     with pytest.raises(RolloutError) as err:
         canary_restore(cluster, admin, apps[1], 1, probe_key=probe_key,
-                       corrupt=corrupt)
+                       corrupt=corrupter(probe_key))
     assert err.value.stage == "read-back"
     assert err.value.rolled_back
     assert err.value.got == "corrupted"

@@ -11,6 +11,7 @@ import hashlib
 import random
 import sys
 from collections import Counter
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.cluster import Cluster
 from repro.cruz.backend import ShardedBackend
 from repro.cruz.cluster import CruzCluster
 from repro.cruz.storage import (
+    DEFAULT_SHARD_NODE,
     ImageStore,
     blob_chunk_id,
     iter_page_chunks,
@@ -38,11 +40,13 @@ from repro.net.addresses import Ipv4Address, MacAddress
 from repro.simos.costs import DEFAULT_COSTS
 from repro.simos.filesystem import SharedFileSystem, SyntheticExtent
 from repro.simos.memory import PAGE_SIZE, AddressSpace
+from repro.simos.syscalls import Syscall
 from repro.zap.image import (
     CheckpointImage,
     FdImage,
     PipeImage,
     ProcessImage,
+    SemImage,
     ShmImage,
 )
 from repro.zap.verify import verify_image
@@ -88,11 +92,18 @@ def build_image(pod_name, memories, taken_at):
             program_blob=f"program of {pod_name}".encode() * 9,
             memory=memories[pod_name, vpid].snapshot(),
             resume_syscall=None,
+            # One fd of every kind: a file's and a pipe's detail stay in
+            # the manifest, each socket's is a chunk of its own.
             fds=[FdImage(fd=0, kind="file", mode="r",
                          detail={"path": "/in", "offset": 0}),
+                 FdImage(fd=1, kind="pipe", mode="w",
+                         detail={"pipe_index": 0}),
                  FdImage(fd=3, kind="tcp_socket", mode="rw",
                          detail={"peer": f"{pod_name}/{vpid}",
-                                 "unacked": b"x" * (100 + vpid)})]))
+                                 "unacked": b"x" * (100 + vpid)}),
+                 FdImage(fd=4, kind="udp_socket", mode="rw",
+                         detail={"port": 5000 + vpid,
+                                 "queue": [b"datagram" * vpid]})]))
     image.pipes.append(PipeImage(index=0, buffer=b"in the pipe" * 7,
                                  readers=1, writers=1))
     image.shm.append(ShmImage(vid=1, app_key=7, size=64,
@@ -292,6 +303,64 @@ def test_audit_after_save_still_sees_a_refcount_skew():
         [("refcount_mismatch", page)]
 
 
+# -- the image codec -------------------------------------------------------
+
+
+def image_records(image):
+    """The image and every record in it, in manifest order."""
+    yield image
+    for proc in image.processes:
+        yield proc
+        yield from proc.fds
+    yield from image.pipes
+    yield from image.shm
+    yield from image.sem
+
+
+def test_a_saved_image_loads_back_field_by_field():
+    """Every field of every record, none at its default, comes back out
+    of ``load`` as it went into ``save``: a field the manifest codec drops
+    fails by name. A field added to a record fails the default check
+    until this image sets it, and then the round trip covers it."""
+    memories = {("alpha", 1): AddressSpace(), ("alpha", 2): AddressSpace()}
+    for memory in memories.values():
+        memory.allocate("grid", 3 * PAGE_SIZE)
+        memory.touch("grid", fraction=1.0)
+    image = build_image("alpha", memories, taken_at=2.5)
+    for proc in image.processes:
+        proc.resume_syscall = Syscall("recv", (3, 4096), {"flags": 0})
+        proc.was_stopped_by_user = True
+        proc.initial_result = ("child", 0)
+    image.sem.append(SemImage(vid=2, app_key=9, value=3))
+    image.own_wire_mac = True
+    image.state_bytes, image.written_bytes = 40960, 20480
+    image.sockets_captured = 4
+    store = ImageStore(SharedFileSystem())
+    plan = store.plan(image)
+    # What save and load stamp: the version, the bytes the image
+    # references, and which disks hold them.
+    image.version = 1
+    image.total_chunk_bytes = plan.total_bytes
+    image.chunk_sources = [((DEFAULT_SHARD_NODE,), plan.total_bytes)]
+    records = list(image_records(image))
+    for record in records:
+        for spec in fields(record):
+            default = spec.default_factory() \
+                if spec.default_factory is not MISSING else spec.default
+            assert getattr(record, spec.name) != default, \
+                f"{type(record).__name__}.{spec.name} is at its default"
+
+    assert store.save(image, plan=plan) == 1
+    loaded = list(image_records(store.load("alpha", 1)))
+    assert list(map(type, loaded)) == list(map(type, records))
+    # Innermost records first, so a dropped field fails by its own name
+    # rather than as a list of records that differs.
+    for record, back in reversed(list(zip(records, loaded))):
+        for spec in fields(record):
+            assert getattr(back, spec.name) == getattr(record, spec.name), \
+                f"{type(record).__name__}.{spec.name}"
+
+
 # -- the page-id memo ------------------------------------------------------
 
 
@@ -314,9 +383,9 @@ def test_untouched_full_save_hashes_only_the_blobs(monkeypatch):
     store.save(image, mode="full", writer="node1")
     loaded = store.load("alpha")
     monkeypatch.undo()
-    # Six blobs (two programs, two socket details, a pipe, a shm
+    # Eight blobs (two programs, four socket details, a pipe, a shm
     # segment) and not one of the 80 pages, in the save or the load.
-    assert len(hashed) == 6
+    assert len(hashed) == 8
     assert not any(data.startswith(b"page|") for data in hashed)
     assert sum(nbytes for _holders, nbytes in loaded.chunk_sources) == \
         80 * PAGE_SIZE + sum(len(data) for data in hashed)
@@ -359,9 +428,9 @@ def test_untouched_full_save_builds_and_bisects_nothing_per_page(
     written = store.stats["chunks_written"]
     store.save(image, mode="full", writer="node1")
     monkeypatch.undo()
-    # Every page rewritten, and only the six blobs bisected.
-    assert store.stats["chunks_written"] - written == 80 + 6
-    assert pages.isdisjoint(bisected) and len(bisected) == 6
+    # Every page rewritten, and only the eight blobs bisected.
+    assert store.stats["chunks_written"] - written == 80 + 8
+    assert pages.isdisjoint(bisected) and len(bisected) == 8
     assert built == []
 
     # An incremental save bisects and builds the one page it writes.

@@ -1,14 +1,9 @@
 """Operator tooling: ps/netstat/pod/round reports."""
 
 from repro.apps.kvserver import KvClient, KvServer
+from repro.bench.harness import render_table
 from repro.cruz.cluster import CruzCluster
-from repro.tools.inspect import (
-    format_table,
-    netstat,
-    pod_report,
-    ps,
-    round_report,
-)
+from repro.tools.inspect import netstat, pod_report, ps, round_report
 
 
 def serving_cluster():
@@ -56,10 +51,10 @@ def test_pod_report_follows_migration():
     del client
 
 
-def test_format_table_alignment_and_empty():
-    assert format_table([]) == "(empty)"
-    text = format_table([{"a": 1, "bb": "xx"}, {"a": 22, "bb": "y"}])
-    lines = text.splitlines()
+def test_render_table_alignment_and_empty():
+    assert render_table("t", ["a"], []).splitlines() == ["== t ==", "a", "-"]
+    text = render_table("t", ["a", "bb"], [[1, "xx"], [22, "y"]])
+    lines = text.splitlines()[1:]
     assert len(lines) == 4
     assert lines[0].startswith("a")
     assert all(len(line) <= len(lines[0]) + 4 for line in lines)
@@ -84,4 +79,5 @@ def test_round_report_breaks_latency_into_phases():
     # Columns are the union of phases; absent phases read as zero.
     assert rows[0]["zap.stop"] == 0.0
     assert rows[1]["coord.request"] == 0.0
-    assert "zap.stop" in format_table(rows)
+    assert "zap.stop" in render_table("rounds", list(rows[0]),
+                                      [row.values() for row in rows])
