@@ -144,7 +144,8 @@ def _retry_policy():
                                 max_backoff_s=0.08, max_retries=3)
 
 
-def _build_cluster(config: McConfig, oracle: ScheduleOracle):
+def _build_cluster(config: McConfig, oracle: ScheduleOracle,
+                   page_memo: Optional[Dict] = None):
     from repro.apps.slm import run_slm_rounds
     from repro.cruz.cluster import CruzCluster
 
@@ -152,7 +153,7 @@ def _build_cluster(config: McConfig, oracle: ScheduleOracle):
         config.nodes, sanitize=True, oracle=oracle,
         coordinator_timeout_s=config.round_timeout_s,
         control_retry=_retry_policy(),
-        mc_bugs=frozenset(config.bugs))
+        mc_bugs=frozenset(config.bugs), page_memo=page_memo)
     cluster.fault_injector.oracle = oracle
     if hasattr(oracle, "bind"):
         oracle.bind(cluster)
@@ -210,8 +211,14 @@ def _end_state_checks(cluster, config: McConfig) -> None:
 
 def run_once(config: McConfig, forced: Sequence[int] = (),
              sleep: Sequence[str] = (),
-             sleep_owner: Optional[str] = None) -> RunResult:
-    """One stateless run: force ``forced``, default beyond, check."""
+             sleep_owner: Optional[str] = None,
+             page_memo: Optional[Dict] = None) -> RunResult:
+    """One stateless run: force ``forced``, default beyond, check.
+
+    ``page_memo`` is the store's page-id memo (see
+    :class:`~repro.cruz.storage.ImageStore`), shared by the runs of one
+    exploration: every run derives the same pages, so only the first
+    pays for them."""
     oracle = ExplorerOracle(
         forced, branch_scope=config.branch_scope, por=config.por,
         fault_modes=config.fault_modes,
@@ -220,7 +227,7 @@ def run_once(config: McConfig, forced: Sequence[int] = (),
         dup_delay_s=config.dup_delay_s,
         partition_duration_s=config.partition_duration_s,
         sleep=sleep, sleep_owner=sleep_owner)
-    cluster, app = _build_cluster(config, oracle)
+    cluster, app = _build_cluster(config, oracle, page_memo)
     committed: List[bool] = []
     aborted: List[str] = []
     error: Optional[str] = None
@@ -365,6 +372,7 @@ def minimize(config: McConfig,
     codes = set(result.violation_codes)
     choices = _trim([c.chosen for c in result.choices])
     best = result
+    page_memo: Dict = {}
     budget = 64
     improved = True
     while improved and budget > 0:
@@ -375,7 +383,7 @@ def minimize(config: McConfig,
             trial = choices[:index] + [0] + choices[index + 1:]
             budget -= 1
             try:
-                candidate = run_once(config, trial)
+                candidate = run_once(config, trial, page_memo=page_memo)
             except ReplayDivergence:
                 continue
             if candidate.error is None and \
@@ -431,6 +439,7 @@ def explore(config: McConfig,
     report = McReport(config=config)
     frontier: List[_Item] = [_Item([])]
     hashes: Dict[str, int] = {}
+    page_memo: Dict = {}
     while frontier:
         if report.runs >= config.max_states:
             report.truncated_states = True
@@ -438,7 +447,7 @@ def explore(config: McConfig,
         item = frontier.pop()
         try:
             result = run_once(config, item.choices, item.sleep,
-                              item.sleep_owner)
+                              item.sleep_owner, page_memo)
         except ReplayDivergence as exc:
             report.replay_divergences += 1
             report.harness_errors.append(str(exc))

@@ -14,12 +14,14 @@ crashed, restarted or suspended mid-iteration.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.mpi.api import MpiProgram
 from repro.simos.syscalls import sys
+
+if TYPE_CHECKING:
+    # numpy is imported by the code that computes with it, as in slm.
+    import numpy as np
 
 #: The PageRank damping factor.
 DAMPING = 0.85
@@ -27,6 +29,8 @@ DAMPING = 0.85
 
 def build_link_matrix(n_vertices: int) -> np.ndarray:
     """A deterministic column-stochastic link matrix."""
+    import numpy as np
+
     matrix = np.zeros((n_vertices, n_vertices), dtype=np.float64)
     for src in range(n_vertices):
         targets = {(src * 7 + 1) % n_vertices,
@@ -47,6 +51,8 @@ def reference_pagerank(n_vertices: int, n_ranks: int,
     Reproduces the distributed floating-point order: per-rank row-block
     products padded to full length and summed in rank order.
     """
+    import numpy as np
+
     matrix = build_link_matrix(n_vertices)
     rows_per_rank = n_vertices // n_ranks
     x = np.full(n_vertices, 1.0 / n_vertices)
@@ -101,6 +107,8 @@ class PageRankRank(MpiProgram):
         return self.scatter(blocks, then="pr_got_block")
 
     def phase_pr_got_block(self, result):
+        import numpy as np
+
         self.block = result
         self.x = np.full(self.n_vertices, 1.0 / self.n_vertices)
         self.goto("pr_register_memory")
@@ -118,6 +126,8 @@ class PageRankRank(MpiProgram):
         return sys("compute", self.work_s_per_iter)
 
     def phase_pr_combine(self, result):
+        import numpy as np
+
         pad = np.zeros(self.n_vertices)
         pad[self.row0:self.row1] = self.block @ self.x
         return self.allreduce(pad, op="sum", then="pr_apply")

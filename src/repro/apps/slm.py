@@ -22,16 +22,22 @@ nodes → ~205 s on 8 in the paper).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.mpi.api import MpiProgram
 from repro.simos.syscalls import sys
 
+if TYPE_CHECKING:
+    # numpy is imported by the code that computes with it, so importing
+    # this module (a cluster, the serving plane) does not load it; a
+    # pickled rank's arrays import it themselves on load.
+    import numpy as np
+
 
 def initial_field(rows: int, cols: int) -> np.ndarray:
     """A deterministic, structured initial condition."""
+    import numpy as np
+
     y = np.arange(rows, dtype=np.float64)[:, None]
     x = np.arange(cols, dtype=np.float64)[None, :]
     return (np.sin(2 * np.pi * y / rows) * np.cos(2 * np.pi * x / cols)
@@ -40,6 +46,8 @@ def initial_field(rows: int, cols: int) -> np.ndarray:
 
 def reference_solution(rows: int, cols: int, steps: int) -> np.ndarray:
     """The exact field after ``steps`` of unit-velocity advection."""
+    import numpy as np
+
     return np.roll(np.roll(initial_field(rows, cols), steps, axis=0),
                    steps, axis=1)
 
@@ -107,6 +115,8 @@ class SlmRank(MpiProgram):
         return self._advance(result)
 
     def _advance(self, incoming_row: np.ndarray):
+        import numpy as np
+
         # Shift by one row (data flows downward) and one column (periodic).
         self.q[1:] = self.q[:-1]
         self.q[0] = incoming_row

@@ -183,6 +183,9 @@ class ShardedBackend:
         self.replication_factor = max(1, min(int(replication_factor),
                                              len(self.nodes)))
         self._up: Set[str] = set(self.nodes)
+        #: Every node tuple handed out (ring orders, holders, live
+        #: holders, placements), canonical object by value.
+        self._tuples: Dict[Tuple[str, ...], Tuple[str, ...]] = {(): ()}
         # The hash ring: RING_TOKENS virtual tokens per node, sorted by
         # token hash. Placement walks clockwise from the chunk id.
         ring: List[Tuple[str, str]] = []
@@ -192,8 +195,15 @@ class ShardedBackend:
                     f"{node}|{index}".encode()).hexdigest()
                 ring.append((token, node))
         ring.sort()
-        self._ring = ring
-        self._ring_keys = [token for token, _node in ring]
+        #: The ring's token hashes, ascending: what a chunk id bisects.
+        self.ring_keys = [token for token, _node in ring]
+        #: Arc -> the distinct nodes clockwise from it (``len(ring)``
+        #: wraps to the first token); equal orders are one tuple.
+        self._orders: List[Tuple[str, ...]] = []
+        owners = [node for _token, node in ring]
+        for arc in range(len(ring) + 1):
+            order = tuple(dict.fromkeys(owners[arc:] + owners[:arc]))
+            self._orders.append(self._tuples.setdefault(order, order))
         #: node -> its shard directory, as the filesystem names it.
         self._shards: Dict[str, str] = {
             node: f"{root}/{node}/" for node in self.nodes}
@@ -207,9 +217,6 @@ class ShardedBackend:
         # ``scan_node`` read the directories themselves so the deep
         # store audit checks ground truth rather than the index.
         self._arc_tables: Dict[Optional[str], List[Tuple[str, ...]]] = {}
-        #: Every node tuple handed out (holders, live holders,
-        #: placements), canonical object by value.
-        self._tuples: Dict[Tuple[str, ...], Tuple[str, ...]] = {(): ()}
         #: (holders, nodes written) -> the union, sorted and interned.
         self._unions: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]],
                            Tuple[str, ...]] = {}
@@ -217,7 +224,7 @@ class ShardedBackend:
         self._holder_index: Dict[str, Tuple[str, ...]] = {}
         self._live = _LiveHolders(self._up, self._tuples)
         for node in self.nodes:
-            for cid in self._copies(node):
+            for cid in self.copies(node):
                 self._holder_index[cid] = self._union(
                     self._holder_index.get(cid, ()), (node,))
 
@@ -248,45 +255,33 @@ class ShardedBackend:
     def arc(self, cid: str) -> int:
         """The ring arc ``cid`` bisects into: ``i`` when it sorts just
         below the ``i``-th token (``len(ring)`` past the last). The ring
-        is fixed for the backend's life, so an arc never goes stale."""
-        return bisect_left(self._ring_keys, cid)
+        is fixed for the backend's life, so an arc never goes stale, and
+        a backend over the same nodes has equal :attr:`ring_keys`."""
+        return bisect_left(self.ring_keys, cid)
 
     def arcs(self, cids: Iterable[str]) -> array:
         """:meth:`arc` of each of ``cids``, as an ``array`` of
         :data:`ARC_TYPECODE`."""
         return array(ARC_TYPECODE,
-                     map(bisect_left, repeat(self._ring_keys), cids))
-
-    def _successors(self, cid: str) -> Iterator[str]:
-        """Distinct node names clockwise from ``cid`` on the ring."""
-        return self._clockwise(bisect_left(self._ring_keys, cid))
-
-    def _clockwise(self, arc: int) -> Iterator[str]:
-        """Distinct node names clockwise from the ring's ``arc``-th
-        token (``len(ring)`` wraps to the first)."""
-        seen: Set[str] = set()
-        for offset in range(len(self._ring)):
-            _token, node = self._ring[(arc + offset) % len(self._ring)]
-            if node not in seen:
-                seen.add(node)
-                yield node
+                     map(bisect_left, repeat(self.ring_keys), cids))
 
     def _arc_table(self, writer: Optional[str]) -> List[Tuple[str, ...]]:
         """One writer's placement per ring arc. A chunk id bisects into
         one of ``len(ring) + 1`` arcs and its placement is a function
-        of that arc alone (and the up-set: availability changes drop
-        the tables)."""
+        of that arc's clockwise order alone (and the up-set:
+        availability changes drop the tables), so each distinct order
+        is placed once."""
         table = self._arc_tables.get(writer)
         if table is None:
-            up = self._up
-            first = (writer,) if writer in up else ()
-            table = self._arc_tables[writer] = []
-            for arc in range(len(self._ring) + 1):
-                others = (node for node in self._clockwise(arc)
-                          if node in up and node != writer)
-                found = first + tuple(islice(
-                    others, self.replication_factor - len(first)))
-                table.append(self._tuples.setdefault(found, found))
+            first = (writer,) if writer in self._up else ()
+            wanted = self.replication_factor - len(first)
+            others = self._up.difference(first).__contains__
+            placed: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+            for order in dict.fromkeys(self._orders):
+                found = first + tuple(islice(filter(others, order), wanted))
+                placed[order] = self._tuples.setdefault(found, found)
+            table = self._arc_tables[writer] = list(
+                map(placed.__getitem__, self._orders))
         return table
 
     def placement(self, cid: str,
@@ -297,7 +292,7 @@ class ShardedBackend:
         and the remaining RF-1 copies go to the chunk's ring successors
         (skipping the writer and any down node).
         """
-        return self._arc_table(writer)[bisect_left(self._ring_keys, cid)]
+        return self._arc_table(writer)[self.arc(cid)]
 
     def placements(self, weights: Mapping[int, int], writer: Optional[str]
                    ) -> Dict[Tuple[str, ...], int]:
@@ -318,7 +313,7 @@ class ShardedBackend:
     def repair_dest(self, cid: str) -> Optional[str]:
         """The next up non-holder in ring order, for re-replication."""
         holding = self.holders(cid)
-        for node in self._successors(cid):
+        for node in self._orders[self.arc(cid)]:
             if node in self._up and node not in holding:
                 return node
         return None
@@ -328,7 +323,7 @@ class ShardedBackend:
     def _path(self, node: str, cid: str) -> str:
         return self._shards[node] + cid
 
-    def _copies(self, node: str) -> Dict[str, Content]:
+    def copies(self, node: str) -> Dict[str, Content]:
         """What ``node``'s disk holds, ``cid -> stored value``: its
         shard directory itself, looked at in place."""
         return self.fs.directory(self._shards[node])
@@ -462,21 +457,16 @@ class ShardedBackend:
 
     def scan(self) -> List[str]:
         """Every chunk id with at least one copy, sorted."""
-        return sorted(set().union(*map(self._copies, self.nodes)))
+        return sorted(set().union(*map(self.copies, self.nodes)))
 
     def scan_node(self, node: str) -> List[str]:
-        return sorted(self._copies(node))
-
-    def stored_on(self, node: str) -> List[Tuple[str, Content]]:
-        """``(chunk id, what the disk holds)`` for every copy on
-        ``node``, sorted by id — looked at in place, not read."""
-        return sorted(self._copies(node).items())
+        return sorted(self.copies(node))
 
     def absent(self, cids: Iterable[str]) -> List[str]:
         """The chunks of ``cids`` that no shard, up or down, holds a
         copy of, sorted. Read from the directories, like
         :meth:`total_copies`."""
-        return sorted(set(cids).difference(*map(self._copies, self.nodes)))
+        return sorted(set(cids).difference(*map(self.copies, self.nodes)))
 
     # -- placement / availability ------------------------------------------
 
@@ -505,7 +495,7 @@ class ShardedBackend:
     def total_copies(self, cid: str) -> int:
         # Deliberately filesystem-backed: the deep store audit uses
         # this as ground truth against the in-memory holder index.
-        return sum(cid in self._copies(node) for node in self.nodes)
+        return sum(cid in self.copies(node) for node in self.nodes)
 
     def delete(self, cid: str) -> Tuple[int, int]:
         """Unlink reachable copies; down-node copies are reconciled on

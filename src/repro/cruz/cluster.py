@@ -57,6 +57,7 @@ class CruzCluster(Cluster):
                  evict_on_suspect: bool = False,
                  replication_factor: Optional[int] = None,
                  mc_bugs: FrozenSet[str] = frozenset(),
+                 page_memo: Optional[Dict] = None,
                  **kwargs):
         super().__init__(n_app_nodes + 1, **kwargs)
         self.n_app_nodes = n_app_nodes
@@ -70,13 +71,17 @@ class CruzCluster(Cluster):
         if replication_factor is None:
             replication_factor = min(2, n_app_nodes)
         self.replication_factor = replication_factor
+        # ``page_memo``: the page-id memo a caller building many
+        # clusters over the same pods (an exploration) shares among
+        # their stores (see :class:`ImageStore`).
         self.store = ImageStore(
             self.fs, metrics=self.trace.metrics,
             sanitizer=self.trace.sanitizer,
             backend=ShardedBackend(
                 self.fs,
                 nodes=[node.name for node in self.nodes[:n_app_nodes]],
-                replication_factor=replication_factor))
+                replication_factor=replication_factor),
+            page_memo=page_memo)
         self._rereplication_active = False
         self._rereplication_pending = False
         #: Every control datagram (agents and coordinator, ACKs included)

@@ -50,10 +50,20 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import astuple, dataclass, field, fields
-from itertools import repeat
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, compress, repeat
+from operator import is_, ne
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.cruz.backend import (
     ARC_TYPECODE,
@@ -186,6 +196,10 @@ def _numbered(fs: SharedFileSystem, prefix: str, suffix: str) -> List[int]:
     return sorted([int(stem) for stem in stems if stem.isdigit()])
 
 
+#: The type of a sha256 hash, whose methods a page-id run maps.
+_SHA256 = type(hashlib.sha256())
+
+
 def blob_chunk_id(blob: bytes) -> str:
     """Content address of an opaque byte blob."""
     return hashlib.sha256(blob).hexdigest()
@@ -232,30 +246,67 @@ def iter_page_chunks(pod_name: str, vpid: int,
                    page)
 
 
+def _page_id_run(pod_name: str, vpid: int, region: str,
+                 indexes: Sequence[int],
+                 versions: Sequence[int]) -> List[str]:
+    """:func:`page_chunk_id` of one region's pages at ``indexes`` (with
+    ``versions`` aligned): the identity prefix is hashed once and each
+    page's hash continues a copy of it, in C-level passes."""
+    prefix = hashlib.sha256(f"page|{pod_name}|{vpid}|{region}|".encode())
+    digests = list(map(_SHA256.copy, repeat(prefix, len(indexes))))
+    deque(map(_SHA256.update, digests,
+              map(b"%d|%d".__mod__, zip(indexes, versions))), maxlen=0)
+    return list(map(_SHA256.hexdigest, digests))
+
+
 class _RegionPages:
     """One region's pages as :meth:`ImageStore._page_regions` last saw
     them: the write versions and the page ids hashed from them, then —
     filled by the first ``full`` save that writes them (:meth:`fill`) —
-    each page's ring arc, how many pages fall into each arc, and the
-    extent stored for each page. A region whose versions move gets a
-    new entry, so none of it is ever stale."""
+    the extent stored for each page, and against the ring they were
+    bisected into (``ring``, its keys) each page's arc and how many
+    pages fall into each arc. A region whose versions move gets a new
+    entry, so none of it is ever stale."""
 
-    __slots__ = ("versions", "ids", "arcs", "arc_counts", "extents")
+    __slots__ = ("versions", "ids", "extents", "ring", "arcs",
+                 "arc_counts")
 
     def __init__(self, versions: List[int], ids: List[str]):
         self.versions = versions
         self.ids = ids
+        self.extents: Optional[List[SyntheticExtent]] = None
+        self.ring: Optional[List[str]] = None
         self.arcs: Optional[array] = None
         self.arc_counts: Optional[Counter] = None
-        self.extents: Optional[List[SyntheticExtent]] = None
 
     def fill(self, backend: ShardedBackend) -> None:
-        """Bisect and build the region's pages once (arcs are fixed for
-        the backend's life, whatever goes down or up)."""
+        """Build the region's extents once, and bisect its pages once
+        per ring: arcs are fixed for a ring's life, whatever goes down
+        or up, and a backend over the same nodes has an equal ring."""
         if self.extents is None:
+            self.extents = page_chunk_payloads(self.ids)
+        if self.ring != backend.ring_keys:
             self.arcs = backend.arcs(self.ids)
             self.arc_counts = Counter(self.arcs)
-            self.extents = page_chunk_payloads(self.ids)
+            self.ring = backend.ring_keys
+
+
+def _unsound_pages(copies: Dict[str, Any], cids: Iterable[str]) -> List[str]:
+    """The page chunks of ``cids`` whose copy in ``copies`` is not
+    :func:`page_chunk_payload` of its id: an extent's seed and length are
+    compared in mapped passes, and only a copy held as real bytes is
+    compared as content, one by one."""
+    cids = list(cids)
+    stored = list(map(copies.__getitem__, cids))
+    extent = list(map(is_, map(type, stored), repeat(SyntheticExtent)))
+    pages = list(compress(cids, extent))
+    unsound = list(compress(pages, map(
+        tuple.__ne__, compress(stored, extent),
+        zip(map(bytes.fromhex, pages), repeat(PAGE_SIZE)))))
+    if not all(extent):
+        unsound += [cid for cid, value, is_extent in zip(cids, stored, extent)
+                    if not is_extent and value != page_chunk_payload(cid)]
+    return unsound
 
 
 def _page_numbers(memory: AddressSpace) -> List[int]:
@@ -482,7 +533,9 @@ class ImageStore:
     """
 
     def __init__(self, fs: SharedFileSystem, metrics=None, sanitizer=None,
-                 backend: Optional[ShardedBackend] = None):
+                 backend: Optional[ShardedBackend] = None,
+                 page_memo: Optional[
+                     Dict[str, Dict[Tuple[int, str], _RegionPages]]] = None):
         self.fs = fs
         self.root = "/checkpoints"
         #: Where chunk copies physically live (placement, availability,
@@ -517,9 +570,11 @@ class ImageStore:
         #: of that region. It lives here and never on the AddressSpace,
         #: which is pickled into every manifest (so anything added to it
         #: moves manifest bytes, ring placement and every simulated
-        #: number after).
-        self._page_id_memo: Dict[
-            str, Dict[Tuple[int, str], _RegionPages]] = {}
+        #: number after). A caller that builds many stores over the same
+        #: pods (a model-checking exploration) passes them one
+        #: ``page_memo``: its entries are pure functions of the page
+        #: identities, and the arcs are keyed by ring.
+        self._page_id_memo = page_memo if page_memo is not None else {}
         #: Shadow refcounts for :meth:`audit`, derived from the manifests
         #: (not from the live ``_refcounts`` table) and maintained
         #: incrementally by :meth:`save` / :meth:`_drop_version` so the
@@ -586,10 +641,18 @@ class ImageStore:
         return f"{self.root}/{pod_name}/v{version:06d}.manifest"
 
     def _manifests(self) -> Iterator[Dict[str, Any]]:
-        """Every manifest in the filesystem."""
-        for path in self.fs.listdir(f"{self.root}/"):
-            if path.endswith(".manifest"):
-                yield thaw_object(self.fs.read_file(path))
+        """Every manifest in the filesystem, in path order. Only the
+        directories that can hold one are listed: not the chunk shards,
+        the round log or the liveness log."""
+        logs = tuple(f"{root}/" for root in (
+            self.backend.root, self.rounds.root, self.liveness.root))
+        paths = [directory + name
+                 for directory in self.fs.directories(f"{self.root}/")
+                 if not directory.startswith(logs)
+                 for name in self.fs.directory(directory)
+                 if name.endswith(".manifest")]
+        for path in sorted(paths):
+            yield thaw_object(self.fs.read_file(path))
 
     def _ensure_attached(self) -> None:
         """Rebuild the version index and chunk refcounts from the FS.
@@ -721,14 +784,17 @@ class ImageStore:
                 repeat(0)))
             cached = memo.get((vpid, name))
             if cached is None or cached.versions != versions:
-                old_versions, old_ids = (cached.versions, cached.ids) \
-                    if cached else ((), ())
-                kept = len(old_versions)
-                cached = memo[(vpid, name)] = _RegionPages(versions, [
-                    old_ids[index]
-                    if index < kept and old_versions[index] == version
-                    else page_chunk_id(pod_name, vpid, name, index, version)
-                    for index, version in enumerate(versions)])
+                # Only the pages whose version moved are hashed again.
+                old = cached.versions if cached else ()
+                ids = cached.ids[:len(versions)] if cached else []
+                ids += repeat(None, len(versions) - len(ids))
+                moved = list(compress(range(len(versions)), map(
+                    ne, versions, chain(old, repeat(None)))))
+                for index, cid in zip(moved, _page_id_run(
+                        pod_name, vpid, name, moved,
+                        list(map(versions.__getitem__, moved)))):
+                    ids[index] = cid
+                cached = memo[(vpid, name)] = _RegionPages(versions, ids)
             regions.append(cached)
         return regions
 
@@ -1058,23 +1124,19 @@ class ImageStore:
                 problems.append({"kind": "missing_chunk", "cid": cid,
                                  "expected": expected[cid]})
             for node in backend.up_nodes:
-                for cid, stored in backend.stored_on(node):
-                    if expected.get(cid, 0) == 0:
-                        problems.append({"kind": "orphan_chunk",
-                                         "cid": cid, "node": node})
-                        continue
-                    if cid in blobs:
-                        sound = blob_chunk_id(bytes(stored)) == cid
-                    elif type(stored) is SyntheticExtent:
-                        # page_chunk_payload(cid), field by field: no
-                        # call and nothing built per copy.
-                        sound = stored.length == PAGE_SIZE \
-                            and stored.seed == bytes.fromhex(cid)
-                    else:
-                        sound = stored == page_chunk_payload(cid)
-                    if not sound:
-                        problems.append({"kind": "corrupt_chunk",
-                                         "cid": cid, "node": node})
+                # In set passes over the shard; the problems, a copy at
+                # most one each, come out in chunk id order.
+                copies = backend.copies(node)
+                held = copies.keys() & expected.keys()
+                found = [(cid, "orphan_chunk")
+                         for cid in copies.keys() - expected.keys()]
+                found += [(cid, "corrupt_chunk") for cid in held & blobs
+                          if blob_chunk_id(bytes(copies[cid])) != cid]
+                found += [(cid, "corrupt_chunk")
+                          for cid in _unsound_pages(copies, held - blobs)]
+                found.sort()
+                problems.extend({"kind": kind, "cid": cid, "node": node}
+                                for cid, kind in found)
         return problems
 
     def _sanitize_audit(self, context: str) -> None:

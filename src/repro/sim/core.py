@@ -405,7 +405,10 @@ class Simulator:
     def _choose(self, first: Any) -> Any:
         """Oracle-mediated tie-break for the just-popped ``first``:
         collect the rest of its (time, priority) tie set, let the
-        oracle pick one member, reinsert the others.
+        oracle pick one member, reinsert the others. Called only when
+        the queue's head is due at ``first``'s time and has its
+        priority or is a tombstone: for any other head this would pop
+        nothing, or pop one entry and reinsert it.
 
         Entries tie iff they share ``first``'s exact time and priority;
         collection stops at the first entry with a different priority
@@ -439,7 +442,10 @@ class Simulator:
         """Process the single next event."""
         entry = self._queue.pop()
         if self._oracle is not None:
-            entry = self._choose(entry)
+            heap = self._queue._heap
+            if heap and heap[0][0] == entry[0] \
+                    and (heap[0][1] == entry[1] or heap[0][3] is None):
+                entry = self._choose(entry)
         when = entry[0]
         target = entry[3]
         if when < self.now:
@@ -522,7 +528,10 @@ class Simulator:
                     if predicate is not None:
                         cap = when
                     fired = True
-                    if oracle is not None:
+                    # The oracle is asked only when the head may tie
+                    # (or is a tombstone ``_choose`` would shed here).
+                    if oracle is not None and heap and heap[0][0] == when \
+                            and (heap[0][1] == entry[1] or heap[0][3] is None):
                         entry = self._choose(entry)
                         target = entry[3]
                     if when < self.now:

@@ -146,6 +146,12 @@ class SharedFileSystem:
             files = self._dirs[directory] = {}
         return files
 
+    def directories(self, prefix: str) -> List[str]:
+        """The directories whose name starts with ``prefix``, sorted —
+        emptied ones included, so a listing that needs only some of
+        them can look into those alone."""
+        return sorted(name for name in self._dirs if name.startswith(prefix))
+
     # Every path verb splits its path the same way, inline: these are
     # the simulated kernel's file syscalls, and a shared helper would be
     # a second Python call on each.

@@ -89,9 +89,9 @@ class Node:
         self.processes: Dict[int, ProcessControlBlock] = {}
         self._next_pid = 1
         self._tasks: Dict[int, SimProcess] = {}
-        self._handlers: Dict[str, Callable] = {
-            name[len("_sys_"):]: getattr(self, name)
-            for name in dir(self) if name.startswith("_sys_")}
+        #: syscall name -> handler, called ``handler(node, proc, call)``:
+        #: this node's copy of the class's table.
+        self._handlers: Dict[str, Callable] = dict(_HANDLERS)
         #: pod_id -> interposer; registered by the Zap layer.
         self.interposers: Dict[int, SyscallInterposer] = {}
 
@@ -262,7 +262,7 @@ class Node:
         if interposer is not None:
             cost += self.costs.pod_syscall_overhead
         yield cost
-        result = yield from handler(proc, call)
+        result = yield from handler(self, proc, call)
         if interposer is not None:
             result = interposer.translate_result(proc, call, result)
         return result
@@ -805,3 +805,10 @@ class Node:
 
     def __repr__(self) -> str:
         return f"<Node {self.name} procs={len(self.processes)}>"
+
+
+#: Every ``Node._sys_<name>`` method as the plain function, by ``name``:
+#: built once, copied by each node.
+_HANDLERS: Dict[str, Callable] = {
+    name[len("_sys_"):]: handler for name, handler in vars(Node).items()
+    if name.startswith("_sys_")}

@@ -15,8 +15,6 @@ and is not to be optimised.
 Install it with ``install_reference_poll(node)``.
 """
 
-import functools
-
 from repro.errors import SyscallError
 from repro.simos.files import Pipe
 from repro.simos.process import ProcessState
@@ -99,4 +97,4 @@ def reference_sys_poll(node, proc, call):
 
 
 def install_reference_poll(node):
-    node._handlers["poll"] = functools.partial(reference_sys_poll, node)
+    node._handlers["poll"] = reference_sys_poll

@@ -32,7 +32,9 @@ declares, and every CI job that runs Python installs that set first.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tokenize
 import tomllib
@@ -149,6 +151,19 @@ def test_core_packages_do_not_import_the_layers_above_them():
         for imported, _name in graph.imports(path.read_text(), module)
         if imported.startswith(UPPER)]
     assert not offenders, offenders
+
+
+def test_a_cluster_and_the_serving_plane_load_no_numpy():
+    """numpy is imported where a program computes with it (an slm or a
+    pagerank rank), so a process that only builds clusters or serves
+    requests never loads it."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.apps, repro.cluster, repro.serve.harness;"
+         " print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert done.stdout == "False\n"
 
 
 def reachability_violations(package_dir: Path, start, sources, allowlist):

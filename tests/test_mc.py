@@ -12,6 +12,7 @@ from dataclasses import asdict
 
 import pytest
 
+import repro.cruz.storage as storage
 from repro.analysis import mc
 from repro.analysis.determinism import (
     INTERVAL_S,
@@ -156,6 +157,15 @@ def test_replay_divergence_on_out_of_range_choice():
 # -- explorer -------------------------------------------------------------
 
 
+#: The 180-run drop/dup slice ``mc_explore`` times.
+DROP_DUP = mc.McConfig(fault_modes=("drop", "dup"),
+                       fault_kinds=("CHECKPOINT",))
+STALE_REPLAY = mc.McConfig(fault_modes=("dup",),
+                           fault_kinds=("CHECKPOINT",), fault_budget=1,
+                           dup_delay_s=1.0, settle_s=2.0,
+                           bugs=("stale-replay",))
+
+
 def test_schedule_exploration_exhausts_clean():
     report = mc.explore(mc.McConfig(max_states=500))
     assert report.exhausted
@@ -192,10 +202,7 @@ def test_partition_at_every_choice_point_stays_reconstructible():
 
 
 def test_mutation_produces_replayable_counterexample(tmp_path):
-    config = mc.McConfig(fault_modes=("dup",),
-                         fault_kinds=("CHECKPOINT",),
-                         fault_budget=1, dup_delay_s=1.0, settle_s=2.0,
-                         bugs=("stale-replay",))
+    config = STALE_REPLAY
     report = mc.explore(config)
     assert report.violations, "seeded mutation was not detected"
     codes = {v["code"] for v in report.violations}
@@ -217,15 +224,70 @@ def test_mutation_produces_replayable_counterexample(tmp_path):
 
 
 def test_minimized_trace_is_at_most_original_length():
-    config = mc.McConfig(fault_modes=("dup",),
-                         fault_kinds=("CHECKPOINT",),
-                         fault_budget=1, dup_delay_s=1.0, settle_s=2.0,
-                         bugs=("stale-replay",))
-    report = mc.explore(config)
+    report = mc.explore(STALE_REPLAY)
     forced = report.counterexample["forced"]
     # Greedy minimization: at most one non-default choice survives for
     # this single-fault bug.
     assert sum(1 for choice in forced if choice != 0) == 1
+
+
+# -- one page memo per exploration -----------------------------------------
+
+def give_each_run_its_own_memo(monkeypatch):
+    """Every run of an exploration (and of its minimisation) gets a
+    fresh page memo, as each run's store had before they shared one."""
+    real_run_once = mc.run_once
+
+    def run_once(config, forced=(), sleep=(), sleep_owner=None,
+                 page_memo=None):
+        return real_run_once(config, forced, sleep, sleep_owner, {})
+
+    monkeypatch.setattr(mc, "run_once", run_once)
+
+
+@pytest.mark.parametrize("config, runs", [(mc.McConfig(), 36),
+                                          (DROP_DUP, 180)],
+                         ids=["schedule", "drop-dup"])
+def test_a_shared_page_memo_changes_no_report(config, runs, monkeypatch):
+    shared = mc.explore(config, stop_on_violation=False).to_json()
+    give_each_run_its_own_memo(monkeypatch)
+    assert mc.explore(config, stop_on_violation=False).to_json() == shared
+    assert shared["runs"] == runs and shared["exhausted"]
+
+
+def test_stale_replay_counterexample_is_the_same_with_a_shared_memo(
+        monkeypatch):
+    shared = mc.explore(STALE_REPLAY)
+    assert shared.counterexample is not None
+    give_each_run_its_own_memo(monkeypatch)
+    assert mc.explore(STALE_REPLAY).to_json() == shared.to_json()
+    monkeypatch.undo()
+    assert mc.replay(shared.counterexample)["identical"]
+
+
+def test_runs_after_the_first_derive_no_page_id(monkeypatch):
+    """Every run of the schedule space checkpoints each region at the
+    same write versions, so the first run derives each page id once and
+    the other 35 reuse them all."""
+    runs, derived = [], []
+    real_run_once, real_page_id_run = mc.run_once, storage._page_id_run
+
+    def run_once(*args):
+        runs.append(args)
+        return real_run_once(*args)
+
+    def page_id_run(pod_name, vpid, region, indexes, versions):
+        derived.append((len(runs), pod_name, vpid, region, len(indexes)))
+        return real_page_id_run(pod_name, vpid, region, indexes, versions)
+
+    monkeypatch.setattr(mc, "run_once", run_once)
+    monkeypatch.setattr(storage, "_page_id_run", page_id_run)
+    report = mc.explore(mc.McConfig(), stop_on_violation=False)
+    assert report.runs == len(runs) == 36
+    first = [row for row in derived if row[0] == 1]
+    assert len({row[1:4] for row in first}) == len(first) >= 2
+    assert sum(row[4] for row in first) > 500
+    assert [row for row in derived if row[0] > 1] == []
 
 
 # -- determinism rebuild ---------------------------------------------------

@@ -55,6 +55,7 @@ from tests.programs import ComputeLoop
 from tests.reference_store import (
     ReferenceBackend,
     ReferenceImageStore,
+    reference_audit,
     reference_page_payload,
 )
 
@@ -303,6 +304,96 @@ def test_audit_after_save_still_sees_a_refcount_skew():
         [("refcount_mismatch", page)]
 
 
+def plant_every_fault(store, real_pages):
+    """Two saved pods, then one fault of each kind the deep audit knows
+    across two up shards (node0, node1) and a down one (node2): a copy
+    there is unavailable, not lost, so only the up shards report."""
+    memories = {key: AddressSpace() for key in
+                [(pod, vpid) for pod, vpids in PODS.items()
+                 for vpid in vpids]}
+    for memory in memories.values():
+        memory.allocate("grid", 12 * PAGE_SIZE)
+    for pod_name in sorted(PODS):
+        store.save(build_image(pod_name, memories, taken_at=0.0),
+                   mode="full", writer="node0")
+    fs, backend = store.fs, store.backend
+    unused = [cid for (pod, vpid), memory in sorted(memories.items())
+              for cid in store._page_ids(pod, vpid, memory)]
+
+    def take(node):
+        """A page not planted yet with a copy on ``node``."""
+        cid = next(cid for cid in unused if cid in backend.copies(node))
+        unused.remove(cid)
+        return cid
+
+    def plant(node, cid, content):
+        if real_pages and type(content) is SyntheticExtent:
+            content = bytes(content)
+        fs.write_file(backend._path(node, cid), content)
+
+    backend.mark_down("node2")
+    ghost = page_chunk_id("ghost", 1, "grid", 0, 0)
+    plant("node0", ghost, page_chunk_payload(ghost))
+    plant("node2", ghost, page_chunk_payload(ghost))
+    plant("node0", take("node0"), SyntheticExtent((b"rot" * 11, PAGE_SIZE)))
+    torn = take("node1")
+    plant("node1", torn, SyntheticExtent((bytes.fromhex(torn),
+                                          PAGE_SIZE - 100)))
+    # A page held as its real bytes is sound; other bytes are not.
+    sound = take("node0")
+    plant("node0", sound, bytes(page_chunk_payload(sound)))
+    plant("node1", take("node1"), b"\x00" * PAGE_SIZE)
+    plant("node2", take("node2"), b"rotten while off-line")
+    plant("node0", blob_chunk_id(b"program of alpha" * 9), b"not a program")
+    # Missing: no shard holds a copy. Held by the down shard only: not.
+    for cid, nodes in ((take("node0"), NODES),
+                       (take("node2"), ("node0", "node1", "node3"))):
+        for node in nodes:
+            if cid in backend.copies(node):
+                fs.unlink(backend._path(node, cid))
+    store._refcounts[take("node0")] += 1
+    store._refcounts[take("node0")] = 0
+    store._refcounts[page_chunk_id("ghost", 2, "grid", 0, 0)] = 2
+    store._refcounts[page_chunk_id("ghost", 3, "grid", 0, 0)] = -1
+
+
+@pytest.mark.parametrize("real_pages", [False, True],
+                         ids=["extents", "real-bytes"])
+def test_deep_audit_equals_the_per_copy_reference(real_pages):
+    real, reference = make_stores()
+    store = reference if real_pages else real
+    plant_every_fault(store, real_pages)
+    problems = store.audit(deep=True)
+    assert problems == reference_audit(store, deep=True)
+    kinds = Counter(problem["kind"] for problem in problems)
+    assert kinds == {"refcount_mismatch": 2, "dangling_refcount": 2,
+                     "nonpositive_refcount": 2, "missing_chunk": 1,
+                     "orphan_chunk": 1, "corrupt_chunk": 4}
+    assert {problem["node"] for problem in problems
+            if "node" in problem} == {"node0", "node1"}
+
+
+def test_deep_audit_lists_no_path_under_the_shards(monkeypatch):
+    store, _reference = make_stores()
+    plant_every_fault(store, real_pages=False)
+    shards = store.backend.root + "/"
+    listed, opened = [], []
+    real_listdir = SharedFileSystem.listdir
+    real_directory = SharedFileSystem.directory
+    monkeypatch.setattr(SharedFileSystem, "listdir", lambda fs, prefix="": (
+        listed.append(prefix) or real_listdir(fs, prefix)))
+    monkeypatch.setattr(SharedFileSystem, "directory", lambda fs, name: (
+        opened.append(name) or real_directory(fs, name)))
+    assert len(list(store._manifests())) == 2
+    assert not any(name.startswith(shards) for name in opened)
+    store.audit(deep=True)
+    monkeypatch.undo()
+    # No listing can take in a shard directory: each copy is looked at
+    # in place, in the sweep, never named by a path.
+    assert not any(shards.startswith(prefix) or prefix.startswith(shards)
+                   for prefix in listed)
+
+
 # -- the image codec -------------------------------------------------------
 
 
@@ -470,6 +561,29 @@ def test_memo_follows_a_restore_onto_another_node():
     attached = ImageStore(cluster.fs)
     assert attached.refcounts() == store.refcounts()
     assert attached.audit(deep=True) == []
+
+
+def test_a_shared_memo_bisects_again_only_against_another_ring():
+    """Stores that share one page memo reuse its ids and extents, and its
+    arcs only over an equal ring: a backend over other nodes bisects
+    again, and each store places every page where a fresh bisect
+    would."""
+    memo = {}
+    memories = {("beta", 1): AddressSpace()}
+    memories["beta", 1].allocate("grid", 40 * PAGE_SIZE)
+    image = build_image("beta", memories, taken_at=0.0)
+    for nodes in (NODES, NODES, NODES[:3], NODES):
+        fs = SharedFileSystem()
+        store = ImageStore(fs, backend=ShardedBackend(fs, nodes, 2),
+                           page_memo=memo)
+        plan = store.plan(image, writer=nodes[0])
+        assert list(plan.page_arcs) == list(
+            store.backend.arcs(plan.page_writes))
+        store.save(image, plan=plan)
+        assert store.audit(deep=True) == []
+    assert list(memo) == ["beta"]
+    (pages,) = memo["beta"].values()
+    assert pages.ring == store.backend.ring_keys
 
 
 # -- one put, one read -----------------------------------------------------
