@@ -157,5 +157,7 @@ class CruzSocketCodec(SocketCodec):
                 connection = restore_connection(
                     node, queued_detail,
                     name=f"{node.name}:requeued:{detail['bound'][1]}")
+                # Bytes received before the accept, unread as they were.
+                connection.receive_buffer.data += queued_detail["recv_data"]
                 sock.listener.accept_queue.append(connection)
         return sock

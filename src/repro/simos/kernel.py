@@ -35,6 +35,7 @@ from repro.simos.process import (
     ProcessControlBlock,
     ProcessState,
     SIGKILL,
+    SIGSTOP,
 )
 from repro.simos.program import Program
 from repro.simos.sockets import TcpSocket, UdpSocket
@@ -110,13 +111,11 @@ class Node:
         self._next_pid = max(self._next_pid, pid + 1)
 
     def spawn(self, program: Program, name: str = "", pod=None,
-              ppid: int = 0,
-              resume_syscall: Optional[Syscall] = None) -> ProcessControlBlock:
+              ppid: int = 0) -> ProcessControlBlock:
         """Create a process and start running it."""
         pid = self.allocate_pid()
         proc = ProcessControlBlock(self.sim, pid, program, name=name,
                                    ppid=ppid)
-        proc.resume_syscall = resume_syscall
         if pod is not None:
             proc.pod = pod
         self.processes[pid] = proc
@@ -172,9 +171,9 @@ class Node:
             proc.state = ProcessState.RUNNABLE
 
     def _loop(self, proc: ProcessControlBlock) -> Generator:
-        result: Any = proc.initial_result
-        call: Optional[Syscall] = proc.resume_syscall
-        proc.resume_syscall = None
+        """Run ``proc`` a syscall at a time. Its next step lives in its PCB
+        only (``current_syscall``, ``pending_result``): a result is stored
+        the moment its handler returns, so a capture at any yield has it."""
         exit_code = 0
         try:
             while True:
@@ -185,9 +184,10 @@ class Node:
                 if proc.killed:
                     exit_code = -9
                     break
+                call = proc.current_syscall
                 if call is None:
                     try:
-                        step = proc.program.step(result)
+                        step = proc.program.step(proc.pending_result)
                     except Exception as exc:  # noqa: BLE001 - app crash
                         # An application bug kills the process, not the
                         # node (the kernel survives a segfault).
@@ -197,18 +197,30 @@ class Node:
                             error=repr(exc))
                         exit_code = -11  # SIGSEGV-style
                         break
+                    proc.pending_result = None
                     if isinstance(step, Exit):
                         exit_code = step.code
                         break
-                    call = step
-                proc.current_syscall = call
+                    call = proc.current_syscall = step
                 proc.syscall_count += 1
+                interposer = self.interposer_for(proc)
                 try:
-                    result = yield from self._execute(proc, call)
+                    cost = self.costs.syscall_time
+                    if interposer is not None:
+                        call = interposer.rewrite(proc, call)
+                        cost += self.costs.pod_syscall_overhead
+                    handler = self._handlers.get(call.name)
+                    if handler is None:
+                        raise SyscallError("ENOSYS", call.name)
+                    yield cost
+                    result = yield from handler(self, proc, call)
+                    if interposer is not None:
+                        result = interposer.translate_result(
+                            proc, call, result)
                 except SyscallError as err:
                     result = err
+                proc.pending_result = result
                 proc.current_syscall = None
-                call = None
         except Interrupt:
             exit_code = -9
         except GeneratorExit:
@@ -249,23 +261,6 @@ class Node:
                 obj.close_side("w")
         elif isinstance(obj, (TcpSocket, UdpSocket)):
             obj.close()
-
-    def _execute(self, proc: ProcessControlBlock,
-                 call: Syscall) -> Generator:
-        interposer = self.interposer_for(proc)
-        if interposer is not None:
-            call = interposer.rewrite(proc, call)
-        handler = self._handlers.get(call.name)
-        if handler is None:
-            raise SyscallError("ENOSYS", call.name)
-        cost = self.costs.syscall_time
-        if interposer is not None:
-            cost += self.costs.pod_syscall_overhead
-        yield cost
-        result = yield from handler(self, proc, call)
-        if interposer is not None:
-            result = interposer.translate_result(proc, call, result)
-        return result
 
     def _blocking(self, proc: ProcessControlBlock, attempt: Callable,
                   waiters: List[Event], name: str) -> Generator:
@@ -356,12 +351,15 @@ class Node:
 
     # -- process control ---------------------------------------------------
 
-    def _sys_spawn(self, proc, call) -> Generator:
-        (program,) = call.args
-        name = call.kwargs.get("name", "")
-        child = self.spawn(program, name=name, pod=proc.pod,
-                           ppid=proc.pid)
-        for fd in call.kwargs.get("inherit_fds", ()):
+    def _child(self, proc: ProcessControlBlock, program: Program,
+               name: str, fds) -> ProcessControlBlock:
+        """A new process in ``proc``'s pod sharing its descriptors
+        ``fds``. A stop that reached ``proc`` while the call ran reaches
+        the child too, as a group stop reaches both sides of a fork."""
+        child = self.spawn(program, name=name, pod=proc.pod, ppid=proc.pid)
+        if proc.stopped:
+            child.signal(SIGSTOP)
+        for fd in fds:
             descriptor = proc.fds.get(fd)
             child.fds.install_at(
                 fd, Descriptor(descriptor.obj, descriptor.mode))
@@ -372,6 +370,12 @@ class Node:
                     descriptor.obj.writers += 1
         if proc.pod is not None:
             proc.pod.adopt(child)
+        return child
+
+    def _sys_spawn(self, proc, call) -> Generator:
+        (program,) = call.args
+        child = self._child(proc, program, call.kwargs.get("name", ""),
+                            call.kwargs.get("inherit_fds", ()))
         return child.pid
         yield  # pragma: no cover
 
@@ -384,21 +388,10 @@ class Node:
         and pipes are shared objects, as on Unix.
         """
         import copy
-        child_program = copy.deepcopy(proc.program)
-        child = self.spawn(child_program, name=proc.name, pod=proc.pod,
-                           ppid=proc.pid)
-        child.initial_result = ("child", 0)
+        child = self._child(proc, copy.deepcopy(proc.program), proc.name,
+                            proc.fds.fds())
+        child.pending_result = ("child", 0)
         child.memory = proc.memory.snapshot()
-        for fd, descriptor in proc.fds.items():
-            child.fds.install_at(
-                fd, Descriptor(descriptor.obj, descriptor.mode))
-            if isinstance(descriptor.obj, Pipe):
-                if "r" in descriptor.mode:
-                    descriptor.obj.readers += 1
-                if "w" in descriptor.mode:
-                    descriptor.obj.writers += 1
-        if proc.pod is not None:
-            proc.pod.adopt(child)
         return ("parent", child.pid)
         yield  # pragma: no cover
 
@@ -548,7 +541,6 @@ class Node:
         if sock.listener is None:
             raise SyscallError("EINVAL", "accept on non-listening socket")
         connection = yield sock.listener.accept()
-        yield from self._stop_gate(proc)
         child = TcpSocket(self.sim, self.stack)
         child.adopt(connection)
         newfd = proc.fds.install(Descriptor(child))

@@ -8,7 +8,7 @@ SIGTERM.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, TYPE_CHECKING
+from typing import Any, List, Optional, TYPE_CHECKING
 
 from repro.sim.core import Event, Simulator
 from repro.simos.files import FdTable
@@ -53,12 +53,10 @@ class ProcessControlBlock:
         #: Set when the program raised instead of exiting cleanly.
         self.crash_exception: Optional[BaseException] = None
         self.exit_event: Event = sim.event(f"exit(pid={pid})")
+        #: The call in flight or to issue again, as the program issued it.
         self.current_syscall: Optional[Syscall] = None
-        #: Set on restart: re-issue this call before stepping the program.
-        self.resume_syscall: Optional[Syscall] = None
-        #: Delivered as the first step's result (fork's child sees
-        #: ("child", 0) here).
-        self.initial_result = None
+        #: What the next ``step`` receives (a forked child: ("child", 0)).
+        self.pending_result: Any = None
         self._continue_waiters: List[Event] = []
 
         # Accounting.

@@ -181,7 +181,6 @@ class CheckpointEngine:
 
         for proc in procs:
             program_blob = freeze_object(proc.program)
-            resume_syscall = proc.current_syscall
             fd_images: List[FdImage] = []
             for fd, descriptor in proc.fds.items():
                 fd_images.append(self._capture_fd(
@@ -191,11 +190,10 @@ class CheckpointEngine:
             image.processes.append(ProcessImage(
                 vpid=pod.vpid_of(proc.pid), parent_vpid=parent_vpid,
                 name=proc.name, program_blob=program_blob,
-                memory=memory_snapshot, resume_syscall=resume_syscall,
+                memory=memory_snapshot, resume_syscall=proc.current_syscall,
                 fds=fd_images,
                 was_stopped_by_user=proc.pid in pre_stopped,
-                initial_result=proc.initial_result
-                if proc.syscall_count == 0 else None))
+                initial_result=proc.pending_result))
             state_bytes += (proc.memory.resident_bytes + len(program_blob)
                             + PROCESS_OVERHEAD_BYTES)
             if incremental:

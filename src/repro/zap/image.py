@@ -114,11 +114,12 @@ class ProcessImage:
     name: str
     program_blob: bytes
     memory: AddressSpace
+    #: The PCB's ``current_syscall``: the call to issue again on restart.
     resume_syscall: Optional[Syscall]
     fds: List[FdImage] = field(default_factory=list)
     was_stopped_by_user: bool = False
-    #: Pending first-step result (a just-forked child not yet run).
-    initial_result: Optional[tuple] = None
+    #: The PCB's ``pending_result``: any result the next step receives.
+    initial_result: Any = None
 
 
 @dataclass

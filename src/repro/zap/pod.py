@@ -98,10 +98,8 @@ class Pod:
         return vpid
 
     def spawn(self, program: Program, name: str = "",
-              vpid: Optional[int] = None,
-              resume_syscall=None) -> ProcessControlBlock:
-        proc = self.node.spawn(program, name=name, pod=self,
-                               resume_syscall=resume_syscall)
+              vpid: Optional[int] = None) -> ProcessControlBlock:
+        proc = self.node.spawn(program, name=name, pod=self)
         self.adopt(proc, vpid=vpid)
         return proc
 

@@ -83,9 +83,9 @@ class RestartEngine:
         for proc_image in image.processes:
             program = thaw_object(proc_image.program_blob)
             proc = pod.spawn(program, name=proc_image.name,
-                             vpid=proc_image.vpid,
-                             resume_syscall=proc_image.resume_syscall)
-            proc.initial_result = proc_image.initial_result
+                             vpid=proc_image.vpid)
+            proc.current_syscall = proc_image.resume_syscall
+            proc.pending_result = proc_image.initial_result
             # Keep the pod quiescent until the caller resumes it.
             proc.signal(SIGSTOP)
             proc.memory = proc_image.memory.snapshot()

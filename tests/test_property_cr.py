@@ -7,7 +7,6 @@ assert full application-level correctness every time.
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
-import pytest
 
 from repro.apps.ring import validate_ring
 from repro.apps.slm import reference_solution, slm_factory
@@ -46,10 +45,10 @@ def test_ring_exactly_once_for_any_checkpoint_timing(
     ring_checkpoint_crash_restart(checkpoint_at, crash_after, optimized)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: rank 0 sees token 1125 twice "
-                          "after this crash-restart (exactly-once broken)")
 def test_ring_exactly_once_when_crashed_right_after_the_checkpoint():
+    """Rank 2's send of token 1124 returns while its pod is stopping: the
+    image must hold that return value, or the restored rank sends the
+    record again and rank 0 sees token 1125 twice."""
     ring_checkpoint_crash_restart(checkpoint_at=0.5835878918049542,
                                   crash_after=0.0, optimized=False)
 
