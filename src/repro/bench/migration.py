@@ -1,15 +1,19 @@
 """``repro bench migration``: pre-copy vs stop-and-copy pause windows.
 
 Runs the fig5-sized slm workload (100 MB per rank) and migrates one pod
-mid-run under both modes, on otherwise identical fresh clusters:
+mid-run in both modes of the one migration path, on otherwise identical
+fresh clusters:
 
-* ``stop_and_copy`` — the legacy baseline: the pod is isolated behind
-  the netfilter drop rule for the whole migration, so the
-  client-visible pause is the full image write plus the full image
-  read (~1.7 s at fig5 scale);
+* ``stop_and_copy`` — the baseline: zero pre-copy rounds, so the
+  cutover takes a full save and the pod is isolated behind the
+  netfilter drop rule for the full image write plus the full image
+  read (~1.9 s at fig5 scale);
 * ``precopy`` — the live path: iterative incremental rounds stream the
   image (and the target prefetches it) while the pod keeps running;
   the pause covers only the final dirty delta plus the cold remainder.
+
+In both, ``total_bytes_moved`` is what the target reads: the rounds'
+prefetches plus the cold remainder of the final image.
 
 Both runs must finish the application bit-exact against the analytic
 reference — the migration is only "transparent" if the answer is the

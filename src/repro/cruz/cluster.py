@@ -24,11 +24,7 @@ from repro.cruz.agent import CheckpointAgent
 from repro.cruz.backend import ShardedBackend
 from repro.cruz.coordinator import CheckpointCoordinator, DistributedApp
 from repro.cruz.faults import ControlFaultInjector, FaultPlan
-from repro.cruz.migration import (
-    MigrationReport,
-    PrecopyMigrator,
-    stop_and_copy,
-)
+from repro.cruz.migration import MigrationReport, migrate
 from repro.cruz.protocol import RetryPolicy, RoundStats
 from repro.cruz.storage import ImageStore
 from repro.cruz.supervisor import (HEARTBEAT_INTERVAL_S,
@@ -484,12 +480,11 @@ class CruzCluster(Cluster):
                     live: bool = True) -> Pod:
         """Migrate one pod to another node; live (pre-copy) by default.
 
-        ``live=True`` runs the :class:`~repro.cruz.migration
-        .PrecopyMigrator` convergence loop: incremental chunk rounds
-        stream to the target while the pod keeps running, and the pod is
-        isolated + paused only for the final delta. ``live=False`` keeps
-        the old whole-migration-isolation stop-and-copy (the benchmark
-        baseline). The resulting :class:`MigrationReport` lands in
+        Runs :func:`~repro.cruz.migration.migrate`: incremental chunk
+        rounds stream to the target while the pod keeps running, and the
+        pod is isolated + paused only for the final delta. ``live=False``
+        runs no round, which is stop-and-copy (the benchmark baseline).
+        The resulting :class:`MigrationReport` lands in
         ``self.last_migration``.
 
         Failure semantics (both modes): a failed target restore after
@@ -500,14 +495,12 @@ class CruzCluster(Cluster):
         (two apps with same-named pods never interfere). Failures that
         leave the source as found (missing/crashed source agent, dead
         target, source death mid-pre-copy) raise ``MigrationError`` with
-        ``source_destroyed=False`` and rewrite nothing.
+        ``source_destroyed=False`` and rewrite nothing. A source node
+        that dies after the cutover's isolated capture does not stop
+        the move: that image is restored on the target.
         """
-        if live:
-            sequence = PrecopyMigrator(self).migrate(
-                pod, target_node_index)
-        else:
-            sequence = stop_and_copy(self, pod, target_node_index)
-        task = self.sim.process(sequence, name=f"migrate({pod.name})")
+        task = self.sim.process(migrate(self, pod, target_node_index, live),
+                                name=f"migrate({pod.name})")
         new_pod, report = self.run_until_complete(task, limit=1e6)
         self.last_migration = report
         return new_pod

@@ -1,12 +1,10 @@
-"""Live pod migration: iterative pre-copy and the stop-and-copy baseline.
+"""Pod migration: pre-copy rounds, then one isolated cutover.
 
-The paper's §4.2 migration story ("clients don't notice") was implemented
-as stop-and-copy: isolate the pod behind a netfilter drop rule for the
-*whole* migration — checkpoint, kill, restore on the target — so the
-client-visible pause equals the full image write plus the full image
-read. :class:`PrecopyMigrator` replaces that window with a convergence
-loop in the style of "A Generic Checkpoint-Restart Mechanism for Virtual
-Machines" (PAPERS.md):
+The paper's §4.2 moves a pod by isolating it behind a netfilter drop
+rule, checkpointing it, and restoring it on another node. :func:`migrate`
+is the one implementation of that move. It shortens the isolated window
+with a convergence loop in the style of "A Generic Checkpoint-Restart
+Mechanism for Virtual Machines" (PAPERS.md):
 
 1. **Pre-copy rounds** — while the pod keeps running, take incremental
    checkpoints through the content-addressed chunk store
@@ -18,31 +16,38 @@ Machines" (PAPERS.md):
    round's delta.
 2. **Convergence** — stop when the remaining dirty bytes fall to
    ``DIRTY_THRESHOLD_BYTES`` or ``MAX_ROUNDS`` is hit.
-3. **Cutover (stop-and-copy of the remainder)** — only now install the
-   netfilter drop rule and pause the pod: capture the final delta,
-   scrub + kill the source pod, restore on the target charging disk
-   reads only for the cold remainder (``warm_bytes``). Anything the old
-   kernel half ACKed before the final capture is in the image; nothing
-   is ACKed after it, so no acknowledged TCP data is ever lost — the
-   same guarantee as whole-migration isolation, at a fraction of the
-   pause.
+3. **Cutover** — only now install the netfilter drop rule and pause the
+   pod: capture the final image, kill the source pod, restore on the
+   target charging disk reads only for the cold remainder
+   (``warm_bytes``). Anything the old kernel half ACKed before the final
+   capture is in the image; nothing is ACKed after it, so no
+   acknowledged TCP data is ever lost.
+
+Stop-and-copy (``live=False``, the §4.2 baseline the benchmark compares
+against) is the same path with zero rounds: the cutover then takes a
+full save, every chunk is cold, and the pause is the whole image write
+plus the whole image read.
 
 Every round is recorded as a ``migrate.precopy.round`` span (with a
 ``migrate.prefetch`` child on the target node) under a detached
 ``migrate`` root, and the client-visible pause is observed into the
-``migrate.pause_window_s`` histogram for both modes. Intermediate round
-images are discarded (refcount GC) once the migration settles, so the
-store's version history looks exactly like a single-checkpoint
-migration.
+``migrate.pause_window_s`` histogram. Round images are discarded
+(refcount GC) once the migration settles, so the store's version
+history looks exactly like a single-checkpoint migration.
 
-Failure semantics match the old path where they can: after the source
-pod is destroyed, a failed target restore rolls back onto the source
-node (``MigrationError.rolled_back``). New with pre-copy: failures
-*before* cutover — a crashed/agent-less source, a dead target, or the
-source node dying mid-round — raise ``MigrationError`` with
-``source_destroyed=False`` and leave ``app.pods`` untouched; whatever
-killed the pod (if anything) owns the recovery, typically the
-supervisor's failover.
+Failure semantics. A round's image is taken while the pod keeps
+running, so a source that dies during a round, or a round image that
+surviving replicas cannot rebuild, aborts the move with
+``source_destroyed=False`` and ``app.pods`` untouched; whatever killed
+the pod owns the recovery, typically the supervisor's failover. The
+cutover's image is captured behind the drop rule: once it is committed
+and reconstructible it *is* the pod, and it is restored on the target
+whatever happens to the source node after the capture (one that
+surviving replicas cannot rebuild is discarded, and the pod resumes on
+the source). If that restore
+fails, the image is restored on the source node instead
+(``MigrationError.rolled_back``). An aborted move's error names the
+newest version the store still holds after its round images are gone.
 """
 
 from __future__ import annotations
@@ -92,13 +97,15 @@ class MigrationReport:
     mode: str                      # "precopy" | "stop_and_copy"
     started_at: float
     rounds: List[PrecopyRound] = field(default_factory=list)
-    #: True when pre-copy hit the dirty threshold (False: MAX_ROUNDS).
+    #: True when pre-copy hit the dirty threshold (False: MAX_ROUNDS,
+    #: or no rounds at all).
     converged: bool = False
     #: Client-visible pause: netfilter install -> resume on the target.
     pause_window_s: float = 0.0
     #: Bytes staged on the target before the pause began.
     warm_bytes: int = 0
-    #: Everything that crossed the wire: prefetches + final cold read.
+    #: Bytes the target reads: every round's prefetch plus the cold
+    #: remainder of the final image. The source's writes are not moves.
     total_bytes_moved: int = 0
     final_version: int = 0
     completed_at: float = 0.0
@@ -188,199 +195,201 @@ def _fixup_app(app, pod: Pod, failure: Optional[MigrationError],
         app.pods = [member for member in app.pods if member is not pod]
 
 
-class PrecopyMigrator:
-    """Drives live pre-copy migrations on one cluster.
+def _source_died(source_agent, pod: Pod) -> bool:
+    return (source_agent.crashed
+            or pod.name not in source_agent.pods
+            or not pod.live_processes())
 
-    ``migrate`` is a simulation coroutine (usable from any sim process —
-    the supervisor's suspect-eviction runs it inline); its value is
-    ``(restored_pod, MigrationReport)``.
+
+def _left_on_source(cluster, pod: Pod, report: MigrationReport,
+                    intermediates: List[Tuple[str, int]],
+                    cause: str) -> MigrationError:
+    """The error of a move aborted before the source pod was destroyed.
+
+    Discards this move's images first, so the error names the newest
+    version the store still holds (``None`` when it holds none)."""
+    for pod_name, version in intermediates:
+        cluster.store.discard(pod_name, version)
+    intermediates.clear()
+    held = cluster.store.versions(pod.name)
+    return MigrationError(
+        pod.name, held[-1] if held else None, report.target_node, cause,
+        source_destroyed=False)
+
+
+def migrate(cluster, pod: Pod, target_node_index: int,
+            live: bool) -> Generator:
+    """Simulation coroutine; value is ``(restored_pod, report)``.
+
+    ``live`` runs up to ``MAX_ROUNDS`` pre-copy rounds before the
+    cutover; without it the cutover comes first (stop-and-copy). Usable
+    from any sim process: the supervisor's suspect-eviction runs it
+    inline.
     """
+    sim = cluster.sim
+    spans = cluster.trace.spans
+    source_agent, target_agent = migration_preflight(
+        cluster, pod, target_node_index)
+    source_node, target_node = pod.node, target_agent.node
+    app = owning_app(cluster, pod)
+    report = MigrationReport(
+        pod_name=pod.name, source_node=source_node.name,
+        target_node=target_node.name,
+        mode="precopy" if live else "stop_and_copy", started_at=sim.now)
+    root = spans.begin("migrate", node=source_node.name, pod=pod.name,
+                       mode=report.mode, target=target_node.name,
+                       attach=False, orphan=True)
+    #: Round images superseded by the final one; discarded on the way
+    #: out (success or failure) so the version history matches a
+    #: single-checkpoint migration.
+    intermediates: List[Tuple[str, int]] = []
+    try:
+        report.converged = yield from _precopy_rounds(
+            cluster, pod, source_agent, target_node, report, root,
+            intermediates, MAX_ROUNDS if live else 0)
+        restored = yield from _cutover(
+            cluster, pod, source_agent, target_node, report, root,
+            intermediates)
+    except MigrationError as failure:
+        _fixup_app(app, pod, failure, None)
+        raise
+    else:
+        _fixup_app(app, pod, None, restored)
+        report.completed_at = sim.now
+        cluster.trace.metrics.counter("migrate.completed").inc(
+            label=report.mode)
+        return restored, report
+    finally:
+        for pod_name, version in intermediates:
+            cluster.store.discard(pod_name, version)
+        spans.end(root, rounds=report.precopy_rounds,
+                  pause_window_s=report.pause_window_s)
 
-    def __init__(self, cluster):
-        self.cluster = cluster
 
-    # -- helpers -----------------------------------------------------------
+def _precopy_rounds(cluster, pod: Pod, source_agent, target_node,
+                    report: MigrationReport, root,
+                    intermediates: List[Tuple[str, int]],
+                    rounds: int) -> Generator:
+    """Up to ``rounds`` incremental rounds with the pod running; value
+    is whether the dirty set fell under the threshold."""
+    sim = cluster.sim
+    spans = cluster.trace.spans
+    engine = source_agent.checkpoint_engine
+    for index in range(1, rounds + 1):
+        if _source_died(source_agent, pod):
+            raise _left_on_source(cluster, pod, report, intermediates,
+                                  "source node died mid-pre-copy")
+        round_started = sim.now
+        dirty_before = pod_dirty_bytes(pod)
+        round_span = spans.begin(
+            "migrate.precopy.round", node=pod.node.name,
+            pod=pod.name, parent=root, attach=False, round=index)
+        resumed = {"at": round_started}
+        image = yield from engine.checkpoint(
+            pod, resume=True, incremental=True, concurrent=True,
+            on_captured=lambda: resumed.__setitem__("at", sim.now))
+        intermediates.append((pod.name, image.version))
+        if _source_died(source_agent, pod):
+            # The node died under the engine: whatever it "committed"
+            # is a half image of a dead pod — discard it with the other
+            # intermediates and let failover own the recovery.
+            spans.end(round_span, aborted=True)
+            raise _left_on_source(cluster, pod, report, intermediates,
+                                  "source node died mid-pre-copy")
+        # The target can only stage what surviving replicas still
+        # hold: a shard lost between this round's commit and the
+        # prefetch makes the version unreconstructible, so abort with
+        # the pod still running on the source.
+        if not cluster.store.version_reconstructible(
+                pod.name, image.version):
+            spans.end(round_span, aborted=True)
+            raise _left_on_source(
+                cluster, pod, report, intermediates,
+                f"pre-copy round {index} (v{image.version}) is not "
+                "reconstructible from surviving replicas")
+        # The target stages this round's chunks while the pod runs:
+        # round 1 pulls everything the manifest references (older
+        # checkpoints' chunks included), later rounds only the delta.
+        prefetch_bytes = (image.total_chunk_bytes if index == 1
+                          else image.written_bytes)
+        with spans.span("migrate.prefetch", node=target_node.name,
+                        pod=pod.name, parent=round_span, attach=False,
+                        nbytes=prefetch_bytes):
+            yield sim.timeout(
+                prefetch_bytes / target_node.costs.disk_read_bandwidth)
+        report.total_bytes_moved += prefetch_bytes
+        stop_s = resumed["at"] - round_started
+        report.rounds.append(PrecopyRound(
+            index=index, version=image.version,
+            dirty_bytes_before=dirty_before,
+            written_bytes=image.written_bytes,
+            total_chunk_bytes=image.total_chunk_bytes,
+            prefetch_bytes=prefetch_bytes,
+            stop_s=stop_s, round_s=sim.now - round_started))
+        spans.end(round_span, dirty_before=dirty_before,
+                  written=image.written_bytes, stop_s=stop_s)
+        if pod_dirty_bytes(pod) <= DIRTY_THRESHOLD_BYTES:
+            return True
+    return False
 
-    def _source_died(self, source_agent, pod: Pod) -> bool:
-        return (source_agent.crashed
-                or pod.name not in source_agent.pods
-                or not pod.live_processes())
 
-    def _abort_source_lost(self, pod: Pod,
-                           report: MigrationReport) -> MigrationError:
-        return MigrationError(
-            pod.name, report.rounds[-1].version if report.rounds else None,
-            report.target_node, "source node died mid-pre-copy",
-            source_destroyed=False)
-
-    # -- the migration -----------------------------------------------------
-
-    def migrate(self, pod: Pod,
-                target_node_index: int) -> Generator:
-        """Simulation coroutine; value is ``(restored_pod, report)``."""
-        cluster = self.cluster
-        sim = cluster.sim
-        spans = cluster.trace.spans
-        metrics = cluster.trace.metrics
-        source_agent, target_agent = migration_preflight(
-            cluster, pod, target_node_index)
-        engine = source_agent.checkpoint_engine
-        source_node, target_node = pod.node, target_agent.node
-        app = owning_app(cluster, pod)
-        report = MigrationReport(
-            pod_name=pod.name, source_node=source_node.name,
-            target_node=target_node.name, mode="precopy",
-            started_at=sim.now)
-        root = spans.begin("migrate", node=source_node.name, pod=pod.name,
-                           mode="precopy", target=target_node.name,
-                           attach=False, orphan=True)
-        #: Round images superseded by the final one; discarded on the
-        #: way out (success or failure) so the version history matches a
-        #: single-checkpoint migration.
-        intermediates: List[Tuple[str, int]] = []
-        try:
-            try:
-                converged = yield from self._precopy_rounds(
-                    pod, engine, source_agent, target_node, report, root,
-                    intermediates)
-                report.converged = converged
-                restored = yield from self._cutover(
-                    pod, engine, source_agent, target_agent, report, root)
-            except MigrationError as failure:
-                _fixup_app(app, pod, failure, None)
-                raise
-            _fixup_app(app, pod, None, restored)
-            report.completed_at = sim.now
-            metrics.counter("migrate.completed").inc(label=report.mode)
-            return restored, report
-        finally:
-            for pod_name, version in intermediates:
-                cluster.store.discard(pod_name, version)
-            spans.end(root, rounds=report.precopy_rounds,
-                      pause_window_s=report.pause_window_s)
-
-    # -- phase 1: iterative pre-copy --------------------------------------
-
-    def _precopy_rounds(self, pod: Pod, engine, source_agent,
-                        target_node, report: MigrationReport, root,
-                        intermediates: List[Tuple[str, int]]) -> Generator:
-        cluster = self.cluster
-        sim = cluster.sim
-        spans = cluster.trace.spans
-        for index in range(1, MAX_ROUNDS + 1):
-            if self._source_died(source_agent, pod):
-                raise self._abort_source_lost(pod, report)
-            round_started = sim.now
-            dirty_before = pod_dirty_bytes(pod)
-            round_span = spans.begin(
-                "migrate.precopy.round", node=pod.node.name,
-                pod=pod.name, parent=root, attach=False, round=index)
-            resumed = {"at": round_started}
-            image = yield from engine.checkpoint(
-                pod, resume=True, incremental=True, concurrent=True,
-                on_captured=lambda: resumed.__setitem__("at", sim.now))
-            if self._source_died(source_agent, pod):
-                # The node died under the engine: whatever it "committed"
-                # is a half image of a dead pod — discard it with the
-                # other intermediates and let failover own the recovery.
-                intermediates.append((pod.name, image.version))
-                spans.end(round_span, aborted=True)
-                raise self._abort_source_lost(pod, report)
-            intermediates.append((pod.name, image.version))
-            # The target can only stage what surviving replicas still
-            # hold: a shard lost between this round's commit and the
-            # prefetch makes the version unreconstructible, so abort
-            # with the pod still running on the source.
-            if not cluster.store.version_reconstructible(
-                    pod.name, image.version):
-                spans.end(round_span, aborted=True)
-                raise MigrationError(
-                    pod.name, image.version, report.target_node,
-                    f"pre-copy round {index} (v{image.version}) is not "
-                    "reconstructible from surviving replicas",
-                    source_destroyed=False)
-            # The target stages this round's chunks while the pod runs:
-            # round 1 pulls everything the manifest references (older
-            # checkpoints' chunks included), later rounds only the delta.
-            prefetch_bytes = (image.total_chunk_bytes if index == 1
-                              else image.written_bytes)
-            with spans.span("migrate.prefetch", node=target_node.name,
-                            pod=pod.name, parent=round_span, attach=False,
-                            nbytes=prefetch_bytes):
-                yield sim.timeout(
-                    prefetch_bytes / target_node.costs.disk_read_bandwidth)
-            report.total_bytes_moved += prefetch_bytes
-            stop_s = resumed["at"] - round_started
-            report.rounds.append(PrecopyRound(
-                index=index, version=image.version,
-                dirty_bytes_before=dirty_before,
-                written_bytes=image.written_bytes,
-                total_chunk_bytes=image.total_chunk_bytes,
-                prefetch_bytes=prefetch_bytes,
-                stop_s=stop_s, round_s=sim.now - round_started))
-            spans.end(round_span, dirty_before=dirty_before,
-                      written=image.written_bytes, stop_s=stop_s)
-            if pod_dirty_bytes(pod) <= DIRTY_THRESHOLD_BYTES:
-                return True
-        return False
-
-    # -- phase 2: cutover ---------------------------------------------------
-
-    def _cutover(self, pod: Pod, engine, source_agent, target_agent,
-                 report: MigrationReport, root) -> Generator:
-        cluster = self.cluster
-        sim = cluster.sim
-        spans = cluster.trace.spans
-        source_node, target_node = pod.node, target_agent.node
-        if self._source_died(source_agent, pod):
-            raise self._abort_source_lost(pod, report)
-        cutover_span = spans.begin("migrate.cutover",
-                                   node=source_node.name, pod=pod.name,
-                                   parent=root, attach=False)
-        pause_started = sim.now
-        # Isolation starts only now: everything the old kernel half
-        # ACKed before the final capture lands in the image; nothing is
-        # ACKed after it.
-        rule_id = source_node.stack.netfilter.drop_all_for(pod.ip)
-        yield sim.timeout(source_node.costs.netfilter_update)
-        try:
-            final = yield from engine.checkpoint(pod, resume=False,
-                                                 incremental=True)
-            if self._source_died(source_agent, pod):
-                cluster.store.discard(pod.name, final.version)
-                raise self._abort_source_lost(pod, report)
-            # Point of no return is next: only destroy the source if
-            # the committed final delta can actually be read back from
-            # surviving replicas.
-            if not cluster.store.version_reconstructible(
-                    pod.name, final.version):
-                cluster.store.discard(pod.name, final.version)
-                pod.continue_all()  # final capture left it stopped
-                raise MigrationError(
-                    pod.name, final.version, report.target_node,
-                    f"final delta v{final.version} is not reconstructible "
-                    "from surviving replicas; pod left on source",
-                    source_destroyed=False)
-            cluster.destroy_pod(pod)
-        finally:
-            source_node.stack.netfilter.remove_rule(rule_id)
-        # Every chunk except this final delta is already staged on the
-        # target; the restore reads only the cold remainder.
-        warm_bytes = max(0, final.total_chunk_bytes - final.written_bytes)
-        report.warm_bytes = warm_bytes
-        report.total_bytes_moved += final.state_bytes - warm_bytes
-        report.final_version = final.version
-        restored = yield from _restore_or_roll_back(
-            cluster, pod, final, source_node, target_node, warm_bytes)
-        report.pause_window_s = sim.now - pause_started
-        spans.end(cutover_span, pause_window_s=report.pause_window_s)
-        cluster.trace.metrics.histogram("migrate.pause_window_s").observe(
-            report.pause_window_s)
-        return restored
+def _cutover(cluster, pod: Pod, source_agent, target_node,
+             report: MigrationReport, root,
+             intermediates: List[Tuple[str, int]]) -> Generator:
+    """Isolate, capture the final image, and restore it on the target;
+    value is the restored pod."""
+    sim = cluster.sim
+    spans = cluster.trace.spans
+    source_node = pod.node
+    if _source_died(source_agent, pod):
+        raise _left_on_source(cluster, pod, report, intermediates,
+                              "source node died mid-pre-copy")
+    cutover_span = spans.begin("migrate.cutover",
+                               node=source_node.name, pod=pod.name,
+                               parent=root, attach=False)
+    pause_started = sim.now
+    # Isolation starts only now: everything the old kernel half ACKed
+    # before the final capture lands in the image; nothing is ACKed
+    # after it.
+    rule_id = source_node.stack.netfilter.drop_all_for(pod.ip)
+    yield sim.timeout(source_node.costs.netfilter_update)
+    try:
+        # After a round only the delta is new; with no round the save
+        # is full and writes every chunk, so none of it is warm.
+        final = yield from source_agent.checkpoint_engine.checkpoint(
+            pod, resume=False, incremental=bool(report.rounds))
+        # Captured behind the drop rule, so the image is the pod: once
+        # surviving replicas can rebuild it, it is restored whatever
+        # happens to the source node after the capture. Destroy the
+        # source only past that check.
+        if not cluster.store.version_reconstructible(
+                pod.name, final.version):
+            intermediates.append((pod.name, final.version))
+            pod.continue_all()  # final capture left it stopped
+            raise _left_on_source(
+                cluster, pod, report, intermediates,
+                f"final image v{final.version} is not reconstructible "
+                "from surviving replicas; pod left on source")
+        cluster.destroy_pod(pod)
+    finally:
+        source_node.stack.netfilter.remove_rule(rule_id)
+    # Every chunk the final save did not write is already staged on
+    # the target; the restore reads only the cold remainder.
+    warm_bytes = final.total_chunk_bytes - final.written_bytes
+    report.warm_bytes = warm_bytes
+    report.total_bytes_moved += final.state_bytes - warm_bytes
+    report.final_version = final.version
+    restored = yield from _restore_or_roll_back(
+        cluster, pod, final, source_node, target_node, warm_bytes)
+    report.pause_window_s = sim.now - pause_started
+    spans.end(cutover_span, pause_window_s=report.pause_window_s)
+    cluster.trace.metrics.histogram("migrate.pause_window_s").observe(
+        report.pause_window_s)
+    return restored
 
 
 def _restore_or_roll_back(cluster, pod: Pod, image, source_node,
-                          target_node, warm_bytes: int = 0) -> Generator:
+                          target_node, warm_bytes: int) -> Generator:
     """Restore the committed image on the target; value is the pod.
 
     The source pod is already destroyed, so the image is the only copy:
@@ -403,55 +412,3 @@ def _restore_or_roll_back(cluster, pod: Pod, image, source_node,
             rolled_back=True)
         failure.pod = fallback
         raise failure from error
-
-
-def stop_and_copy(cluster, pod: Pod,
-                  target_node_index: int) -> Generator:
-    """The whole-migration-isolation baseline (the pre-tentpole path).
-
-    Kept callable (``migrate_pod(..., live=False)``) as the benchmark
-    baseline: the pod is isolated and down for the full image write plus
-    the full image read. Shares the preflight checks, app-membership
-    fixup, rollback semantics and pause-window instrumentation with the
-    pre-copy path.
-    """
-    sim = cluster.sim
-    spans = cluster.trace.spans
-    source_agent, target_agent = migration_preflight(
-        cluster, pod, target_node_index)
-    engine = source_agent.checkpoint_engine
-    source_node, target_node = pod.node, target_agent.node
-    app = owning_app(cluster, pod)
-    report = MigrationReport(
-        pod_name=pod.name, source_node=source_node.name,
-        target_node=target_node.name, mode="stop_and_copy",
-        started_at=sim.now)
-    root = spans.begin("migrate", node=source_node.name, pod=pod.name,
-                       mode="stop_and_copy", target=target_node.name,
-                       attach=False, orphan=True)
-    pause_started = sim.now
-    rule_id = source_node.stack.netfilter.drop_all_for(pod.ip)
-    yield sim.timeout(source_node.costs.netfilter_update)
-    try:
-        try:
-            image = yield from engine.checkpoint(pod, resume=False)
-            cluster.destroy_pod(pod)
-        finally:
-            source_node.stack.netfilter.remove_rule(rule_id)
-        report.total_bytes_moved = image.written_bytes + image.state_bytes
-        report.final_version = image.version
-        restored = yield from _restore_or_roll_back(
-            cluster, pod, image, source_node, target_node)
-        _fixup_app(app, pod, None, restored)
-        report.pause_window_s = sim.now - pause_started
-        report.completed_at = sim.now
-        cluster.trace.metrics.histogram(
-            "migrate.pause_window_s").observe(report.pause_window_s)
-        cluster.trace.metrics.counter("migrate.completed").inc(
-            label=report.mode)
-        return restored, report
-    except MigrationError as failure:
-        _fixup_app(app, pod, failure, None)
-        raise
-    finally:
-        spans.end(root, pause_window_s=report.pause_window_s)

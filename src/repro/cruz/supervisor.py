@@ -40,7 +40,7 @@ from repro.cruz.protocol import (
     ControlMessage,
     ReliableEndpoint,
 )
-from repro.cruz.migration import PrecopyMigrator, owning_app
+from repro.cruz.migration import migrate, owning_app
 from repro.cruz.storage import LivenessLog
 from repro.errors import (
     CheckpointError,
@@ -259,7 +259,6 @@ class NodeSupervisor:
         cluster = self.cluster
         sim = self._sim
         agent = cluster.agents[lease.index]
-        migrator = PrecopyMigrator(cluster)
         span = self._spans.begin("supervisor.evict", node=self.node.name,
                                  subject=lease.name, attach=False,
                                  orphan=True)
@@ -287,8 +286,8 @@ class NodeSupervisor:
                 if app_name is not None:
                     self._evicting_apps.add(app_name)
                 try:
-                    _restored, report = yield from migrator.migrate(
-                        pod, placement[pod_name])
+                    _restored, report = yield from migrate(
+                        cluster, pod, placement[pod_name], live=True)
                 except (MigrationError, CheckpointError,
                         CoordinationError) as error:
                     entry["reason"] = str(error)

@@ -568,7 +568,6 @@ class Node:
         except Exception as exc:  # refused (RST) or handshake timeout
             sock.connection = None
             raise SyscallError("ECONNREFUSED", str(exc))
-        yield from self._stop_gate(proc)
         return None
 
     def _sys_connstat(self, proc, call) -> Generator:
@@ -762,7 +761,6 @@ class Node:
             except BaseException:
                 semaphore.cancel_wait(waiter)
                 raise
-            yield from self._stop_gate(proc)
         return None
 
     def on_pod_exit(self, pod) -> None:

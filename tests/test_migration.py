@@ -1,12 +1,12 @@
-"""Live pre-copy migration: correctness holes, rollback matrix, eviction.
+"""Pod migration: correctness holes, rollback matrix, eviction.
 
-Covers the migration-path regressions this PR fixes (unchecked source
-agent, dirty bits cleared before the store commit, silent ``zip``
-truncation in ``restart_app``, cross-app cleanup) plus the new pre-copy
-machinery: convergence, the shrunken pause window, intermediate-version
-GC, the full rollback matrix (restore failure with and without a
-working rollback, chaos-injected source crash mid-pre-copy), and the
-supervisor's suspect-state eviction.
+Covers the migration path's regressions (unchecked source agent, dirty
+bits cleared before the store commit, silent ``zip`` truncation in
+``restart_app``, cross-app cleanup) and its machinery: convergence, the
+shrunken pause window, intermediate-version GC, the rollback matrix in
+both modes (restore failure with and without a working rollback), a
+source crash mid-pre-copy and during the cutover's write, the version
+an aborted move names, and the supervisor's suspect-state eviction.
 """
 
 from types import SimpleNamespace
@@ -30,6 +30,11 @@ from tests.test_cruz_coordination import (
     ring_app,
     run_app_to_completion,
 )
+
+
+#: Both migration modes: stop-and-copy is the cutover with no round.
+MODES = pytest.mark.parametrize("live", [False, True],
+                                ids=["stop_and_copy", "precopy"])
 
 
 def run_coroutine(cluster, generator, limit=1e6):
@@ -232,6 +237,11 @@ def test_precopy_converges_and_shrinks_the_pause():
         else:
             assert report.mode == "stop_and_copy"
             assert report.precopy_rounds == 0
+            # A full save writes every chunk: nothing is warm, and the
+            # final image is the only version.
+            assert report.warm_bytes == 0
+            assert cluster.store.versions(pod_name) == \
+                [report.final_version]
         cluster.run_until(
             lambda: all(p.step_count >= steps
                         for p in cluster.app_programs(app)),
@@ -249,7 +259,8 @@ def test_precopy_converges_and_shrinks_the_pause():
 # -- rollback matrix --------------------------------------------------------
 
 
-def test_live_migration_rolls_back_on_target_restore_failure():
+@MODES
+def test_live_migration_rolls_back_on_target_restore_failure(live):
     cluster = make_cluster(3, sanitize=True)
     app = ring_app(cluster, 2)
     cluster.run_for(0.2)
@@ -261,7 +272,7 @@ def test_live_migration_rolls_back_on_target_restore_failure():
 
     cluster.agents[2].restart_engine.restart = exploding_restart
     with pytest.raises(MigrationError) as info:
-        cluster.migrate_pod(victim, target_node_index=2, live=True)
+        cluster.migrate_pod(victim, target_node_index=2, live=live)
     error = info.value
     assert error.rolled_back and error.source_destroyed
     assert error.version in cluster.store.versions(victim.name)
@@ -275,7 +286,8 @@ def test_live_migration_rolls_back_on_target_restore_failure():
     run_app_to_completion(cluster, app)
 
 
-def test_rollback_failure_reports_pod_running_nowhere():
+@MODES
+def test_rollback_failure_reports_pod_running_nowhere(live):
     cluster = make_cluster(3, sanitize=True)
     app = ring_app(cluster, 2)
     cluster.run_for(0.2)
@@ -289,7 +301,7 @@ def test_rollback_failure_reports_pod_running_nowhere():
     cluster.agents[2].restart_engine.restart = exploding_restart
     cluster.agents[0].restart_engine.restart = exploding_restart
     with pytest.raises(MigrationError) as info:
-        cluster.migrate_pod(victim, target_node_index=2, live=True)
+        cluster.migrate_pod(victim, target_node_index=2, live=live)
     error = info.value
     assert error.source_destroyed and not error.rolled_back
     assert "NOT running anywhere" in str(error)
@@ -332,6 +344,85 @@ def test_source_crash_mid_precopy_leaves_app_untouched():
         assert not node.stack.netfilter.rules
     assert not cluster.trace.sanitizer.violations
     assert chaos.node_crashes == 1
+
+
+@pytest.mark.parametrize("supervise", [False, True],
+                         ids=["unsupervised", "supervised"])
+@MODES
+def test_source_crash_during_the_final_write(live, supervise):
+    """The source node dies while the store writes the cutover image.
+    That image was captured behind the drop rule, so it is the pod: the
+    move completes on the target, and no failover is needed."""
+    steps = 120
+    cluster = make_cluster(3, sanitize=True, supervise=supervise)
+    app = slm_app(cluster, steps=steps, total_work_s=12.0,
+                  memory_mb_per_rank=20.0)
+    cluster.run_for(1.0)
+    victim = app.pods[0]
+    source = victim.node
+    store, save = cluster.store, cluster.store.save
+
+    def crashing_save(image, **kwargs):
+        # Only the cutover's save runs behind the drop rule.
+        if source.stack.netfilter.rules:
+            store.save = save
+            cluster.crash_node(0)
+        return save(image, **kwargs)
+
+    store.save = crashing_save
+    new_pod = cluster.migrate_pod(victim, target_node_index=2, live=live)
+    assert store.save is save, "the cutover's save ran"
+    assert 0 in cluster.dead_nodes
+    assert new_pod.node is cluster.nodes[2]
+    assert app.pods[0] is new_pod
+    assert cluster.last_migration.precopy_rounds == (1 if live else 0)
+    cluster.run_until(
+        lambda: all(p.step_count >= steps
+                    for p in cluster.app_programs(app)),
+        limit=60.0)
+    cluster.run_for(0.2)
+    programs = sorted(cluster.app_programs(app), key=lambda p: p.rank)
+    np.testing.assert_array_equal(
+        np.vstack([p.q for p in programs]),
+        reference_solution(8, 16, steps))
+    if supervise:
+        assert not cluster.supervisor.failovers
+    for node in cluster.nodes:
+        assert not node.stack.netfilter.rules
+    assert not cluster.trace.sanitizer.violations
+
+
+@pytest.mark.parametrize("checkpointed", [False, True],
+                         ids=["no_checkpoint", "checkpointed"])
+def test_an_aborted_move_names_a_version_the_store_holds(checkpointed):
+    """The source dies just before a round's prefetch. The move aborts
+    and discards its round image, so its error names the newest version
+    the store still holds: the app's own checkpoint, or none."""
+    cluster = make_cluster(3, sanitize=True)
+    app = slm_app(cluster, memory_mb_per_rank=4.0)
+    cluster.run_for(0.5)
+    if checkpointed:
+        assert cluster.checkpoint_app(app).committed
+    victim = app.pods[0]
+    held = cluster.store.versions(victim.name)
+    store = cluster.store
+    reconstructible = store.version_reconstructible
+
+    def crashing_check(pod_name, version):
+        store.version_reconstructible = reconstructible
+        cluster.crash_node(0)
+        return reconstructible(pod_name, version)
+
+    store.version_reconstructible = crashing_check
+    with pytest.raises(MigrationError) as info:
+        cluster.migrate_pod(victim, target_node_index=2, live=True)
+    error = info.value
+    assert not error.source_destroyed
+    assert store.versions(victim.name) == held
+    assert error.version == (held[-1] if held else None)
+    if not checkpointed:
+        assert "no image was committed" in str(error)
+    assert not cluster.trace.sanitizer.violations
 
 
 # -- suspect-state eviction -------------------------------------------------
