@@ -41,8 +41,9 @@ All enumeration is sorted and all placement is a pure function of
 under event tie-break perturbation (CruzSan's fifo/lifo check).
 
 The chunk API takes *runs* (``put_chunks``, ``read_chunks``,
-``placements``, ``unavailable``) — a process image is thousands of
-page chunks. A run is partitioned into the few groups of chunks that
+``placements``, ``unavailable``, ``rereplicate``) — a process image is
+thousands of page chunks, and a lost shard leaves thousands of them
+short of a copy. A run is partitioned into the few groups of chunks that
 share a placement and a holder tuple, and each group moves as one
 filesystem run per shard: the work per page is C loops over aligned
 lists, the Python statements are per group. Placement is by *ring
@@ -61,8 +62,9 @@ from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
-from operator import not_
+from operator import is_not, not_
 from typing import (
+    Container,
     Dict,
     Hashable,
     Iterable,
@@ -310,14 +312,6 @@ class ShardedBackend:
             found[table[arc]] += weight
         return found
 
-    def repair_dest(self, cid: str) -> Optional[str]:
-        """The next up non-holder in ring order, for re-replication."""
-        holding = self.holders(cid)
-        for node in self._orders[self.arc(cid)]:
-            if node in self._up and node not in holding:
-                return node
-        return None
-
     # -- core protocol -----------------------------------------------------
 
     def _path(self, node: str, cid: str) -> str:
@@ -412,26 +406,13 @@ class ShardedBackend:
         more. The grouping is what a restore needs to know about its
         sources: which surviving disks hold how much.
         """
-        read_run = self.fs.read_run
         runs = {live: _pick(cids, positions) for live, positions
                 in _partition(self._live_of(cids)).items()}
         grouped: Dict[Tuple[str, ...], List[Content]] = {}
         missed = False
         for live, ids in runs.items():
-            found = grouped[live] = read_run(self._shards[live[0]], ids) \
-                if live else [None] * len(ids)
-            fallbacks = iter(live[1:])
-            # Not ``None in found``: an extent's ``__eq__`` per page.
-            while _NONE in set(map(type, found)):
-                node = next(fallbacks, None)
-                if node is None:
-                    missed = True
-                    break
-                holes = [position for position, payload in enumerate(found)
-                         if payload is None]
-                for hole, payload in zip(holes, read_run(
-                        self._shards[node], [ids[hole] for hole in holes])):
-                    found[hole] = payload
+            grouped[live], whole = self._read_through(live, ids)
+            missed = missed or not whole
         if missed:
             # Rare enough to be plain about. The error is the one a
             # chunk-by-chunk read raises: the first miss in run order,
@@ -446,6 +427,27 @@ class ShardedBackend:
                  if served[cid] is not None])
             raise ChunkMissingError(cids[at], self.up_nodes)
         return grouped
+
+    def _read_through(self, live: Tuple[str, ...], ids: Sequence[str]
+                      ) -> Tuple[List[Optional[Content]], bool]:
+        """``ids`` read from the first of ``live``, and each copy that is
+        not there (a torn replica) from the next; ``None`` where no
+        holder serves it. Also says whether every id was served."""
+        read_run = self.fs.read_run
+        found = read_run(self._shards[live[0]], ids) if live \
+            else [None] * len(ids)
+        fallbacks = iter(live[1:])
+        # Not ``None in found``: an extent's ``__eq__`` per page.
+        while _NONE in set(map(type, found)):
+            node = next(fallbacks, None)
+            if node is None:
+                return found, False
+            holes = [position for position, payload in enumerate(found)
+                     if payload is None]
+            for hole, payload in zip(holes, read_run(
+                    self._shards[node], [ids[hole] for hole in holes])):
+                found[hole] = payload
+        return found, True
 
     def get_chunk(self, cid: str) -> Content:
         (payloads,) = self.read_chunks((cid,)).values()
@@ -537,29 +539,71 @@ class ShardedBackend:
         return tuple(node for node in self.nodes if node in self._up)
 
     def under_replicated(self) -> List[Tuple[str, Tuple[str, ...]]]:
-        """Chunks whose live copy count is below the live RF target.
+        """(cid, live holders) of the chunks whose live copy count is
+        below the live RF target, in id order.
 
         Chunks with *zero* live copies are excluded — they cannot be
         repaired from here (the deep store audit reports them if they
-        are still referenced).
+        are still referenced). One pass over the holder index: the
+        count is a property of the interned holder tuple, so each
+        distinct tuple is judged once and only the short ids are
+        sorted.
         """
-        target = min(self.replication_factor, len(self.up_nodes))
-        out: List[Tuple[str, Tuple[str, ...]]] = []
-        for cid in self.scan():
-            live = self.live_holders(cid)
-            if 0 < len(live) < target:
-                out.append((cid, live))
-        return out
+        target = min(self.replication_factor, len(self._up))
+        index, live = self._holder_index, self._live
+        short = {holders for holders in set(index.values())
+                 if 0 < len(live[holders]) < target}
+        ids = sorted(compress(index, map(short.__contains__,
+                                         index.values())))
+        return list(zip(ids, self._live_of(ids)))
 
-    def replicate(self, cid: str, dest: str) -> int:
-        """Copy ``cid`` from a surviving replica to ``dest``."""
-        live = self.live_holders(cid)
-        if not live:
-            raise ReplicationError(cid, self.replication_factor, live)
-        payload = self.get_chunk(cid)
-        nbytes = self.fs.write_file(self._path(dest, cid), payload)
-        self._holder_index[cid] = self._union(self.holders(cid), (dest,))
-        return nbytes
+    def rereplicate(self, cids: Sequence[str], referenced: Container[str]
+                    ) -> Iterator[Tuple[str, List[str], int]]:
+        """Copy each of ``cids`` from a live holder to its repair
+        destination, the next up non-holder in its ring order; yields
+        ``(destination, ids copied, bytes)`` once per group moved.
+
+        The chunks are grouped by (live holders, destination) as the
+        pass begins (at the first ``next``), and each group moves as one
+        read run (a torn copy is read from the next live holder, as
+        :meth:`read_chunks` does) and one write run. A caller that lets
+        time pass between groups gets each group re-checked at its
+        turn: a destination that went down skips the group (the
+        availability change is the caller's cue for another pass), and
+        a chunk no longer in ``referenced`` (garbage-collected) or with
+        no readable live copy is not copied. A chunk with no live copy
+        or no up non-holder has no group.
+        """
+        if not cids:
+            return
+        up = self._up
+        # Where a chunk goes is a function of its ring order and live
+        # holders, so each distinct pair finds its destination once.
+        pairs = list(zip(map(self._orders.__getitem__, self.arcs(cids)),
+                         self._live_of(cids)))
+        key = {(order, live): (live, next(
+            (node for node in order if node in up and node not in live),
+            None)) for order, live in set(pairs)}
+        index = self._holder_index
+        for (live, dest), positions in _partition(
+                map(key.__getitem__, pairs)).items():
+            if not live or dest is None or dest not in up:
+                continue
+            group = _pick(cids, positions)
+            ids = list(compress(group, map(referenced.__contains__, group)))
+            found, whole = self._read_through(self._live[live], ids)
+            if not whole:
+                served = list(map(is_not, found, repeat(None)))
+                ids = list(compress(ids, served))
+                found = list(compress(found, served))
+            if not ids:
+                continue
+            nbytes = self.fs.write_run(self._shards[dest], ids, found)
+            for holders, at in _partition(map(index.get, ids,
+                                              repeat(()))).items():
+                index.update(zip(_pick(ids, at),
+                                 repeat(self._union(holders, (dest,)))))
+            yield dest, ids, nbytes
 
 
 #: The ``kind`` every ``.store`` layout record carries; a record with

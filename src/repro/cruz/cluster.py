@@ -208,10 +208,13 @@ class CruzCluster(Cluster):
         """Restore every chunk's replication factor after node loss.
 
         Event-driven, not polled: each availability change schedules one
-        pass; a pass scans the chunk space for copies below the live RF
-        target and streams each repair from a surviving replica to the
-        next up ring successor, charging the copy on the destination
-        disk's clock. A loss during the pass queues a follow-up pass.
+        pass; a pass finds the chunks below the live RF target and
+        copies them from surviving replicas to the next up ring
+        successor, one group per (live holders, destination), charging
+        each group's bytes on the destination disk's clock. A group's
+        copies are visible from the start of its charge. A loss during
+        the pass queues a follow-up pass, which also takes whatever a
+        group left because its destination went down.
         """
         try:
             while True:
@@ -220,17 +223,15 @@ class CruzCluster(Cluster):
                                         node=self.coordinator_node.name,
                                         orphan=True,
                                         chunks=len(deficits))
-                repaired = 0
-                for cid, _live in deficits:
-                    result = self.store.rereplicate_one(cid)
-                    if result is None:
-                        continue
-                    _dest, nbytes = result
-                    repaired += 1
+                repaired = groups = 0
+                for chunks, nbytes in self.store.rereplicate(
+                        [cid for cid, _live in deficits]):
+                    repaired += chunks
+                    groups += 1
                     yield self.sim.timeout(
                         nbytes / self.coordinator_node
                         .costs.disk_write_bandwidth)
-                self.spans.end(span, repaired=repaired)
+                self.spans.end(span, repaired=repaired, groups=groups)
                 if not self._rereplication_pending:
                     break
                 self._rereplication_pending = False

@@ -44,7 +44,7 @@ cutover's image is captured behind the drop rule: once it is committed
 and reconstructible it *is* the pod, and it is restored on the target
 whatever happens to the source node after the capture (one that
 surviving replicas cannot rebuild is discarded, and the pod resumes on
-the source). If that restore
+the source, as it does when the final save fails). If that restore
 fails, the image is restored on the source node instead
 (``MigrationError.rolled_back``). An aborted move's error names the
 newest version the store still holds after its round images are gone.
@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Generator, List, Optional, Tuple
 
-from repro.errors import MigrationError, PodError
+from repro.errors import CheckpointError, MigrationError, PodError
 from repro.zap.pod import Pod
 
 #: Cut over after at most this many pre-copy rounds even if the dirty
@@ -356,8 +356,18 @@ def _cutover(cluster, pod: Pod, source_agent, target_node,
     try:
         # After a round only the delta is new; with no round the save
         # is full and writes every chunk, so none of it is warm.
-        final = yield from source_agent.checkpoint_engine.checkpoint(
-            pod, resume=False, incremental=bool(report.rounds))
+        try:
+            final = yield from source_agent.checkpoint_engine.checkpoint(
+                pod, resume=False, incremental=bool(report.rounds))
+        except CheckpointError as error:
+            # Nothing was committed and the source still holds the pod,
+            # stopped by the capture: it runs on where it was.
+            if not _source_died(source_agent, pod):
+                pod.continue_all()
+            raise _left_on_source(
+                cluster, pod, report, intermediates,
+                f"final save failed: {error}; pod left on source") \
+                from error
         # Captured behind the drop rule, so the image is the pod: once
         # surviving replicas can rebuild it, it is restored whatever
         # happens to the source node after the capture. Destroy the

@@ -710,8 +710,17 @@ class ImageStore:
         drop out, and failover / migration must fall back to the newest
         version still in this list.
         """
-        return [version for version in self.versions(pod_name)
-                if self.version_reconstructible(pod_name, version)]
+        refs: Dict[int, List[str]] = {}
+        for version in self.versions(pod_name):
+            manifest = self._read_manifest(pod_name, version)
+            if manifest is not None:
+                refs[version] = self._manifest_chunk_refs(manifest)
+        # A pod's versions share most of their chunks: one availability
+        # pass over the distinct ids answers for all of them.
+        lost = set(self.backend.unavailable(list(set().union(
+            *refs.values()))))
+        return [version for version, ids in refs.items()
+                if lost.isdisjoint(ids)]
 
     # -- replication repair ------------------------------------------------
 
@@ -719,26 +728,24 @@ class ImageStore:
         """(cid, live holders) below the backend's live RF target."""
         return self.backend.under_replicated()
 
-    def rereplicate_one(self, cid: str) -> Optional[Tuple[str, int]]:
-        """Repair one chunk's replication; returns (dest, bytes).
+    def rereplicate(self, cids: Sequence[str]) -> Iterator[Tuple[int, int]]:
+        """Restore the replication of ``cids`` (see
+        :meth:`ShardedBackend.rereplicate`); yields ``(chunks, bytes)``
+        once per group copied.
 
-        Returns ``None`` when no repair is possible or needed any more
-        (no spare up node, or the chunk was garbage-collected since the
-        deficit was scanned).
+        A chunk garbage-collected by the time its group's turn comes is
+        not copied, nor is one with no spare up node to go to.
         """
-        backend = self.backend
-        if self._refcounts.get(cid, 0) <= 0:
-            return None
-        dest = backend.repair_dest(cid)
-        if dest is None:
-            return None
-        nbytes = backend.replicate(cid, dest)
-        self._stats["rereplicated_chunks"] += 1
-        self._stats["rereplicated_bytes"] += nbytes
-        if self.metrics is not None:
-            self.metrics.counter("store.rereplicated_chunks").inc()
-            self.metrics.counter("store.rereplicated_bytes").inc(nbytes)
-        return dest, nbytes
+        self._ensure_attached()
+        for _dest, ids, nbytes in self.backend.rereplicate(
+                cids, self._refcounts):
+            self._stats["rereplicated_chunks"] += len(ids)
+            self._stats["rereplicated_bytes"] += nbytes
+            if self.metrics is not None:
+                self.metrics.counter("store.rereplicated_chunks").inc(
+                    len(ids))
+                self.metrics.counter("store.rereplicated_bytes").inc(nbytes)
+            yield len(ids), nbytes
 
     def reconcile_node(self, node_name: str) -> int:
         """Drop a revived shard's copies of since-deleted chunks.

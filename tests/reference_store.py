@@ -3,7 +3,10 @@
 The per-chunk ``plan``/``save``/``load`` loop and the per-chunk
 ``put_chunk``/``get_chunk`` it drove, moved out of ``repro.cruz.storage``
 and ``repro.cruz.backend`` when the page path became run-granular (one
-pass per process, page ids memoised by write version). The equivalence
+pass per process, page ids memoised by write version); likewise the
+per-chunk repair loop (``repair_dest`` and ``replicate`` once per
+chunk below RF) and the per-version ``reconstructible_versions``, when
+a repair became a run. The equivalence
 tests drive this store and the real one with the same operations and
 diff every counter, plan, refcount and file, so it stays the plain
 per-page loop — ids from :func:`iter_page_chunks`, nothing memoised —
@@ -23,7 +26,7 @@ problems in the same order.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.cruz.backend import PutResult, ShardedBackend
 from repro.cruz.storage import (
@@ -157,6 +160,24 @@ class ReferenceBackend(ShardedBackend):
             del self._holders[cid]
         return nbytes
 
+    def under_replicated(self) -> List[Tuple[str, Tuple[str, ...]]]:
+        """Every chunk on any disk, checked one by one."""
+        target = min(self.replication_factor, len(self.up_nodes))
+        out: List[Tuple[str, Tuple[str, ...]]] = []
+        for cid in self.scan():
+            live = self.live_holders(cid)
+            if 0 < len(live) < target:
+                out.append((cid, live))
+        return out
+
+    def repair_dest(self, cid: str) -> Optional[str]:
+        """The next up non-holder in ring order, for re-replication."""
+        holding = self.holders(cid)
+        for node in self._orders[self.arc(cid)]:
+            if node in self._up and node not in holding:
+                return node
+        return None
+
     def replicate(self, cid: str, dest: str) -> int:
         live = self.live_holders(cid)
         if not live:
@@ -205,6 +226,26 @@ class ReferenceImageStore(ImageStore):
         for entry in manifest["shm"]:
             refs.append((entry["payload_cid"], entry["payload_len"]))
         return refs
+
+    def reconstructible_versions(self, pod_name: str) -> List[int]:
+        """Each version's refs checked on their own."""
+        return [version for version in self.versions(pod_name)
+                if self.version_reconstructible(pod_name, version)]
+
+    def rereplicate(self, cids: Sequence[str]) -> Iterator[Tuple[int, int]]:
+        """The per-chunk repair loop: each chunk re-checked, given its
+        destination and copied on its own."""
+        backend = self.backend
+        for cid in cids:
+            if self._refcounts.get(cid, 0) <= 0:
+                continue
+            dest = backend.repair_dest(cid)
+            if dest is None:
+                continue
+            nbytes = backend.replicate(cid, dest)
+            self._stats["rereplicated_chunks"] += 1
+            self._stats["rereplicated_bytes"] += nbytes
+            yield 1, nbytes
 
     def plan(self, image: CheckpointImage, mode: str = "full",
              writer: Optional[str] = None) -> ReferencePlan:

@@ -392,6 +392,46 @@ def test_source_crash_during_the_final_write(live, supervise):
     assert not cluster.trace.sanitizer.violations
 
 
+@MODES
+def test_a_failed_final_save_leaves_the_pod_running_on_the_source(live):
+    """The store refuses the cutover's save, behind the drop rule. The
+    capture stopped the pod and nothing was committed, so the pod runs
+    on where it was and the error is a typed abort naming a version
+    the store holds."""
+    cluster = make_cluster(3, sanitize=True)
+    app = slm_app(cluster, memory_mb_per_rank=4.0)
+    cluster.run_for(0.5)
+    victim = app.pods[0]
+    members_before = list(app.pods)
+    store, save = cluster.store, cluster.store.save
+
+    def failing_save(image, **kwargs):
+        # Only the cutover's save runs behind the drop rule.
+        if victim.node.stack.netfilter.rules:
+            raise CheckpointError("injected: disk full")
+        return save(image, **kwargs)
+
+    store.save = failing_save
+    with pytest.raises(MigrationError) as info:
+        cluster.migrate_pod(victim, target_node_index=2, live=live)
+    store.save = save
+    error = info.value
+    assert not error.source_destroyed
+    assert "disk full" in str(error)
+    held = store.versions(victim.name)
+    assert error.version == (held[-1] if held else None)
+    assert app.pods == members_before
+    assert victim.name in cluster.agents[0].pods
+    assert not any(proc.stopped for proc in victim.live_processes())
+    for node in cluster.nodes:
+        assert not node.stack.netfilter.rules
+    before = [p.step_count for p in cluster.app_programs(app)]
+    cluster.run_for(2.0)
+    after = [p.step_count for p in cluster.app_programs(app)]
+    assert all(b > a for a, b in zip(before, after)), (before, after)
+    assert not cluster.trace.sanitizer.violations
+
+
 @pytest.mark.parametrize("checkpointed", [False, True],
                          ids=["no_checkpoint", "checkpointed"])
 def test_an_aborted_move_names_a_version_the_store_holds(checkpointed):

@@ -104,9 +104,9 @@ def test_put_get_replicates_dedups_and_repairs():
     backend.mark_down(victim)
     assert backend.available(cid)
     assert [entry[0] for entry in backend.under_replicated()] == [cid]
-    dest = backend.repair_dest(cid)
-    assert dest is not None and dest != victim
-    assert backend.replicate(cid, dest) == len(b"payload")
+    ((dest, ids, nbytes),) = backend.rereplicate([cid], {cid})
+    assert dest != victim and ids == [cid] and nbytes == len(b"payload")
+    assert dest in backend.holders(cid)
     assert not backend.under_replicated()
 
     # Lose every reachable copy: typed miss naming the queried shards.
@@ -283,3 +283,70 @@ def test_rereplication_restores_rf_after_node_loss():
     # Healed means the loss of a *second* node is now survivable too.
     store.backend.mark_down("node1")
     assert store.reconstructible_versions(pod.name) == [1]
+
+
+#: Events one heal pass may pop: its start, one timeout per (live
+#: holders, destination) group — one below — and its end, with room.
+#: The per-chunk loop popped one per chunk repaired (over 900 below).
+HEAL_PASS_EVENTS = 8
+
+
+def test_a_heal_pass_pops_events_per_group_not_per_chunk():
+    cluster = CruzCluster(3, replication_factor=2)
+    pod, _proc = make_pod_with_grid(cluster, n_pages=2000)
+    checkpoint(cluster, pod, resume=False)      # stopped: no app events
+    popped = cluster.sim.stats()["popped"]
+    cluster.crash_node(2)                       # replica-only node
+    cluster.run_until(lambda: not cluster._rereplication_active,
+                      limit=cluster.sim.now + 60.0)
+    popped = cluster.sim.stats()["popped"] - popped
+    (heal,) = cluster.spans.query("store.rereplicate")
+    assert heal.attrs["repaired"] == heal.attrs["chunks"] > 900
+    assert heal.attrs["groups"] == 1            # (node0,) -> node1
+    assert popped <= HEAL_PASS_EVENTS, popped
+    assert cluster.store.under_replicated() == []
+
+
+def test_a_chunk_with_no_readable_live_copy_is_skipped():
+    """Every live copy of one chunk is torn: the pass repairs the rest
+    and leaves that one short, with nothing escaping the process."""
+    cluster = CruzCluster(3, replication_factor=2)
+    pod, _proc = make_pod_with_grid(cluster)
+    checkpoint(cluster, pod, resume=False)
+    store, backend = cluster.store, cluster.store.backend
+    backend.mark_down("node2")
+    deficits = store.under_replicated()
+    torn, live = deficits[len(deficits) // 2]
+    assert live == ("node0",)
+    backend.fs.unlink(backend._path("node0", torn))
+    run(cluster, cluster._rereplication_proc())
+    assert store.under_replicated() == [(torn, live)]
+    assert store.stats["rereplicated_chunks"] == len(deficits) - 1
+    assert backend.holders(torn) == ("node0", "node2")
+
+
+def test_a_destination_lost_mid_pass_is_left_to_the_follow_up_pass():
+    cluster = CruzCluster(4, replication_factor=2)
+    pod, _proc = make_pod_with_grid(cluster, n_pages=400)
+    checkpoint(cluster, pod, resume=False)
+    store, backend = cluster.store, cluster.store.backend
+    held = {node: len(backend.copies(node)) for node in backend.nodes}
+    cluster.crash_node(0)                       # the writer's shard
+    cluster.run_for(1e-6)                       # inside the first charge
+    first = store.stats["rereplicated_chunks"]
+    (first_dest,) = [node for node in backend.up_nodes
+                     if len(backend.copies(node)) > held[node]]
+    victim = next(node for node in backend.up_nodes if node != first_dest)
+    victim_held = len(backend.copies(victim))
+    cluster.crash_node([node.name for node in cluster.nodes].index(victim))
+    cluster.run_until(lambda: not cluster._rereplication_active,
+                      limit=cluster.sim.now + 60.0)
+    # Nothing was written to the lost destination, and the pass that
+    # its loss queued healed what the first pass had meant for it.
+    assert len(backend.copies(victim)) == victim_held
+    first_pass, follow_up = cluster.spans.query("store.rereplicate")
+    assert first_pass.attrs["repaired"] > first
+    assert follow_up.attrs["repaired"] > 0
+    assert store.under_replicated() == []
+    for cid in store.refcounts():
+        assert len(backend.live_holders(cid)) in (0, 2)

@@ -348,10 +348,8 @@ def test_holder_index_is_the_filesystem_as_interned_tuples(seed):
             except Exception:
                 assert down == set(NODES)
         elif op < 0.5:
-            if backend.live_holders(cid):
-                dest = backend.repair_dest(cid)
-                if dest is not None:
-                    assert backend.replicate(cid, dest) == len(b"payload")
+            for _dest, ids, nbytes in backend.rereplicate([cid], {cid}):
+                assert (ids, nbytes) == ([cid], len(b"payload"))
         elif op < 0.65:
             backend.delete(cid)
         elif op < 0.8:

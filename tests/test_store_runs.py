@@ -128,9 +128,32 @@ def assert_same_state(real, reference, memories, step):
     assert real.fs.bytes_written == reference.fs.bytes_written, where
     assert real.fs.bytes_read == reference.fs.bytes_read, where
     assert listing(real) == listing(reference), where
+    assert holder_map(real) == holder_map(reference), where
     for (pod_name, vpid), memory in memories.items():
         assert real._page_ids(pod_name, vpid, memory) == \
             reference_ids(pod_name, vpid, memory), where
+
+
+def holder_map(store):
+    """cid -> holders, for every chunk with a copy on any disk."""
+    backend = store.backend
+    return {cid: backend.holders(cid) for cid in backend.scan()}
+
+
+def repair_both(stores, step):
+    """One heal pass in each store over the same deficits: the same
+    chunks and bytes move, and nothing is left short after it."""
+    deficits = [store.under_replicated() for store in stores]
+    assert deficits[0] == deficits[1], step
+    moved = []
+    for store in stores:
+        copies = list(store.rereplicate([cid for cid, _live
+                                         in deficits[0]]))
+        moved.append((sum(chunks for chunks, _nbytes in copies),
+                      sum(nbytes for _chunks, nbytes in copies)))
+        assert store.under_replicated() == [], step
+    assert moved[0] == moved[1], step
+    return moved[0]
 
 
 def mutate_memory(rng, memory):
@@ -173,6 +196,7 @@ def test_runs_match_the_per_chunk_reference(seed):
     for memory in memories.values():
         memory.allocate("grid", 24 * PAGE_SIZE)
     down = []
+    repaired = []
     for step in range(120):
         op = rng.random()
         pod_name = rng.choice(sorted(PODS))
@@ -266,10 +290,15 @@ def test_runs_match_the_per_chunk_reference(seed):
             down.append(node)
             for store in (real, reference):
                 store.backend.mark_down(node)
+            if rng.random() < 0.7:
+                # The pass a lost shard schedules.
+                repaired.append(repair_both(stores, step))
         assert_same_state(real, reference, memories, step)
         for name in sorted(PODS):
             assert real.reconstructible_versions(name) == \
                 reference.reconstructible_versions(name)
+    # Some passes found nothing to do; some moved copies.
+    assert any(chunks for chunks, _nbytes in repaired), repaired
     # The sanitizer audited the real store after every save, discard
     # and prune above (the --cruz-sanitize lane's check).
     assert sanitizer.violations == []
@@ -724,6 +753,86 @@ def test_torn_copy_is_read_from_the_surviving_replica():
     assert lost.value.missing_cid == page
 
 
+def test_a_torn_first_copy_is_repaired_from_the_surviving_replica():
+    backend = ShardedBackend(SharedFileSystem(), NODES, 3)
+    ids = page_run(32)
+    backend.put_chunks(ids, page_chunk_payloads(ids), backend.arcs(ids),
+                       "node0", False)
+    backend.mark_down("node3")
+    short = [cid for cid, _live in backend.under_replicated()]
+    cid = short[0]
+    first, second = backend.live_holders(cid)
+    backend.fs.unlink(backend._path(first, cid))
+    read_before = backend.fs.bytes_read
+    ((dest, copied, nbytes),) = backend.rereplicate([cid], {cid})
+    assert copied == [cid] and nbytes == PAGE_SIZE
+    assert dest not in (first, second, "node3")
+    # Read once, from the replica the torn copy fell through to.
+    assert backend.fs.bytes_read - read_before == PAGE_SIZE
+    assert backend.fs.read_file(backend._path(dest, cid)) == \
+        page_chunk_payload(cid)
+    assert dest in backend.live_holders(cid)
+
+
+def test_a_chunk_collected_mid_pass_is_not_copied():
+    store, _reference = make_stores()
+    backend = store.backend
+    memories = {key: AddressSpace() for key in
+                [(pod, vpid) for pod, vpids in PODS.items()
+                 for vpid in vpids]}
+    for memory in memories.values():
+        memory.allocate("grid", 40 * PAGE_SIZE)
+    for pod_name in sorted(PODS):
+        store.save(build_image(pod_name, memories, taken_at=0.0),
+                   mode="full", writer="node0")
+    backend.mark_down("node0")
+    ids = [cid for cid, _live in store.under_replicated()]
+    passes = store.rereplicate(ids)
+    next(passes)
+    # The pass is between groups when beta's only version goes.
+    beta = set(store._manifest_chunk_refs(
+        store._read_manifest("beta", 1))).difference(
+            store._manifest_chunk_refs(store._read_manifest("alpha", 1)))
+    store.discard("beta", 1)
+    assert list(passes), "later groups had something left to copy"
+    # No copy of a collected chunk was made after it went: the up
+    # shards hold no orphan, and beta's chunks are only on node0.
+    assert store.audit(deep=True) == []
+    assert backend.unavailable(sorted(beta)) == sorted(beta)
+    assert store.under_replicated() == []
+
+
+def test_an_unreferenced_copy_is_not_repaired():
+    """A shard that was down when a version went keeps its copies, and a
+    store attached later over the same disks (a restarted coordinator)
+    sees them live and short of RF before any reconcile. Its first
+    repair copies what the manifests reference and nothing else."""
+    store, _reference = make_stores()
+    memories = {key: AddressSpace() for key in
+                [(pod, vpid) for pod, vpids in PODS.items()
+                 for vpid in vpids]}
+    for memory in memories.values():
+        memory.allocate("grid", 40 * PAGE_SIZE)
+    for pod_name in sorted(PODS):
+        store.save(build_image(pod_name, memories, taken_at=0.0),
+                   mode="full", writer="node0")
+    store.backend.mark_down("node1")
+    store.discard("beta", 1)
+    attached = ImageStore(store.fs)
+    attached.backend.mark_down("node3")
+    short = [cid for cid, _live in attached.under_replicated()]
+    stale = [cid for cid in short
+             if attached.backend.live_holders(cid) == ("node1",)]
+    assert stale and len(stale) < len(short)
+    moved = list(attached.rereplicate(short))
+    assert sum(chunks for chunks, _nbytes in moved) == \
+        len(short) - len(stale)
+    assert attached.under_replicated() == [
+        (cid, ("node1",)) for cid in stale]
+    assert attached.reconcile_node("node1") == len(stale)
+    assert attached.audit(deep=True) == []
+
+
 # -- what a run must not get wrong ----------------------------------------
 
 
@@ -868,11 +977,13 @@ CALLS_PER_RUN = 120
 
 
 def store_calls(function):
-    """How many Python-level calls ``function()`` makes into the chunk
-    backend and the filesystem. C functions do not count (they are the
-    point), nor does whatever a collector pass happens to finalize."""
+    """How many Python-level calls ``function()`` makes into the image
+    store, the chunk backend and the filesystem. C functions do not
+    count (they are the point), nor does whatever a collector pass
+    happens to finalize."""
     layers = tuple(sys.modules[module.__module__].__file__
-                   for module in (ShardedBackend, SharedFileSystem))
+                   for module in (ImageStore, ShardedBackend,
+                                  SharedFileSystem))
     calls = 0
 
     def on_event(frame, event, _arg):
@@ -909,6 +1020,43 @@ def test_calls_per_run_do_not_depend_on_its_length():
         assert backend.fs.bytes_read == pages * PAGE_SIZE
     assert counts[0] == counts[1], counts
     assert counts[0] <= CALLS_PER_RUN, counts
+
+
+#: Python-level calls one heal pass — find the short chunks, copy them
+#: — may make into the store, the backend and the filesystem on a
+#: 3-node RF=2 store that lost the writer's shard (two repair groups):
+#: 72 today (the store's first attach among them), whatever the number
+#: of chunks short. The per-chunk loop made 20 per chunk (20,499 for
+#: 1,024 chunks).
+CALLS_PER_REPAIR_PASS = 100
+
+
+def test_calls_per_repair_pass_do_not_depend_on_its_length():
+    counts = []
+    for pages in (1024, 4096):
+        fs = SharedFileSystem()
+        store = ImageStore(fs, backend=ShardedBackend(fs, NODES[:3], 2))
+        backend = store.backend
+        ids = page_run(pages)
+        backend.put_chunks(ids, page_chunk_payloads(ids), backend.arcs(ids),
+                           "node0", False)
+        store._refcounts.update(ids)        # as a committed save leaves
+        backend.mark_down("node0")
+        read, written = fs.bytes_read, fs.bytes_written
+        moved = []
+
+        def heal():
+            short = store.under_replicated()
+            moved.extend(store.rereplicate([cid for cid, _live in short]))
+
+        counts.append(store_calls(heal))
+        assert len(moved) == 2
+        assert sum(chunks for chunks, _nbytes in moved) == pages
+        assert store.under_replicated() == []
+        assert fs.bytes_read - read == pages * PAGE_SIZE
+        assert fs.bytes_written - written == pages * PAGE_SIZE
+    assert counts[0] == counts[1], counts
+    assert counts[0] <= CALLS_PER_REPAIR_PASS, counts
 
 
 # -- a dropped cluster dies in one collector pass --------------------------
