@@ -11,8 +11,10 @@ the pod's netfilter rule, so coordination is never self-blocked). On
 4. resumes the pod, removes the filter, reports ``<continue-done>``.
 
 With the Fig. 4 optimisation it instead reports ``<comm-disabled>`` right
-after step 1 and resumes on its own as soon as both its local save is done
-and the coordinator has confirmed every node disabled communication.
+after step 1 and saves while it waits for ``<continue>`` (the confirmation
+that every node disabled communication); once both are in it resumes the
+pod, removes the filter and reports ``<done>`` last. Both flows are one
+coroutine, :meth:`CheckpointAgent._do_checkpoint`.
 
 The control plane is reliable and idempotent: messages arrive through a
 :class:`~repro.cruz.protocol.ReliableEndpoint` (ACK + retransmit +
@@ -27,6 +29,7 @@ never commit — or resurrect — that epoch.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.cruz import protocol
@@ -317,6 +320,23 @@ class CheckpointAgent:
 
     def _do_checkpoint(self, message: ControlMessage,
                        coordinator_ip: Ipv4Address) -> Generator:
+        """One checkpoint round on this node, Fig. 2 or Fig. 4.
+
+        Filter, save, wait for <continue>, resume, unfilter, last reply.
+        Three things differ by protocol:
+
+        * the reply sent before the continue-wait: Fig. 2 reports <done>
+          after its save, Fig. 4 <comm-disabled> as soon as the filter
+          is in;
+        * Fig. 2 saves inline; Fig. 4 saves in the tracked
+          ``save(<pod>)`` process, which overlaps the continue-wait;
+        * under ``early_network`` a Fig. 4 node removes its filter once
+          its state is captured and <continue> is in, so TCP backoff
+          recovery overlaps the rest of the disk write (§5.2).
+
+        With ``concurrent`` (either protocol) the engine resumes the pod,
+        still filtered, as soon as its state is extracted.
+        """
         sim, costs = self.node.sim, self.node.costs
         pod = self.pods.get(message.pod_name)
         if pod is None:
@@ -326,6 +346,7 @@ class CheckpointAgent:
                 reason=f"no pod {message.pod_name!r}"))
             return
         state = self._round_state(message.epoch)
+        first, last = protocol.round_replies(message.optimized)
         started = sim.now
         # Pause/local spans open at the exact ``started`` instant (no
         # yields in between) so span durations reproduce the float
@@ -340,27 +361,51 @@ class CheckpointAgent:
                                  op="checkpoint")
         # Step 1: silently drop all traffic to/from the local pod.
         rule_id = self.node.stack.netfilter.drop_all_for(pod.ip)
+        filtered = True
+        captured = sim.event(f"captured({message.epoch})")
+        save = self.checkpoint_engine.checkpoint(
+            pod, resume=message.concurrent,
+            incremental=message.incremental, dedup=message.dedup,
+            on_captured=captured.succeed if message.optimized else None,
+            concurrent=message.concurrent)
         try:
             with spans.span("agent.filter_install", node=self.node.name,
                             pod=pod.name):
                 yield sim.timeout(costs.netfilter_update)
-            if message.optimized:
-                self._send(coordinator_ip, ControlMessage(
-                    kind=protocol.COMM_DISABLED, epoch=message.epoch,
-                    pod_name=pod.name, node_name=self.node.name))
-                yield from self._optimized_checkpoint(
-                    message, coordinator_ip, pod, state, rule_id, started,
-                    pause_span, local_span)
-                return
-            # Step 2: stop the pod and take the local checkpoint. With the
-            # copy-on-write option the pod resumes computing (still behind
-            # the filter) as soon as its state is extracted.
+            # Step 2: stop the pod and take the local checkpoint.
             try:
-                image = yield from self.checkpoint_engine.checkpoint(
-                    pod, resume=message.concurrent,
-                    incremental=message.incremental,
-                    dedup=message.dedup,
-                    concurrent=message.concurrent)
+                if message.optimized:
+                    self._send(coordinator_ip, ControlMessage(
+                        kind=first, epoch=message.epoch,
+                        pod_name=pod.name, node_name=self.node.name))
+                    save_task = self._track(sim.process(
+                        save, name=f"save({pod.name})"))
+                    # The wait overlaps the save on this node, so it
+                    # stays off the ambient stack (attach=False): the
+                    # engine's zap.* spans must nest under agent.local,
+                    # not under the wait.
+                    wait_span = spans.begin(
+                        "agent.wait_continue", node=self.node.name,
+                        pod=pod.name, attach=False, parent=local_span)
+                    yield from self._await_continue(state)
+                    spans.end(wait_span)
+                    if not captured.triggered:
+                        # Waiting on `captured` alone would block this
+                        # round forever (filter installed, pod paused) if
+                        # the save died before capturing: the AnyOf
+                        # fails the moment the save does.
+                        yield sim.any_of([captured, save_task])
+                    if message.early_network and not state["aborted"]:
+                        with spans.span("agent.filter_remove",
+                                        node=self.node.name, pod=pod.name,
+                                        attach=False, parent=local_span,
+                                        early=True):
+                            self.node.stack.netfilter.remove_rule(rule_id)
+                            yield sim.timeout(costs.netfilter_update)
+                        filtered = False
+                    image = yield save_task
+                else:
+                    image = yield from save
             except Exception as error:  # noqa: BLE001 - engine failure
                 if isinstance(error, Interrupt):
                     # Node crash mid-save: a powered-off agent writes no
@@ -371,19 +416,20 @@ class CheckpointAgent:
                 self._abort_failed_save(message, coordinator_ip, pod,
                                         error)
                 return
-            version = image.version
-            local_checkpoint_s = sim.now - started
-            spans.end(local_span)
-            # Step 3: report done; Step 4: wait for <continue>.
-            self._send(coordinator_ip, ControlMessage(
+            report = ControlMessage(
                 kind=protocol.DONE, epoch=message.epoch, pod_name=pod.name,
                 node_name=self.node.name,
-                local_checkpoint_s=local_checkpoint_s,
+                local_checkpoint_s=sim.now - started,
                 new_chunk_bytes=image.written_bytes,
-                total_chunk_bytes=image.total_chunk_bytes))
-            with spans.span("agent.wait_continue", node=self.node.name,
-                            pod=pod.name):
-                yield from self._await_continue(state)
+                total_chunk_bytes=image.total_chunk_bytes)
+            spans.end(local_span)
+            if not message.optimized:
+                # Fig. 2: the save's report is the first reply; then
+                # wait for <continue>.
+                self._send(coordinator_ip, report)
+                with spans.span("agent.wait_continue", node=self.node.name,
+                                pod=pod.name):
+                    yield from self._await_continue(state)
             # Steps 5-7: resume, re-enable communication, report.
             resume_started = sim.now
             if not message.concurrent:
@@ -391,23 +437,26 @@ class CheckpointAgent:
             spans.end(pause_span)
             resume_span = spans.begin("agent.resume", node=self.node.name,
                                       pod=pod.name, epoch=message.epoch)
-            with spans.span("agent.filter_remove", node=self.node.name,
-                            pod=pod.name):
-                self.node.stack.netfilter.remove_rule(rule_id)
-                yield sim.timeout(costs.netfilter_update)
+            if filtered:
+                with spans.span("agent.filter_remove", node=self.node.name,
+                                pod=pod.name):
+                    self.node.stack.netfilter.remove_rule(rule_id)
+                    yield sim.timeout(costs.netfilter_update)
             spans.end(resume_span)
             if state["aborted"]:
                 # Undo: the round never committed; drop the half-round
                 # image.
-                self.store.discard(pod.name, version)
+                self.store.discard(pod.name, image.version)
                 self._complete_round(message.epoch)
             else:
-                self._send(coordinator_ip, ControlMessage(
-                    kind=protocol.CONTINUE_DONE, epoch=message.epoch,
-                    pod_name=pod.name, node_name=self.node.name,
+                self._send(coordinator_ip, replace(
+                    report, kind=last,
                     local_continue_s=sim.now - resume_started))
+                # Remember the version so a late ABORT of this epoch can
+                # still undo the local commit (a Fig. 4 agent commits at
+                # its <done>).
                 self._complete_round(message.epoch,
-                                     committed=(pod.name, version))
+                                     committed=(pod.name, image.version))
         finally:
             # Whatever went wrong above (engine failure, abort raced with
             # the save, ...) the pod must never stay filtered: remove the
@@ -417,95 +466,6 @@ class CheckpointAgent:
             self.node.stack.netfilter.remove_rule(rule_id)
             spans.end(pause_span)
             self._sanitize_round_end(pod.ip, message.epoch)
-
-    def _optimized_checkpoint(self, message: ControlMessage,
-                              coordinator_ip: Ipv4Address, pod: Pod,
-                              state: Dict, rule_id: int,
-                              started: float, pause_span,
-                              local_span) -> Generator:
-        """The Fig. 4 flow, with the §5.2 refinements layered in.
-
-        The local save runs concurrently with waiting for <continue>
-        (confirmation that every node has disabled communication). Once
-        both the capture is done and <continue> has arrived, the
-        ``early_network`` option re-enables communication so TCP backoff
-        recovery overlaps the remaining disk write; the pod itself
-        resumes as soon as its save completes.
-
-        Runs inside ``_do_checkpoint``'s try/finally, which guarantees
-        the netfilter rule is removed on every exit path.
-        """
-        sim, costs = self.node.sim, self.node.costs
-        spans = self.node.trace.spans
-        captured = sim.event(f"captured({message.epoch})")
-        save_task = self._track(sim.process(
-            self.checkpoint_engine.checkpoint(
-                pod, resume=False, incremental=message.incremental,
-                dedup=message.dedup,
-                on_captured=lambda: captured.succeed()
-                if not captured.triggered else None),
-            name=f"save({pod.name})"))
-        # The wait overlaps the concurrent save on this node, so it stays
-        # off the ambient stack (attach=False): the engine's zap.* spans
-        # must nest under agent.local, not under the wait.
-        wait_span = spans.begin("agent.wait_continue",
-                                node=self.node.name, pod=pod.name,
-                                attach=False, parent=local_span)
-        yield from self._await_continue(state)
-        spans.end(wait_span)
-        try:
-            if not captured.triggered:
-                # Waiting on `captured` alone would block this round
-                # forever (filter installed, pod paused) if the save
-                # process died before capturing: the AnyOf fails the
-                # moment save_task does.
-                yield sim.any_of([captured, save_task])
-            removed_early = False
-            if message.early_network and not state["aborted"]:
-                with spans.span("agent.filter_remove",
-                                node=self.node.name, pod=pod.name,
-                                attach=False, parent=local_span,
-                                early=True):
-                    self.node.stack.netfilter.remove_rule(rule_id)
-                    yield sim.timeout(costs.netfilter_update)
-                removed_early = True
-            image = yield save_task
-        except Exception as error:  # noqa: BLE001 - engine failure
-            if isinstance(error, Interrupt):
-                raise  # node crash mid-save: stay silent
-            spans.end(local_span)
-            spans.end(pause_span)
-            self._abort_failed_save(message, coordinator_ip, pod, error)
-            return
-        version = image.version
-        local_checkpoint_s = sim.now - started
-        spans.end(local_span)
-        resume_started = sim.now
-        pod.continue_all()
-        spans.end(pause_span)
-        resume_span = spans.begin("agent.resume", node=self.node.name,
-                                  pod=pod.name, epoch=message.epoch)
-        if not removed_early:
-            with spans.span("agent.filter_remove", node=self.node.name,
-                            pod=pod.name):
-                self.node.stack.netfilter.remove_rule(rule_id)
-                yield sim.timeout(costs.netfilter_update)
-        spans.end(resume_span)
-        if state["aborted"]:
-            self.store.discard(pod.name, version)
-            self._complete_round(message.epoch)
-        else:
-            self._send(coordinator_ip, ControlMessage(
-                kind=protocol.DONE, epoch=message.epoch,
-                pod_name=pod.name, node_name=self.node.name,
-                local_checkpoint_s=local_checkpoint_s,
-                local_continue_s=sim.now - resume_started,
-                new_chunk_bytes=image.written_bytes,
-                total_chunk_bytes=image.total_chunk_bytes))
-            # Fig. 4 agents commit at <done>; remember the version so a
-            # late ABORT of this epoch can still undo the local commit.
-            self._complete_round(message.epoch,
-                                 committed=(pod.name, version))
 
     # -- restart --------------------------------------------------------------
 

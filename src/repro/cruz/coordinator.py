@@ -1,14 +1,20 @@
-"""The Checkpoint Coordinator (Fig. 2).
+"""The Checkpoint Coordinator (Fig. 2 and Fig. 4).
 
 Runs on a node distinct from the application nodes (§6). The protocol is
 the minimum for atomic commit — O(N) messages total, versus the O(N²)
-channel-flush protocols of MPVM/CoCheck/LAM-MPI (§5.2):
+channel-flush protocols of MPVM/CoCheck/LAM-MPI (§5.2). Every round runs
+the same four steps; only the two reply kinds differ by protocol
+(:func:`~repro.cruz.protocol.round_replies`):
 
-* Step 1: send ``<checkpoint>`` to every Agent.
-* Step 2: wait for ``<done>`` from all (Fig. 5a's latency metric ends at
-  the last ``<done>``).
+* Step 1: send the request (``<checkpoint>``/``<restart>``) to every Agent.
+* Step 2: wait for the first reply from all — ``<done>`` (Fig. 2,
+  restart) or ``<comm-disabled>`` (Fig. 4).
 * Step 3: send ``<continue>``.
-* Step 4: wait for ``<continue-done>`` from all.
+* Step 4: wait for the last reply from all — ``<continue-done>`` (Fig. 2,
+  restart) or ``<done>`` (Fig. 4).
+
+Fig. 5a's latency metric ends at the last ``<done>``, whichever step
+collects it.
 
 A round that times out (crashed agent, lost pod) is aborted on every node,
 so a half-taken checkpoint is never committed — two-phase-commit semantics.
@@ -30,6 +36,7 @@ Reliability and crash recovery of the control plane itself:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from repro.cruz import protocol
@@ -167,19 +174,34 @@ class CheckpointCoordinator:
             "expected": set(pod_names), "received": {}, "event": event}
         return event
 
-    def _collect(self, event, stats: RoundStats) -> Generator:
-        """Wait for a collector event with the round timeout."""
+    def _collect(self, kind: str, event, stats: RoundStats) -> Generator:
+        """Wait in ``coord.wait_<kind>`` for every member's ``kind`` reply.
+
+        Fig. 5a's ``latency_s`` is sampled where ``DONE`` is collected, at
+        the instant its wait span ends. The value is the replies.
+        """
         sim = self.node.sim
-        timer = sim.timeout(self.timeout_s)
-        outcome = yield sim.any_of([event, timer])
-        if event in outcome:
+        with self.node.trace.spans.span(f"coord.wait_{kind.lower()}",
+                                        node=self.node.name,
+                                        epoch=stats.epoch):
+            timer = sim.timeout(self.timeout_s)
+            outcome = yield sim.any_of([event, timer])
+            if event not in outcome:
+                raise CoordinationError(
+                    f"round {stats.epoch}: timed out waiting for agents")
             stats.messages_received += len(event.value)
             # Processing each reply costs coordinator CPU.
             yield sim.timeout(self.node.costs.coordinator_message_handling
                               * len(event.value))
-            return event.value
-        raise CoordinationError(
-            f"round {stats.epoch}: timed out waiting for agents")
+        replies = list(event.value.values())
+        if kind == protocol.DONE:
+            stats.latency_s = sim.now - stats.started_at
+            stats.max_local_op_s = max(
+                (m.local_checkpoint_s for m in replies), default=0.0)
+            stats.new_chunk_bytes = sum(m.new_chunk_bytes for m in replies)
+            stats.total_chunk_bytes = sum(m.total_chunk_bytes
+                                          for m in replies)
+        return replies
 
     # -- crash recovery ------------------------------------------------------
 
@@ -223,62 +245,59 @@ class CheckpointCoordinator:
         its socket state is captured and all nodes are known to have
         disabled theirs — it therefore requires ``optimized`` (§5.2).
         ``concurrent`` resumes computation behind the filter during the
-        disk write (the copy-on-write optimisation).
+        disk write (the copy-on-write optimisation), in either protocol.
         """
         if early_network and not optimized:
             raise CoordinationError(
                 "early_network requires the optimized (Fig 4) protocol: "
                 "a node may only unfilter once all nodes have disabled "
                 "communication")
-        return (yield from self._run_round(
-            app, protocol.CHECKPOINT, optimized=optimized,
+        for pod in app.pods:
+            self._node_names[pod.node.stack.eth0.ip] = pod.node.name
+        return (yield from self._run_round(ControlMessage(
+            kind=protocol.CHECKPOINT, epoch=0, optimized=optimized,
             incremental=incremental, dedup=dedup,
-            early_network=early_network,
-            concurrent=concurrent))
+            early_network=early_network, concurrent=concurrent),
+            app.members))
 
     def restart(self, app_name: str, members: Members,
                 version: int = 0) -> Generator:
         """Coordinated restart of ``app_name`` onto the given agents."""
-        return (yield from self._run_round(
-            DistributedApp(app_name, []), protocol.RESTART,
-            members=members, version=version))
+        return (yield from self._run_round(ControlMessage(
+            kind=protocol.RESTART, epoch=0, version=version), members))
 
-    def _run_round(self, app: DistributedApp, kind: str,
-                   optimized: bool = False, incremental: bool = False,
-                   dedup: bool = False,
-                   members: Optional[Members] = None,
-                   version: int = 0, early_network: bool = False,
-                   concurrent: bool = False) -> Generator:
+    def _run_round(self, request: ControlMessage,
+                   members: Members) -> Generator:
+        """One round, either protocol: send ``request`` to every member,
+        collect the first reply from all, broadcast ``<continue>``,
+        collect the last reply from all, commit.
+
+        The replies are ``protocol.round_replies(request.optimized)``:
+        (DONE, CONTINUE_DONE) for Fig. 2 and RESTART, (COMM_DISABLED,
+        DONE) for Fig. 4.
+        """
         sim, costs = self.node.sim, self.node.costs
         self._epoch += 1
         epoch = self._epoch
-        members = members if members is not None else app.members
-        for pod in app.pods:
-            self._node_names[pod.node.stack.eth0.ip] = pod.node.name
+        first, last = protocol.round_replies(request.optimized)
         expected_pods = {pod_name for _ip, pod_name in members}
-        stats = RoundStats(epoch=epoch, kind=kind, n_nodes=len(members),
-                           started_at=sim.now)
+        stats = RoundStats(epoch=epoch, kind=request.kind,
+                           n_nodes=len(members), started_at=sim.now)
         # Root span of the round's timeline; opened at the exact instant
         # ``started_at`` is captured (no yields in between) so span-derived
         # latencies equal the RoundStats float subtractions bit-for-bit.
         spans = self.node.trace.spans
         round_span = spans.begin("round", node=self.node.name,
-                                 epoch=epoch, kind=kind)
+                                 epoch=epoch, kind=request.kind)
         sanitizer = self.node.trace.sanitizer
         if sanitizer is not None:
             sanitizer.check_wal_epoch(
                 epoch, self.wal.max_epoch(), node=self.node.name,
                 time=sim.now)
-        self.wal.log_start(epoch, kind, members, at=sim.now,
+        self.wal.log_start(epoch, request.kind, members, at=sim.now,
                            coordinator=self.node.name)
-        if optimized:
-            disabled_event = self._expect(
-                epoch, protocol.COMM_DISABLED, expected_pods)
-        done_event = self._expect(epoch, protocol.DONE, expected_pods)
-        continue_done_event = None
-        if not optimized:
-            continue_done_event = self._expect(
-                epoch, protocol.CONTINUE_DONE, expected_pods)
+        first_event = self._expect(epoch, first, expected_pods)
+        last_event = self._expect(epoch, last, expected_pods)
 
         try:
             # Step 1: notify every Agent.
@@ -286,60 +305,26 @@ class CheckpointCoordinator:
                             epoch=epoch):
                 for agent_ip, pod_name in members:
                     yield sim.timeout(costs.coordinator_message_handling)
-                    self._send(agent_ip, ControlMessage(
-                        kind=kind, epoch=epoch, pod_name=pod_name,
-                        optimized=optimized, incremental=incremental,
-                        dedup=dedup,
-                        version=version, early_network=early_network,
-                        concurrent=concurrent), fail_round=True)
+                    self._send(agent_ip, replace(
+                        request, epoch=epoch, pod_name=pod_name),
+                        fail_round=True)
                     stats.messages_sent += 1
-            if optimized:
-                # Fig. 4: continue as soon as communication is disabled
-                # everywhere; agents resume independently after their save.
-                with spans.span("coord.wait_comm_disabled",
-                                node=self.node.name, epoch=epoch):
-                    yield from self._collect(disabled_event, stats)
-                with spans.span("coord.continue", node=self.node.name,
-                                epoch=epoch):
-                    for agent_ip, _pod in members:
-                        yield sim.timeout(
-                            costs.coordinator_message_handling)
-                        self._send(agent_ip, ControlMessage(
-                            kind=protocol.CONTINUE, epoch=epoch),
-                            fail_round=True)
-                        stats.messages_sent += 1
-                with spans.span("coord.wait_done", node=self.node.name,
-                                epoch=epoch):
-                    dones = yield from self._collect(done_event, stats)
-                stats.latency_s = sim.now - stats.started_at
-                stats.total_s = stats.latency_s
-                self._fill_local_ops(stats, dones.values())
-            else:
-                # Step 2: wait for all <done>.
-                with spans.span("coord.wait_done", node=self.node.name,
-                                epoch=epoch):
-                    dones = yield from self._collect(done_event, stats)
-                stats.latency_s = sim.now - stats.started_at
-                self._fill_local_ops(stats, dones.values())
-                # Step 3: allow everyone to resume.
-                with spans.span("coord.continue", node=self.node.name,
-                                epoch=epoch):
-                    for agent_ip, _pod in members:
-                        yield sim.timeout(
-                            costs.coordinator_message_handling)
-                        self._send(agent_ip, ControlMessage(
-                            kind=protocol.CONTINUE, epoch=epoch),
-                            fail_round=True)
-                        stats.messages_sent += 1
-                # Step 4: wait for all <continue-done>.
-                with spans.span("coord.wait_continue_done",
-                                node=self.node.name, epoch=epoch):
-                    final = yield from self._collect(
-                        continue_done_event, stats)
-                stats.total_s = sim.now - stats.started_at
-                stats.max_local_continue_s = max(
-                    (m.local_continue_s for m in final.values()),
-                    default=0.0)
+            # Step 2: wait for the first reply from all.
+            yield from self._collect(first, first_event, stats)
+            # Step 3: allow everyone to go on.
+            with spans.span("coord.continue", node=self.node.name,
+                            epoch=epoch):
+                for agent_ip, _pod in members:
+                    yield sim.timeout(costs.coordinator_message_handling)
+                    self._send(agent_ip, ControlMessage(
+                        kind=protocol.CONTINUE, epoch=epoch),
+                        fail_round=True)
+                    stats.messages_sent += 1
+            # Step 4: wait for the last reply from all.
+            final = yield from self._collect(last, last_event, stats)
+            stats.total_s = sim.now - stats.started_at
+            stats.max_local_continue_s = max(
+                (m.local_continue_s for m in final), default=0.0)
             # Verified two-phase-commit outcome: the commit only stands
             # if no agent (or recovering coordinator) aborted this epoch
             # first — first WAL record wins.
@@ -380,16 +365,3 @@ class CheckpointCoordinator:
             self._collectors.pop(epoch, None)
             self.endpoint.forget_epochs_below(epoch - 1)
         return stats
-
-    @staticmethod
-    def _fill_local_ops(stats: RoundStats, messages) -> None:
-        messages = list(messages)
-        stats.max_local_op_s = max(
-            (m.local_checkpoint_s for m in messages), default=0.0)
-        continue_s = max((m.local_continue_s for m in messages),
-                         default=0.0)
-        stats.max_local_continue_s = max(stats.max_local_continue_s,
-                                         continue_s)
-        stats.new_chunk_bytes = sum(m.new_chunk_bytes for m in messages)
-        stats.total_chunk_bytes = sum(m.total_chunk_bytes
-                                      for m in messages)

@@ -4,11 +4,16 @@ control-plane transport underneath them.
 Control messages travel over the simulated network (UDP) between the
 Checkpoint Coordinator and the per-node Checkpoint Agents, so message
 counts and wire latencies are measured, not asserted. The message set is
-the minimum needed for two-phase-commit-style atomicity:
+the minimum needed for two-phase-commit-style atomicity. Every round
+has one shape, request → first reply → ``CONTINUE`` → last reply
+(:func:`round_replies`):
 
-``CHECKPOINT → (COMM_DISABLED) → DONE → CONTINUE → CONTINUE_DONE``
+* Fig. 2: ``CHECKPOINT → DONE → CONTINUE → CONTINUE_DONE``;
+* Fig. 4: ``CHECKPOINT → COMM_DISABLED → CONTINUE → DONE`` (no
+  ``CONTINUE_DONE``);
+* ``RESTART → DONE → CONTINUE → CONTINUE_DONE``, as Fig. 2;
 
-plus ``RESTART`` (same shape) and ``ABORT`` for failure handling.
+plus ``ABORT`` for failure handling.
 
 Datagrams can be lost, duplicated, delayed or reordered (see
 :mod:`repro.cruz.faults`), so every protocol message rides a
@@ -48,6 +53,18 @@ HEARTBEAT = "HEARTBEAT"
 
 #: Kinds delivered without the ACK/retransmit/dedup machinery.
 UNACKED_KINDS = frozenset({HEARTBEAT})
+
+
+def round_replies(optimized: bool) -> Tuple[str, str]:
+    """The (first, last) replies every agent sends in one round.
+
+    Every round is request → first → CONTINUE → last. Fig. 2 and RESTART
+    reply DONE, then CONTINUE_DONE; Fig. 4 replies COMM_DISABLED, then
+    DONE, and sends no CONTINUE_DONE.
+    """
+    if optimized:
+        return COMM_DISABLED, DONE
+    return DONE, CONTINUE_DONE
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,9 @@ def test_early_network_shrinks_filtered_window():
     assert fast < slow / 5     # filter off as soon as capture+continue
 
 
-def test_concurrent_checkpoint_lets_pod_compute_during_save():
+@pytest.mark.parametrize("optimized", [False, True],
+                         ids=["blocking", "optimized"])
+def test_concurrent_checkpoint_lets_pod_compute_during_save(optimized):
     def progress_during_round(concurrent):
         cluster = make_cluster(2)
         app = cluster.launch_app_factory(
@@ -80,14 +82,15 @@ def test_concurrent_checkpoint_lets_pod_compute_during_save():
                                      state_mb_per_rank=80.0))
         cluster.run_for(0.2)
         before = [p.done for p in cluster.app_programs(app)]
-        cluster.checkpoint_app(app, concurrent=concurrent)
+        cluster.checkpoint_app(app, optimized=optimized,
+                               concurrent=concurrent)
         after = [p.done for p in cluster.app_programs(app)]
         return sum(after) - sum(before)
 
     blocked = progress_during_round(concurrent=False)
     overlapped = progress_during_round(concurrent=True)
     # An 80 MB save takes ~0.8 s; with COW, ~1600 work units happen
-    # during it; blocked, essentially none.
+    # during it, in either protocol; blocked, essentially none.
     assert blocked < 50
     assert overlapped > 500
 
@@ -134,10 +137,44 @@ def test_optimized_with_all_options_composes():
     app.pods[0].processes()[0].memory.allocate("big", 40 << 20)
     cluster.run_for(0.3)
     first = cluster.checkpoint_app(app, optimized=True,
-                                   early_network=True, incremental=True)
+                                   early_network=True, incremental=True,
+                                   concurrent=True)
     second = cluster.checkpoint_app(app, optimized=True,
-                                    early_network=True, incremental=True)
+                                    early_network=True, incremental=True,
+                                    concurrent=True)
     assert first.committed and second.committed
     assert second.max_local_op_s < first.max_local_op_s
+    run_app_to_completion(cluster, app)
+    validate_ring(workers_of(cluster, app))
+
+
+PROTOCOLS = {"fig2": {}, "fig4": {"optimized": True},
+             "fig4_early": {"optimized": True, "early_network": True}}
+SECOND_ROUND = {"full": {}, "dedup": {"dedup": True},
+                "incremental": {"incremental": True}}
+
+
+@pytest.mark.parametrize("concurrent", [False, True],
+                         ids=["stopped", "concurrent"])
+@pytest.mark.parametrize("second", sorted(SECOND_ROUND))
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_every_round_option_commits_in_four_messages_per_node(
+        protocol, second, concurrent):
+    """Every combination ``checkpoint`` accepts runs the one round:
+    request, first reply, CONTINUE, last reply — four control messages
+    per node in either protocol — commits, and keeps the ring whole."""
+    cluster = make_cluster(2)
+    app = ring_app(cluster, 2, max_token=400)
+    cluster.run_for(0.1)
+    options = dict(PROTOCOLS[protocol], concurrent=concurrent)
+    for mode in ({}, SECOND_ROUND[second]):
+        before = cluster.coordination_message_count()
+        stats = cluster.checkpoint_app(app, **options, **mode)
+        assert stats.committed
+        assert cluster.coordination_message_count() - before == 4 * 2
+        assert stats.messages_sent == stats.messages_received == 2 * 2
+    # Both rounds cut a ring still in flight.
+    assert all(proc.is_alive for pod in app.pods
+               for proc in pod.processes())
     run_app_to_completion(cluster, app)
     validate_ring(workers_of(cluster, app))

@@ -296,6 +296,27 @@ def test_round_stats_carry_the_phase_breakdown():
     assert phases["coord.wait_done"] <= stats.latency_s
 
 
+@pytest.mark.parametrize("optimized, waits, never", [
+    (False, "coord.wait_continue_done", "coord.wait_comm_disabled"),
+    (True, "coord.wait_comm_disabled", "coord.wait_continue_done"),
+], ids=["fig2", "fig4"])
+def test_a_round_waits_in_one_span_per_reply_kind(optimized, waits, never):
+    """A round's two waits are named for the replies it collects, and
+    Fig. 5a's latency ends where ``coord.wait_done`` does, bit for bit,
+    whichever step collects DONE."""
+    cluster = make_cluster(2)
+    app = ring_app(cluster, 2, max_token=100000)
+    cluster.run_for(0.2)
+    stats = cluster.checkpoint_app(app, optimized=optimized)
+    assert stats.committed
+    assert "coord.wait_done" in stats.phase_s
+    assert waits in stats.phase_s
+    assert never not in stats.phase_s
+    round_span = cluster.spans.one("round", epoch=stats.epoch)
+    done = cluster.spans.one("coord.wait_done", epoch=stats.epoch)
+    assert done.end - round_span.start == stats.latency_s
+
+
 def test_store_metrics_accumulate_per_mode():
     cluster, app, _ = checkpointed_cluster()
     saves = cluster.metrics.counter("store.saves")

@@ -86,16 +86,13 @@ def test_images_namespaced_by_pod():
 # ---------------------------------------------------------------------------
 
 def test_unknown_pod_aborts_round():
-    from repro.cruz.coordinator import DistributedApp
     cluster = make_cluster(2, coordinator_timeout_s=5.0)
-    app = ring_app(cluster, 2, max_token=50000)
+    ring_app(cluster, 2, max_token=50000)
     cluster.run_for(0.2)
-    phantom = DistributedApp("ghost", [])
     members = [(cluster.nodes[0].stack.eth0.ip, "no-such-pod")]
-    task = cluster.sim.process(
-        cluster.coordinator._run_round(phantom, "CHECKPOINT",
-                                       members=members))
-    with pytest.raises(CoordinationError):
+    task = cluster.sim.process(cluster.coordinator._run_round(
+        ControlMessage(kind="CHECKPOINT", epoch=0), members))
+    with pytest.raises(CoordinationError, match="no pod 'no-such-pod'"):
         cluster.sim.run_until_complete(task, limit=1e6)
 
 
