@@ -293,24 +293,23 @@ class CheckpointAgent:
                 "agent.abort", node=self.node.name,
                 epoch=state["epoch"], reason="coordinator silent")
 
-    def _abort_failed_save(self, message: ControlMessage,
-                           coordinator_ip: Ipv4Address, pod: Pod,
-                           error: BaseException) -> None:
-        """The local engine failed mid-save: abort this agent's round.
+    def _abort_local(self, message: ControlMessage,
+                     coordinator_ip: Ipv4Address, reason: str) -> None:
+        """This node's save or restore failed: abort its round.
 
-        Reports ABORT to the coordinator (which fails the epoch without
-        waiting for the round timeout), records the verdict in the round
-        WAL, resumes the pod and reclaims the round state. The caller's
-        try/finally removes the netfilter rule.
+        Records the verdict in the round WAL, reports ABORT with
+        ``reason`` to the coordinator (which fails the epoch without
+        waiting for the round timeout) and reclaims the round state. The
+        caller resumes its pod if it has one; its try/finally removes
+        the netfilter rule.
         """
-        reason = f"local save failed: {error!r}"
         self.store.rounds.log_abort(message.epoch, reason=reason,
                                     source=self.node.name,
                                     at=self.node.sim.now)
         self._send(coordinator_ip, ControlMessage(
-            kind=protocol.ABORT, epoch=message.epoch, pod_name=pod.name,
-            node_name=self.node.name, reason=reason))
-        pod.continue_all()
+            kind=protocol.ABORT, epoch=message.epoch,
+            pod_name=message.pod_name, node_name=self.node.name,
+            reason=reason))
         self.node.trace.spans.instant(
             "agent.abort", node=self.node.name, epoch=message.epoch,
             reason=reason)
@@ -413,8 +412,9 @@ class CheckpointAgent:
                     raise
                 spans.end(local_span)
                 spans.end(pause_span)
-                self._abort_failed_save(message, coordinator_ip, pod,
-                                        error)
+                self._abort_local(message, coordinator_ip,
+                                  f"local save failed: {error!r}")
+                pod.continue_all()
                 return
             report = ControlMessage(
                 kind=protocol.DONE, epoch=message.epoch, pod_name=pod.name,
@@ -478,17 +478,27 @@ class CheckpointAgent:
         local_span = spans.begin("agent.local", node=self.node.name,
                                  pod=message.pod_name,
                                  epoch=message.epoch, op="restart")
-        image = self.store.load(message.pod_name,
-                                message.version or None)
-        # Communications must be disabled *before* any state is restored:
-        # restored TCP would otherwise transmit before its peers exist (§5).
-        rule_id = self.node.stack.netfilter.drop_all_for(image.ip)
+        rule_id = None
         try:
-            with spans.span("agent.filter_install", node=self.node.name,
-                            pod=message.pod_name):
-                yield sim.timeout(costs.netfilter_update)
-            pod = yield from self.restart_engine.restart(
-                image, self.node, resume=False)
+            try:
+                image = self.store.load(message.pod_name,
+                                        message.version or None)
+                # Communications must be disabled *before* any state is
+                # restored: restored TCP would otherwise transmit before
+                # its peers exist (§5).
+                rule_id = self.node.stack.netfilter.drop_all_for(image.ip)
+                with spans.span("agent.filter_install",
+                                node=self.node.name, pod=message.pod_name):
+                    yield sim.timeout(costs.netfilter_update)
+                pod = yield from self.restart_engine.restart(
+                    image, self.node, resume=False)
+            except Exception as error:  # noqa: BLE001 - restore failure
+                if isinstance(error, Interrupt):
+                    raise  # node crash: a powered-off agent sends nothing
+                spans.end(local_span)
+                self._abort_local(message, coordinator_ip,
+                                  f"local restore failed: {error!r}")
+                return
             self.register_pod(pod)
             spans.end(local_span)
             self._send(coordinator_ip, ControlMessage(
@@ -518,9 +528,10 @@ class CheckpointAgent:
                 local_continue_s=sim.now - resume_started))
             self._complete_round(message.epoch)
         finally:
-            self.node.stack.netfilter.remove_rule(rule_id)
             spans.end(local_span)
-            self._sanitize_round_end(image.ip, message.epoch)
+            if rule_id is not None:
+                self.node.stack.netfilter.remove_rule(rule_id)
+                self._sanitize_round_end(image.ip, message.epoch)
 
     def _sanitize_round_end(self, pod_ip, epoch: int) -> None:
         """End-of-round invariant: no drop rule for the pod survives."""

@@ -49,7 +49,6 @@ class CruzCluster(Cluster):
                  coordinator_timeout_s: float = 60.0,
                  control_retry: Optional[RetryPolicy] = None,
                  supervise: bool = False,
-                 auto_failover: bool = True,
                  evict_on_suspect: bool = False,
                  replication_factor: Optional[int] = None,
                  mc_bugs: FrozenSet[str] = frozenset(),
@@ -101,7 +100,6 @@ class CruzCluster(Cluster):
         self.apps: Dict[str, DistributedApp] = {}
         #: Indices of nodes currently powered off (:meth:`crash_node`).
         self.dead_nodes: Set[int] = set()
-        self.auto_failover = auto_failover
         self.evict_on_suspect = evict_on_suspect
         #: Report of the most recent successful :meth:`migrate_pod`.
         self.last_migration: Optional[MigrationReport] = None
@@ -114,7 +112,6 @@ class CruzCluster(Cluster):
     def _install_supervisor(self, start_heartbeats: bool) -> NodeSupervisor:
         self.supervisor = NodeSupervisor(
             self, node=self.coordinator_node,
-            auto_failover=self.auto_failover,
             evict_on_suspect=self.evict_on_suspect)
         supervisor_ip = self.coordinator_node.stack.eth0.ip
         for index, agent in enumerate(self.agents):
@@ -363,20 +360,6 @@ class CruzCluster(Cluster):
         for pod in app.pods:
             self.destroy_pod(pod)
 
-    def destroy_members(self, app: DistributedApp) -> None:
-        """Destroy any member pod still registered on a live agent.
-
-        By name, not by object: besides the surviving original pods it
-        covers stragglers an aborted restart attempt recreated (their
-        agents normally clean up on ABORT; this is the backstop). A
-        consistent restart needs everyone back at the same cut.
-        """
-        for pod in app.pods:
-            for agent in self.agents:
-                registered = agent.pods.get(pod.name)
-                if registered is not None and not agent.crashed:
-                    self.destroy_pod(registered)
-
     def restore_pod(self, image: CheckpointImage, node: Node,
                     resume: bool = True, warm_bytes: int = 0) -> Generator:
         """Restore one image on one node; value is the recreated pod,
@@ -436,8 +419,7 @@ class CruzCluster(Cluster):
         membership must never be silently adopted.
         """
         if members is None:
-            members = [(pod.node.stack.eth0.ip, pod.name)
-                       for pod in app.pods]
+            members = app.members
         new_pods, missing = [], []
         for _ip, pod_name in members:
             for agent in self.agents:
@@ -451,31 +433,42 @@ class CruzCluster(Cluster):
         app.pods = new_pods
         return new_pods
 
+    def restart(self, app: DistributedApp,
+                node_indices: Optional[Sequence[int]],
+                version: int) -> Generator:
+        """Coordinated restart of ``app``; value is the round's RoundStats.
+
+        Member ``i`` restores on ``node_indices[i]`` (``None``: its current
+        node), so pods may move across the subnet (§4.2). Every member
+        still registered on a live agent is destroyed first, by name, so
+        a running app rolls back to the image and no straggler of an
+        aborted attempt survives; then ``app.pods`` is re-pointed.
+        """
+        if node_indices is None:
+            members = app.members
+        elif len(node_indices) != len(app.pods):
+            raise ValueError(
+                f"restart({app.name!r}): {len(node_indices)} "
+                f"node index(es) for {len(app.pods)} pod(s) — one "
+                f"index per member required")
+        else:
+            members = [(self.nodes[index].stack.eth0.ip, pod.name)
+                       for index, pod in zip(node_indices, app.pods)]
+        for pod in app.pods:
+            for agent in self.agents:
+                registered = agent.pods.get(pod.name)
+                if registered is not None and not agent.crashed:
+                    self.destroy_pod(registered)
+        stats = yield from self.coordinator.restart(members, version)
+        self.repoint_app(app, members)
+        return stats
+
     def restart_app(self, app: DistributedApp,
                     node_indices: Optional[Sequence[int]] = None,
                     version: int = 0, limit: float = 1e6) -> RoundStats:
-        """Coordinated restart from the stored images.
-
-        ``node_indices`` may place pods on different nodes than before
-        (migration across the subnet, §4.2), including consolidating
-        every pod onto a single surviving node.
-        """
-        if node_indices is None:
-            members = [(pod.node.stack.eth0.ip, pod.name)
-                       for pod in app.pods]
-        else:
-            if len(node_indices) != len(app.pods):
-                raise ValueError(
-                    f"restart_app({app.name!r}): {len(node_indices)} "
-                    f"node index(es) for {len(app.pods)} pod(s) — one "
-                    f"index per member required")
-            members = [(self.nodes[idx].stack.eth0.ip, pod.name)
-                       for idx, pod in zip(node_indices, app.pods)]
-        task = self.sim.process(self.coordinator.restart(
-            app.name, members, version=version))
-        stats = self.run_until_complete(task, limit=limit)
-        self.repoint_app(app, members)
-        return stats
+        """Run :meth:`restart` to completion."""
+        task = self.sim.process(self.restart(app, node_indices, version))
+        return self.run_until_complete(task, limit=limit)
 
     def migrate_pod(self, pod: Pod, target_node_index: int,
                     live: bool = True) -> Pod:

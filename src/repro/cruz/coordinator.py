@@ -260,9 +260,9 @@ class CheckpointCoordinator:
             early_network=early_network, concurrent=concurrent),
             app.members))
 
-    def restart(self, app_name: str, members: Members,
-                version: int = 0) -> Generator:
-        """Coordinated restart of ``app_name`` onto the given agents."""
+    def restart(self, members: Members, version: int) -> Generator:
+        """Coordinated restart: each ``(agent ip, pod name)`` member
+        restores its pod's image ``version`` (0: the latest)."""
         return (yield from self._run_round(ControlMessage(
             kind=protocol.RESTART, epoch=0, version=version), members))
 

@@ -126,11 +126,9 @@ class NodeSupervisor:
     """
 
     def __init__(self, cluster, node,
-                 auto_failover: bool = True,
                  evict_on_suspect: bool = False):
         self.cluster = cluster
         self.node = node
-        self.auto_failover = auto_failover
         self.evict_on_suspect = evict_on_suspect
         self.settle_s = 0.02
         self.liveness: LivenessLog = cluster.store.liveness
@@ -347,8 +345,6 @@ class NodeSupervisor:
         # images before failover picks a version.
         self.cluster.coordinator.fail_in_flight(
             f"node {lease.name} declared dead")
-        if not self.auto_failover:
-            return
         for app_name in sorted(self.cluster.apps):
             app = self.cluster.apps[app_name]
             if not any(pod.node.name == lease.name for pod in app.pods):
@@ -396,15 +392,15 @@ class NodeSupervisor:
             attempts = 0
             while True:
                 attempts += 1
-                self.cluster.destroy_members(app)
-                members = [
-                    (self.cluster.nodes[placement[pod.name]]
-                     .stack.eth0.ip, pod.name)
-                    for pod in app.pods]
                 try:
-                    yield from self.cluster.coordinator.restart(
-                        app.name, members, version=version)
+                    yield from self.cluster.restart(
+                        app, [placement[pod.name] for pod in app.pods],
+                        version)
                     break
+                except RestartMismatchError:
+                    # The round committed: a member missing afterwards
+                    # is reported below, not retried.
+                    raise
                 except CoordinationError as error:
                     if attempts >= MAX_RESTART_ATTEMPTS:
                         raise FailoverError(
@@ -419,7 +415,6 @@ class NodeSupervisor:
                     yield sim.timeout(RETRY_BACKOFF_S * attempts)
                     placement = self._placement(app)
             self._spans.end(restart_span, attempts=attempts)
-            self.cluster.repoint_app(app, members)
             record = FailoverRecord(
                 app=app.name, dead_node=lease.name, version=version,
                 attempts=attempts,

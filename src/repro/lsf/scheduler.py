@@ -161,9 +161,6 @@ class JobScheduler:
                 raise CoordinationError(
                     f"job {name!r}: no live node to recover onto")
             node_indices = [placement[pod.name] for pod in job.app.pods]
-        # Dispose of the survivors: a consistent restart needs everyone
-        # back at the same cut.
-        self.cluster.destroy_members(job.app)
         return self._restart(job, node_indices, "recovered")
 
     def _restart(self, job: Job, node_indices: Optional[Sequence[int]],

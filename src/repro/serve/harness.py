@@ -147,7 +147,6 @@ def run_serve(backends: int = 3, clients: int = 6, sessions: int = 12,
                              f"kv{victim}")
                          and proxy.backends[victim]["state"] == "up"),
                 limit=60.0, step=0.01)
-            cluster.repoint_app(kv_apps[victim])
         cluster.revive_node(victim_node)
 
     if migrate:

@@ -109,7 +109,7 @@ def test_heartbeats_renew_leases():
 
 
 def test_death_declared_and_logged_to_liveness_wal():
-    cluster = make_supervised(2, auto_failover=False)
+    cluster = make_supervised(2)
     cluster.run_for(0.3)
     cluster.crash_node(0)
     cluster.run_for(0.5)
@@ -136,7 +136,7 @@ def test_death_declared_and_logged_to_liveness_wal():
 
 def test_brief_silence_is_a_false_alarm_not_a_death():
     """A flap shorter than the lease is suspected, then stood down."""
-    cluster = make_supervised(2, auto_failover=False)
+    cluster = make_supervised(2)
     cluster.run_for(0.3)
     flap = 2 * WORST_CASE_BEAT_S
     chaos = ChaosInjector(cluster)
@@ -151,7 +151,7 @@ def test_brief_silence_is_a_false_alarm_not_a_death():
 def test_restart_supervisor_inherits_liveness_from_wal():
     """A replacement supervisor must not resurrect a declared-dead node
     (it would immediately place pods on it)."""
-    cluster = make_supervised(2, auto_failover=False)
+    cluster = make_supervised(2)
     cluster.run_for(0.3)
     cluster.crash_node(0)
     cluster.run_for(0.5)
@@ -300,14 +300,14 @@ def test_cascading_restart_failure_retries_with_backoff():
     original = cluster.coordinator.restart
     calls = {"n": 0}
 
-    def flaky_restart(name, members, version=0, **kwargs):
+    def flaky_restart(members, version):
         calls["n"] += 1
         if calls["n"] == 1:
             def exploding():
                 raise CoordinationError("restart target died mid-round")
                 yield  # pragma: no cover - generator shape
             return exploding()
-        return original(name, members, version=version, **kwargs)
+        return original(members, version)
 
     cluster.coordinator.restart = flaky_restart
     cluster.crash_node(0)

@@ -305,6 +305,82 @@ def test_migration_failure_rolls_back_to_source_node():
     validate_ring(workers_of(cluster, app))
 
 
+def test_restarting_a_running_app_rolls_it_back():
+    """A restart with no crash first destroys the live members, then
+    restores the image: the restored pods must not collide with the
+    running ones and stall the round for its timeout."""
+    cluster = make_cluster(2, coordinator_timeout_s=60.0)
+    app = ring_app(cluster, 2, max_token=3000)
+    cluster.run_for(0.2)
+    assert cluster.checkpoint_app(app).committed
+    cluster.run_for(0.2)
+    running = list(app.pods)
+    started = cluster.sim.now
+    assert cluster.restart_app(app).committed
+    assert cluster.sim.now - started < 1.0
+    assert [pod.name for pod in app.pods] == [pod.name for pod in running]
+    for index, (pod, old) in enumerate(zip(app.pods, running)):
+        assert pod is not old
+        assert cluster.agents[index].pods[pod.name] is pod
+        assert not any(p.is_alive for p in old.processes())
+    run_app_to_completion(cluster, app)
+    validate_ring(workers_of(cluster, app))
+
+
+def test_a_member_that_cannot_load_its_image_aborts_the_restart_at_once():
+    """RF=1 and the node holding rank 1's only chunk copies is dead: the
+    node restoring rank 1 reports ABORT with the cause, so the round
+    fails without waiting out its timeout, the member that did restore
+    is destroyed, no drop rule is left and the WAL records the abort."""
+    cluster = make_cluster(3, coordinator_timeout_s=60.0,
+                           replication_factor=1)
+    app = ring_app(cluster, 2, max_token=100000)  # ranks on nodes 0, 1
+    cluster.run_for(0.2)
+    assert cluster.checkpoint_app(app).committed
+    cluster.crash_node(1)
+    started = cluster.sim.now
+    with pytest.raises(CoordinationError,
+                       match="VersionUnreconstructibleError"):
+        cluster.restart_app(app, node_indices=[0, 2])
+    assert cluster.sim.now - started < 1.0
+    assert cluster.store.rounds.outcome(cluster.coordinator._epoch) == \
+        "abort"
+    cluster.run_for(1.0)  # the ABORT reaches node 0's restored pod
+    assert not any(agent.pods for agent in cluster.agents)
+    assert not any(node.stack.netfilter.rules for node in cluster.nodes)
+
+
+def test_a_member_whose_restore_fails_aborts_the_restart_at_once():
+    """The restart engine raising on one agent aborts the round with
+    its cause; a second restart from the same image then commits."""
+    cluster = make_cluster(2, coordinator_timeout_s=60.0)
+    app = ring_app(cluster, 2, max_token=3000)
+    cluster.run_for(0.2)
+    assert cluster.checkpoint_app(app).committed
+    cluster.crash_app(app)
+    agent = cluster.agents[1]
+    original = agent.restart_engine.restart
+
+    def exploding_restart(image, node, resume=True):
+        raise RuntimeError("restore ran out of memory")
+        yield  # pragma: no cover - generator shape
+
+    agent.restart_engine.restart = exploding_restart
+    started = cluster.sim.now
+    with pytest.raises(CoordinationError, match="restore ran out of memory"):
+        cluster.restart_app(app)
+    assert cluster.sim.now - started < 1.0
+    assert cluster.store.rounds.outcome(cluster.coordinator._epoch) == \
+        "abort"
+    cluster.run_for(1.0)
+    assert not any(agent.pods for agent in cluster.agents)
+    assert not any(node.stack.netfilter.rules for node in cluster.nodes)
+    agent.restart_engine.restart = original
+    assert cluster.restart_app(app).committed
+    run_app_to_completion(cluster, app)
+    validate_ring(workers_of(cluster, app))
+
+
 def test_restart_mismatch_names_missing_members():
     """Regression (S2): re-pointing an app at a partial membership must
     raise, naming the missing members, and leave ``app.pods`` alone."""

@@ -93,8 +93,14 @@ def test_restart_app_length_mismatch_names_both_counts():
     app = ring_app(cluster, 2)
     cluster.run_for(0.2)
     assert cluster.checkpoint_app(app).committed
+    running = list(app.pods)
     with pytest.raises(ValueError, match=r"1 node index\(es\) for 2 pod"):
         cluster.restart_app(app, node_indices=[0])
+    # The count is checked before anything is torn down.
+    assert app.pods == running
+    for index, pod in enumerate(running):
+        assert cluster.agents[index].pods[pod.name] is pod
+        assert any(p.is_alive for p in pod.processes())
 
 
 # -- cleanup scoping (S4) ---------------------------------------------------
