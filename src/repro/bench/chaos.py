@@ -131,7 +131,7 @@ class ChaosResult:
             phases = fo["phases"]
             lines.append(
                 f"  failover[{fo['app']}]: {fo['dead_node']} -> "
-                f"{fo['placement']} v{fo['version']} "
+                f"{fo['placement']} epoch {fo['epoch']} "
                 f"attempts={fo['attempts']}")
             lines.append(
                 "    mttr={total:.3f}s (detect={detect:.3f} "
@@ -335,7 +335,7 @@ def _fingerprint(r: ChaosResult) -> Dict[str, Any]:
             for entry in r.evictions],
         "failovers": [
             {"dead_node": fo["dead_node"],
-             "version": fo["version"],
+             "epoch": fo["epoch"],
              "attempts": fo["attempts"],
              "placement": fo["placement"],
              "phases": fo["phases"]}

@@ -233,8 +233,8 @@ class CheckpointAgent:
             return
         # Round already completed here. If we committed an image for it
         # (Fig. 4 agents commit at <done>), the global round still
-        # aborted — undo the local commit so the dead epoch's version can
-        # never be "latest".
+        # aborted — undo the local commit so the dead epoch leaves no
+        # image behind.
         committed = self._epoch_versions.pop(epoch, None)
         if committed is not None:
             pod_name, version = committed
@@ -286,9 +286,10 @@ class CheckpointAgent:
             self.unilateral_aborts += 1
             # Record the verdict where a recovering coordinator will look
             # before it could ever commit (or reuse) this epoch.
-            self.store.rounds.log_abort(
-                state["epoch"], reason="coordinator silent",
-                source=self.node.name, at=sim.now)
+            self.store.rounds.decide(
+                state["epoch"], self.store.rounds.ABORT,
+                reason="coordinator silent", source=self.node.name,
+                at=sim.now)
             self.node.trace.spans.instant(
                 "agent.abort", node=self.node.name,
                 epoch=state["epoch"], reason="coordinator silent")
@@ -303,9 +304,9 @@ class CheckpointAgent:
         caller resumes its pod if it has one; its try/finally removes
         the netfilter rule.
         """
-        self.store.rounds.log_abort(message.epoch, reason=reason,
-                                    source=self.node.name,
-                                    at=self.node.sim.now)
+        self.store.rounds.decide(message.epoch, self.store.rounds.ABORT,
+                                 reason=reason, source=self.node.name,
+                                 at=self.node.sim.now)
         self._send(coordinator_ip, ControlMessage(
             kind=protocol.ABORT, epoch=message.epoch,
             pod_name=message.pod_name, node_name=self.node.name,
@@ -420,6 +421,7 @@ class CheckpointAgent:
                 kind=protocol.DONE, epoch=message.epoch, pod_name=pod.name,
                 node_name=self.node.name,
                 local_checkpoint_s=sim.now - started,
+                version=image.version,
                 new_chunk_bytes=image.written_bytes,
                 total_chunk_bytes=image.total_chunk_bytes)
             spans.end(local_span)
@@ -481,8 +483,9 @@ class CheckpointAgent:
         rule_id = None
         try:
             try:
+                images = self.store.rounds.images(message.restores)
                 image = self.store.load(message.pod_name,
-                                        message.version or None)
+                                        images[message.pod_name])
                 # Communications must be disabled *before* any state is
                 # restored: restored TCP would otherwise transmit before
                 # its peers exist (§5).

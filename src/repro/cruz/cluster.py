@@ -29,7 +29,7 @@ from repro.cruz.protocol import RetryPolicy, RoundStats
 from repro.cruz.storage import ImageStore
 from repro.cruz.supervisor import (HEARTBEAT_INTERVAL_S,
                                    HEARTBEAT_JITTER_S, NodeSupervisor)
-from repro.errors import PodError, RestartMismatchError
+from repro.errors import CoordinationError, PodError, RestartMismatchError
 from repro.simos.kernel import Node
 from repro.simos.program import Program
 from repro.zap.checkpoint import scrub_pod_network
@@ -435,14 +435,16 @@ class CruzCluster(Cluster):
 
     def restart(self, app: DistributedApp,
                 node_indices: Optional[Sequence[int]],
-                version: int) -> Generator:
-        """Coordinated restart of ``app``; value is the round's RoundStats.
+                epoch: Optional[int]) -> Generator:
+        """Coordinated restart of ``app`` from its committed checkpoint
+        round ``epoch`` (``None``: the newest of ``store.rounds.cuts``);
+        value is the round's RoundStats.
 
         Member ``i`` restores on ``node_indices[i]`` (``None``: its current
-        node), so pods may move across the subnet (§4.2). Every member
-        still registered on a live agent is destroyed first, by name, so
-        a running app rolls back to the image and no straggler of an
-        aborted attempt survives; then ``app.pods`` is re-pointed.
+        node), so pods may move across the subnet (§4.2). Past the checks,
+        every member still registered on a live agent is destroyed, by
+        name, so a running app rolls back to the image and no straggler
+        of an aborted attempt survives; then ``app.pods`` is re-pointed.
         """
         if node_indices is None:
             members = app.members
@@ -454,20 +456,27 @@ class CruzCluster(Cluster):
         else:
             members = [(self.nodes[index].stack.eth0.ip, pod.name)
                        for index, pod in zip(node_indices, app.pods)]
+        cuts = self.store.rounds.cuts(pod.name for pod in app.pods)
+        epoch = cuts[0] if epoch is None and cuts else epoch
+        if epoch not in cuts:
+            raise CoordinationError(
+                f"restart({app.name!r}): no committed checkpoint round "
+                f"of its members matches epoch={epoch} (rounds: {cuts})")
         for pod in app.pods:
             for agent in self.agents:
                 registered = agent.pods.get(pod.name)
                 if registered is not None and not agent.crashed:
                     self.destroy_pod(registered)
-        stats = yield from self.coordinator.restart(members, version)
+        stats = yield from self.coordinator.restart(members, epoch)
         self.repoint_app(app, members)
         return stats
 
     def restart_app(self, app: DistributedApp,
                     node_indices: Optional[Sequence[int]] = None,
-                    version: int = 0, limit: float = 1e6) -> RoundStats:
+                    epoch: Optional[int] = None,
+                    limit: float = 1e6) -> RoundStats:
         """Run :meth:`restart` to completion."""
-        task = self.sim.process(self.restart(app, node_indices, version))
+        task = self.sim.process(self.restart(app, node_indices, epoch))
         return self.run_until_complete(task, limit=limit)
 
     def migrate_pod(self, pod: Pod, target_node_index: int,

@@ -19,9 +19,11 @@ orientation), we verify, in both directions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from repro.errors import CheckpointError
 from repro.zap.image import CheckpointImage
+from repro.zap.verify import socket_details
 
 
 @dataclass
@@ -56,17 +58,10 @@ class ConsistencyReport:
 
 
 def _connected_sockets(image: CheckpointImage):
-    for proc in image.processes:
-        for fd_image in proc.fds:
-            if fd_image.kind != "tcp_socket":
-                continue
-            detail = fd_image.detail
-            if isinstance(detail, dict) and \
-                    detail.get("kind") == "connected":
-                yield detail
-            if isinstance(detail, dict):
-                for queued in detail.get("queued", ()):
-                    yield queued
+    for _proc, _fd, detail in socket_details(image):
+        if detail.get("kind") == "connected":
+            yield detail
+        yield from detail.get("queued", ())
 
 
 def check_global_consistency(
@@ -118,9 +113,12 @@ def _check_direction(sender_pod: str, sender: dict, receiver_pod: str,
         ok=ok, reason=reason)
 
 
-def check_app_checkpoint(store, pod_names: List[str],
-                         version: Optional[int] = None
-                         ) -> ConsistencyReport:
-    """Load one version of each pod's image from a store and cross-check."""
-    images = [store.load(name, version) for name in pod_names]
-    return check_global_consistency(images)
+def check_app_checkpoint(store, epoch: int) -> ConsistencyReport:
+    """Load the images committed checkpoint round ``epoch`` saved and
+    cross-check them: the set a restart of that round restores."""
+    images = store.rounds.images(epoch)
+    if images is None:
+        raise CheckpointError(
+            f"round {epoch} is not a committed checkpoint round")
+    return check_global_consistency(
+        [store.load(name, version) for name, version in images.items()])

@@ -260,11 +260,11 @@ class CheckpointCoordinator:
             early_network=early_network, concurrent=concurrent),
             app.members))
 
-    def restart(self, members: Members, version: int) -> Generator:
+    def restart(self, members: Members, epoch: int) -> Generator:
         """Coordinated restart: each ``(agent ip, pod name)`` member
-        restores its pod's image ``version`` (0: the latest)."""
+        restores its pod's image from committed checkpoint round ``epoch``."""
         return (yield from self._run_round(ControlMessage(
-            kind=protocol.RESTART, epoch=0, version=version), members))
+            kind=protocol.RESTART, epoch=0, restores=epoch), members))
 
     def _run_round(self, request: ControlMessage,
                    members: Members) -> Generator:
@@ -327,12 +327,14 @@ class CheckpointCoordinator:
                 (m.local_continue_s for m in final), default=0.0)
             # Verified two-phase-commit outcome: the commit only stands
             # if no agent (or recovering coordinator) aborted this epoch
-            # first — first WAL record wins.
+            # first — first WAL record wins; a restart restores its images.
+            images = ({m.pod_name: m.version for m in final}
+                      if request.kind == protocol.CHECKPOINT else None)
             with spans.span("coord.commit", node=self.node.name,
                             epoch=epoch):
                 outcome = self.wal.decide(epoch, self.wal.COMMIT,
                                           source=self.node.name,
-                                          at=sim.now)
+                                          at=sim.now, images=images)
                 if outcome != self.wal.COMMIT:
                     record = self.wal.abort_record(epoch) or {}
                     raise CoordinationError(

@@ -75,8 +75,10 @@ class ControlMessage:
     epoch: int
     pod_name: str = ""
     node_name: str = ""
-    #: RESTART: which stored image version to restore (0 = latest).
+    #: A save's DONE (and a CONTINUE_DONE repeating it): the version saved.
     version: int = 0
+    #: RESTART: the epoch of the committed checkpoint round to restore.
+    restores: int = 0
     #: Fig. 4: agents resume as soon as their own save finishes.
     optimized: bool = False
     #: Incremental checkpoint (dirty pages only).

@@ -334,7 +334,8 @@ class RoundLog:
     * ``decide()`` is first-writer-wins: a coordinator about to commit
       learns about a concurrent unilateral abort and fails the round
       instead, making the two-phase-commit outcome verified rather than
-      assumed.
+      assumed;
+    * a checkpoint round's commit names its images (:meth:`cuts`).
     """
 
     START, COMMIT, ABORT = "start", "commit", "abort"
@@ -359,7 +360,8 @@ class RoundLog:
         })
 
     def decide(self, epoch: int, outcome: str, reason: str = "",
-               source: str = "", at: float = 0.0) -> str:
+               source: str = "", at: float = 0.0,
+               images: Optional[Dict[str, int]] = None) -> str:
         """Record ``outcome`` unless one exists; returns the winner."""
         if outcome not in self._OUTCOMES:
             raise CheckpointError(f"unknown round outcome {outcome!r}")
@@ -367,14 +369,9 @@ class RoundLog:
         if existing is not None:
             return existing
         _write_record(self.fs, self._path(epoch, outcome), {
-            "epoch": epoch, "reason": reason, "source": source, "at": at})
+            "epoch": epoch, "reason": reason, "source": source, "at": at,
+            "images": images})
         return outcome
-
-    def log_abort(self, epoch: int, reason: str = "", source: str = "",
-                  at: float = 0.0) -> str:
-        """Agent-side unilateral abort record (idempotent)."""
-        return self.decide(epoch, self.ABORT, reason=reason,
-                           source=source, at=at)
 
     # -- reading -----------------------------------------------------------
 
@@ -387,8 +384,19 @@ class RoundLog:
     def abort_record(self, epoch: int) -> Optional[Dict]:
         return _read_record(self.fs, self._path(epoch, self.ABORT))
 
-    def read_start(self, epoch: int) -> Optional[Dict]:
-        return _read_record(self.fs, self._path(epoch, self.START))
+    def images(self, epoch: int) -> Optional[Dict[str, int]]:
+        """Pod name -> version of the images round ``epoch`` committed;
+        ``None`` unless it is a committed checkpoint round."""
+        record = _read_record(self.fs, self._path(epoch, self.COMMIT))
+        return (record or {}).get("images")
+
+    def cuts(self, pod_names: Iterable[str]) -> List[int]:
+        """Epochs of the committed checkpoint rounds that saved exactly
+        ``pod_names``, newest first: the rounds their app restarts from."""
+        wanted = set(pod_names)
+        return [epoch for epoch in reversed(self.epochs())
+                if (images := self.images(epoch)) is not None
+                and images.keys() == wanted]
 
     def epochs(self) -> List[int]:
         """Every epoch with a start record, ascending."""
@@ -400,8 +408,8 @@ class RoundLog:
 
     def in_flight(self) -> List[Dict]:
         """Start records of rounds with no recorded outcome."""
-        return [self.read_start(epoch) for epoch in self.epochs()
-                if self.outcome(epoch) is None]
+        return [_read_record(self.fs, self._path(epoch, self.START))
+                for epoch in self.epochs() if self.outcome(epoch) is None]
 
 
 class LivenessLog:
@@ -704,12 +712,8 @@ class ImageStore:
             self._manifest_chunk_refs(manifest))
 
     def reconstructible_versions(self, pod_name: str) -> List[int]:
-        """Committed versions rebuildable from *surviving* replicas.
-
-        Versions whose chunks lost every live copy to node failures
-        drop out, and failover / migration must fall back to the newest
-        version still in this list.
-        """
+        """Versions rebuildable from *surviving* replicas: each one
+        :meth:`version_reconstructible`, in one availability pass."""
         refs: Dict[int, List[str]] = {}
         for version in self.versions(pod_name):
             manifest = self._read_manifest(pod_name, version)

@@ -17,11 +17,11 @@ user-level coordinators use:
   inherits the cluster's liveness map instead of rediscovering it;
 * a death declaration fails the coordinator's in-flight rounds (their
   normal abort path makes survivors discard half-round images), then
-  drives per-app failover: pick the newest committed checkpoint version
-  shared by every member, ``verify_image`` each member image, place the
-  dead node's pods on surviving nodes (least-loaded, lowest index wins
-  ties), and run a coordinated restart — retrying with backoff if the
-  chosen target dies mid-failover.
+  drives per-app failover: walk the app's committed checkpoint rounds
+  (``RoundLog.cuts``) newest first to the first whose images all load
+  and ``verify_image`` green, place the dead node's pods on surviving
+  nodes (least-loaded, lowest index wins ties), and restart that round
+  — retrying with backoff if the chosen target dies mid-failover.
 
 Every failover phase is recorded as spans (``failover`` with children
 ``failover.verify`` / ``failover.place`` / ``failover.restart``, plus
@@ -91,7 +91,8 @@ class FailoverRecord:
 
     app: str
     dead_node: str
-    version: int
+    #: The committed checkpoint round restored.
+    epoch: int
     attempts: int
     #: pod name -> node name it was restarted on.
     placement: Dict[str, str] = field(default_factory=dict)
@@ -377,8 +378,8 @@ class NodeSupervisor:
             while self.cluster.store.rounds.in_flight():
                 yield sim.timeout(self.settle_s)
             yield sim.timeout(self.settle_s)
-            version = yield from self._choose_version(app)
-            self._spans.end(verify_span, version=version)
+            epoch = yield from self._choose_round(app)
+            self._spans.end(verify_span, restores=epoch)
 
             place_span = self._spans.begin(
                 "failover.place", node=self.node.name, app=app.name,
@@ -395,7 +396,7 @@ class NodeSupervisor:
                 try:
                     yield from self.cluster.restart(
                         app, [placement[pod.name] for pod in app.pods],
-                        version)
+                        epoch)
                     break
                 except RestartMismatchError:
                     # The round committed: a member missing afterwards
@@ -404,10 +405,8 @@ class NodeSupervisor:
                 except CoordinationError as error:
                     if attempts >= MAX_RESTART_ATTEMPTS:
                         raise FailoverError(
-                            app.name,
-                            f"restart failed after {attempts} "
-                            f"attempt(s): {error}",
-                            version=version, attempts=attempts)
+                            app.name, f"restart of round {epoch} failed "
+                                      f"after {attempts} attempt(s): {error}")
                     # Cascading failure: the chosen target may itself
                     # have died. Back off (lets the aborted round's
                     # cleanup land and the monitor declare new deaths),
@@ -416,7 +415,7 @@ class NodeSupervisor:
                     placement = self._placement(app)
             self._spans.end(restart_span, attempts=attempts)
             record = FailoverRecord(
-                app=app.name, dead_node=lease.name, version=version,
+                app=app.name, dead_node=lease.name, epoch=epoch,
                 attempts=attempts,
                 placement={pod_name: self.cluster.nodes[index].name
                            for pod_name, index in placement.items()},
@@ -441,19 +440,13 @@ class NodeSupervisor:
             self._spans.end(root)
             self._active_failovers.discard(app.name)
 
-    def _choose_version(self, app) -> Generator:
-        """Newest committed version every member has, verified green.
-
-        With a sharded store a committed version is only usable if every
-        chunk it references survives on some live replica, so candidates
-        are intersected with each member's
-        :meth:`~repro.cruz.storage.ImageStore.reconstructible_versions`
-        before verification. Charges simulated disk-read time for each
-        image inspected, so the ``failover.verify`` span measures real
-        work.
+    def _choose_round(self, app) -> Generator:
+        """Epoch of the newest of the members' ``RoundLog.cuts`` whose
+        images all verify green; a round with an image gone or not
+        reconstructible is skipped. Each image inspected charges its
+        simulated disk read, so ``failover.verify`` measures real work.
         """
         store = self.cluster.store
-        costs = self.node.costs
         # A node whose lease is still warm but whose agent is already
         # gone contributes no capacity and no replicas: without this,
         # losing every node at once reads as a storage problem instead
@@ -464,47 +457,39 @@ class NodeSupervisor:
             raise FailoverError(
                 app.name, "no surviving capacity: every app node is dead")
         member_names = [pod.name for pod in app.pods]
-        common = None
-        for name in member_names:
-            versions = set(store.versions(name))
-            common = versions if common is None else common & versions
-        if not common:
+        cuts = store.rounds.cuts(member_names)
+        if not cuts:
             raise FailoverError(
-                app.name, "no committed checkpoint version shared by "
-                          f"members {member_names}")
-        usable = None
-        for name in member_names:
-            views = set(store.reconstructible_versions(name))
-            usable = views if usable is None else usable & views
-        candidates = common & usable
-        if not candidates:
-            raise FailoverError(
-                app.name, "no shared committed version is reconstructible "
-                          f"from surviving replicas "
-                          f"(committed: {sorted(common)})")
+                app.name, "no committed checkpoint version: no round "
+                          f"saved members {member_names}")
         rejected = []
-        for version in sorted(candidates, reverse=True):
-            all_green = True
+        for epoch in cuts:
+            images = store.rounds.images(epoch)
+            if not all(store.version_reconstructible(name, images[name])
+                       for name in member_names):
+                continue
             for name in member_names:
                 try:
-                    image = store.load(name, version)
+                    image = store.load(name, images[name])
                 except StoreError as error:
                     # A replica died between the reconstructibility scan
-                    # and the read: fall back to an older version.
-                    rejected.append((version, name, [str(error)]))
-                    all_green = False
+                    # and the read: fall back to an older round.
+                    rejected.append((epoch, name, [str(error)]))
                     break
                 yield self._sim.timeout(
-                    image.state_bytes / costs.disk_read_bandwidth)
+                    image.state_bytes / self.node.costs.disk_read_bandwidth)
                 report = verify_image(image)
                 if not report.ok:
-                    rejected.append((version, name, report.problems))
-                    all_green = False
+                    rejected.append((epoch, name, report.problems))
                     break
-            if all_green:
-                return version
+            else:
+                return epoch
+        if not rejected:
+            raise FailoverError(
+                app.name, "no shared committed version is reconstructible "
+                          f"from surviving replicas (rounds: {cuts})")
         raise FailoverError(
-            app.name, f"no stored version passes verification "
+            app.name, f"no committed round passes verification "
                       f"(rejected: {rejected})")
 
     def _node_alive(self, index: int) -> bool:

@@ -122,15 +122,14 @@ class FailoverError(CoordinationError):
     """Automatic failover could not recover an app.
 
     Raised (and recorded by the supervisor) when no committed checkpoint
-    version exists for every member, no surviving node has capacity, or
-    every restart attempt exhausted its retry budget.
+    round of the members can be restored, no surviving node has
+    capacity, or every restart of the chosen round (named by its epoch
+    in ``reason``) exhausted its retry budget.
     """
 
-    def __init__(self, app_name, reason, version=None, attempts=0):
+    def __init__(self, app_name, reason):
         self.app_name = app_name
         self.reason = reason
-        self.version = version
-        self.attempts = attempts
         super().__init__(f"failover of {app_name!r} failed: {reason}")
 
 

@@ -152,9 +152,6 @@ class JobScheduler:
         """Roll a job back to its last committed checkpoint on healthy
         nodes (fault-tolerance path)."""
         job = self.jobs[name]
-        if job.checkpoints_taken == 0:
-            raise CoordinationError(
-                f"job {name!r} has no committed checkpoint to recover")
         if node_indices is None:
             placement = self.cluster.place(job.app.pods, self._node_alive)
             if placement is None:
@@ -165,7 +162,7 @@ class JobScheduler:
 
     def _restart(self, job: Job, node_indices: Optional[Sequence[int]],
                  event: str) -> Job:
-        """Coordinated restart from the last committed images."""
+        """Coordinated restart from the job's newest committed round."""
         self.cluster.restart_app(job.app, node_indices=node_indices)
         job.restarts += 1
         job.state = JobState.RUNNING

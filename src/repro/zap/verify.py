@@ -120,7 +120,8 @@ def _check_ipc(image: CheckpointImage, report: VerificationReport):
         report.fail("duplicate semaphore virtual ids")
 
 
-def _socket_details(image: CheckpointImage):
+def socket_details(image: CheckpointImage):
+    """(process, fd, detail) of every TCP socket saved in ``image``."""
     for proc in image.processes:
         for fd_image in proc.fds:
             if fd_image.kind == "tcp_socket" and \
@@ -129,7 +130,7 @@ def _socket_details(image: CheckpointImage):
 
 
 def _check_sockets(image: CheckpointImage, report: VerificationReport):
-    for proc, fd, detail in _socket_details(image):
+    for proc, fd, detail in socket_details(image):
         kind = detail.get("kind")
         if kind != "connected":
             continue

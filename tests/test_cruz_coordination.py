@@ -122,12 +122,12 @@ def test_restart_from_older_version():
     cluster = make_cluster(2)
     app = ring_app(cluster, 2, max_token=5000)
     cluster.run_for(0.2)
-    cluster.checkpoint_app(app)   # v1
+    first = cluster.checkpoint_app(app)   # v1
     v1_progress = max(len(w.seen) for w in workers_of(cluster, app))
     cluster.run_for(0.3)
     cluster.checkpoint_app(app)   # v2
     cluster.crash_app(app)
-    cluster.restart_app(app, version=1)
+    cluster.restart_app(app, epoch=first.epoch)
     workers = workers_of(cluster, app)
     # Progress rolled back to roughly the v1 point.
     assert max(len(w.seen) for w in workers) <= v1_progress + 2

@@ -4,6 +4,7 @@ pod restart on survivors, and the seeded chaos harness."""
 import numpy as np
 import pytest
 
+from repro.apps.ring import validate_ring
 from repro.apps.slm import reference_solution, slm_factory
 from repro.cruz.cluster import CruzCluster
 from repro.cruz.faults import ChaosInjector
@@ -14,6 +15,16 @@ from repro.errors import (
     FailoverError,
     PodError,
     RestartMismatchError,
+)
+
+from tests.test_cruz_coordination import (
+    ring_app,
+    run_app_to_completion,
+    workers_of,
+)
+from tests.test_failure_injection import (
+    assert_one_consistent_round,
+    record_restores,
 )
 
 RANKS, ROWS, COLS, STEPS = 2, 8, 16, 40
@@ -183,7 +194,7 @@ def test_automatic_failover_end_to_end():
     assert len(supervisor.failovers) == 1
     record = supervisor.failovers[0]
     assert record.app == "slm" and record.dead_node == "node0"
-    assert record.version == 1 and record.attempts == 1
+    assert record.epoch == 1 and record.attempts == 1
     # Least-loaded placement with index tie-break: both pods end up on
     # the surviving home node.
     assert record.placement == {"slm-r0": "node1", "slm-r1": "node1"}
@@ -215,7 +226,7 @@ def test_mid_round_crash_aborts_round_and_restores_committed():
     cluster.run_until(slm_done(cluster, app), limit=30.0)
     cluster.run_for(0.2)
     record = cluster.supervisor.failovers[0]
-    assert record.version == 1                         # not the aborted v2
+    assert record.epoch == 1                           # not the aborted round
     for pod in app.pods:
         versions = cluster.store.versions(pod.name)
         assert 1 in versions and 2 not in versions
@@ -249,9 +260,10 @@ def test_failover_without_surviving_capacity_is_typed_failure():
 
 
 def test_failover_falls_back_to_newest_reconstructible_version():
-    """RF=1: a version whose fresh chunks lived only on the dead node
-    is committed but unreconstructible; failover must fall back to the
-    newest version that survives on other shards, not fail."""
+    """RF=1: a round whose fresh chunks lived only on the dead node is
+    committed but unreconstructible; failover must fall back to the
+    newest round that survives on other shards, not fail. The migration
+    image (v2) is no round, so that is the epoch-1 round (v1)."""
     cluster = make_supervised(3, replication_factor=1)
     app = cluster.launch_app_factory(
         "slm", 1,
@@ -259,7 +271,8 @@ def test_failover_falls_back_to_newest_reconstructible_version():
                     total_work_s=200.0, memory_mb_per_rank=2.0))
     pod = app.pods[0]
     cluster.run_for(0.3)
-    assert cluster.checkpoint_app(app).committed   # v1, writer node0
+    first = cluster.checkpoint_app(app)            # v1, writer node0
+    assert first.committed
     cluster.migrate_pod(pod, 1, live=False)        # v2, written by node0
     cluster.run_for(0.1)
     assert cluster.checkpoint_app(app).committed   # v3, writer node1
@@ -271,8 +284,38 @@ def test_failover_falls_back_to_newest_reconstructible_version():
     supervisor = cluster.supervisor
     assert not supervisor.failures
     record = supervisor.failovers[0]
-    assert record.version == 2                     # newest usable, not 3
+    assert record.epoch == first.epoch             # v1: newest usable round
     assert record.placement[pod.name] != "node1"
+
+
+def test_failover_after_a_live_migration_restores_the_last_round():
+    """Checkpoint, live-migrate rank 0, two more rounds, then a node
+    dies. Rank 0 holds versions [1, 3, 4, 5] and the others [1, 2, 3],
+    so the newest number every member has (3) is rank 0's migration
+    image beside the others' second round; failover must restore the
+    last round instead."""
+    cluster = make_supervised(4)
+    app = ring_app(cluster, 3, max_token=20000)
+    cluster.run_for(0.2)
+    assert cluster.checkpoint_app(app).committed
+    cluster.migrate_pod(app.pods[0], 3, live=True)
+    rounds = []
+    for _ in range(2):
+        cluster.run_for(0.1)
+        rounds.append(cluster.checkpoint_app(app))
+        assert rounds[-1].committed
+    assert cluster.store.versions(app.pods[0].name) == [1, 3, 4, 5]
+    assert cluster.store.versions(app.pods[1].name) == [1, 2, 3]
+    restored = record_restores(cluster)
+    cluster.crash_node(1)
+    cluster.run_until(lambda: bool(cluster.supervisor.failovers)
+                      or bool(cluster.supervisor.failures),
+                      limit=cluster.sim.now + 10.0)
+    assert not cluster.supervisor.failures
+    assert_one_consistent_round(cluster, restored, rounds[-1].epoch)
+    assert cluster.supervisor.failovers[0].epoch == rounds[-1].epoch
+    run_app_to_completion(cluster, app, limit=cluster.sim.now + 60.0)
+    validate_ring(workers_of(cluster, app))
 
 
 def test_failover_with_no_reconstructible_version_is_typed_failure():
@@ -300,14 +343,14 @@ def test_cascading_restart_failure_retries_with_backoff():
     original = cluster.coordinator.restart
     calls = {"n": 0}
 
-    def flaky_restart(members, version):
+    def flaky_restart(members, epoch):
         calls["n"] += 1
         if calls["n"] == 1:
             def exploding():
                 raise CoordinationError("restart target died mid-round")
                 yield  # pragma: no cover - generator shape
             return exploding()
-        return original(members, version)
+        return original(members, epoch)
 
     cluster.coordinator.restart = flaky_restart
     cluster.crash_node(0)
@@ -435,7 +478,7 @@ def test_chaos_torture_crash_revive_second_crash():
                           key=lambda p: p.rank)
         field = np.vstack([p.q for p in programs])
         return (field.tobytes(),
-                [(r.dead_node, r.version, tuple(sorted(
+                [(r.dead_node, r.epoch, tuple(sorted(
                     r.placement.items())))
                  for r in cluster.supervisor.failovers],
                 [d["node"] for d in cluster.supervisor.deaths])

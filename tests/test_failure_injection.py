@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.ring import validate_ring
 from repro.apps.slm import reference_solution, slm_factory
+from repro.cruz.consistency import check_global_consistency
 from repro.errors import CoordinationError
 
 from tests.test_cruz_coordination import (
@@ -257,12 +258,13 @@ def test_consolidation_failover_onto_single_node():
     cluster.run_for(0.8)
     stats = cluster.checkpoint_app(app)
     assert stats.committed
-    version = cluster.store.latest_version(app.pods[0].name)
+    images = cluster.store.rounds.images(stats.epoch)
     for pod in app.pods:
-        assert verify_image(cluster.store.load(pod.name, version)).ok
+        assert verify_image(cluster.store.load(pod.name,
+                                               images[pod.name])).ok
 
     cluster.crash_app(app)
-    cluster.restart_app(app, node_indices=[2, 2], version=version)
+    cluster.restart_app(app, node_indices=[2, 2], epoch=stats.epoch)
     assert all(pod.node is cluster.nodes[2] for pod in app.pods)
     assert all(pod.name in cluster.agents[2].pods for pod in app.pods)
     run_app_to_completion(cluster, app)
@@ -378,6 +380,74 @@ def test_a_member_whose_restore_fails_aborts_the_restart_at_once():
     agent.restart_engine.restart = original
     assert cluster.restart_app(app).committed
     run_app_to_completion(cluster, app)
+    validate_ring(workers_of(cluster, app))
+
+
+def record_restores(cluster):
+    """pod name -> the image an agent's restart engine restores from
+    now on (the last one, per pod)."""
+    restored = {}
+    for agent in cluster.agents:
+        def spy(image, node, restart=agent.restart_engine.restart,
+                **kwargs):
+            restored[image.pod_name] = image
+            return restart(image, node, **kwargs)
+        agent.restart_engine.restart = spy
+    return restored
+
+
+def assert_one_consistent_round(cluster, restored, epoch):
+    """The restored images are the round ``epoch`` saved, and every
+    channel between them holds the §5.1 invariant."""
+    report = check_global_consistency(list(restored.values()))
+    assert report.ok and len(report.channels) == 6, report.summary()
+    assert {name: image.version for name, image in restored.items()} \
+        == cluster.store.rounds.images(epoch)
+
+
+@pytest.mark.parametrize("live", [False, True],
+                         ids=["stop_and_copy", "precopy"])
+def test_a_restart_after_a_migration_restores_one_round(live):
+    """A migration advances one pod's version only. A restart after it
+    must still restore the round (the other members hold nothing newer):
+    rank 0's migration image beside the others' round broke two channel
+    directions and the ring never finished."""
+    cluster = make_cluster(4)
+    app = ring_app(cluster, 3, max_token=3000)
+    cluster.run_for(0.2)
+    stats = cluster.checkpoint_app(app)
+    assert stats.committed
+    cluster.migrate_pod(app.pods[0], 3, live=live)
+    cluster.run_for(0.2)
+    cluster.crash_app(app)
+    restored = record_restores(cluster)
+    assert cluster.restart_app(app).committed
+    assert_one_consistent_round(cluster, restored, stats.epoch)
+    run_app_to_completion(cluster, app, limit=cluster.sim.now + 60.0)
+    validate_ring(workers_of(cluster, app))
+
+
+@pytest.mark.parametrize("migrated", [False, True],
+                         ids=["never_saved", "only_migrated"])
+def test_a_restart_with_no_committed_round_leaves_the_app_running(
+        migrated):
+    """No committed round: the restart fails typed before it destroys
+    anything. A migration image is no round, so a migrated app without
+    a checkpoint has none either."""
+    cluster = make_cluster(3)
+    app = ring_app(cluster, 2, max_token=3000)
+    cluster.run_for(0.2)
+    if migrated:
+        cluster.migrate_pod(app.pods[0], 2, live=False)
+    running = list(app.pods)
+    with pytest.raises(CoordinationError,
+                       match="no committed checkpoint round"):
+        cluster.restart_app(app)
+    assert app.pods == running
+    for pod in running:
+        assert cluster._agent_for(pod.node.name).pods[pod.name] is pod
+        assert any(p.is_alive for p in pod.processes())
+    run_app_to_completion(cluster, app, limit=cluster.sim.now + 60.0)
     validate_ring(workers_of(cluster, app))
 
 

@@ -241,9 +241,6 @@ def test_the_rule_fails_on_each_planted_violation(
 #: ``module:qualname.param`` -> the decision that keeps a keyword-default
 #: parameter that no call site sets to anything but its default.
 OPTION_ALLOWLIST = {
-    "repro.cruz.consistency:check_app_checkpoint.version":
-        "the module is kept by the reachability ALLOWLIST until ROADMAP "
-        "items 2 and 9 call it; `repro image cut EPOCH` names a version",
     "repro.net.capture:PacketCapture.__init__.max_frames":
         "the module is kept by the reachability ALLOWLIST as the "
         "documented link tap; a long capture bounds its ring with it",
