@@ -5,6 +5,7 @@ carried to 32 nodes and projected (``SCALABILITY``)."""
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -62,6 +63,11 @@ def run_fig5(node_counts: Sequence[int] = (2, 4, 6, 8),
     """Measure checkpoint and restart rounds for each node count."""
     points = []
     for n_nodes in node_counts:
+        # The previous node count's cluster is cyclic garbage by now,
+        # and building the next may not trigger the full collection
+        # that frees it: free it here, so peak memory is one cluster's.
+        cluster = app = spans = None
+        gc.collect()
         cluster = CruzCluster(n_nodes, trace_enabled=True)
         app, checkpoint_rounds = run_slm_rounds(
             cluster, n_nodes, MEMORY_MB_PER_RANK, rounds=rounds,
@@ -192,6 +198,9 @@ def run_scalability() -> List[RoundStats]:
     """One blocking round per node count, 20 MB of state per rank."""
     rounds = []
     for n_nodes in (2, 4, 8, 16, 32):
+        # As in run_fig5: one cluster alive at a time.
+        cluster = _app = None
+        gc.collect()
         cluster = CruzCluster(n_nodes, trace_enabled=False)
         _app, stats = run_slm_rounds(cluster, n_nodes, 20.0, rounds=1)
         rounds += stats

@@ -32,9 +32,10 @@ injection. A shard is one directory and a copy is a slot in it keyed by
 the chunk id — the same string object the holder index and the store's
 refcount table key on, so a copy costs no path string. What the file
 holds is the caller's business: blobs are real bytes, memory pages are
-:class:`~repro.simos.filesystem.SyntheticExtent` descriptors (see
-:func:`repro.cruz.storage.page_chunk_payload`), and this module only
-ever needs a payload's size.
+one shared :class:`~repro.simos.filesystem.NamedExtent` that the
+filesystem reads back as the page's extent (see
+:data:`repro.cruz.storage.PAGE_MARKER`), and this module only ever
+needs a payload's size.
 
 All enumeration is sorted and all placement is a pure function of
 ``(chunk id, writer, availability)``, so runs remain bit-identical
@@ -406,12 +407,28 @@ class ShardedBackend:
         more. The grouping is what a restore needs to know about its
         sources: which surviving disks hold how much.
         """
+        return self._read_grouped(cids, self.fs.read_run)
+
+    def read_sources(self, cids: Sequence[str]
+                     ) -> Dict[Tuple[str, ...], int]:
+        """What a restore needs of a run of chunks: the bytes read from
+        each live-holder tuple. Read, counted and failed exactly as
+        :meth:`read_chunks`, but each copy is taken as it is stored
+        (``stored_run``), so no page's extent is built only to be
+        sized."""
+        return {live: run_bytes(payloads) for live, payloads
+                in self._read_grouped(cids, self.fs.stored_run).items()}
+
+    def _read_grouped(self, cids: Sequence[str], read_run
+                      ) -> Dict[Tuple[str, ...], List[Content]]:
+        """:meth:`read_chunks` through the filesystem's ``read_run`` or
+        ``stored_run``."""
         runs = {live: _pick(cids, positions) for live, positions
                 in _partition(self._live_of(cids)).items()}
         grouped: Dict[Tuple[str, ...], List[Content]] = {}
         missed = False
         for live, ids in runs.items():
-            grouped[live], whole = self._read_through(live, ids)
+            grouped[live], whole = self._read_through(live, ids, read_run)
             missed = missed or not whole
         if missed:
             # Rare enough to be plain about. The error is the one a
@@ -428,12 +445,13 @@ class ShardedBackend:
             raise ChunkMissingError(cids[at], self.up_nodes)
         return grouped
 
-    def _read_through(self, live: Tuple[str, ...], ids: Sequence[str]
-                      ) -> Tuple[List[Optional[Content]], bool]:
-        """``ids`` read from the first of ``live``, and each copy that is
-        not there (a torn replica) from the next; ``None`` where no
-        holder serves it. Also says whether every id was served."""
-        read_run = self.fs.read_run
+    def _read_through(self, live: Tuple[str, ...], ids: Sequence[str],
+                      read_run) -> Tuple[List[Optional[Content]], bool]:
+        """``ids`` read by ``read_run`` (the filesystem's, or its
+        ``stored_run`` for a copy) from the first of ``live``, and each
+        copy that is not there (a torn replica) from the next; ``None``
+        where no holder serves it. Also says whether every id was
+        served."""
         found = read_run(self._shards[live[0]], ids) if live \
             else [None] * len(ids)
         fallbacks = iter(live[1:])
@@ -565,8 +583,9 @@ class ShardedBackend:
 
         The chunks are grouped by (live holders, destination) as the
         pass begins (at the first ``next``), and each group moves as one
-        read run (a torn copy is read from the next live holder, as
-        :meth:`read_chunks` does) and one write run. A caller that lets
+        read run of the stored values (a torn copy is read from the next
+        live holder, as :meth:`read_chunks` does; a page's shared marker
+        is copied as the marker) and one write run. A caller that lets
         time pass between groups gets each group re-checked at its
         turn: a destination that went down skips the group (the
         availability change is the caller's cue for another pass), and
@@ -591,7 +610,8 @@ class ShardedBackend:
                 continue
             group = _pick(cids, positions)
             ids = list(compress(group, map(referenced.__contains__, group)))
-            found, whole = self._read_through(self._live[live], ids)
+            found, whole = self._read_through(self._live[live], ids,
+                                              self.fs.stored_run)
             if not whole:
                 served = list(map(is_not, found, repeat(None)))
                 ids = list(compress(ids, served))

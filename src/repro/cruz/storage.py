@@ -11,12 +11,14 @@ optimisations are real byte movement, not accounting:
   content hash; a page's logical content is fully determined by its
   ``(pod, vpid, region, page, write-version)`` identity (see
   :class:`~repro.simos.memory.AddressSpace`), so an untouched page hashes
-  to the same chunk in every epoch and is stored exactly once. What is
-  stored for it is that content's descriptor — a
-  :class:`~repro.simos.filesystem.SyntheticExtent` of the id's 32 bytes
-  (:func:`page_chunk_payload`) — which every size, counter and copy
-  treats as the PAGE_SIZE bytes it stands for; blobs (programs, socket
-  state, pipes, shm), manifests and WAL records are real bytes.
+  to the same chunk in every epoch and is stored exactly once. That
+  content is the id's 32 bytes repeated (:func:`page_chunk_payload`),
+  and what is stored for every page copy is one shared marker,
+  :data:`PAGE_MARKER`: the filesystem reads it back as that extent by
+  the copy's file name, which is the id, and every size, counter and
+  copy treats it as the PAGE_SIZE bytes it stands for; blobs
+  (programs, socket state, pipes, shm), manifests and WAL records are
+  real bytes.
 * A small pickled *manifest* per version records the image metadata and
   the chunk references; ``load`` reconstructs the image from it. One
   codec (:func:`_encode`/:func:`_decode`) writes each image record as
@@ -38,12 +40,12 @@ Save modes:
                   hashing clean pages (§5.2 incremental checkpointing).
 
 The chunk format is per page; the code path is per *run*: a process's
-pages go through ``plan`` → ``put_chunks`` → ``read_chunks`` as one
+pages go through ``plan`` → ``put_chunks`` → ``read_sources`` as one
 list each, and their ids come from one walk memoised by write version
 (:meth:`ImageStore._page_ids`). The memo also keeps, for a page a
-``full`` save wrote, its ring arc and the extent stored for it, so an
-untouched page costs a full save a lookup. :func:`iter_page_chunks` is
-the plain reference enumeration that walk must agree with.
+``full`` save wrote, its ring arc, so an untouched page costs a full
+save a lookup. :func:`iter_page_chunks` is the plain reference
+enumeration that walk must agree with.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from array import array
 from collections import Counter, deque
 from dataclasses import astuple, dataclass, field, fields
 from itertools import chain, compress, repeat
-from operator import is_, ne
+from operator import is_, ne, not_
 from typing import (
     Any,
     Dict,
@@ -77,9 +79,9 @@ from repro.errors import (
     VersionUnreconstructibleError,
 )
 from repro.simos.filesystem import (
+    NamedExtent,
     SharedFileSystem,
     SyntheticExtent,
-    run_bytes,
 )
 from repro.simos.memory import PAGE_SIZE, AddressSpace
 from repro.zap.image import (
@@ -219,15 +221,15 @@ def page_chunk_id(pod_name: str, vpid: int, region: str,
 
 
 def page_chunk_payload(cid: str) -> SyntheticExtent:
-    """What is stored for a page chunk: PAGE_SIZE bytes that are the
-    chunk id's 32 bytes repeated, as the extent saying so."""
+    """A page chunk's content: PAGE_SIZE bytes that are the chunk id's
+    32 bytes repeated, as the extent saying so."""
     return SyntheticExtent((bytes.fromhex(cid), PAGE_SIZE))
 
 
-def page_chunk_payloads(cids: Sequence[str]) -> List[SyntheticExtent]:
-    """:func:`page_chunk_payload` of a run of page chunk ids."""
-    return list(map(SyntheticExtent,
-                    zip(map(bytes.fromhex, cids), repeat(PAGE_SIZE))))
+#: What is stored for every page chunk copy: the extent whose seed is
+#: the file's name, which is the chunk's id — so, read back, exactly
+#: :func:`page_chunk_payload` of it. One object for all of them.
+PAGE_MARKER = NamedExtent(PAGE_SIZE)
 
 
 def iter_page_chunks(pod_name: str, vpid: int,
@@ -263,28 +265,23 @@ class _RegionPages:
     """One region's pages as :meth:`ImageStore._page_regions` last saw
     them: the write versions and the page ids hashed from them, then —
     filled by the first ``full`` save that writes them (:meth:`fill`) —
-    the extent stored for each page, and against the ring they were
-    bisected into (``ring``, its keys) each page's arc and how many
-    pages fall into each arc. A region whose versions move gets a new
-    entry, so none of it is ever stale."""
+    against the ring they were bisected into (``ring``, its keys) each
+    page's arc and how many pages fall into each arc. A region whose
+    versions move gets a new entry, so none of it is ever stale."""
 
-    __slots__ = ("versions", "ids", "extents", "ring", "arcs",
-                 "arc_counts")
+    __slots__ = ("versions", "ids", "ring", "arcs", "arc_counts")
 
     def __init__(self, versions: List[int], ids: List[str]):
         self.versions = versions
         self.ids = ids
-        self.extents: Optional[List[SyntheticExtent]] = None
         self.ring: Optional[List[str]] = None
         self.arcs: Optional[array] = None
         self.arc_counts: Optional[Counter] = None
 
     def fill(self, backend: ShardedBackend) -> None:
-        """Build the region's extents once, and bisect its pages once
-        per ring: arcs are fixed for a ring's life, whatever goes down
-        or up, and a backend over the same nodes has an equal ring."""
-        if self.extents is None:
-            self.extents = page_chunk_payloads(self.ids)
+        """Bisect the region's pages once per ring: arcs are fixed for
+        a ring's life, whatever goes down or up, and a backend over the
+        same nodes has an equal ring."""
         if self.ring != backend.ring_keys:
             self.arcs = backend.arcs(self.ids)
             self.arc_counts = Counter(self.arcs)
@@ -292,21 +289,14 @@ class _RegionPages:
 
 
 def _unsound_pages(copies: Dict[str, Any], cids: Iterable[str]) -> List[str]:
-    """The page chunks of ``cids`` whose copy in ``copies`` is not
-    :func:`page_chunk_payload` of its id: an extent's seed and length are
-    compared in mapped passes, and only a copy held as real bytes is
-    compared as content, one by one."""
+    """The page chunks of ``cids`` whose copy in ``copies`` is neither
+    :data:`PAGE_MARKER` nor equal to :func:`page_chunk_payload` of its
+    id: the markers are passed in one mapped identity pass, and only
+    another copy is compared as content, one by one."""
     cids = list(cids)
-    stored = list(map(copies.__getitem__, cids))
-    extent = list(map(is_, map(type, stored), repeat(SyntheticExtent)))
-    pages = list(compress(cids, extent))
-    unsound = list(compress(pages, map(
-        tuple.__ne__, compress(stored, extent),
-        zip(map(bytes.fromhex, pages), repeat(PAGE_SIZE)))))
-    if not all(extent):
-        unsound += [cid for cid, value, is_extent in zip(cids, stored, extent)
-                    if not is_extent and value != page_chunk_payload(cid)]
-    return unsound
+    marked = map(is_, map(copies.__getitem__, cids), repeat(PAGE_MARKER))
+    return [cid for cid in compress(cids, map(not_, marked))
+            if copies[cid] != page_chunk_payload(cid)]
 
 
 def _page_numbers(memory: AddressSpace) -> List[int]:
@@ -482,10 +472,9 @@ class SavePlan:
     #: The ``(chunk id, payload, ring arc)`` blobs to write.
     blob_writes: List[Tuple[str, bytes, int]] = field(default_factory=list)
     #: The page chunk ids to write, and aligned with them their ring
-    #: arcs and the extents to store.
+    #: arcs (each is stored as :data:`PAGE_MARKER`).
     page_writes: List[str] = field(default_factory=list)
     page_arcs: array = field(default_factory=lambda: array(ARC_TYPECODE))
-    page_payloads: List[SyntheticExtent] = field(default_factory=list)
     groups: List[Tuple[int, int]] = field(default_factory=list)
     dest_groups: List[Dict[str, int]] = field(default_factory=list)
     total_bytes: int = 0
@@ -882,9 +871,9 @@ class ImageStore:
         def add_pages(vpid: int, memory: AddressSpace) -> None:
             """Plan a process's pages as one run (same rule as blobs;
             an incremental save serializes a clean page only if it has
-            to be written). A full save takes each region's arcs and
-            extents from the memo; the other modes bisect and build
-            only the pages they write."""
+            to be written). A full save takes each region's arcs from
+            the memo; the other modes bisect only the pages they
+            write."""
             nonlocal group_serialize
             regions = self._page_regions(image.pod_name, vpid, memory)
             ids: List[str] = []
@@ -896,7 +885,6 @@ class ImageStore:
                 for pages in regions:
                     pages.fill(backend)
                     plan.page_arcs.extend(pages.arcs)
-                    plan.page_payloads.extend(pages.extents)
                     arc_counts.update(pages.arc_counts)
             else:
                 fresh = ids if planned.isdisjoint(ids) else [
@@ -905,7 +893,6 @@ class ImageStore:
                 planned.update(ids)
                 arcs = backend.arcs(writes)
                 plan.page_arcs.extend(arcs)
-                plan.page_payloads.extend(page_chunk_payloads(writes))
                 arc_counts = Counter(arcs)
             for arc, count in arc_counts.items():
                 group_arcs[arc] = group_arcs.get(arc, 0) + count * PAGE_SIZE
@@ -974,7 +961,8 @@ class ImageStore:
         blob_ids, blobs, blob_arcs = zip(*plan.blob_writes) \
             if plan.blob_writes else ((), (), ())
         result = put_chunks(blob_ids, blobs, blob_arcs, writer, force) \
-            + put_chunks(plan.page_writes, plan.page_payloads,
+            + put_chunks(plan.page_writes,
+                         [PAGE_MARKER] * len(plan.page_writes),
                          plan.page_arcs, writer, force)
         stats["replica_copies"] += result.replica_copies
         stats["replica_bytes"] += result.replica_bytes
@@ -1031,11 +1019,10 @@ class ImageStore:
 
         def read_pages(process: Dict[str, Any]) -> None:
             # Every page chunk back from the store (the real read traffic
-            # of a restore); a chunk lost to GC or node failure raises.
-            pages = self.backend.read_chunks(self._page_ids(
-                image.pod_name, process["vpid"], process["memory"]))
-            for holders, payloads in pages.items():
-                sources[holders] += run_bytes(payloads)
+            # of a restore, sized and not resolved: a page's content is
+            # its id); a chunk lost to GC or node failure raises.
+            sources.update(self.backend.read_sources(self._page_ids(
+                image.pod_name, process["vpid"], process["memory"])))
 
         try:
             image.processes = [
@@ -1091,9 +1078,9 @@ class ImageStore:
         non-positive counts, and (deep) references to missing chunk
         files, chunk files nothing references, and copies on reachable
         shards that do not hold what their id says (``corrupt_chunk``,
-        naming the node: a page that is not its extent — other seed,
-        torn short, or differing real bytes — or a blob whose hash is
-        not its id).
+        naming the node: a page that is neither the marker nor its
+        extent — other seed, torn short, or differing real bytes — or a
+        blob whose hash is not its id).
         """
         self._ensure_attached()
         blobs: set = set()

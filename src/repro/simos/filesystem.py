@@ -13,12 +13,15 @@ about a page is its identity, size, placement and movement, never its
 bytes, so a stored page costs its 32-byte seed instead of 4 KiB. Every
 size and byte counter treats an extent exactly as the bytes it stands
 for, and the bytes are there for whoever asks (``bytes(extent)``,
-``read_at``).
+``read_at``). A page's seed is its chunk id, which is also its file's
+name, so the store keeps one :class:`NamedExtent` for every page copy
+— the extent whose seed is the file's name — and a copy costs its
+directory slot and no object of its own.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import (
     Dict,
     Iterable,
@@ -86,15 +89,49 @@ class SyntheticExtent(tuple):
         return f"SyntheticExtent(({self[0]!r}, {self[1]}))"
 
 
+class NamedExtent:
+    """The extent whose seed is its file's name, hex-decoded: ``length``
+    bytes that are ``bytes.fromhex(name)`` repeated.
+
+    One object, never changed, stands for that content under every name
+    it is stored under, so the chunk store writes the same marker for
+    every page copy (a page's id is its seed and its file's name).
+    Sizes and byte counters count it as ``length`` bytes; every read
+    that returns content (:meth:`SharedFileSystem.read_file`,
+    ``read_run``, ``read_at``) hands out :meth:`resolve` of it instead,
+    and only the views of what is stored (``directory``, ``scan``,
+    ``stored_run``) show the marker itself. Stored only under hex
+    names.
+    """
+
+    __slots__ = ("length",)
+
+    def __init__(self, length: int):
+        self.length = length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def resolve(self, name: str) -> SyntheticExtent:
+        """The content this marker stands for under ``name``."""
+        return SyntheticExtent((bytes.fromhex(name), self.length))
+
+    def __repr__(self) -> str:
+        return f"NamedExtent({self.length})"
+
+
 #: What a whole-file write stores and ``read_file`` returns: real bytes
-#: (a chunk store's blobs) or an extent (its pages).
-Content = Union[bytes, SyntheticExtent]
+#: (a chunk store's blobs) or an extent (its pages; a write may store
+#: the :class:`NamedExtent` that stands for one).
+Content = Union[bytes, SyntheticExtent, NamedExtent]
 #: What a directory holds under a name: that, or the bytearray a
 #: ``create``/``write_at`` file is.
 Stored = Union[bytearray, Content]
 
-_extent_length = itemgetter(1)
+_length = attrgetter("length")
 _path_of = itemgetter(0)
+#: The types whose size is their ``length``, read with no Python call.
+_EXTENTS = {SyntheticExtent, NamedExtent}
 
 
 def run_bytes(contents: Sequence[Content],
@@ -104,13 +141,25 @@ def run_bytes(contents: Sequence[Content],
     is ``set(map(type, contents))`` for a caller that already has it."""
     if kinds is None:
         kinds = set(map(type, contents))
-    if kinds == {SyntheticExtent}:
-        return sum(map(_extent_length, contents))
+    if kinds <= _EXTENTS:
+        return sum(map(_length, contents))
     return sum(map(len, contents))
 
 
+def _resolved(names: Sequence[str], contents: List[Optional[Content]],
+              kinds: Set[type]) -> List[Optional[Content]]:
+    """``contents`` with each :class:`NamedExtent` resolved under its
+    name in ``names`` (aligned); ``kinds`` is their set of types. A run
+    of markers alone (a process's pages) is resolved in C passes."""
+    if kinds == {NamedExtent}:
+        return list(map(SyntheticExtent, zip(map(bytes.fromhex, names),
+                                             map(_length, contents))))
+    return [data.resolve(name) if type(data) is NamedExtent else data
+            for name, data in zip(names, contents)]
+
+
 #: The types a whole-file value is stored as without conversion.
-_IMMUTABLE = {bytes, SyntheticExtent}
+_IMMUTABLE = {bytes, SyntheticExtent, NamedExtent}
 #: Stands in for a directory nothing was ever written under.
 _NO_FILES: Dict[str, Stored] = {}
 
@@ -185,6 +234,8 @@ class SharedFileSystem:
         data = self._dirs.get(head + slash, _NO_FILES).get(name)
         if data is None:
             raise SyscallError("ENOENT", path)
+        if type(data) is NamedExtent:
+            data = data.resolve(name)
         if type(data) is SyntheticExtent:
             data = data.read(offset, nbytes)
         else:
@@ -194,11 +245,14 @@ class SharedFileSystem:
 
     def read_file(self, path: str) -> Content:
         """The whole of ``path`` (the read twin of :meth:`write_file`);
-        an extent comes back as the extent, not expanded."""
+        an extent comes back as the extent, not expanded, and a
+        :class:`NamedExtent` as the extent it stands for here."""
         head, slash, name = path.rpartition("/")
         data = self._dirs.get(head + slash, _NO_FILES).get(name)
         if data is None:
             raise SyscallError("ENOENT", path)
+        if type(data) is NamedExtent:
+            data = data.resolve(name)
         if type(data) is SyntheticExtent:
             self.bytes_read += data.length
             return data
@@ -209,8 +263,8 @@ class SharedFileSystem:
 
     def write_file(self, path: str, data: Content) -> int:
         """Create-or-truncate ``path`` to exactly ``data``; an extent is
-        stored as the extent."""
-        if type(data) is SyntheticExtent:
+        stored as the extent (a :class:`NamedExtent` as the marker)."""
+        if type(data) in _EXTENTS:
             nbytes = data.length
         else:
             data = bytes(data)
@@ -232,7 +286,7 @@ class SharedFileSystem:
         """
         kinds = set(map(type, contents))
         if not kinds <= _IMMUTABLE:
-            contents = [data if type(data) is SyntheticExtent
+            contents = [data if type(data) in _EXTENTS
                         else bytes(data) for data in contents]
         total = run_bytes(contents, kinds)
         self.directory(directory).update(zip(names, contents))
@@ -244,6 +298,17 @@ class SharedFileSystem:
         """:meth:`read_file` of ``directory + name`` for a run of names;
         a file that is not there is a ``None`` in its place and counts
         for nothing."""
+        got = self.stored_run(directory, names)
+        kinds = set(map(type, got))
+        if NamedExtent in kinds:
+            got = _resolved(names, got, kinds)
+        return got
+
+    def stored_run(self, directory: str, names: Sequence[str]
+                   ) -> List[Optional[Content]]:
+        """:meth:`read_run` with each value as it is stored, a
+        :class:`NamedExtent` unresolved, and counted as that read: what a
+        copy into another directory moves."""
         got = list(map(self._dirs.get(directory, _NO_FILES).get, names))
         # Not ``None in got``: that is an extent's ``__eq__`` per page.
         kinds = set(map(type, got))
@@ -262,6 +327,8 @@ class SharedFileSystem:
         blob = files.get(name)
         if blob is None:
             raise SyscallError("ENOENT", path)
+        if type(blob) is NamedExtent:
+            blob = blob.resolve(name)
         if type(blob) is not bytearray:
             blob = files[name] = bytearray(bytes(blob))
         if offset > len(blob):

@@ -15,9 +15,9 @@ and is not to be optimised.
 It shares no chunk bookkeeping and no payload with the product: the
 reference backend keeps its own ``cid -> set of holders`` index (the
 product's is interned tuples) and stores every page as 4 KiB of real
-bytes (the product stores a ``SyntheticExtent``), so equal files,
-counters and sources mean the descriptor stands for exactly those
-bytes.
+bytes (the product stores one shared ``NamedExtent`` that reads back
+as the page's ``SyntheticExtent``), so equal files, counters and
+sources mean the descriptor stands for exactly those bytes.
 
 :func:`reference_audit` is the deep audit as a loop over every copy,
 kept the same way: the product's set passes must report the same
@@ -42,7 +42,7 @@ from repro.errors import (
     ReplicationError,
     VersionUnreconstructibleError,
 )
-from repro.simos.filesystem import SyntheticExtent
+from repro.simos.filesystem import NamedExtent, SyntheticExtent
 from repro.simos.memory import PAGE_SIZE
 from repro.zap.image import (
     SOCKET_FD_KINDS,
@@ -502,9 +502,10 @@ def reference_audit(store: ImageStore,
     """``ImageStore.audit`` as it stood before the deep sweep became set
     passes over each shard: its body verbatim, with ``self`` spelled
     ``store``, the manifest listing every path under the store's root,
-    every copy on a shard visited in id order, and a page held as real
-    bytes compared with :func:`reference_page_payload` (the bytes the
-    product's extent stands for). Not to be optimised."""
+    every copy on a shard visited in id order, a page's marker taken as
+    the extent it stands for under the copy's name, and a page held as
+    real bytes compared with :func:`reference_page_payload` (the bytes
+    the product's extent stands for). Not to be optimised."""
     store._ensure_attached()
     blobs: set = set()
     if deep or not store._audit_valid:
@@ -549,6 +550,8 @@ def reference_audit(store: ImageStore,
                              "expected": expected[cid]})
         for node in backend.up_nodes:
             for cid, stored in sorted(backend.copies(node).items()):
+                if type(stored) is NamedExtent:
+                    stored = stored.resolve(cid)
                 if expected.get(cid, 0) == 0:
                     problems.append({"kind": "orphan_chunk",
                                      "cid": cid, "node": node})

@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SyscallError
-from repro.simos.filesystem import SharedFileSystem, SyntheticExtent
+from repro.simos.filesystem import (
+    NamedExtent,
+    SharedFileSystem,
+    SyntheticExtent,
+)
 
 #: Directories that are prefixes of one another, of a file's whole path
 #: ("/ckpt/pod" is a file of "/ckpt/" and the stem of "/ckpt/pod/") and
@@ -183,3 +187,50 @@ def test_an_absent_file_is_enoent_for_every_path_verb():
     # Asking made no directory and moved no counter.
     assert list(fs.paths()) == ["/d/x"]
     assert (fs.bytes_written, fs.bytes_read) == (4, 0)
+
+
+def test_a_named_extent_reads_as_the_extent_its_file_name_seeds():
+    """One marker stored under several hex names: each file is counted,
+    read and patched as the extent its own name seeds, as a twin holding
+    those bytes is; only the stored views show the marker."""
+    marker = NamedExtent(40)
+    names = ["0a1b", "ff", "c0ffee"]
+    extents = [SyntheticExtent((bytes.fromhex(name), 40)) for name in names]
+    fs, twin = SharedFileSystem(), SharedFileSystem()
+
+    def same():
+        assert (fs.bytes_written, fs.bytes_read) == \
+            (twin.bytes_written, twin.bytes_read)
+
+    assert fs.write_run("/d/", names + ["blob"], [marker] * 3 + [b"blob"]) \
+        == twin.write_run("/d/", names + ["blob"],
+                          [bytes(extent) for extent in extents] + [b"blob"])
+    assert all(fs.directory("/d/")[name] is marker for name in names)
+    assert [stored for _path, stored in fs.scan("/d/f")] == [marker]
+    same()
+    # A run of markers alone, and one mixed with a blob and a hole.
+    read = fs.read_run("/d/", names)
+    assert [type(data) for data in read] == [SyntheticExtent] * 3
+    assert [tuple(data) for data in read] == [tuple(e) for e in extents]
+    mixed = fs.read_run("/d/", ["gone", "blob", "ff"])
+    assert mixed[:2] == [None, b"blob"]
+    assert tuple(mixed[2]) == tuple(extents[1])
+    assert fs.stored_run("/d/", ["ff", "gone"]) == [marker, None]
+    twin.read_run("/d/", names)
+    twin.read_run("/d/", ["gone", "blob", "ff"])
+    twin.stored_run("/d/", ["ff", "gone"])
+    same()
+    for name, extent in zip(names, extents):
+        path = "/d/" + name
+        assert fs.size(path) == twin.size(path) == 40
+        assert fs.read_file(path) == extent == twin.read_file(path)
+        assert fs.read_at(path, 3, 10) == twin.read_at(path, 3, 10) \
+            == bytes(extent)[3:13]
+        same()
+    # Writing into one turns that file alone into its bytes.
+    for store in (fs, twin):
+        store.write_at("/d/ff", 5, b"xy")
+    assert fs.read_file("/d/ff") == twin.read_file("/d/ff") \
+        == bytes(extents[1])[:5] + b"xy" + bytes(extents[1])[7:]
+    assert fs.directory("/d/")["c0ffee"] is marker
+    same()

@@ -15,6 +15,7 @@ from repro.apps.slm import reference_solution, slm_factory
 from repro.cruz.backend import ShardedBackend
 from repro.cruz.cluster import CruzCluster
 from repro.cruz.storage import (
+    PAGE_MARKER,
     ImageStore,
     blob_chunk_id,
     iter_page_chunks,
@@ -367,3 +368,65 @@ def test_holder_index_is_the_filesystem_as_interned_tuples(seed):
     attached = ShardedBackend(fs, NODES, 2)
     for cid in cids:
         assert attached.holders(cid) == backend.holders(cid)
+
+
+# -- (f) a stored page copy is the one marker, read back as its extent ------
+
+
+def test_every_page_copy_is_the_one_marker_and_reads_as_its_extent():
+    store, memories, first = saved_store(pages=12)
+    backend, fs = store.backend, store.fs
+    memories["beta", 1].touch("grid", fraction=0.5)
+    second = build_image("beta", memories, taken_at=1.0)
+    store.save(second, mode="incremental", writer="node1")
+
+    def page_ids(image):
+        return {cid for proc in image.processes for cid, _page
+                in iter_page_chunks(image.pod_name, proc.vpid, proc.memory)}
+
+    pages = page_ids(first) | page_ids(second)
+    fresh = sorted(page_ids(second) - page_ids(first))
+    assert fresh and len(pages) == 12 + len(fresh)
+
+    def page_copies():
+        return [(node, cid, value) for node in NODES
+                for cid, value in backend.copies(node).items()
+                if cid in pages]
+
+    # Both saves and a heal pass store the marker itself, RF=2 of it.
+    assert {value for _n, _c, value in page_copies()} == {PAGE_MARKER}
+    assert len(page_copies()) == 2 * len(pages)
+    backend.mark_down("node0")
+    assert sum(chunks for chunks, _nbytes in store.rereplicate(
+        [cid for cid, _live in store.under_replicated()])) > 0
+    backend.mark_up("node0")
+    assert store.reconcile_node("node0") == 0
+    assert all(value is PAGE_MARKER for _n, _c, value in page_copies())
+    assert len(page_copies()) > 2 * len(pages)
+
+    # Every read that returns content sees the page's extent.
+    for node, cid, _value in page_copies():
+        read = fs.read_file(backend._path(node, cid))
+        assert type(read) is SyntheticExtent
+        assert read == page_chunk_payload(cid)
+        assert fs.read_at(backend._path(node, cid), 30, 4) == \
+            bytes(page_chunk_payload(cid))[30:34]
+    read_before = fs.bytes_read
+    grouped = backend.read_chunks(sorted(pages))
+    assert fs.bytes_read - read_before == len(pages) * PAGE_SIZE
+    for live, payloads in grouped.items():
+        ids = [cid for cid in sorted(pages)
+               if backend.live_holders(cid) == live]
+        assert payloads == [page_chunk_payload(cid) for cid in ids]
+        assert {type(payload) for payload in payloads} == {SyntheticExtent}
+    assert store.audit(deep=True) == []
+
+    # A rotted copy over a marker is corrupt, and a forced save heals it.
+    victim = fresh[0]
+    fs.write_file(backend._path("node1", victim),
+                  SyntheticExtent((b"rot" * 11, PAGE_SIZE)))
+    assert store.audit(deep=True) == [
+        {"kind": "corrupt_chunk", "cid": victim, "node": "node1"}]
+    store.save(second, mode="full", writer="node1")
+    assert store.audit(deep=True) == []
+    assert backend.copies("node1")[victim] is PAGE_MARKER

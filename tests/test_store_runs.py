@@ -29,7 +29,6 @@ from repro.cruz.storage import (
     iter_page_chunks,
     page_chunk_id,
     page_chunk_payload,
-    page_chunk_payloads,
 )
 from repro.errors import (
     ChunkMissingError,
@@ -110,6 +109,11 @@ def build_image(pod_name, memories, taken_at):
     image.shm.append(ShmImage(vid=1, app_key=7, size=64,
                               payload_blob=pod_name.encode() * 16))
     return image
+
+
+def page_payloads(cids):
+    """:func:`page_chunk_payload` of each of a run of page chunk ids."""
+    return list(map(page_chunk_payload, cids))
 
 
 def reference_ids(pod_name, vpid, memory):
@@ -228,8 +232,8 @@ def test_runs_match_the_per_chunk_reference(seed):
             save_both(stores, image, "full", writer, step)
         elif op < 0.68:
             # A forced save over a copy that holds the wrong seed: the
-            # memoised extent comes from the id, never from a disk, so
-            # the rewrite heals the copy.
+            # marker it writes comes from no disk, so the rewrite heals
+            # the copy.
             writer = rng.choice([n for n in NODES if n not in down])
             save_both(stores, image, "full", writer, step)
             ids = [cid for proc in image.processes for cid in
@@ -553,7 +557,8 @@ def test_untouched_full_save_builds_and_bisects_nothing_per_page(
     assert pages.isdisjoint(bisected) and len(bisected) == 8
     assert built == []
 
-    # An incremental save bisects and builds the one page it writes.
+    # An incremental save bisects the one page it writes, and builds no
+    # extent for it either: every page copy is the one marker.
     memories["alpha", 1].touch("grid", fraction=1 / 64)
     image = build_image("alpha", memories, taken_at=1.0)
     del bisected[:]
@@ -563,7 +568,7 @@ def test_untouched_full_save_builds_and_bisects_nothing_per_page(
     (touched,) = set(store._page_ids("alpha", 1, memories["alpha", 1])) \
         - pages
     assert bisected == [touched]
-    assert built == [(bytes.fromhex(touched), PAGE_SIZE)]
+    assert built == []
 
 
 def test_memo_follows_a_restore_onto_another_node():
@@ -593,7 +598,7 @@ def test_memo_follows_a_restore_onto_another_node():
 
 
 def test_a_shared_memo_bisects_again_only_against_another_ring():
-    """Stores that share one page memo reuse its ids and extents, and its
+    """Stores that share one page memo reuse its ids, and its
     arcs only over an equal ring: a backend over other nodes bisects
     again, and each store places every page where a fresh bisect
     would."""
@@ -681,7 +686,7 @@ def test_put_with_no_shard_up_is_a_typed_failure():
                 backend.put_chunk(cid, b"payload", writer="node1")
             else:
                 backend.put_chunks([cid] + pages, [b"payload"]
-                                   + page_chunk_payloads(pages),
+                                   + page_payloads(pages),
                                    backend.arcs([cid] + pages),
                                    "node1", False)
         assert refused.value.cid == cid
@@ -756,7 +761,7 @@ def test_torn_copy_is_read_from_the_surviving_replica():
 def test_a_torn_first_copy_is_repaired_from_the_surviving_replica():
     backend = ShardedBackend(SharedFileSystem(), NODES, 3)
     ids = page_run(32)
-    backend.put_chunks(ids, page_chunk_payloads(ids), backend.arcs(ids),
+    backend.put_chunks(ids, page_payloads(ids), backend.arcs(ids),
                        "node0", False)
     backend.mark_down("node3")
     short = [cid for cid, _live in backend.under_replicated()]
@@ -846,7 +851,7 @@ def test_holes_are_found_without_comparing_extents(monkeypatch):
     page; a run is checked for holes by type."""
     backend = ShardedBackend(SharedFileSystem(), NODES, 2)
     ids = page_run(64)
-    backend.put_chunks(ids, page_chunk_payloads(ids), backend.arcs(ids),
+    backend.put_chunks(ids, page_payloads(ids), backend.arcs(ids),
                        "node0", False)
     torn = ids[5]
     first, second = backend.live_holders(torn)
@@ -870,7 +875,7 @@ def test_holes_are_found_without_comparing_extents(monkeypatch):
     assert run_read == 64 * PAGE_SIZE
     group = [cid for cid in ids
              if backend.live_holders(cid) == (first, second)]
-    assert grouped[first, second] == page_chunk_payloads(group)
+    assert grouped[first, second] == page_payloads(group)
 
 
 @pytest.mark.parametrize("force", [False, True])
@@ -905,7 +910,7 @@ def test_a_miss_is_the_first_in_run_order_and_counts_what_came_before():
                 ReferenceBackend(SharedFileSystem(), NODES, 2))
     ids = page_run(48)
     real, reference = backends
-    real.put_chunks(ids, page_chunk_payloads(ids), real.arcs(ids), "node0",
+    real.put_chunks(ids, page_payloads(ids), real.arcs(ids), "node0",
                     False)
     for cid in ids:
         reference.put_chunk(cid, reference_page_payload(cid),
@@ -1004,7 +1009,7 @@ def test_calls_per_run_do_not_depend_on_its_length():
     for pages in (1024, 4096):
         backend = ShardedBackend(SharedFileSystem(), NODES, 2)
         ids = page_run(pages)
-        payloads = page_chunk_payloads(ids)
+        payloads = page_payloads(ids)
         arcs = backend.arcs(ids)
         # The writer's placement table is built once per availability
         # change, not per run.
@@ -1038,7 +1043,7 @@ def test_calls_per_repair_pass_do_not_depend_on_its_length():
         store = ImageStore(fs, backend=ShardedBackend(fs, NODES[:3], 2))
         backend = store.backend
         ids = page_run(pages)
-        backend.put_chunks(ids, page_chunk_payloads(ids), backend.arcs(ids),
+        backend.put_chunks(ids, page_payloads(ids), backend.arcs(ids),
                            "node0", False)
         store._refcounts.update(ids)        # as a committed save leaves
         backend.mark_down("node0")
